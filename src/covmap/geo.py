@@ -20,7 +20,7 @@ import numpy as np
 
 UNASSIGNED = -1
 
-_CHUNK = 65536  # pixels per distance-matrix chunk
+_CHUNK = 32768  # points per distance-matrix chunk
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,10 @@ class Grid:
         r = self.nrows - 1 - np.floor((y - self.origin_y) / self.cell_size_m).astype(np.int64)
         bad = (c < 0) | (c >= self.ncols) | (r < 0) | (r >= self.nrows)
         return np.where(bad, UNASSIGNED, r), np.where(bad, UNASSIGNED, c)
+
+    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centre coordinates (m) of every pixel, flat in pixel-id order."""
+        return self.centers(*self.rowcol_of_id(np.arange(self.npixels)))
 
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the grid footprint."""
@@ -172,13 +176,24 @@ class Assignment:
         ):
             raise ValueError("labels out of range for bts_ids")
 
-    def tile_sizes(self) -> np.ndarray:
-        """Pixel count per site (ignores unassigned pixels)."""
-        flat = self.labels.ravel()
-        return np.bincount(flat[flat >= 0], minlength=len(self.bts_ids)).astype(np.int64)
 
-    def covered_fraction(self) -> float:
-        return float(np.count_nonzero(self.labels >= 0) / self.labels.size)
+def nearest_index(x, y, sx, sy) -> np.ndarray:
+    """Index of the nearest site for each point, by planar squared distance.
+
+    Ties go to the lowest site index (argmin's first hit), so callers
+    wanting the lowest bts_id pass sites sorted by id.  Points stream in
+    chunks, so memory stays bounded for any number of points.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    sx = np.asarray(sx, dtype=np.float64)
+    sy = np.asarray(sy, dtype=np.float64)
+    out = np.empty(x.size, dtype=np.int64)
+    for lo in range(0, x.size, _CHUNK):
+        hi = min(lo + _CHUNK, x.size)
+        d2 = (x[lo:hi, None] - sx) ** 2 + (y[lo:hi, None] - sy) ** 2
+        out[lo:hi] = np.argmin(d2, axis=1)
+    return out
 
 
 def voronoi_assign(grid: Grid, sites) -> Assignment:
@@ -200,34 +215,9 @@ def voronoi_assign(grid: Grid, sites) -> Assignment:
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise ValueError("site coordinates must be finite")
 
-    labels = np.empty(grid.npixels, dtype=np.int32)
-    pid = np.arange(grid.npixels, dtype=np.int64)
-    for lo in range(0, grid.npixels, _CHUNK):
-        hi = min(lo + _CHUNK, grid.npixels)
-        r, c = grid.rowcol_of_id(pid[lo:hi])
-        x, y = grid.centers(r, c)
-        d2 = (x[:, None] - sx) ** 2 + (y[:, None] - sy) ** 2
-        labels[lo:hi] = np.argmin(d2, axis=1)  # first minimum = lowest bts_id
+    x, y = grid.pixel_centers()
+    labels = nearest_index(x, y, sx, sy)  # sites in id order: ties to the lowest bts_id
     return Assignment(grid, bts_ids, labels.reshape(grid.shape))
-
-
-def nearest_site(x, y, sites) -> np.ndarray:
-    """Index of the nearest site for arbitrary points, ties to lowest bts_id.
-
-    Returns indices into the site sequence *as given*; the caller is
-    expected to pass sites already sorted by bts_id when the tie rule
-    matters.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    sx = np.array([float(s[1]) for s in sites])
-    sy = np.array([float(s[2]) for s in sites])
-    out = np.empty(x.size, dtype=np.int64)
-    for lo in range(0, x.size, _CHUNK):
-        hi = min(lo + _CHUNK, x.size)
-        d2 = (x[lo:hi, None] - sx) ** 2 + (y[lo:hi, None] - sy) ** 2
-        out[lo:hi] = np.argmin(d2, axis=1)
-    return out
 
 
 # --- statistical areas -------------------------------------------------------

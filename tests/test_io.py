@@ -234,6 +234,22 @@ class TestAreasGeojson:
         with pytest.raises(ValueError, match="Polygon or MultiPolygon.*'Point'"):
             load_areas_geojson(p)
 
+    @pytest.mark.parametrize("features,match", [
+        ({"A": 1}, "'features' must be a list"),
+        ([1], "feature 0: expected an object"),
+        ([_feature("A", SQUARE), "B"], "feature 1: expected an object"),
+        ([{"type": "Feature", "properties": [1], "geometry": None}],
+         "feature 0: 'properties' must be an object"),
+        ([{"type": "Feature", "properties": {"area_id": "A"}, "geometry": [1]}],
+         "feature 0 \\('A'\\): 'geometry' must be an object"),
+    ], ids=["features", "feature", "second-feature", "properties", "geometry"])
+    def test_malformed_structure_names_file_and_feature(self, tmp_path, features, match):
+        p = tmp_path / "areas.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        with pytest.raises(ValueError, match=match) as exc:
+            load_areas_geojson(p)
+        assert str(p) in str(exc.value)
+
     def test_three_features_keep_order(self, tmp_path):
         shift = lambda dx: [[[x + dx, y] for x, y in SQUARE[0]]]
         p = tmp_path / "areas.geojson"

@@ -22,7 +22,6 @@ from covmap.mapping import (
     aggregate,
     area_weights_from_pixels,
     classify_areas_by_bts_density,
-    refine_weights,
     synthesize_naive_specs,
     weights_aug_voronoi,
     weights_bsa,
@@ -317,43 +316,6 @@ class TestIdw:
         field = make_field([5, 9], ["b1"], [[-50.0], [-60.0]])
         with pytest.raises(ValueError, match="aligned"):
             weights_idw(field, settlements, areas)
-
-
-class TestRefine:
-    def _base(self):
-        counts = np.array([[1, 1]])
-        g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
-        field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -90.0], [-100.0, -55.0]])
-        pw, wm = weights_bsa(field, settlements, areas)
-        return settlements, areas, pw, wm
-
-    def test_aux_counts_reweight_area_row(self):
-        settlements, areas, pw, _ = self._base()
-        refined = refine_weights(pw, [3.0, 1.0])
-        wm = area_weights_from_pixels(refined, settlements, areas)
-        assert wm.rows["a"] == {"b1": 0.75, "b2": 0.25}
-        assert wm.scheme == "bsa_aux"
-
-    def test_all_ones_is_identity(self):
-        settlements, areas, pw, base_wm = self._base()
-        wm = area_weights_from_pixels(refine_weights(pw, [1.0, 1.0]), settlements, areas)
-        assert wm.rows == base_wm.rows
-
-    def test_zero_count_pixel_contributes_nothing(self):
-        settlements, areas, pw, _ = self._base()
-        wm = area_weights_from_pixels(refine_weights(pw, [1.0, 0.0]), settlements, areas)
-        assert wm.rows["a"] == {"b1": 1.0}
-
-    def test_negative_counts_rejected(self):
-        _, _, pw, _ = self._base()
-        with pytest.raises(ValueError):
-            refine_weights(pw, [1.0, -2.0])
-
-    def test_all_zero_aux_gives_no_coverage(self):
-        settlements, areas, pw, _ = self._base()
-        wm = area_weights_from_pixels(refine_weights(pw, [0.0, 0.0]), settlements, areas)
-        assert wm.no_coverage_ids == ["a"]
 
 
 class TestAggregate:

@@ -1,4 +1,4 @@
-"""Tests for the extended Hata model, link budgets and RSS fields.
+"""Tests for the extended Hata model and RSS fields.
 
 Golden loss values were computed with an independent scalar
 transcription of the published CEPT formulas and frozen here.
@@ -6,18 +6,15 @@ transcription of the published CEPT formulas and frozen here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from covmap.propagation import (
+    ENV_CLASSES,
     AntennaSpec,
-    LinkParams,
     RssField,
-    VariationSpec,
     extended_hata_db,
-    link_budget,
-    link_variation_db,
-    path_loss_median,
-    path_loss_variation,
     rss_field,
 )
 
@@ -51,22 +48,18 @@ GOLDEN_LOSS = [
 @pytest.mark.parametrize("args,expected", GOLDEN_LOSS)
 def test_golden_loss_values(args, expected):
     f, d, hb, hm, env = args
-    spec = AntennaSpec("bts", 0.0, 0.0, hb, f, 43.0)
-    link = LinkParams(d, hm, env)
-    assert_allclose(path_loss_median(spec, link), expected, rtol=1e-10)
+    assert_allclose(extended_hata_db(f, d, hb, hm, env), expected, rtol=1e-10)
 
 
 def test_rural_anchor_within_published_band():
     # 3 km open-area link at 900 MHz, 30 m mast, 1 m receiver: ~118 dB
-    spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)
-    loss = path_loss_median(spec, LinkParams(3.0, 1.0, "rural"))
+    loss = extended_hata_db(900.0, 3.0, 30.0, 1.0, "rural")
     assert abs(loss - 118.0) <= 3.0
-    assert abs(link_budget(spec.power_dbm, loss) - (-75.0)) <= 3.0
+    assert abs((43.0 - loss) - (-75.0)) <= 3.0
 
 
 def test_environment_ordering():
-    spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)
-    losses = [path_loss_median(spec, LinkParams(5.0, 1.5, env)) for env in
+    losses = [extended_hata_db(900.0, 5.0, 30.0, 1.5, env) for env in
               ("urban", "suburban", "rural")]
     assert losses[0] > losses[1] > losses[2]
 
@@ -77,6 +70,31 @@ def test_monotone_in_distance():
         for f in (150.0, 900.0, 2100.0, 3000.0):
             loss = extended_hata_db(f, d, 30.0, 1.5, env)
             assert np.all(np.diff(loss) > 0), (env, f)
+
+
+# one draw per frequency branch: <= 1500, <= 2000 and > 2000 MHz
+_FREQ = st.one_of(
+    st.floats(150.0, 1500.0), st.floats(1500.0, 2000.0), st.floats(2000.0, 3000.0)
+)
+# a dense log sweep from 0.1 m to past the 100 km clamp, with the branch
+# points themselves: the 40 m/100 m bridge, the 20 km exponent change
+_SWEEP_KM = np.concatenate([[0.0, 0.04, 0.1, 20.0, 100.0], np.geomspace(1e-4, 130.0, 3000)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=_FREQ,
+    h_tx=st.floats(1.0, 1000.0),
+    h_rx=st.floats(1.0, 10.0),
+    env=st.sampled_from(ENV_CLASSES),
+    extra_km=st.lists(st.floats(0.0, 130.0), max_size=20),
+)
+def test_loss_never_decreases_with_distance(f, h_tx, h_rx, env, extra_km):
+    # range-culling kernels rely on this to bound where a link can be live
+    d = np.sort(np.concatenate([_SWEEP_KM, extra_km]))
+    loss = extended_hata_db(f, d, h_tx, h_rx, env, clamp_distance=True)
+    bad = np.flatnonzero(np.diff(loss) < 0)
+    assert bad.size == 0, [(d[i], d[i + 1], loss[i], loss[i + 1]) for i in bad[:3]]
 
 
 def test_free_space_floor_binds_close_in():
@@ -136,8 +154,6 @@ def test_out_of_range_rejected(f, d, hb, hm, env):
 def test_unknown_env_rejected():
     with pytest.raises(ValueError):
         extended_hata_db(900.0, 1.0, 30.0, 1.0, "swamp")
-    with pytest.raises(ValueError):
-        LinkParams(1.0, 1.5, "swamp")
 
 
 def test_antenna_spec_validation():
@@ -149,64 +165,6 @@ def test_antenna_spec_validation():
         AntennaSpec("", 0.0, 0.0, 30.0, 900.0, 43.0)
     with pytest.raises(ValueError):
         AntennaSpec("a", np.nan, 0.0, 30.0, 900.0, 43.0)
-
-
-def test_link_params_validation():
-    with pytest.raises(ValueError):
-        LinkParams(0.0, 1.5, "urban")
-    with pytest.raises(ValueError):
-        LinkParams(101.0, 1.5, "urban")
-
-
-def test_link_budget():
-    assert link_budget(43.0, 118.0) == -75.0
-    assert link_budget(45.0, 0.0) == 45.0
-    assert link_budget(45.0, 120.5) == -75.5
-    with pytest.raises(ValueError):
-        link_budget(np.inf, 100.0)
-
-
-class TestVariation:
-    def test_disabled_is_exact_zero(self):
-        rng = np.random.default_rng(0)
-        assert path_loss_variation(VariationSpec(enabled=False, mu_db=12.0, sigma_db=9.0), rng) == 0.0
-
-    def test_zero_sigma_returns_mu(self):
-        rng = np.random.default_rng(0)
-        v = VariationSpec(enabled=True, mu_db=12.0, sigma_db=0.0)
-        assert all(path_loss_variation(v, rng) == 12.0 for _ in range(10))
-
-    def test_law_of_large_numbers(self):
-        rng = np.random.default_rng(1234)
-        v = VariationSpec(enabled=True, mu_db=12.0, sigma_db=12.0)
-        draws = np.array([path_loss_variation(v, rng) for _ in range(100_000)])
-        assert abs(draws.mean() - 12.0) < 0.2
-        assert abs(draws.std() - 12.0) < 0.2
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            VariationSpec(enabled=True, mu_db=0.0, sigma_db=-1.0)
-
-    def test_per_link_stream_is_order_independent(self):
-        v = VariationSpec(enabled=True, mu_db=0.0, sigma_db=6.0)
-        pids = np.arange(1000, dtype=np.int64)
-        base = link_variation_db(v, 7, pids, "bts_042")
-        perm = np.random.default_rng(0).permutation(1000)
-        shuffled = link_variation_db(v, 7, pids[perm], "bts_042")
-        assert np.array_equal(base[perm], shuffled)
-
-    def test_per_link_stream_statistics(self):
-        v = VariationSpec(enabled=True, mu_db=5.0, sigma_db=8.0)
-        draws = link_variation_db(v, 3, np.arange(200_000), "bts_007")
-        assert abs(draws.mean() - 5.0) < 0.1
-        assert abs(draws.std() - 8.0) < 0.1
-
-    def test_per_link_stream_keys_matter(self):
-        v = VariationSpec(enabled=True, mu_db=0.0, sigma_db=6.0)
-        pids = np.arange(100)
-        a = link_variation_db(v, 1, pids, "bts_000")
-        assert not np.array_equal(a, link_variation_db(v, 2, pids, "bts_000"))
-        assert not np.array_equal(a, link_variation_db(v, 1, pids, "bts_001"))
 
 
 class TestRssField:
@@ -231,7 +189,7 @@ class TestRssField:
         for i in range(5):
             for j, s in enumerate(specs):
                 d = float(np.hypot(px[i] - s.x, py[i] - s.y)) / 1000.0
-                want = link_budget(s.power_dbm, path_loss_median(s, LinkParams(d, 1.5, envs[i])))
+                want = s.power_dbm - extended_hata_db(s.freq_mhz, d, s.height_m, 1.5, envs[i])
                 assert_allclose(f.rss_dbm[i, j], want, rtol=0, atol=1e-12)
 
     def test_symmetric_pixel_sees_equal_levels(self):
@@ -263,7 +221,7 @@ class TestRssField:
         specs = [AntennaSpec("a", 0.0, 0.0, 60.0, 900.0, 47.0)]
         f = rss_field(specs, [0, 1], [120_000.0, 100_000.0], [0.0, 0.0], ["rural", "rural"])
         assert f.rss_dbm[0, 0] == f.rss_dbm[1, 0]  # evaluated at the 100 km clamp
-        assert bool(f.dead[0, 0])
+        assert not f.live[0, 0]
         assert np.all(np.isfinite(f.rss_dbm))
 
     def test_colocated_pixel_is_finite_and_strong(self):
@@ -278,31 +236,9 @@ class TestRssField:
             specs, [0, 1], [1000.0, 80_000.0], [0.0, 0.0], ["urban", "urban"],
             dead_threshold_dbm=-110.0,
         )
-        assert bool(f.live[0, 0]) and bool(f.dead[1, 0])
+        assert bool(f.live[0, 0]) and not f.live[1, 0]
         # dead entries stay retrievable
         assert np.isfinite(f.rss_dbm[1, 0])
-
-    def test_variation_disabled_equals_zero_mu_sigma(self):
-        specs = self._specs()
-        px, py = np.array([3000.0, -4000.0]), np.array([1000.0, 2000.0])
-        envs = ["urban", "rural"]
-        a = rss_field(specs, [0, 1], px, py, envs, vspec=None)
-        b = rss_field(
-            specs, [0, 1], px, py, envs,
-            vspec=VariationSpec(enabled=True, mu_db=0.0, sigma_db=0.0),
-        )
-        assert np.array_equal(a.rss_dbm, b.rss_dbm)
-
-    def test_variation_reproducible_for_seed(self):
-        specs = self._specs()
-        v = VariationSpec(enabled=True, mu_db=0.0, sigma_db=6.0)
-        kw = dict(vspec=v, seed=99)
-        px, py = np.array([3000.0, -4000.0]), np.array([1000.0, 2000.0])
-        a = rss_field(specs, [0, 1], px, py, ["urban", "rural"], **kw)
-        b = rss_field(specs, [0, 1], px, py, ["urban", "rural"], **kw)
-        assert np.array_equal(a.rss_dbm, b.rss_dbm)
-        c = rss_field(specs, [0, 1], px, py, ["urban", "rural"], vspec=v, seed=100)
-        assert not np.array_equal(a.rss_dbm, c.rss_dbm)
 
     def test_duplicate_bts_rejected(self):
         specs = [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covmap.geo import Assignment, Grid, extract_settlements
-from covmap.propagation import env_code, rss_field
+from covmap.propagation import env_code, extended_hata_db
 from covmap.simulation import (
     SCHEMES,
     TALLY_METRICS,
@@ -241,13 +241,16 @@ class TestCoverage:
         pid = np.arange(grid.npixels)
         r, c = grid.rowcol_of_id(pid)
         x, y = grid.centers(r, c)
-        field = rss_field(
-            world.specs, pid, x, y, world.env_grid.ravel(),
-            rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm,
-        )
-        masked = np.where(field.live, field.rss_dbm, -np.inf)
-        want = np.argmax(masked, axis=1)
-        want[~field.live.any(axis=1)] = -1
+        # links straight from the loss model, so the streamed kernel is not its own oracle
+        rss = np.column_stack([
+            s.power_dbm - extended_hata_db(
+                s.freq_mhz, np.hypot(x - s.x, y - s.y) / 1000.0, s.height_m,
+                cfg.rx_height_m, world.env_grid.ravel(), clamp_distance=True)
+            for s in world.specs
+        ])
+        live = rss >= cfg.dead_threshold_dbm
+        want = np.argmax(np.where(live, rss, -np.inf), axis=1)
+        want[~live.any(axis=1)] = -1
         np.testing.assert_array_equal(world.coverage.assignment.labels.ravel(), want)
 
     def test_specs_must_be_sorted(self):
