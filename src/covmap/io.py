@@ -219,6 +219,8 @@ def load_bts_csv(path) -> BtsFile:
                 specs.append(AntennaSpec(bts_id, *nums))
             except ValueError as exc:
                 raise _err(path, lineno, str(exc)) from None
+    if not points:
+        raise _err(path, None, "no BTS rows")
     return BtsFile(points, specs if full else None)
 
 

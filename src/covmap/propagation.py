@@ -7,10 +7,18 @@ Short paths (below 100 m) fall back to free space with a log-distance
 interpolation bridge, and the final loss is never allowed below the
 free-space value.
 
-`rss_field` is the one link kernel: it turns antenna specs and pixel
-centres into a received-signal matrix (transmit power minus median
-loss, no shadowing term), and every coverage and weighting path calls
-it, whole or chunk by chunk.
+Two kernels turn antenna specs and pixel centres into received levels
+(transmit power minus median loss, no shadowing term), through one
+per-link expression, so a link's level has the same bytes in both:
+
+- `rss_field` evaluates every pixel x antenna pair and keeps dead
+  levels retrievable; the CLI `weights` path uses it.
+- `live_levels` is the streamed coverage kernel.  Loss never decreases
+  with distance, so `live_radius_km` bounds, per antenna and
+  environment, where a link can be live; `live_levels` evaluates the
+  model only inside that radius and reports every dead link as -inf.
+  `simulation.best_server_grid` and `settlement_pixel_weights` call it
+  chunk by chunk.
 """
 
 from __future__ import annotations
@@ -264,8 +272,104 @@ def rss_field(
 
     out = np.empty((pids.size, len(specs)))
     for j, s in enumerate(specs):
-        d_km = np.hypot(x - s.x, y - s.y) / 1000.0
-        out[:, j] = s.power_dbm - extended_hata_db(
-            s.freq_mhz, d_km, s.height_m, rx_height_m, codes, clamp_distance=True
-        )
+        out[:, j] = _levels_dbm(s, _distance_km(x - s.x, y - s.y), codes, rx_height_m)
     return RssField(pids, [s.bts_id for s in specs], out, dead_threshold_dbm)
+
+
+def _distance_km(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    return np.hypot(dx, dy) / 1000.0
+
+
+def _levels_dbm(spec: AntennaSpec, d_km, codes, rx_height_m: float) -> np.ndarray:
+    """The per-link expression both kernels share: power minus median loss."""
+    return spec.power_dbm - extended_hata_db(
+        spec.freq_mhz, d_km, spec.height_m, rx_height_m, codes, clamp_distance=True
+    )
+
+
+# the radius probe: a log grid from 1 m to the model's range, then a linear
+# refinement between its last live and first dead point
+_PROBE_KM = np.geomspace(1e-3, DIST_MAX_KM, 64)
+_PROBE_REFINE = 64
+# a probe point counts as dead only this far below the threshold, so a
+# one-ulp wobble in the loss can never make a culled link live
+_RADIUS_MARGIN_DB = 1e-6
+# relative slack on the distance tests that cull links, far above their
+# rounding error, so a culled link always lies at or beyond its radius
+_REACH_SLACK = 1.0 + 1e-9
+
+
+def live_radius_km(
+    spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: float
+) -> np.ndarray:
+    """Per environment code, a distance from which every link of `spec` is dead.
+
+    Entry `r[env]` guarantees that every path of length `d >= r[env]`
+    through environment `env` has a level below `dead_threshold_dbm`.
+    It is `inf` exactly when the 100 km link is still live: the clamp
+    holds the loss flat beyond the model's range.  Relies on the loss
+    never decreasing with distance.
+    """
+    codes = np.arange(len(ENV_CLASSES))[:, None]
+    cut = dead_threshold_dbm - _RADIUS_MARGIN_DB
+    coarse = np.broadcast_to(_PROBE_KM, (codes.size, _PROBE_KM.size))
+    level = _levels_dbm(spec, coarse, codes, rx_height_m)
+    dead = level < cut
+    first = np.where(dead.any(axis=1), dead.argmax(axis=1), _PROBE_KM.size)
+    radius = np.where(level[:, -1] < dead_threshold_dbm, DIST_MAX_KM, np.inf)
+    bracket = (first > 0) & (first < _PROBE_KM.size)
+    radius[first == 0] = _PROBE_KM[0]
+    if bracket.any():
+        k = first[bracket]
+        fine = np.linspace(_PROBE_KM[k - 1], _PROBE_KM[k], _PROBE_REFINE, axis=1)
+        fine_dead = _levels_dbm(spec, fine, codes[bracket], rx_height_m) < cut
+        fine_dead[:, -1] = True  # the bracket's own dead end point
+        radius[bracket] = fine[np.arange(k.size), fine_dead.argmax(axis=1)]
+    return radius
+
+
+def live_levels(
+    specs: list[AntennaSpec],
+    radii_km: np.ndarray,
+    px,
+    py,
+    pixel_env,
+    *,
+    rx_height_m: float = 1.0,
+    dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
+) -> np.ndarray:
+    """Received levels (dBm) for pixels x antennas, `-inf` for every dead link.
+
+    `radii_km[j]` is `live_radius_km(specs[j], rx_height_m,
+    dead_threshold_dbm)`.  A spec whose largest radius lies beyond the
+    chunk's bounding box is skipped; otherwise the model runs only on
+    pixels within the radius of their environment.  Every live entry has
+    the bytes `rss_field` gives the same link.
+    """
+    x = np.asarray(px, dtype=np.float64)
+    y = np.asarray(py, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("px and py must be 1-D with matching shapes")
+    codes = np.broadcast_to(env_codes(pixel_env), x.shape)
+    out = np.full((x.size, len(specs)), -np.inf)
+    if x.size == 0:
+        return out
+    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
+    # squared reach in metres per spec and environment: a cheap test before hypot
+    reach_m2 = (np.asarray(radii_km) * (1000.0 * _REACH_SLACK)) ** 2
+    for j, s in enumerate(specs):
+        reach_km = radii_km[j].max() * _REACH_SLACK
+        gap_km = _distance_km(max(x0 - s.x, s.x - x1, 0.0), max(y0 - s.y, s.y - y1, 0.0))
+        if gap_km >= reach_km:
+            continue
+        dx = x - s.x
+        dy = y - s.y
+        near = dx * dx + dy * dy < reach_m2[j][codes]
+        if near.all():
+            level = _levels_dbm(s, _distance_km(dx, dy), codes, rx_height_m)
+            out[:, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
+        elif near.any():
+            idx = np.flatnonzero(near)
+            level = _levels_dbm(s, _distance_km(dx[idx], dy[idx]), codes[idx], rx_height_m)
+            out[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
+    return out

@@ -48,7 +48,8 @@ from .propagation import (
     ENV_SUBURBAN,
     AntennaSpec,
     env_code,
-    rss_field,
+    live_levels,
+    live_radius_km,
 )
 
 SCHEMES = ("benchmark", "p2p", "voronoi", "aug_voronoi", "hata_bsa", "hata_idw")
@@ -493,19 +494,36 @@ def best_server_grid(
     Specs must be sorted by bts_id so exact ties resolve to the lowest
     id; pixels with no live link stay unassigned.
     """
-    ids = [s.bts_id for s in specs]
-    if ids != sorted(ids):
-        raise ValueError("specs must be sorted by bts_id")
+    ids, radii = _sorted_ids_and_radii(specs, rx_height_m, dead_threshold_dbm)
     env_flat = np.asarray(env_grid, dtype=np.uint8).ravel()
     labels = np.empty(grid.npixels, dtype=np.int32)
-    pid = np.arange(grid.npixels, dtype=np.int64)
     x, y = grid.pixel_centers()
     for lo in range(0, grid.npixels, _CHUNK):
         hi = min(lo + _CHUNK, grid.npixels)
-        field = rss_field(specs, pid[lo:hi], x[lo:hi], y[lo:hi], env_flat[lo:hi],
+        rss = live_levels(specs, radii, x[lo:hi], y[lo:hi], env_flat[lo:hi],
                           rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
-        labels[lo:hi] = bsa_select_chunk(field.rss_dbm, field.live).astype(np.int32)
+        labels[lo:hi] = bsa_select_chunk(rss, rss > -np.inf).astype(np.int32)
     return Assignment(grid, ids, labels.reshape(grid.shape))
+
+
+def _sorted_ids_and_radii(
+    specs: list[AntennaSpec], rx_height_m: float, dead_threshold_dbm: float
+) -> tuple[list[str], np.ndarray]:
+    """The spec ids, which must ascend strictly, and `live_radius_km` per
+    spec as a (specs, env codes) array.
+
+    The radius ignores the site's position, so specs with equal technical
+    parameters (all naive specs of one class) share one probe.
+    """
+    ids = [s.bts_id for s in specs]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("specs must be sorted by bts_id, without duplicates")
+    radius_of: dict[tuple[float, float, float], np.ndarray] = {}
+    for s in specs:
+        key = (s.height_m, s.freq_mhz, s.power_dbm)
+        if key not in radius_of:
+            radius_of[key] = live_radius_km(s, rx_height_m, dead_threshold_dbm)
+    return ids, np.array([radius_of[s.height_m, s.freq_mhz, s.power_dbm] for s in specs])
 
 
 @dataclass
@@ -551,21 +569,19 @@ def settlement_pixel_weights(
     Returns (selection, bsa PixelWeights, idw PixelWeights); columns
     follow the spec order, which must be sorted by bts_id.
     """
-    ids = [s.bts_id for s in specs]
-    if ids != sorted(ids):
-        raise ValueError("specs must be sorted by bts_id")
+    ids, radii = _sorted_ids_and_radii(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
     n = len(settlements)
     sel = np.empty(n, dtype=np.int64)
     idw_counts = np.empty(n, dtype=np.int64)
     idw_cols, idw_ws = [], []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        field = rss_field(specs, settlements.ids[lo:hi], settlements.x[lo:hi],
-                          settlements.y[lo:hi], env_codes_at[lo:hi],
-                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
-        live = field.live
-        sel[lo:hi] = bsa_select_chunk(field.rss_dbm, live)
-        cnt, col, w = idw_rows_chunk(field.rss_dbm, live, cfg.idw_s, cfg.idw_k)
+        rss = live_levels(specs, radii, settlements.x[lo:hi], settlements.y[lo:hi],
+                          env_codes_at[lo:hi], rx_height_m=cfg.rx_height_m,
+                          dead_threshold_dbm=cfg.dead_threshold_dbm)
+        live = rss > -np.inf
+        sel[lo:hi] = bsa_select_chunk(rss, live)
+        cnt, col, w = idw_rows_chunk(rss, live, cfg.idw_s, cfg.idw_k)
         idw_counts[lo:hi] = cnt
         idw_cols.append(col)
         idw_ws.append(w)
@@ -817,12 +833,15 @@ def _p2p_credit(
 ) -> np.ndarray:
     """Fractional settlement credit for p2p: the weight the settlement's
     area row puts on the true serving site."""
+    col_of = {b: j for j, b in enumerate(bts_ids)}
+    table = np.zeros((len(area_ids), len(bts_ids)))
+    for i, aid in enumerate(area_ids):
+        for bts_id, w in wm.rows.get(aid, {}).items():
+            if bts_id in col_of:
+                table[i, col_of[bts_id]] = w
     credit = np.zeros(true_server.size)
-    rows_by_idx = {i: wm.rows.get(aid, {}) for i, aid in enumerate(area_ids)}
-    for i in range(true_server.size):
-        if true_server[i] < 0 or area_of_settlement[i] < 0:
-            continue
-        credit[i] = rows_by_idx[area_of_settlement[i]].get(bts_ids[true_server[i]], 0.0)
+    ok = (true_server >= 0) & (area_of_settlement >= 0)
+    credit[ok] = table[area_of_settlement[ok], true_server[ok]]
     return credit
 
 

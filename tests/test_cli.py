@@ -146,6 +146,18 @@ class TestCoverage:
             assert int(pixels) == int(np.sum(covered == float(label)))
 
 
+    def test_header_only_bts_file_fails_cleanly(self, study, tmp_path, capsys):
+        empty = tmp_path / "empty_bts.csv"
+        empty.write_text("bts_id,x,y,height_m,freq_mhz,power_dbm\n")
+        rc = main(["coverage", "--bts", str(empty),
+                   "--raster", str(study / "snapshot_settlements.asc"),
+                   "--aux", str(study / "snapshot_env.asc"),
+                   "--out", str(tmp_path / "cov")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(empty) in err and "no BTS rows" in err
+
+
 class TestWeights:
     def test_p2p_is_thin_wrapper(self, study, two_areas, tmp_path):
         rc = main(["weights", "--scheme", "p2p",
@@ -197,6 +209,18 @@ class TestWeights:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err and "feature 0" in err
+
+    def test_header_only_bts_file_fails_cleanly(self, study, two_areas, tmp_path, capsys):
+        empty = tmp_path / "empty_bts.csv"
+        empty.write_text("bts_id,x,y,height_m,freq_mhz,power_dbm\n")
+        rc = main(["weights", "--scheme", "idw", "--bts", str(empty),
+                   "--areas", str(two_areas),
+                   "--raster", str(study / "snapshot_settlements.asc"),
+                   "--aux", str(study / "snapshot_env.asc"),
+                   "--out", str(tmp_path / "w")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(empty) in err and "no BTS rows" in err
 
     def test_aug_voronoi_no_coverage_counts_empty_areas(self, tmp_path):
         # north half has no settlements -> its area gets no coverage

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,13 @@ class TestBtsCsv:
         p = tmp_path / "bts.csv"
         p.write_text("bts_id,x,y\na,1,2\nb,oops,4\n")
         with pytest.raises(ValueError, match="line 3.*non-numeric x value 'oops'"):
+            load_bts_csv(p)
+
+    @pytest.mark.parametrize("header", ["bts_id,x,y", "bts_id,x,y,height_m,freq_mhz,power_dbm"])
+    def test_header_only_names_file(self, tmp_path, header):
+        p = tmp_path / "bts.csv"
+        p.write_text(header + "\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: no BTS rows$"):
             load_bts_csv(p)
 
     def test_bad_header(self, tmp_path):

@@ -15,6 +15,7 @@ from covmap.propagation import (
     AntennaSpec,
     RssField,
     extended_hata_db,
+    live_radius_km,
     rss_field,
 )
 
@@ -95,6 +96,42 @@ def test_loss_never_decreases_with_distance(f, h_tx, h_rx, env, extra_km):
     loss = extended_hata_db(f, d, h_tx, h_rx, env, clamp_distance=True)
     bad = np.flatnonzero(np.diff(loss) < 0)
     assert bad.size == 0, [(d[i], d[i + 1], loss[i], loss[i + 1]) for i in bad[:3]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=_FREQ,
+    h_tx=st.floats(1.0, 1000.0),
+    h_rx=st.floats(1.0, 10.0),
+    power=st.floats(-20.0, 90.0),
+    threshold=st.floats(-170.0, -40.0),
+    extra_km=st.lists(st.floats(0.0, 130.0), max_size=20),
+)
+def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
+    # range culling drops every link at or beyond the radius unevaluated
+    spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
+    r = live_radius_km(spec, h_rx, threshold)
+    assert r.shape == (len(ENV_CLASSES),)
+    for code in range(len(ENV_CLASSES)):
+        near_r = [r[code], np.nextafter(r[code], np.inf)] if np.isfinite(r[code]) else []
+        d = np.concatenate([_SWEEP_KM, extra_km, near_r])
+        level = power - extended_hata_db(f, d, h_tx, h_rx, code, clamp_distance=True)
+        live_beyond = (d >= r[code]) & (level >= threshold)
+        assert not live_beyond.any(), (code, r[code], d[live_beyond][:3])
+        at_range = power - extended_hata_db(f, 100.0, h_tx, h_rx, code)
+        assert np.isinf(r[code]) == (at_range >= threshold)
+
+
+def test_live_radius_brackets_the_crossing():
+    # 900 MHz rural at 43 dBm crosses -110 dBm between 10 and 100 km
+    spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)
+    r = live_radius_km(spec, 1.0, -110.0)
+    level = 43.0 - extended_hata_db(900.0, r, 30.0, 1.0, [0, 1, 2])
+    assert np.all(level < -110.0)
+    # within a 0.5% refinement step of the crossing
+    inside = 43.0 - extended_hata_db(900.0, r * 0.995, 30.0, 1.0, [0, 1, 2])
+    assert np.all(inside >= -110.0)
+    assert r[0] < r[1] < r[2] < 100.0
 
 
 def test_free_space_floor_binds_close_in():

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
-from covmap.geo import Assignment, Grid, extract_settlements
-from covmap.propagation import env_code, extended_hata_db
+from covmap import propagation
+from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements
+from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
+from covmap.propagation import (
+    AntennaSpec,
+    env_code,
+    extended_hata_db,
+    live_levels,
+    live_radius_km,
+    rss_field,
+)
 from covmap.simulation import (
     SCHEMES,
     TALLY_METRICS,
     TALLY_SCHEMES,
     SimConfig,
+    _p2p_credit,
     area_membership_overlap,
     assign_poverty,
     best_server_grid,
@@ -22,6 +32,7 @@ from covmap.simulation import (
     prediction_metrics,
     run_study,
     settlement_overlap,
+    settlement_pixel_weights,
     simulate_round,
     uninhabited_mask,
     urban_block_mask,
@@ -260,6 +271,14 @@ class TestCoverage:
             best_server_grid(world.grid, world.specs[::-1], world.env_grid,
                              cfg.rx_height_m, cfg.dead_threshold_dbm)
 
+    def test_duplicate_ids_rejected(self):
+        cfg = tiny_config()
+        world = build_world(cfg, 0)
+        specs = [world.specs[0], world.specs[0]]
+        with pytest.raises(ValueError, match="duplicates"):
+            best_server_grid(world.grid, specs, world.env_grid,
+                             cfg.rx_height_m, cfg.dead_threshold_dbm)
+
     def test_uncovered_stats_consistent(self):
         world = build_world(tiny_config(), 0)
         server = world.coverage.settlement_server
@@ -267,6 +286,81 @@ class TestCoverage:
         assert world.coverage.uncovered_fraction == pytest.approx(
             np.mean(server < 0)
         )
+
+
+class TestRangeCulling:
+    """The culled streamed passes against the dense field on a 100 km layout
+    where low masts leave most links dead."""
+
+    @pytest.fixture
+    def layout(self, monkeypatch):
+        cfg = SimConfig(ncols=200, nrows=200, cell_size_m=500.0, block_px=50, mask_rect=None)
+        rng = np.random.default_rng(11)
+        specs = [
+            AntennaSpec(f"s{j:02d}", float(rng.uniform(-5e3, 105e3)),
+                        float(rng.uniform(-5e3, 105e3)), float(rng.uniform(3.0, 12.0)),
+                        float(rng.choice([450.0, 900.0, 1800.0, 2100.0, 2600.0])),
+                        float(rng.uniform(40.0, 47.0)))
+            for j in range(30)
+        ]
+        # every pixel is settled, so the settlement pass streams two chunks
+        settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+        env = rng.integers(0, 3, len(settlements)).astype(np.uint8)
+        dense = rss_field(specs, settlements.ids, settlements.x, settlements.y, env,
+                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+        assert dense.live.any()
+        # count the links the model evaluates from here on
+        evaluated = []
+        hata = propagation.extended_hata_db
+
+        def counting(f_mhz, d_km, *args, **kwargs):
+            evaluated.append(np.size(d_km))
+            return hata(f_mhz, d_km, *args, **kwargs)
+
+        monkeypatch.setattr(propagation, "extended_hata_db", counting)
+        return cfg, specs, settlements, env, dense, evaluated
+
+    def test_kernel_equals_dense_live_levels(self, layout):
+        cfg, specs, st, env, dense, evaluated = layout
+        radii = np.array([live_radius_km(s, cfg.rx_height_m, cfg.dead_threshold_dbm)
+                          for s in specs])
+        evaluated.clear()
+        got = live_levels(specs, radii, st.x, st.y, env, rx_height_m=cfg.rx_height_m,
+                          dead_threshold_dbm=cfg.dead_threshold_dbm)
+        assert np.array_equal(got, np.where(dense.live, dense.rss_dbm, -np.inf))
+        assert sum(evaluated) < dense.rss_dbm.size / 4
+
+    def test_streamed_passes_equal_dense_schemes(self, layout):
+        cfg, specs, st, env, dense, evaluated = layout
+        areas, _ = build_areas(cfg)
+        sel, pw_bsa, pw_idw = settlement_pixel_weights(st, specs, env, cfg)
+        assert sum(evaluated) < dense.rss_dbm.size / 4
+        want_bsa, _ = weights_bsa(dense, st, areas)
+        want_idw, _ = weights_idw(dense, st, areas, s=cfg.idw_s, k=cfg.idw_k)
+        for got, want in ((pw_bsa, want_bsa), (pw_idw, want_idw)):
+            assert got.bts_ids == want.bts_ids
+            for name in ("indptr", "col", "w"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.any(sel >= 0) and np.any(sel < 0)
+        # all pixels are settled in pixel-id order, so the grid pass must agree
+        grid = best_server_grid(cfg.grid, specs, env.reshape(cfg.grid.shape),
+                                cfg.rx_height_m, cfg.dead_threshold_dbm)
+        np.testing.assert_array_equal(grid.labels.ravel(), sel)
+
+
+def test_p2p_credit_matches_row_lookup_loop():
+    bts_ids = ["a", "b", "c"]
+    area_ids = ["A0", "A1", "A2"]  # A2 has no row
+    wm = WeightMatrix("p2p", area_ids, {"A0": {"a": 0.25, "c": 0.75}, "A1": {"b": 1.0}})
+    rng = np.random.default_rng(3)
+    area_of = rng.integers(-1, 3, 200)
+    server = rng.integers(-1, 3, 200)
+    want = np.zeros(200)
+    for i in range(200):
+        if server[i] >= 0 and area_of[i] >= 0:
+            want[i] = wm.rows.get(area_ids[area_of[i]], {}).get(bts_ids[server[i]], 0.0)
+    got = _p2p_credit(wm, area_of, server, bts_ids, area_ids)
+    assert np.array_equal(got, want) and np.any(got > 0)
 
 
 class TestGeographicOverlap:
