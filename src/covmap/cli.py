@@ -19,15 +19,14 @@ from covmap import io
 from covmap.geo import extract_settlements, voronoi_assign
 from covmap.mapping import (
     aggregate,
+    area_weights_from_pixels,
     classify_areas_by_bts_density,
     synthesize_naive_specs,
     weights_aug_voronoi,
-    weights_bsa,
-    weights_idw,
     weights_p2p,
     weights_voronoi,
 )
-from covmap.propagation import DEAD_THRESHOLD_DBM, ENV_SUBURBAN, env_code, rss_field
+from covmap.propagation import DEAD_THRESHOLD_DBM, ENV_SUBURBAN, env_code
 from covmap.simulation import (
     SCHEMES,
     TALLY_METRICS,
@@ -36,6 +35,7 @@ from covmap.simulation import (
     build_world,
     compute_tally,
     run_study,
+    settlement_pixel_weights,
 )
 from covmap.svgplot import boxplot_svg
 
@@ -49,6 +49,13 @@ def _u64(text: str) -> int:
     v = int(text)
     if not 0 <= v < 2**64:
         raise argparse.ArgumentTypeError("must be in [0, 2^64)")
+    return v
+
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError("must be a finite number")
     return v
 
 
@@ -262,21 +269,17 @@ def cmd_weights(args) -> int:
         specs, classes = _resolve_specs(bts, areas, grid, args.naive)
         env2d = _resolve_env(args.aux, areas, bts, grid, classes)
         settlements = extract_settlements(raster)
-        field = rss_field(
-            specs,
-            settlements.ids,
-            settlements.x,
-            settlements.y,
-            env2d[settlements.rows, settlements.cols],
-            dead_threshold_dbm=args.threshold,
+        pw_bsa, pw_idw = settlement_pixel_weights(
+            settlements, sorted(specs, key=lambda sp: sp.bts_id),
+            env2d[settlements.rows, settlements.cols], rx_height_m=1.0,
+            dead_threshold_dbm=args.threshold, idw_s=args.s, idw_k=args.k,
         )
         params["dead_threshold_dbm"] = args.threshold
-        if args.scheme == "bsa":
-            _, wm = weights_bsa(field, settlements, areas)
-        else:
-            _, wm = weights_idw(field, settlements, areas, s=args.s, k=args.k)
+        if args.scheme == "idw":
             params["s"] = float(args.s)
             params["k"] = int(args.k)
+        pw = pw_bsa if args.scheme == "bsa" else pw_idw
+        wm = area_weights_from_pixels(pw, settlements, areas)
 
     key = args.scheme.replace("-", "_")
     summary = (
@@ -406,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="environment-class raster, codes 0=urban 1=suburban 2=rural")
     cov.add_argument("--naive", action="store_true",
                      help="synthesize specs from public context instead of technical columns")
-    cov.add_argument("--threshold", type=float, default=DEAD_THRESHOLD_DBM,
+    cov.add_argument("--threshold", type=_finite, default=DEAD_THRESHOLD_DBM,
                      help=f"sensitivity threshold in dBm (default {DEAD_THRESHOLD_DBM})")
-    cov.add_argument("--rx-height", type=float, default=1.0,
+    cov.add_argument("--rx-height", type=_finite, default=1.0,
                      help="receiver height in metres (default 1.0)")
     cov.add_argument("--out", required=True, help="output directory")
     cov.set_defaults(func=cmd_coverage)
@@ -424,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="environment-class raster for bsa/idw, codes 0/1/2")
     wgt.add_argument("--naive", action="store_true",
                      help="synthesize specs from public context (bsa/idw)")
-    wgt.add_argument("--s", type=float, default=2.0,
+    wgt.add_argument("--s", type=_finite, default=2.0,
                      help="idw signal-strength exponent (default 2)")
     wgt.add_argument("--k", type=_positive, default=5,
                      help="idw neighbour count (default 5)")
-    wgt.add_argument("--threshold", type=float, default=DEAD_THRESHOLD_DBM,
+    wgt.add_argument("--threshold", type=_finite, default=DEAD_THRESHOLD_DBM,
                      help=f"sensitivity threshold in dBm (default {DEAD_THRESHOLD_DBM})")
     wgt.add_argument("--out", required=True, help="output directory")
     wgt.set_defaults(func=cmd_weights)

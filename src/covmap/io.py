@@ -95,6 +95,8 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
             header[key] = float(parts[1])
         except ValueError:
             raise _err(path, i + 1, f"non-numeric header value {parts[1]!r}") from None
+        if not np.isfinite(header[key]):
+            raise _err(path, i + 1, f"non-finite header value {parts[1]!r}")
         i += 1
     nodata = None
     if i < len(lines) and lines[i].split() and lines[i].split()[0].lower() == "nodata_value":
@@ -105,12 +107,17 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
             nodata = float(parts[1])
         except ValueError:
             raise _err(path, i + 1, f"non-numeric NODATA_value {parts[1]!r}") from None
+        if not np.isfinite(nodata):
+            raise _err(path, i + 1, f"non-finite NODATA_value {parts[1]!r}")
         i += 1
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if ncols != header["ncols"] or nrows != header["nrows"] or ncols < 1 or nrows < 1:
         raise _err(path, None, f"ncols/nrows must be positive integers")
-    grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=header["cellsize"],
-                origin_x=header["xllcorner"], origin_y=header["yllcorner"])
+    try:
+        grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=header["cellsize"],
+                    origin_x=header["xllcorner"], origin_y=header["yllcorner"])
+    except ValueError as exc:
+        raise _err(path, None, str(exc)) from None
     data_lines = lines[i:]
     if len(data_lines) != nrows:
         raise _err(path, i + 1, f"expected {nrows} data rows, found {len(data_lines)}")
@@ -124,6 +131,9 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
         except ValueError:
             bad = next(p for p in parts if not _is_float(p))
             raise _err(path, i + r + 1, f"non-numeric cell {bad!r}") from None
+        if not np.isfinite(values[r]).all():
+            bad = parts[int(np.argmin(np.isfinite(values[r])))]
+            raise _err(path, i + r + 1, f"non-finite cell {bad!r}")
     mask = None
     if nodata is not None:
         mask = values == nodata
@@ -144,9 +154,10 @@ def load_raster(path) -> SettlementRaster:
     """Load a settlement-count raster; NODATA cells count as uninhabited."""
     values, grid, mask, _ = load_ascii_grid(path)
     body = values if mask is None else np.where(mask, 0.0, values)
-    if np.any(body != np.floor(body)) or np.any(body < 0):
-        r = int(np.argwhere((body != np.floor(body)) | (body < 0))[0][0])
-        raise _err(path, None, f"settlement counts must be non-negative integers (data row {r + 1})")
+    bad = (body != np.floor(body)) | (body < 0) | (body >= 2.0**63)
+    if bad.any():
+        raise _err(path, None, "settlement counts must be non-negative integers below 2^63 "
+                               f"(data row {np.argwhere(bad)[0][0] + 1})")
     return SettlementRaster(grid, body.astype(np.int64), nodata=mask)
 
 

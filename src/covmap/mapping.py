@@ -11,8 +11,11 @@ build W from increasingly informative inputs:
 - idw:          per-settlement-pixel inverse-signal weights over the
                 k strongest live links
 
-bsa/idw first produce per-pixel weights, which are then averaged over
-each area's covered settlement pixels.
+bsa/idw first produce per-pixel weights from one received-signal field
+(`weights_bsa`, `weights_idw`; streamed callers build them chunk by
+chunk and join them with `stack_pixel_weights`), which
+`area_weights_from_pixels` then averages over each area's covered
+settlement pixels.
 """
 
 from __future__ import annotations
@@ -208,11 +211,6 @@ def weights_aug_voronoi(
 # --- signal-based schemes ----------------------------------------------------
 
 
-def _sorted_columns(rss: RssField) -> tuple[list[str], np.ndarray]:
-    order = sorted(range(len(rss.bts_ids)), key=lambda j: rss.bts_ids[j])
-    return [rss.bts_ids[j] for j in order], np.array(order)
-
-
 def bsa_select_chunk(rss_chunk: np.ndarray, live_chunk: np.ndarray) -> np.ndarray:
     """Best live server per row (columns must be in ascending bts_id order).
 
@@ -286,51 +284,40 @@ def area_weights_from_pixels(
     return WeightMatrix(pw.scheme, list(areas.area_ids), rows)
 
 
-def weights_bsa(
-    rss: RssField, settlements: Settlements, areas: StatAreaSet
-) -> tuple[PixelWeights, WeightMatrix]:
+def _pixel_rows(scheme: str, rss: RssField, counts, col, w, **params) -> PixelWeights:
+    ids = list(rss.bts_ids)
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("rss columns must ascend by bts_id, without duplicates")
+    params["dead_threshold_dbm"] = rss.dead_threshold_dbm
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return PixelWeights(scheme, rss.pixel_ids, ids, indptr, col, w, params)
+
+
+def weights_bsa(rss: RssField) -> PixelWeights:
     """Best-server assignment: each covered pixel belongs wholly to its
-    strongest live link; area weights average those selections."""
-    if not np.array_equal(rss.pixel_ids, settlements.ids):
-        raise ValueError("rss field and settlements are not aligned")
-    bts_sorted, perm = _sorted_columns(rss)
-    sel = bsa_select_chunk(rss.rss_dbm[:, perm], rss.live[:, perm])
+    strongest live link.  Columns must ascend by bts_id."""
+    sel = bsa_select_chunk(rss.rss_dbm, rss.live)
     covered = sel >= 0
-    indptr = np.concatenate([[0], np.cumsum(covered.astype(np.int64))])
-    pw = PixelWeights(
-        scheme=SCHEME_BSA,
-        pixel_ids=settlements.ids,
-        bts_ids=bts_sorted,
-        indptr=indptr,
-        col=sel[covered],
-        w=np.ones(int(covered.sum())),
-        params={"dead_threshold_dbm": rss.dead_threshold_dbm},
-    )
-    return pw, area_weights_from_pixels(pw, settlements, areas)
+    return _pixel_rows(SCHEME_BSA, rss, covered.astype(np.int64), sel[covered],
+                       np.ones(int(covered.sum())))
 
 
-def weights_idw(
-    rss: RssField,
-    settlements: Settlements,
-    areas: StatAreaSet,
-    s: float = 2.0,
-    k: int = 5,
-) -> tuple[PixelWeights, WeightMatrix]:
-    """Inverse-signal-strength weights over the k strongest live links."""
-    if not np.array_equal(rss.pixel_ids, settlements.ids):
-        raise ValueError("rss field and settlements are not aligned")
-    bts_sorted, perm = _sorted_columns(rss)
-    counts, col, w = idw_rows_chunk(rss.rss_dbm[:, perm], rss.live[:, perm], s, k)
-    pw = PixelWeights(
-        scheme=SCHEME_IDW,
-        pixel_ids=settlements.ids,
-        bts_ids=bts_sorted,
-        indptr=np.concatenate([[0], np.cumsum(counts)]),
-        col=col,
-        w=w,
-        params={"s": float(s), "k": int(k), "dead_threshold_dbm": rss.dead_threshold_dbm},
-    )
-    return pw, area_weights_from_pixels(pw, settlements, areas)
+def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
+    """Inverse-signal-strength weights over the k strongest live links.
+    Columns must ascend by bts_id."""
+    counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
+    return _pixel_rows(SCHEME_IDW, rss, counts, col, w, s=float(s), k=int(k))
+
+
+def stack_pixel_weights(blocks: list[PixelWeights]) -> PixelWeights:
+    """Stack the row blocks of consecutive pixel chunks into one."""
+    first = blocks[0]
+    if any(b.scheme != first.scheme or b.bts_ids != first.bts_ids for b in blocks):
+        raise ValueError("row blocks differ in scheme or columns")
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate([b.row_lengths() for b in blocks]))])
+    return PixelWeights(first.scheme, np.concatenate([b.pixel_ids for b in blocks]),
+                        first.bts_ids, indptr, np.concatenate([b.col for b in blocks]),
+                        np.concatenate([b.w for b in blocks]), first.params)
 
 
 # --- aggregation -------------------------------------------------------------

@@ -7,18 +7,13 @@ Short paths (below 100 m) fall back to free space with a log-distance
 interpolation bridge, and the final loss is never allowed below the
 free-space value.
 
-Two kernels turn antenna specs and pixel centres into received levels
-(transmit power minus median loss, no shadowing term), through one
-per-link expression, so a link's level has the same bytes in both:
-
-- `rss_field` evaluates every pixel x antenna pair and keeps dead
-  levels retrievable; the CLI `weights` path uses it.
-- `live_levels` is the streamed coverage kernel.  Loss never decreases
-  with distance, so `live_radius_km` bounds, per antenna and
-  environment, where a link can be live; `live_levels` evaluates the
-  model only inside that radius and reports every dead link as -inf.
-  `simulation.best_server_grid` and `settlement_pixel_weights` call it
-  chunk by chunk.
+One kernel, `rss_field`, turns antenna specs and pixel centres into
+received levels (transmit power minus median loss, no shadowing term).
+Loss never decreases with distance, so `live_radius_km` bounds, per
+antenna and environment, where a link can be live; `rss_field` evaluates
+the model only inside that radius and reports every dead link as -inf.
+`simulation.best_server_grid` and `settlement_pixel_weights` call it one
+chunk of pixels at a time, so memory stays bounded by the chunk.
 """
 
 from __future__ import annotations
@@ -210,11 +205,10 @@ def extended_hata_db(
 
 @dataclass
 class RssField:
-    """Received signal strength (dBm) for every pixel x antenna pair.
+    """Received signal strength (dBm) for pixel x antenna pairs.
 
     `rss_dbm[i, j]` is the level at pixel `pixel_ids[i]` from antenna
-    `bts_ids[j]`.  Entries below `dead_threshold_dbm` count as dead but
-    remain retrievable.
+    `bts_ids[j]`; `rss_field` writes -inf for every dead link.
     """
 
     pixel_ids: np.ndarray
@@ -230,8 +224,6 @@ class RssField:
                 f"rss_dbm shape {self.rss_dbm.shape} does not match "
                 f"{len(self.pixel_ids)} pixels x {len(self.bts_ids)} antennas"
             )
-        if not np.all(np.isfinite(self.rss_dbm)):
-            raise ValueError("rss_dbm must be finite everywhere")
 
     @property
     def live(self) -> np.ndarray:
@@ -239,49 +231,12 @@ class RssField:
         return self.rss_dbm >= self.dead_threshold_dbm
 
 
-def rss_field(
-    specs: list[AntennaSpec],
-    pixel_ids,
-    px,
-    py,
-    pixel_env,
-    *,
-    rx_height_m: float = 1.0,
-    dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
-) -> RssField:
-    """Compute the received-signal matrix for pixels x antennas.
-
-    `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
-    per-pixel environment class (names or codes).  Streaming callers pass
-    one chunk of pixels at a time; each entry depends only on its own
-    pixel and antenna, so chunking never changes a value.  Distances
-    beyond the model's 100 km range are evaluated at the clamp; such
-    links are far below any practical dead threshold either way.
-    """
-    pids = np.asarray(pixel_ids, dtype=np.int64)
-    x = np.asarray(px, dtype=np.float64)
-    y = np.asarray(py, dtype=np.float64)
-    if not (pids.shape == x.shape == y.shape):
-        raise ValueError("pixel_ids, px and py must have matching shapes")
-    codes = np.broadcast_to(env_codes(pixel_env), pids.shape)
-    seen = set()
-    for s in specs:
-        if s.bts_id in seen:
-            raise ValueError(f"duplicate bts_id {s.bts_id!r}")
-        seen.add(s.bts_id)
-
-    out = np.empty((pids.size, len(specs)))
-    for j, s in enumerate(specs):
-        out[:, j] = _levels_dbm(s, _distance_km(x - s.x, y - s.y), codes, rx_height_m)
-    return RssField(pids, [s.bts_id for s in specs], out, dead_threshold_dbm)
-
-
 def _distance_km(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.hypot(dx, dy) / 1000.0
 
 
 def _levels_dbm(spec: AntennaSpec, d_km, codes, rx_height_m: float) -> np.ndarray:
-    """The per-link expression both kernels share: power minus median loss."""
+    """The per-link expression: power minus median loss."""
     return spec.power_dbm - extended_hata_db(
         spec.freq_mhz, d_km, spec.height_m, rx_height_m, codes, clamp_distance=True
     )
@@ -297,6 +252,8 @@ _RADIUS_MARGIN_DB = 1e-6
 # relative slack on the distance tests that cull links, far above their
 # rounding error, so a culled link always lies at or beyond its radius
 _REACH_SLACK = 1.0 + 1e-9
+# live_radius_km's memo, keyed on everything but the site's position
+_RADII: dict[tuple, np.ndarray] = {}
 
 
 def live_radius_km(
@@ -308,8 +265,22 @@ def live_radius_km(
     through environment `env` has a level below `dead_threshold_dbm`.
     It is `inf` exactly when the 100 km link is still live: the clamp
     holds the loss flat beyond the model's range.  Relies on the loss
-    never decreasing with distance.
+    never decreasing with distance.  The radius ignores the site's
+    position, so it is memoised on the technical parameters: specs with
+    equal ones (all naive specs of one class) share one probe.
     """
+    key = (spec.height_m, spec.freq_mhz, spec.power_dbm, rx_height_m, dead_threshold_dbm)
+    if key not in _RADII:
+        _RADII[key] = _probe_radius_km(spec, rx_height_m, dead_threshold_dbm)
+    return _RADII[key]
+
+
+def forget_live_radii() -> None:
+    """Empty the `live_radius_km` memo, so the next pass probes afresh."""
+    _RADII.clear()
+
+
+def _probe_radius_km(spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: float):
     codes = np.arange(len(ENV_CLASSES))[:, None]
     cut = dead_threshold_dbm - _RADIUS_MARGIN_DB
     coarse = np.broadcast_to(_PROBE_KM, (codes.size, _PROBE_KM.size))
@@ -325,51 +296,57 @@ def live_radius_km(
         fine_dead = _levels_dbm(spec, fine, codes[bracket], rx_height_m) < cut
         fine_dead[:, -1] = True  # the bracket's own dead end point
         radius[bracket] = fine[np.arange(k.size), fine_dead.argmax(axis=1)]
+    radius.flags.writeable = False  # the memo hands the same array to every caller
     return radius
 
 
-def live_levels(
+def rss_field(
     specs: list[AntennaSpec],
-    radii_km: np.ndarray,
+    pixel_ids,
     px,
     py,
     pixel_env,
     *,
     rx_height_m: float = 1.0,
     dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
-) -> np.ndarray:
-    """Received levels (dBm) for pixels x antennas, `-inf` for every dead link.
+) -> RssField:
+    """Received levels for pixels x antennas, -inf for every dead link.
 
-    `radii_km[j]` is `live_radius_km(specs[j], rx_height_m,
-    dead_threshold_dbm)`.  A spec whose largest radius lies beyond the
-    chunk's bounding box is skipped; otherwise the model runs only on
-    pixels within the radius of their environment.  Every live entry has
-    the bytes `rss_field` gives the same link.
+    `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
+    per-pixel environment class (names or codes).  A spec whose largest
+    `live_radius_km` lies beyond the pixels' bounding box is skipped;
+    otherwise the model runs only on pixels within the radius of their
+    environment.  Streaming callers pass one chunk of pixels at a time;
+    each entry depends only on its own pixel and antenna, so chunking
+    never changes a value.
     """
+    pids = np.asarray(pixel_ids, dtype=np.int64)
     x = np.asarray(px, dtype=np.float64)
     y = np.asarray(py, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("px and py must be 1-D with matching shapes")
-    codes = np.broadcast_to(env_codes(pixel_env), x.shape)
-    out = np.full((x.size, len(specs)), -np.inf)
+    if pids.ndim != 1 or not (pids.shape == x.shape == y.shape):
+        raise ValueError("pixel_ids, px and py must be 1-D with matching shapes")
+    codes = np.broadcast_to(env_codes(pixel_env), pids.shape)
+    ids = [s.bts_id for s in specs]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate bts_id among {len(ids)} specs")
+
+    field = RssField(pids, ids, np.full((x.size, len(specs)), -np.inf), dead_threshold_dbm)
     if x.size == 0:
-        return out
+        return field
     x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-    # squared reach in metres per spec and environment: a cheap test before hypot
-    reach_m2 = (np.asarray(radii_km) * (1000.0 * _REACH_SLACK)) ** 2
     for j, s in enumerate(specs):
-        reach_km = radii_km[j].max() * _REACH_SLACK
+        radius = live_radius_km(s, rx_height_m, dead_threshold_dbm)
         gap_km = _distance_km(max(x0 - s.x, s.x - x1, 0.0), max(y0 - s.y, s.y - y1, 0.0))
-        if gap_km >= reach_km:
+        if gap_km >= radius.max() * _REACH_SLACK:
             continue
+        # squared reach in metres per environment: a cheap test before hypot
+        reach_m2 = (radius * (1000.0 * _REACH_SLACK)) ** 2
         dx = x - s.x
         dy = y - s.y
-        near = dx * dx + dy * dy < reach_m2[j][codes]
-        if near.all():
-            level = _levels_dbm(s, _distance_km(dx, dy), codes, rx_height_m)
-            out[:, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
-        elif near.any():
-            idx = np.flatnonzero(near)
-            level = _levels_dbm(s, _distance_km(dx[idx], dy[idx]), codes[idx], rx_height_m)
-            out[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
-    return out
+        near = dx * dx + dy * dy < reach_m2[codes]
+        if not near.any():
+            continue
+        idx = slice(None) if near.all() else np.flatnonzero(near)
+        level = _levels_dbm(s, _distance_km(dx[idx], dy[idx]), codes[idx], rx_height_m)
+        field.rss_dbm[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
+    return field

@@ -37,9 +37,11 @@ from .mapping import (
     area_weights_from_pixels,
     bsa_select_chunk,
     classify_areas_by_bts_density,
-    idw_rows_chunk,
+    stack_pixel_weights,
     synthesize_naive_specs,
     weights_aug_voronoi,
+    weights_bsa,
+    weights_idw,
     weights_p2p,
     weights_voronoi,
 )
@@ -48,8 +50,8 @@ from .propagation import (
     ENV_SUBURBAN,
     AntennaSpec,
     env_code,
-    live_levels,
-    live_radius_km,
+    forget_live_radii,
+    rss_field,
 )
 
 SCHEMES = ("benchmark", "p2p", "voronoi", "aug_voronoi", "hata_bsa", "hata_idw")
@@ -494,36 +496,27 @@ def best_server_grid(
     Specs must be sorted by bts_id so exact ties resolve to the lowest
     id; pixels with no live link stay unassigned.
     """
-    ids, radii = _sorted_ids_and_radii(specs, rx_height_m, dead_threshold_dbm)
+    ids = _start_pass(specs)
     env_flat = np.asarray(env_grid, dtype=np.uint8).ravel()
     labels = np.empty(grid.npixels, dtype=np.int32)
+    pids = np.arange(grid.npixels)
     x, y = grid.pixel_centers()
     for lo in range(0, grid.npixels, _CHUNK):
-        hi = min(lo + _CHUNK, grid.npixels)
-        rss = live_levels(specs, radii, x[lo:hi], y[lo:hi], env_flat[lo:hi],
-                          rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
-        labels[lo:hi] = bsa_select_chunk(rss, rss > -np.inf).astype(np.int32)
+        hi = lo + _CHUNK
+        rss = rss_field(specs, pids[lo:hi], x[lo:hi], y[lo:hi], env_flat[lo:hi],
+                        rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
+        labels[lo:hi] = bsa_select_chunk(rss.rss_dbm, rss.live)
     return Assignment(grid, ids, labels.reshape(grid.shape))
 
 
-def _sorted_ids_and_radii(
-    specs: list[AntennaSpec], rx_height_m: float, dead_threshold_dbm: float
-) -> tuple[list[str], np.ndarray]:
-    """The spec ids, which must ascend strictly, and `live_radius_km` per
-    spec as a (specs, env codes) array.
-
-    The radius ignores the site's position, so specs with equal technical
-    parameters (all naive specs of one class) share one probe.
-    """
+def _start_pass(specs: list[AntennaSpec]) -> list[str]:
+    """The spec ids, which must ascend strictly; also empties the radius
+    memo, so each pass probes every distinct spec once."""
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("specs must be sorted by bts_id, without duplicates")
-    radius_of: dict[tuple[float, float, float], np.ndarray] = {}
-    for s in specs:
-        key = (s.height_m, s.freq_mhz, s.power_dbm)
-        if key not in radius_of:
-            radius_of[key] = live_radius_km(s, rx_height_m, dead_threshold_dbm)
-    return ids, np.array([radius_of[s.height_m, s.freq_mhz, s.power_dbm] for s in specs])
+    forget_live_radii()
+    return ids
 
 
 @dataclass
@@ -561,51 +554,31 @@ def true_coverage(
 def settlement_pixel_weights(
     settlements: Settlements,
     specs: list[AntennaSpec],
-    env_codes_at: np.ndarray,
-    cfg: SimConfig,
-) -> tuple[np.ndarray, PixelWeights, PixelWeights]:
-    """Streamed per-settlement best-server selection and BSA/IDW weights.
+    env_at: np.ndarray,
+    *,
+    rx_height_m: float,
+    dead_threshold_dbm: float,
+    idw_s: float,
+    idw_k: int,
+) -> tuple[PixelWeights, PixelWeights]:
+    """Streamed bsa and idw per-pixel weights of the settlement pixels.
 
-    Returns (selection, bsa PixelWeights, idw PixelWeights); columns
-    follow the spec order, which must be sorted by bts_id.
+    `env_at` holds each settlement's environment code; specs must be
+    sorted by bts_id.  One chunk of `rss_field` at a time goes through
+    `weights_bsa` and `weights_idw`, so memory stays bounded by the chunk
+    whatever the settlement count.
     """
-    ids, radii = _sorted_ids_and_radii(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
-    n = len(settlements)
-    sel = np.empty(n, dtype=np.int64)
-    idw_counts = np.empty(n, dtype=np.int64)
-    idw_cols, idw_ws = [], []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        rss = live_levels(specs, radii, settlements.x[lo:hi], settlements.y[lo:hi],
-                          env_codes_at[lo:hi], rx_height_m=cfg.rx_height_m,
-                          dead_threshold_dbm=cfg.dead_threshold_dbm)
-        live = rss > -np.inf
-        sel[lo:hi] = bsa_select_chunk(rss, live)
-        cnt, col, w = idw_rows_chunk(rss, live, cfg.idw_s, cfg.idw_k)
-        idw_counts[lo:hi] = cnt
-        idw_cols.append(col)
-        idw_ws.append(w)
-
-    covered = sel >= 0
-    bsa = PixelWeights(
-        scheme="bsa",
-        pixel_ids=settlements.ids,
-        bts_ids=ids,
-        indptr=np.concatenate([[0], np.cumsum(covered.astype(np.int64))]),
-        col=sel[covered],
-        w=np.ones(int(covered.sum())),
-        params={"dead_threshold_dbm": cfg.dead_threshold_dbm},
-    )
-    idw = PixelWeights(
-        scheme="idw",
-        pixel_ids=settlements.ids,
-        bts_ids=ids,
-        indptr=np.concatenate([[0], np.cumsum(idw_counts)]),
-        col=np.concatenate(idw_cols) if idw_cols else np.empty(0, dtype=np.int64),
-        w=np.concatenate(idw_ws) if idw_ws else np.empty(0),
-        params={"s": cfg.idw_s, "k": cfg.idw_k, "dead_threshold_dbm": cfg.dead_threshold_dbm},
-    )
-    return sel, bsa, idw
+    _start_pass(specs)
+    bsa, idw = [], []
+    # an empty settlement set still passes through one (empty) chunk
+    for lo in range(0, max(len(settlements), 1), _CHUNK):
+        hi = lo + _CHUNK
+        rss = rss_field(specs, settlements.ids[lo:hi], settlements.x[lo:hi],
+                        settlements.y[lo:hi], env_at[lo:hi], rx_height_m=rx_height_m,
+                        dead_threshold_dbm=dead_threshold_dbm)
+        bsa.append(weights_bsa(rss))
+        idw.append(weights_idw(rss, idw_s, idw_k))
+    return stack_pixel_weights(bsa), stack_pixel_weights(idw)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -906,9 +879,11 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     naive_assign = best_server_grid(
         grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm
     )
-    naive_env_at = naive_env_grid[settlements.rows, settlements.cols]
-    naive_sel, pw_bsa, pw_idw = settlement_pixel_weights(
-        settlements, naive_specs, naive_env_at, cfg
+    naive_sel = naive_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
+    pw_bsa, pw_idw = settlement_pixel_weights(
+        settlements, naive_specs, naive_env_grid[settlements.rows, settlements.cols],
+        rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm,
+        idw_s=cfg.idw_s, idw_k=cfg.idw_k,
     )
     wm_bsa = area_weights_from_pixels(pw_bsa, settlements, areas)
     wm_idw = area_weights_from_pixels(pw_idw, settlements, areas)

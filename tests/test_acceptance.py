@@ -19,6 +19,7 @@ from covmap.mapping import (
     CovariateTable,
     WeightMatrix,
     aggregate,
+    area_weights_from_pixels,
     weights_aug_voronoi,
     weights_bsa,
     weights_idw,
@@ -166,8 +167,8 @@ def test_criterion_5_weight_matrix_properties():
         wm_p2p = weights_p2p(points, areas, grid)
         wm_vor = weights_voronoi(assign, areas)
         wm_aug = weights_aug_voronoi(assign, settlements, areas)
-        pw_bsa, wm_bsa = weights_bsa(field, settlements, areas)
-        pw_idw, wm_idw = weights_idw(field, settlements, areas, s=2.0, k=5)
+        wm_bsa = area_weights_from_pixels(weights_bsa(field), settlements, areas)
+        wm_idw = area_weights_from_pixels(weights_idw(field, s=2.0, k=5), settlements, areas)
 
         for wm in (wm_p2p, wm_vor, wm_aug, wm_bsa, wm_idw):
             for aid, row in wm.rows.items():
@@ -218,8 +219,7 @@ def test_criterion_5_weight_matrix_properties():
         checked["bsa"] += 1
 
         # IDW s=0 is uniform over the selected links
-        _, wm0 = weights_idw(field, settlements, areas, s=0.0, k=5)
-        pw0, _ = weights_idw(field, settlements, areas, s=0.0, k=5)
+        pw0 = weights_idw(field, s=0.0, k=5)
         for i in range(len(settlements)):
             w_row = pw0.w[pw0.indptr[i]:pw0.indptr[i + 1]]
             if w_row.size:
@@ -227,7 +227,7 @@ def test_criterion_5_weight_matrix_properties():
                 checked["idw0"] += 1
 
         # IDW s=16 puts its largest weight on the BSA pick when unique
-        pw16, _ = weights_idw(field, settlements, areas, s=16.0, k=5)
+        pw16 = weights_idw(field, s=16.0, k=5)
         v = np.where(live, 1.0 / np.clip(np.abs(rss), 1.0, None) ** 16, -np.inf)
         for i in range(len(settlements)):
             lo, hi = pw16.indptr[i], pw16.indptr[i + 1]

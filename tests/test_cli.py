@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covmap import io
+from covmap import io, simulation
 from covmap.cli import main
+from covmap.geo import extract_settlements
 from covmap.mapping import weights_p2p
 from covmap.simulation import SimConfig
 
@@ -158,6 +159,17 @@ class TestCoverage:
         assert err.startswith("error:") and str(empty) in err and "no BTS rows" in err
 
 
+    def test_non_finite_raster_header_fails_cleanly(self, study, tmp_path, capsys):
+        bad = tmp_path / "bad.asc"
+        text = (study / "snapshot_settlements.asc").read_text()
+        bad.write_text(text.replace("cellsize 100", "cellsize 0", 1))
+        rc = main(["coverage", "--bts", str(study / "snapshot_bts.csv"),
+                   "--raster", str(bad), "--out", str(tmp_path / "cov")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "cell_size_m must be positive" in err
+
+
 class TestWeights:
     def test_p2p_is_thin_wrapper(self, study, two_areas, tmp_path):
         rc = main(["weights", "--scheme", "p2p",
@@ -248,6 +260,46 @@ class TestWeights:
         assert rc == 0
         summary = (tmp_path / "w" / "coverage_summary.csv").read_text()
         assert summary == "areas_covered,areas_no_coverage\n1,1\n"
+
+
+class TestStreaming:
+    """The bsa/idw settlement pass and the coverage grid pass stream
+    `rss_field` in chunks; a small chunk must change no output byte."""
+
+    CHUNK = 97
+
+    def _run_all(self, study, two_areas, out) -> dict[str, bytes]:
+        inputs = ["--bts", str(study / "snapshot_bts.csv"),
+                  "--raster", str(study / "snapshot_settlements.asc"),
+                  "--aux", str(study / "snapshot_env.asc")]
+        for scheme in ("bsa", "idw"):
+            assert main(["weights", "--scheme", scheme, "--areas", str(two_areas), *inputs,
+                         "--out", str(out / scheme)]) == 0
+        assert main(["coverage", *inputs, "--out", str(out / "coverage")]) == 0
+        return tree_bytes(out)
+
+    def test_small_chunks_match_unchunked_output(self, study, two_areas, tmp_path, monkeypatch):
+        sizes = []
+        kernel = simulation.rss_field
+
+        def recording(specs, pixel_ids, *args, **kwargs):
+            sizes.append(len(pixel_ids))
+            return kernel(specs, pixel_ids, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "rss_field", recording)
+        whole = self._run_all(study, two_areas, tmp_path / "whole")
+        n_settled = len(extract_settlements(io.load_raster(study / "snapshot_settlements.asc")))
+        npixels = io.load_raster(study / "snapshot_settlements.asc").grid.npixels
+        # one call per pass: the default chunk holds every pixel here
+        assert sizes == [n_settled, n_settled, npixels]
+        assert n_settled > 2 * self.CHUNK
+
+        sizes.clear()
+        monkeypatch.setattr(simulation, "_CHUNK", self.CHUNK)
+        chunked = self._run_all(study, two_areas, tmp_path / "chunked")
+        assert max(sizes) <= self.CHUNK
+        assert sum(sizes) == 2 * n_settled + npixels
+        assert chunked == whole
 
 
 class TestAggregate:
@@ -398,6 +450,21 @@ class TestParser:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "default 2" in text and "default 5" in text and "dBm" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--threshold", "nan"],
+        ["coverage", "--threshold=-inf"],
+        ["coverage", "--rx-height", "nan"],
+        ["coverage", "--rx-height", "inf"],
+        ["weights", "--scheme", "idw", "--areas", "a", "--threshold", "nan"],
+        ["weights", "--scheme", "idw", "--areas", "a", "--s", "inf"],
+        ["weights", "--scheme", "idw", "--areas", "a", "--s", "nan"],
+    ])
+    def test_non_finite_values_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bts", "b", "--raster", "r", "--out", "o"])
+        assert exc.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self):
         with pytest.raises(SystemExit):

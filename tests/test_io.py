@@ -116,6 +116,39 @@ class TestAsciiGrid:
         with pytest.raises(ValueError, match="non-negative integers"):
             load_raster(p)
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("ncols 3", "ncols inf", "line 1.*non-finite header value 'inf'"),
+        ("nrows 2", "nrows nan", "line 2.*non-finite header value 'nan'"),
+        ("xllcorner 0", "xllcorner -inf", "line 3.*non-finite header value '-inf'"),
+        ("cellsize 100", "cellsize NaN", "line 5.*non-finite header value 'NaN'"),
+        ("NODATA_value -9999", "NODATA_value inf", "line 6.*non-finite NODATA_value 'inf'"),
+    ])
+    def test_non_finite_header_names_file_and_line(self, tmp_path, old, new, where):
+        p = tmp_path / "bad.asc"
+        p.write_text(CANONICAL_ASC.replace(old, new))
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ": " + where):
+            load_ascii_grid(p)
+
+    def test_bad_grid_geometry_names_file(self, tmp_path):
+        p = tmp_path / "bad.asc"
+        p.write_text(CANONICAL_ASC.replace("cellsize 100", "cellsize 0"))
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ": cell_size_m must be positive"):
+            load_ascii_grid(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, cell):
+        p = tmp_path / "bad.asc"
+        p.write_text(CANONICAL_ASC.replace("2 0 -9999", f"2 {cell} -9999"))
+        for load in (load_ascii_grid, load_raster):
+            with pytest.raises(ValueError, match=re.escape(f"{p}: line 8: non-finite cell '{cell}'")):
+                load(p)
+
+    def test_count_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "bad.asc"
+        p.write_text(CANONICAL_ASC.replace("0 4 1", "0 1e300 1"))
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ".*non-negative integers"):
+            load_raster(p)
+
     def test_raster_round_trip(self, tmp_path):
         grid = Grid(ncols=3, nrows=2, cell_size_m=100.0)
         nodata = np.zeros((2, 3), dtype=bool)

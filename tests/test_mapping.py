@@ -162,7 +162,8 @@ class TestBsa:
         g, settlements = strip_settlements(counts)
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -60.0], [-120.0, -80.0]])
-        pw, wm = weights_bsa(field, settlements, areas)
+        pw = weights_bsa(field)
+        wm = area_weights_from_pixels(pw, settlements, areas)
         assert pw.row(0) == {"b1": 1.0}
         assert pw.row(1) == {"b2": 1.0}  # b1 is dead at pixel 1
         assert wm.rows["a"] == {"b1": 0.5, "b2": 0.5}
@@ -172,17 +173,16 @@ class TestBsa:
         g, settlements = strip_settlements(counts)
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -60.0], [-120.0, -115.0]])
-        pw, wm = weights_bsa(field, settlements, areas)
+        pw = weights_bsa(field)
+        wm = area_weights_from_pixels(pw, settlements, areas)
         assert not pw.covered[1]
         assert wm.rows["a"] == {"b1": 1.0}
 
     def test_tie_breaks_to_lowest_bts_id(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 1), dtype=bool))])
-        field = make_field(settlements.ids, ["z", "a", "m"], [[-70.0, -70.0, -70.0]])
-        pw, wm = weights_bsa(field, settlements, areas)
-        assert pw.row(0) == {"a": 1.0}
+        field = make_field(settlements.ids, ["a", "m", "z"], [[-70.0, -70.0, -70.0]])
+        assert weights_bsa(field).row(0) == {"a": 1.0}
 
     def test_whole_area_dead_gets_no_coverage(self):
         counts = np.array([[1, 1]])
@@ -190,7 +190,7 @@ class TestBsa:
         left = np.array([[True, False]])
         areas = StatAreaSet.from_masks(g, [("l", left), ("r", ~left)])
         field = make_field(settlements.ids, ["b1"], [[-60.0], [-130.0]])
-        _, wm = weights_bsa(field, settlements, areas)
+        wm = area_weights_from_pixels(weights_bsa(field), settlements, areas)
         assert wm.rows["l"] == {"b1": 1.0}
         assert wm.no_coverage_ids == ["r"]
 
@@ -201,10 +201,11 @@ class TestBsa:
         half = np.zeros((6, 9), dtype=bool)
         half[:, :5] = True
         areas = StatAreaSet.from_masks(g, [("w", half), ("e", ~half)])
-        ids = ["b3", "b1", "b2"]  # unsorted on purpose
+        ids = ["b1", "b2", "b3"]
         rss = rng.uniform(-130.0, -50.0, size=(len(settlements), 3))
         field = make_field(settlements.ids, ids, rss)
-        pw, wm = weights_bsa(field, settlements, areas)
+        pw = weights_bsa(field)
+        wm = area_weights_from_pixels(pw, settlements, areas)
         raw = {}
         for i in range(len(settlements)):
             best, best_v = None, -np.inf
@@ -231,49 +232,44 @@ class TestIdw:
     def test_two_link_hand_example(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 1), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -100.0]])
-        pw, _ = weights_idw(field, settlements, areas, s=1.0, k=5)
+        pw = weights_idw(field, s=1.0, k=5)
         assert_allclose([pw.row(0)["b1"], pw.row(0)["b2"]], [2 / 3, 1 / 3], atol=1e-15)
-        pw8, _ = weights_idw(field, settlements, areas, s=8.0, k=5)
+        pw8 = weights_idw(field, s=8.0, k=5)
         assert_allclose(pw8.row(0)["b1"], 256 / 257, atol=1e-15)
         assert_allclose(pw8.row(0)["b2"], 1 / 257, atol=1e-15)
 
     def test_zero_exponent_is_uniform(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 1), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2", "b3"], [[-50.0, -100.0, -130.0]])
-        pw, _ = weights_idw(field, settlements, areas, s=0.0, k=5)
+        pw = weights_idw(field, s=0.0, k=5)
         # only the two live links share the weight
         assert pw.row(0) == {"b1": 0.5, "b2": 0.5}
 
     def test_signal_magnitude_clamped_at_one(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 1), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2"], [[-0.5, -2.0]])
-        pw, _ = weights_idw(field, settlements, areas, s=1.0, k=5)
+        pw = weights_idw(field, s=1.0, k=5)
         assert_allclose([pw.row(0)["b1"], pw.row(0)["b2"]], [2 / 3, 1 / 3], atol=1e-15)
 
     def test_k_limits_links(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 1), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2", "b3"], [[-40.0, -50.0, -60.0]])
-        pw, _ = weights_idw(field, settlements, areas, s=0.0, k=2)
+        pw = weights_idw(field, s=0.0, k=2)
         assert pw.row(0) == {"b1": 0.5, "b2": 0.5}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(41)
         counts = rng.integers(0, 2, size=(5, 8))
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((5, 8), dtype=bool))])
-        ids = ["q", "a", "f", "z"]
+        ids = ["a", "f", "q", "z"]
         rss = rng.uniform(-125.0, -45.0, size=(len(settlements), 4))
         field = make_field(settlements.ids, ids, rss)
         s, k = 2.5, 3
-        pw, _ = weights_idw(field, settlements, areas, s=s, k=k)
+        pw = weights_idw(field, s=s, k=k)
         for i in range(len(settlements)):
             live = [(rss[i, ids.index(b)], b) for b in sorted(ids) if rss[i, ids.index(b)] >= -110]
             live.sort(key=lambda t: (-t[0], t[1]))
@@ -290,11 +286,10 @@ class TestIdw:
         rng = np.random.default_rng(43)
         counts = np.ones((4, 6))
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((4, 6), dtype=bool))])
         rss = rng.uniform(-109.0, -40.0, size=(len(settlements), 5))
         field = make_field(settlements.ids, [f"b{i}" for i in range(5)], rss)
-        pw_idw, _ = weights_idw(field, settlements, areas, s=16.0, k=5)
-        pw_bsa, _ = weights_bsa(field, settlements, areas)
+        pw_idw = weights_idw(field, s=16.0, k=5)
+        pw_bsa = weights_bsa(field)
         for i in range(len(settlements)):
             top_idw = max(pw_idw.row(i).items(), key=lambda t: t[1])[0]
             assert top_idw == next(iter(pw_bsa.row(i)))
@@ -302,12 +297,17 @@ class TestIdw:
     def test_bad_params_rejected(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
-        areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 1), dtype=bool))])
         field = make_field(settlements.ids, ["b1"], [[-50.0]])
         with pytest.raises(ValueError):
-            weights_idw(field, settlements, areas, s=-1.0, k=3)
+            weights_idw(field, s=-1.0, k=3)
         with pytest.raises(ValueError):
-            weights_idw(field, settlements, areas, s=2.0, k=0)
+            weights_idw(field, s=2.0, k=0)
+
+    def test_unsorted_columns_rejected(self):
+        field = make_field([0], ["b2", "b1"], [[-50.0, -60.0]])
+        for build in (weights_bsa, weights_idw):
+            with pytest.raises(ValueError, match="ascend by bts_id"):
+                build(field)
 
     def test_misaligned_field_rejected(self):
         counts = np.array([[1, 1]])
@@ -315,7 +315,7 @@ class TestIdw:
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
         field = make_field([5, 9], ["b1"], [[-50.0], [-60.0]])
         with pytest.raises(ValueError, match="aligned"):
-            weights_idw(field, settlements, areas)
+            area_weights_from_pixels(weights_idw(field), settlements, areas)
 
 
 class TestAggregate:

@@ -219,15 +219,21 @@ class TestRssField:
 
     def test_matches_elementwise_scalar_oracle(self):
         specs = self._specs()
-        px = np.array([1000.0, 2500.0, 7000.0, 400.0, 9000.0])
-        py = np.array([2000.0, -3000.0, 1000.0, 300.0, 9000.0])
-        envs = ["urban", "suburban", "rural", "urban", "rural"]
-        f = rss_field(specs, np.arange(5), px, py, envs, rx_height_m=1.5)
-        for i in range(5):
+        px = np.array([1000.0, 2500.0, 7000.0, 400.0, 9000.0, 60_000.0])
+        py = np.array([2000.0, -3000.0, 1000.0, 300.0, 9000.0, 0.0])
+        envs = ["urban", "suburban", "rural", "urban", "rural", "urban"]
+        f = rss_field(specs, np.arange(6), px, py, envs, rx_height_m=1.5)
+        dead = 0
+        for i in range(6):
             for j, s in enumerate(specs):
                 d = float(np.hypot(px[i] - s.x, py[i] - s.y)) / 1000.0
                 want = s.power_dbm - extended_hata_db(s.freq_mhz, d, s.height_m, 1.5, envs[i])
-                assert_allclose(f.rss_dbm[i, j], want, rtol=0, atol=1e-12)
+                if want >= f.dead_threshold_dbm:
+                    assert_allclose(f.rss_dbm[i, j], want, rtol=0, atol=1e-12)
+                else:
+                    assert f.rss_dbm[i, j] == -np.inf
+                    dead += 1
+        assert 0 < dead < f.rss_dbm.size
 
     def test_symmetric_pixel_sees_equal_levels(self):
         specs = [
@@ -249,17 +255,28 @@ class TestRssField:
             for s in specs
         ]
         bumped = rss_field(bumped_specs, np.arange(40), px, py, envs)
-        assert_allclose(bumped.rss_dbm - base.rss_dbm, 7.25, atol=1e-9)
+        # a live link stays live and shifts by the offset; a link the offset
+        # brings to life lies within the offset above the threshold
+        assert np.all(bumped.live[base.live])
+        assert_allclose(bumped.rss_dbm[base.live] - base.rss_dbm[base.live], 7.25, atol=1e-9)
+        woken = bumped.live & ~base.live
+        assert woken.any() and (~bumped.live).any()
+        assert np.all(bumped.rss_dbm[woken] < base.dead_threshold_dbm + 7.25)
+        assert np.all(bumped.rss_dbm[~bumped.live] == -np.inf)
+        served = base.live.any(axis=1)
         assert np.array_equal(
-            np.argmax(base.rss_dbm, axis=1), np.argmax(bumped.rss_dbm, axis=1)
+            np.argmax(base.rss_dbm, axis=1)[served], np.argmax(bumped.rss_dbm, axis=1)[served]
         )
 
     def test_distance_clamp_beyond_model_range(self):
         specs = [AntennaSpec("a", 0.0, 0.0, 60.0, 900.0, 47.0)]
-        f = rss_field(specs, [0, 1], [120_000.0, 100_000.0], [0.0, 0.0], ["rural", "rural"])
-        assert f.rss_dbm[0, 0] == f.rss_dbm[1, 0]  # evaluated at the 100 km clamp
-        assert not f.live[0, 0]
-        assert np.all(np.isfinite(f.rss_dbm))
+        args = (specs, [0, 1], [120_000.0, 100_000.0], [0.0, 0.0], ["rural", "rural"])
+        f = rss_field(*args)
+        assert not f.live.any() and np.all(f.rss_dbm == -np.inf)
+        # with the 100 km link live, the link beyond it is evaluated at the clamp
+        f = rss_field(*args, dead_threshold_dbm=-250.0)
+        assert f.live.all()
+        assert f.rss_dbm[0, 0] == f.rss_dbm[1, 0]
 
     def test_colocated_pixel_is_finite_and_strong(self):
         specs = [AntennaSpec("a", 500.0, 500.0, 30.0, 900.0, 45.0)]
@@ -274,8 +291,7 @@ class TestRssField:
             dead_threshold_dbm=-110.0,
         )
         assert bool(f.live[0, 0]) and not f.live[1, 0]
-        # dead entries stay retrievable
-        assert np.isfinite(f.rss_dbm[1, 0])
+        assert np.isfinite(f.rss_dbm[0, 0]) and f.rss_dbm[1, 0] == -np.inf
 
     def test_duplicate_bts_rejected(self):
         specs = [

@@ -6,10 +6,9 @@ from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements
 from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
 from covmap.propagation import (
     AntennaSpec,
+    RssField,
     env_code,
     extended_hata_db,
-    live_levels,
-    live_radius_km,
     rss_field,
 )
 from covmap.simulation import (
@@ -289,8 +288,8 @@ class TestCoverage:
 
 
 class TestRangeCulling:
-    """The culled streamed passes against the dense field on a 100 km layout
-    where low masts leave most links dead."""
+    """The culled kernel and the streamed passes against a brute-force
+    level matrix on a 100 km layout where low masts leave most links dead."""
 
     @pytest.fixture
     def layout(self, monkeypatch):
@@ -306,9 +305,13 @@ class TestRangeCulling:
         # every pixel is settled, so the settlement pass streams two chunks
         settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
         env = rng.integers(0, 3, len(settlements)).astype(np.uint8)
-        dense = rss_field(specs, settlements.ids, settlements.x, settlements.y, env,
-                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
-        assert dense.live.any()
+        oracle = np.column_stack([
+            s.power_dbm - extended_hata_db(
+                s.freq_mhz, np.hypot(settlements.x - s.x, settlements.y - s.y) / 1000.0,
+                s.height_m, cfg.rx_height_m, env, clamp_distance=True)
+            for s in specs
+        ])
+        assert (oracle >= cfg.dead_threshold_dbm).any()
         # count the links the model evaluates from here on
         evaluated = []
         hata = propagation.extended_hata_db
@@ -318,29 +321,35 @@ class TestRangeCulling:
             return hata(f_mhz, d_km, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "extended_hata_db", counting)
-        return cfg, specs, settlements, env, dense, evaluated
+        propagation.forget_live_radii()
+        return cfg, specs, settlements, env, oracle, evaluated
 
     def test_kernel_equals_dense_live_levels(self, layout):
-        cfg, specs, st, env, dense, evaluated = layout
-        radii = np.array([live_radius_km(s, cfg.rx_height_m, cfg.dead_threshold_dbm)
-                          for s in specs])
-        evaluated.clear()
-        got = live_levels(specs, radii, st.x, st.y, env, rx_height_m=cfg.rx_height_m,
-                          dead_threshold_dbm=cfg.dead_threshold_dbm)
-        assert np.array_equal(got, np.where(dense.live, dense.rss_dbm, -np.inf))
-        assert sum(evaluated) < dense.rss_dbm.size / 4
+        cfg, specs, st, env, oracle, evaluated = layout
+        got = rss_field(specs, st.ids, st.x, st.y, env, rx_height_m=cfg.rx_height_m,
+                        dead_threshold_dbm=cfg.dead_threshold_dbm)
+        live = oracle >= cfg.dead_threshold_dbm
+        assert np.array_equal(got.rss_dbm[live], oracle[live])
+        assert np.all(got.rss_dbm[~live] == -np.inf)
+        assert np.array_equal(got.live, live)
+        # the radius probes included
+        assert sum(evaluated) < oracle.size / 4
 
     def test_streamed_passes_equal_dense_schemes(self, layout):
-        cfg, specs, st, env, dense, evaluated = layout
-        areas, _ = build_areas(cfg)
-        sel, pw_bsa, pw_idw = settlement_pixel_weights(st, specs, env, cfg)
-        assert sum(evaluated) < dense.rss_dbm.size / 4
-        want_bsa, _ = weights_bsa(dense, st, areas)
-        want_idw, _ = weights_idw(dense, st, areas, s=cfg.idw_s, k=cfg.idw_k)
+        cfg, specs, st, env, oracle, evaluated = layout
+        pw_bsa, pw_idw = settlement_pixel_weights(
+            st, specs, env, rx_height_m=cfg.rx_height_m,
+            dead_threshold_dbm=cfg.dead_threshold_dbm, idw_s=cfg.idw_s, idw_k=cfg.idw_k)
+        assert sum(evaluated) < oracle.size / 4
+        dense = RssField(st.ids, [s.bts_id for s in specs], oracle, cfg.dead_threshold_dbm)
+        want_bsa = weights_bsa(dense)
+        want_idw = weights_idw(dense, s=cfg.idw_s, k=cfg.idw_k)
         for got, want in ((pw_bsa, want_bsa), (pw_idw, want_idw)):
             assert got.bts_ids == want.bts_ids
-            for name in ("indptr", "col", "w"):
+            for name in ("pixel_ids", "indptr", "col", "w"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        sel = np.full(len(st), -1)
+        sel[pw_bsa.covered] = pw_bsa.col
         assert np.any(sel >= 0) and np.any(sel < 0)
         # all pixels are settled in pixel-id order, so the grid pass must agree
         grid = best_server_grid(cfg.grid, specs, env.reshape(cfg.grid.shape),
