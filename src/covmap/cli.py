@@ -21,12 +21,13 @@ from covmap.mapping import (
     aggregate,
     area_weights_from_pixels,
     classify_areas_by_bts_density,
+    paint_area_env,
     synthesize_naive_specs,
     weights_aug_voronoi,
     weights_p2p,
     weights_voronoi,
 )
-from covmap.propagation import DEAD_THRESHOLD_DBM, ENV_SUBURBAN, env_code
+from covmap.propagation import DEAD_THRESHOLD_DBM, ENV_SUBURBAN
 from covmap.simulation import (
     SCHEMES,
     TALLY_METRICS,
@@ -82,15 +83,6 @@ def _load_env_grid(path, grid) -> np.ndarray:
     return codes.astype(np.uint8)
 
 
-def _paint_env(areas, classes: dict[str, str], grid) -> np.ndarray:
-    labels = areas.labels(grid)
-    code_of = np.array([env_code(classes[a]) for a in areas.area_ids], dtype=np.uint8)
-    env = np.full(grid.shape, ENV_SUBURBAN, dtype=np.uint8)
-    inside = labels >= 0
-    env[inside] = code_of[labels[inside]]
-    return env
-
-
 def _resolve_specs(bts: io.BtsFile, areas, grid, naive: bool):
     """Antenna specs plus the area classes used for any synthesis."""
     classes = None
@@ -115,7 +107,7 @@ def _resolve_env(aux, areas, bts, grid, classes) -> np.ndarray:
     if areas is not None:
         if classes is None:
             classes = classify_areas_by_bts_density(areas, bts.points, grid)
-        return _paint_env(areas, classes, grid)
+        return paint_area_env(areas, classes, grid)
     return np.full(grid.shape, ENV_SUBURBAN, dtype=np.uint8)
 
 

@@ -114,9 +114,6 @@ class SettlementRaster:
         """Pixels that count as settlements (>= 1 inhabitant, not nodata)."""
         return (~self.nodata) & (self.counts >= 1)
 
-    def total_population(self) -> float:
-        return float(self.counts[~self.nodata].sum())
-
 
 @dataclass
 class Settlements:

@@ -356,10 +356,6 @@ def covariates_csv_string(table: CovariateTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_covariates_csv(path, table: CovariateTable) -> None:
-    Path(path).write_text(covariates_csv_string(table), encoding="utf-8")
-
-
 # --- weight matrices ---------------------------------------------------------
 
 
@@ -368,10 +364,6 @@ def weights_csv_string(wm: WeightMatrix) -> str:
     for aid, bid, w in wm.entries():
         lines.append(f"{aid},{bid},{fmt12(w)}")
     return "\n".join(lines) + "\n"
-
-
-def save_weights_csv(path, wm: WeightMatrix) -> None:
-    Path(path).write_text(weights_csv_string(wm), encoding="utf-8")
 
 
 def load_weights_csv(path, area_ids: list[str] | None = None,
@@ -452,14 +444,6 @@ def tally_csv_string(tally: dict[tuple[str, str], float], schemes, metrics) -> s
     return "\n".join(lines) + "\n"
 
 
-def aggregates_csv_string(est: dict[str, float | None]) -> str:
-    lines = ["area_id,value"]
-    for aid in sorted(est):
-        v = est[aid]
-        lines.append(f"{aid}," + ("" if v is None else fmt12(v)))
-    return "\n".join(lines) + "\n"
-
-
 # --- configuration -----------------------------------------------------------
 
 _TUPLE_FIELDS = {"mask_rect", "height_range_m", "power_range_dbm"}
@@ -530,7 +514,6 @@ def sha256_hex(data: bytes) -> str:
 def save_outputs(
     out_dir,
     weight_matrices: dict[str, WeightMatrix] | None = None,
-    aggregates: dict[str, dict[str, float | None]] | None = None,
     metrics: list[tuple] | None = None,
     tally_csv: str | None = None,
     config: SimConfig | None = None,
@@ -546,8 +529,6 @@ def save_outputs(
     contents: dict[str, str] = {}
     for key in sorted(weight_matrices or {}):
         contents[f"weights_{key}.csv"] = weights_csv_string(weight_matrices[key])
-    for key in sorted(aggregates or {}):
-        contents[f"aggregates_{key}.csv"] = aggregates_csv_string(aggregates[key])
     if metrics is not None:
         contents["rounds.csv"] = metrics_csv_string(metrics)
     if tally_csv is not None:

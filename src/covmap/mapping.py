@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geo import UNASSIGNED, Assignment, Grid, Settlements, StatAreaSet, zonal_count
-from .propagation import AntennaSpec, RssField
+from .propagation import ENV_SUBURBAN, AntennaSpec, RssField, env_code
 
 ROW_SUM_TOL = 1e-9
 
@@ -380,20 +380,19 @@ NAIVE_POWER_DBM = 45.0
 NAIVE_URBAN_FREQ_MHZ = 2100.0
 NAIVE_OTHER_FREQ_MHZ = 900.0
 URBAN_DENSITY_PER_KM2 = 1.0
+RURAL_SHARE = 0.5
 
 
 def classify_areas_by_bts_density(
     areas: StatAreaSet,
     bts_points,
     grid: Grid | None = None,
-    urban_density_per_km2: float = URBAN_DENSITY_PER_KM2,
-    rural_share: float = 0.5,
 ) -> dict[str, str]:
     """Urbanity from site density: dense areas are urban, the sparsest
     half rural, the rest suburban.
 
-    Density above `urban_density_per_km2` makes an area urban regardless
-    of rank.  The rural group is the bottom `rural_share` fraction by
+    Density above URBAN_DENSITY_PER_KM2 makes an area urban regardless
+    of rank.  The rural group is the bottom RURAL_SHARE fraction by
     (density, area_id) order, minus any area already urban.
     """
     pts = list(bts_points)
@@ -409,10 +408,10 @@ def classify_areas_by_bts_density(
         )
 
     classes = {
-        aid: ("urban" if density[i] > urban_density_per_km2 else "suburban")
+        aid: ("urban" if density[i] > URBAN_DENSITY_PER_KM2 else "suburban")
         for i, aid in enumerate(areas.area_ids)
     }
-    n_rural = int(np.floor(rural_share * len(areas)))
+    n_rural = int(np.floor(RURAL_SHARE * len(areas)))
     by_density = sorted(range(len(areas)), key=lambda i: (density[i], areas.area_ids[i]))
     for i in by_density[:n_rural]:
         if classes[areas.area_ids[i]] != "urban":
@@ -420,19 +419,26 @@ def classify_areas_by_bts_density(
     return classes
 
 
+def paint_area_env(areas: StatAreaSet, classes: dict[str, str], grid: Grid) -> np.ndarray:
+    """Env-code raster of per-area classes; pixels outside every area
+    are suburban."""
+    labels = areas.labels(grid)
+    code_of = np.array([env_code(classes[a]) for a in areas.area_ids], dtype=np.uint8)
+    env = np.full(grid.shape, ENV_SUBURBAN, dtype=np.uint8)
+    inside = labels >= 0
+    env[inside] = code_of[labels[inside]]
+    return env
+
+
 def synthesize_naive_specs(
     bts_points,
     area_classes: dict[str, str],
     areas: StatAreaSet,
     grid: Grid | None = None,
-    height_m: float = NAIVE_HEIGHT_M,
-    power_dbm: float = NAIVE_POWER_DBM,
-    urban_freq_mhz: float = NAIVE_URBAN_FREQ_MHZ,
-    other_freq_mhz: float = NAIVE_OTHER_FREQ_MHZ,
 ) -> list[AntennaSpec]:
-    """Guess technical specs from public context: fixed mast height and
-    power everywhere, the high band in urban-classified areas and the
-    low band elsewhere (including BTS outside every area)."""
+    """Guess technical specs from public context: NAIVE_HEIGHT_M and
+    NAIVE_POWER_DBM everywhere, the high band in urban-classified areas
+    and the low band elsewhere (including BTS outside every area)."""
     pts = list(bts_points)
     x = np.array([float(p[1]) for p in pts])
     y = np.array([float(p[2]) for p in pts])
@@ -443,8 +449,9 @@ def synthesize_naive_specs(
     specs = []
     for i, p in enumerate(pts):
         if host[i] >= 0 and area_classes.get(areas.area_ids[host[i]]) == "urban":
-            freq = urban_freq_mhz
+            freq = NAIVE_URBAN_FREQ_MHZ
         else:
-            freq = other_freq_mhz
-        specs.append(AntennaSpec(p[0], float(p[1]), float(p[2]), height_m, freq, power_dbm))
+            freq = NAIVE_OTHER_FREQ_MHZ
+        specs.append(AntennaSpec(p[0], float(p[1]), float(p[2]), NAIVE_HEIGHT_M, freq,
+                                 NAIVE_POWER_DBM))
     return specs

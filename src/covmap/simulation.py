@@ -3,10 +3,12 @@
 Each round draws a population (an urban centre plus rural towns and a
 uniform background), paints block-level poverty rates, places BTS by
 population-weighted clustering, and computes the true best-server
-coverage with fully known technical specs.  The five weighting schemes
-then estimate area-level poverty from antenna-level ground truth, and
-per-round metrics compare them against a benchmark that knows the true
-coverage.
+coverage with fully known technical specs.  The world's voronoi
+tessellation is computed once: coloured by site class it is the true
+propagation environment, and uncoloured it is the voronoi schemes'
+map.  The five weighting schemes then estimate area-level poverty from
+antenna-level ground truth, and per-round metrics compare them against
+a benchmark that knows the true coverage.
 
 Rounds are reproducible: round i of a study uses an RNG stream derived
 from (master seed, i) only, so results are identical no matter how many
@@ -37,6 +39,7 @@ from .mapping import (
     area_weights_from_pixels,
     bsa_select_chunk,
     classify_areas_by_bts_density,
+    paint_area_env,
     stack_pixel_weights,
     synthesize_naive_specs,
     weights_aug_voronoi,
@@ -47,7 +50,6 @@ from .mapping import (
 )
 from .propagation import (
     ENV_CLASSES,
-    ENV_SUBURBAN,
     AntennaSpec,
     env_code,
     forget_live_radii,
@@ -478,7 +480,8 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
 
 def nearest_site_env(grid: Grid, sx, sy, site_env_codes) -> np.ndarray:
     """Full-grid environment labels: each pixel inherits the class of its
-    nearest site (ties to the lowest site index)."""
+    nearest site (ties to the lowest site index).  `build_world` reads
+    the same grid off the world's voronoi map."""
     codes = np.asarray(site_env_codes, dtype=np.uint8)
     x, y = grid.pixel_centers()
     return codes[nearest_index(x, y, sx, sy)].reshape(grid.shape)
@@ -533,22 +536,16 @@ def true_coverage(
     grid: Grid,
     settlements: Settlements,
     specs: list[AntennaSpec],
-    bts_env: list[str],
+    env_grid: np.ndarray,
     cfg: SimConfig,
-) -> tuple[CoverageResult, np.ndarray]:
-    """Ground-truth coverage from the real specs.
-
-    Every pixel's propagation environment is the class of its nearest
-    site.  Returns the coverage plus the full env-code grid.
-    """
-    sx = np.array([s.x for s in specs])
-    sy = np.array([s.y for s in specs])
-    env_grid = nearest_site_env(grid, sx, sy, [env_code(e) for e in bts_env])
+) -> CoverageResult:
+    """Ground-truth coverage from the real specs over the true
+    environment grid (env codes, one per pixel)."""
     assignment = best_server_grid(grid, specs, env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
     server = assignment.labels[settlements.rows, settlements.cols].astype(np.int64)
     uncovered = int(np.count_nonzero(server < 0))
     frac = uncovered / max(len(settlements), 1)
-    return CoverageResult(assignment, server, uncovered, frac), env_grid
+    return CoverageResult(assignment, server, uncovered, frac)
 
 
 def settlement_pixel_weights(
@@ -624,6 +621,24 @@ def _iou_by_site(est_flat, truth_flat, j: int) -> tuple[np.ndarray, np.ndarray]:
     return inter, union
 
 
+def _class_means(values: np.ndarray, valid: np.ndarray, codes=None) -> dict[str, float]:
+    """Mean of `values` over the `valid` entries ("total", NaN when none),
+    plus the mean per environment class when `codes` gives an env code
+    per entry; classes without a valid entry are left out."""
+    out = {"total": float(values[valid].mean()) if valid.any() else float("nan")}
+    if codes is not None:
+        codes = np.asarray(codes)
+        for code, name in enumerate(ENV_CLASSES):
+            m = valid & (codes == code)
+            if m.any():
+                out[name] = float(values[m].mean())
+    return out
+
+
+def _site_codes(bts_env: list[str] | None):
+    return None if bts_env is None else [env_code(e) for e in bts_env]
+
+
 def geographic_overlap(
     est: Assignment, truth: Assignment, bts_env: list[str] | None = None
 ) -> dict[str, float]:
@@ -636,18 +651,9 @@ def geographic_overlap(
         raise ValueError("assignments cover different bts_id sets")
     if est.labels.shape != truth.labels.shape:
         raise ValueError("assignments cover different grids")
-    j = len(est.bts_ids)
-    inter, union = _iou_by_site(est.labels.ravel(), truth.labels.ravel(), j)
-    valid = union > 0
-    iou = inter[valid] / union[valid]
-    out = {"total": float(iou.mean()) if iou.size else float("nan")}
-    if bts_env is not None:
-        env_arr = np.array([env_code(e) for e in bts_env])[valid]
-        for code, name in enumerate(ENV_CLASSES):
-            grp = iou[env_arr == code]
-            if grp.size:
-                out[name] = float(grp.mean())
-    return out
+    inter, union = _iou_by_site(est.labels.ravel(), truth.labels.ravel(), len(est.bts_ids))
+    # an empty union has an empty intersection, so the clamp only avoids 0/0
+    return _class_means(inter / np.maximum(union, 1), union > 0, _site_codes(bts_env))
 
 
 def area_membership_overlap(
@@ -683,14 +689,7 @@ def area_membership_overlap(
         if union > 0:
             iou[site] = inter / union
             valid[site] = True
-    out = {"total": float(iou[valid].mean()) if valid.any() else float("nan")}
-    if bts_env is not None:
-        env_arr = np.array([env_code(e) for e in bts_env])
-        for code, name in enumerate(ENV_CLASSES):
-            grp = iou[valid & (env_arr == code)]
-            if grp.size:
-                out[name] = float(grp.mean())
-    return out
+    return _class_means(iou, valid, _site_codes(bts_env))
 
 
 def settlement_overlap(
@@ -703,7 +702,6 @@ def settlement_overlap(
     per settlement) per-class shares are included.
     """
     true_server = np.asarray(true_server)
-    covered = true_server >= 0
     if credit is None:
         est_server = np.asarray(est_server)
         if est_server.shape != true_server.shape:
@@ -713,16 +711,7 @@ def settlement_overlap(
         credit = np.asarray(credit, dtype=np.float64)
         if credit.shape != true_server.shape:
             raise ValueError("credit array differs in shape")
-    if not covered.any():
-        return {"total": float("nan")}
-    out = {"total": float(credit[covered].mean())}
-    if group_codes is not None:
-        g = np.asarray(group_codes)
-        for code, name in enumerate(ENV_CLASSES):
-            m = covered & (g == code)
-            if m.any():
-                out[name] = float(credit[m].mean())
-    return out
+    return _class_means(credit, true_server >= 0, group_codes)
 
 
 # --- the study ---------------------------------------------------------------
@@ -738,7 +727,8 @@ class SyntheticWorld:
     layout_class: dict[str, str]
     specs: list[AntennaSpec]
     bts_env: list[str]
-    env_grid: np.ndarray
+    voronoi: Assignment      # nearest-site tessellation, sites in bts_id order
+    env_grid: np.ndarray     # true env codes: the voronoi map coloured by site class
     coverage: CoverageResult
     covariates: CovariateTable
     true_area_rates: dict[str, float]
@@ -749,15 +739,19 @@ class SyntheticWorld:
 
 
 def build_world(cfg: SimConfig, round_index: int) -> SyntheticWorld:
-    """Generate one fully specified synthetic world for a study round."""
+    """Generate one fully specified synthetic world for a study round; its
+    voronoi map, coloured by site class, is the true environment grid."""
     ss = np.random.SeedSequence((cfg.seed, round_index))
     rng_pop, rng_pov, rng_bts = (np.random.default_rng(s) for s in ss.spawn(3))
     raster = gen_population(cfg, rng_pop)
     settlements = extract_settlements(raster)
     poverty = assign_poverty(raster, cfg, rng_pov)
     specs, bts_env = place_bts(raster, cfg, rng_bts)
+    voronoi = voronoi_assign(cfg.grid, [(s.bts_id, s.x, s.y) for s in specs])
+    code_of = {s.bts_id: env_code(e) for s, e in zip(specs, bts_env)}
+    env_grid = np.array([code_of[b] for b in voronoi.bts_ids], dtype=np.uint8)[voronoi.labels]
     areas, layout_class = build_areas(cfg)
-    coverage, env_grid = true_coverage(cfg.grid, settlements, specs, bts_env, cfg)
+    coverage = true_coverage(cfg.grid, settlements, specs, env_grid, cfg)
 
     # antenna-level ground truth: population-weighted poverty of the
     # settlements each site truly serves
@@ -780,7 +774,7 @@ def build_world(cfg: SimConfig, round_index: int) -> SyntheticWorld:
 
     return SyntheticWorld(
         cfg, raster, settlements, poverty, areas, layout_class, specs, bts_env,
-        env_grid, coverage, covariates, true_area_rates,
+        voronoi, env_grid, coverage, covariates, true_area_rates,
     )
 
 
@@ -856,7 +850,7 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     settle_group = np.where(true_server >= 0, env_codes_site[np.clip(true_server, 0, None)], -1)
 
     # --- scheme estimates -----------------------------------------------
-    vor = voronoi_assign(grid, points)
+    vor = world.voronoi
     wm_p2p = weights_p2p(points, areas)
     wm_vor = weights_voronoi(vor, areas)
     wm_aug = weights_aug_voronoi(vor, settlements, areas)
@@ -870,12 +864,7 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         for aid in areas.area_ids
     }
     naive_specs = synthesize_naive_specs(points, naive_classes, areas, grid)
-    class_code_by_area = np.array(
-        [env_code(naive_classes[aid]) for aid in areas.area_ids], dtype=np.uint8
-    )
-    naive_env_grid = np.where(
-        area_labels >= 0, class_code_by_area[np.clip(area_labels, 0, None)], ENV_SUBURBAN
-    ).astype(np.uint8)
+    naive_env_grid = paint_area_env(areas, naive_classes, grid)
     naive_assign = best_server_grid(
         grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm
     )
@@ -897,27 +886,31 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         "hata_idw": aggregate(wm_idw, world.covariates, "poverty"),
     }
 
-    # --- overlaps --------------------------------------------------------
+    # --- overlaps: each distinct map is scored once ---------------------
     host_area = areas.locate_points(
         np.array([p[1] for p in points]), np.array([p[2] for p in points]), grid
     )
+    geo_vor = geographic_overlap(vor, truth, world.bts_env)
+    geo_hata = geographic_overlap(naive_assign, truth, world.bts_env)
     geo = {
         "benchmark": geographic_overlap(truth, truth, world.bts_env),
         "p2p": area_membership_overlap(area_labels, host_area, truth, world.bts_env),
-        "voronoi": geographic_overlap(vor, truth, world.bts_env),
-        "aug_voronoi": geographic_overlap(vor, truth, world.bts_env),
-        "hata_bsa": geographic_overlap(naive_assign, truth, world.bts_env),
-        "hata_idw": geographic_overlap(naive_assign, truth, world.bts_env),
+        "voronoi": geo_vor,
+        "aug_voronoi": geo_vor,
+        "hata_bsa": geo_hata,
+        "hata_idw": geo_hata,
     }
     vor_at = vor.labels[settlements.rows, settlements.cols].astype(np.int64)
     credit_p2p = _p2p_credit(wm_p2p, area_of_settlement, true_server, bts_ids, areas.area_ids)
+    settle_vor = settlement_overlap(vor_at, true_server, settle_group)
+    settle_hata = settlement_overlap(naive_sel, true_server, settle_group)
     settle = {
         "benchmark": settlement_overlap(true_server, true_server, settle_group),
         "p2p": settlement_overlap(None, true_server, settle_group, credit=credit_p2p),
-        "voronoi": settlement_overlap(vor_at, true_server, settle_group),
-        "aug_voronoi": settlement_overlap(vor_at, true_server, settle_group),
-        "hata_bsa": settlement_overlap(naive_sel, true_server, settle_group),
-        "hata_idw": settlement_overlap(naive_sel, true_server, settle_group),
+        "voronoi": settle_vor,
+        "aug_voronoi": settle_vor,
+        "hata_bsa": settle_hata,
+        "hata_idw": settle_hata,
     }
 
     # --- predictions: per-scheme covered set, plus the intersection ------
@@ -977,10 +970,6 @@ class StudyResult:
             (r[0], r[4]) for r in self.records if r[1] == scheme and r[2] == metric and r[3] == env
         )
         return np.array([v for _, v in rows])
-
-    def mean(self, scheme: str, metric: str, env: str = "total") -> float:
-        vals = self.values(scheme, metric, env)
-        return float(np.nanmean(vals)) if vals.size else float("nan")
 
 
 def _round_worker(args) -> list[tuple]:

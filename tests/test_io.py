@@ -7,10 +7,10 @@ import pytest
 from covmap.geo import Grid, SettlementRaster, extract_settlements
 from covmap.io import (
     BtsFile,
-    aggregates_csv_string,
     ascii_grid_string,
     config_from_dict,
     config_json_string,
+    covariates_csv_string,
     fmt12,
     load_areas_geojson,
     load_ascii_grid,
@@ -24,10 +24,8 @@ from covmap.io import (
     save_ascii_grid,
     save_bts_csv,
     save_config,
-    save_covariates_csv,
     save_outputs,
     save_raster,
-    save_weights_csv,
     tally_csv_string,
     weights_csv_string,
 )
@@ -339,14 +337,12 @@ class TestCovariatesCsv:
     def test_round_trip(self, tmp_path):
         t = CovariateTable(["a", "b"], {"v": np.array([0.5, np.nan])})
         p = tmp_path / "cov.csv"
-        save_covariates_csv(p, t)
+        p.write_text(covariates_csv_string(t))
         back = load_covariates_csv(p)
         assert back.bts_ids == ["a", "b"]
         assert back.lookup("a", "v") == 0.5
         assert np.isnan(back.lookup("b", "v"))
-        q = tmp_path / "cov2.csv"
-        save_covariates_csv(q, back)
-        assert q.read_bytes() == p.read_bytes()
+        assert covariates_csv_string(back) == p.read_text()
 
 
 class TestWeightsCsv:
@@ -362,23 +358,21 @@ class TestWeightsCsv:
 
     def test_round_trip_entries(self, tmp_path):
         p = tmp_path / "w.csv"
-        save_weights_csv(p, self.WM)
+        p.write_text(weights_csv_string(self.WM))
         back = load_weights_csv(p, area_ids=["A", "B", "C"], scheme="voronoi")
         assert back.entries() == self.WM.entries()
         assert back.no_coverage_ids == ["C"]
-        q = tmp_path / "w2.csv"
-        save_weights_csv(q, back)
-        assert q.read_bytes() == p.read_bytes()
+        assert weights_csv_string(back) == p.read_text()
 
     def test_universe_defaults_to_covered(self, tmp_path):
         p = tmp_path / "w.csv"
-        save_weights_csv(p, self.WM)
+        p.write_text(weights_csv_string(self.WM))
         back = load_weights_csv(p)
         assert back.area_ids == ["A", "B"]
 
     def test_unknown_area_rejected(self, tmp_path):
         p = tmp_path / "w.csv"
-        save_weights_csv(p, self.WM)
+        p.write_text(weights_csv_string(self.WM))
         with pytest.raises(ValueError, match="unknown area ids.*'A'"):
             load_weights_csv(p, area_ids=["B", "C"])
 
@@ -421,10 +415,6 @@ class TestStudyTables:
             "scheme,metric,win_pct\np2p,rho,12.5\np2p,rmse,0\n"
             "voronoi,rho,0\nvoronoi,rmse,0\n"
         )
-
-    def test_aggregates_missing_cell(self):
-        s = aggregates_csv_string({"B": None, "A": 0.5})
-        assert s == "area_id,value\nA,0.5\nB,\n"
 
 
 class TestConfig:
@@ -469,16 +459,15 @@ class TestConfig:
 class TestSaveOutputs:
     def test_deterministic_manifest(self, tmp_path):
         wm = TestWeightsCsv.WM
-        agg = {"voronoi": {"A": 0.5, "B": None}}
         m1 = save_outputs(tmp_path / "o1", weight_matrices={"voronoi": wm},
-                          aggregates=agg, metrics=TestStudyTables.RECORDS,
+                          metrics=TestStudyTables.RECORDS,
                           config=SimConfig.desk(rounds=1))
         m2 = save_outputs(tmp_path / "o2", weight_matrices={"voronoi": wm},
-                          aggregates=agg, metrics=TestStudyTables.RECORDS,
+                          metrics=TestStudyTables.RECORDS,
                           config=SimConfig.desk(rounds=1))
         assert m1 == m2
         assert sorted(m1["files"]) == [
-            "aggregates_voronoi.csv", "config.json", "rounds.csv", "weights_voronoi.csv",
+            "config.json", "rounds.csv", "weights_voronoi.csv",
         ]
         for name in m1["files"]:
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()

@@ -6,6 +6,9 @@ independently of the vectorised implementations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from covmap.geo import (
@@ -316,6 +319,34 @@ class TestIdw:
         field = make_field([5, 9], ["b1"], [[-50.0], [-60.0]])
         with pytest.raises(ValueError, match="aligned"):
             area_weights_from_pixels(weights_idw(field), settlements, areas)
+
+
+# levels around the -110 dBm threshold: a small pool makes exact ties
+# common, and dead links come both finite and as -inf
+_LEVELS = st.one_of(
+    st.sampled_from([-np.inf, -130.0, -110.5, -110.0, -80.0, -60.0]),
+    st.floats(-160.0, -20.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rss=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 6)),
+                   elements=_LEVELS),
+    dead_rows=st.lists(st.integers(0, 11), max_size=4),
+)
+def test_bsa_is_idw_with_one_link_and_flat_weights(rss, dead_rows):
+    # the two selection kernels must agree on ties (lowest bts_id) and on
+    # which links are dead, so bsa is idw with k=1 and s=0
+    for i in dead_rows:
+        if i < rss.shape[0]:
+            rss[i] = np.minimum(rss[i], -120.0)
+    field = make_field(np.arange(rss.shape[0]), [f"b{j}" for j in range(rss.shape[1])], rss)
+    bsa = weights_bsa(field)
+    idw = weights_idw(field, s=0.0, k=1)
+    np.testing.assert_array_equal(bsa.indptr, idw.indptr)
+    np.testing.assert_array_equal(bsa.col, idw.col)
+    np.testing.assert_array_equal(bsa.w, idw.w)
 
 
 class TestAggregate:

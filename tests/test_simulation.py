@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from covmap import propagation
+from covmap import geo, propagation
 from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements
 from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
 from covmap.propagation import (
@@ -115,7 +117,7 @@ class TestGenPopulation:
     def test_total_and_mask(self):
         cfg = tiny_config()
         raster = gen_population(cfg, np.random.default_rng(1))
-        assert raster.total_population() == cfg.population
+        assert raster.counts[~raster.nodata].sum() == cfg.population
         assert raster.counts[uninhabited_mask(cfg)].sum() == 0
 
     def test_deterministic(self):
@@ -285,6 +287,39 @@ class TestCoverage:
         assert world.coverage.uncovered_fraction == pytest.approx(
             np.mean(server < 0)
         )
+
+
+class TestOneTessellation:
+    """A round's voronoi map is both the voronoi schemes' map and,
+    coloured by site class, the true environment."""
+
+    def test_round_runs_one_full_grid_nearest_search(self, monkeypatch):
+        cfg = tiny_config()
+        original = geo.nearest_index
+        grid_sized = []
+
+        def counting(x, y, sx, sy):
+            if np.size(x) == cfg.grid.npixels:
+                grid_sized.append(np.size(sx))
+            return original(x, y, sx, sy)
+
+        patched = [name for name, mod in list(sys.modules.items())
+                   if (name == "covmap" or name.startswith("covmap."))
+                   and vars(mod).get("nearest_index") is original]
+        assert {"covmap.geo", "covmap.simulation"} <= set(patched)
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "nearest_index", counting)
+        _, world = simulate_round(cfg, 0, return_world=True)
+        assert grid_sized == [len(world.specs)]
+
+    def test_env_grid_is_the_nearest_site_class(self):
+        world = build_world(tiny_config(), 0)
+        want = nearest_site_env(world.grid, [s.x for s in world.specs],
+                                [s.y for s in world.specs],
+                                [env_code(e) for e in world.bts_env])
+        assert world.env_grid.dtype == np.uint8
+        np.testing.assert_array_equal(world.env_grid, want)
+        assert world.voronoi.bts_ids == [s.bts_id for s in world.specs]
 
 
 class TestRangeCulling:
