@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from covmap.mapping import (
     paint_area_env,
     synthesize_naive_specs,
     weights_aug_voronoi,
+    weights_bsa,
+    weights_idw,
     weights_p2p,
     weights_voronoi,
 )
@@ -261,16 +264,18 @@ def cmd_weights(args) -> int:
         specs, classes = _resolve_specs(bts, areas, grid, args.naive)
         env2d = _resolve_env(args.aux, areas, bts, grid, classes)
         settlements = extract_settlements(raster)
-        pw_bsa, pw_idw = settlement_pixel_weights(
-            settlements, sorted(specs, key=lambda sp: sp.bts_id),
-            env2d[settlements.rows, settlements.cols], rx_height_m=1.0,
-            dead_threshold_dbm=args.threshold, idw_s=args.s, idw_k=args.k,
-        )
         params["dead_threshold_dbm"] = args.threshold
         if args.scheme == "idw":
             params["s"] = float(args.s)
             params["k"] = int(args.k)
-        pw = pw_bsa if args.scheme == "bsa" else pw_idw
+            rows = partial(weights_idw, s=args.s, k=args.k)
+        else:
+            rows = weights_bsa
+        pw = settlement_pixel_weights(
+            settlements, sorted(specs, key=lambda sp: sp.bts_id),
+            env2d[settlements.rows, settlements.cols], rows, rx_height_m=1.0,
+            dead_threshold_dbm=args.threshold,
+        )
         wm = area_weights_from_pixels(pw, settlements, areas)
 
     key = args.scheme.replace("-", "_")

@@ -174,6 +174,19 @@ class Assignment:
             raise ValueError("labels out of range for bts_ids")
 
 
+def _sq_dist_chunks(x, y, sx, sy):
+    """Yield (lo, hi, d2): planar squared distances from points lo:hi to
+    every site, a chunk of points at a time.  The one distance formula
+    behind both nearest-site reducers, so their d2 agree bit for bit."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    sx = np.asarray(sx, dtype=np.float64)
+    sy = np.asarray(sy, dtype=np.float64)
+    for lo in range(0, x.size, _CHUNK):
+        hi = min(lo + _CHUNK, x.size)
+        yield lo, hi, (x[lo:hi, None] - sx) ** 2 + (y[lo:hi, None] - sy) ** 2
+
+
 def nearest_index(x, y, sx, sy) -> np.ndarray:
     """Index of the nearest site for each point, by planar squared distance.
 
@@ -181,16 +194,29 @@ def nearest_index(x, y, sx, sy) -> np.ndarray:
     wanting the lowest bts_id pass sites sorted by id.  Points stream in
     chunks, so memory stays bounded for any number of points.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    sx = np.asarray(sx, dtype=np.float64)
-    sy = np.asarray(sy, dtype=np.float64)
-    out = np.empty(x.size, dtype=np.int64)
-    for lo in range(0, x.size, _CHUNK):
-        hi = min(lo + _CHUNK, x.size)
-        d2 = (x[lo:hi, None] - sx) ** 2 + (y[lo:hi, None] - sy) ** 2
+    out = np.empty(np.size(x), dtype=np.int64)
+    for lo, hi, d2 in _sq_dist_chunks(x, y, sx, sy):
         out[lo:hi] = np.argmin(d2, axis=1)
     return out
+
+
+def nearest_two(x, y, sx, sy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`nearest_index` plus, per point, the squared distance to that site
+    and the second-smallest squared distance to any other site (equal to
+    the first on a tie, inf with a single site)."""
+    n = np.size(x)
+    idx = np.empty(n, dtype=np.int64)
+    first = np.empty(n)
+    second = np.full(n, np.inf)
+    for lo, hi, d2 in _sq_dist_chunks(x, y, sx, sy):
+        rows = np.arange(hi - lo)
+        j = np.argmin(d2, axis=1)
+        idx[lo:hi] = j
+        first[lo:hi] = d2[rows, j]
+        if d2.shape[1] > 1:
+            d2[rows, j] = np.inf
+            second[lo:hi] = d2.min(axis=1)
+    return idx, first, second
 
 
 def voronoi_assign(grid: Grid, sites) -> Assignment:

@@ -13,7 +13,8 @@ build W from increasingly informative inputs:
 
 bsa/idw first produce per-pixel weights from one received-signal field
 (`weights_bsa`, `weights_idw`; streamed callers build them chunk by
-chunk and join them with `stack_pixel_weights`), which
+chunk and join them with `stack_pixel_weights`), or bsa's from known
+serving labels (`bsa_pixel_weights`), which
 `area_weights_from_pixels` then averages over each area's covered
 settlement pixels.
 """
@@ -284,29 +285,39 @@ def area_weights_from_pixels(
     return WeightMatrix(pw.scheme, list(areas.area_ids), rows)
 
 
-def _pixel_rows(scheme: str, rss: RssField, counts, col, w, **params) -> PixelWeights:
-    ids = list(rss.bts_ids)
+def _pixel_rows(scheme: str, pixel_ids, bts_ids, dead_threshold_dbm: float, counts, col, w,
+                **params) -> PixelWeights:
+    ids = list(bts_ids)
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("rss columns must ascend by bts_id, without duplicates")
-    params["dead_threshold_dbm"] = rss.dead_threshold_dbm
+    params["dead_threshold_dbm"] = dead_threshold_dbm
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return PixelWeights(scheme, rss.pixel_ids, ids, indptr, col, w, params)
+    return PixelWeights(scheme, pixel_ids, ids, indptr, col, w, params)
+
+
+def bsa_pixel_weights(pixel_ids, bts_ids, sel, dead_threshold_dbm: float) -> PixelWeights:
+    """Best-server rows from each pixel's serving column (-1 = none): a
+    covered pixel belongs wholly to its server.  Columns must ascend by
+    bts_id, as `best_server_grid` labels and `bsa_select_chunk` give them."""
+    sel = np.asarray(sel, dtype=np.int64)
+    covered = sel >= 0
+    return _pixel_rows(SCHEME_BSA, pixel_ids, bts_ids, dead_threshold_dbm,
+                       covered.astype(np.int64), sel[covered], np.ones(int(covered.sum())))
 
 
 def weights_bsa(rss: RssField) -> PixelWeights:
     """Best-server assignment: each covered pixel belongs wholly to its
     strongest live link.  Columns must ascend by bts_id."""
-    sel = bsa_select_chunk(rss.rss_dbm, rss.live)
-    covered = sel >= 0
-    return _pixel_rows(SCHEME_BSA, rss, covered.astype(np.int64), sel[covered],
-                       np.ones(int(covered.sum())))
+    return bsa_pixel_weights(rss.pixel_ids, rss.bts_ids, bsa_select_chunk(rss.rss_dbm, rss.live),
+                             rss.dead_threshold_dbm)
 
 
 def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
     """Inverse-signal-strength weights over the k strongest live links.
     Columns must ascend by bts_id."""
     counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
-    return _pixel_rows(SCHEME_IDW, rss, counts, col, w, s=float(s), k=int(k))
+    return _pixel_rows(SCHEME_IDW, rss.pixel_ids, rss.bts_ids, rss.dead_threshold_dbm,
+                       counts, col, w, s=float(s), k=int(k))
 
 
 def stack_pixel_weights(blocks: list[PixelWeights]) -> PixelWeights:

@@ -17,8 +17,12 @@ worker processes run them.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .geo import (
     StatAreaSet,
     extract_settlements,
     nearest_index,
+    nearest_two,
     voronoi_assign,
 )
 from .mapping import (
@@ -37,20 +42,25 @@ from .mapping import (
     PixelWeights,
     aggregate,
     area_weights_from_pixels,
+    bsa_pixel_weights,
     bsa_select_chunk,
     classify_areas_by_bts_density,
     paint_area_env,
     stack_pixel_weights,
     synthesize_naive_specs,
     weights_aug_voronoi,
-    weights_bsa,
     weights_idw,
     weights_p2p,
     weights_voronoi,
 )
 from .propagation import (
     ENV_CLASSES,
+    FREQ_MAX_MHZ,
+    FREQ_MIN_MHZ,
+    RX_HEIGHT_MAX_M,
+    RX_HEIGHT_MIN_M,
     AntennaSpec,
+    RssField,
     env_code,
     forget_live_radii,
     rss_field,
@@ -62,10 +72,25 @@ TALLY_METRICS = ("rho", "bias", "rmse")
 
 _CHUNK = 32768
 _MAX_REJECTION_ROUNDS = 10_000
+# Slack on the k-means distance bounds, relative to the largest coordinate:
+# rounding in the squared distances, their roots and the bound updates is
+# ~1e-15 of it, so a point the bounds certify has the same nearest centre
+# under the dense search.
+_BOUND_SLACK = 1e-9
 
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
+
+
+def _check_int(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _check_finite(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +129,38 @@ class SimConfig:
     kmeans_iters: int = 25
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                _check_int(f.name, v)
+            elif f.type == "float":
+                _check_finite(f.name, v)
+            elif f.name == "mask_rect" and v is not None:
+                if not isinstance(v, tuple) or len(v) != 4:
+                    raise ValueError(f"mask_rect must hold 4 integers, got {v!r}")
+                for item in v:
+                    _check_int(f.name, item)
+            elif f.name in ("height_range_m", "power_range_dbm"):
+                if not isinstance(v, tuple) or len(v) != 2:
+                    raise ValueError(f"{f.name} must be a (lo, hi) pair, got {v!r}")
+                for item in v:
+                    _check_finite(f.name, item)
+        for name in ("ncols", "nrows", "block_px", "poverty_block_px", "idw_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "kmeans_iters", "idw_s", "urban_sigma_m", "rural_sigma_m",
+                     "poverty_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("cell_size_m", "urban_pop_per_bts", "rural_pop_per_bts"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name, lo, hi in (("rx_height_m", RX_HEIGHT_MIN_M, RX_HEIGHT_MAX_M),
+                             ("urban_freq_mhz", FREQ_MIN_MHZ, FREQ_MAX_MHZ),
+                             ("rural_freq_mhz", FREQ_MIN_MHZ, FREQ_MAX_MHZ)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be in [{lo}, {hi}] (the Hata range), "
+                                 f"got {getattr(self, name)}")
         if self.ncols % self.block_px or self.nrows % self.block_px:
             raise ValueError(
                 f"grid {self.ncols}x{self.nrows} must tile evenly into "
@@ -339,7 +396,21 @@ def assign_poverty(raster: SettlementRaster, cfg: SimConfig, rng) -> np.ndarray:
 def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with population weights and k-means++ seeding.
 
-    Pure streaming numpy so results never depend on BLAS threading.
+    Every step is exact Lloyd: each point takes its nearest centre by the
+    squared distances of `geo.nearest_index`, ties to the lowest index.
+    Hamerly's bounds (Hamerly 2010, "Making k-means even faster") decide
+    which points need that search.  Each point keeps an upper bound on the
+    distance to its own centre and a lower bound on the distance to any
+    other; after a step, the upper bound grows by its centre's drift and
+    the lower bound shrinks by the largest drift of another centre.  A
+    point keeps its label while its upper bound plus a slack stays below
+    both its lower bound and half the distance from its centre to the
+    nearest other centre; otherwise the upper bound is made exact and, if
+    the test still fails, the point is searched again.  The slack dwarfs
+    the rounding of the distances and bounds, so the labels, centroids
+    and RNG draws equal those of the dense loop.  No array is points x
+    centres beyond one search chunk, and results never depend on BLAS
+    threading.
     """
     n = x.size
     probs = w / w.sum()
@@ -356,8 +427,21 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     cx = np.array(cx)
     cy = np.array(cy)
 
-    for _ in range(iters):
-        lab = nearest_index(x, y, cx, cy)
+    # centres stay within the points' hull, so this scales every rounding error
+    slack = _BOUND_SLACK * max(np.abs(x).max(), np.abs(y).max())
+    for step in range(iters):
+        if step == 0:
+            lab, d2_own, d2_other = nearest_two(x, y, cx, cy)
+            upper, lower = np.sqrt(d2_own), np.sqrt(d2_other)
+        else:
+            half = 0.5 * np.sqrt(nearest_two(cx, cy, cx, cy)[2])
+            bound = np.maximum(half[lab], lower)
+            todo = np.flatnonzero(upper + slack >= bound)
+            own = lab[todo]
+            upper[todo] = np.sqrt((x[todo] - cx[own]) ** 2 + (y[todo] - cy[own]) ** 2)
+            todo = todo[upper[todo] + slack >= bound[todo]]
+            lab[todo], d2_own, d2_other = nearest_two(x[todo], y[todo], cx, cy)
+            upper[todo], lower[todo] = np.sqrt(d2_own), np.sqrt(d2_other)
         wsum = np.bincount(lab, weights=w, minlength=k)
         nx = np.bincount(lab, weights=w * x, minlength=k)
         ny = np.bincount(lab, weights=w * y, minlength=k)
@@ -370,10 +454,16 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
                     dmin = np.minimum(dmin, (x - new_cx[jj]) ** 2 + (y - new_cy[jj]) ** 2)
             far = int(np.argmax(dmin))
             new_cx[j], new_cy[j] = x[far], y[far]
-        moved = np.max((new_cx - cx) ** 2 + (new_cy - cy) ** 2)
+        shift2 = (new_cx - cx) ** 2 + (new_cy - cy) ** 2  # a re-seed's jump included
+        moved = np.max(shift2)
         cx, cy = new_cx, new_cy
         if moved < 1e-12:
             break
+        drift = np.sqrt(shift2)
+        upper += drift[lab]
+        fastest = int(np.argmax(drift))
+        runner_up = np.max(drift, initial=0.0, where=np.arange(k) != fastest)
+        lower -= np.where(lab == fastest, runner_up, drift[fastest])
     return cx, cy
 
 
@@ -416,10 +506,12 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
     BTS counts follow the population split (one site per
     urban_pop_per_bts urban inhabitants, likewise rural); sites are
     population-weighted k-means centroids snapped to settlement pixels,
-    urban region first.  Urban-region sites get the high band and the
-    full mast-height range; rural-region sites the low band and the
-    upper half of the height range.  Returns (specs, env classes), env
-    derived from served-cluster sizes.
+    urban region first.  The k-means is exact Lloyd whose distance
+    bounds spare most nearest-centre searches (`_weighted_kmeans`), so
+    sites and RNG draws equal a dense search's.  Urban-region sites get
+    the high band and the full mast-height range; rural-region sites the
+    low band and the upper half of the height range.  Returns (specs, env
+    classes), env derived from served-cluster sizes.
     """
     rng = np.random.default_rng(rng)
     settlements = extract_settlements(raster)
@@ -552,30 +644,29 @@ def settlement_pixel_weights(
     settlements: Settlements,
     specs: list[AntennaSpec],
     env_at: np.ndarray,
+    rows: Callable[[RssField], PixelWeights],
     *,
     rx_height_m: float,
     dead_threshold_dbm: float,
-    idw_s: float,
-    idw_k: int,
-) -> tuple[PixelWeights, PixelWeights]:
-    """Streamed bsa and idw per-pixel weights of the settlement pixels.
+) -> PixelWeights:
+    """Streamed per-pixel weights of the settlement pixels.
 
-    `env_at` holds each settlement's environment code; specs must be
-    sorted by bts_id.  One chunk of `rss_field` at a time goes through
-    `weights_bsa` and `weights_idw`, so memory stays bounded by the chunk
+    `rows` builds the rows of one field: `weights_bsa`, or `weights_idw`
+    with its s and k bound.  `env_at` holds each settlement's environment
+    code; specs must be sorted by bts_id.  One chunk of `rss_field` at a
+    time goes through `rows`, so memory stays bounded by the chunk
     whatever the settlement count.
     """
     _start_pass(specs)
-    bsa, idw = [], []
+    blocks = []
     # an empty settlement set still passes through one (empty) chunk
     for lo in range(0, max(len(settlements), 1), _CHUNK):
         hi = lo + _CHUNK
         rss = rss_field(specs, settlements.ids[lo:hi], settlements.x[lo:hi],
                         settlements.y[lo:hi], env_at[lo:hi], rx_height_m=rx_height_m,
                         dead_threshold_dbm=dead_threshold_dbm)
-        bsa.append(weights_bsa(rss))
-        idw.append(weights_idw(rss, idw_s, idw_k))
-    return stack_pixel_weights(bsa), stack_pixel_weights(idw)
+        blocks.append(rows(rss))
+    return stack_pixel_weights(blocks)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -869,10 +960,14 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm
     )
     naive_sel = naive_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
-    pw_bsa, pw_idw = settlement_pixel_weights(
+    # the grid pass ran bsa's selection over the same links at every
+    # settlement pixel, so its labels there are the bsa rows
+    pw_bsa = bsa_pixel_weights(settlements.ids, naive_assign.bts_ids, naive_sel,
+                               cfg.dead_threshold_dbm)
+    pw_idw = settlement_pixel_weights(
         settlements, naive_specs, naive_env_grid[settlements.rows, settlements.cols],
+        partial(weights_idw, s=cfg.idw_s, k=cfg.idw_k),
         rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm,
-        idw_s=cfg.idw_s, idw_k=cfg.idw_k,
     )
     wm_bsa = area_weights_from_pixels(pw_bsa, settlements, areas)
     wm_idw = area_weights_from_pixels(pw_idw, settlements, areas)

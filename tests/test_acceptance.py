@@ -327,6 +327,17 @@ def test_criterion_8_full_scale_uncovered(full_scale):
           f"uncovered={uncovered:.5f}, {elapsed:.0f} s")
 
 
+# sha256 of the full-scale round 0's records as rounds.csv writes them.
+# The desk digests never reach the 400k-point rural k-means, whose
+# bounded search must give the dense search's centroids bit for bit.
+FULL_SCALE_ROUND0_SHA256 = "f944f9d81f1e0614a2af0cfc7af4c30dd22da93f4b159469b6bc1f5f2935bed3"
+
+
+def test_full_scale_round_digest(full_scale):
+    records, _ = full_scale
+    assert io.sha256_hex(io.metrics_csv_string(records).encode("utf-8")) == FULL_SCALE_ROUND0_SHA256
+
+
 def test_criterion_9_io_round_trips(tmp_path):
     # raster
     asc = ("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 100\n"

@@ -101,6 +101,19 @@ class TestSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_config_value_rejected_before_any_round(self, tmp_path, capsys, monkeypatch):
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran on an invalid config")
+
+        monkeypatch.setattr(simulation, "simulate_round", no_round)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"rounds": 2, "kmeans_iters": 2.5}', encoding="utf-8")
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and "kmeans_iters" in err
+        assert not (tmp_path / "o").exists()
+
     def test_tally_sums_to_100(self, study):
         lines = (study / "tally.csv").read_text().strip().split("\n")[1:]
         per_metric: dict[str, float] = {}
@@ -194,6 +207,19 @@ class TestWeights:
         params = json.loads((tmp_path / "w" / "params.json").read_text())
         assert params["s"] == 2.0 and params["k"] == 5
         assert params["scheme"] == "idw" and params["naive"] is False
+
+    def test_bsa_ignores_the_idw_exponent(self, study, two_areas, tmp_path):
+        outs = {}
+        for name, extra in (("default", []), ("negative", ["--s=-1"])):
+            rc = main(["weights", "--scheme", "bsa", *extra,
+                       "--bts", str(study / "snapshot_bts.csv"),
+                       "--areas", str(two_areas),
+                       "--raster", str(study / "snapshot_settlements.asc"),
+                       "--aux", str(study / "snapshot_env.asc"),
+                       "--out", str(tmp_path / name)])
+            assert rc == 0
+            outs[name] = (tmp_path / name / "weights_bsa.csv").read_bytes()
+        assert outs["negative"] == outs["default"]
 
     def test_bsa_without_specs_needs_naive(self, study, two_areas, tmp_path, capsys):
         pts_path = tmp_path / "points.csv"

@@ -449,6 +449,28 @@ class TestConfig:
         with pytest.raises(ValueError, match="rounds must be a number"):
             config_from_dict({"rounds": True})
 
+    @pytest.mark.parametrize("key, value", [
+        ("kmeans_iters", 2.5),
+        ("kmeans_iters", -3),
+        ("idw_k", 0),
+        ("idw_s", -1),
+        ("dead_threshold_dbm", float("nan")),
+        ("urban_pop_per_bts", 0),
+        ("rural_pop_per_bts", -1.0),
+        ("rx_height_m", -5),
+        ("rx_height_m", 11.0),
+        ("population", 1.5),
+        ("block_px", 0),
+        ("seed", -1),
+        ("urban_freq_mhz", 5000.0),
+        ("rural_sigma_m", float("inf")),
+        ("height_range_m", [15.0]),
+        ("mask_rect", [1, 2, 3.5, 4]),
+    ])
+    def test_bad_value_rejected_up_front(self, key, value):
+        with pytest.raises(ValueError, match=rf"<config>: {key} must"):
+            config_from_dict({key: value})
+
     def test_invalid_value_names_source(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"rounds": 0}')

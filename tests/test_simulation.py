@@ -1,10 +1,13 @@
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covmap import geo, propagation
-from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements
+from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements, nearest_index
 from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
 from covmap.propagation import (
     AntennaSpec,
@@ -19,6 +22,7 @@ from covmap.simulation import (
     TALLY_SCHEMES,
     SimConfig,
     _p2p_credit,
+    _weighted_kmeans,
     area_membership_overlap,
     assign_poverty,
     best_server_grid,
@@ -233,6 +237,101 @@ class TestPlaceBts:
         )
 
 
+def _dense_weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense Lloyd loop that `_weighted_kmeans` replaced, kept verbatim
+    as its oracle: every step searches every point against every centre."""
+    n = x.size
+    probs = w / w.sum()
+    first = int(rng.choice(n, p=probs))
+    cx, cy = [x[first]], [y[first]]
+    d2 = (x - cx[0]) ** 2 + (y - cy[0]) ** 2
+    for _ in range(1, k):
+        wd = w * d2
+        tot = wd.sum()
+        idx = int(rng.choice(n, p=wd / tot)) if tot > 0 else int(rng.choice(n, p=probs))
+        cx.append(x[idx])
+        cy.append(y[idx])
+        d2 = np.minimum(d2, (x - cx[-1]) ** 2 + (y - cy[-1]) ** 2)
+    cx = np.array(cx)
+    cy = np.array(cy)
+
+    for _ in range(iters):
+        lab = nearest_index(x, y, cx, cy)
+        wsum = np.bincount(lab, weights=w, minlength=k)
+        nx = np.bincount(lab, weights=w * x, minlength=k)
+        ny = np.bincount(lab, weights=w * y, minlength=k)
+        new_cx = np.where(wsum > 0, nx / np.maximum(wsum, 1e-300), cx)
+        new_cy = np.where(wsum > 0, ny / np.maximum(wsum, 1e-300), cy)
+        for j in np.nonzero(wsum == 0)[0]:  # re-seed empty clusters, farthest first
+            dmin = np.full(n, np.inf)
+            for jj in range(k):
+                if wsum[jj] > 0 or jj < j:
+                    dmin = np.minimum(dmin, (x - new_cx[jj]) ** 2 + (y - new_cy[jj]) ** 2)
+            far = int(np.argmax(dmin))
+            new_cx[j], new_cy[j] = x[far], y[far]
+        moved = np.max((new_cx - cx) ** 2 + (new_cy - cy) ** 2)
+        cx, cy = new_cx, new_cy
+        if moved < 1e-12:
+            break
+    return cx, cy
+
+
+@st.composite
+def _weighted_points(draw):
+    """Points on a coarse lattice (duplicates and exact distance ties are
+    common), optionally offset to projected-metre magnitudes and joined by
+    one far outlier; k runs up to n, which forces empty-cluster re-seeds."""
+    n = draw(st.integers(1, 40))
+    lattice = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    step = draw(st.sampled_from([0.5, 1.0, 100.0]))
+    x = np.array(draw(lattice), dtype=np.float64) * step + draw(st.sampled_from([0.0, 5e5]))
+    y = np.array(draw(lattice), dtype=np.float64) * step
+    if draw(st.booleans()):
+        x[0], y[0] = 3e7, -2e6
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=np.float64)
+    return x, y, w, draw(st.integers(1, n)), draw(st.integers(0, 30))
+
+
+class TestBoundedLloyd:
+    @settings(max_examples=400, deadline=None)
+    @given(points=_weighted_points(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_dense_loop(self, points, seed):
+        x, y, w, k, iters = points
+        rng_dense, rng_bounded = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _dense_weighted_kmeans(x, y, w, k, rng_dense, iters)
+        got = _weighted_kmeans(x, y, w, k, rng_bounded, iters)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert rng_bounded.bit_generator.state == rng_dense.bit_generator.state
+
+    def test_bounds_spare_most_searches_on_a_desk_world(self, monkeypatch):
+        cfg = SimConfig.desk()
+        raster = gen_population(cfg, np.random.default_rng(1))
+        settled = extract_settlements(raster)
+        in_urban = urban_block_mask(cfg)[settled.rows, settled.cols]
+        original = geo._sq_dist_chunks
+        offered = []
+
+        def counting(x, y, sx, sy):
+            offered.append(np.size(x))
+            return original(x, y, sx, sy)
+
+        monkeypatch.setattr(geo, "_sq_dist_chunks", counting)
+        for sel, share, per_bts in ((in_urban, cfg.urban_share, cfg.urban_pop_per_bts),
+                                    (~in_urban, 1.0 - cfg.urban_share, cfg.rural_pop_per_bts)):
+            k = int(np.floor(cfg.population * share / per_bts + 0.5))
+            offered.clear()
+            _weighted_kmeans(settled.x[sel], settled.y[sel], settled.counts[sel], k,
+                             np.random.default_rng(2), cfg.kmeans_iters)
+            n = int(sel.sum())
+            # step one searches every point; each later step searches the k
+            # centres against each other, then the points its bounds leave
+            assert offered[0] == n and len(offered) % 2 == 1
+            later_steps = (len(offered) - 1) // 2
+            assert later_steps >= 1
+            assert sum(offered[1:]) < 0.5 * n * later_steps
+
+
 class TestCoverage:
     def test_nearest_site_env_brute_force(self):
         grid = Grid(ncols=9, nrows=7, cell_size_m=100.0)
@@ -372,9 +471,11 @@ class TestRangeCulling:
 
     def test_streamed_passes_equal_dense_schemes(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
-        pw_bsa, pw_idw = settlement_pixel_weights(
-            st, specs, env, rx_height_m=cfg.rx_height_m,
-            dead_threshold_dbm=cfg.dead_threshold_dbm, idw_s=cfg.idw_s, idw_k=cfg.idw_k)
+        pw_bsa, pw_idw = (
+            settlement_pixel_weights(st, specs, env, rows, rx_height_m=cfg.rx_height_m,
+                                     dead_threshold_dbm=cfg.dead_threshold_dbm)
+            for rows in (weights_bsa, partial(weights_idw, s=cfg.idw_s, k=cfg.idw_k))
+        )
         assert sum(evaluated) < oracle.size / 4
         dense = RssField(st.ids, [s.bts_id for s in specs], oracle, cfg.dead_threshold_dbm)
         want_bsa = weights_bsa(dense)
