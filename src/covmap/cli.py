@@ -78,12 +78,12 @@ def _load_env_grid(path, grid) -> np.ndarray:
         raise ValueError(f"{path}: environment grid does not match the raster grid")
     if mask is not None:
         raise ValueError(f"{path}: environment grid must not contain NODATA cells")
-    codes = values.astype(np.int64)
-    if not np.array_equal(codes, values) or codes.min() < 0 or codes.max() > 2:
+    # check the float values: casting one far out of range first would warn
+    if not np.isin(values, (0.0, 1.0, 2.0)).all():
         raise ValueError(
             f"{path}: environment codes must be integers 0 (urban), 1 (suburban), 2 (rural)"
         )
-    return codes.astype(np.uint8)
+    return values.astype(np.uint8)
 
 
 def _resolve_specs(bts: io.BtsFile, areas, grid, naive: bool):

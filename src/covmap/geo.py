@@ -13,6 +13,7 @@ row-major: id = r * ncols + c.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +21,9 @@ import numpy as np
 
 UNASSIGNED = -1
 
-_CHUNK = 32768  # points per distance-matrix chunk
+# squared distances per block of a nearest-site search: points x sites of
+# about 2^16 float64 (512 KB) keep each block's temporaries in cache
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,14 +179,17 @@ class Assignment:
 
 def _sq_dist_chunks(x, y, sx, sy):
     """Yield (lo, hi, d2): planar squared distances from points lo:hi to
-    every site, a chunk of points at a time.  The one distance formula
-    behind both nearest-site reducers, so their d2 agree bit for bit."""
+    every site, a block of points at a time.  A block holds about
+    `_BLOCK_ENTRIES` distances (at least one point), so it shrinks as
+    the sites grow.  The one distance formula behind both nearest-site
+    reducers, so their d2 agree bit for bit."""
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     sx = np.asarray(sx, dtype=np.float64)
     sy = np.asarray(sy, dtype=np.float64)
-    for lo in range(0, x.size, _CHUNK):
-        hi = min(lo + _CHUNK, x.size)
+    step = max(1, _BLOCK_ENTRIES // max(sx.size, 1))
+    for lo in range(0, x.size, step):
+        hi = min(lo + step, x.size)
         yield lo, hi, (x[lo:hi, None] - sx) ** 2 + (y[lo:hi, None] - sy) ** 2
 
 
@@ -192,7 +198,7 @@ def nearest_index(x, y, sx, sy) -> np.ndarray:
 
     Ties go to the lowest site index (argmin's first hit), so callers
     wanting the lowest bts_id pass sites sorted by id.  Points stream in
-    chunks, so memory stays bounded for any number of points.
+    blocks, so memory stays bounded for any number of points.
     """
     out = np.empty(np.size(x), dtype=np.int64)
     for lo, hi, d2 in _sq_dist_chunks(x, y, sx, sy):
@@ -296,9 +302,27 @@ def polygon_to_mask(rings, grid: Grid, area_id: str = "<anon>") -> np.ndarray:
     rings = [_validate_ring(r, area_id) for r in rings]
     if not rings:
         raise ValueError(f"area {area_id!r}: polygon has no rings")
-    rr, cc = np.meshgrid(np.arange(grid.nrows), np.arange(grid.ncols), indexing="ij")
-    x, y = grid.centers(rr, cc)
-    return _points_in_rings(rings, x, y)
+    # Only centres near the rings' bounding box are tested.  A centre above
+    # or below it crosses no edge, one left of it crosses each ring's edges
+    # an even number of times and one right of it crosses none to its
+    # right, so every centre outside stays outside.
+    points = np.concatenate(rings)
+    x0, y0 = (float(v) for v in points.min(axis=0))
+    x1, y1 = (float(v) for v in points.max(axis=0))
+    cell = grid.cell_size_m
+    top = grid.origin_y + grid.nrows * cell
+    rows = _cell_span((top - y1) / cell, (top - y0) / cell, grid.nrows)
+    cols = _cell_span((x0 - grid.origin_x) / cell, (x1 - grid.origin_x) / cell, grid.ncols)
+    rr, cc = np.meshgrid(np.arange(grid.nrows)[rows], np.arange(grid.ncols)[cols], indexing="ij")
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[rows, cols] = _points_in_rings(rings, *grid.centers(rr, cc))
+    return mask
+
+
+def _cell_span(lo: float, hi: float, n: int) -> slice:
+    """The cells of an n-cell axis whose centres lie within two cells of
+    [lo, hi], in cell units from the axis' first edge (a superset)."""
+    return slice(math.floor(min(max(lo - 2.5, 0.0), n)), math.ceil(min(max(hi + 2.5, 0.0), n)))
 
 
 def _ring_area(ring: np.ndarray) -> float:

@@ -312,12 +312,20 @@ def weights_bsa(rss: RssField) -> PixelWeights:
                              rss.dead_threshold_dbm)
 
 
+def idw_pixel_weights(pixel_ids, bts_ids, dead_threshold_dbm: float, counts, col, w,
+                      s: float, k: int) -> PixelWeights:
+    """Idw rows from `idw_rows_chunk`'s (counts, col, w), with the columns
+    given as indices into `bts_ids`, which must ascend."""
+    return _pixel_rows(SCHEME_IDW, pixel_ids, bts_ids, dead_threshold_dbm, counts, col, w,
+                       s=float(s), k=int(k))
+
+
 def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
     """Inverse-signal-strength weights over the k strongest live links.
     Columns must ascend by bts_id."""
     counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
-    return _pixel_rows(SCHEME_IDW, rss.pixel_ids, rss.bts_ids, rss.dead_threshold_dbm,
-                       counts, col, w, s=float(s), k=int(k))
+    return idw_pixel_weights(rss.pixel_ids, rss.bts_ids, rss.dead_threshold_dbm,
+                             counts, col, w, s, k)
 
 
 def stack_pixel_weights(blocks: list[PixelWeights]) -> PixelWeights:

@@ -12,8 +12,11 @@ received levels (transmit power minus median loss, no shadowing term).
 Loss never decreases with distance, so `live_radius_km` bounds, per
 antenna and environment, where a link can be live; `rss_field` evaluates
 the model only inside that radius and reports every dead link as -inf.
-`simulation.best_server_grid` and `settlement_pixel_weights` call it one
-chunk of pixels at a time, so memory stays bounded by the chunk.
+`reaching_sites` picks the antennas that can reach a box of pixels.  The
+grid passes in `simulation` call `rss_field` one square tile of pixels at
+a time, on only the antennas that reach the tile; `settlement_pixel_weights`
+calls it one chunk of settlements at a time, the chunk sized by the
+antenna count.  Either way memory stays bounded by the tile or the chunk.
 """
 
 from __future__ import annotations
@@ -300,6 +303,26 @@ def _probe_radius_km(spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: 
     return radius
 
 
+def reaching_sites(
+    specs: list[AntennaSpec], px, py, *, rx_height_m: float, dead_threshold_dbm: float
+) -> np.ndarray:
+    """Ascending indices of the specs whose largest `live_radius_km`
+    reaches the bounding box of the points `px`, `py` (non-empty).
+
+    Every link from a spec left out is dead at every point in the box,
+    so dropping those columns from a field loses no live link.
+    """
+    x = np.asarray(px, dtype=np.float64)
+    y = np.asarray(py, dtype=np.float64)
+    sx = np.array([s.x for s in specs], dtype=np.float64)
+    sy = np.array([s.y for s in specs], dtype=np.float64)
+    reach = np.array([live_radius_km(s, rx_height_m, dead_threshold_dbm).max() for s in specs],
+                     dtype=np.float64)
+    gap_km = _distance_km(np.maximum(np.maximum(x.min() - sx, sx - x.max()), 0.0),
+                          np.maximum(np.maximum(y.min() - sy, sy - y.max()), 0.0))
+    return np.flatnonzero(gap_km < reach * _REACH_SLACK)
+
+
 def rss_field(
     specs: list[AntennaSpec],
     pixel_ids,
@@ -313,12 +336,12 @@ def rss_field(
     """Received levels for pixels x antennas, -inf for every dead link.
 
     `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
-    per-pixel environment class (names or codes).  A spec whose largest
-    `live_radius_km` lies beyond the pixels' bounding box is skipped;
-    otherwise the model runs only on pixels within the radius of their
-    environment.  Streaming callers pass one chunk of pixels at a time;
-    each entry depends only on its own pixel and antenna, so chunking
-    never changes a value.
+    per-pixel environment class (names or codes).  Only the specs that
+    `reaching_sites` keeps for the pixels' bounding box are evaluated,
+    each only on pixels within the radius of their environment.
+    Streaming callers pass one chunk or tile of pixels at a time; each
+    entry depends only on its own pixel and antenna, so chunking never
+    changes a value.
     """
     pids = np.asarray(pixel_ids, dtype=np.int64)
     x = np.asarray(px, dtype=np.float64)
@@ -333,12 +356,10 @@ def rss_field(
     field = RssField(pids, ids, np.full((x.size, len(specs)), -np.inf), dead_threshold_dbm)
     if x.size == 0:
         return field
-    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-    for j, s in enumerate(specs):
+    for j in reaching_sites(specs, x, y, rx_height_m=rx_height_m,
+                            dead_threshold_dbm=dead_threshold_dbm):
+        s = specs[j]
         radius = live_radius_km(s, rx_height_m, dead_threshold_dbm)
-        gap_km = _distance_km(max(x0 - s.x, s.x - x1, 0.0), max(y0 - s.y, s.y - y1, 0.0))
-        if gap_km >= radius.max() * _REACH_SLACK:
-            continue
         # squared reach in metres per environment: a cheap test before hypot
         reach_m2 = (radius * (1000.0 * _REACH_SLACK)) ** 2
         dx = x - s.x

@@ -22,11 +22,11 @@ import numbers
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
 from .geo import (
+    UNASSIGNED,
     Assignment,
     Grid,
     SettlementRaster,
@@ -45,11 +45,12 @@ from .mapping import (
     bsa_pixel_weights,
     bsa_select_chunk,
     classify_areas_by_bts_density,
+    idw_pixel_weights,
+    idw_rows_chunk,
     paint_area_env,
     stack_pixel_weights,
     synthesize_naive_specs,
     weights_aug_voronoi,
-    weights_idw,
     weights_p2p,
     weights_voronoi,
 )
@@ -63,6 +64,7 @@ from .propagation import (
     RssField,
     env_code,
     forget_live_radii,
+    reaching_sites,
     rss_field,
 )
 
@@ -70,7 +72,11 @@ SCHEMES = ("benchmark", "p2p", "voronoi", "aug_voronoi", "hata_bsa", "hata_idw")
 TALLY_SCHEMES = SCHEMES[1:]
 TALLY_METRICS = ("rho", "bias", "rmse")
 
-_CHUNK = 32768
+# tile edge of the grid passes, in pixels: small enough that most sites
+# cannot reach a tile, so its link matrix over the rest stays a few MB
+_TILE = 128
+# links per `rss_field` call of the settlement pass (8 MB of float64)
+_RSS_ENTRIES = 1 << 20
 _MAX_REJECTION_ROUNDS = 10_000
 # Slack on the k-means distance bounds, relative to the largest coordinate:
 # rounding in the squared distances, their roots and the bound updates is
@@ -586,22 +592,80 @@ def best_server_grid(
     rx_height_m: float,
     dead_threshold_dbm: float,
 ) -> Assignment:
-    """Full-grid strongest-live-server assignment, streamed in chunks.
+    """Full-grid strongest-live-server assignment, streamed in tiles.
 
     Specs must be sorted by bts_id so exact ties resolve to the lowest
-    id; pixels with no live link stay unassigned.
+    id; pixels with no live link stay unassigned.  Each tile evaluates
+    only the sites that can reach it (see `_tiled_pass`).
+    """
+    return _tiled_pass(grid, specs, env_grid, rx_height_m, dead_threshold_dbm)[0]
+
+
+def _tiled_pass(
+    grid: Grid,
+    specs: list[AntennaSpec],
+    env_grid: np.ndarray,
+    rx_height_m: float,
+    dead_threshold_dbm: float,
+    idw: tuple[Settlements, float, int] | None = None,
+) -> tuple[Assignment, PixelWeights | None]:
+    """The best-server grid and, given `idw` = (settlements, s, k), the
+    settlements' idw rows from the same links.
+
+    The grid is walked in `_TILE` x `_TILE` tiles.  Each tile runs
+    `rss_field` on only the sites that `reaching_sites` keeps for it, in
+    bts_id order, and maps the picks back through that ascending index,
+    so ties still go to the lowest bts_id; a site left out has no live
+    link in the tile, so no pick changes.  A tile no site reaches is
+    skipped.  The idw rows come out in tile order and are put back into
+    the settlements' order.
     """
     ids = _start_pass(specs)
-    env_flat = np.asarray(env_grid, dtype=np.uint8).ravel()
-    labels = np.empty(grid.npixels, dtype=np.int32)
-    pids = np.arange(grid.npixels)
-    x, y = grid.pixel_centers()
-    for lo in range(0, grid.npixels, _CHUNK):
-        hi = lo + _CHUNK
-        rss = rss_field(specs, pids[lo:hi], x[lo:hi], y[lo:hi], env_flat[lo:hi],
-                        rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
-        labels[lo:hi] = bsa_select_chunk(rss.rss_dbm, rss.live)
-    return Assignment(grid, ids, labels.reshape(grid.shape))
+    env = np.asarray(env_grid, dtype=np.uint8)
+    labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
+    if idw is not None:
+        settlements, idw_s, idw_k = idw
+        at = np.full(grid.shape, -1, dtype=np.int64)  # settlement index per pixel
+        at[settlements.rows, settlements.cols] = np.arange(len(settlements))
+        counts = np.zeros(len(settlements), dtype=np.int64)
+        # per tile: the settlement index of each entry, its global column, its weight
+        owner, col, w = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for r0 in range(0, grid.nrows, _TILE):
+        rows = np.arange(r0, min(r0 + _TILE, grid.nrows))[:, None]
+        for c0 in range(0, grid.ncols, _TILE):
+            cols = np.arange(c0, min(c0 + _TILE, grid.ncols))
+            tile = (slice(r0, r0 + rows.size), slice(c0, c0 + cols.size))
+            shape = (rows.size, cols.size)
+            x, y = (np.broadcast_to(v, shape).ravel() for v in grid.centers(rows, cols))
+            keep = reaching_sites(specs, x, y, rx_height_m=rx_height_m,
+                                  dead_threshold_dbm=dead_threshold_dbm)
+            if keep.size == 0:
+                continue
+            rss = rss_field([specs[j] for j in keep], grid.pixel_id(rows, cols).ravel(), x, y,
+                            env[tile].ravel(), rx_height_m=rx_height_m,
+                            dead_threshold_dbm=dead_threshold_dbm)
+            live = rss.live
+            sel = bsa_select_chunk(rss.rss_dbm, live)
+            labels[tile] = np.where(sel >= 0, keep[sel], UNASSIGNED).reshape(shape)
+            if idw is None:
+                continue
+            settled = at[tile].ravel()
+            here = np.flatnonzero(settled >= 0)
+            if here.size:
+                n, c, v = idw_rows_chunk(rss.rss_dbm[here], live[here], idw_s, idw_k)
+                counts[settled[here]] = n
+                owner.append(np.repeat(settled[here], n))
+                col.append(keep[c])
+                w.append(v)
+    assignment = Assignment(grid, ids, labels)
+    if idw is None:
+        return assignment, None
+    # a row's entries are contiguous within its tile, so a stable sort on
+    # the owner restores settlement order and keeps each row's columns ascending
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    pw = idw_pixel_weights(settlements.ids, ids, dead_threshold_dbm, counts,
+                           np.concatenate(col)[order], np.concatenate(w)[order], idw_s, idw_k)
+    return assignment, pw
 
 
 def _start_pass(specs: list[AntennaSpec]) -> list[str]:
@@ -653,15 +717,19 @@ def settlement_pixel_weights(
 
     `rows` builds the rows of one field: `weights_bsa`, or `weights_idw`
     with its s and k bound.  `env_at` holds each settlement's environment
-    code; specs must be sorted by bts_id.  One chunk of `rss_field` at a
-    time goes through `rows`, so memory stays bounded by the chunk
-    whatever the settlement count.
+    code; specs must be sorted by bts_id.  This is the `covmap weights`
+    path; the study gets its idw rows from the naive grid pass instead
+    (`_tiled_pass`).  One chunk of `rss_field` at a time goes through
+    `rows`, every site's column kept; a chunk holds about `_RSS_ENTRIES`
+    links (at least one settlement), so memory stays bounded whatever
+    the settlement and site counts.
     """
     _start_pass(specs)
     blocks = []
+    step = max(1, _RSS_ENTRIES // max(len(specs), 1))
     # an empty settlement set still passes through one (empty) chunk
-    for lo in range(0, max(len(settlements), 1), _CHUNK):
-        hi = lo + _CHUNK
+    for lo in range(0, max(len(settlements), 1), step):
+        hi = lo + step
         rss = rss_field(specs, settlements.ids[lo:hi], settlements.x[lo:hi],
                         settlements.y[lo:hi], env_at[lo:hi], rx_height_m=rx_height_m,
                         dead_threshold_dbm=dead_threshold_dbm)
@@ -956,19 +1024,15 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     }
     naive_specs = synthesize_naive_specs(points, naive_classes, areas, grid)
     naive_env_grid = paint_area_env(areas, naive_classes, grid)
-    naive_assign = best_server_grid(
-        grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm
+    naive_assign, pw_idw = _tiled_pass(
+        grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm,
+        idw=(settlements, cfg.idw_s, cfg.idw_k),
     )
     naive_sel = naive_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
     # the grid pass ran bsa's selection over the same links at every
     # settlement pixel, so its labels there are the bsa rows
     pw_bsa = bsa_pixel_weights(settlements.ids, naive_assign.bts_ids, naive_sel,
                                cfg.dead_threshold_dbm)
-    pw_idw = settlement_pixel_weights(
-        settlements, naive_specs, naive_env_grid[settlements.rows, settlements.cols],
-        partial(weights_idw, s=cfg.idw_s, k=cfg.idw_k),
-        rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm,
-    )
     wm_bsa = area_weights_from_pixels(pw_bsa, settlements, areas)
     wm_idw = area_weights_from_pixels(pw_idw, settlements, areas)
 

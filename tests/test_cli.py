@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,21 @@ def two_areas(tmp_path_factory):
 
 
 class TestSimulate:
+    def test_runs_without_scipy(self, tmp_path):
+        """scipy is a benchmark extra: the CLI and a study round never import it."""
+        cfg_path = tmp_path / "cfg.json"
+        io.save_config(cfg_path, tiny_config(rounds=1))
+        code = ("import sys, covmap.cli; "
+                f"rc = covmap.cli.main(['simulate', '--config', {str(cfg_path)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                "assert rc == 0 and 'scipy' not in sys.modules, rc")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_two_runs_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         io.save_config(cfg_path, tiny_config(rounds=2))
@@ -182,6 +200,20 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "cell_size_m must be positive" in err
 
+    @pytest.mark.parametrize("code", [1e300, -1e300, 3.0, -1.0, 1.5])
+    def test_bad_aux_code_fails_cleanly(self, study, tmp_path, capsys, code):
+        values, grid, _, _ = io.load_ascii_grid(study / "snapshot_env.asc")
+        values[3, 4] = code
+        bad = tmp_path / "env.asc"
+        bad.write_text(io.ascii_grid_string(values, grid))
+        # RuntimeWarnings are errors under this suite, so a warning cast fails here too
+        rc = main(["coverage", "--bts", str(study / "snapshot_bts.csv"),
+                   "--raster", str(study / "snapshot_settlements.asc"),
+                   "--aux", str(bad), "--out", str(tmp_path / "cov")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "environment codes must be" in err
+
 
 class TestWeights:
     def test_p2p_is_thin_wrapper(self, study, two_areas, tmp_path):
@@ -289,43 +321,61 @@ class TestWeights:
 
 
 class TestStreaming:
-    """The bsa/idw settlement pass and the coverage grid pass stream
-    `rss_field` in chunks; a small chunk must change no output byte."""
+    """The bsa/idw settlement pass streams `rss_field` in chunks of about
+    `_RSS_ENTRIES` links and the coverage grid pass in `_TILE`-pixel
+    tiles; small chunks and tiles must change no output byte."""
 
-    CHUNK = 97
+    ENTRIES = 500
+    TILE = 7  # does not divide the 50-pixel grid
 
-    def _run_all(self, study, two_areas, out) -> dict[str, bytes]:
+    def _run_all(self, study, two_areas, out, calls) -> tuple[dict, dict]:
         inputs = ["--bts", str(study / "snapshot_bts.csv"),
                   "--raster", str(study / "snapshot_settlements.asc"),
                   "--aux", str(study / "snapshot_env.asc")]
+        offered = {}
         for scheme in ("bsa", "idw"):
+            calls.clear()
             assert main(["weights", "--scheme", scheme, "--areas", str(two_areas), *inputs,
                          "--out", str(out / scheme)]) == 0
+            offered[scheme] = list(calls)
+        calls.clear()
         assert main(["coverage", *inputs, "--out", str(out / "coverage")]) == 0
-        return tree_bytes(out)
+        offered["coverage"] = list(calls)
+        return tree_bytes(out), offered
 
     def test_small_chunks_match_unchunked_output(self, study, two_areas, tmp_path, monkeypatch):
-        sizes = []
+        calls = []  # (pixel ids, site count) of every rss_field call
         kernel = simulation.rss_field
 
         def recording(specs, pixel_ids, *args, **kwargs):
-            sizes.append(len(pixel_ids))
+            calls.append((np.asarray(pixel_ids), len(specs)))
             return kernel(specs, pixel_ids, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "rss_field", recording)
-        whole = self._run_all(study, two_areas, tmp_path / "whole")
-        n_settled = len(extract_settlements(io.load_raster(study / "snapshot_settlements.asc")))
-        npixels = io.load_raster(study / "snapshot_settlements.asc").grid.npixels
-        # one call per pass: the default chunk holds every pixel here
-        assert sizes == [n_settled, n_settled, npixels]
-        assert n_settled > 2 * self.CHUNK
+        whole, offered = self._run_all(study, two_areas, tmp_path / "whole", calls)
+        settlements = extract_settlements(io.load_raster(study / "snapshot_settlements.asc"))
+        grid = settlements.grid
+        nbts = len(io.load_bts_csv(study / "snapshot_bts.csv").points)
+        # one call per pass: the default chunk and tile hold every pixel here
+        for scheme in ("bsa", "idw"):
+            [(pixels, m)] = offered[scheme]
+            assert np.array_equal(pixels, settlements.ids) and m == nbts
+        assert [p.size for p, _ in offered["coverage"]] == [grid.npixels]
+        chunk = self.ENTRIES // nbts
+        assert len(settlements) > 2 * chunk >= 2
 
-        sizes.clear()
-        monkeypatch.setattr(simulation, "_CHUNK", self.CHUNK)
-        chunked = self._run_all(study, two_areas, tmp_path / "chunked")
-        assert max(sizes) <= self.CHUNK
-        assert sum(sizes) == 2 * n_settled + npixels
+        monkeypatch.setattr(simulation, "_RSS_ENTRIES", self.ENTRIES)
+        monkeypatch.setattr(simulation, "_TILE", self.TILE)
+        chunked, offered = self._run_all(study, two_areas, tmp_path / "chunked", calls)
         assert chunked == whole
+        for scheme in ("bsa", "idw"):
+            assert all(p.size * m <= self.ENTRIES and m == nbts for p, m in offered[scheme])
+            assert np.array_equal(np.concatenate([p for p, _ in offered[scheme]]),
+                                  settlements.ids)
+        tiles = [p for p, _ in offered["coverage"]]
+        assert len(tiles) > 1 and max(p.size for p in tiles) <= self.TILE ** 2
+        pixels = np.concatenate(tiles)
+        assert np.unique(pixels).size == pixels.size  # no pixel offered twice
 
 
 class TestAggregate:

@@ -15,6 +15,7 @@ from covmap.geo import (
     StatAreaSet,
     extract_settlements,
     nearest_index,
+    nearest_two,
     polygon_to_mask,
     voronoi_assign,
     zonal_count,
@@ -108,13 +109,32 @@ class TestExtractSettlements:
 
 class TestNearestIndex:
     def test_matches_brute_force_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(geo, "_CHUNK", 7)
+        monkeypatch.setattr(geo, "_BLOCK_ENTRIES", 7 * 6)  # 7 points a block
         rng = np.random.default_rng(5)
         x, y = rng.uniform(0, 1000, 50), rng.uniform(0, 1000, 50)
         sx, sy = rng.uniform(0, 1000, 6), rng.uniform(0, 1000, 6)
         want = [min(range(6), key=lambda j: ((x[i] - sx[j]) ** 2 + (y[i] - sy[j]) ** 2, j))
                 for i in range(50)]
         assert nearest_index(x, y, sx, sy).tolist() == want
+
+    @pytest.mark.parametrize("entries", [1, 20])
+    @pytest.mark.parametrize("nsites", [1, 5])
+    def test_nearest_two_matches_brute_force_across_blocks(self, monkeypatch, entries, nsites):
+        # a block holds entries // nsites points, at least one
+        monkeypatch.setattr(geo, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(nsites)
+        # integer coordinates on a small square, so exact distance ties abound
+        x, y = (rng.integers(0, 6, 40).astype(float) for _ in range(2))
+        sx, sy = (rng.integers(0, 6, nsites).astype(float) for _ in range(2))
+        idx, first, second = nearest_two(x, y, sx, sy)
+        ties = 0
+        for i in range(x.size):
+            d2 = [(x[i] - sx[j]) ** 2 + (y[i] - sy[j]) ** 2 for j in range(nsites)]
+            j = min(range(nsites), key=lambda j: (d2[j], j))
+            rest = [d for jj, d in enumerate(d2) if jj != j]
+            assert (idx[i], first[i], second[i]) == (j, d2[j], min(rest, default=np.inf))
+            ties += bool(rest) and min(rest) == d2[j]
+        assert ties > 0 or nsites == 1
 
 
 class TestVoronoi:
@@ -201,6 +221,28 @@ class TestPolygonToMask:
                 assert all(v != 0 for v in s), "pixel centre on a triangle edge"
                 want[i] = all(v > 0 for v in s) or all(v < 0 for v in s)
             assert np.array_equal(mask, want.reshape(10, 12))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_equals_every_centre_tested(self, seed):
+        # random multi-ring polygons, partly or wholly off a grid with an
+        # offset origin; the window must leave out no centre the crossing
+        # test would put inside
+        rng = np.random.default_rng(seed)
+        g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
+        rr, cc = np.meshgrid(np.arange(23), np.arange(31), indexing="ij")
+        x, y = g.centers(rr, cc)
+        inside = 0
+        for _ in range(40):
+            cx, cy = rng.uniform(-120, 280), rng.uniform(40, 360)
+            rings = []
+            for _ in range(rng.integers(1, 4)):
+                n = rng.integers(3, 9)
+                pts = np.column_stack([cx + rng.uniform(-90, 90, n), cy + rng.uniform(-90, 90, n)])
+                rings.append(np.vstack([pts, pts[:1]]))
+            mask = polygon_to_mask(rings, g)
+            assert np.array_equal(mask, geo._points_in_rings(rings, x, y))
+            inside += int(mask.sum())
+        assert inside > 0
 
     def test_open_ring_rejected(self):
         g = Grid(ncols=2, nrows=2, cell_size_m=10.0)

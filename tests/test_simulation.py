@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covmap import geo, propagation
+from covmap import geo, propagation, simulation
 from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements, nearest_index
 from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
 from covmap.propagation import (
@@ -491,6 +491,143 @@ class TestRangeCulling:
         grid = best_server_grid(cfg.grid, specs, env.reshape(cfg.grid.shape),
                                 cfg.rx_height_m, cfg.dead_threshold_dbm)
         np.testing.assert_array_equal(grid.labels.ravel(), sel)
+
+    def test_tiled_pass_equals_dense_oracle(self, layout, monkeypatch):
+        cfg, specs, st, env, oracle, evaluated = layout
+        # a twin of one site: every one of its links ties exactly with the original's
+        twin = specs[7]
+        specs = sorted(specs + [AntennaSpec(twin.bts_id + "b", twin.x, twin.y, twin.height_m,
+                                            twin.freq_mhz, twin.power_dbm)],
+                       key=lambda s: s.bts_id)
+        oracle = np.insert(oracle, 8, oracle[:, 7], axis=1)
+        tile = 9  # does not divide the 200-pixel grid
+        monkeypatch.setattr(simulation, "_TILE", tile)
+        got_labels, got_pw, calls = _tiled_run(cfg, specs, env, st, cfg.idw_s, cfg.idw_k)
+        assert 0 < calls < -(-cfg.ncols // tile) * -(-cfg.nrows // tile)  # some tiles skipped
+        want_labels = _dense_labels(oracle, cfg.dead_threshold_dbm)
+        np.testing.assert_array_equal(got_labels, want_labels)
+        assert np.any(want_labels == 7) and np.any(want_labels < 0)
+        assert not np.any(want_labels == 8)  # the twin never wins a tie
+        _assert_same_rows(got_pw, cfg, specs, st, env, cfg.idw_s, cfg.idw_k)
+        assert np.count_nonzero(got_pw.col == 8) > 0  # the twin shares idw rows
+
+
+def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
+    """At country scale (1,500 sites) a chunk of the settlement pass holds
+    at most `_RSS_ENTRIES` links, and chunking changes no row."""
+    cfg = SimConfig(ncols=60, nrows=60, block_px=60, mask_rect=None)
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-3e4, 3.6e4, (2, 1500))
+    specs = [AntennaSpec(f"s{j:04d}", float(x[j]), float(y[j]), float(rng.choice([10.0, 30.0])),
+                         900.0, float(rng.choice([30.0, 47.0])))
+             for j in range(1500)]
+    settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+    env = rng.integers(0, 3, len(settlements)).astype(np.uint8)
+    sizes = []
+    kernel = simulation.rss_field
+
+    def recording(*args, **kwargs):
+        field = kernel(*args, **kwargs)
+        sizes.append(field.rss_dbm.size)
+        return field
+
+    monkeypatch.setattr(simulation, "rss_field", recording)
+    rows = partial(weights_idw, s=cfg.idw_s, k=cfg.idw_k)
+    bounded = settlement_pixel_weights(settlements, specs, env, rows, rx_height_m=cfg.rx_height_m,
+                                       dead_threshold_dbm=cfg.dead_threshold_dbm)
+    assert len(sizes) > 1 and max(sizes) <= simulation._RSS_ENTRIES
+    assert bounded.covered.any()
+    assert sum(sizes) == len(settlements) * len(specs)
+    monkeypatch.setattr(simulation, "_RSS_ENTRIES", len(settlements) * len(specs))
+    whole = settlement_pixel_weights(settlements, specs, env, rows, rx_height_m=cfg.rx_height_m,
+                                     dead_threshold_dbm=cfg.dead_threshold_dbm)
+    assert len(sizes) == 7  # six bounded chunks, then one
+    for name in ("pixel_ids", "indptr", "col", "w"):
+        assert getattr(bounded, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def _dense_labels(levels: np.ndarray, dead_threshold_dbm: float) -> np.ndarray:
+    live = levels >= dead_threshold_dbm
+    want = np.argmax(np.where(live, levels, -np.inf), axis=1)
+    want[~live.any(axis=1)] = -1
+    return want
+
+
+def _tiled_run(cfg, specs, env, settlements, s, k):
+    """The tiled pass's flat labels and idw rows, and its rss_field call count."""
+    calls = []
+    kernel = simulation.rss_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "rss_field", counting)
+        assign, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
+                                            cfg.rx_height_m, cfg.dead_threshold_dbm,
+                                            idw=(settlements, s, k))
+    return assign.labels.ravel(), pw, len(calls)
+
+
+def _assert_same_rows(got, cfg, specs, settlements, env_flat, s, k):
+    want = settlement_pixel_weights(
+        settlements, specs, env_flat[settlements.ids], partial(weights_idw, s=s, k=k),
+        rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+    assert got.scheme == want.scheme and got.bts_ids == want.bts_ids
+    assert got.params == want.params
+    for name in ("pixel_ids", "indptr", "col", "w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _tiled_layout(draw):
+    """A small grid, sites on a half-cell lattice with a few technical
+    choices, some of them twins of the site before (so levels tie
+    exactly), random env and settlements, and a tile edge that need not
+    divide the grid."""
+    ncols, nrows = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    cell = draw(st.sampled_from([50.0, 400.0, 1500.0]))
+    cfg = SimConfig(ncols=ncols, nrows=nrows, cell_size_m=cell, block_px=1, urban_split=1,
+                    mask_rect=None)
+    lattice = st.integers(-8, 2 * max(ncols, nrows) + 8)
+    specs = []
+    for j in range(draw(st.integers(1, 8))):
+        if specs and draw(st.booleans()):
+            prev = specs[-1]
+            site = (prev.x, prev.y, prev.height_m, prev.freq_mhz, prev.power_dbm)
+        else:
+            site = (draw(lattice) * cell / 2, draw(lattice) * cell / 2,
+                    draw(st.sampled_from([2.0, 10.0, 30.0])),
+                    draw(st.sampled_from([900.0, 2100.0])), draw(st.sampled_from([20.0, 43.0])))
+        specs.append(AntennaSpec(f"b{j}", *site))
+    npx = ncols * nrows
+    env = np.array(draw(st.lists(st.integers(0, 2), min_size=npx, max_size=npx)), np.uint8)
+    settled = np.array(draw(st.lists(st.booleans(), min_size=npx, max_size=npx)))
+    settled[draw(st.integers(0, npx - 1))] = True
+    raster = SettlementRaster(cfg.grid, settled.reshape(cfg.grid.shape).astype(float))
+    return (cfg, specs, env, extract_settlements(raster), draw(st.integers(1, 9)),
+            draw(st.sampled_from([0.0, 1.0, 2.5])), draw(st.integers(1, 4)))
+
+
+class TestTiledPass:
+    @settings(max_examples=150, deadline=None)
+    @given(layout=_tiled_layout())
+    def test_equals_dense_oracle_and_settlement_pass(self, layout):
+        cfg, specs, env, settlements, tile, s, k = layout
+        x, y = cfg.grid.pixel_centers()
+        levels = np.column_stack([
+            sp.power_dbm - extended_hata_db(sp.freq_mhz, np.hypot(x - sp.x, y - sp.y) / 1000.0,
+                                            sp.height_m, cfg.rx_height_m, env,
+                                            clamp_distance=True)
+            for sp in specs
+        ])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_TILE", tile)
+            labels, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k)
+        np.testing.assert_array_equal(labels, _dense_labels(levels, cfg.dead_threshold_dbm))
+        _assert_same_rows(pw, cfg, specs, settlements, env, s, k)
 
 
 def test_p2p_credit_matches_row_lookup_loop():
