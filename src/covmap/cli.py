@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,6 @@ from covmap.mapping import (
     paint_area_env,
     synthesize_naive_specs,
     weights_aug_voronoi,
-    weights_bsa,
-    weights_idw,
     weights_p2p,
     weights_voronoi,
 )
@@ -265,16 +262,14 @@ def cmd_weights(args) -> int:
         env2d = _resolve_env(args.aux, areas, bts, grid, classes)
         settlements = extract_settlements(raster)
         params["dead_threshold_dbm"] = args.threshold
+        idw = None
         if args.scheme == "idw":
             params["s"] = float(args.s)
             params["k"] = int(args.k)
-            rows = partial(weights_idw, s=args.s, k=args.k)
-        else:
-            rows = weights_bsa
+            idw = (args.s, args.k)
         pw = settlement_pixel_weights(
-            settlements, sorted(specs, key=lambda sp: sp.bts_id),
-            env2d[settlements.rows, settlements.cols], rows, rx_height_m=1.0,
-            dead_threshold_dbm=args.threshold,
+            settlements, sorted(specs, key=lambda sp: sp.bts_id), env2d,
+            rx_height_m=1.0, dead_threshold_dbm=args.threshold, idw=idw,
         )
         wm = area_weights_from_pixels(pw, settlements, areas)
 

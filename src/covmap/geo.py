@@ -435,25 +435,14 @@ class StatAreaSet:
         return out
 
 
-def zonal_count(assignment, areas: StatAreaSet, grid: Grid | None = None, weights=None):
+def zonal_count(assignment: Assignment, areas: StatAreaSet, weights=None):
     """Count pixels (optionally weighted) per (area, label) combination.
 
-    `assignment` is an Assignment, an integer label array (-1 =
-    unlabelled) or a boolean mask.  Returns {(area_id, label): count}
-    over labels >= 0; unlabelled pixels and pixels outside every area
-    contribute nothing.
+    Returns {(area_id, label): count} over labels >= 0; unlabelled pixels
+    and pixels outside every area contribute nothing.
     """
-    if isinstance(assignment, Assignment):
-        labels = assignment.labels
-        grid = grid or assignment.grid
-    else:
-        labels = np.asarray(assignment)
-        if labels.dtype == bool:
-            labels = np.where(labels, 0, UNASSIGNED)
-    grid = grid or areas.grid
-    area_labels = areas.labels(grid)
-    if labels.shape != area_labels.shape:
-        raise ValueError(f"assignment shape {labels.shape} != area raster {area_labels.shape}")
+    labels = assignment.labels
+    area_labels = areas.labels(assignment.grid)
     if weights is None:
         w = np.ones(labels.shape, dtype=np.float64)
     else:

@@ -306,7 +306,8 @@ def load_areas_geojson(path) -> StatAreaSet:
 
 
 def load_covariates_csv(path) -> CovariateTable:
-    """Read `bts_id,<name>...`; empty cells are missing values (NaN)."""
+    """Read `bts_id,<name>...`; empty cells are missing values (NaN), the
+    only way to write one, so a non-finite number is an error."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -338,9 +339,12 @@ def load_covariates_csv(path) -> CovariateTable:
                 cols[name].append(float("nan"))
                 continue
             try:
-                cols[name].append(float(cell))
+                v = float(cell)
             except ValueError:
                 raise _err(path, lineno, f"non-numeric {name} value {cell!r}") from None
+            if not np.isfinite(v):
+                raise _err(path, lineno, f"non-finite {name} value {cell!r}")
+            cols[name].append(v)
     return CovariateTable(ids, {n: np.array(v) for n, v in cols.items()})
 
 
@@ -390,6 +394,8 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
             w = float(cell)
         except ValueError:
             raise _err(path, lineno, f"non-numeric weight {cell!r}") from None
+        if not (np.isfinite(w) and w > 0):
+            raise _err(path, lineno, f"weight {cell!r} must be finite and positive")
         if bid in data.get(aid, {}):
             raise _err(path, lineno, f"duplicate entry for ({aid!r}, {bid!r})")
         data.setdefault(aid, {})[bid] = w

@@ -11,12 +11,13 @@ build W from increasingly informative inputs:
 - idw:          per-settlement-pixel inverse-signal weights over the
                 k strongest live links
 
-bsa/idw first produce per-pixel weights from one received-signal field
-(`weights_bsa`, `weights_idw`; streamed callers build them chunk by
-chunk and join them with `stack_pixel_weights`), or bsa's from known
-serving labels (`bsa_pixel_weights`), which
-`area_weights_from_pixels` then averages over each area's covered
-settlement pixels.
+bsa/idw first produce per-pixel weights, which `area_weights_from_pixels`
+then averages over each area's covered settlement pixels.  The selectors
+`bsa_select_chunk` and `idw_rows_chunk` work on one block of a
+received-signal field; the tiled link walker in `simulation` runs them
+block by block and builds the rows with `bsa_pixel_weights` (from the
+serving labels) and `idw_pixel_weights`.  `weights_bsa` and `weights_idw`
+build the same rows from one dense field.
 """
 
 from __future__ import annotations
@@ -224,6 +225,13 @@ def bsa_select_chunk(rss_chunk: np.ndarray, live_chunk: np.ndarray) -> np.ndarra
     return sel
 
 
+def _check_idw(s: float, k: int) -> None:
+    if int(k) < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if s < 0:
+        raise ValueError(f"exponent s must be >= 0, got {s}")
+
+
 def idw_rows_chunk(
     rss_chunk: np.ndarray, live_chunk: np.ndarray, s: float, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,12 +241,9 @@ def idw_rows_chunk(
     (counts, col, w) with cols ascending within each row.  The signal
     "distance" is |rss| clamped below at 1 to keep 1/|rss|^s finite.
     """
+    _check_idw(s, k)
     n, j = rss_chunk.shape
     kk = min(int(k), j)
-    if kk < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if s < 0:
-        raise ValueError(f"exponent s must be >= 0, got {s}")
     masked = np.where(live_chunk, rss_chunk, -np.inf)
     order = np.argsort(-masked, axis=1, kind="stable")[:, :kk]
     top = np.take_along_axis(masked, order, axis=1)
@@ -316,6 +321,7 @@ def idw_pixel_weights(pixel_ids, bts_ids, dead_threshold_dbm: float, counts, col
                       s: float, k: int) -> PixelWeights:
     """Idw rows from `idw_rows_chunk`'s (counts, col, w), with the columns
     given as indices into `bts_ids`, which must ascend."""
+    _check_idw(s, k)
     return _pixel_rows(SCHEME_IDW, pixel_ids, bts_ids, dead_threshold_dbm, counts, col, w,
                        s=float(s), k=int(k))
 
@@ -326,17 +332,6 @@ def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
     counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
     return idw_pixel_weights(rss.pixel_ids, rss.bts_ids, rss.dead_threshold_dbm,
                              counts, col, w, s, k)
-
-
-def stack_pixel_weights(blocks: list[PixelWeights]) -> PixelWeights:
-    """Stack the row blocks of consecutive pixel chunks into one."""
-    first = blocks[0]
-    if any(b.scheme != first.scheme or b.bts_ids != first.bts_ids for b in blocks):
-        raise ValueError("row blocks differ in scheme or columns")
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate([b.row_lengths() for b in blocks]))])
-    return PixelWeights(first.scheme, np.concatenate([b.pixel_ids for b in blocks]),
-                        first.bts_ids, indptr, np.concatenate([b.col for b in blocks]),
-                        np.concatenate([b.w for b in blocks]), first.params)
 
 
 # --- aggregation -------------------------------------------------------------

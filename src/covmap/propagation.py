@@ -13,10 +13,11 @@ Loss never decreases with distance, so `live_radius_km` bounds, per
 antenna and environment, where a link can be live; `rss_field` evaluates
 the model only inside that radius and reports every dead link as -inf.
 `reaching_sites` picks the antennas that can reach a box of pixels.  The
-grid passes in `simulation` call `rss_field` one square tile of pixels at
-a time, on only the antennas that reach the tile; `settlement_pixel_weights`
-calls it one chunk of settlements at a time, the chunk sized by the
-antenna count.  Either way memory stays bounded by the tile or the chunk.
+one caller of `rss_field` is the tiled link walker in `simulation`: it
+sends one square tile of pixels (every pixel, or only the settlement
+pixels) at a time, on only the antennas that reach the tile, in blocks of
+at most a fixed number of links, so memory stays bounded whatever the
+antenna count.
 """
 
 from __future__ import annotations
@@ -339,8 +340,8 @@ def rss_field(
     per-pixel environment class (names or codes).  Only the specs that
     `reaching_sites` keeps for the pixels' bounding box are evaluated,
     each only on pixels within the radius of their environment.
-    Streaming callers pass one chunk or tile of pixels at a time; each
-    entry depends only on its own pixel and antenna, so chunking never
+    The tiled walker passes one block of a tile's pixels at a time; each
+    entry depends only on its own pixel and antenna, so blocking never
     changes a value.
     """
     pids = np.asarray(pixel_ids, dtype=np.int64)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -48,7 +47,6 @@ from .mapping import (
     idw_pixel_weights,
     idw_rows_chunk,
     paint_area_env,
-    stack_pixel_weights,
     synthesize_naive_specs,
     weights_aug_voronoi,
     weights_p2p,
@@ -61,7 +59,6 @@ from .propagation import (
     RX_HEIGHT_MAX_M,
     RX_HEIGHT_MIN_M,
     AntennaSpec,
-    RssField,
     env_code,
     forget_live_radii,
     reaching_sites,
@@ -75,7 +72,7 @@ TALLY_METRICS = ("rho", "bias", "rmse")
 # tile edge of the grid passes, in pixels: small enough that most sites
 # cannot reach a tile, so its link matrix over the rest stays a few MB
 _TILE = 128
-# links per `rss_field` call of the settlement pass (8 MB of float64)
+# most links per `rss_field` call of the grid passes (8 MB of float64)
 _RSS_ENTRIES = 1 << 20
 _MAX_REJECTION_ROUNDS = 10_000
 # Slack on the k-means distance bounds, relative to the largest coordinate:
@@ -607,64 +604,90 @@ def _tiled_pass(
     env_grid: np.ndarray,
     rx_height_m: float,
     dead_threshold_dbm: float,
-    idw: tuple[Settlements, float, int] | None = None,
+    settlements: Settlements | None = None,
+    *,
+    settled_only: bool = False,
+    idw: tuple[float, int] | None = None,
 ) -> tuple[Assignment, PixelWeights | None]:
-    """The best-server grid and, given `idw` = (settlements, s, k), the
+    """The one walker over the links from `specs` to a set of pixels.
+
+    The set is every pixel of the grid, or with `settled_only` just the
+    `settlements`' pixels.  Returns the best-server labels of the set
+    (pixels outside it stay unassigned) and, given `idw` = (s, k), the
     settlements' idw rows from the same links.
 
-    The grid is walked in `_TILE` x `_TILE` tiles.  Each tile runs
-    `rss_field` on only the sites that `reaching_sites` keeps for it, in
-    bts_id order, and maps the picks back through that ascending index,
-    so ties still go to the lowest bts_id; a site left out has no live
-    link in the tile, so no pick changes.  A tile no site reaches is
-    skipped.  The idw rows come out in tile order and are put back into
-    the settlements' order.
+    The grid is walked in `_TILE` x `_TILE` tiles.  Each tile keeps only
+    the sites that `reaching_sites` finds for its pixels, in bts_id
+    order, and maps the picks back through that ascending index, so ties
+    still go to the lowest bts_id; a site left out has no live link in
+    the tile, so no pick changes.  A tile with no pixel of the set, or
+    that no site reaches, is skipped.  The tile's pixels go to
+    `rss_field` in blocks of at most `_RSS_ENTRIES` links (at least one
+    pixel), so memory stays bounded whatever the site count.  The idw
+    rows come out in tile order and are put back into the settlements'
+    order.
     """
     ids = _start_pass(specs)
     env = np.asarray(env_grid, dtype=np.uint8)
     labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
-    if idw is not None:
-        settlements, idw_s, idw_k = idw
-        at = np.full(grid.shape, -1, dtype=np.int64)  # settlement index per pixel
+    flat_labels = labels.reshape(-1)
+    if settlements is not None:
+        at = np.full(grid.shape, -1, dtype=np.int32)  # settlement index per pixel
         at[settlements.rows, settlements.cols] = np.arange(len(settlements))
-        counts = np.zeros(len(settlements), dtype=np.int64)
-        # per tile: the settlement index of each entry, its global column, its weight
-        owner, col, w = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    if idw is not None:
+        idw_s, idw_k = idw
+        # per block: the settlement index of each entry, its global column, its weight
+        owner, col, w = [np.empty(0, np.int32)], [np.empty(0, np.int64)], [np.empty(0)]
     for r0 in range(0, grid.nrows, _TILE):
         rows = np.arange(r0, min(r0 + _TILE, grid.nrows))[:, None]
         for c0 in range(0, grid.ncols, _TILE):
             cols = np.arange(c0, min(c0 + _TILE, grid.ncols))
             tile = (slice(r0, r0 + rows.size), slice(c0, c0 + cols.size))
             shape = (rows.size, cols.size)
+            pid = grid.pixel_id(rows, cols).ravel()
             x, y = (np.broadcast_to(v, shape).ravel() for v in grid.centers(rows, cols))
+            codes = env[tile].ravel()
+            settled = None if settlements is None else at[tile].ravel()
+            if settled_only:
+                pick = np.flatnonzero(settled >= 0)
+                if pick.size == 0:
+                    continue
+                pid, x, y, codes, settled = (v[pick] for v in (pid, x, y, codes, settled))
             keep = reaching_sites(specs, x, y, rx_height_m=rx_height_m,
                                   dead_threshold_dbm=dead_threshold_dbm)
             if keep.size == 0:
                 continue
-            rss = rss_field([specs[j] for j in keep], grid.pixel_id(rows, cols).ravel(), x, y,
-                            env[tile].ravel(), rx_height_m=rx_height_m,
-                            dead_threshold_dbm=dead_threshold_dbm)
-            live = rss.live
-            sel = bsa_select_chunk(rss.rss_dbm, live)
-            labels[tile] = np.where(sel >= 0, keep[sel], UNASSIGNED).reshape(shape)
-            if idw is None:
-                continue
-            settled = at[tile].ravel()
-            here = np.flatnonzero(settled >= 0)
-            if here.size:
-                n, c, v = idw_rows_chunk(rss.rss_dbm[here], live[here], idw_s, idw_k)
-                counts[settled[here]] = n
-                owner.append(np.repeat(settled[here], n))
-                col.append(keep[c])
-                w.append(v)
+            near = [specs[j] for j in keep]
+            step = max(1, _RSS_ENTRIES // keep.size)
+            for lo in range(0, pid.size, step):
+                block = slice(lo, lo + step)
+                rss = rss_field(near, pid[block], x[block], y[block], codes[block],
+                                rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
+                live = rss.live
+                sel = bsa_select_chunk(rss.rss_dbm, live)
+                flat_labels[pid[block]] = np.where(sel >= 0, keep[sel], UNASSIGNED)
+                if idw is None:
+                    continue
+                here = np.flatnonzero(settled[block] >= 0)
+                if here.size:
+                    n, c, v = idw_rows_chunk(rss.rss_dbm[here], live[here], idw_s, idw_k)
+                    owner.append(np.repeat(settled[block][here], n))
+                    col.append(keep[c])
+                    w.append(v)
     assignment = Assignment(grid, ids, labels)
     if idw is None:
         return assignment, None
-    # a row's entries are contiguous within its tile, so a stable sort on
+    # a row's entries are contiguous within its block, so a stable sort on
     # the owner restores settlement order and keeps each row's columns ascending
-    order = np.argsort(np.concatenate(owner), kind="stable")
-    pw = idw_pixel_weights(settlements.ids, ids, dead_threshold_dbm, counts,
-                           np.concatenate(col)[order], np.concatenate(w)[order], idw_s, idw_k)
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(settlements))
+    del owner
+    # rebinding frees each list of blocks before the next one is joined
+    col = np.concatenate(col)[order]
+    w = np.concatenate(w)[order]
+    del order
+    pw = idw_pixel_weights(settlements.ids, ids, dead_threshold_dbm, counts, col, w, idw_s, idw_k)
     return assignment, pw
 
 
@@ -707,34 +730,27 @@ def true_coverage(
 def settlement_pixel_weights(
     settlements: Settlements,
     specs: list[AntennaSpec],
-    env_at: np.ndarray,
-    rows: Callable[[RssField], PixelWeights],
+    env_grid: np.ndarray,
     *,
     rx_height_m: float,
     dead_threshold_dbm: float,
+    idw: tuple[float, int] | None = None,
 ) -> PixelWeights:
-    """Streamed per-pixel weights of the settlement pixels.
+    """Per-pixel weights of the settlement pixels: bsa rows, or idw rows
+    given `idw` = (s, k).  This is the `covmap weights` path.
 
-    `rows` builds the rows of one field: `weights_bsa`, or `weights_idw`
-    with its s and k bound.  `env_at` holds each settlement's environment
-    code; specs must be sorted by bts_id.  This is the `covmap weights`
-    path; the study gets its idw rows from the naive grid pass instead
-    (`_tiled_pass`).  One chunk of `rss_field` at a time goes through
-    `rows`, every site's column kept; a chunk holds about `_RSS_ENTRIES`
-    links (at least one settlement), so memory stays bounded whatever
-    the settlement and site counts.
+    `env_grid` holds the environment code of every grid pixel; specs must
+    be sorted by bts_id.  One `_tiled_pass` over the settlement pixels
+    only gives both: the idw rows directly, the bsa rows as the one-hot
+    of its labels there, just as the study builds them.
     """
-    _start_pass(specs)
-    blocks = []
-    step = max(1, _RSS_ENTRIES // max(len(specs), 1))
-    # an empty settlement set still passes through one (empty) chunk
-    for lo in range(0, max(len(settlements), 1), step):
-        hi = lo + step
-        rss = rss_field(specs, settlements.ids[lo:hi], settlements.x[lo:hi],
-                        settlements.y[lo:hi], env_at[lo:hi], rx_height_m=rx_height_m,
-                        dead_threshold_dbm=dead_threshold_dbm)
-        blocks.append(rows(rss))
-    return stack_pixel_weights(blocks)
+    assignment, pw = _tiled_pass(settlements.grid, specs, env_grid, rx_height_m,
+                                 dead_threshold_dbm, settlements, settled_only=True, idw=idw)
+    if pw is not None:
+        return pw
+    return bsa_pixel_weights(settlements.ids, assignment.bts_ids,
+                             assignment.labels[settlements.rows, settlements.cols],
+                             dead_threshold_dbm)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -1026,7 +1042,7 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     naive_env_grid = paint_area_env(areas, naive_classes, grid)
     naive_assign, pw_idw = _tiled_pass(
         grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm,
-        idw=(settlements, cfg.idw_s, cfg.idw_k),
+        settlements, idw=(cfg.idw_s, cfg.idw_k),
     )
     naive_sel = naive_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
     # the grid pass ran bsa's selection over the same links at every

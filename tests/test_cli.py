@@ -321,11 +321,12 @@ class TestWeights:
 
 
 class TestStreaming:
-    """The bsa/idw settlement pass streams `rss_field` in chunks of about
-    `_RSS_ENTRIES` links and the coverage grid pass in `_TILE`-pixel
-    tiles; small chunks and tiles must change no output byte."""
+    """The bsa/idw settlement pass and the coverage grid pass walk the
+    grid in `_TILE`-pixel tiles and send `rss_field` at most
+    `_RSS_ENTRIES` links at a time; small tiles and caps must change no
+    output byte."""
 
-    ENTRIES = 500
+    ENTRIES = 100  # below most tiles of 49 pixels x their reaching sites
     TILE = 7  # does not divide the 50-pixel grid
 
     def _run_all(self, study, two_areas, out, calls) -> tuple[dict, dict]:
@@ -355,26 +356,26 @@ class TestStreaming:
         whole, offered = self._run_all(study, two_areas, tmp_path / "whole", calls)
         settlements = extract_settlements(io.load_raster(study / "snapshot_settlements.asc"))
         grid = settlements.grid
-        nbts = len(io.load_bts_csv(study / "snapshot_bts.csv").points)
-        # one call per pass: the default chunk and tile hold every pixel here
+        # one call per pass: the default tile and cap hold every pixel here
         for scheme in ("bsa", "idw"):
-            [(pixels, m)] = offered[scheme]
-            assert np.array_equal(pixels, settlements.ids) and m == nbts
+            [(pixels, _)] = offered[scheme]
+            assert np.array_equal(pixels, settlements.ids)
         assert [p.size for p, _ in offered["coverage"]] == [grid.npixels]
-        chunk = self.ENTRIES // nbts
-        assert len(settlements) > 2 * chunk >= 2
 
         monkeypatch.setattr(simulation, "_RSS_ENTRIES", self.ENTRIES)
         monkeypatch.setattr(simulation, "_TILE", self.TILE)
         chunked, offered = self._run_all(study, two_areas, tmp_path / "chunked", calls)
         assert chunked == whole
         for scheme in ("bsa", "idw"):
-            assert all(p.size * m <= self.ENTRIES and m == nbts for p, m in offered[scheme])
-            assert np.array_equal(np.concatenate([p for p, _ in offered[scheme]]),
-                                  settlements.ids)
-        tiles = [p for p, _ in offered["coverage"]]
-        assert len(tiles) > 1 and max(p.size for p in tiles) <= self.TILE ** 2
-        pixels = np.concatenate(tiles)
+            assert len(offered[scheme]) > 1
+            assert all(p.size * m <= self.ENTRIES for p, m in offered[scheme])
+            # tiles are not visited in pixel-id order; each settlement comes once
+            pixels = np.sort(np.concatenate([p for p, _ in offered[scheme]]))
+            assert np.array_equal(pixels, settlements.ids)
+        tiles = offered["coverage"]
+        assert len(tiles) > 1 and all(p.size * m <= self.ENTRIES for p, m in tiles)
+        assert max(p.size for p, _ in tiles) <= self.TILE ** 2
+        pixels = np.concatenate([p for p, _ in tiles])
         assert np.unique(pixels).size == pixels.size  # no pixel offered twice
 
 
@@ -396,6 +397,22 @@ class TestAggregate:
             assert body[0] == "area_id,rate"
             aid, value = body[1].split(",")
             assert aid == "A" and float(value) == pytest.approx(want)
+
+    @pytest.mark.parametrize("name, text, want", [
+        ("w.csv", "area_id,bts_id,weight\nA,b1,0.4\nA,b2,0.3\nA,b3,inf\n",
+         "line 4: weight 'inf' must be finite and positive"),
+        ("c.csv", "bts_id,rate\nb1,0\nb2,-inf\nb3,100\n",
+         "line 3: non-finite rate value '-inf'"),
+    ])
+    def test_non_finite_input_names_file_and_line(self, tmp_path, capsys, name, text, want):
+        self.write_fixture(tmp_path)
+        (tmp_path / name).write_text(text)
+        rc = main(["aggregate", "--weights", str(tmp_path / "w.csv"),
+                   "--covariates", str(tmp_path / "c.csv"),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert f"{tmp_path / name}: {want}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_bts_named(self, tmp_path, capsys):
         (tmp_path / "w.csv").write_text("area_id,bts_id,weight\nA,ghost,1\n")

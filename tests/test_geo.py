@@ -324,7 +324,7 @@ class TestZonalCount:
         half = np.zeros((9, 12), dtype=bool)
         half[:, :6] = True
         areas = StatAreaSet.from_masks(g, [("l", half), ("r", ~half)])
-        table = zonal_count(labels, areas, g)
+        table = zonal_count(Assignment(g, ["a", "b", "c", "d"], labels), areas)
         assert sum(table.values()) == np.count_nonzero(labels >= 0)
         for (aid, lab), cnt in table.items():
             m = half if aid == "l" else ~half
@@ -332,13 +332,7 @@ class TestZonalCount:
 
     def test_weighted(self):
         g = Grid(ncols=3, nrows=1, cell_size_m=10.0)
-        labels = np.array([[0, 0, 1]], dtype=np.int32)
+        a = Assignment(g, ["p", "q"], np.array([[0, 0, 1]]))
         areas = StatAreaSet.from_masks(g, [("all", np.ones((1, 3), dtype=bool))])
         w = np.array([[2.0, 3.0, 10.0]])
-        assert zonal_count(labels, areas, g, weights=w) == {("all", 0): 5.0, ("all", 1): 10.0}
-
-    def test_bool_mask_input(self):
-        g = Grid(ncols=3, nrows=1, cell_size_m=10.0)
-        mask = np.array([[True, False, True]])
-        areas = StatAreaSet.from_masks(g, [("all", np.ones((1, 3), dtype=bool))])
-        assert zonal_count(mask, areas, g) == {("all", 0): 2.0}
+        assert zonal_count(a, areas, weights=w) == {("all", 0): 5.0, ("all", 1): 10.0}

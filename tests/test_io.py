@@ -334,6 +334,14 @@ class TestCovariatesCsv:
         with pytest.raises(ValueError, match="line 3.*non-numeric v value"):
             load_covariates_csv(p)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+    def test_non_finite_names_file_and_line(self, tmp_path, cell):
+        p = tmp_path / "cov.csv"
+        p.write_text(f"bts_id,calls,rate\na,10,0.5\nb,3,{cell}\n")
+        with pytest.raises(ValueError) as exc:
+            load_covariates_csv(p)
+        assert str(exc.value) == f"{p}: line 3: non-finite rate value {cell!r}"
+
     def test_round_trip(self, tmp_path):
         t = CovariateTable(["a", "b"], {"v": np.array([0.5, np.nan])})
         p = tmp_path / "cov.csv"
@@ -381,6 +389,14 @@ class TestWeightsCsv:
         p.write_text("area_id,bts_id,weight\nA,b1,0.5\nA,b2,0.25\n")
         with pytest.raises(ValueError, match="sum"):
             load_weights_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_bad_weight_names_file_and_line(self, tmp_path, cell):
+        p = tmp_path / "w.csv"
+        p.write_text(f"area_id,bts_id,weight\nA,b1,1\nB,b1,0.5\nB,b2,{cell}\n")
+        with pytest.raises(ValueError) as exc:
+            load_weights_csv(p)
+        assert str(exc.value) == f"{p}: line 4: weight {cell!r} must be finite and positive"
 
     def test_duplicate_pair_rejected(self, tmp_path):
         p = tmp_path / "w.csv"

@@ -1,5 +1,6 @@
+import ast
 import sys
-from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,25 +472,22 @@ class TestRangeCulling:
 
     def test_streamed_passes_equal_dense_schemes(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
+        env_grid = env.reshape(cfg.grid.shape)
         pw_bsa, pw_idw = (
-            settlement_pixel_weights(st, specs, env, rows, rx_height_m=cfg.rx_height_m,
-                                     dead_threshold_dbm=cfg.dead_threshold_dbm)
-            for rows in (weights_bsa, partial(weights_idw, s=cfg.idw_s, k=cfg.idw_k))
+            settlement_pixel_weights(st, specs, env_grid, rx_height_m=cfg.rx_height_m,
+                                     dead_threshold_dbm=cfg.dead_threshold_dbm, idw=idw)
+            for idw in (None, (cfg.idw_s, cfg.idw_k))
         )
         assert sum(evaluated) < oracle.size / 4
         dense = RssField(st.ids, [s.bts_id for s in specs], oracle, cfg.dead_threshold_dbm)
-        want_bsa = weights_bsa(dense)
-        want_idw = weights_idw(dense, s=cfg.idw_s, k=cfg.idw_k)
-        for got, want in ((pw_bsa, want_bsa), (pw_idw, want_idw)):
-            assert got.bts_ids == want.bts_ids
-            for name in ("pixel_ids", "indptr", "col", "w"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        _assert_same_rows(pw_bsa, weights_bsa(dense))
+        _assert_same_rows(pw_idw, weights_idw(dense, s=cfg.idw_s, k=cfg.idw_k))
         sel = np.full(len(st), -1)
         sel[pw_bsa.covered] = pw_bsa.col
         assert np.any(sel >= 0) and np.any(sel < 0)
         # all pixels are settled in pixel-id order, so the grid pass must agree
-        grid = best_server_grid(cfg.grid, specs, env.reshape(cfg.grid.shape),
-                                cfg.rx_height_m, cfg.dead_threshold_dbm)
+        grid = best_server_grid(cfg.grid, specs, env_grid, cfg.rx_height_m,
+                                cfg.dead_threshold_dbm)
         np.testing.assert_array_equal(grid.labels.ravel(), sel)
 
     def test_tiled_pass_equals_dense_oracle(self, layout, monkeypatch):
@@ -503,26 +501,29 @@ class TestRangeCulling:
         tile = 9  # does not divide the 200-pixel grid
         monkeypatch.setattr(simulation, "_TILE", tile)
         got_labels, got_pw, calls = _tiled_run(cfg, specs, env, st, cfg.idw_s, cfg.idw_k)
-        assert 0 < calls < -(-cfg.ncols // tile) * -(-cfg.nrows // tile)  # some tiles skipped
+        assert 0 < len(calls) < -(-cfg.ncols // tile) * -(-cfg.nrows // tile)  # some skipped
         want_labels = _dense_labels(oracle, cfg.dead_threshold_dbm)
         np.testing.assert_array_equal(got_labels, want_labels)
         assert np.any(want_labels == 7) and np.any(want_labels < 0)
         assert not np.any(want_labels == 8)  # the twin never wins a tie
-        _assert_same_rows(got_pw, cfg, specs, st, env, cfg.idw_s, cfg.idw_k)
+        dense = RssField(st.ids, [s.bts_id for s in specs], oracle, cfg.dead_threshold_dbm)
+        _assert_same_rows(got_pw, weights_idw(dense, s=cfg.idw_s, k=cfg.idw_k))
         assert np.count_nonzero(got_pw.col == 8) > 0  # the twin shares idw rows
 
 
 def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
-    """At country scale (1,500 sites) a chunk of the settlement pass holds
-    at most `_RSS_ENTRIES` links, and chunking changes no row."""
+    """At country scale (1,500 sites) every `rss_field` call of the grid
+    pass and of the settlement pass holds at most `_RSS_ENTRIES` links,
+    and lifting the cap changes no byte."""
     cfg = SimConfig(ncols=60, nrows=60, block_px=60, mask_rect=None)
     rng = np.random.default_rng(4)
     x, y = rng.uniform(-3e4, 3.6e4, (2, 1500))
     specs = [AntennaSpec(f"s{j:04d}", float(x[j]), float(y[j]), float(rng.choice([10.0, 30.0])),
                          900.0, float(rng.choice([30.0, 47.0])))
              for j in range(1500)]
-    settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
-    env = rng.integers(0, 3, len(settlements)).astype(np.uint8)
+    settled = rng.integers(0, 2, cfg.grid.shape).astype(float)
+    settlements = extract_settlements(SettlementRaster(cfg.grid, settled))
+    env = rng.integers(0, 3, cfg.grid.shape).astype(np.uint8)
     sizes = []
     kernel = simulation.rss_field
 
@@ -531,19 +532,40 @@ def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
         sizes.append(field.rss_dbm.size)
         return field
 
+    def both_passes():
+        sizes.clear()
+        grid = best_server_grid(cfg.grid, specs, env, cfg.rx_height_m, cfg.dead_threshold_dbm)
+        grid_sizes = list(sizes)
+        pw = settlement_pixel_weights(settlements, specs, env, rx_height_m=cfg.rx_height_m,
+                                      dead_threshold_dbm=cfg.dead_threshold_dbm,
+                                      idw=(cfg.idw_s, cfg.idw_k))
+        return grid, pw, grid_sizes, sizes[len(grid_sizes):]
+
     monkeypatch.setattr(simulation, "rss_field", recording)
-    rows = partial(weights_idw, s=cfg.idw_s, k=cfg.idw_k)
-    bounded = settlement_pixel_weights(settlements, specs, env, rows, rx_height_m=cfg.rx_height_m,
-                                       dead_threshold_dbm=cfg.dead_threshold_dbm)
-    assert len(sizes) > 1 and max(sizes) <= simulation._RSS_ENTRIES
+    grid, bounded, grid_sizes, settled_sizes = both_passes()
+    for part in (grid_sizes, settled_sizes):
+        assert len(part) > 1 and max(part) <= simulation._RSS_ENTRIES
     assert bounded.covered.any()
-    assert sum(sizes) == len(settlements) * len(specs)
-    monkeypatch.setattr(simulation, "_RSS_ENTRIES", len(settlements) * len(specs))
-    whole = settlement_pixel_weights(settlements, specs, env, rows, rx_height_m=cfg.rx_height_m,
-                                     dead_threshold_dbm=cfg.dead_threshold_dbm)
-    assert len(sizes) == 7  # six bounded chunks, then one
+    # the one 60 x 60 tile, whole
+    monkeypatch.setattr(simulation, "_RSS_ENTRIES", cfg.grid.npixels * len(specs))
+    grid_whole, whole, grid_sizes, settled_sizes = both_passes()
+    assert len(grid_sizes) == len(settled_sizes) == 1
+    assert grid.labels.tobytes() == grid_whole.labels.tobytes()
     for name in ("pixel_ids", "indptr", "col", "w"):
         assert getattr(bounded, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+@pytest.mark.parametrize("idw, match", [((-1.0, 5), "exponent s"), ((2.0, 0), "k must be")])
+def test_idw_parameters_checked_when_no_site_reaches(idw, match):
+    """A walk that sends no link to the kernel still rejects bad idw
+    parameters, as one that does."""
+    cfg = tiny_config()
+    settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+    far = [AntennaSpec("far", 9e5, 9e5, 10.0, 900.0, 20.0)]
+    with pytest.raises(ValueError, match=match):
+        settlement_pixel_weights(settlements, far, np.zeros(cfg.grid.shape, np.uint8),
+                                 rx_height_m=cfg.rx_height_m,
+                                 dead_threshold_dbm=cfg.dead_threshold_dbm, idw=idw)
 
 
 def _dense_labels(levels: np.ndarray, dead_threshold_dbm: float) -> np.ndarray:
@@ -553,27 +575,25 @@ def _dense_labels(levels: np.ndarray, dead_threshold_dbm: float) -> np.ndarray:
     return want
 
 
-def _tiled_run(cfg, specs, env, settlements, s, k):
-    """The tiled pass's flat labels and idw rows, and its rss_field call count."""
+def _tiled_run(cfg, specs, env, settlements, s, k, settled_only=False):
+    """The tiled pass's flat labels and idw rows, and the (pixels, sites)
+    of its every rss_field call."""
     calls = []
     kernel = simulation.rss_field
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def recording(specs, pixel_ids, *args, **kwargs):
+        calls.append((np.size(pixel_ids), len(specs)))
+        return kernel(specs, pixel_ids, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "rss_field", counting)
+        mp.setattr(simulation, "rss_field", recording)
         assign, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
-                                            cfg.rx_height_m, cfg.dead_threshold_dbm,
-                                            idw=(settlements, s, k))
-    return assign.labels.ravel(), pw, len(calls)
+                                            cfg.rx_height_m, cfg.dead_threshold_dbm, settlements,
+                                            settled_only=settled_only, idw=(s, k))
+    return assign.labels.ravel(), pw, calls
 
 
-def _assert_same_rows(got, cfg, specs, settlements, env_flat, s, k):
-    want = settlement_pixel_weights(
-        settlements, specs, env_flat[settlements.ids], partial(weights_idw, s=s, k=k),
-        rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+def _assert_same_rows(got, want):
     assert got.scheme == want.scheme and got.bts_ids == want.bts_ids
     assert got.params == want.params
     for name in ("pixel_ids", "indptr", "col", "w"):
@@ -585,8 +605,8 @@ def _assert_same_rows(got, cfg, specs, settlements, env_flat, s, k):
 def _tiled_layout(draw):
     """A small grid, sites on a half-cell lattice with a few technical
     choices, some of them twins of the site before (so levels tie
-    exactly), random env and settlements, and a tile edge that need not
-    divide the grid."""
+    exactly), random env and settlements, a tile edge that need not
+    divide the grid and a small link cap per `rss_field` call."""
     ncols, nrows = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     cell = draw(st.sampled_from([50.0, 400.0, 1500.0]))
     cfg = SimConfig(ncols=ncols, nrows=nrows, cell_size_m=cell, block_px=1, urban_split=1,
@@ -608,14 +628,15 @@ def _tiled_layout(draw):
     settled[draw(st.integers(0, npx - 1))] = True
     raster = SettlementRaster(cfg.grid, settled.reshape(cfg.grid.shape).astype(float))
     return (cfg, specs, env, extract_settlements(raster), draw(st.integers(1, 9)),
-            draw(st.sampled_from([0.0, 1.0, 2.5])), draw(st.integers(1, 4)))
+            draw(st.integers(1, 40)), draw(st.sampled_from([0.0, 1.0, 2.5])),
+            draw(st.integers(1, 4)))
 
 
 class TestTiledPass:
     @settings(max_examples=150, deadline=None)
     @given(layout=_tiled_layout())
     def test_equals_dense_oracle_and_settlement_pass(self, layout):
-        cfg, specs, env, settlements, tile, s, k = layout
+        cfg, specs, env, settlements, tile, entries, s, k = layout
         x, y = cfg.grid.pixel_centers()
         levels = np.column_stack([
             sp.power_dbm - extended_hata_db(sp.freq_mhz, np.hypot(x - sp.x, y - sp.y) / 1000.0,
@@ -623,11 +644,42 @@ class TestTiledPass:
                                             clamp_distance=True)
             for sp in specs
         ])
+        labels = _dense_labels(levels, cfg.dead_threshold_dbm)
+        dense = RssField(settlements.ids, [sp.bts_id for sp in specs],
+                         levels[settlements.ids], cfg.dead_threshold_dbm)
+        want_idw = weights_idw(dense, s=s, k=k)
+        only = np.full(labels.size, -1)
+        only[settlements.ids] = labels[settlements.ids]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_TILE", tile)
-            labels, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k)
-        np.testing.assert_array_equal(labels, _dense_labels(levels, cfg.dead_threshold_dbm))
-        _assert_same_rows(pw, cfg, specs, settlements, env, s, k)
+            mp.setattr(simulation, "_RSS_ENTRIES", entries)
+            for settled_only, want in ((False, labels), (True, only)):
+                got, pw, calls = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
+                np.testing.assert_array_equal(got, want)
+                _assert_same_rows(pw, want_idw)
+                assert all(n * m <= max(entries, m) for n, m in calls)
+            bsa = settlement_pixel_weights(settlements, specs, env.reshape(cfg.grid.shape),
+                                           rx_height_m=cfg.rx_height_m,
+                                           dead_threshold_dbm=cfg.dead_threshold_dbm)
+        _assert_same_rows(bsa, weights_bsa(dense))
+
+
+def test_only_the_walker_calls_the_kernels():
+    """`rss_field` has one caller, the tiled walker, and the loss model one,
+    the per-link level expression: no second link path in the package."""
+    callers: dict[str, set[str]] = {"rss_field": set(), "extended_hata_db": set()}
+    for path in sorted(Path(simulation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{fn.name}")
+    assert callers == {"rss_field": {"simulation._tiled_pass"},
+                       "extended_hata_db": {"propagation._levels_dbm"}}
 
 
 def test_p2p_credit_matches_row_lookup_loop():
