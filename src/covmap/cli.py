@@ -271,7 +271,7 @@ def cmd_weights(args) -> int:
             settlements, sorted(specs, key=lambda sp: sp.bts_id), env2d,
             rx_height_m=1.0, dead_threshold_dbm=args.threshold, idw=idw,
         )
-        wm = area_weights_from_pixels(pw, settlements, areas)
+        wm = area_weights_from_pixels(pw, areas, grid)
 
     key = args.scheme.replace("-", "_")
     summary = (

@@ -434,29 +434,3 @@ class StatAreaSet:
         out[ok] = labels[r[ok], c[ok]]
         return out
 
-
-def zonal_count(assignment: Assignment, areas: StatAreaSet, weights=None):
-    """Count pixels (optionally weighted) per (area, label) combination.
-
-    Returns {(area_id, label): count} over labels >= 0; unlabelled pixels
-    and pixels outside every area contribute nothing.
-    """
-    labels = assignment.labels
-    area_labels = areas.labels(assignment.grid)
-    if weights is None:
-        w = np.ones(labels.shape, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != labels.shape:
-            raise ValueError("weights shape does not match assignment")
-
-    keep = (labels >= 0) & (area_labels >= 0)
-    if not np.any(keep):
-        return {}
-    nlab = int(labels[keep].max()) + 1
-    combo = area_labels[keep].astype(np.int64) * nlab + labels[keep]
-    sums = np.bincount(combo, weights=w[keep], minlength=len(areas) * nlab)
-    out = {}
-    for flat in np.nonzero(sums)[0]:
-        out[(areas.area_ids[flat // nlab], int(flat % nlab))] = float(sums[flat])
-    return out

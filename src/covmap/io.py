@@ -400,7 +400,8 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
             raise _err(path, lineno, f"duplicate entry for ({aid!r}, {bid!r})")
         data.setdefault(aid, {})[bid] = w
     universe = list(area_ids) if area_ids is not None else sorted(data)
-    missing = [a for a in data if a not in set(universe)]
+    known = set(universe)
+    missing = [a for a in data if a not in known]
     if missing:
         raise _err(path, None, f"weights reference unknown area ids {sorted(missing)}")
     try:
@@ -423,6 +424,8 @@ def metrics_csv_string(records: list[tuple]) -> str:
 
 
 def load_metrics_csv(path) -> list[tuple]:
+    """Read `rounds.csv`; an empty value cell is undefined (NaN), the
+    only way to write one, so a non-finite number is an error."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or ",".join(h.strip() for h in rows[0]) != METRICS_HEADER:
@@ -433,11 +436,14 @@ def load_metrics_csv(path) -> list[tuple]:
             continue
         if len(row) != 5:
             raise _err(path, lineno, f"expected 5 fields, got {len(row)}")
+        cell = row[4].strip()
         try:
             rnd = int(row[0])
-            value = float("nan") if row[4].strip() == "" else float(row[4])
+            value = float(cell) if cell else float("nan")
         except ValueError:
             raise _err(path, lineno, f"malformed row {row!r}") from None
+        if cell and not np.isfinite(value):
+            raise _err(path, lineno, f"non-finite value {cell!r}")
         records.append((rnd, row[1], row[2], row[3], value))
     return records
 

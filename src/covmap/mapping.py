@@ -11,13 +11,17 @@ build W from increasingly informative inputs:
 - idw:          per-settlement-pixel inverse-signal weights over the
                 k strongest live links
 
-bsa/idw first produce per-pixel weights, which `area_weights_from_pixels`
-then averages over each area's covered settlement pixels.  The selectors
-`bsa_select_chunk` and `idw_rows_chunk` work on one block of a
-received-signal field; the tiled link walker in `simulation` runs them
-block by block and builds the rows with `bsa_pixel_weights` (from the
-serving labels) and `idw_pixel_weights`.  `weights_bsa` and `weights_idw`
-build the same rows from one dense field.
+Every scheme but p2p first gives per-pixel rows, which one reducer,
+`area_weights_from_pixels`, averages over each area's covered pixels.
+Voronoi, aug_voronoi and bsa give one-hot rows from a map of serving
+sites (`bsa_pixel_weights`): the nearest-site map at every pixel or at
+the settlement pixels, and the strongest-signal map at the settlement
+pixels.  The selectors `bsa_select_chunk` and `idw_rows_chunk` work on
+one block of a received-signal field; the tiled link walker in
+`simulation` runs them block by block and builds the rows with
+`bsa_pixel_weights` (from the serving labels) and `idw_pixel_weights`.
+`weights_bsa` and `weights_idw` build the same rows from one dense
+field.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import UNASSIGNED, Assignment, Grid, Settlements, StatAreaSet, zonal_count
+from .geo import UNASSIGNED, Assignment, Grid, Settlements, StatAreaSet
 from .propagation import ENV_SUBURBAN, AntennaSpec, RssField, env_code
 
 ROW_SUM_TOL = 1e-9
@@ -49,9 +53,9 @@ class WeightMatrix:
     dropped_bts: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        known = set(self.area_ids)
+        self._known = set(self.area_ids)
         for aid, row in self.rows.items():
-            if aid not in known:
+            if aid not in self._known:
                 raise ValueError(f"weight row for unknown area {aid!r}")
             if not row:
                 raise ValueError(f"area {aid!r}: empty weight row; omit the area instead")
@@ -70,7 +74,7 @@ class WeightMatrix:
         return [a for a in self.area_ids if a not in self.rows]
 
     def row(self, area_id: str) -> dict[str, float] | None:
-        if area_id not in set(self.area_ids):
+        if area_id not in self._known:
             raise KeyError(f"unknown area {area_id!r}")
         return self.rows.get(area_id)
 
@@ -85,7 +89,7 @@ class WeightMatrix:
 
 @dataclass
 class PixelWeights:
-    """Per-settlement-pixel BTS weights in CSR layout.
+    """Per-pixel BTS weights in CSR layout.
 
     Row i covers `col[indptr[i]:indptr[i+1]]` with matching `w` entries;
     an empty row marks an uncovered pixel.
@@ -97,7 +101,6 @@ class PixelWeights:
     indptr: np.ndarray
     col: np.ndarray
     w: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.pixel_ids = np.asarray(self.pixel_ids, dtype=np.int64)
@@ -179,21 +182,13 @@ def weights_p2p(bts_points, areas: StatAreaSet, grid: Grid | None = None) -> Wei
     return WeightMatrix(SCHEME_P2P, list(areas.area_ids), rows, dropped_bts=dropped)
 
 
-def _tile_share_rows(table: dict, bts_ids: list[str]) -> dict[str, dict[str, float]]:
-    """Rows of per-area tile shares from a zonal (area_id, label) count table."""
-    area_pixels: dict[str, float] = {}
-    for (aid, _), cnt in table.items():
-        area_pixels[aid] = area_pixels.get(aid, 0.0) + cnt
-    rows: dict[str, dict[str, float]] = {}
-    for (aid, lab), cnt in table.items():
-        rows.setdefault(aid, {})[bts_ids[lab]] = cnt / area_pixels[aid]
-    return rows
-
-
 def weights_voronoi(assignment: Assignment, areas: StatAreaSet) -> WeightMatrix:
-    """Per-area share of pixels falling in each site's nearest-site tile."""
-    rows = _tile_share_rows(zonal_count(assignment, areas), assignment.bts_ids)
-    return WeightMatrix(SCHEME_VORONOI, list(areas.area_ids), rows)
+    """Per-area share of pixels falling in each site's nearest-site tile:
+    the one-hot rows of the map's labels at every pixel."""
+    grid = assignment.grid
+    pw = bsa_pixel_weights(np.arange(grid.npixels), assignment.bts_ids,
+                           assignment.labels.reshape(-1), SCHEME_VORONOI)
+    return area_weights_from_pixels(pw, areas, grid)
 
 
 def weights_aug_voronoi(
@@ -203,11 +198,10 @@ def weights_aug_voronoi(
 
     Areas without a settlement pixel get no coverage.
     """
-    settled = np.zeros(assignment.grid.shape, dtype=np.float64)
-    settled[settlements.rows, settlements.cols] = 1.0
-    table = zonal_count(assignment, areas, weights=settled)
-    rows = _tile_share_rows(table, assignment.bts_ids)
-    return WeightMatrix(SCHEME_AUG_VORONOI, list(areas.area_ids), rows)
+    pw = bsa_pixel_weights(settlements.ids, assignment.bts_ids,
+                           assignment.labels[settlements.rows, settlements.cols],
+                           SCHEME_AUG_VORONOI)
+    return area_weights_from_pixels(pw, areas, assignment.grid)
 
 
 # --- signal-based schemes ----------------------------------------------------
@@ -259,21 +253,16 @@ def idw_rows_chunk(
     return counts, cols[reorder], w[reorder]
 
 
-def _settlement_area_index(settlements: Settlements, areas: StatAreaSet) -> np.ndarray:
-    labels = areas.labels(settlements.grid)
-    return labels[settlements.rows, settlements.cols].astype(np.int64)
+def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -> WeightMatrix:
+    """Average per-pixel weights over each area's covered pixels.
 
-
-def area_weights_from_pixels(
-    pw: PixelWeights, settlements: Settlements, areas: StatAreaSet
-) -> WeightMatrix:
-    """Average per-pixel weights over each area's covered settlement pixels.
-
-    Areas without a covered settlement pixel get no coverage.
+    Each row's area is the one holding its pixel id on `grid`; pixels
+    outside every area count nowhere.  Areas without a covered pixel get
+    no coverage.
     """
-    if pw.pixel_ids.size != len(settlements) or not np.array_equal(pw.pixel_ids, settlements.ids):
-        raise ValueError("pixel weights and settlements are not aligned")
-    area_of = _settlement_area_index(settlements, areas)
+    if pw.pixel_ids.size and (pw.pixel_ids.min() < 0 or pw.pixel_ids.max() >= grid.npixels):
+        raise ValueError(f"pixel ids outside the {grid.nrows}x{grid.ncols} grid")
+    area_of = areas.labels(grid).reshape(-1)[pw.pixel_ids].astype(np.int64)
     denom = np.bincount(area_of[pw.covered & (area_of >= 0)], minlength=len(areas))
 
     entry_area = np.repeat(area_of, pw.row_lengths())
@@ -283,55 +272,51 @@ def area_weights_from_pixels(
     sums = np.bincount(combo, weights=pw.w[keep], minlength=len(areas) * nbts)
 
     # every nonzero sum comes from a covered pixel, so its area's denom is >= 1
+    area_ids = areas.area_ids  # a new list per access
     rows: dict[str, dict[str, float]] = {}
     for flat in np.nonzero(sums)[0]:
         aidx, bidx = divmod(int(flat), nbts)
-        rows.setdefault(areas.area_ids[aidx], {})[pw.bts_ids[bidx]] = sums[flat] / denom[aidx]
-    return WeightMatrix(pw.scheme, list(areas.area_ids), rows)
+        rows.setdefault(area_ids[aidx], {})[pw.bts_ids[bidx]] = sums[flat] / denom[aidx]
+    return WeightMatrix(pw.scheme, area_ids, rows)
 
 
-def _pixel_rows(scheme: str, pixel_ids, bts_ids, dead_threshold_dbm: float, counts, col, w,
-                **params) -> PixelWeights:
+def _pixel_rows(scheme: str, pixel_ids, bts_ids, counts, col, w) -> PixelWeights:
     ids = list(bts_ids)
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("rss columns must ascend by bts_id, without duplicates")
-    params["dead_threshold_dbm"] = dead_threshold_dbm
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return PixelWeights(scheme, pixel_ids, ids, indptr, col, w, params)
+    return PixelWeights(scheme, pixel_ids, ids, indptr, col, w)
 
 
-def bsa_pixel_weights(pixel_ids, bts_ids, sel, dead_threshold_dbm: float) -> PixelWeights:
-    """Best-server rows from each pixel's serving column (-1 = none): a
+def bsa_pixel_weights(pixel_ids, bts_ids, sel, scheme: str = SCHEME_BSA) -> PixelWeights:
+    """One-hot rows from each pixel's serving column (-1 = none): a
     covered pixel belongs wholly to its server.  Columns must ascend by
-    bts_id, as `best_server_grid` labels and `bsa_select_chunk` give them."""
+    bts_id, as `best_server_grid`, `voronoi_assign` and `bsa_select_chunk`
+    give them."""
     sel = np.asarray(sel, dtype=np.int64)
     covered = sel >= 0
-    return _pixel_rows(SCHEME_BSA, pixel_ids, bts_ids, dead_threshold_dbm,
-                       covered.astype(np.int64), sel[covered], np.ones(int(covered.sum())))
+    return _pixel_rows(scheme, pixel_ids, bts_ids, covered.astype(np.int64), sel[covered],
+                       np.ones(int(covered.sum())))
 
 
 def weights_bsa(rss: RssField) -> PixelWeights:
     """Best-server assignment: each covered pixel belongs wholly to its
     strongest live link.  Columns must ascend by bts_id."""
-    return bsa_pixel_weights(rss.pixel_ids, rss.bts_ids, bsa_select_chunk(rss.rss_dbm, rss.live),
-                             rss.dead_threshold_dbm)
+    return bsa_pixel_weights(rss.pixel_ids, rss.bts_ids, bsa_select_chunk(rss.rss_dbm, rss.live))
 
 
-def idw_pixel_weights(pixel_ids, bts_ids, dead_threshold_dbm: float, counts, col, w,
-                      s: float, k: int) -> PixelWeights:
+def idw_pixel_weights(pixel_ids, bts_ids, counts, col, w, s: float, k: int) -> PixelWeights:
     """Idw rows from `idw_rows_chunk`'s (counts, col, w), with the columns
     given as indices into `bts_ids`, which must ascend."""
     _check_idw(s, k)
-    return _pixel_rows(SCHEME_IDW, pixel_ids, bts_ids, dead_threshold_dbm, counts, col, w,
-                       s=float(s), k=int(k))
+    return _pixel_rows(SCHEME_IDW, pixel_ids, bts_ids, counts, col, w)
 
 
 def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
     """Inverse-signal-strength weights over the k strongest live links.
     Columns must ascend by bts_id."""
     counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
-    return idw_pixel_weights(rss.pixel_ids, rss.bts_ids, rss.dead_threshold_dbm,
-                             counts, col, w, s, k)
+    return idw_pixel_weights(rss.pixel_ids, rss.bts_ids, counts, col, w, s, k)
 
 
 # --- aggregation -------------------------------------------------------------

@@ -687,7 +687,7 @@ def _tiled_pass(
     col = np.concatenate(col)[order]
     w = np.concatenate(w)[order]
     del order
-    pw = idw_pixel_weights(settlements.ids, ids, dead_threshold_dbm, counts, col, w, idw_s, idw_k)
+    pw = idw_pixel_weights(settlements.ids, ids, counts, col, w, idw_s, idw_k)
     return assignment, pw
 
 
@@ -749,8 +749,7 @@ def settlement_pixel_weights(
     if pw is not None:
         return pw
     return bsa_pixel_weights(settlements.ids, assignment.bts_ids,
-                             assignment.labels[settlements.rows, settlements.cols],
-                             dead_threshold_dbm)
+                             assignment.labels[settlements.rows, settlements.cols])
 
 
 # --- metrics -----------------------------------------------------------------
@@ -1047,10 +1046,9 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     naive_sel = naive_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
     # the grid pass ran bsa's selection over the same links at every
     # settlement pixel, so its labels there are the bsa rows
-    pw_bsa = bsa_pixel_weights(settlements.ids, naive_assign.bts_ids, naive_sel,
-                               cfg.dead_threshold_dbm)
-    wm_bsa = area_weights_from_pixels(pw_bsa, settlements, areas)
-    wm_idw = area_weights_from_pixels(pw_idw, settlements, areas)
+    pw_bsa = bsa_pixel_weights(settlements.ids, naive_assign.bts_ids, naive_sel)
+    wm_bsa = area_weights_from_pixels(pw_bsa, areas, grid)
+    wm_idw = area_weights_from_pixels(pw_idw, areas, grid)
 
     estimates: dict[str, dict[str, float | None]] = {
         "benchmark": _benchmark_estimates(world),

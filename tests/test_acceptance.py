@@ -167,8 +167,8 @@ def test_criterion_5_weight_matrix_properties():
         wm_p2p = weights_p2p(points, areas, grid)
         wm_vor = weights_voronoi(assign, areas)
         wm_aug = weights_aug_voronoi(assign, settlements, areas)
-        wm_bsa = area_weights_from_pixels(weights_bsa(field), settlements, areas)
-        wm_idw = area_weights_from_pixels(weights_idw(field, s=2.0, k=5), settlements, areas)
+        wm_bsa = area_weights_from_pixels(weights_bsa(field), areas, grid)
+        wm_idw = area_weights_from_pixels(weights_idw(field, s=2.0, k=5), areas, grid)
 
         for wm in (wm_p2p, wm_vor, wm_aug, wm_bsa, wm_idw):
             for aid, row in wm.rows.items():

@@ -473,6 +473,16 @@ class TestReport:
         corr = (tmp_path / "r" / "correlation_table.txt").read_text()
         assert "rho_urban" in corr and "benchmark" in corr
 
+    def test_non_finite_value_names_line(self, study, tmp_path, capsys):
+        lines = (study / "rounds.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+        (tmp_path / "rounds.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--study", str(tmp_path), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'rounds.csv'}: line 4: non-finite value 'inf'" in err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_rounds_csv(self, tmp_path, capsys):
         rc = main(["report", "--study", str(tmp_path), "--out", str(tmp_path / "r")])
         assert rc == 1

@@ -18,7 +18,6 @@ from covmap.geo import (
     nearest_two,
     polygon_to_mask,
     voronoi_assign,
-    zonal_count,
 )
 
 
@@ -305,34 +304,3 @@ class TestStatAreaSet:
         by_poly = StatAreaSet.from_polygons([("p", [ring, hole])]).area_km2()
         assert_allclose(by_poly["p"], (500 * 200 - 100 * 100) / 1e6)
 
-
-class TestZonalCount:
-    def test_hand_example(self):
-        g = Grid(ncols=4, nrows=1, cell_size_m=10.0)
-        labels = np.array([[0, 0, 1, UNASSIGNED]], dtype=np.int32)
-        a = Assignment(g, ["p", "q"], labels)
-        west = np.array([[True, True, False, False]])
-        east = np.array([[False, False, True, True]])
-        areas = StatAreaSet.from_masks(g, [("w", west), ("e", east)])
-        table = zonal_count(a, areas)
-        assert table == {("w", 0): 2.0, ("e", 1): 1.0}
-
-    def test_conservation(self):
-        rng = np.random.default_rng(19)
-        g = Grid(ncols=12, nrows=9, cell_size_m=10.0)
-        labels = rng.integers(-1, 4, size=(9, 12)).astype(np.int32)
-        half = np.zeros((9, 12), dtype=bool)
-        half[:, :6] = True
-        areas = StatAreaSet.from_masks(g, [("l", half), ("r", ~half)])
-        table = zonal_count(Assignment(g, ["a", "b", "c", "d"], labels), areas)
-        assert sum(table.values()) == np.count_nonzero(labels >= 0)
-        for (aid, lab), cnt in table.items():
-            m = half if aid == "l" else ~half
-            assert cnt == np.count_nonzero((labels == lab) & m)
-
-    def test_weighted(self):
-        g = Grid(ncols=3, nrows=1, cell_size_m=10.0)
-        a = Assignment(g, ["p", "q"], np.array([[0, 0, 1]]))
-        areas = StatAreaSet.from_masks(g, [("all", np.ones((1, 3), dtype=bool))])
-        w = np.array([[2.0, 3.0, 10.0]])
-        assert zonal_count(a, areas, weights=w) == {("all", 0): 5.0, ("all", 1): 10.0}

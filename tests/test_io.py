@@ -371,6 +371,15 @@ class TestWeightsCsv:
         assert back.entries() == self.WM.entries()
         assert back.no_coverage_ids == ["C"]
         assert weights_csv_string(back) == p.read_text()
+        # a commune-scale file: the area lookups must not grow with the
+        # universe, or 20,000 areas take half a minute instead of a second
+        ids = [f"A{i:05d}" for i in range(20000)]
+        big = WeightMatrix("voronoi", ids + ["Z"], {a: {"b1": 0.75, "b2": 0.25} for a in ids})
+        p.write_text(weights_csv_string(big))
+        back = load_weights_csv(p, area_ids=ids + ["Z"], scheme="voronoi")
+        assert back.entries() == big.entries()
+        assert back.no_coverage_ids == ["Z"] and back.row("Z") is None
+        assert all(back.row(a) == big.rows[a] for a in ids)
 
     def test_universe_defaults_to_covered(self, tmp_path):
         p = tmp_path / "w.csv"
@@ -420,6 +429,16 @@ class TestStudyTables:
         assert back[2] == self.RECORDS[2]
         assert back[1][:4] == self.RECORDS[1][:4] and np.isnan(back[1][4])
         assert metrics_csv_string(back) == metrics_csv_string(self.RECORDS)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_metrics_non_finite_names_file_and_line(self, tmp_path, cell):
+        # the empty cell is the one spelling of an undefined value
+        p = tmp_path / "rounds.csv"
+        p.write_text("round,scheme,metric,env_class,value\n"
+                     f"0,voronoi,rho,total,0.5\n0,voronoi,rho,urban,{cell}\n")
+        with pytest.raises(ValueError) as exc:
+            load_metrics_csv(p)
+        assert str(exc.value) == f"{p}: line 3: non-finite value {cell!r}"
 
     def test_metrics_nan_serialized_empty(self):
         s = metrics_csv_string(self.RECORDS)

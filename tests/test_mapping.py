@@ -4,6 +4,8 @@ Expected values are hand arithmetic or brute-force loop oracles built
 independently of the vectorised implementations.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from covmap.geo import (
+    UNASSIGNED,
+    Assignment,
     Grid,
     SettlementRaster,
     StatAreaSet,
@@ -166,7 +170,7 @@ class TestBsa:
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -60.0], [-120.0, -80.0]])
         pw = weights_bsa(field)
-        wm = area_weights_from_pixels(pw, settlements, areas)
+        wm = area_weights_from_pixels(pw, areas, g)
         assert pw.row(0) == {"b1": 1.0}
         assert pw.row(1) == {"b2": 1.0}  # b1 is dead at pixel 1
         assert wm.rows["a"] == {"b1": 0.5, "b2": 0.5}
@@ -177,7 +181,7 @@ class TestBsa:
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -60.0], [-120.0, -115.0]])
         pw = weights_bsa(field)
-        wm = area_weights_from_pixels(pw, settlements, areas)
+        wm = area_weights_from_pixels(pw, areas, g)
         assert not pw.covered[1]
         assert wm.rows["a"] == {"b1": 1.0}
 
@@ -193,7 +197,7 @@ class TestBsa:
         left = np.array([[True, False]])
         areas = StatAreaSet.from_masks(g, [("l", left), ("r", ~left)])
         field = make_field(settlements.ids, ["b1"], [[-60.0], [-130.0]])
-        wm = area_weights_from_pixels(weights_bsa(field), settlements, areas)
+        wm = area_weights_from_pixels(weights_bsa(field), areas, g)
         assert wm.rows["l"] == {"b1": 1.0}
         assert wm.no_coverage_ids == ["r"]
 
@@ -208,7 +212,7 @@ class TestBsa:
         rss = rng.uniform(-130.0, -50.0, size=(len(settlements), 3))
         field = make_field(settlements.ids, ids, rss)
         pw = weights_bsa(field)
-        wm = area_weights_from_pixels(pw, settlements, areas)
+        wm = area_weights_from_pixels(pw, areas, g)
         raw = {}
         for i in range(len(settlements)):
             best, best_v = None, -np.inf
@@ -313,12 +317,75 @@ class TestIdw:
                 build(field)
 
     def test_misaligned_field_rejected(self):
-        counts = np.array([[1, 1]])
-        g, settlements = strip_settlements(counts)
+        # the reducer finds each row's area from its pixel id, so an id
+        # off the grid is an error, not a wrapped or clipped lookup
+        g = Grid(ncols=2, nrows=1, cell_size_m=100.0)
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 2), dtype=bool))])
-        field = make_field([5, 9], ["b1"], [[-50.0], [-60.0]])
-        with pytest.raises(ValueError, match="aligned"):
-            area_weights_from_pixels(weights_idw(field), settlements, areas)
+        for ids in ([0, 2], [-1, 1], [5, 9]):
+            field = make_field(ids, ["b1"], [[-50.0], [-60.0]])
+            with pytest.raises(ValueError, match="outside the 1x2 grid"):
+                area_weights_from_pixels(weights_idw(field), areas, g)
+
+
+@st.composite
+def _labelled_world(draw):
+    """A random label map (with unassigned pixels) over up to four sites,
+    settlement counts and up to three disjoint areas, as masks or as
+    rectangles, leaving some pixels outside every area.  Also returns the
+    owner area of each pixel (-1 outside), taken from the areas' own
+    definitions rather than from their rasterisation."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    nbts = draw(st.integers(1, 4))
+    labels = draw(hnp.arrays(np.int32, (nrows, ncols), elements=st.integers(UNASSIGNED, nbts - 1)))
+    counts = draw(hnp.arrays(np.int64, (nrows, ncols), elements=st.integers(0, 2)))
+    grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=10.0)
+    assignment = Assignment(grid, ["a", "b", "c", "d"][:nbts], labels)
+    nareas = draw(st.integers(1, 3))
+    ids = [f"A{k}" for k in range(nareas)]
+    if draw(st.booleans()):
+        owner = draw(hnp.arrays(np.int64, (nrows, ncols), elements=st.integers(-1, nareas - 1)))
+        areas = StatAreaSet.from_masks(grid, [(a, owner == k) for k, a in enumerate(ids)])
+        return assignment, counts, owner, areas
+    # area k is a rectangle over the column band cuts[k]:cuts[k+1] and
+    # the rows r0:r1; its edges lie on pixel edges, so no centre is on one
+    cuts = sorted(draw(st.lists(st.integers(0, ncols), min_size=nareas + 1, max_size=nareas + 1)))
+    owner = np.full((nrows, ncols), -1)
+    pairs = []
+    for k, aid in enumerate(ids):
+        r0, r1 = sorted(draw(st.lists(st.integers(0, nrows), min_size=2, max_size=2)))
+        owner[r0:r1, cuts[k]:cuts[k + 1]] = k
+        x0, x1 = cuts[k] * 10.0, cuts[k + 1] * 10.0
+        y0, y1 = (nrows - r1) * 10.0, (nrows - r0) * 10.0
+        pairs.append((aid, [np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])]))
+    return assignment, counts, owner, StatAreaSet.from_polygons(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=_labelled_world())
+def test_voronoi_pair_matches_per_area_count(world):
+    # brute-force oracle: per area, count the labelled pixels of each
+    # site among the area's pixels (all, or settled only) and divide
+    assignment, counts, owner, areas = world
+    grid, bts_ids, labels = assignment.grid, assignment.bts_ids, assignment.labels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty raster warns
+        settlements = extract_settlements(SettlementRaster(grid, counts))
+    for wm, scheme, counted in (
+        (weights_voronoi(assignment, areas), "voronoi", np.ones(labels.shape, dtype=bool)),
+        (weights_aug_voronoi(assignment, settlements, areas), "aug_voronoi", counts >= 1),
+    ):
+        want = {}
+        for k, aid in enumerate(areas.area_ids):
+            tally: dict[str, int] = {}
+            for r in range(grid.nrows):
+                for c in range(grid.ncols):
+                    if owner[r, c] == k and counted[r, c] and labels[r, c] != UNASSIGNED:
+                        b = bts_ids[labels[r, c]]
+                        tally[b] = tally.get(b, 0) + 1
+            if tally:
+                want[aid] = {b: n / sum(tally.values()) for b, n in tally.items()}
+        assert wm.scheme == scheme and wm.area_ids == areas.area_ids
+        assert wm.rows == want
 
 
 # levels around the -110 dBm threshold: a small pool makes exact ties

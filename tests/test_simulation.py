@@ -595,7 +595,6 @@ def _tiled_run(cfg, specs, env, settlements, s, k, settled_only=False):
 
 def _assert_same_rows(got, want):
     assert got.scheme == want.scheme and got.bts_ids == want.bts_ids
-    assert got.params == want.params
     for name in ("pixel_ids", "indptr", "col", "w"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -664,10 +663,9 @@ class TestTiledPass:
         _assert_same_rows(bsa, weights_bsa(dense))
 
 
-def test_only_the_walker_calls_the_kernels():
-    """`rss_field` has one caller, the tiled walker, and the loss model one,
-    the per-link level expression: no second link path in the package."""
-    callers: dict[str, set[str]] = {"rss_field": set(), "extended_hata_db": set()}
+def _package_callers(*names: str) -> dict[str, set[str]]:
+    """The `module.function` names in the package that call each of `names`."""
+    callers: dict[str, set[str]] = {name: set() for name in names}
     for path in sorted(Path(simulation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
@@ -678,8 +676,24 @@ def test_only_the_walker_calls_the_kernels():
                     name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                     if name in callers:
                         callers[name].add(f"{path.stem}.{fn.name}")
-    assert callers == {"rss_field": {"simulation._tiled_pass"},
-                       "extended_hata_db": {"propagation._levels_dbm"}}
+    return callers
+
+
+def test_only_the_walker_calls_the_kernels():
+    """`rss_field` has one caller, the tiled walker, and the loss model one,
+    the per-link level expression: no second link path in the package."""
+    assert _package_callers("rss_field", "extended_hata_db") == {
+        "rss_field": {"simulation._tiled_pass"},
+        "extended_hata_db": {"propagation._levels_dbm"},
+    }
+
+
+def test_three_builders_of_weight_matrices():
+    """Area rows come from p2p, from the one pixel-to-area reducer, or
+    from a weights file: no second reducer in the package."""
+    assert _package_callers("WeightMatrix") == {"WeightMatrix": {
+        "mapping.weights_p2p", "mapping.area_weights_from_pixels", "io.load_weights_csv",
+    }}
 
 
 def test_p2p_credit_matches_row_lookup_loop():
