@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 UNASSIGNED = -1
 
-# squared distances per block of a nearest-site search: points x sites of
+# squared distances per block of a nearest-site search: sites x points of
 # about 2^16 float64 (512 KB) keep each block's temporaries in cache
 _BLOCK_ENTRIES = 1 << 16
+# a nearest-site search buckets its points into square cells, about
+# _CELLS_PER_SITE per site but at least about _CELL_POINTS points each, and
+# scores each cell's points only against the sites that can be nearest there
+_CELLS_PER_SITE = 4
+_CELL_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -177,20 +183,69 @@ class Assignment:
             raise ValueError("labels out of range for bts_ids")
 
 
-def _sq_dist_chunks(x, y, sx, sy):
-    """Yield (lo, hi, d2): planar squared distances from points lo:hi to
-    every site, a block of points at a time.  A block holds about
-    `_BLOCK_ENTRIES` distances (at least one point), so it shrinks as
-    the sites grow.  The one distance formula behind both nearest-site
-    reducers, so their d2 agree bit for bit."""
+def _nearest_blocks(x, y, sx, sy, rank: int):
+    """Yield (pts, cand, d2), where d2[i, j] is the planar squared
+    distance from site cand[i] to point pts[j], such that each point's
+    `rank` smallest distances, and the sites that hold them, are in its
+    column.
+
+    The points are bucketed into square cells (see `_CELLS_PER_SITE`).
+    From a cell's own min/max point coordinates every site gets a lower
+    bound `lo` and an upper bound `hi` on its squared distance to any of
+    the cell's points, in the form the distances take; rounding is
+    monotone, so both hold exactly.  With t the rank-th smallest `hi`,
+    `rank` distinct sites lie within t of every point, so a site with
+    `lo > t` is farther than `rank` others from each of them and is
+    dropped.  `cand` keeps the rest in ascending index order, so argmin's
+    first hit still sends ties to the lowest index.  `pts` ascends within
+    a cell.  A block holds about `_BLOCK_ENTRIES` distances (at least one
+    point); sites run down its rows, so the reductions over them stream
+    along whole rows of points.  The one distance formula behind both
+    nearest-site reducers, so their d2 agree bit for bit with a dense
+    search's."""
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     sx = np.asarray(sx, dtype=np.float64)
     sy = np.asarray(sy, dtype=np.float64)
-    step = max(1, _BLOCK_ENTRIES // max(sx.size, 1))
-    for lo in range(0, x.size, step):
-        hi = min(lo + step, x.size)
-        yield lo, hi, (x[lo:hi, None] - sx) ** 2 + (y[lo:hi, None] - sy) ** 2
+    n, k = x.size, sx.size
+    if n == 0:
+        return
+    if k == 0:
+        raise ValueError("a nearest-site search needs at least one site")
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    if not (all(map(math.isfinite, (x0, x1, y0, y1)))
+            and np.isfinite(sx).all() and np.isfinite(sy).all()):
+        raise ValueError("nearest-site coordinates must be finite")
+    ncell = max(1, min(_CELLS_PER_SITE * k, n // _CELL_POINTS))
+    side = max(math.sqrt((x1 - x0) * (y1 - y0) / ncell), (x1 - x0) / ncell, (y1 - y0) / ncell)
+    if ncell > 1 and side > 0:
+        ny = int((y1 - y0) / side) + 1
+        cell = ((x - x0) / side).astype(np.intp) * ny + ((y - y0) / side).astype(np.intp)
+        ends = np.cumsum(np.bincount(cell)).tolist()
+        order = np.argsort(cell, kind="stable")  # points ascend within a cell
+        del cell
+    else:
+        ends, order = [n], np.arange(n)
+    rank = min(rank, k)
+    start = 0
+    for end in ends:
+        if end == start:
+            continue
+        pts = order[start:end]
+        start = end
+        px, py = x[pts], y[pts]
+        bx0, bx1, by0, by1 = px.min(), px.max(), py.min(), py.max()
+        lo = (np.minimum(np.maximum(sx, bx0), bx1) - sx) ** 2 + (
+            np.minimum(np.maximum(sy, by0), by1) - sy) ** 2
+        hi = np.maximum((bx0 - sx) ** 2, (bx1 - sx) ** 2) + np.maximum(
+            (by0 - sy) ** 2, (by1 - sy) ** 2)
+        t = np.partition(hi, rank - 1)[rank - 1]
+        cand = np.flatnonzero(lo <= t)
+        csx, csy = sx[cand], sy[cand]
+        step = max(1, _BLOCK_ENTRIES // cand.size)
+        for b in range(0, pts.size, step):
+            yield (pts[b:b + step], cand,
+                   (px[b:b + step] - csx[:, None]) ** 2 + (py[b:b + step] - csy[:, None]) ** 2)
 
 
 def nearest_index(x, y, sx, sy) -> np.ndarray:
@@ -198,11 +253,12 @@ def nearest_index(x, y, sx, sy) -> np.ndarray:
 
     Ties go to the lowest site index (argmin's first hit), so callers
     wanting the lowest bts_id pass sites sorted by id.  Points stream in
-    blocks, so memory stays bounded for any number of points.
+    cell-pruned blocks (`_nearest_blocks`), so memory stays bounded for
+    any number of points and the cost grows slowly with the sites.
     """
     out = np.empty(np.size(x), dtype=np.int64)
-    for lo, hi, d2 in _sq_dist_chunks(x, y, sx, sy):
-        out[lo:hi] = np.argmin(d2, axis=1)
+    for pts, cand, d2 in _nearest_blocks(x, y, sx, sy, 1):
+        out[pts] = cand[np.argmin(d2, axis=0)]
     return out
 
 
@@ -214,14 +270,14 @@ def nearest_two(x, y, sx, sy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     idx = np.empty(n, dtype=np.int64)
     first = np.empty(n)
     second = np.full(n, np.inf)
-    for lo, hi, d2 in _sq_dist_chunks(x, y, sx, sy):
-        rows = np.arange(hi - lo)
-        j = np.argmin(d2, axis=1)
-        idx[lo:hi] = j
-        first[lo:hi] = d2[rows, j]
-        if d2.shape[1] > 1:
-            d2[rows, j] = np.inf
-            second[lo:hi] = d2.min(axis=1)
+    for pts, cand, d2 in _nearest_blocks(x, y, sx, sy, 2):
+        cols = np.arange(pts.size)
+        j = np.argmin(d2, axis=0)
+        idx[pts] = cand[j]
+        first[pts] = d2[j, cols]
+        if cand.size > 1:
+            d2[j, cols] = np.inf
+            second[pts] = d2.min(axis=0)
     return idx, first, second
 
 
@@ -334,9 +390,9 @@ class StatAreaSet:
     """Ordered set of disjoint statistical areas with unique string ids."""
 
     def __init__(self, areas: list[StatArea], grid: Grid | None = None):
-        ids = [a.area_id for a in areas]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        ids = Counter(a.area_id for a in areas)
+        if len(ids) != len(areas):
+            dupes = sorted(i for i, n in ids.items() if n > 1)
             raise ValueError(f"duplicate area_id(s): {dupes}")
         if any(not a.area_id for a in areas):
             raise ValueError("area_id must be a non-empty string")

@@ -175,11 +175,13 @@ def weights_p2p(bts_points, areas: StatAreaSet, grid: Grid | None = None) -> Wei
     dropped = [ids[i] for i in np.nonzero(host == UNASSIGNED)[0]]
     if dropped:
         warnings.warn(f"{len(dropped)} BTS outside every area dropped: {dropped[:5]}", stacklevel=2)
-    rows: dict[str, dict[str, float]] = {}
-    for aidx in np.unique(host[host >= 0]):
-        members = sorted(ids[i] for i in np.nonzero(host == aidx)[0])
-        rows[areas.area_ids[aidx]] = {b: 1.0 / len(members) for b in members}
-    return WeightMatrix(SCHEME_P2P, list(areas.area_ids), rows, dropped_bts=dropped)
+    members: dict[int, list[str]] = {}
+    for i in np.flatnonzero(host >= 0):
+        members.setdefault(int(host[i]), []).append(ids[i])
+    area_ids = areas.area_ids  # a new list per access
+    rows = {area_ids[aidx]: {b: 1.0 / len(m) for b in sorted(m)}
+            for aidx, m in sorted(members.items())}
+    return WeightMatrix(SCHEME_P2P, area_ids, rows, dropped_bts=dropped)
 
 
 def weights_voronoi(assignment: Assignment, areas: StatAreaSet) -> WeightMatrix:
@@ -400,7 +402,8 @@ def classify_areas_by_bts_density(
     host = areas.locate_points(x, y, grid) if pts else np.empty(0, dtype=np.int64)
     counts = np.bincount(host[host >= 0], minlength=len(areas)).astype(np.float64)
     sizes = areas.area_km2(grid)
-    size_arr = np.array([sizes[a] for a in areas.area_ids])
+    area_ids = areas.area_ids  # a new list per access
+    size_arr = np.array([sizes[a] for a in area_ids])
     with np.errstate(divide="ignore", invalid="ignore"):
         density = np.where(
             size_arr > 0, counts / size_arr, np.where(counts > 0, np.inf, 0.0)
@@ -408,13 +411,13 @@ def classify_areas_by_bts_density(
 
     classes = {
         aid: ("urban" if density[i] > URBAN_DENSITY_PER_KM2 else "suburban")
-        for i, aid in enumerate(areas.area_ids)
+        for i, aid in enumerate(area_ids)
     }
     n_rural = int(np.floor(RURAL_SHARE * len(areas)))
-    by_density = sorted(range(len(areas)), key=lambda i: (density[i], areas.area_ids[i]))
+    by_density = sorted(range(len(areas)), key=lambda i: (density[i], area_ids[i]))
     for i in by_density[:n_rural]:
-        if classes[areas.area_ids[i]] != "urban":
-            classes[areas.area_ids[i]] = "rural"
+        if classes[area_ids[i]] != "urban":
+            classes[area_ids[i]] = "rural"
     return classes
 
 
@@ -445,9 +448,10 @@ def synthesize_naive_specs(
     outside = int(np.count_nonzero(host == UNASSIGNED))
     if outside:
         warnings.warn(f"{outside} BTS outside every area; assuming the low band", stacklevel=2)
+    area_ids = areas.area_ids  # a new list per access
     specs = []
     for i, p in enumerate(pts):
-        if host[i] >= 0 and area_classes.get(areas.area_ids[host[i]]) == "urban":
+        if host[i] >= 0 and area_classes.get(area_ids[host[i]]) == "urban":
             freq = NAIVE_URBAN_FREQ_MHZ
         else:
             freq = NAIVE_OTHER_FREQ_MHZ

@@ -412,7 +412,7 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     the test still fails, the point is searched again.  The slack dwarfs
     the rounding of the distances and bounds, so the labels, centroids
     and RNG draws equal those of the dense loop.  No array is points x
-    centres beyond one search chunk, and results never depend on BLAS
+    centres beyond one search block, and results never depend on BLAS
     threading.
     """
     n = x.size
@@ -432,6 +432,7 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
 
     # centres stay within the points' hull, so this scales every rounding error
     slack = _BOUND_SLACK * max(np.abs(x).max(), np.abs(y).max())
+    wx, wy = w * x, w * y
     for step in range(iters):
         if step == 0:
             lab, d2_own, d2_other = nearest_two(x, y, cx, cy)
@@ -446,8 +447,8 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
             lab[todo], d2_own, d2_other = nearest_two(x[todo], y[todo], cx, cy)
             upper[todo], lower[todo] = np.sqrt(d2_own), np.sqrt(d2_other)
         wsum = np.bincount(lab, weights=w, minlength=k)
-        nx = np.bincount(lab, weights=w * x, minlength=k)
-        ny = np.bincount(lab, weights=w * y, minlength=k)
+        nx = np.bincount(lab, weights=wx, minlength=k)
+        ny = np.bincount(lab, weights=wy, minlength=k)
         new_cx = np.where(wsum > 0, nx / np.maximum(wsum, 1e-300), cx)
         new_cy = np.where(wsum > 0, ny / np.maximum(wsum, 1e-300), cy)
         for j in np.nonzero(wsum == 0)[0]:  # re-seed empty clusters, farthest first

@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from covmap import geo
@@ -106,6 +110,58 @@ class TestExtractSettlements:
             SettlementRaster(g, np.array([[-1, 2]]))
 
 
+def _dense_nearest(x, y, sx, sy):
+    """Every point against every site in one matrix: (nearest index with
+    ties to the lowest, its squared distance, the second smallest)."""
+    d2 = (np.asarray(x, float)[:, None] - sx) ** 2 + (np.asarray(y, float)[:, None] - sy) ** 2
+    rows = np.arange(d2.shape[0])
+    idx = np.argmin(d2, axis=1)
+    first = d2[rows, idx].copy()
+    d2[rows, idx] = np.inf
+    return idx, first, d2.min(axis=1)
+
+
+def _assert_both_reducers_dense(x, y, sx, sy):
+    idx, first, second = _dense_nearest(x, y, sx, sy)
+    got = nearest_two(x, y, sx, sy)
+    assert got[0].tobytes() == idx.tobytes()
+    assert got[1].tobytes() == first.tobytes()
+    assert got[2].tobytes() == second.tobytes()
+    assert nearest_index(x, y, sx, sy).tobytes() == idx.tobytes()
+
+
+def _clusters(rng, n, centres, spread):
+    at = rng.integers(0, len(centres), n)
+    c = np.asarray(centres, dtype=float)[at]
+    return c[:, 0] + rng.normal(0, spread, n), c[:, 1] + rng.normal(0, spread, n)
+
+
+# several cells even for a few hundred points
+_SMALL_CELLS = {"_CELL_POINTS": 4, "_CELLS_PER_SITE": 4}
+
+
+def _pruning_layouts():
+    rng = np.random.default_rng(17)
+    lattice = rng.integers(0, 30, (2, 400)).astype(float)
+    sites = rng.integers(-10, 40, (2, 12)).astype(float)
+    yield "lattice", lattice[0], lattice[1], sites[0], sites[1]
+    x, y = _clusters(rng, 500, [(0, 0), (3000, 200), (1500, 2500)], 150.0)
+    # sites inside the clusters, between them and far outside the points' box
+    sx = np.concatenate([rng.uniform(-200, 3200, 10), [-5e4, 9e4, 1500.0]])
+    sy = np.concatenate([rng.uniform(-200, 2700, 10), [3e4, -7e4, -4e4]])
+    yield "clustered", x, y, sx, sy
+    twins = np.array([[10.0, 10.0], [20.0, 5.0], [10.0, 10.0], [0.0, 25.0], [20.0, 5.0]]).T
+    yield "twin sites", lattice[0], lattice[1], twins[0], twins[1]
+    line = np.arange(300, dtype=float)
+    yield "one row", line, np.full(300, 7.0), sites[0] * 10, sites[1]
+    yield "one column", np.full(300, -3.0), line, sites[0], sites[1] * 10
+    yield "one point", np.array([12.0]), np.array([4.0]), sites[0], sites[1]
+    yield "one point on twin sites", np.array([15.0]), np.array([7.5]), twins[0], twins[1]
+    for offset in (5e5, 3e7):
+        yield f"offset {offset:g}", lattice[0] + offset, lattice[1] - offset, \
+            sites[0] + offset, sites[1] - offset
+
+
 class TestNearestIndex:
     def test_matches_brute_force_across_chunks(self, monkeypatch):
         monkeypatch.setattr(geo, "_BLOCK_ENTRIES", 7 * 6)  # 7 points a block
@@ -134,6 +190,60 @@ class TestNearestIndex:
             assert (idx[i], first[i], second[i]) == (j, d2[j], min(rest, default=np.inf))
             ties += bool(rest) and min(rest) == d2[j]
         assert ties > 0 or nsites == 1
+
+    @pytest.mark.parametrize("entries", [1, 50, 1 << 16])
+    @pytest.mark.parametrize("layout", list(_pruning_layouts()), ids=lambda v: v[0])
+    def test_pruned_cells_match_a_dense_search(self, monkeypatch, layout, entries):
+        _, x, y, sx, sy = layout
+        for name, value in _SMALL_CELLS.items():
+            monkeypatch.setattr(geo, name, value)
+        monkeypatch.setattr(geo, "_BLOCK_ENTRIES", entries)
+        _assert_both_reducers_dense(x, y, sx, sy)
+
+    def test_cells_prune_sites_and_keep_them_in_index_order(self, monkeypatch):
+        for name, value in _SMALL_CELLS.items():
+            monkeypatch.setattr(geo, name, value)
+        monkeypatch.setattr(geo, "_BLOCK_ENTRIES", 50)
+        _, x, y, sx, sy = next(v for v in _pruning_layouts() if v[0] == "clustered")
+        for rank in (1, 2):
+            blocks = list(geo._nearest_blocks(x, y, sx, sy, rank))
+            seen = np.concatenate([pts for pts, _, _ in blocks])
+            assert np.array_equal(np.sort(seen), np.arange(x.size))  # each point once
+            assert len(blocks) > 1
+            assert all(cand.size >= rank and np.all(np.diff(cand) > 0) for _, cand, _ in blocks)
+            assert min(cand.size for _, cand, _ in blocks) < sx.size
+            assert all(d2.shape == (cand.size, pts.size) for pts, cand, d2 in blocks)
+            assert all(d2.size <= max(50, cand.size) for _, cand, d2 in blocks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        k=st.integers(1, 12),
+        step=st.sampled_from([0.5, 1.0, 100.0]),
+        offset=st.sampled_from([0.0, 5e5, 3e7]),
+        cell_points=st.sampled_from([1, 3, 2048]),
+        cells_per_site=st.sampled_from([1, 4]),
+        entries=st.sampled_from([1, 7, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reducers_equal_a_dense_argmin(self, n, k, step, offset, cell_points,
+                                           cells_per_site, entries, seed):
+        # lattice points and sites, some sites off the points' box: exact ties abound
+        rng = np.random.default_rng(seed)
+        x, y = (rng.integers(0, 8, n) * step + offset for _ in range(2))
+        sx, sy = (rng.integers(-3, 11, k) * step + offset for _ in range(2))
+        with patch.multiple(geo, _CELL_POINTS=cell_points, _CELLS_PER_SITE=cells_per_site,
+                            _BLOCK_ENTRIES=entries):
+            _assert_both_reducers_dense(x, y, sx, sy)
+
+    def test_bad_inputs_rejected(self):
+        assert nearest_index([], [], [1.0], [1.0]).size == 0
+        with pytest.raises(ValueError, match="at least one site"):
+            nearest_index([0.0], [0.0], [], [])
+        with pytest.raises(ValueError, match="finite"):
+            nearest_two([0.0, np.nan], [0.0, 1.0], [1.0], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            nearest_index([0.0], [0.0], [1.0, np.inf], [1.0, 2.0])
 
 
 class TestVoronoi:

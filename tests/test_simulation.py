@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap import geo, propagation, simulation
-from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements, nearest_index
+from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements
 from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
 from covmap.propagation import (
     AntennaSpec,
@@ -239,8 +239,10 @@ class TestPlaceBts:
 
 
 def _dense_weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense Lloyd loop that `_weighted_kmeans` replaced, kept verbatim
-    as its oracle: every step searches every point against every centre."""
+    """The dense Lloyd loop that `_weighted_kmeans` replaced, kept as its
+    oracle: every step scores every point against every centre in one
+    argmin of its own, so the oracle shares no search code with the
+    bounded loop."""
     n = x.size
     probs = w / w.sum()
     first = int(rng.choice(n, p=probs))
@@ -257,7 +259,7 @@ def _dense_weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray
     cy = np.array(cy)
 
     for _ in range(iters):
-        lab = nearest_index(x, y, cx, cy)
+        lab = np.argmin((x[:, None] - cx) ** 2 + (y[:, None] - cy) ** 2, axis=1)
         wsum = np.bincount(lab, weights=w, minlength=k)
         nx = np.bincount(lab, weights=w * x, minlength=k)
         ny = np.bincount(lab, weights=w * y, minlength=k)
@@ -310,14 +312,14 @@ class TestBoundedLloyd:
         raster = gen_population(cfg, np.random.default_rng(1))
         settled = extract_settlements(raster)
         in_urban = urban_block_mask(cfg)[settled.rows, settled.cols]
-        original = geo._sq_dist_chunks
+        original = geo._nearest_blocks
         offered = []
 
-        def counting(x, y, sx, sy):
+        def counting(x, y, sx, sy, rank):
             offered.append(np.size(x))
-            return original(x, y, sx, sy)
+            return original(x, y, sx, sy, rank)
 
-        monkeypatch.setattr(geo, "_sq_dist_chunks", counting)
+        monkeypatch.setattr(geo, "_nearest_blocks", counting)
         for sel, share, per_bts in ((in_urban, cfg.urban_share, cfg.urban_pop_per_bts),
                                     (~in_urban, 1.0 - cfg.urban_share, cfg.rural_pop_per_bts)):
             k = int(np.floor(cfg.population * share / per_bts + 0.5))
@@ -685,6 +687,14 @@ def test_only_the_walker_calls_the_kernels():
     assert _package_callers("rss_field", "extended_hata_db") == {
         "rss_field": {"simulation._tiled_pass"},
         "extended_hata_db": {"propagation._levels_dbm"},
+    }
+
+
+def test_one_distance_helper_behind_the_nearest_site_reducers():
+    """The cell-pruned block helper has two callers, the nearest-site
+    reducers: no second nearest-site distance path in the package."""
+    assert _package_callers("_nearest_blocks") == {
+        "_nearest_blocks": {"geo.nearest_index", "geo.nearest_two"},
     }
 
 
