@@ -197,12 +197,14 @@ def _nearest_blocks(x, y, sx, sy, rank: int):
     `rank` distinct sites lie within t of every point, so a site with
     `lo > t` is farther than `rank` others from each of them and is
     dropped.  `cand` keeps the rest in ascending index order, so argmin's
-    first hit still sends ties to the lowest index.  `pts` ascends within
-    a cell.  A block holds about `_BLOCK_ENTRIES` distances (at least one
-    point); sites run down its rows, so the reductions over them stream
-    along whole rows of points.  The one distance formula behind both
-    nearest-site reducers, so their d2 agree bit for bit with a dense
-    search's."""
+    first hit still sends ties to the lowest index.  A search of at most
+    `_CELL_POINTS` distances is one cell in which every site is scored
+    unbounded: there the bounds cost more than the distances they spare.
+    `pts` ascends within a cell.  A block holds about `_BLOCK_ENTRIES`
+    distances (at least one point); sites run down its rows, so the
+    reductions over them stream along whole rows of points.  The one
+    distance formula behind both nearest-site reducers, so their d2 agree
+    bit for bit with a dense search's."""
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     sx = np.asarray(sx, dtype=np.float64)
@@ -227,6 +229,7 @@ def _nearest_blocks(x, y, sx, sy, rank: int):
     else:
         ends, order = [n], np.arange(n)
     rank = min(rank, k)
+    tiny = n * k <= _CELL_POINTS  # then ncell == 1
     start = 0
     for end in ends:
         if end == start:
@@ -234,14 +237,17 @@ def _nearest_blocks(x, y, sx, sy, rank: int):
         pts = order[start:end]
         start = end
         px, py = x[pts], y[pts]
-        bx0, bx1, by0, by1 = px.min(), px.max(), py.min(), py.max()
-        lo = (np.minimum(np.maximum(sx, bx0), bx1) - sx) ** 2 + (
-            np.minimum(np.maximum(sy, by0), by1) - sy) ** 2
-        hi = np.maximum((bx0 - sx) ** 2, (bx1 - sx) ** 2) + np.maximum(
-            (by0 - sy) ** 2, (by1 - sy) ** 2)
-        t = np.partition(hi, rank - 1)[rank - 1]
-        cand = np.flatnonzero(lo <= t)
-        csx, csy = sx[cand], sy[cand]
+        if tiny:
+            cand, csx, csy = np.arange(k), sx, sy
+        else:
+            bx0, bx1, by0, by1 = px.min(), px.max(), py.min(), py.max()
+            lo = (np.minimum(np.maximum(sx, bx0), bx1) - sx) ** 2 + (
+                np.minimum(np.maximum(sy, by0), by1) - sy) ** 2
+            hi = np.maximum((bx0 - sx) ** 2, (bx1 - sx) ** 2) + np.maximum(
+                (by0 - sy) ** 2, (by1 - sy) ** 2)
+            t = np.partition(hi, rank - 1)[rank - 1]
+            cand = np.flatnonzero(lo <= t)
+            csx, csy = sx[cand], sy[cand]
         step = max(1, _BLOCK_ENTRIES // cand.size)
         for b in range(0, pts.size, step):
             yield (pts[b:b + step], cand,

@@ -5,7 +5,10 @@ urban, suburban and open (rural) environments, valid for carrier
 frequencies between 150 and 3000 MHz and path distances up to 100 km.
 Short paths (below 100 m) fall back to free space with a log-distance
 interpolation bridge, and the final loss is never allowed below the
-free-space value.
+free-space value.  Each term is computed only on the links it applies
+to: the steeper distance exponent on paths beyond 20 km (below that it
+is exactly 1), the bridge only when some path is shorter than 100 m, and
+the distance checks from one min/max pair per call.
 
 One kernel, `rss_field`, turns antenna specs and pixel centres into
 received levels (transmit power minus median loss, no shadowing term).
@@ -108,18 +111,17 @@ def _urban_db(f_mhz: float, d_km: np.ndarray, h_tx: float, h_rx: float) -> np.nd
     """Urban median loss for d >= 0.1 km (no short-path handling)."""
     hb = max(30.0, h_tx)
     logd = np.log10(d_km)
-    # distance exponent steepens beyond 20 km
-    hbp = h_tx / np.sqrt(1.0 + 7.0e-6 * h_tx * h_tx)
-    alpha = np.where(
-        d_km <= 20.0,
-        1.0,
-        1.0
-        + (0.14 + 1.87e-4 * f_mhz + 1.07e-3 * hbp)
-        * np.power(np.maximum(np.log10(d_km / 20.0), 0.0), 0.8),
-    )
+    # the distance exponent steepens beyond 20 km and is exactly 1 up to
+    # it, where pow(logd, 1.0) == logd: raise logd only on the far links
+    far = d_km > 20.0
+    if far.any():
+        hbp = h_tx / np.sqrt(1.0 + 7.0e-6 * h_tx * h_tx)
+        alpha = 1.0 + (0.14 + 1.87e-4 * f_mhz + 1.07e-3 * hbp) * np.power(
+            np.maximum(np.log10(d_km[far] / 20.0), 0.0), 0.8)
+        logd[far] = np.power(logd[far], alpha)
     tail = (
         -13.82 * np.log10(hb)
-        + (44.9 - 6.55 * np.log10(hb)) * np.power(logd, alpha)
+        + (44.9 - 6.55 * np.log10(hb)) * logd
         - _rx_gain_db(f_mhz, h_rx)
         - _tx_gain_db(h_tx)
     )
@@ -178,9 +180,12 @@ def extended_hata_db(
     d = np.asarray(d_km, dtype=np.float64)
     scalar_in = d.ndim == 0
     d = np.atleast_1d(d)
-    if np.any(~np.isfinite(d)) or np.any(d < 0):
+    # one min/max pair checks every distance: NaN fails lo >= 0, inf fails
+    # hi < inf; an empty input takes no branch below
+    lo, hi = (d.min(), d.max()) if d.size else (DIST_MAX_KM, DIST_MAX_KM)
+    if not (lo >= 0 and hi < np.inf):
         raise ValueError("distances must be finite and non-negative")
-    if np.any(d > DIST_MAX_KM):
+    if hi > DIST_MAX_KM:
         if not clamp_distance:
             raise ValueError(f"distance exceeds {DIST_MAX_KM} km; model not valid")
         d = np.minimum(d, DIST_MAX_KM)
@@ -189,19 +194,22 @@ def extended_hata_db(
     offsets = _env_offsets_db(f_mhz)
 
     # evaluate on the >= 0.1 km branch (safe placeholder below it)
-    d_main = np.maximum(d, 0.1)
+    d_main = d if lo >= 0.1 else np.maximum(d, 0.1)
     loss = _urban_db(f_mhz, d_main, h_tx_m, h_rx_m) + offsets[codes]
 
     fs = _free_space_db(f_mhz, d, h_tx_m, h_rx_m)
-    near = d <= 0.04
-    mid = ~near & (d < 0.1)
-    if np.any(near):
-        loss = np.where(near, fs, loss)
-    if np.any(mid):
-        l40 = _free_space_db(f_mhz, 0.04, h_tx_m, h_rx_m)
-        l100 = _urban_db(f_mhz, np.asarray([0.1]), h_tx_m, h_rx_m)[0] + offsets[codes]
-        frac = (np.log10(np.maximum(d, 0.04)) - np.log10(0.04)) / (np.log10(0.1) - np.log10(0.04))
-        loss = np.where(mid, l40 + (l100 - l40) * frac, loss)
+    if lo < 0.1:
+        mid = d < 0.1
+        if lo <= 0.04:
+            near = d <= 0.04
+            loss = np.where(near, fs, loss)
+            mid &= ~near
+        if mid.any():
+            l40 = _free_space_db(f_mhz, 0.04, h_tx_m, h_rx_m)
+            l100 = _urban_db(f_mhz, np.asarray([0.1]), h_tx_m, h_rx_m)[0] + offsets[codes]
+            frac = ((np.log10(np.maximum(d, 0.04)) - np.log10(0.04))
+                    / (np.log10(0.1) - np.log10(0.04)))
+            loss = np.where(mid, l40 + (l100 - l40) * frac, loss)
 
     loss = np.maximum(loss, fs)
     return float(loss[0]) if scalar_in else loss

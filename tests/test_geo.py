@@ -215,6 +215,20 @@ class TestNearestIndex:
             assert all(d2.shape == (cand.size, pts.size) for pts, cand, d2 in blocks)
             assert all(d2.size <= max(50, cand.size) for _, cand, d2 in blocks)
 
+    def test_tiny_search_scores_every_site(self, monkeypatch):
+        # at most _CELL_POINTS distances: no bounds, every site a candidate
+        # (the far ones would be pruned in a bounded cell), blocks still capped
+        monkeypatch.setattr(geo, "_BLOCK_ENTRIES", 24)
+        _, x, y, sx, sy = next(v for v in _pruning_layouts() if v[0] == "clustered")
+        x, y = x[:100], y[:100]
+        assert x.size * sx.size <= geo._CELL_POINTS
+        for rank in (1, 2):
+            blocks = list(geo._nearest_blocks(x, y, sx, sy, rank))
+            assert np.array_equal(np.concatenate([pts for pts, _, _ in blocks]), np.arange(x.size))
+            assert all(np.array_equal(cand, np.arange(sx.size)) for _, cand, _ in blocks)
+            assert all(d2.shape == (sx.size, 1) for _, _, d2 in blocks)
+        _assert_both_reducers_dense(x, y, sx, sy)
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(1, 120),

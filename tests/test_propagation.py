@@ -4,6 +4,8 @@ Golden loss values were computed with an independent scalar
 transcription of the published CEPT formulas and frozen here.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from covmap.propagation import (
+    DIST_MAX_KM,
     ENV_CLASSES,
     AntennaSpec,
     RssField,
+    _env_offsets_db,
+    _free_space_db,
+    _rx_gain_db,
+    _tx_gain_db,
+    env_codes,
     extended_hata_db,
     live_radius_km,
     rss_field,
@@ -169,6 +177,120 @@ def test_bitwise_deterministic():
     a = extended_hata_db(1800.0, d, 37.0, 1.0, "suburban")
     b = extended_hata_db(1800.0, d, 37.0, 1.0, "suburban")
     assert np.array_equal(a, b)
+
+
+def _every_entry_urban_db(f_mhz, d_km, h_tx, h_rx):
+    # the urban curve with the exponent and its power taken on every entry
+    hb = max(30.0, h_tx)
+    logd = np.log10(d_km)
+    hbp = h_tx / np.sqrt(1.0 + 7.0e-6 * h_tx * h_tx)
+    alpha = np.where(
+        d_km <= 20.0,
+        1.0,
+        1.0
+        + (0.14 + 1.87e-4 * f_mhz + 1.07e-3 * hbp)
+        * np.power(np.maximum(np.log10(d_km / 20.0), 0.0), 0.8),
+    )
+    tail = (
+        -13.82 * np.log10(hb)
+        + (44.9 - 6.55 * np.log10(hb)) * np.power(logd, alpha)
+        - _rx_gain_db(f_mhz, h_rx)
+        - _tx_gain_db(h_tx)
+    )
+    if f_mhz <= 1500.0:
+        return 69.6 + 26.2 * np.log10(f_mhz) + tail
+    if f_mhz <= 2000.0:
+        return 46.3 + 33.9 * np.log10(f_mhz) + tail
+    return 46.3 + 33.9 * np.log10(2000.0) + 10.0 * np.log10(f_mhz / 2000.0) + tail
+
+
+def _every_entry_hata_db(f_mhz, d_km, h_tx_m, h_rx_m, env):
+    # extended_hata_db with every branch evaluated on every link and
+    # selected by masks (clamped at 100 km)
+    d = np.minimum(np.atleast_1d(np.asarray(d_km, dtype=np.float64)), DIST_MAX_KM)
+    codes = np.broadcast_to(env_codes(env), d.shape)
+    offsets = _env_offsets_db(f_mhz)
+    loss = _every_entry_urban_db(f_mhz, np.maximum(d, 0.1), h_tx_m, h_rx_m) + offsets[codes]
+    fs = _free_space_db(f_mhz, d, h_tx_m, h_rx_m)
+    near = d <= 0.04
+    mid = ~near & (d < 0.1)
+    loss = np.where(near, fs, loss)
+    l40 = _free_space_db(f_mhz, 0.04, h_tx_m, h_rx_m)
+    l100 = _every_entry_urban_db(f_mhz, np.asarray([0.1]), h_tx_m, h_rx_m)[0] + offsets[codes]
+    frac = (np.log10(np.maximum(d, 0.04)) - np.log10(0.04)) / (np.log10(0.1) - np.log10(0.04))
+    loss = np.where(mid, l40 + (l100 - l40) * frac, loss)
+    loss = np.maximum(loss, fs)
+    return float(loss[0]) if np.ndim(d_km) == 0 else loss
+
+
+def _around(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+# every branch point with its neighbouring floats: the 40 m/100 m bridge,
+# the 20 km exponent change and the 100 km clamp
+_EDGES_KM = np.array([0.0, *_around(0.04), *_around(0.1), *_around(20.0), *_around(100.0), 130.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    f=_FREQ,
+    h_tx=st.floats(1.0, 1000.0),
+    h_rx=st.floats(1.0, 10.0),
+    extra_km=st.lists(st.floats(0.0, 130.0), max_size=40),
+    # the shortest path offered: below it no link exists, so the bridge
+    # and the exponent are skipped on whole calls
+    floor_km=st.sampled_from([0.0, *_around(0.04), *_around(0.1), *_around(20.0)]),
+    clamp=st.booleans(),
+    shape=st.sampled_from(["scalar", "1-D", "2-D", "2-D by row"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_branch_local_terms_equal_every_entry_evaluation(
+        f, h_tx, h_rx, extra_km, floor_km, clamp, shape, seed):
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([_EDGES_KM, extra_km, rng.uniform(0.0, 130.0, 40)])
+    d = rng.permutation(d[(d >= floor_km) & (clamp | (d <= DIST_MAX_KM))])
+    if shape == "scalar":
+        d, env = d[0], ENV_CLASSES[rng.integers(3)]
+    elif shape == "1-D":
+        env = rng.integers(0, 3, d.size)
+    else:  # the live-radius probe's layout: 3 x 64 links
+        d = np.resize(d, (3, 64))
+        env = np.arange(3)[:, None] if shape == "2-D by row" else rng.integers(0, 3, d.shape)
+    given_d = np.copy(d)
+    got = extended_hata_db(f, d, h_tx, h_rx, env, clamp_distance=clamp)
+    assert np.array_equal(d, given_d)  # the caller's distances are left alone
+    want = _every_entry_hata_db(f, d, h_tx, h_rx, env)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize(
+    "d",
+    [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, -np.inf, 2.0],
+     [[0.5, 3.0], [np.nan, 150.0]], [3.0, -0.5], -1e-300],
+    ids=["nan", "+inf", "-inf", "nan-2d", "negative", "negative-scalar"],
+)
+def test_bad_distances_rejected_with_message(d, clamp):
+    with pytest.raises(ValueError, match=re.escape("distances must be finite and non-negative")):
+        extended_hata_db(900.0, np.asarray(d), 30.0, 1.0, "urban", clamp_distance=clamp)
+
+
+def test_long_path_rejected_without_clamp():
+    with pytest.raises(ValueError, match=re.escape("distance exceeds 100.0 km; model not valid")):
+        extended_hata_db(900.0, [1.0, 130.0], 30.0, 1.0, "urban")
+
+
+def test_clamp_evaluates_long_paths_at_model_range():
+    got = extended_hata_db(900.0, [130.0, 100.0], 30.0, 1.0, "rural", clamp_distance=True)
+    assert got[0] == got[1] == extended_hata_db(900.0, 100.0, 30.0, 1.0, "rural")
+
+
+def test_empty_distances_give_an_empty_loss():
+    got = extended_hata_db(900.0, np.empty(0), 30.0, 1.0, "urban")
+    assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == np.float64
+    assert extended_hata_db(900.0, np.empty((3, 0)), 30.0, 1.0, [[0], [1], [2]]).shape == (3, 0)
 
 
 @pytest.mark.parametrize(
