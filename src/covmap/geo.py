@@ -361,6 +361,15 @@ def polygon_to_mask(rings, grid: Grid, area_id: str = "<anon>") -> np.ndarray:
     Multiple rings combine by even-odd parity, so holes and multi-part
     polygons work without orientation rules.
     """
+    window, inside = _polygon_window(rings, grid, area_id)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[window] = inside
+    return mask
+
+
+def _polygon_window(rings, grid: Grid, area_id: str) -> tuple[tuple[slice, slice], np.ndarray]:
+    """`polygon_to_mask`'s mask as a (rows, cols) window of the grid and the
+    containment mask inside it; every pixel outside the window is outside."""
     rings = [_validate_ring(r, area_id) for r in rings]
     if not rings:
         raise ValueError(f"area {area_id!r}: polygon has no rings")
@@ -376,9 +385,7 @@ def polygon_to_mask(rings, grid: Grid, area_id: str = "<anon>") -> np.ndarray:
     rows = _cell_span((top - y1) / cell, (top - y0) / cell, grid.nrows)
     cols = _cell_span((x0 - grid.origin_x) / cell, (x1 - grid.origin_x) / cell, grid.ncols)
     rr, cc = np.meshgrid(np.arange(grid.nrows)[rows], np.arange(grid.ncols)[cols], indexing="ij")
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[rows, cols] = _points_in_rings(rings, *grid.centers(rr, cc))
-    return mask
+    return (rows, cols), _points_in_rings(rings, *grid.centers(rr, cc))
 
 
 def _cell_span(lo: float, hi: float, n: int) -> slice:
@@ -446,17 +453,20 @@ class StatAreaSet:
             if a.mask is not None:
                 if a.mask.shape != grid.shape:
                     raise ValueError(f"area {a.area_id!r}: mask does not fit grid {grid.shape}")
-                m = a.mask
+                window, m = (slice(0, grid.nrows), slice(0, grid.ncols)), a.mask
             else:
-                m = polygon_to_mask(a.rings, grid, a.area_id)
-            clash = m & (labels != UNASSIGNED)
+                window, m = _polygon_window(a.rings, grid, a.area_id)
+            # a polygon is painted and checked only inside its window, which
+            # holds all its pixels, so the first clash in row-major order stays first
+            sub = labels[window]
+            clash = m & (sub != UNASSIGNED)
             if np.any(clash):
-                r, c = np.argwhere(clash)[0]
+                r, c = np.argwhere(clash)[0] + (window[0].start, window[1].start)
                 other = self.areas[labels[r, c]].area_id
                 raise ValueError(
                     f"areas {other!r} and {a.area_id!r} overlap at pixel ({r}, {c})"
                 )
-            labels[m] = idx
+            sub[m] = idx
         self._label_cache[grid] = labels
         return labels
 

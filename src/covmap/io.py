@@ -13,13 +13,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .geo import Grid, SettlementRaster, StatAreaSet
-from .mapping import CovariateTable, WeightMatrix
+from .mapping import CovariateTable, WeightMatrix, sorted_csr
 from .propagation import AntennaSpec
 from .simulation import SimConfig
 
@@ -381,7 +382,7 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
         rows = list(csv.reader(fh))
     if not rows or [h.strip() for h in rows[0]] != ["area_id", "bts_id", "weight"]:
         raise _err(path, 1, "expected header area_id,bts_id,weight")
-    data: dict[str, dict[str, float]] = {}
+    data: dict[tuple[str, str], float] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -394,18 +395,22 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
             w = float(cell)
         except ValueError:
             raise _err(path, lineno, f"non-numeric weight {cell!r}") from None
-        if not (np.isfinite(w) and w > 0):
+        if not (math.isfinite(w) and w > 0):
             raise _err(path, lineno, f"weight {cell!r} must be finite and positive")
-        if bid in data.get(aid, {}):
+        if (aid, bid) in data:
             raise _err(path, lineno, f"duplicate entry for ({aid!r}, {bid!r})")
-        data.setdefault(aid, {})[bid] = w
-    universe = list(area_ids) if area_ids is not None else sorted(data)
-    known = set(universe)
-    missing = [a for a in data if a not in known]
+        data[aid, bid] = w
+    universe = list(area_ids) if area_ids is not None else sorted({a for a, _ in data})
+    index = {a: i for i, a in enumerate(universe)}
+    missing = {a for a, _ in data if a not in index}
     if missing:
         raise _err(path, None, f"weights reference unknown area ids {sorted(missing)}")
+    bts_ids = sorted({b for _, b in data})
+    area = np.array([index[a] for a, _ in data], dtype=np.int64)
+    indptr, col, order = sorted_csr(len(universe), area, [b for _, b in data], bts_ids)
     try:
-        return WeightMatrix(scheme, universe, data)
+        return WeightMatrix(scheme, universe, bts_ids, indptr, col,
+                            np.array(list(data.values()))[order])
     except ValueError as exc:
         raise _err(path, None, str(exc)) from None
 

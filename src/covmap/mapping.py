@@ -13,6 +13,10 @@ build W from increasingly informative inputs:
 
 Every scheme but p2p first gives per-pixel rows, which one reducer,
 `area_weights_from_pixels`, averages over each area's covered pixels.
+Pixel rows (`PixelWeights`) and area rows (`WeightMatrix`) share one CSR
+layout: row i's entries are `col[indptr[i]:indptr[i+1]]`, indices into
+ascending `bts_ids`, with weights `w` that sum to 1; an empty row is an
+uncovered pixel or an area without coverage.
 Voronoi, aug_voronoi and bsa give one-hot rows from a map of serving
 sites (`bsa_pixel_weights`): the nearest-site map at every pixel or at
 the settlement pixels, and the strongest-signal map at the settlement
@@ -43,48 +47,74 @@ SCHEME_BSA = "bsa"
 SCHEME_IDW = "idw"
 
 
+def _check_csr(nrows: int, bts_ids: list[str], indptr, col, w, name, positive: bool):
+    """The CSR row checks `WeightMatrix` and `PixelWeights` share; `name(i)`
+    names row i in the errors.  Returns (indptr, col, w) as arrays."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    col = np.asarray(col, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if indptr.shape != (nrows + 1,) or indptr[0] != 0 or indptr[-1] != col.size:
+        raise ValueError("malformed CSR index")
+    lens = np.diff(indptr)
+    if np.any(lens < 0):
+        raise ValueError("indptr must be non-decreasing")
+    if col.size != w.size:
+        raise ValueError("col and w lengths differ")
+    if any(a >= b for a, b in zip(bts_ids, bts_ids[1:])):
+        raise ValueError("columns must ascend by bts_id, without duplicates")
+    if col.size and (col.min() < 0 or col.max() >= len(bts_ids)):
+        raise ValueError("col out of range for bts_ids")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0) if positive else np.isfinite(w)))
+    if bad.size:
+        rule = "finite and positive" if positive else "finite"
+        row = np.searchsorted(indptr, bad[0], side="right") - 1
+        raise ValueError(f"{name(row)}: weights must be {rule}")
+    sums = np.bincount(np.repeat(np.arange(nrows), lens), weights=w, minlength=nrows)
+    off = np.flatnonzero((lens > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+    if off.size:
+        raise ValueError(f"{name(off[0])}: weights sum to {float(sums[off[0]])!r}, not 1")
+    return indptr, col, w
+
+
 @dataclass
 class WeightMatrix:
-    """Sparse area x BTS weight rows; absent areas have no coverage."""
+    """Area x BTS weights in `PixelWeights`' CSR layout, one row per area of
+    `area_ids`; an empty row marks an area without coverage."""
 
     scheme: str
     area_ids: list[str]
-    rows: dict[str, dict[str, float]]
+    bts_ids: list[str]
+    indptr: np.ndarray
+    col: np.ndarray
+    w: np.ndarray
     dropped_bts: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self._known = set(self.area_ids)
-        for aid, row in self.rows.items():
-            if aid not in self._known:
-                raise ValueError(f"weight row for unknown area {aid!r}")
-            if not row:
-                raise ValueError(f"area {aid!r}: empty weight row; omit the area instead")
-            vals = np.array(list(row.values()))
-            if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-                raise ValueError(f"area {aid!r}: weights must be finite and positive")
-            if abs(vals.sum() - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"area {aid!r}: weights sum to {vals.sum()!r}, not 1")
+        self.indptr, self.col, self.w = _check_csr(
+            len(self.area_ids), self.bts_ids, self.indptr, self.col, self.w,
+            lambda i: f"area {self.area_ids[i]!r}", positive=True)
+        self._index = {a: i for i, a in enumerate(self.area_ids)}
 
     @property
     def covered_ids(self) -> list[str]:
-        return [a for a in self.area_ids if a in self.rows]
+        return [a for a, n in zip(self.area_ids, np.diff(self.indptr)) if n]
 
     @property
     def no_coverage_ids(self) -> list[str]:
-        return [a for a in self.area_ids if a not in self.rows]
+        return [a for a, n in zip(self.area_ids, np.diff(self.indptr)) if not n]
 
     def row(self, area_id: str) -> dict[str, float] | None:
-        if area_id not in self._known:
+        if area_id not in self._index:
             raise KeyError(f"unknown area {area_id!r}")
-        return self.rows.get(area_id)
+        i = self._index[area_id]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return {self.bts_ids[c]: v
+                for c, v in zip(self.col[lo:hi].tolist(), self.w[lo:hi].tolist())} or None
 
     def entries(self) -> list[tuple[str, str, float]]:
         """(area_id, bts_id, weight) triplets sorted by (area_id, bts_id)."""
-        out = []
-        for aid in sorted(self.rows):
-            for bid in sorted(self.rows[aid]):
-                out.append((aid, bid, self.rows[aid][bid]))
-        return out
+        return [(aid, bid, w) for aid in sorted(self.area_ids)
+                for bid, w in (self.row(aid) or {}).items()]
 
 
 @dataclass
@@ -104,23 +134,9 @@ class PixelWeights:
 
     def __post_init__(self):
         self.pixel_ids = np.asarray(self.pixel_ids, dtype=np.int64)
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.col = np.asarray(self.col, dtype=np.int64)
-        self.w = np.asarray(self.w, dtype=np.float64)
-        n = self.pixel_ids.size
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != self.col.size:
-            raise ValueError("malformed CSR index")
-        lens = np.diff(self.indptr)
-        if np.any(lens < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.col.size != self.w.size:
-            raise ValueError("col and w lengths differ")
-        if self.col.size and (self.col.min() < 0 or self.col.max() >= len(self.bts_ids)):
-            raise ValueError("col out of range for bts_ids")
-        if self.col.size:
-            sums = np.bincount(np.repeat(np.arange(n), lens), weights=self.w, minlength=n)
-            if np.any(np.abs(sums[lens > 0] - 1.0) > ROW_SUM_TOL):
-                raise ValueError("per-pixel weights must sum to 1 on covered pixels")
+        self.indptr, self.col, self.w = _check_csr(
+            self.pixel_ids.size, self.bts_ids, self.indptr, self.col, self.w,
+            lambda i: f"pixel {int(self.pixel_ids[i])}", positive=False)
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -148,17 +164,20 @@ class CovariateTable:
         for name, colv in self.columns.items():
             if colv.shape != (len(self.bts_ids),):
                 raise ValueError(f"column {name!r} length {colv.shape} != {len(self.bts_ids)} rows")
-        self._index = {b: i for i, b in enumerate(self.bts_ids)}
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise KeyError(f"unknown covariate column {name!r}")
         return self.columns[name]
 
-    def lookup(self, bts_id: str, name: str) -> float:
-        if bts_id not in self._index:
-            raise KeyError(f"bts_id {bts_id!r} not in covariate table")
-        return float(self.column(name)[self._index[bts_id]])
+
+def sorted_csr(nrows: int, row: np.ndarray, bts: list[str], bts_ids: list[str]):
+    """(indptr, col, order) of entries at (row, bts) over `nrows` rows and the
+    ascending `bts_ids`; `order` sorts the entries by row, then column."""
+    col_of = {b: j for j, b in enumerate(bts_ids)}
+    col = np.array([col_of[b] for b in bts], dtype=np.int64)
+    order = np.lexsort((col, row))
+    return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=nrows))]), col[order], order
 
 
 def weights_p2p(bts_points, areas: StatAreaSet, grid: Grid | None = None) -> WeightMatrix:
@@ -175,13 +194,11 @@ def weights_p2p(bts_points, areas: StatAreaSet, grid: Grid | None = None) -> Wei
     dropped = [ids[i] for i in np.nonzero(host == UNASSIGNED)[0]]
     if dropped:
         warnings.warn(f"{len(dropped)} BTS outside every area dropped: {dropped[:5]}", stacklevel=2)
-    members: dict[int, list[str]] = {}
-    for i in np.flatnonzero(host >= 0):
-        members.setdefault(int(host[i]), []).append(ids[i])
-    area_ids = areas.area_ids  # a new list per access
-    rows = {area_ids[aidx]: {b: 1.0 / len(m) for b in sorted(m)}
-            for aidx, m in sorted(members.items())}
-    return WeightMatrix(SCHEME_P2P, area_ids, rows, dropped_bts=dropped)
+    bts_ids = sorted(ids)
+    inside = np.flatnonzero(host >= 0)
+    indptr, col, order = sorted_csr(len(areas), host[inside], [ids[i] for i in inside], bts_ids)
+    return WeightMatrix(SCHEME_P2P, areas.area_ids, bts_ids, indptr, col,
+                        1.0 / np.diff(indptr)[host[inside][order]], dropped_bts=dropped)
 
 
 def weights_voronoi(assignment: Assignment, areas: StatAreaSet) -> WeightMatrix:
@@ -244,10 +261,13 @@ def idw_rows_chunk(
     order = np.argsort(-masked, axis=1, kind="stable")[:, :kk]
     top = np.take_along_axis(masked, order, axis=1)
     sel_live = np.isfinite(top)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         v = np.where(sel_live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
     tot = v.sum(axis=1)
     counts = sel_live.sum(axis=1).astype(np.int64)
+    if np.any((counts > 0) & (tot == 0)):
+        raise ValueError(f"idw exponent s={s} is too large: 1/|rss|^s underflows to 0 "
+                         "on every live link of a pixel")
     rows = np.repeat(np.arange(n), kk)[sel_live.ravel()]
     cols = order.ravel()[sel_live.ravel()]
     w = (v / np.where(tot > 0, tot, 1.0)[:, None]).ravel()[sel_live.ravel()]
@@ -273,21 +293,13 @@ def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -
     combo = entry_area[keep] * nbts + pw.col[keep]
     sums = np.bincount(combo, weights=pw.w[keep], minlength=len(areas) * nbts)
 
-    # every nonzero sum comes from a covered pixel, so its area's denom is >= 1
-    area_ids = areas.area_ids  # a new list per access
-    rows: dict[str, dict[str, float]] = {}
-    for flat in np.nonzero(sums)[0]:
-        aidx, bidx = divmod(int(flat), nbts)
-        rows.setdefault(area_ids[aidx], {})[pw.bts_ids[bidx]] = sums[flat] / denom[aidx]
-    return WeightMatrix(pw.scheme, area_ids, rows)
-
-
-def _pixel_rows(scheme: str, pixel_ids, bts_ids, counts, col, w) -> PixelWeights:
-    ids = list(bts_ids)
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ValueError("rss columns must ascend by bts_id, without duplicates")
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return PixelWeights(scheme, pixel_ids, ids, indptr, col, w)
+    # in flat order the nonzero sums are the rows' entries, columns ascending;
+    # each comes from a covered pixel, so its area's denom is >= 1
+    flat = np.flatnonzero(sums)
+    aidx, bidx = np.divmod(flat, nbts)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(aidx, minlength=len(areas)))])
+    return WeightMatrix(pw.scheme, areas.area_ids, pw.bts_ids, indptr, bidx,
+                        sums[flat] / denom[aidx])
 
 
 def bsa_pixel_weights(pixel_ids, bts_ids, sel, scheme: str = SCHEME_BSA) -> PixelWeights:
@@ -297,8 +309,8 @@ def bsa_pixel_weights(pixel_ids, bts_ids, sel, scheme: str = SCHEME_BSA) -> Pixe
     give them."""
     sel = np.asarray(sel, dtype=np.int64)
     covered = sel >= 0
-    return _pixel_rows(scheme, pixel_ids, bts_ids, covered.astype(np.int64), sel[covered],
-                       np.ones(int(covered.sum())))
+    return PixelWeights(scheme, pixel_ids, list(bts_ids), np.concatenate([[0], np.cumsum(covered)]),
+                        sel[covered], np.ones(int(covered.sum())))
 
 
 def weights_bsa(rss: RssField) -> PixelWeights:
@@ -311,7 +323,8 @@ def idw_pixel_weights(pixel_ids, bts_ids, counts, col, w, s: float, k: int) -> P
     """Idw rows from `idw_rows_chunk`'s (counts, col, w), with the columns
     given as indices into `bts_ids`, which must ascend."""
     _check_idw(s, k)
-    return _pixel_rows(SCHEME_IDW, pixel_ids, bts_ids, counts, col, w)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return PixelWeights(SCHEME_IDW, pixel_ids, list(bts_ids), indptr, col, w)
 
 
 def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
@@ -346,31 +359,24 @@ def aggregate(
     if statistic not in ("mean", "median"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'mean' or 'median'")
     colv = covariates.column(column)
+    table_row = {b: i for i, b in enumerate(covariates.bts_ids)}
+    at = np.array([table_row.get(b, -1) for b in wm.bts_ids], dtype=np.int64)
+    vals = np.append(colv, np.nan)[at][wm.col]  # a BTS absent from the table reads NaN
+    # entries run in area order, then bts_id order: the first bad one is the offender
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        j, aid = wm.col[bad[0]], wm.area_ids[np.searchsorted(wm.indptr, bad[0], side="right") - 1]
+        what = "missing" if at[j] < 0 else "is missing (NaN)"
+        raise ValueError(f"covariate {column!r} {what} for BTS {wm.bts_ids[j]!r} "
+                         f"(needed by area {aid!r})")
     out: dict[str, float | None] = {}
-    for aid in wm.area_ids:
-        row = wm.rows.get(aid)
-        if row is None:
+    for aid, lo, hi in zip(wm.area_ids, wm.indptr[:-1].tolist(), wm.indptr[1:].tolist()):
+        if lo == hi:
             out[aid] = None
-            continue
-        vals = np.empty(len(row))
-        wgts = np.empty(len(row))
-        for i, (bid, wgt) in enumerate(sorted(row.items())):
-            try:
-                v = covariates.lookup(bid, column)
-            except KeyError:
-                raise ValueError(
-                    f"covariate {column!r} missing for BTS {bid!r} (needed by area {aid!r})"
-                ) from None
-            if not np.isfinite(v):
-                raise ValueError(
-                    f"covariate {column!r} is missing (NaN) for BTS {bid!r} "
-                    f"(needed by area {aid!r})"
-                )
-            vals[i], wgts[i] = v, wgt
-        if statistic == "mean":
-            out[aid] = float(vals @ wgts)
+        elif statistic == "mean":
+            out[aid] = float(vals[lo:hi] @ wm.w[lo:hi])
         else:
-            out[aid] = _weighted_median(vals, wgts)
+            out[aid] = _weighted_median(vals[lo:hi], wm.w[lo:hi])
     return out
 
 

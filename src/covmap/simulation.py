@@ -970,20 +970,15 @@ def _benchmark_estimates(world: SyntheticWorld) -> dict[str, float | None]:
 
 
 def _p2p_credit(
-    wm, area_of_settlement: np.ndarray, true_server: np.ndarray, bts_ids: list[str],
-    area_ids: list[str],
+    host_area: np.ndarray, area_of_settlement: np.ndarray, true_server: np.ndarray
 ) -> np.ndarray:
-    """Fractional settlement credit for p2p: the weight the settlement's
-    area row puts on the true serving site."""
-    col_of = {b: j for j, b in enumerate(bts_ids)}
-    table = np.zeros((len(area_ids), len(bts_ids)))
-    for i, aid in enumerate(area_ids):
-        for bts_id, w in wm.rows.get(aid, {}).items():
-            if bts_id in col_of:
-                table[i, col_of[bts_id]] = w
+    """Fractional settlement credit for p2p's row weight: 1/n when the true
+    server is one of the n sites its area hosts (`host_area`), else 0."""
     credit = np.zeros(true_server.size)
     ok = (true_server >= 0) & (area_of_settlement >= 0)
-    credit[ok] = table[area_of_settlement[ok], true_server[ok]]
+    ok[ok] = host_area[true_server[ok]] == area_of_settlement[ok]
+    hosted = np.bincount(host_area[host_area >= 0])
+    credit[ok] = 1.0 / hosted[area_of_settlement[ok]]
     return credit
 
 
@@ -1012,7 +1007,6 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     areas = world.areas
     settlements = world.settlements
     specs = world.specs
-    bts_ids = [s.bts_id for s in specs]
     points = [(s.bts_id, s.x, s.y) for s in specs]
     truth = world.coverage.assignment
     true_server = world.coverage.settlement_server
@@ -1075,7 +1069,7 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         "hata_idw": geo_hata,
     }
     vor_at = vor.labels[settlements.rows, settlements.cols].astype(np.int64)
-    credit_p2p = _p2p_credit(wm_p2p, area_of_settlement, true_server, bts_ids, areas.area_ids)
+    credit_p2p = _p2p_credit(host_area, area_of_settlement, true_server)
     settle_vor = settlement_overlap(vor_at, true_server, settle_group)
     settle_hata = settlement_overlap(naive_sel, true_server, settle_group)
     settle = {

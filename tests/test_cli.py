@@ -240,6 +240,16 @@ class TestWeights:
         assert params["s"] == 2.0 and params["k"] == 5
         assert params["scheme"] == "idw" and params["naive"] is False
 
+    def test_idw_exponent_too_large_fails_cleanly(self, study, two_areas, tmp_path, capsys):
+        rc = main(["weights", "--scheme", "idw", "--s", "400",
+                   "--bts", str(study / "snapshot_bts.csv"),
+                   "--areas", str(two_areas),
+                   "--raster", str(study / "snapshot_settlements.asc"),
+                   "--aux", str(study / "snapshot_env.asc"),
+                   "--out", str(tmp_path / "w")])
+        assert rc == 1
+        assert "idw exponent s=400.0 is too large" in capsys.readouterr().err
+
     def test_bsa_ignores_the_idw_exponent(self, study, two_areas, tmp_path):
         outs = {}
         for name, extra in (("default", []), ("negative", ["--s=-1"])):

@@ -16,6 +16,7 @@ from covmap.geo import (
     Assignment,
     Grid,
     SettlementRaster,
+    StatArea,
     StatAreaSet,
     extract_settlements,
     nearest_index,
@@ -381,7 +382,52 @@ class TestPolygonToMask:
             polygon_to_mask([np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [0.0, 0.0]])], g)
 
 
+def _full_grid_labels(areas: StatAreaSet, grid: Grid) -> np.ndarray:
+    """Reference labelling: every area painted, and tested for clashes,
+    over the whole grid."""
+    labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
+    for idx, a in enumerate(areas.areas):
+        m = a.mask if a.mask is not None else polygon_to_mask(a.rings, grid, a.area_id)
+        clash = m & (labels != UNASSIGNED)
+        if np.any(clash):
+            r, c = np.argwhere(clash)[0]
+            other = areas.areas[labels[r, c]].area_id
+            raise ValueError(f"areas {other!r} and {a.area_id!r} overlap at pixel ({r}, {c})")
+        labels[m] = idx
+    return labels
+
+
 class TestStatAreaSet:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windowed_labels_equal_a_full_grid_painter(self, seed):
+        # random polygons, many partly or wholly off a grid with an offset
+        # origin, mixed with sparse masks; the labels, or the first clash
+        # the overlap error names, must equal the full-grid painter's
+        rng = np.random.default_rng(seed)
+        g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
+        outcomes = {"labels": 0, "overlap": 0}
+        for _ in range(40):
+            members = []
+            for k in range(rng.integers(1, 6)):
+                if rng.random() < 0.3:
+                    members.append(StatArea(f"m{k}", mask=rng.random(g.shape) < 0.03))
+                    continue
+                cx, cy = rng.uniform(-100, 220), rng.uniform(80, 320)
+                n = rng.integers(3, 7)
+                pts = np.column_stack([cx + rng.uniform(-40, 40, n), cy + rng.uniform(-40, 40, n)])
+                members.append(StatArea(f"p{k}", rings=[np.vstack([pts, pts[:1]])]))
+            try:
+                want = _full_grid_labels(StatAreaSet(members, grid=g), g)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    StatAreaSet(members, grid=g).labels()
+                assert str(got.value) == str(exc)
+                outcomes["overlap"] += 1
+                continue
+            assert np.array_equal(StatAreaSet(members, grid=g).labels(), want)
+            outcomes["labels"] += 1
+        assert min(outcomes.values()) > 0
+
     def test_labels_from_masks(self):
         g = Grid(ncols=4, nrows=2, cell_size_m=10.0)
         m1 = np.zeros((2, 4), dtype=bool)

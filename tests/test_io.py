@@ -29,9 +29,10 @@ from covmap.io import (
     tally_csv_string,
     weights_csv_string,
 )
-from covmap.mapping import CovariateTable, WeightMatrix
+from covmap.mapping import CovariateTable
 from covmap.propagation import AntennaSpec
 from covmap.simulation import SimConfig
+from weight_rows import weight_matrix
 
 CANONICAL_ASC = (
     "ncols 3\n"
@@ -319,8 +320,8 @@ class TestCovariatesCsv:
         p.write_text("bts_id,calls,rate\na,10,0.5\nb,,0.25\n")
         t = load_covariates_csv(p)
         assert t.bts_ids == ["a", "b"]
-        assert np.isnan(t.lookup("b", "calls"))
-        assert t.lookup("b", "rate") == 0.25
+        assert np.isnan(t.column("calls")[1])
+        assert t.column("rate")[1] == 0.25
 
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "cov.csv"
@@ -348,13 +349,13 @@ class TestCovariatesCsv:
         p.write_text(covariates_csv_string(t))
         back = load_covariates_csv(p)
         assert back.bts_ids == ["a", "b"]
-        assert back.lookup("a", "v") == 0.5
-        assert np.isnan(back.lookup("b", "v"))
+        assert back.column("v")[0] == 0.5
+        assert np.isnan(back.column("v")[1])
         assert covariates_csv_string(back) == p.read_text()
 
 
 class TestWeightsCsv:
-    WM = WeightMatrix("voronoi", ["A", "B", "C"], {
+    WM = weight_matrix("voronoi", ["A", "B", "C"], {
         "A": {"b1": 0.75, "b2": 0.25},
         "B": {"b2": 1.0},
     })
@@ -374,12 +375,12 @@ class TestWeightsCsv:
         # a commune-scale file: the area lookups must not grow with the
         # universe, or 20,000 areas take half a minute instead of a second
         ids = [f"A{i:05d}" for i in range(20000)]
-        big = WeightMatrix("voronoi", ids + ["Z"], {a: {"b1": 0.75, "b2": 0.25} for a in ids})
+        big = weight_matrix("voronoi", ids + ["Z"], {a: {"b1": 0.75, "b2": 0.25} for a in ids})
         p.write_text(weights_csv_string(big))
         back = load_weights_csv(p, area_ids=ids + ["Z"], scheme="voronoi")
         assert back.entries() == big.entries()
         assert back.no_coverage_ids == ["Z"] and back.row("Z") is None
-        assert all(back.row(a) == big.rows[a] for a in ids)
+        assert all(back.row(a) == big.row(a) for a in ids)
 
     def test_universe_defaults_to_covered(self, tmp_path):
         p = tmp_path / "w.csv"

@@ -22,10 +22,12 @@ from covmap.geo import (
     extract_settlements,
     voronoi_assign,
 )
+from covmap.io import fmt12, weights_csv_string
 from covmap.mapping import (
     CovariateTable,
     PixelWeights,
     WeightMatrix,
+    _weighted_median,
     aggregate,
     area_weights_from_pixels,
     classify_areas_by_bts_density,
@@ -37,6 +39,7 @@ from covmap.mapping import (
     weights_voronoi,
 )
 from covmap.propagation import RssField
+from weight_rows import rows_of, weight_matrix
 
 
 def make_field(pixel_ids, bts_ids, rss, threshold=-110.0):
@@ -57,8 +60,8 @@ class TestP2P:
         areas = StatAreaSet.from_masks(g, [("w", west), ("e", ~west)])
         pts = [("b1", 50.0, 50.0), ("b2", 150.0, 150.0), ("b3", 50.0, 150.0), ("b4", 250.0, 50.0)]
         wm = weights_p2p(pts, areas)
-        assert wm.rows["w"] == {"b1": 1 / 3, "b2": 1 / 3, "b3": 1 / 3}
-        assert wm.rows["e"] == {"b4": 1.0}
+        assert wm.row("w") == {"b1": 1 / 3, "b2": 1 / 3, "b3": 1 / 3}
+        assert wm.row("e") == {"b4": 1.0}
         assert wm.no_coverage_ids == []
 
     def test_bts_outside_dropped_with_warning(self):
@@ -66,7 +69,7 @@ class TestP2P:
         areas = StatAreaSet.from_masks(g, [("a", np.ones((2, 2), dtype=bool))])
         with pytest.warns(UserWarning, match="outside"):
             wm = weights_p2p([("in", 50.0, 50.0), ("out", 900.0, 900.0)], areas)
-        assert wm.rows["a"] == {"in": 1.0}
+        assert wm.row("a") == {"in": 1.0}
         assert wm.dropped_bts == ["out"]
 
     def test_area_without_bts_has_no_coverage(self):
@@ -84,7 +87,7 @@ class TestVoronoiWeights:
         areas = StatAreaSet.from_masks(g, [("a", np.ones((1, 4), dtype=bool))])
         assignment = voronoi_assign(g, [("A", 50.0, 50.0), ("B", 480.0, 50.0)])
         wm = weights_voronoi(assignment, areas)
-        assert wm.rows["a"] == {"A": 0.75, "B": 0.25}
+        assert wm.row("a") == {"A": 0.75, "B": 0.25}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
@@ -107,7 +110,7 @@ class TestVoronoiWeights:
                         counts.get(ordered[int(np.argmin(d2))][0], 0) + 1
                     )
             want = {b: n / mask.sum() for b, n in counts.items()}
-            got = wm.rows[aid]
+            got = wm.row(aid)
             assert set(got) == set(want)
             for b in want:
                 assert_allclose(got[b], want[b], atol=1e-12)
@@ -121,7 +124,7 @@ class TestVoronoiWeights:
         areas = StatAreaSet.from_masks(g, [("n", half), ("s", ~half)])
         wm = weights_voronoi(voronoi_assign(g, sites), areas)
         for aid in wm.covered_ids:
-            assert_allclose(sum(wm.rows[aid].values()), 1.0, atol=1e-12)
+            assert_allclose(sum(wm.row(aid).values()), 1.0, atol=1e-12)
 
 
 class TestAugVoronoi:
@@ -132,8 +135,8 @@ class TestAugVoronoi:
         assignment = voronoi_assign(g, [("A", 50.0, 50.0), ("B", 480.0, 50.0)])
         # tiles split 3:1 in pixels, but settled pixels split {2, 1}
         wm = weights_aug_voronoi(assignment, settlements, areas)
-        assert_allclose(wm.rows["a"]["A"], 2 / 3)
-        assert_allclose(wm.rows["a"]["B"], 1 / 3)
+        assert_allclose(wm.row("a")["A"], 2 / 3)
+        assert_allclose(wm.row("a")["B"], 1 / 3)
 
     def test_empty_area_gets_no_coverage(self):
         counts = np.array([[3, 0], [0, 0]])
@@ -142,7 +145,7 @@ class TestAugVoronoi:
         areas = StatAreaSet.from_masks(g, [("t", top), ("b", ~top)])
         assignment = voronoi_assign(g, [("A", 50.0, 150.0)])
         wm = weights_aug_voronoi(assignment, settlements, areas)
-        assert wm.rows["t"] == {"A": 1.0}
+        assert wm.row("t") == {"A": 1.0}
         assert wm.no_coverage_ids == ["b"]
 
     def test_uniform_settlement_equals_plain_voronoi(self):
@@ -156,11 +159,11 @@ class TestAugVoronoi:
         areas = StatAreaSet.from_masks(g, [("q", quad), ("rest", ~quad)])
         plain = weights_voronoi(assignment, areas)
         aug = weights_aug_voronoi(assignment, settlements, areas)
-        assert plain.rows.keys() == aug.rows.keys()
-        for aid in plain.rows:
-            assert plain.rows[aid].keys() == aug.rows[aid].keys()
-            for b in plain.rows[aid]:
-                assert_allclose(aug.rows[aid][b], plain.rows[aid][b], atol=1e-12)
+        assert rows_of(plain).keys() == rows_of(aug).keys()
+        for aid in plain.covered_ids:
+            assert plain.row(aid).keys() == aug.row(aid).keys()
+            for b in plain.row(aid):
+                assert_allclose(aug.row(aid)[b], plain.row(aid)[b], atol=1e-12)
 
 
 class TestBsa:
@@ -173,7 +176,7 @@ class TestBsa:
         wm = area_weights_from_pixels(pw, areas, g)
         assert pw.row(0) == {"b1": 1.0}
         assert pw.row(1) == {"b2": 1.0}  # b1 is dead at pixel 1
-        assert wm.rows["a"] == {"b1": 0.5, "b2": 0.5}
+        assert wm.row("a") == {"b1": 0.5, "b2": 0.5}
 
     def test_all_dead_pixel_contributes_nothing(self):
         counts = np.array([[1, 1]])
@@ -183,7 +186,7 @@ class TestBsa:
         pw = weights_bsa(field)
         wm = area_weights_from_pixels(pw, areas, g)
         assert not pw.covered[1]
-        assert wm.rows["a"] == {"b1": 1.0}
+        assert wm.row("a") == {"b1": 1.0}
 
     def test_tie_breaks_to_lowest_bts_id(self):
         counts = np.array([[1]])
@@ -198,7 +201,7 @@ class TestBsa:
         areas = StatAreaSet.from_masks(g, [("l", left), ("r", ~left)])
         field = make_field(settlements.ids, ["b1"], [[-60.0], [-130.0]])
         wm = area_weights_from_pixels(weights_bsa(field), areas, g)
-        assert wm.rows["l"] == {"b1": 1.0}
+        assert wm.row("l") == {"b1": 1.0}
         assert wm.no_coverage_ids == ["r"]
 
     def test_matches_brute_force(self):
@@ -232,7 +235,7 @@ class TestBsa:
                 assert aid in wm.no_coverage_ids
                 continue
             for b in set(sel):
-                assert_allclose(wm.rows[aid][b], sel.count(b) / len(sel), atol=1e-12)
+                assert_allclose(wm.row(aid)[b], sel.count(b) / len(sel), atol=1e-12)
 
 
 class TestIdw:
@@ -300,6 +303,18 @@ class TestIdw:
         for i in range(len(settlements)):
             top_idw = max(pw_idw.row(i).items(), key=lambda t: t[1])[0]
             assert top_idw == next(iter(pw_bsa.row(i)))
+
+    def test_vanishing_weights_name_the_exponent(self):
+        counts = np.array([[1, 1]])
+        g, settlements = strip_settlements(counts)
+        # |rss|^400 overflows, so every weight of pixel 0 would be 0; pixel
+        # 1's clamped magnitude keeps one weight, so alone it still works
+        field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -60.0], [-0.5, -60.0]])
+        with pytest.raises(ValueError, match=r"idw exponent s=400\.0 is too large"):
+            weights_idw(field, s=400.0, k=5)
+        one = make_field(settlements.ids[1:], ["b1", "b2"], [[-0.5, -60.0]])
+        pw = weights_idw(one, s=400.0, k=5)
+        assert pw.row(0) == {"b1": 1.0, "b2": 0.0}
 
     def test_bad_params_rejected(self):
         counts = np.array([[1]])
@@ -385,7 +400,7 @@ def test_voronoi_pair_matches_per_area_count(world):
             if tally:
                 want[aid] = {b: n / sum(tally.values()) for b, n in tally.items()}
         assert wm.scheme == scheme and wm.area_ids == areas.area_ids
-        assert wm.rows == want
+        assert rows_of(wm) == want
 
 
 # levels around the -110 dBm threshold: a small pool makes exact ties
@@ -416,16 +431,126 @@ def test_bsa_is_idw_with_one_link_and_flat_weights(rss, dead_rows):
     np.testing.assert_array_equal(bsa.w, idw.w)
 
 
+def _dict_area_rows(pw, areas, grid):
+    """Reference reducer: the same dense sums, read out into one
+    {bts_id: weight} dict per covered area."""
+    area_of = areas.labels(grid).reshape(-1)[pw.pixel_ids].astype(np.int64)
+    denom = np.bincount(area_of[pw.covered & (area_of >= 0)], minlength=len(areas))
+    entry_area = np.repeat(area_of, pw.row_lengths())
+    keep = entry_area >= 0
+    nbts = len(pw.bts_ids)
+    combo = entry_area[keep] * nbts + pw.col[keep]
+    sums = np.bincount(combo, weights=pw.w[keep], minlength=len(areas) * nbts)
+    rows: dict[str, dict[str, float]] = {}
+    for flat in np.nonzero(sums)[0]:
+        aidx, bidx = divmod(int(flat), nbts)
+        rows.setdefault(areas.area_ids[aidx], {})[pw.bts_ids[bidx]] = sums[flat] / denom[aidx]
+    return rows
+
+
+def _dict_aggregate(area_ids, rows, covariates, column, statistic):
+    """Reference aggregation: per area, look each BTS up in the table in
+    bts_id order and stop at the first absent or NaN covariate."""
+    colv = covariates.column(column)
+    index = {b: i for i, b in enumerate(covariates.bts_ids)}
+    out = {}
+    for aid in area_ids:
+        row = rows.get(aid)
+        if row is None:
+            out[aid] = None
+            continue
+        vals, wgts = np.empty(len(row)), np.empty(len(row))
+        for i, (bid, wgt) in enumerate(sorted(row.items())):
+            if bid not in index:
+                raise ValueError(
+                    f"covariate {column!r} missing for BTS {bid!r} (needed by area {aid!r})")
+            v = float(colv[index[bid]])
+            if not np.isfinite(v):
+                raise ValueError(f"covariate {column!r} is missing (NaN) for BTS {bid!r} "
+                                 f"(needed by area {aid!r})")
+            vals[i], wgts[i] = v, wgt
+        out[aid] = float(vals @ wgts) if statistic == "mean" else _weighted_median(vals, wgts)
+    return out
+
+
+@st.composite
+def _pixel_rows_world(draw):
+    """Pixel rows over mask areas in a shuffled id order, with pixels
+    outside every area, uncovered pixels, zero weights and areas without
+    a covered pixel; plus a covariate table that may lack a weighted BTS
+    or hold NaN for one."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=10.0)
+    nareas = draw(st.integers(1, 4))
+    owner = draw(hnp.arrays(np.int64, (nrows, ncols), elements=st.integers(-1, nareas - 1)))
+    ids = draw(st.permutations([f"A{k}" for k in range(nareas)]))
+    areas = StatAreaSet.from_masks(grid, [(a, owner == k) for k, a in enumerate(ids)])
+    nbts = draw(st.integers(1, 5))
+    bts_ids = [f"b{j}" for j in range(nbts)]
+    pixel_ids = draw(st.lists(st.integers(0, grid.npixels - 1), min_size=1, unique=True))
+    indptr, col, w = [0], [], []
+    for _ in pixel_ids:
+        cols = sorted(draw(st.sets(st.integers(0, nbts - 1))))
+        raw = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 10.0),
+                            min_size=len(cols), max_size=len(cols)))
+        if cols and sum(raw) == 0:
+            raw[0] = 1.0
+        col += cols
+        w += [r / sum(raw) for r in raw]
+        indptr.append(len(col))
+    pw = PixelWeights("idw", pixel_ids, bts_ids, indptr, col, w)
+    values = draw(hnp.arrays(np.float64, nbts, elements=st.floats(-100.0, 100.0)))
+    gaps = draw(st.lists(st.tuples(st.integers(0, nbts - 1), st.sampled_from(["absent", "nan"])),
+                         max_size=2))
+    keep = np.ones(nbts, dtype=bool)
+    for j, kind in gaps:
+        if kind == "nan":
+            values[j] = np.nan
+        else:
+            keep[j] = False
+    table_ids = [b for j, b in enumerate(bts_ids) if keep[j]] + ["other"]
+    order = draw(st.permutations(range(len(table_ids))))
+    table = CovariateTable([table_ids[i] for i in order],
+                           {"v": np.append(values[keep], 7.0)[list(order)]})
+    return pw, areas, grid, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=_pixel_rows_world())
+def test_csr_area_rows_equal_the_dict_reference(world):
+    pw, areas, grid, table = world
+    rows = _dict_area_rows(pw, areas, grid)
+    wm = area_weights_from_pixels(pw, areas, grid)
+    entries = [(a, b, rows[a][b]) for a in sorted(rows) for b in sorted(rows[a])]
+    assert wm.entries() == entries
+    assert rows_of(wm) == rows
+    assert wm.no_coverage_ids == [a for a in areas.area_ids if a not in rows]
+    assert weights_csv_string(wm) == "area_id,bts_id,weight\n" + "".join(
+        f"{a},{b},{fmt12(v)}\n" for a, b, v in entries)
+    for statistic in ("mean", "median"):
+        try:
+            want = _dict_aggregate(areas.area_ids, rows, table, "v", statistic)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                aggregate(wm, table, "v", statistic)
+            assert str(got.value) == str(exc)
+            continue
+        got = aggregate(wm, table, "v", statistic)
+        assert list(got) == list(want)
+        assert all((got[a] is None and want[a] is None) or got[a].hex() == want[a].hex()
+                   for a in want)
+
+
 class TestAggregate:
     def _table(self):
         return CovariateTable(["b1", "b2", "b3"], {"rate": np.array([2.0, 6.0, 4.0])})
 
     def test_weighted_mean(self):
-        wm = WeightMatrix("bsa", ["a"], {"a": {"b1": 0.25, "b2": 0.75}})
+        wm = weight_matrix("bsa", ["a"], {"a": {"b1": 0.25, "b2": 0.75}})
         assert_allclose(aggregate(wm, self._table(), "rate")["a"], 0.25 * 2 + 0.75 * 6)
 
     def test_constant_covariate_returns_constant(self):
-        wm = WeightMatrix("bsa", ["a", "b"], {"a": {"b1": 0.3, "b2": 0.7}, "b": {"b3": 1.0}})
+        wm = weight_matrix("bsa", ["a", "b"], {"a": {"b1": 0.3, "b2": 0.7}, "b": {"b3": 1.0}})
         tab = CovariateTable(["b1", "b2", "b3"], {"rate": np.full(3, 7.5)})
         out = aggregate(wm, tab, "rate")
         assert out == {"a": 7.5, "b": 7.5}
@@ -436,7 +561,7 @@ class TestAggregate:
             n = rng.integers(1, 6)
             w = rng.dirichlet(np.ones(n))
             vals = rng.normal(size=n) * 10
-            wm = WeightMatrix(
+            wm = weight_matrix(
                 "x", ["a"], {"a": {f"b{i}": float(w[i]) for i in range(n)}}
             )
             tab = CovariateTable([f"b{i}" for i in range(n)], {"v": vals})
@@ -444,17 +569,17 @@ class TestAggregate:
             assert vals.min() - 1e-12 <= est <= vals.max() + 1e-12
 
     def test_weighted_median(self):
-        wm = WeightMatrix("x", ["a"], {"a": {"b1": 0.3, "b2": 0.3, "b3": 0.4}})
+        wm = weight_matrix("x", ["a"], {"a": {"b1": 0.3, "b2": 0.3, "b3": 0.4}})
         tab = CovariateTable(["b1", "b2", "b3"], {"v": np.array([1.0, 5.0, 9.0])})
         assert aggregate(wm, tab, "v", statistic="median")["a"] == 5.0
 
     def test_no_coverage_is_none(self):
-        wm = WeightMatrix("x", ["a", "b"], {"a": {"b1": 1.0}})
+        wm = weight_matrix("x", ["a", "b"], {"a": {"b1": 1.0}})
         tab = CovariateTable(["b1"], {"v": np.array([3.0])})
         assert aggregate(wm, tab, "v") == {"a": 3.0, "b": None}
 
     def test_missing_covariate_is_loud(self):
-        wm = WeightMatrix("x", ["a"], {"a": {"b1": 0.5, "b2": 0.5}})
+        wm = weight_matrix("x", ["a"], {"a": {"b1": 0.5, "b2": 0.5}})
         tab = CovariateTable(["b1"], {"v": np.array([3.0])})
         with pytest.raises(ValueError, match="b2"):
             aggregate(wm, tab, "v")
@@ -463,7 +588,7 @@ class TestAggregate:
             aggregate(wm, tab2, "v")
 
     def test_unknown_statistic_rejected(self):
-        wm = WeightMatrix("x", ["a"], {"a": {"b1": 1.0}})
+        wm = weight_matrix("x", ["a"], {"a": {"b1": 1.0}})
         with pytest.raises(ValueError):
             aggregate(wm, self._table(), "rate", statistic="mode")
 
@@ -471,16 +596,30 @@ class TestAggregate:
 class TestContainers:
     def test_weight_matrix_validation(self):
         with pytest.raises(ValueError, match="sum"):
-            WeightMatrix("x", ["a"], {"a": {"b1": 0.5, "b2": 0.4}})
+            weight_matrix("x", ["a"], {"a": {"b1": 0.5, "b2": 0.4}})
         with pytest.raises(ValueError, match="positive"):
-            WeightMatrix("x", ["a"], {"a": {"b1": 1.5, "b2": -0.5}})
-        with pytest.raises(ValueError, match="unknown area"):
-            WeightMatrix("x", ["a"], {"zz": {"b1": 1.0}})
+            weight_matrix("x", ["a"], {"a": {"b1": 1.5, "b2": -0.5}})
         with pytest.raises(KeyError):
-            WeightMatrix("x", ["a"], {}).row("zz")
+            weight_matrix("x", ["a"], {}).row("zz")
+
+    def test_weight_matrix_csr_checks(self):
+        with pytest.raises(ValueError, match="CSR"):
+            WeightMatrix("x", ["a", "b"], ["b1"], [0, 1], [0], [1.0])
+        with pytest.raises(ValueError, match="ascend by bts_id"):
+            WeightMatrix("x", ["a"], ["b2", "b1"], [0, 2], [0, 1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="range"):
+            WeightMatrix("x", ["a"], ["b1"], [0, 1], [1], [1.0])
+        for bad in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="area 'b': weights must be finite and positive"):
+                WeightMatrix("x", ["a", "b"], ["b1", "b2"], [0, 0, 2], [0, 1], [1.0, bad])
+        with pytest.raises(ValueError, match="area 'b': weights sum to 0.9, not 1"):
+            WeightMatrix("x", ["a", "b", "c"], ["b1"], [0, 1, 2, 2], [0, 0], [1.0, 0.9])
+        wm = WeightMatrix("x", ["a", "b"], ["b1", "b2"], [0, 0, 2], [0, 1], [0.25, 0.75])
+        assert wm.covered_ids == ["b"] and wm.no_coverage_ids == ["a"]
+        assert wm.row("a") is None and wm.row("b") == {"b1": 0.25, "b2": 0.75}
 
     def test_weight_matrix_entries_sorted(self):
-        wm = WeightMatrix(
+        wm = weight_matrix(
             "x", ["b_area", "a_area"],
             {"b_area": {"z": 0.5, "a": 0.5}, "a_area": {"m": 1.0}},
         )
@@ -506,8 +645,6 @@ class TestContainers:
         tab = CovariateTable(["b"], {"v": np.array([1.0])})
         with pytest.raises(KeyError):
             tab.column("w")
-        with pytest.raises(KeyError):
-            tab.lookup("nope", "v")
 
 
 class TestClassify:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap import geo, propagation, simulation
-from covmap.geo import Assignment, Grid, SettlementRaster, extract_settlements
-from covmap.mapping import WeightMatrix, weights_bsa, weights_idw
+from covmap.geo import Assignment, Grid, SettlementRaster, StatAreaSet, extract_settlements
+from covmap.mapping import weights_bsa, weights_idw, weights_p2p
 from covmap.propagation import (
     AntennaSpec,
     RssField,
@@ -707,18 +708,24 @@ def test_three_builders_of_weight_matrices():
 
 
 def test_p2p_credit_matches_row_lookup_loop():
-    bts_ids = ["a", "b", "c"]
-    area_ids = ["A0", "A1", "A2"]  # A2 has no row
-    wm = WeightMatrix("p2p", area_ids, {"A0": {"a": 0.25, "c": 0.75}, "A1": {"b": 1.0}})
+    # A0 hosts a, c and e, A1 hosts b, A2 hosts none, and d is off the grid
+    g = Grid(ncols=3, nrows=1, cell_size_m=100.0)
+    areas = StatAreaSet.from_masks(g, [(f"A{k}", np.arange(3)[None, :] == k) for k in range(3)])
+    points = [("a", 10.0, 50.0), ("b", 150.0, 50.0), ("c", 60.0, 40.0), ("d", 900.0, 50.0),
+              ("e", 90.0, 90.0)]
+    bts_ids = [p[0] for p in points]
+    with pytest.warns(UserWarning, match="outside"):
+        wm = weights_p2p(points, areas)
+    host = areas.locate_points([p[1] for p in points], [p[2] for p in points])
     rng = np.random.default_rng(3)
-    area_of = rng.integers(-1, 3, 200)
-    server = rng.integers(-1, 3, 200)
-    want = np.zeros(200)
-    for i in range(200):
+    area_of = rng.integers(-1, 3, 400)
+    server = rng.integers(-1, len(points), 400)
+    want = np.zeros(400)
+    for i in range(400):
         if server[i] >= 0 and area_of[i] >= 0:
-            want[i] = wm.rows.get(area_ids[area_of[i]], {}).get(bts_ids[server[i]], 0.0)
-    got = _p2p_credit(wm, area_of, server, bts_ids, area_ids)
-    assert np.array_equal(got, want) and np.any(got > 0)
+            want[i] = (wm.row(areas.area_ids[area_of[i]]) or {}).get(bts_ids[server[i]], 0.0)
+    got = _p2p_credit(host, area_of, server)
+    assert np.array_equal(got, want) and set(got) == {0.0, 1 / 3, 1.0}
 
 
 class TestGeographicOverlap:
@@ -903,6 +910,12 @@ class TestStudy:
         monkeypatch.setattr(sim, "gen_population", boom)
         with pytest.raises(RuntimeError, match=r"round 3 failed \(seed=7, round=3\)"):
             simulate_round(tiny_config(), 3)
+
+    def test_idw_exponent_too_large_is_named(self):
+        # 1/|rss|^200 underflows to 0 on every live link of some settlement
+        cfg = dataclasses.replace(SimConfig.desk(rounds=1, seed=1), idw_s=200.0)
+        with pytest.raises(RuntimeError, match=r"round 0 failed .*idw exponent s=200\.0 is too large"):
+            simulate_round(cfg, 0)
 
     def test_values_are_round_ordered(self):
         res = run_study(tiny_config(rounds=3), jobs=1)
