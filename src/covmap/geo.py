@@ -494,9 +494,29 @@ class StatAreaSet:
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if all(a.rings is not None for a in self.areas):
             out = np.full(x.size, UNASSIGNED, dtype=np.int64)
-            for idx, a in enumerate(self.areas):
-                hit = _points_in_rings(a.rings, x, y) & (out == UNASSIGNED)
-                out[hit] = idx
+            if not self.areas:
+                return out
+            # A point outside an area's rings' bounding box is outside the
+            # area, by the argument in `_polygon_window`, so each area tests
+            # only the points in its box: a slice of the points in x order,
+            # then a test on y.  The boxes are widened by 1e-9 of the largest
+            # vertex coordinate, far above the rounding of a crossing abscissa.
+            starts = np.cumsum([0] + [sum(map(len, a.rings)) for a in self.areas[:-1]])
+            vertices = np.concatenate([r for a in self.areas for r in a.rings])
+            pad = 1e-9 * max(np.abs(vertices).max(), 1.0)
+            lo = np.minimum.reduceat(vertices, starts) - pad
+            hi = np.maximum.reduceat(vertices, starts) + pad
+            order = np.argsort(x, kind="stable")
+            xs, ys = x[order], y[order]
+            spans = np.searchsorted(xs, np.column_stack([lo[:, 0], hi[:, 0]])).tolist()
+            for idx, ((i0, i1), y0, y1) in enumerate(zip(spans, lo[:, 1].tolist(),
+                                                         hi[:, 1].tolist())):
+                inbox = (ys[i0:i1] >= y0) & (ys[i0:i1] <= y1)
+                if inbox.any():
+                    cand = order[i0:i1][inbox]
+                    cand = cand[out[cand] == UNASSIGNED]
+                    rings = self.areas[idx].rings
+                    out[cand[_points_in_rings(rings, x[cand], y[cand])]] = idx
             return out
         grid = grid or self.grid
         labels = self.labels(grid)

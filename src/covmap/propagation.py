@@ -12,15 +12,15 @@ the distance checks from one min/max pair per call.
 
 One kernel, `rss_field`, turns antenna specs and pixel centres into
 received levels (transmit power minus median loss, no shadowing term).
-Loss never decreases with distance, so `live_radius_km` bounds, per
-antenna and environment, where a link can be live; `rss_field` evaluates
-the model only inside that radius and reports every dead link as -inf.
-`reaching_sites` picks the antennas that can reach a box of pixels.  The
-one caller of `rss_field` is the tiled link walker in `simulation`: it
-sends one square tile of pixels (every pixel, or only the settlement
-pixels) at a time, on only the antennas that reach the tile, in blocks of
-at most a fixed number of links, so memory stays bounded whatever the
-antenna count.
+Loss never decreases with distance, so `live_radii_km` bounds, per
+antenna and environment, where a link can be live.  Its one caller, the
+tiled link walker in `simulation`, builds this radius table once per
+pass (nothing here outlives a call), culls each tile's antennas with
+`reaching_sites`, and sends the tile's pixels to `rss_field` on the
+antennas left, with their rows of the table, in blocks of at most a
+fixed number of links, so memory stays bounded whatever the antenna
+count.  `rss_field` evaluates the model only inside each link's radius
+and reports every dead link as -inf.
 """
 
 from __future__ import annotations
@@ -257,6 +257,7 @@ def _levels_dbm(spec: AntennaSpec, d_km, codes, rx_height_m: float) -> np.ndarra
 # the radius probe: a log grid from 1 m to the model's range, then a linear
 # refinement between its last live and first dead point
 _PROBE_KM = np.geomspace(1e-3, DIST_MAX_KM, 64)
+_PROBE_KM.flags.writeable = False
 _PROBE_REFINE = 64
 # a probe point counts as dead only this far below the threshold, so a
 # one-ulp wobble in the loss can never make a culled link live
@@ -264,32 +265,30 @@ _RADIUS_MARGIN_DB = 1e-6
 # relative slack on the distance tests that cull links, far above their
 # rounding error, so a culled link always lies at or beyond its radius
 _REACH_SLACK = 1.0 + 1e-9
-# live_radius_km's memo, keyed on everything but the site's position
-_RADII: dict[tuple, np.ndarray] = {}
 
 
-def live_radius_km(
-    spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: float
+def live_radii_km(
+    specs: list[AntennaSpec], rx_height_m: float, dead_threshold_dbm: float
 ) -> np.ndarray:
-    """Per environment code, a distance from which every link of `spec` is dead.
+    """Per spec and environment code, a distance from which every link is dead.
 
-    Entry `r[env]` guarantees that every path of length `d >= r[env]`
+    Row `j` of the (len(specs), 3) result is spec `j`'s radius table:
+    entry `r[j, env]` guarantees that every path of length `d >= r[j, env]`
     through environment `env` has a level below `dead_threshold_dbm`.
     It is `inf` exactly when the 100 km link is still live: the clamp
     holds the loss flat beyond the model's range.  Relies on the loss
-    never decreasing with distance.  The radius ignores the site's
-    position, so it is memoised on the technical parameters: specs with
-    equal ones (all naive specs of one class) share one probe.
+    never decreasing with distance.  A radius ignores the site's position,
+    so specs with equal technical parameters (all naive specs of one
+    class) share one probe.
     """
-    key = (spec.height_m, spec.freq_mhz, spec.power_dbm, rx_height_m, dead_threshold_dbm)
-    if key not in _RADII:
-        _RADII[key] = _probe_radius_km(spec, rx_height_m, dead_threshold_dbm)
-    return _RADII[key]
-
-
-def forget_live_radii() -> None:
-    """Empty the `live_radius_km` memo, so the next pass probes afresh."""
-    _RADII.clear()
+    radii = np.empty((len(specs), len(ENV_CLASSES)))
+    probed: dict[tuple, np.ndarray] = {}
+    for j, s in enumerate(specs):
+        key = (s.height_m, s.freq_mhz, s.power_dbm)
+        if key not in probed:
+            probed[key] = _probe_radius_km(s, rx_height_m, dead_threshold_dbm)
+        radii[j] = probed[key]
+    return radii
 
 
 def _probe_radius_km(spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: float):
@@ -308,28 +307,20 @@ def _probe_radius_km(spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: 
         fine_dead = _levels_dbm(spec, fine, codes[bracket], rx_height_m) < cut
         fine_dead[:, -1] = True  # the bracket's own dead end point
         radius[bracket] = fine[np.arange(k.size), fine_dead.argmax(axis=1)]
-    radius.flags.writeable = False  # the memo hands the same array to every caller
     return radius
 
 
-def reaching_sites(
-    specs: list[AntennaSpec], px, py, *, rx_height_m: float, dead_threshold_dbm: float
-) -> np.ndarray:
-    """Ascending indices of the specs whose largest `live_radius_km`
-    reaches the bounding box of the points `px`, `py` (non-empty).
+def reaching_sites(sx, sy, reach_km, px, py) -> np.ndarray:
+    """Ascending indices of the sites at `sx`, `sy` whose largest live
+    radius `reach_km` reaches the bounding box of the points `px`, `py`
+    (non-empty).
 
-    Every link from a spec left out is dead at every point in the box,
+    Every link from a site left out is dead at every point in the box,
     so dropping those columns from a field loses no live link.
     """
-    x = np.asarray(px, dtype=np.float64)
-    y = np.asarray(py, dtype=np.float64)
-    sx = np.array([s.x for s in specs], dtype=np.float64)
-    sy = np.array([s.y for s in specs], dtype=np.float64)
-    reach = np.array([live_radius_km(s, rx_height_m, dead_threshold_dbm).max() for s in specs],
-                     dtype=np.float64)
-    gap_km = _distance_km(np.maximum(np.maximum(x.min() - sx, sx - x.max()), 0.0),
-                          np.maximum(np.maximum(y.min() - sy, sy - y.max()), 0.0))
-    return np.flatnonzero(gap_km < reach * _REACH_SLACK)
+    gap_km = _distance_km(np.maximum(np.maximum(px.min() - sx, sx - px.max()), 0.0),
+                          np.maximum(np.maximum(py.min() - sy, sy - py.max()), 0.0))
+    return np.flatnonzero(gap_km < reach_km * _REACH_SLACK)
 
 
 def rss_field(
@@ -339,18 +330,20 @@ def rss_field(
     py,
     pixel_env,
     *,
+    radii_km,
     rx_height_m: float = 1.0,
     dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
 ) -> RssField:
     """Received levels for pixels x antennas, -inf for every dead link.
 
     `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
-    per-pixel environment class (names or codes).  Only the specs that
-    `reaching_sites` keeps for the pixels' bounding box are evaluated,
-    each only on pixels within the radius of their environment.
-    The tiled walker passes one block of a tile's pixels at a time; each
-    entry depends only on its own pixel and antenna, so blocking never
-    changes a value.
+    per-pixel environment class (names or codes).  `radii_km` holds the
+    specs' rows of `live_radii_km` at the same receiver height and
+    threshold; each spec is evaluated only on the pixels within the
+    radius of their environment.  The tiled walker passes one block of a
+    tile's pixels at a time, on the specs that reach the tile; each entry
+    depends only on its own pixel and antenna, so blocking never changes
+    a value.
     """
     pids = np.asarray(pixel_ids, dtype=np.int64)
     x = np.asarray(px, dtype=np.float64)
@@ -361,19 +354,17 @@ def rss_field(
     ids = [s.bts_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate bts_id among {len(ids)} specs")
+    radii = np.asarray(radii_km, dtype=np.float64)
+    if radii.shape != (len(specs), len(ENV_CLASSES)):
+        raise ValueError(f"radii_km shape {radii.shape} does not match {len(specs)} specs")
 
     field = RssField(pids, ids, np.full((x.size, len(specs)), -np.inf), dead_threshold_dbm)
-    if x.size == 0:
-        return field
-    for j in reaching_sites(specs, x, y, rx_height_m=rx_height_m,
-                            dead_threshold_dbm=dead_threshold_dbm):
-        s = specs[j]
-        radius = live_radius_km(s, rx_height_m, dead_threshold_dbm)
-        # squared reach in metres per environment: a cheap test before hypot
-        reach_m2 = (radius * (1000.0 * _REACH_SLACK)) ** 2
+    # squared reach in metres per spec and environment: a cheap test before hypot
+    reach_m2 = (radii * (1000.0 * _REACH_SLACK)) ** 2
+    for j, s in enumerate(specs):
         dx = x - s.x
         dy = y - s.y
-        near = dx * dx + dy * dy < reach_m2[codes]
+        near = dx * dx + dy * dy < reach_m2[j][codes]
         if not near.any():
             continue
         idx = slice(None) if near.all() else np.flatnonzero(near)

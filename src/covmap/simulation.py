@@ -60,7 +60,7 @@ from .propagation import (
     RX_HEIGHT_MIN_M,
     AntennaSpec,
     env_code,
-    forget_live_radii,
+    live_radii_km,
     reaching_sites,
     rss_field,
 )
@@ -319,19 +319,17 @@ def gen_population(cfg: SimConfig, rng) -> SettlementRaster:
     mask = uninhabited_mask(cfg)
     urban = urban_block_mask(cfg)
 
-    def on_grid_ok(x, y):
-        r, c = grid.locate(x, y)
-        ok = r >= 0
-        out = np.zeros(x.shape, dtype=bool)
-        out[ok] = ~mask[r[ok], c[ok]]
-        return out
+    def allowed(forbidden):
+        def ok(x, y):
+            r, c = grid.locate(x, y)
+            on = r >= 0
+            out = np.zeros(x.shape, dtype=bool)
+            out[on] = ~forbidden[r[on], c[on]]
+            return out
+        return ok
 
-    def rural_ok(x, y):
-        r, c = grid.locate(x, y)
-        ok = r >= 0
-        out = np.zeros(x.shape, dtype=bool)
-        out[ok] = ~mask[r[ok], c[ok]] & ~urban[r[ok], c[ok]]
-        return out
+    on_grid_ok = allowed(mask)
+    rural_ok = allowed(mask | urban)
 
     n_urban = _round_half_up(cfg.population * cfg.urban_share)
     n_rural = cfg.population - n_urban
@@ -617,18 +615,26 @@ def _tiled_pass(
     (pixels outside it stay unassigned) and, given `idw` = (s, k), the
     settlements' idw rows from the same links.
 
-    The grid is walked in `_TILE` x `_TILE` tiles.  Each tile keeps only
-    the sites that `reaching_sites` finds for its pixels, in bts_id
-    order, and maps the picks back through that ascending index, so ties
-    still go to the lowest bts_id; a site left out has no live link in
-    the tile, so no pick changes.  A tile with no pixel of the set, or
-    that no site reaches, is skipped.  The tile's pixels go to
-    `rss_field` in blocks of at most `_RSS_ENTRIES` links (at least one
+    Specs must be sorted by bts_id.  The pass builds one radius table
+    (`live_radii_km`, sites x env codes) and walks the grid in `_TILE` x
+    `_TILE` tiles.  Each tile keeps only the sites that `reaching_sites`
+    finds for its pixels, in bts_id order, and maps the picks back
+    through that ascending index, so ties still go to the lowest bts_id;
+    a site left out has no live link in the tile, so no pick changes.  A
+    tile with no pixel of the set, or that no site reaches, is skipped.
+    The tile's pixels go to `rss_field`, with the kept sites' rows of the
+    table, in blocks of at most `_RSS_ENTRIES` links (at least one
     pixel), so memory stays bounded whatever the site count.  The idw
     rows come out in tile order and are put back into the settlements'
     order.
     """
-    ids = _start_pass(specs)
+    ids = [s.bts_id for s in specs]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("specs must be sorted by bts_id, without duplicates")
+    radii = live_radii_km(specs, rx_height_m, dead_threshold_dbm)
+    sx = np.array([s.x for s in specs], dtype=np.float64)
+    sy = np.array([s.y for s in specs], dtype=np.float64)
+    reach = radii.max(axis=1)
     env = np.asarray(env_grid, dtype=np.uint8)
     labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
     flat_labels = labels.reshape(-1)
@@ -654,16 +660,17 @@ def _tiled_pass(
                 if pick.size == 0:
                     continue
                 pid, x, y, codes, settled = (v[pick] for v in (pid, x, y, codes, settled))
-            keep = reaching_sites(specs, x, y, rx_height_m=rx_height_m,
-                                  dead_threshold_dbm=dead_threshold_dbm)
+            keep = reaching_sites(sx, sy, reach, x, y)
             if keep.size == 0:
                 continue
             near = [specs[j] for j in keep]
+            near_radii = radii[keep]
             step = max(1, _RSS_ENTRIES // keep.size)
             for lo in range(0, pid.size, step):
                 block = slice(lo, lo + step)
                 rss = rss_field(near, pid[block], x[block], y[block], codes[block],
-                                rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
+                                radii_km=near_radii, rx_height_m=rx_height_m,
+                                dead_threshold_dbm=dead_threshold_dbm)
                 live = rss.live
                 sel = bsa_select_chunk(rss.rss_dbm, live)
                 flat_labels[pid[block]] = np.where(sel >= 0, keep[sel], UNASSIGNED)
@@ -690,16 +697,6 @@ def _tiled_pass(
     del order
     pw = idw_pixel_weights(settlements.ids, ids, counts, col, w, idw_s, idw_k)
     return assignment, pw
-
-
-def _start_pass(specs: list[AntennaSpec]) -> list[str]:
-    """The spec ids, which must ascend strictly; also empties the radius
-    memo, so each pass probes every distinct spec once."""
-    ids = [s.bts_id for s in specs]
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ValueError("specs must be sorted by bts_id, without duplicates")
-    forget_live_radii()
-    return ids
 
 
 @dataclass
@@ -847,23 +844,21 @@ def area_membership_overlap(
     j = len(truth.bts_ids)
     t_flat = truth.labels.ravel()
     a_flat = area_labels.ravel()
-    n_area = int(a_flat.max()) + 1 if a_flat.size else 0
-    area_sizes = np.bincount(a_flat[a_flat >= 0], minlength=n_area)
+    host = np.asarray(host_area, dtype=np.int64)
+    # a host area may hold no pixel centre; the extra last row is all
+    # zero and is what host -1 indexes, so an empty claim scores as none
+    n_area = max(a_flat.max(initial=-1), host.max(initial=-1)) + 1
+    area_sizes = np.bincount(a_flat[a_flat >= 0], minlength=n_area + 1)
     both = (a_flat >= 0) & (t_flat >= 0)
     inter_mat = np.bincount(
-        a_flat[both] * j + t_flat[both], minlength=n_area * j
-    ).reshape(n_area, j)
+        a_flat[both] * j + t_flat[both], minlength=(n_area + 1) * j
+    ).reshape(n_area + 1, j)
     t_sizes = np.bincount(t_flat[t_flat >= 0], minlength=j)
+    inter = inter_mat[host, np.arange(j)]
+    union = area_sizes[host] + t_sizes - inter
+    valid = union > 0
     iou = np.zeros(j)
-    valid = np.zeros(j, dtype=bool)
-    for site in range(j):
-        a = host_area[site]
-        inter = inter_mat[a, site] if a >= 0 else 0
-        size_a = area_sizes[a] if a >= 0 else 0
-        union = size_a + t_sizes[site] - inter
-        if union > 0:
-            iou[site] = inter / union
-            valid[site] = True
+    iou[valid] = inter[valid] / union[valid]
     return _class_means(iou, valid, _site_codes(bts_env))
 
 
@@ -1159,28 +1154,16 @@ def compute_tally(records: list[tuple]) -> dict[tuple[str, str], float]:
             base = metric[: -len("_common")]
             if base in TALLY_METRICS:
                 by_round.setdefault((rnd, base), {})[scheme] = value
+    # the lower the key, the better the score
+    keys = {"rho": lambda v: -v, "bias": abs, "rmse": lambda v: v}
     wins = {(s, m): 0 for s in TALLY_SCHEMES for m in TALLY_METRICS}
     counted = {m: 0 for m in TALLY_METRICS}
     for (rnd, metric), vals in by_round.items():
-        scored = [
-            (s, vals[s]) for s in TALLY_SCHEMES if s in vals and np.isfinite(vals[s])
-        ]
+        scored = [s for s in TALLY_SCHEMES if s in vals and np.isfinite(vals[s])]
         if not scored:
             continue
-        if metric == "rho":
-            best = max(v for _, v in scored)
-        elif metric == "bias":
-            best = min(abs(v) for _, v in scored)
-        else:
-            best = min(v for _, v in scored)
-        # winner: first scheme in order achieving the best score
-        for s in TALLY_SCHEMES:
-            if s not in vals or not np.isfinite(vals[s]):
-                continue
-            key = abs(vals[s]) if metric == "bias" else vals[s]
-            if key == best:
-                wins[(s, metric)] += 1
-                break
+        # min returns the first minimum: ties go to the first in scheme order
+        wins[(min(scored, key=lambda s: keys[metric](vals[s])), metric)] += 1
         counted[metric] += 1
     return {
         (s, m): (100.0 * wins[(s, m)] / counted[m] if counted[m] else 0.0)

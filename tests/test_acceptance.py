@@ -25,7 +25,13 @@ from covmap.mapping import (
     weights_p2p,
     weights_voronoi,
 )
-from covmap.propagation import AntennaSpec, extended_hata_db, rss_field
+from covmap.propagation import (
+    DEAD_THRESHOLD_DBM,
+    AntennaSpec,
+    extended_hata_db,
+    live_radii_km,
+    rss_field,
+)
 from covmap.simulation import SCHEMES, TALLY_METRICS, TALLY_SCHEMES, SimConfig, run_study, simulate_round
 from weight_rows import rows_of, weight_matrix
 
@@ -163,6 +169,7 @@ def test_criterion_5_weight_matrix_properties():
         field = rss_field(
             specs, settlements.ids, settlements.x, settlements.y,
             env[settlements.rows, settlements.cols],
+            radii_km=live_radii_km(specs, 1.0, DEAD_THRESHOLD_DBM),
         )
         wm_p2p = weights_p2p(points, areas, grid)
         wm_vor = weights_voronoi(assign, areas)

@@ -26,6 +26,37 @@ from covmap.geo import (
 )
 
 
+def _locate_every_point(areas, x, y):
+    """`locate_points` on polygons as every area's rings against every point."""
+    out = np.full(x.size, UNASSIGNED, dtype=np.int64)
+    for idx, a in enumerate(areas.areas):
+        hit = geo._points_in_rings(a.rings, x, y) & (out == UNASSIGNED)
+        out[hit] = idx
+    return out
+
+
+@st.composite
+def _polygons_and_points(draw):
+    """Possibly overlapping polygons of one or two rings on a half-unit
+    lattice, far from the origin or not, and points on the same lattice
+    (so they fall on vertices, edges and box sides), between lattice
+    points, or NaN."""
+    offset = draw(st.sampled_from([0.0, 1e5, 3.3e7]))
+    lattice = st.integers(-8, 8).map(lambda v: offset + v / 2)
+    pairs = []
+    for k in range(draw(st.integers(1, 6))):
+        rings = []
+        for _ in range(draw(st.integers(1, 2))):
+            pts = draw(st.lists(st.tuples(lattice, lattice), min_size=3, max_size=6))
+            rings.append(np.array(pts + pts[:1], dtype=float))
+        pairs.append((f"a{k}", rings))
+    coord = st.one_of(lattice, st.floats(offset - 5, offset + 5), st.just(float("nan")))
+    n = draw(st.integers(0, 40))
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(coord, min_size=n, max_size=n)), dtype=float)
+    return StatAreaSet.from_polygons(pairs), x, y
+
+
 def rect_ring(x0, y0, x1, y1):
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]], dtype=float)
 
@@ -462,6 +493,13 @@ class TestStatAreaSet:
         rng = np.random.default_rng(5)
         x, y = rng.uniform(1, 99, 50), rng.uniform(1, 99, 50)
         assert np.array_equal(from_poly.locate_points(x, y), from_mask.locate_points(x, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_polygons_and_points())
+    def test_locate_points_equals_every_point_tested(self, layout):
+        areas, x, y = layout
+        np.testing.assert_array_equal(areas.locate_points(x, y),
+                                      _locate_every_point(areas, x, y))
 
     def test_area_km2(self):
         g = Grid(ncols=4, nrows=4, cell_size_m=100.0)

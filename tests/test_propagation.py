@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from covmap import propagation
 from covmap.propagation import (
+    DEAD_THRESHOLD_DBM,
     DIST_MAX_KM,
     ENV_CLASSES,
     AntennaSpec,
@@ -23,7 +25,7 @@ from covmap.propagation import (
     _tx_gain_db,
     env_codes,
     extended_hata_db,
-    live_radius_km,
+    live_radii_km,
     rss_field,
 )
 
@@ -118,7 +120,7 @@ def test_loss_never_decreases_with_distance(f, h_tx, h_rx, env, extra_km):
 def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
     # range culling drops every link at or beyond the radius unevaluated
     spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
-    r = live_radius_km(spec, h_rx, threshold)
+    r = live_radii_km([spec], h_rx, threshold)[0]
     assert r.shape == (len(ENV_CLASSES),)
     for code in range(len(ENV_CLASSES)):
         near_r = [r[code], np.nextafter(r[code], np.inf)] if np.isfinite(r[code]) else []
@@ -130,10 +132,29 @@ def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
         assert np.isinf(r[code]) == (at_range >= threshold)
 
 
+def test_live_radii_probe_once_per_technical_parameters(monkeypatch):
+    # a radius ignores the site's position: twins elsewhere share one probe
+    specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0),
+             AntennaSpec("b", 5000.0, 0.0, 30.0, 900.0, 43.0),
+             AntennaSpec("c", 0.0, 0.0, 10.0, 900.0, 43.0)]
+    probe = propagation._probe_radius_km
+    probed = []
+
+    def recording(spec, *args):
+        probed.append(spec.bts_id)
+        return probe(spec, *args)
+
+    monkeypatch.setattr(propagation, "_probe_radius_km", recording)
+    radii = live_radii_km(specs, 1.0, -110.0)
+    assert probed == ["a", "c"]
+    for row, spec in zip(radii, specs):
+        np.testing.assert_array_equal(row, probe(spec, 1.0, -110.0))
+
+
 def test_live_radius_brackets_the_crossing():
     # 900 MHz rural at 43 dBm crosses -110 dBm between 10 and 100 km
     spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)
-    r = live_radius_km(spec, 1.0, -110.0)
+    r = live_radii_km([spec], 1.0, -110.0)[0]
     level = 43.0 - extended_hata_db(900.0, r, 30.0, 1.0, [0, 1, 2])
     assert np.all(level < -110.0)
     # within a 0.5% refinement step of the crossing
@@ -326,6 +347,13 @@ def test_antenna_spec_validation():
         AntennaSpec("a", np.nan, 0.0, 30.0, 900.0, 43.0)
 
 
+def field_of(specs, *args, rx_height_m=1.0, dead_threshold_dbm=DEAD_THRESHOLD_DBM):
+    """`rss_field` on the specs' own rows of the radius table."""
+    radii = live_radii_km(specs, rx_height_m, dead_threshold_dbm)
+    return rss_field(specs, *args, radii_km=radii, rx_height_m=rx_height_m,
+                     dead_threshold_dbm=dead_threshold_dbm)
+
+
 class TestRssField:
     def _specs(self):
         return [
@@ -336,7 +364,7 @@ class TestRssField:
 
     def test_worked_example_single_link(self):
         specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)]
-        f = rss_field(specs, [0], [3000.0], [0.0], ["rural"], rx_height_m=1.0)
+        f = field_of(specs, [0], [3000.0], [0.0], ["rural"], rx_height_m=1.0)
         assert_allclose(f.rss_dbm[0, 0], 43.0 - 116.1463988614, rtol=1e-10)
 
     def test_matches_elementwise_scalar_oracle(self):
@@ -344,7 +372,7 @@ class TestRssField:
         px = np.array([1000.0, 2500.0, 7000.0, 400.0, 9000.0, 60_000.0])
         py = np.array([2000.0, -3000.0, 1000.0, 300.0, 9000.0, 0.0])
         envs = ["urban", "suburban", "rural", "urban", "rural", "urban"]
-        f = rss_field(specs, np.arange(6), px, py, envs, rx_height_m=1.5)
+        f = field_of(specs, np.arange(6), px, py, envs, rx_height_m=1.5)
         dead = 0
         for i in range(6):
             for j, s in enumerate(specs):
@@ -362,7 +390,7 @@ class TestRssField:
             AntennaSpec("a", -2000.0, 0.0, 30.0, 900.0, 43.0),
             AntennaSpec("b", 2000.0, 0.0, 30.0, 900.0, 43.0),
         ]
-        f = rss_field(specs, [0], [0.0], [0.0], ["suburban"])
+        f = field_of(specs, [0], [0.0], [0.0], ["suburban"])
         assert f.rss_dbm[0, 0] == f.rss_dbm[0, 1]
 
     def test_power_offset_shifts_field(self):
@@ -371,12 +399,12 @@ class TestRssField:
         px = rng.uniform(-20000, 20000, 40)
         py = rng.uniform(-20000, 20000, 40)
         envs = rng.choice(["urban", "suburban", "rural"], 40)
-        base = rss_field(specs, np.arange(40), px, py, envs)
+        base = field_of(specs, np.arange(40), px, py, envs)
         bumped_specs = [
             AntennaSpec(s.bts_id, s.x, s.y, s.height_m, s.freq_mhz, s.power_dbm + 7.25)
             for s in specs
         ]
-        bumped = rss_field(bumped_specs, np.arange(40), px, py, envs)
+        bumped = field_of(bumped_specs, np.arange(40), px, py, envs)
         # a live link stays live and shifts by the offset; a link the offset
         # brings to life lies within the offset above the threshold
         assert np.all(bumped.live[base.live])
@@ -393,22 +421,22 @@ class TestRssField:
     def test_distance_clamp_beyond_model_range(self):
         specs = [AntennaSpec("a", 0.0, 0.0, 60.0, 900.0, 47.0)]
         args = (specs, [0, 1], [120_000.0, 100_000.0], [0.0, 0.0], ["rural", "rural"])
-        f = rss_field(*args)
+        f = field_of(*args)
         assert not f.live.any() and np.all(f.rss_dbm == -np.inf)
         # with the 100 km link live, the link beyond it is evaluated at the clamp
-        f = rss_field(*args, dead_threshold_dbm=-250.0)
+        f = field_of(*args, dead_threshold_dbm=-250.0)
         assert f.live.all()
         assert f.rss_dbm[0, 0] == f.rss_dbm[1, 0]
 
     def test_colocated_pixel_is_finite_and_strong(self):
         specs = [AntennaSpec("a", 500.0, 500.0, 30.0, 900.0, 45.0)]
-        f = rss_field(specs, [0], [500.0], [500.0], ["urban"])
+        f = field_of(specs, [0], [500.0], [500.0], ["urban"])
         assert np.isfinite(f.rss_dbm[0, 0])
         assert f.rss_dbm[0, 0] > -40.0
 
     def test_dead_mask_threshold(self):
         specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)]
-        f = rss_field(
+        f = field_of(
             specs, [0, 1], [1000.0, 80_000.0], [0.0, 0.0], ["urban", "urban"],
             dead_threshold_dbm=-110.0,
         )
@@ -421,8 +449,11 @@ class TestRssField:
             AntennaSpec("a", 100.0, 0.0, 30.0, 900.0, 43.0),
         ]
         with pytest.raises(ValueError):
-            rss_field(specs, [0], [0.0], [0.0], ["urban"])
+            field_of(specs, [0], [0.0], [0.0], ["urban"])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RssField(np.arange(3), ["a"], np.zeros((2, 1)))
+        specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)]
+        with pytest.raises(ValueError, match="radii_km shape"):
+            rss_field(specs, [0], [0.0], [0.0], ["urban"], radii_km=np.zeros((2, 3)))

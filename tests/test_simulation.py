@@ -459,19 +459,34 @@ class TestRangeCulling:
             return hata(f_mhz, d_km, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "extended_hata_db", counting)
-        propagation.forget_live_radii()
         return cfg, specs, settlements, env, oracle, evaluated
 
     def test_kernel_equals_dense_live_levels(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
-        got = rss_field(specs, st.ids, st.x, st.y, env, rx_height_m=cfg.rx_height_m,
-                        dead_threshold_dbm=cfg.dead_threshold_dbm)
+        radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
+        got = rss_field(specs, st.ids, st.x, st.y, env, radii_km=radii,
+                        rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = oracle >= cfg.dead_threshold_dbm
         assert np.array_equal(got.rss_dbm[live], oracle[live])
         assert np.all(got.rss_dbm[~live] == -np.inf)
         assert np.array_equal(got.live, live)
         # the radius probes included
         assert sum(evaluated) < oracle.size / 4
+
+    def test_passes_keep_no_state_between_thresholds(self, layout):
+        """Each pass builds its own radius table: a pass at threshold A run
+        after one at B makes the same Hata calls and labels as the first
+        pass at A, and every pass equals the dense labels at its threshold."""
+        cfg, specs, st, env, oracle, evaluated = layout
+        runs = []
+        for threshold in (-110.0, -95.0, -110.0):
+            evaluated.clear()
+            grid = best_server_grid(cfg.grid, specs, env.reshape(cfg.grid.shape),
+                                    cfg.rx_height_m, threshold)
+            np.testing.assert_array_equal(grid.labels.ravel(), _dense_labels(oracle, threshold))
+            runs.append((grid.labels.tobytes(), list(evaluated)))
+        assert runs[0] == runs[2]
+        assert runs[0][0] != runs[1][0]
 
     def test_streamed_passes_equal_dense_schemes(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
@@ -684,10 +699,17 @@ def _package_callers(*names: str) -> dict[str, set[str]]:
 
 def test_only_the_walker_calls_the_kernels():
     """`rss_field` has one caller, the tiled walker, and the loss model one,
-    the per-link level expression: no second link path in the package."""
-    assert _package_callers("rss_field", "extended_hata_db") == {
+    the per-link level expression: no second link path in the package.
+    The walker alone builds the radius table, once per pass, and culls
+    sites with it; the radius probe runs only inside the table builder."""
+    names = ("rss_field", "extended_hata_db", "live_radii_km", "reaching_sites",
+             "_probe_radius_km")
+    assert _package_callers(*names) == {
         "rss_field": {"simulation._tiled_pass"},
         "extended_hata_db": {"propagation._levels_dbm"},
+        "live_radii_km": {"simulation._tiled_pass"},
+        "reaching_sites": {"simulation._tiled_pass"},
+        "_probe_radius_km": {"propagation.live_radii_km"},
     }
 
 
@@ -765,6 +787,21 @@ class TestGeographicOverlap:
         # a: claims area 0 = {0,1}, true tile {0}: inter 1, union 2
         # b: claims area 1 = {2,3}, true tile {1,2}: inter 1, union 3
         assert out["total"] == pytest.approx((1 / 2 + 1 / 3) / 2)
+
+    def test_membership_host_without_pixel_centre(self):
+        # site b sits in a 10 m square beside the grid that holds no pixel
+        # centre, so its host area index lies past every area label
+        areas = StatAreaSet.from_polygons([
+            ("A0", [np.array([[0, 0], [200, 0], [200, 100], [0, 100], [0, 0]], float)]),
+            ("A1", [np.array([[400, 0], [410, 0], [410, 10], [400, 10], [400, 0]], float)]),
+        ])
+        area_labels = areas.labels(self.grid())
+        host = areas.locate_points([50.0, 405.0], [50.0, 5.0])
+        assert area_labels.max() == 0 and host.tolist() == [0, 1]
+        truth = Assignment(self.grid(), ["a", "b"], np.array([[0, 0, 1, -1]]))
+        out = area_membership_overlap(area_labels, host, truth, ["urban", "rural"])
+        # a: area 0 = {0, 1}, true tile {0, 1}; b: empty claim, true tile {2}
+        assert out == {"total": 0.5, "urban": 1.0, "rural": 0.0}
 
     def test_membership_no_host_scores_zero(self):
         truth = Assignment(self.grid(), ["a"], np.array([[0, 0, -1, -1]]))
