@@ -12,15 +12,19 @@ the distance checks from one min/max pair per call.
 
 One kernel, `rss_field`, turns antenna specs and pixel centres into
 received levels (transmit power minus median loss, no shadowing term).
-Loss never decreases with distance, so `live_radii_km` bounds, per
-antenna and environment, where a link can be live.  Its one caller, the
-tiled link walker in `simulation`, builds this radius table once per
-pass (nothing here outlives a call), culls each tile's antennas with
-`reaching_sites`, and sends the tile's pixels to `rss_field` on the
-antennas left, with their rows of the table, in blocks of at most a
+Loss never decreases with distance, which gives two per-pass tables.
+`live_radii_km` bounds, per antenna and environment, where a link can be
+live; `level_table` holds each antenna's level at a fixed distance grid,
+per environment.  Their one caller, the tiled link walker in
+`simulation`, builds both once per pass (nothing here outlives a call),
+culls each tile's antennas with `reaching_sites`, and then, per cell of
+pixels, drops with `level_candidates` every antenna that is weaker than
+the `rank` strongest at every pixel of the cell.  It sends the tile's
+pixels to `rss_field` on the antennas left, with their rows of the
+radius table and a per-pixel candidate mask, in blocks of at most a
 fixed number of links, so memory stays bounded whatever the antenna
-count.  `rss_field` evaluates the model only inside each link's radius
-and reports every dead link as -inf.
+count.  `rss_field` evaluates the model only on candidate pixels inside
+each link's radius and reports every other link as -inf.
 """
 
 from __future__ import annotations
@@ -310,6 +314,70 @@ def _probe_radius_km(spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: 
     return radius
 
 
+# the level table's distances: 0, then a log grid from 1 m to the model's
+# range, past which the clamp holds every level at its last value
+_LEVEL_KM = np.concatenate([[0.0], np.geomspace(1e-3, DIST_MAX_KM, 512)])
+_LEVEL_KM.flags.writeable = False
+# both level bounds are widened by this much, so a one-ulp wobble in the
+# loss can never make a pruned site tie with or beat a pick
+_LEVEL_MARGIN_DB = 1e-6
+
+
+def level_table(specs: list[AntennaSpec], rx_height_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each spec's level at the distances `_LEVEL_KM`, per environment code.
+
+    Returns `(levels, row)`: `levels[row[j], env, g]` is spec `j`'s level
+    at `_LEVEL_KM[g]` through `env`.  A level ignores the site's position,
+    so specs with equal height, frequency and power share one row, as
+    they share one radius probe in `live_radii_km`.
+    """
+    rows: dict[tuple, int] = {}
+    row = np.empty(len(specs), dtype=np.intp)
+    for j, s in enumerate(specs):
+        row[j] = rows.setdefault((s.height_m, s.freq_mhz, s.power_dbm), len(rows))
+    codes = np.arange(len(ENV_CLASSES))[:, None]
+    dist = np.broadcast_to(_LEVEL_KM, (codes.size, _LEVEL_KM.size))
+    levels = np.empty((len(rows), codes.size, _LEVEL_KM.size))
+    for j in np.unique(row, return_index=True)[1]:
+        levels[row[j]] = _levels_dbm(specs[j], dist, codes, rx_height_m)
+    return levels, row
+
+
+def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np.ndarray:
+    """Which of the sites at `sx`, `sy` (non-empty) can be among the
+    `rank` strongest at some pixel of each cell, as a (cells, sites) mask.
+
+    `levels` holds the sites' rows of `level_table`.  Cell `c` spans the
+    pixel centres in the box `box[0][c]..box[1][c]` by
+    `box[2][c]..box[3][c]` (x then y, metres); `present[c]` flags the env
+    codes of its pixels and `rank[c]` is its rank.  Over the cell a
+    site's level lies in [`lo`, `hi`]: its table levels at the grid
+    distances just beyond the farthest and just short of the nearest
+    point of the box, with `_REACH_SLACK`, taken over the env codes
+    present and widened by `_LEVEL_MARGIN_DB`.  A site whose `hi` is below
+    the `rank`-th largest `lo`, floored at `floor_dbm`, is weaker than
+    `rank` other sites at every pixel of the cell, or dead there, so it
+    is left out.  A cell with no env code present keeps no site.  Relies
+    on the loss never decreasing with distance.
+    """
+    x0, x1, y0, y1 = (np.asarray(b, dtype=np.float64)[:, None] for b in box)
+    near_km = _distance_km(np.maximum(np.maximum(x0 - sx, sx - x1), 0.0),
+                           np.maximum(np.maximum(y0 - sy, sy - y1), 0.0))
+    far_km = _distance_km(np.maximum(np.abs(sx - x0), np.abs(sx - x1)),
+                          np.maximum(np.abs(sy - y0), np.abs(sy - y1)))
+    i_hi = np.searchsorted(_LEVEL_KM, near_km / _REACH_SLACK, side="right") - 1
+    i_lo = np.minimum(np.searchsorted(_LEVEL_KM, far_km * _REACH_SLACK), _LEVEL_KM.size - 1)
+    site = np.arange(levels.shape[0])
+    on = np.asarray(present, dtype=bool)[:, None, :]  # (cells, 1, env codes)
+    hi = np.where(on, levels[site, :, i_hi], -np.inf).max(axis=2) + _LEVEL_MARGIN_DB
+    lo = np.where(on, levels[site, :, i_lo], np.inf).min(axis=2) - _LEVEL_MARGIN_DB
+    rank = np.asarray(rank)
+    n = site.size
+    nth = np.sort(lo, axis=1)[np.arange(lo.shape[0]), np.clip(n - rank, 0, n - 1)]
+    t = np.maximum(np.where(rank <= n, nth, -np.inf), floor_dbm)
+    return hi >= t[:, None]
+
+
 def reaching_sites(sx, sy, reach_km, px, py) -> np.ndarray:
     """Ascending indices of the sites at `sx`, `sy` whose largest live
     radius `reach_km` reaches the bounding box of the points `px`, `py`
@@ -331,19 +399,22 @@ def rss_field(
     pixel_env,
     *,
     radii_km,
+    candidates,
     rx_height_m: float = 1.0,
     dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
 ) -> RssField:
-    """Received levels for pixels x antennas, -inf for every dead link.
+    """Received levels for pixels x antennas, -inf for every dead or
+    non-candidate link.
 
     `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
     per-pixel environment class (names or codes).  `radii_km` holds the
     specs' rows of `live_radii_km` at the same receiver height and
-    threshold; each spec is evaluated only on the pixels within the
-    radius of their environment.  The tiled walker passes one block of a
-    tile's pixels at a time, on the specs that reach the tile; each entry
-    depends only on its own pixel and antenna, so blocking never changes
-    a value.
+    threshold; `candidates` is a (pixels, specs) mask.  Each spec is
+    evaluated only on its candidate pixels within the radius of their
+    environment.  The tiled walker passes one block of a tile's pixels
+    at a time, on the specs that can be a pick somewhere in the tile,
+    with a mask that is column-contiguous; each entry depends only on its
+    own pixel and antenna, so blocking never changes a value.
     """
     pids = np.asarray(pixel_ids, dtype=np.int64)
     x = np.asarray(px, dtype=np.float64)
@@ -357,17 +428,23 @@ def rss_field(
     radii = np.asarray(radii_km, dtype=np.float64)
     if radii.shape != (len(specs), len(ENV_CLASSES)):
         raise ValueError(f"radii_km shape {radii.shape} does not match {len(specs)} specs")
+    cand = np.asarray(candidates, dtype=bool)
+    if cand.shape != (x.size, len(specs)):
+        raise ValueError(f"candidates shape {cand.shape} does not match "
+                         f"{x.size} pixels x {len(specs)} specs")
 
     field = RssField(pids, ids, np.full((x.size, len(specs)), -np.inf), dead_threshold_dbm)
     # squared reach in metres per spec and environment: a cheap test before hypot
     reach_m2 = (radii * (1000.0 * _REACH_SLACK)) ** 2
     for j, s in enumerate(specs):
-        dx = x - s.x
-        dy = y - s.y
-        near = dx * dx + dy * dy < reach_m2[j][codes]
-        if not near.any():
+        idx = np.flatnonzero(cand[:, j])
+        dx = x[idx] - s.x
+        dy = y[idx] - s.y
+        near = dx * dx + dy * dy < reach_m2[j][codes[idx]]
+        if not near.all():
+            idx, dx, dy = idx[near], dx[near], dy[near]
+        if idx.size == 0:
             continue
-        idx = slice(None) if near.all() else np.flatnonzero(near)
-        level = _levels_dbm(s, _distance_km(dx[idx], dy[idx]), codes[idx], rx_height_m)
+        level = _levels_dbm(s, _distance_km(dx, dy), codes[idx], rx_height_m)
         field.rss_dbm[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
     return field

@@ -60,6 +60,8 @@ from .propagation import (
     RX_HEIGHT_MIN_M,
     AntennaSpec,
     env_code,
+    level_candidates,
+    level_table,
     live_radii_km,
     reaching_sites,
     rss_field,
@@ -72,6 +74,8 @@ TALLY_METRICS = ("rho", "bias", "rmse")
 # tile edge of the grid passes, in pixels: small enough that most sites
 # cannot reach a tile, so its link matrix over the rest stays a few MB
 _TILE = 128
+# cell edge, in pixels, of the walker's level-bound site pruning
+_CELL = 32
 # most links per `rss_field` call of the grid passes (8 MB of float64)
 _RSS_ENTRIES = 1 << 20
 _MAX_REJECTION_ROUNDS = 10_000
@@ -616,22 +620,30 @@ def _tiled_pass(
     settlements' idw rows from the same links.
 
     Specs must be sorted by bts_id.  The pass builds one radius table
-    (`live_radii_km`, sites x env codes) and walks the grid in `_TILE` x
-    `_TILE` tiles.  Each tile keeps only the sites that `reaching_sites`
-    finds for its pixels, in bts_id order, and maps the picks back
-    through that ascending index, so ties still go to the lowest bts_id;
-    a site left out has no live link in the tile, so no pick changes.  A
-    tile with no pixel of the set, or that no site reaches, is skipped.
+    (`live_radii_km`, sites x env codes) and one level table
+    (`level_table`), and walks the grid in `_TILE` x `_TILE` tiles.  Each
+    tile first keeps the sites that `reaching_sites` finds for its
+    pixels.  Then, per `_CELL` x `_CELL` cell of the tile that holds
+    pixels of the set, `level_candidates` drops each site weaker than the
+    `rank` strongest at every pixel of the cell: `rank` is idw's k in
+    cells that hold a settlement when idw rows are wanted, 1 elsewhere.
+    A dropped site is never a pick, nor ties with one.  The tile's sites
+    are those left in some cell, in bts_id order (with idw, at least
+    min(k, reaching) of them, so `idw_rows_chunk` takes the same top-k
+    width, and sums the same way, as on the unpruned block); picks map
+    back through that ascending index, so ties still go to the lowest
+    bts_id.  A tile with no pixel of the set, or no site left, is skipped.
     The tile's pixels go to `rss_field`, with the kept sites' rows of the
-    table, in blocks of at most `_RSS_ENTRIES` links (at least one
-    pixel), so memory stays bounded whatever the site count.  The idw
-    rows come out in tile order and are put back into the settlements'
-    order.
+    radius table and each pixel's cell mask, in blocks of at most
+    `_RSS_ENTRIES` links (at least one pixel), so memory stays bounded
+    whatever the site count.  The idw rows come out in tile order and
+    are put back into the settlements' order.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("specs must be sorted by bts_id, without duplicates")
     radii = live_radii_km(specs, rx_height_m, dead_threshold_dbm)
+    levels, level_row = level_table(specs, rx_height_m)
     sx = np.array([s.x for s in specs], dtype=np.float64)
     sy = np.array([s.y for s in specs], dtype=np.float64)
     reach = radii.max(axis=1)
@@ -652,25 +664,55 @@ def _tiled_pass(
             tile = (slice(r0, r0 + rows.size), slice(c0, c0 + cols.size))
             shape = (rows.size, cols.size)
             pid = grid.pixel_id(rows, cols).ravel()
-            x, y = (np.broadcast_to(v, shape).ravel() for v in grid.centers(rows, cols))
+            xc, yr = grid.centers(rows, cols)
+            x, y = (np.broadcast_to(v, shape).ravel() for v in (xc, yr))
             codes = env[tile].ravel()
+            # each pixel's cell, row-major over the tile's cells
+            ncell_cols = -(-cols.size // _CELL)
+            cell = ((np.arange(rows.size) // _CELL)[:, None] * ncell_cols
+                    + np.arange(cols.size) // _CELL).ravel()
             settled = None if settlements is None else at[tile].ravel()
             if settled_only:
                 pick = np.flatnonzero(settled >= 0)
                 if pick.size == 0:
                     continue
-                pid, x, y, codes, settled = (v[pick] for v in (pid, x, y, codes, settled))
+                pid, x, y, codes, settled, cell = (
+                    v[pick] for v in (pid, x, y, codes, settled, cell))
             keep = reaching_sites(sx, sy, reach, x, y)
             if keep.size == 0:
                 continue
+            # each cell's box of pixel centres, the env codes of its pixels
+            # of the set, and its rank
+            cx = [f.reduceat(xc, np.arange(0, cols.size, _CELL)) for f in (np.minimum, np.maximum)]
+            cy = [f.reduceat(yr.ravel(), np.arange(0, rows.size, _CELL))
+                  for f in (np.minimum, np.maximum)]
+            ncell_rows = cy[0].size
+            box = [np.tile(v, ncell_rows) for v in cx] + [np.repeat(v, ncell_cols) for v in cy]
+            present = np.zeros((ncell_rows * ncell_cols, len(ENV_CLASSES)), dtype=bool)
+            present[cell, codes] = True
+            rank = np.ones(ncell_rows * ncell_cols, dtype=np.int64)
+            if idw is not None:
+                rank[cell[settled >= 0]] = idw_k
+            cand = level_candidates(levels[level_row[keep]], sx[keep], sy[keep], box, present,
+                                    rank, dead_threshold_dbm)
+            used = cand.any(axis=0)
+            if idw is not None:
+                short = min(idw_k, keep.size) - np.count_nonzero(used)
+                if short > 0:  # pad with sites that no cell keeps: all -inf columns
+                    used[np.flatnonzero(~used)[:short]] = True
+            if not used.any():
+                continue
+            keep = keep[used]
+            # per pixel, its cell's candidates; column-contiguous for the kernel
+            mask = cand[:, used].T[:, cell].T
             near = [specs[j] for j in keep]
             near_radii = radii[keep]
             step = max(1, _RSS_ENTRIES // keep.size)
             for lo in range(0, pid.size, step):
                 block = slice(lo, lo + step)
                 rss = rss_field(near, pid[block], x[block], y[block], codes[block],
-                                radii_km=near_radii, rx_height_m=rx_height_m,
-                                dead_threshold_dbm=dead_threshold_dbm)
+                                radii_km=near_radii, candidates=mask[block],
+                                rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
                 live = rss.live
                 sel = bsa_select_chunk(rss.rss_dbm, live)
                 flat_labels[pid[block]] = np.where(sel >= 0, keep[sel], UNASSIGNED)

@@ -170,6 +170,7 @@ def test_criterion_5_weight_matrix_properties():
             specs, settlements.ids, settlements.x, settlements.y,
             env[settlements.rows, settlements.cols],
             radii_km=live_radii_km(specs, 1.0, DEAD_THRESHOLD_DBM),
+            candidates=np.ones((len(settlements), len(specs)), dtype=bool),
         )
         wm_p2p = weights_p2p(points, areas, grid)
         wm_vor = weights_voronoi(assign, areas)

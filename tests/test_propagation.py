@@ -25,6 +25,7 @@ from covmap.propagation import (
     _tx_gain_db,
     env_codes,
     extended_hata_db,
+    level_table,
     live_radii_km,
     rss_field,
 )
@@ -149,6 +150,62 @@ def test_live_radii_probe_once_per_technical_parameters(monkeypatch):
     assert probed == ["a", "c"]
     for row, spec in zip(radii, specs):
         np.testing.assert_array_equal(row, probe(spec, 1.0, -110.0))
+
+
+# distances for the level-table bracket: 0, under 40 m, the 40-100 m
+# bridge, both sides of the 20 km bend, the 100 km clamp and beyond it
+_BRACKET_KM = st.one_of(
+    st.just(0.0), st.floats(0.0, 0.04), st.floats(0.04, 0.1), st.floats(0.1, 19.0),
+    st.floats(19.0, 21.0), st.floats(21.0, 100.0), st.floats(100.0, 300.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=_FREQ,
+    h_tx=st.floats(1.0, 1000.0),
+    h_rx=st.floats(1.0, 10.0),
+    power=st.floats(-20.0, 90.0),
+    d_km=st.lists(_BRACKET_KM, min_size=1, max_size=30),
+)
+def test_level_table_brackets_the_exact_level(f, h_tx, h_rx, power, d_km):
+    # level pruning bounds a link by the table entries on either side of it
+    spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
+    levels, row = level_table([spec], h_rx)
+    assert levels.shape == (1, len(ENV_CLASSES), propagation._LEVEL_KM.size)
+    table = levels[row[0]]
+    grid_km = propagation._LEVEL_KM
+    margin = propagation._LEVEL_MARGIN_DB
+    d = np.array(d_km)
+    i_hi = np.searchsorted(grid_km, d, side="right") - 1
+    i_lo = np.minimum(np.searchsorted(grid_km, d), grid_km.size - 1)
+    for code in range(len(ENV_CLASSES)):
+        level = propagation._levels_dbm(spec, d, np.full(d.shape, code), h_rx)
+        assert np.all(table[code, i_hi] + margin >= level), code
+        assert np.all(level >= table[code, i_lo] - margin), code
+
+
+def test_level_table_once_per_technical_parameters(monkeypatch):
+    # a level ignores the site's position: twins elsewhere share one row
+    specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0),
+             AntennaSpec("b", 5000.0, 0.0, 30.0, 900.0, 43.0),
+             AntennaSpec("c", 0.0, 0.0, 10.0, 900.0, 43.0)]
+    levels_dbm = propagation._levels_dbm
+    evaluated = []
+
+    def recording(spec, *args):
+        evaluated.append(spec.bts_id)
+        return levels_dbm(spec, *args)
+
+    monkeypatch.setattr(propagation, "_levels_dbm", recording)
+    levels, row = level_table(specs, 1.0)
+    assert evaluated == ["a", "c"]
+    assert row.tolist() == [0, 0, 1] and levels.shape[0] == 2
+    codes = np.arange(len(ENV_CLASSES))[:, None]
+    dist = np.broadcast_to(propagation._LEVEL_KM, (codes.size, propagation._LEVEL_KM.size))
+    for j, spec in enumerate(specs):
+        want = levels_dbm(spec, dist, codes, 1.0)
+        np.testing.assert_array_equal(levels[row[j]], want)
 
 
 def test_live_radius_brackets_the_crossing():
@@ -348,10 +405,11 @@ def test_antenna_spec_validation():
 
 
 def field_of(specs, *args, rx_height_m=1.0, dead_threshold_dbm=DEAD_THRESHOLD_DBM):
-    """`rss_field` on the specs' own rows of the radius table."""
+    """`rss_field` on the specs' own rows of the radius table, every link a candidate."""
     radii = live_radii_km(specs, rx_height_m, dead_threshold_dbm)
-    return rss_field(specs, *args, radii_km=radii, rx_height_m=rx_height_m,
-                     dead_threshold_dbm=dead_threshold_dbm)
+    everywhere = np.ones((np.size(args[0]), len(specs)), dtype=bool)
+    return rss_field(specs, *args, radii_km=radii, candidates=everywhere,
+                     rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
 
 
 class TestRssField:
@@ -456,4 +514,8 @@ class TestRssField:
             RssField(np.arange(3), ["a"], np.zeros((2, 1)))
         specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)]
         with pytest.raises(ValueError, match="radii_km shape"):
-            rss_field(specs, [0], [0.0], [0.0], ["urban"], radii_km=np.zeros((2, 3)))
+            rss_field(specs, [0], [0.0], [0.0], ["urban"], radii_km=np.zeros((2, 3)),
+                      candidates=np.ones((1, 1), dtype=bool))
+        with pytest.raises(ValueError, match="candidates shape"):
+            rss_field(specs, [0], [0.0], [0.0], ["urban"], radii_km=np.zeros((1, 3)),
+                      candidates=np.ones((1, 2), dtype=bool))

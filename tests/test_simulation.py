@@ -9,8 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap import geo, propagation, simulation
-from covmap.geo import Assignment, Grid, SettlementRaster, StatAreaSet, extract_settlements
-from covmap.mapping import weights_bsa, weights_idw, weights_p2p
+from covmap.geo import (
+    UNASSIGNED,
+    Assignment,
+    Grid,
+    SettlementRaster,
+    StatAreaSet,
+    extract_settlements,
+)
+from covmap.mapping import (
+    bsa_select_chunk,
+    idw_pixel_weights,
+    idw_rows_chunk,
+    weights_bsa,
+    weights_idw,
+    weights_p2p,
+)
 from covmap.propagation import (
     AntennaSpec,
     RssField,
@@ -465,6 +479,7 @@ class TestRangeCulling:
         cfg, specs, st, env, oracle, evaluated = layout
         radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
         got = rss_field(specs, st.ids, st.x, st.y, env, radii_km=radii,
+                        candidates=np.ones((len(st), len(specs)), dtype=bool),
                         rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = oracle >= cfg.dead_threshold_dbm
         assert np.array_equal(got.rss_dbm[live], oracle[live])
@@ -532,13 +547,12 @@ class TestRangeCulling:
 def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
     """At country scale (1,500 sites) every `rss_field` call of the grid
     pass and of the settlement pass holds at most `_RSS_ENTRIES` links,
-    and lifting the cap changes no byte."""
+    and lifting the cap changes no byte.  The sites are twins, one spec
+    at one position inside the grid: their level bounds are equal, so
+    level pruning keeps every one of them in every cell."""
     cfg = SimConfig(ncols=60, nrows=60, block_px=60, mask_rect=None)
     rng = np.random.default_rng(4)
-    x, y = rng.uniform(-3e4, 3.6e4, (2, 1500))
-    specs = [AntennaSpec(f"s{j:04d}", float(x[j]), float(y[j]), float(rng.choice([10.0, 30.0])),
-                         900.0, float(rng.choice([30.0, 47.0])))
-             for j in range(1500)]
+    specs = [AntennaSpec(f"s{j:04d}", 2950.0, 3020.0, 30.0, 900.0, 47.0) for j in range(1500)]
     settled = rng.integers(0, 2, cfg.grid.shape).astype(float)
     settlements = extract_settlements(SettlementRaster(cfg.grid, settled))
     env = rng.integers(0, 3, cfg.grid.shape).astype(np.uint8)
@@ -681,6 +695,129 @@ class TestTiledPass:
         _assert_same_rows(bsa, weights_bsa(dense))
 
 
+@st.composite
+def _pruning_layout(draw):
+    """A grid of up to 3 x 3 cells of `_CELL` pixels, edges that the cell
+    need not divide, sites on and off the grid (twins of the site
+    before among them, so levels tie exactly), weak sites that leave
+    pixels with no live link, env codes per pixel or per block, random
+    settlements, a tile edge and idw's (s, k)."""
+    ncols, nrows = draw(st.integers(20, 90)), draw(st.integers(20, 90))
+    cell = draw(st.sampled_from([30.0, 100.0, 400.0]))
+    cfg = SimConfig(ncols=ncols, nrows=nrows, cell_size_m=cell, block_px=1, urban_split=1,
+                    mask_rect=None)
+    lattice = st.integers(-20, max(ncols, nrows) + 20)
+    specs = []
+    for j in range(draw(st.integers(1, 12))):
+        if specs and draw(st.booleans()):
+            prev = specs[-1]
+            site = (prev.x, prev.y, prev.height_m, prev.freq_mhz, prev.power_dbm)
+        else:
+            site = (draw(lattice) * cell + draw(st.sampled_from([0.0, 0.5])) * cell,
+                    draw(lattice) * cell + draw(st.sampled_from([0.0, 0.5])) * cell,
+                    draw(st.sampled_from([2.0, 10.0, 30.0, 60.0])),
+                    draw(st.sampled_from([450.0, 900.0, 2100.0])),
+                    draw(st.sampled_from([-10.0, 20.0, 43.0])))
+        specs.append(AntennaSpec(f"b{j:02d}", *site))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        env = rng.integers(0, 3, (nrows, ncols))
+    else:  # one code per 16 x 16 block, so many cells hold a single code
+        env = np.kron(rng.integers(0, 3, (-(-nrows // 16), -(-ncols // 16))),
+                      np.ones((16, 16), np.int64))[:nrows, :ncols]
+    settled = rng.random((nrows, ncols)) < draw(st.sampled_from([0.02, 0.3, 1.0]))
+    settled.flat[rng.integers(settled.size)] = True
+    settlements = extract_settlements(SettlementRaster(cfg.grid, settled.astype(float)))
+    return (cfg, specs, env.astype(np.uint8).ravel(), settlements,
+            draw(st.sampled_from([simulation._TILE, 40, 64])),
+            draw(st.sampled_from([0.0, 1.0, 2.5])), draw(st.integers(1, 7)))
+
+
+class TestLevelPruning:
+    @settings(max_examples=120, deadline=None)
+    @given(layout=_pruning_layout())
+    def test_walker_equals_unpruned_dense_selectors(self, layout):
+        """Labels and idw rows of the pruned walker, in both modes, equal
+        the selectors' on `rss_field` over every site and pixel."""
+        cfg, specs, env, settlements, tile, s, k = layout
+        x, y = cfg.grid.pixel_centers()
+        npx = cfg.grid.npixels
+        radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
+        field = rss_field(specs, np.arange(npx), x, y, env, radii_km=radii,
+                          candidates=np.ones((npx, len(specs)), dtype=bool),
+                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+        live = field.live
+        labels = bsa_select_chunk(field.rss_dbm, live)
+        at = settlements.ids
+        counts, col, w = idw_rows_chunk(field.rss_dbm[at], live[at], s, k)
+        want_idw = idw_pixel_weights(at, field.bts_ids, counts, col, w, s, k)
+        only = np.full(npx, UNASSIGNED)
+        only[at] = labels[at]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_TILE", tile)
+            for settled_only, want in ((False, labels), (True, only)):
+                got, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
+                assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
+                _assert_same_rows(pw, want_idw)
+
+    def test_a_site_weaker_everywhere_is_left_out(self, monkeypatch):
+        """A twin 30 dB weaker than a site at one grid corner stays a
+        candidate only in the cells nearest the mast, where its bounds
+        are widest; the kernel never evaluates it elsewhere."""
+        cfg = SimConfig(ncols=96, nrows=96, cell_size_m=50.0, block_px=1, urban_split=1,
+                        mask_rect=None)
+        specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0),
+                 AntennaSpec("b", 0.0, 0.0, 30.0, 900.0, 13.0)]
+        env = np.full(cfg.grid.shape, env_code("rural"), np.uint8)
+        offered = []
+        kernel = simulation.rss_field
+
+        def recording(*args, candidates, **kwargs):
+            offered.append(np.count_nonzero(candidates, axis=0))
+            return kernel(*args, candidates=candidates, **kwargs)
+
+        monkeypatch.setattr(simulation, "rss_field", recording)
+        grid = best_server_grid(cfg.grid, specs, env, cfg.rx_height_m, cfg.dead_threshold_dbm)
+        assert np.all(grid.labels == 0)
+        [per_site] = offered
+        assert per_site[0] == cfg.grid.npixels
+        assert 0 < per_site[1] <= simulation._CELL ** 2
+
+
+def test_idw_rows_keep_the_unpruned_top_k_width():
+    """With k >= 8, how a row's idw weights sum depends on the top-k width
+    `idw_rows_chunk` takes.  Far sites that reach the tile's box but are
+    dead in its urban pixels are pruned everywhere, so the walker pads
+    its block back to min(k, reaching) columns: its rows equal the
+    unpruned block's byte for byte, not the rows over the live sites."""
+    cfg = SimConfig(ncols=40, nrows=40, cell_size_m=100.0, block_px=1, urban_split=1,
+                    mask_rect=None)
+    specs = [AntennaSpec(f"a{j}", 1500.0 + 250.0 * j, 2000.0 + 150.0 * j, 60.0, 900.0,
+                         50.0 + 0.7 * j) for j in range(5)]
+    specs += [AntennaSpec(f"f{j}", -15e3 - 1e3 * j, 2000.0, 30.0, 900.0, 43.0) for j in range(5)]
+    specs.sort(key=lambda sp: sp.bts_id)
+    env = np.full(cfg.grid.npixels, env_code("urban"), np.uint8)
+    settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+    s, k = 2.0, 9
+    x, y = cfg.grid.pixel_centers()
+    radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
+    sx, sy = np.array([[sp.x, sp.y] for sp in specs]).T
+    keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x, y)
+    assert keep.size == len(specs)
+    field = rss_field(specs, np.arange(x.size), x, y, env, radii_km=radii,
+                      candidates=np.ones((x.size, len(specs)), dtype=bool),
+                      rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+    live = field.live
+    assert live[:, :5].all() and not live[:, 5:].any()
+    unpruned = idw_pixel_weights(settlements.ids, field.bts_ids,
+                                 *idw_rows_chunk(field.rss_dbm, live, s, k), s, k)
+    live_only = idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k)[2]
+    assert live_only.tobytes() != unpruned.w.tobytes()
+    _, pw, calls = _tiled_run(cfg, specs, env, settlements, s, k)
+    assert calls == [(x.size, k)]
+    _assert_same_rows(pw, unpruned)
+
+
 def _package_callers(*names: str) -> dict[str, set[str]]:
     """The `module.function` names in the package that call each of `names`."""
     callers: dict[str, set[str]] = {name: set() for name in names}
@@ -700,16 +837,19 @@ def _package_callers(*names: str) -> dict[str, set[str]]:
 def test_only_the_walker_calls_the_kernels():
     """`rss_field` has one caller, the tiled walker, and the loss model one,
     the per-link level expression: no second link path in the package.
-    The walker alone builds the radius table, once per pass, and culls
-    sites with it; the radius probe runs only inside the table builder."""
+    The walker alone builds the radius and level tables, once per pass,
+    and culls and prunes sites with them; the radius probe runs only
+    inside the radius table builder."""
     names = ("rss_field", "extended_hata_db", "live_radii_km", "reaching_sites",
-             "_probe_radius_km")
+             "_probe_radius_km", "level_table", "level_candidates")
     assert _package_callers(*names) == {
         "rss_field": {"simulation._tiled_pass"},
         "extended_hata_db": {"propagation._levels_dbm"},
         "live_radii_km": {"simulation._tiled_pass"},
         "reaching_sites": {"simulation._tiled_pass"},
         "_probe_radius_km": {"propagation.live_radii_km"},
+        "level_table": {"simulation._tiled_pass"},
+        "level_candidates": {"simulation._tiled_pass"},
     }
 
 
