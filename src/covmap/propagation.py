@@ -12,19 +12,21 @@ the distance checks from one min/max pair per call.
 
 One kernel, `rss_field`, turns antenna specs and pixel centres into
 received levels (transmit power minus median loss, no shadowing term).
-Loss never decreases with distance, which gives two per-pass tables.
-`live_radii_km` bounds, per antenna and environment, where a link can be
-live; `level_table` holds each antenna's level at a fixed distance grid,
-per environment.  Their one caller, the tiled link walker in
-`simulation`, builds both once per pass (nothing here outlives a call),
-culls each tile's antennas with `reaching_sites`, and then, per cell of
-pixels, drops with `level_candidates` every antenna that is weaker than
-the `rank` strongest at every pixel of the cell.  It sends the tile's
-pixels to `rss_field` on the antennas left, with their rows of the
-radius table and a per-pixel candidate mask, in blocks of at most a
-fixed number of links, so memory stays bounded whatever the antenna
-count.  `rss_field` evaluates the model only on candidate pixels inside
-each link's radius and reports every other link as -inf.
+Loss never decreases with distance, so one builder, `link_tables`, gives
+two per-pass tables from one evaluation of each antenna's level at a
+fixed distance grid, per environment: the levels themselves, and per
+antenna and environment a radius from which every link is dead, read
+off the grid and refined inside its bracket.  Their one caller, the
+tiled link walker in `simulation`, builds them once per pass (nothing
+here outlives a call), culls each tile's antennas with `reaching_sites`,
+and then, per cell of pixels, drops with `level_candidates` every
+antenna that is weaker than the `rank` strongest at every pixel of the
+cell.  It sends the tile's pixels to `rss_field` on the antennas left,
+with their rows of the radius table and a per-pixel candidate mask, in
+blocks of at most a fixed number of links, so memory stays bounded
+whatever the antenna count.  `rss_field` evaluates the model only on
+candidate pixels inside each link's radius and reports every other link
+as -inf.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ def env_codes(envs) -> np.ndarray:
     """Vectorised `env_code` over a sequence of class names (or codes)."""
     arr = np.asarray(envs)
     if arr.dtype.kind in "iu":
-        codes = arr.astype(np.uint8)
-        if codes.size and (codes.max(initial=0) > 2):
+        # check before the cast, which would wrap 258 or -254 onto 2
+        if arr.size and (arr.max() > 2 or (arr.dtype.kind == "i" and arr.min() < 0)):
             raise ValueError("environment codes must be 0, 1 or 2")
-        return codes
+        return arr.astype(np.uint8)
     return np.array([env_code(str(e)) for e in arr.ravel()], dtype=np.uint8).reshape(arr.shape)
 
 
@@ -258,78 +260,39 @@ def _levels_dbm(spec: AntennaSpec, d_km, codes, rx_height_m: float) -> np.ndarra
     )
 
 
-# the radius probe: a log grid from 1 m to the model's range, then a linear
-# refinement between its last live and first dead point
-_PROBE_KM = np.geomspace(1e-3, DIST_MAX_KM, 64)
-_PROBE_KM.flags.writeable = False
-_PROBE_REFINE = 64
-# a probe point counts as dead only this far below the threshold, so a
-# one-ulp wobble in the loss can never make a culled link live
-_RADIUS_MARGIN_DB = 1e-6
+# the table's distances: 0, then a log grid from 1 m to the model's range,
+# past which the clamp holds every level at its last value
+_LEVEL_KM = np.concatenate([[0.0], np.geomspace(1e-3, DIST_MAX_KM, 512)])
+_LEVEL_KM.flags.writeable = False
+# points of the linear refinement between a radius's last live and first
+# dead grid distance
+_RADIUS_REFINE = 64
+# every bound read off the table is widened by this much, so a one-ulp
+# wobble in the loss can never make a culled link live, nor a pruned site
+# tie with or beat a pick
+_MARGIN_DB = 1e-6
 # relative slack on the distance tests that cull links, far above their
 # rounding error, so a culled link always lies at or beyond its radius
 _REACH_SLACK = 1.0 + 1e-9
 
 
-def live_radii_km(
+def link_tables(
     specs: list[AntennaSpec], rx_height_m: float, dead_threshold_dbm: float
-) -> np.ndarray:
-    """Per spec and environment code, a distance from which every link is dead.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pass's radius and level tables, per spec and environment code.
 
-    Row `j` of the (len(specs), 3) result is spec `j`'s radius table:
-    entry `r[j, env]` guarantees that every path of length `d >= r[j, env]`
-    through environment `env` has a level below `dead_threshold_dbm`.
-    It is `inf` exactly when the 100 km link is still live: the clamp
-    holds the loss flat beyond the model's range.  Relies on the loss
-    never decreasing with distance.  A radius ignores the site's position,
-    so specs with equal technical parameters (all naive specs of one
-    class) share one probe.
-    """
-    radii = np.empty((len(specs), len(ENV_CLASSES)))
-    probed: dict[tuple, np.ndarray] = {}
-    for j, s in enumerate(specs):
-        key = (s.height_m, s.freq_mhz, s.power_dbm)
-        if key not in probed:
-            probed[key] = _probe_radius_km(s, rx_height_m, dead_threshold_dbm)
-        radii[j] = probed[key]
-    return radii
-
-
-def _probe_radius_km(spec: AntennaSpec, rx_height_m: float, dead_threshold_dbm: float):
-    codes = np.arange(len(ENV_CLASSES))[:, None]
-    cut = dead_threshold_dbm - _RADIUS_MARGIN_DB
-    coarse = np.broadcast_to(_PROBE_KM, (codes.size, _PROBE_KM.size))
-    level = _levels_dbm(spec, coarse, codes, rx_height_m)
-    dead = level < cut
-    first = np.where(dead.any(axis=1), dead.argmax(axis=1), _PROBE_KM.size)
-    radius = np.where(level[:, -1] < dead_threshold_dbm, DIST_MAX_KM, np.inf)
-    bracket = (first > 0) & (first < _PROBE_KM.size)
-    radius[first == 0] = _PROBE_KM[0]
-    if bracket.any():
-        k = first[bracket]
-        fine = np.linspace(_PROBE_KM[k - 1], _PROBE_KM[k], _PROBE_REFINE, axis=1)
-        fine_dead = _levels_dbm(spec, fine, codes[bracket], rx_height_m) < cut
-        fine_dead[:, -1] = True  # the bracket's own dead end point
-        radius[bracket] = fine[np.arange(k.size), fine_dead.argmax(axis=1)]
-    return radius
-
-
-# the level table's distances: 0, then a log grid from 1 m to the model's
-# range, past which the clamp holds every level at its last value
-_LEVEL_KM = np.concatenate([[0.0], np.geomspace(1e-3, DIST_MAX_KM, 512)])
-_LEVEL_KM.flags.writeable = False
-# both level bounds are widened by this much, so a one-ulp wobble in the
-# loss can never make a pruned site tie with or beat a pick
-_LEVEL_MARGIN_DB = 1e-6
-
-
-def level_table(specs: list[AntennaSpec], rx_height_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each spec's level at the distances `_LEVEL_KM`, per environment code.
-
-    Returns `(levels, row)`: `levels[row[j], env, g]` is spec `j`'s level
-    at `_LEVEL_KM[g]` through `env`.  A level ignores the site's position,
-    so specs with equal height, frequency and power share one row, as
-    they share one radius probe in `live_radii_km`.
+    Returns `(radii, levels, row)`.  `levels[row[j], env, g]` is spec
+    `j`'s level at `_LEVEL_KM[g]` through `env`.  Entry `radii[j, env]`
+    guarantees that every path of length `d >= radii[j, env]` through
+    `env` has a level below `dead_threshold_dbm`: it is 0 when the link
+    is dead at the mast, `inf` exactly when the 100 km link is still live
+    (the clamp holds the loss flat beyond the model's range), and
+    otherwise the first dead point of a `_RADIUS_REFINE`-point linear
+    refinement between the last live and the first dead grid distance.
+    Relies on the loss never decreasing with distance.  Neither table
+    depends on the site's position, so specs with equal height,
+    frequency and power share one row, evaluated once on the grid and
+    at most once more for the refinement.
     """
     rows: dict[tuple, int] = {}
     row = np.empty(len(specs), dtype=np.intp)
@@ -337,24 +300,38 @@ def level_table(specs: list[AntennaSpec], rx_height_m: float) -> tuple[np.ndarra
         row[j] = rows.setdefault((s.height_m, s.freq_mhz, s.power_dbm), len(rows))
     codes = np.arange(len(ENV_CLASSES))[:, None]
     dist = np.broadcast_to(_LEVEL_KM, (codes.size, _LEVEL_KM.size))
+    cut = dead_threshold_dbm - _MARGIN_DB
     levels = np.empty((len(rows), codes.size, _LEVEL_KM.size))
+    radii = np.empty((len(rows), codes.size))
     for j in np.unique(row, return_index=True)[1]:
-        levels[row[j]] = _levels_dbm(specs[j], dist, codes, rx_height_m)
-    return levels, row
+        level = levels[row[j]] = _levels_dbm(specs[j], dist, codes, rx_height_m)
+        dead = level < cut
+        first = dead.argmax(axis=1)  # 0 when no grid distance is dead
+        radius = np.where(dead.any(axis=1), _LEVEL_KM[first],
+                          np.where(level[:, -1] < dead_threshold_dbm, DIST_MAX_KM, np.inf))
+        bracket = first > 0
+        if bracket.any():
+            k = first[bracket]
+            fine = np.linspace(_LEVEL_KM[k - 1], _LEVEL_KM[k], _RADIUS_REFINE, axis=1)
+            fine_dead = _levels_dbm(specs[j], fine, codes[bracket], rx_height_m) < cut
+            fine_dead[:, -1] = True  # the bracket's own dead end point
+            radius[bracket] = fine[np.arange(k.size), fine_dead.argmax(axis=1)]
+        radii[row[j]] = radius
+    return radii[row], levels, row
 
 
 def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np.ndarray:
     """Which of the sites at `sx`, `sy` (non-empty) can be among the
     `rank` strongest at some pixel of each cell, as a (cells, sites) mask.
 
-    `levels` holds the sites' rows of `level_table`.  Cell `c` spans the
-    pixel centres in the box `box[0][c]..box[1][c]` by
+    `levels` holds the sites' rows of the level table of `link_tables`.
+    Cell `c` spans the pixel centres in the box `box[0][c]..box[1][c]` by
     `box[2][c]..box[3][c]` (x then y, metres); `present[c]` flags the env
     codes of its pixels and `rank[c]` is its rank.  Over the cell a
     site's level lies in [`lo`, `hi`]: its table levels at the grid
     distances just beyond the farthest and just short of the nearest
     point of the box, with `_REACH_SLACK`, taken over the env codes
-    present and widened by `_LEVEL_MARGIN_DB`.  A site whose `hi` is below
+    present and widened by `_MARGIN_DB`.  A site whose `hi` is below
     the `rank`-th largest `lo`, floored at `floor_dbm`, is weaker than
     `rank` other sites at every pixel of the cell, or dead there, so it
     is left out.  A cell with no env code present keeps no site.  Relies
@@ -369,8 +346,8 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
     i_lo = np.minimum(np.searchsorted(_LEVEL_KM, far_km * _REACH_SLACK), _LEVEL_KM.size - 1)
     site = np.arange(levels.shape[0])
     on = np.asarray(present, dtype=bool)[:, None, :]  # (cells, 1, env codes)
-    hi = np.where(on, levels[site, :, i_hi], -np.inf).max(axis=2) + _LEVEL_MARGIN_DB
-    lo = np.where(on, levels[site, :, i_lo], np.inf).min(axis=2) - _LEVEL_MARGIN_DB
+    hi = np.where(on, levels[site, :, i_hi], -np.inf).max(axis=2) + _MARGIN_DB
+    lo = np.where(on, levels[site, :, i_lo], np.inf).min(axis=2) - _MARGIN_DB
     rank = np.asarray(rank)
     n = site.size
     nth = np.sort(lo, axis=1)[np.arange(lo.shape[0]), np.clip(n - rank, 0, n - 1)]
@@ -408,10 +385,10 @@ def rss_field(
 
     `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
     per-pixel environment class (names or codes).  `radii_km` holds the
-    specs' rows of `live_radii_km` at the same receiver height and
-    threshold; `candidates` is a (pixels, specs) mask.  Each spec is
-    evaluated only on its candidate pixels within the radius of their
-    environment.  The tiled walker passes one block of a tile's pixels
+    specs' rows of the radius table of `link_tables` at the same receiver
+    height and threshold; `candidates` is a (pixels, specs) mask.  Each
+    spec is evaluated only on its candidate pixels within the radius of
+    their environment.  The tiled walker passes one block of a tile's pixels
     at a time, on the specs that can be a pick somewhere in the tile,
     with a mask that is column-contiguous; each entry depends only on its
     own pixel and antenna, so blocking never changes a value.

@@ -61,8 +61,7 @@ from .propagation import (
     AntennaSpec,
     env_code,
     level_candidates,
-    level_table,
-    live_radii_km,
+    link_tables,
     reaching_sites,
     rss_field,
 )
@@ -619,14 +618,14 @@ def _tiled_pass(
     (pixels outside it stay unassigned) and, given `idw` = (s, k), the
     settlements' idw rows from the same links.
 
-    Specs must be sorted by bts_id.  The pass builds one radius table
-    (`live_radii_km`, sites x env codes) and one level table
-    (`level_table`), and walks the grid in `_TILE` x `_TILE` tiles.  Each
-    tile first keeps the sites that `reaching_sites` finds for its
-    pixels.  Then, per `_CELL` x `_CELL` cell of the tile that holds
-    pixels of the set, `level_candidates` drops each site weaker than the
-    `rank` strongest at every pixel of the cell: `rank` is idw's k in
-    cells that hold a settlement when idw rows are wanted, 1 elsewhere.
+    Specs must be sorted by bts_id.  The pass builds its radius table
+    (sites x env codes) and level table with one `link_tables` call, and
+    walks the grid in `_TILE` x `_TILE` tiles.  Each tile first keeps
+    the sites that `reaching_sites` finds for its pixels.  Then, per
+    `_CELL` x `_CELL` cell of the tile that holds pixels of the set,
+    `level_candidates` drops each site weaker than the `rank` strongest
+    at every pixel of the cell: `rank` is idw's k in cells that hold a
+    settlement when idw rows are wanted, 1 elsewhere.
     A dropped site is never a pick, nor ties with one.  The tile's sites
     are those left in some cell, in bts_id order (with idw, at least
     min(k, reaching) of them, so `idw_rows_chunk` takes the same top-k
@@ -642,8 +641,7 @@ def _tiled_pass(
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("specs must be sorted by bts_id, without duplicates")
-    radii = live_radii_km(specs, rx_height_m, dead_threshold_dbm)
-    levels, level_row = level_table(specs, rx_height_m)
+    radii, levels, level_row = link_tables(specs, rx_height_m, dead_threshold_dbm)
     sx = np.array([s.x for s in specs], dtype=np.float64)
     sy = np.array([s.y for s in specs], dtype=np.float64)
     reach = radii.max(axis=1)

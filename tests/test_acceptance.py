@@ -29,7 +29,7 @@ from covmap.propagation import (
     DEAD_THRESHOLD_DBM,
     AntennaSpec,
     extended_hata_db,
-    live_radii_km,
+    link_tables,
     rss_field,
 )
 from covmap.simulation import SCHEMES, TALLY_METRICS, TALLY_SCHEMES, SimConfig, run_study, simulate_round
@@ -169,7 +169,7 @@ def test_criterion_5_weight_matrix_properties():
         field = rss_field(
             specs, settlements.ids, settlements.x, settlements.y,
             env[settlements.rows, settlements.cols],
-            radii_km=live_radii_km(specs, 1.0, DEAD_THRESHOLD_DBM),
+            radii_km=link_tables(specs, 1.0, DEAD_THRESHOLD_DBM)[0],
             candidates=np.ones((len(settlements), len(specs)), dtype=bool),
         )
         wm_p2p = weights_p2p(points, areas, grid)

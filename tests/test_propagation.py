@@ -25,8 +25,8 @@ from covmap.propagation import (
     _tx_gain_db,
     env_codes,
     extended_hata_db,
-    level_table,
-    live_radii_km,
+    link_tables,
+    reaching_sites,
     rss_field,
 )
 
@@ -121,11 +121,11 @@ def test_loss_never_decreases_with_distance(f, h_tx, h_rx, env, extra_km):
 def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
     # range culling drops every link at or beyond the radius unevaluated
     spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
-    r = live_radii_km([spec], h_rx, threshold)[0]
+    r = link_tables([spec], h_rx, threshold)[0][0]
     assert r.shape == (len(ENV_CLASSES),)
     for code in range(len(ENV_CLASSES)):
         near_r = [r[code], np.nextafter(r[code], np.inf)] if np.isfinite(r[code]) else []
-        d = np.concatenate([_SWEEP_KM, extra_km, near_r])
+        d = np.concatenate([_SWEEP_KM, propagation._LEVEL_KM, extra_km, near_r])
         level = power - extended_hata_db(f, d, h_tx, h_rx, code, clamp_distance=True)
         live_beyond = (d >= r[code]) & (level >= threshold)
         assert not live_beyond.any(), (code, r[code], d[live_beyond][:3])
@@ -133,23 +133,15 @@ def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
         assert np.isinf(r[code]) == (at_range >= threshold)
 
 
-def test_live_radii_probe_once_per_technical_parameters(monkeypatch):
-    # a radius ignores the site's position: twins elsewhere share one probe
-    specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0),
-             AntennaSpec("b", 5000.0, 0.0, 30.0, 900.0, 43.0),
-             AntennaSpec("c", 0.0, 0.0, 10.0, 900.0, 43.0)]
-    probe = propagation._probe_radius_km
-    probed = []
-
-    def recording(spec, *args):
-        probed.append(spec.bts_id)
-        return probe(spec, *args)
-
-    monkeypatch.setattr(propagation, "_probe_radius_km", recording)
-    radii = live_radii_km(specs, 1.0, -110.0)
-    assert probed == ["a", "c"]
-    for row, spec in zip(radii, specs):
-        np.testing.assert_array_equal(row, probe(spec, 1.0, -110.0))
+def test_radius_zero_when_dead_at_the_mast():
+    # a 30 m mast at -20 dBm is about -81 dBm at its foot in every env
+    spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, -20.0)
+    radii, levels, row = link_tables([spec], 1.0, -40.0)
+    assert np.all(levels[row[0], :, 0] < -40.0)
+    np.testing.assert_array_equal(radii[0], np.zeros(len(ENV_CLASSES)))
+    # so the cull drops it even for a point at the mast
+    zero = np.zeros(1)
+    assert reaching_sites(zero, zero, radii.max(axis=1), zero, zero).size == 0
 
 
 # distances for the level-table bracket: 0, under 40 m, the 40-100 m
@@ -171,11 +163,11 @@ _BRACKET_KM = st.one_of(
 def test_level_table_brackets_the_exact_level(f, h_tx, h_rx, power, d_km):
     # level pruning bounds a link by the table entries on either side of it
     spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
-    levels, row = level_table([spec], h_rx)
+    _, levels, row = link_tables([spec], h_rx, DEAD_THRESHOLD_DBM)
     assert levels.shape == (1, len(ENV_CLASSES), propagation._LEVEL_KM.size)
     table = levels[row[0]]
     grid_km = propagation._LEVEL_KM
-    margin = propagation._LEVEL_MARGIN_DB
+    margin = propagation._MARGIN_DB
     d = np.array(d_km)
     i_hi = np.searchsorted(grid_km, d, side="right") - 1
     i_lo = np.minimum(np.searchsorted(grid_km, d), grid_km.size - 1)
@@ -185,8 +177,9 @@ def test_level_table_brackets_the_exact_level(f, h_tx, h_rx, power, d_km):
         assert np.all(level >= table[code, i_lo] - margin), code
 
 
-def test_level_table_once_per_technical_parameters(monkeypatch):
-    # a level ignores the site's position: twins elsewhere share one row
+def test_link_tables_once_per_technical_parameters(monkeypatch):
+    # neither table depends on the site's position: twins elsewhere share
+    # one row, evaluated once on the grid and once for the refinement
     specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0),
              AntennaSpec("b", 5000.0, 0.0, 30.0, 900.0, 43.0),
              AntennaSpec("c", 0.0, 0.0, 10.0, 900.0, 43.0)]
@@ -198,20 +191,21 @@ def test_level_table_once_per_technical_parameters(monkeypatch):
         return levels_dbm(spec, *args)
 
     monkeypatch.setattr(propagation, "_levels_dbm", recording)
-    levels, row = level_table(specs, 1.0)
-    assert evaluated == ["a", "c"]
+    radii, levels, row = link_tables(specs, 1.0, -110.0)
+    assert evaluated == ["a", "a", "c", "c"]
     assert row.tolist() == [0, 0, 1] and levels.shape[0] == 2
+    monkeypatch.undo()
     codes = np.arange(len(ENV_CLASSES))[:, None]
     dist = np.broadcast_to(propagation._LEVEL_KM, (codes.size, propagation._LEVEL_KM.size))
     for j, spec in enumerate(specs):
-        want = levels_dbm(spec, dist, codes, 1.0)
-        np.testing.assert_array_equal(levels[row[j]], want)
+        np.testing.assert_array_equal(levels[row[j]], levels_dbm(spec, dist, codes, 1.0))
+        np.testing.assert_array_equal(radii[j], link_tables([spec], 1.0, -110.0)[0][0])
 
 
 def test_live_radius_brackets_the_crossing():
     # 900 MHz rural at 43 dBm crosses -110 dBm between 10 and 100 km
     spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)
-    r = live_radii_km([spec], 1.0, -110.0)[0]
+    r = link_tables([spec], 1.0, -110.0)[0][0]
     level = 43.0 - extended_hata_db(900.0, r, 30.0, 1.0, [0, 1, 2])
     assert np.all(level < -110.0)
     # within a 0.5% refinement step of the crossing
@@ -393,6 +387,16 @@ def test_unknown_env_rejected():
         extended_hata_db(900.0, 1.0, 30.0, 1.0, "swamp")
 
 
+@pytest.mark.parametrize("code", [3, 258, -1, -254])
+def test_out_of_range_env_codes_rejected(code):
+    # 258 and -254 wrap onto 2 in uint8, so the range check comes first
+    message = re.escape("environment codes must be 0, 1 or 2")
+    with pytest.raises(ValueError, match=message):
+        env_codes(np.array([code]))
+    with pytest.raises(ValueError, match=message):
+        extended_hata_db(900.0, 5.0, 30.0, 1.0, code)
+
+
 def test_antenna_spec_validation():
     with pytest.raises(ValueError):
         AntennaSpec("a", 0.0, 0.0, -3.0, 900.0, 43.0)
@@ -406,7 +410,7 @@ def test_antenna_spec_validation():
 
 def field_of(specs, *args, rx_height_m=1.0, dead_threshold_dbm=DEAD_THRESHOLD_DBM):
     """`rss_field` on the specs' own rows of the radius table, every link a candidate."""
-    radii = live_radii_km(specs, rx_height_m, dead_threshold_dbm)
+    radii = link_tables(specs, rx_height_m, dead_threshold_dbm)[0]
     everywhere = np.ones((np.size(args[0]), len(specs)), dtype=bool)
     return rss_field(specs, *args, radii_km=radii, candidates=everywhere,
                      rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)

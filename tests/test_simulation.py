@@ -477,7 +477,7 @@ class TestRangeCulling:
 
     def test_kernel_equals_dense_live_levels(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
-        radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
+        radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
         got = rss_field(specs, st.ids, st.x, st.y, env, radii_km=radii,
                         candidates=np.ones((len(st), len(specs)), dtype=bool),
                         rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
@@ -742,7 +742,7 @@ class TestLevelPruning:
         cfg, specs, env, settlements, tile, s, k = layout
         x, y = cfg.grid.pixel_centers()
         npx = cfg.grid.npixels
-        radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
+        radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
         field = rss_field(specs, np.arange(npx), x, y, env, radii_km=radii,
                           candidates=np.ones((npx, len(specs)), dtype=bool),
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
@@ -800,7 +800,7 @@ def test_idw_rows_keep_the_unpruned_top_k_width():
     settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
     s, k = 2.0, 9
     x, y = cfg.grid.pixel_centers()
-    radii = propagation.live_radii_km(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)
+    radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
     sx, sy = np.array([[sp.x, sp.y] for sp in specs]).T
     keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x, y)
     assert keep.size == len(specs)
@@ -837,18 +837,17 @@ def _package_callers(*names: str) -> dict[str, set[str]]:
 def test_only_the_walker_calls_the_kernels():
     """`rss_field` has one caller, the tiled walker, and the loss model one,
     the per-link level expression: no second link path in the package.
-    The walker alone builds the radius and level tables, once per pass,
-    and culls and prunes sites with them; the radius probe runs only
-    inside the radius table builder."""
-    names = ("rss_field", "extended_hata_db", "live_radii_km", "reaching_sites",
-             "_probe_radius_km", "level_table", "level_candidates")
+    The walker alone builds the radius and level tables, with one builder
+    call per pass, and culls and prunes sites with them; the level
+    expression runs only inside that builder and the kernel."""
+    names = ("rss_field", "extended_hata_db", "link_tables", "reaching_sites",
+             "_levels_dbm", "level_candidates")
     assert _package_callers(*names) == {
         "rss_field": {"simulation._tiled_pass"},
         "extended_hata_db": {"propagation._levels_dbm"},
-        "live_radii_km": {"simulation._tiled_pass"},
+        "link_tables": {"simulation._tiled_pass"},
         "reaching_sites": {"simulation._tiled_pass"},
-        "_probe_radius_km": {"propagation.live_radii_km"},
-        "level_table": {"simulation._tiled_pass"},
+        "_levels_dbm": {"propagation.link_tables", "propagation.rss_field"},
         "level_candidates": {"simulation._tiled_pass"},
     }
 
