@@ -394,11 +394,6 @@ def _cell_span(lo: float, hi: float, n: int) -> slice:
     return slice(math.floor(min(max(lo - 2.5, 0.0), n)), math.ceil(min(max(hi + 2.5, 0.0), n)))
 
 
-def _ring_area(ring: np.ndarray) -> float:
-    x, y = ring[:, 0], ring[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
 class StatAreaSet:
     """Ordered set of disjoint statistical areas with unique string ids."""
 
@@ -477,16 +472,22 @@ class StatAreaSet:
         opposite to their exterior (the GeoJSON right-hand-rule
         convention).  Containment itself is orientation-agnostic.
         """
-        out = {}
         mask_grid = grid or self.grid
-        for a in self.areas:
-            if a.mask is not None:
-                if mask_grid is None:
-                    raise ValueError("mask areas need a grid for sizing")
-                out[a.area_id] = float(a.mask.sum()) * mask_grid.cell_size_m**2 / 1e6
-            else:
-                out[a.area_id] = abs(sum(_ring_area(r) for r in a.rings)) / 1e6
-        return out
+        if mask_grid is None and any(a.mask is not None for a in self.areas):
+            raise ValueError("mask areas need a grid for sizing")
+        # one shoelace sum per ring, over all rings of one vertex count at once
+        # (a row sums as its ring alone does), then added per area in ring order
+        rings = [(i, r) for i, a in enumerate(self.areas) for r in a.rings or ()]
+        sizes = np.array([len(r) for _, r in rings], dtype=np.int64)
+        ring_area = np.empty(len(rings))
+        for n in np.unique(sizes):
+            at = np.flatnonzero(sizes == n)
+            x, y = np.moveaxis(np.stack([rings[j][1] for j in at]), 2, 0)
+            ring_area[at] = 0.5 * np.sum(x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1], axis=1)
+        owner = np.array([i for i, _ in rings], dtype=np.intp)
+        total = np.bincount(owner, weights=ring_area, minlength=len(self.areas)).tolist()
+        return {a.area_id: (float(a.mask.sum()) * mask_grid.cell_size_m**2 if a.rings is None
+                            else abs(total[i])) / 1e6 for i, a in enumerate(self.areas)}
 
     def locate_points(self, x, y, grid: Grid | None = None) -> np.ndarray:
         """Area index containing each point (-1 when outside every area)."""

@@ -120,6 +120,8 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
     except ValueError as exc:
         raise _err(path, None, str(exc)) from None
     data_lines = lines[i:]
+    while data_lines and not data_lines[-1].strip():  # blank lines after the last row
+        data_lines.pop()
     if len(data_lines) != nrows:
         raise _err(path, i + 1, f"expected {nrows} data rows, found {len(data_lines)}")
     values = np.empty((nrows, ncols), dtype=np.float64)

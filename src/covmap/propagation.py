@@ -19,14 +19,14 @@ antenna and environment a radius from which every link is dead, read
 off the grid and refined inside its bracket.  Their one caller, the
 tiled link walker in `simulation`, builds them once per pass (nothing
 here outlives a call), culls each tile's antennas with `reaching_sites`,
-and then, per cell of pixels, drops with `level_candidates` every
-antenna that is weaker than the `rank` strongest at every pixel of the
-cell.  It sends the tile's pixels to `rss_field` on the antennas left,
-with their rows of the radius table and a per-pixel candidate mask, in
-blocks of at most a fixed number of links, so memory stays bounded
-whatever the antenna count.  `rss_field` evaluates the model only on
-candidate pixels inside each link's radius and reports every other link
-as -inf.
+and then, per group of the tile's pixels (one rank each) and per cell,
+drops with `level_candidates` every antenna that is weaker than the
+`rank` strongest at every pixel of the group in the cell.  It sends each
+group's pixels to `rss_field` on the antennas left, with their rows of
+the radius table and a per-pixel candidate mask, in blocks of at most a
+fixed number of links, so memory stays bounded whatever the antenna
+count.  `rss_field` evaluates the model only on candidate pixels inside
+each link's radius and reports every other link as -inf.
 """
 
 from __future__ import annotations
@@ -326,8 +326,8 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
 
     `levels` holds the sites' rows of the level table of `link_tables`.
     Cell `c` spans the pixel centres in the box `box[0][c]..box[1][c]` by
-    `box[2][c]..box[3][c]` (x then y, metres); `present[c]` flags the env
-    codes of its pixels and `rank[c]` is its rank.  Over the cell a
+    `box[2][c]..box[3][c]` (x then y, metres), and `present[c]` flags the
+    env codes of its pixels; one `rank` serves every cell.  Over the cell a
     site's level lies in [`lo`, `hi`]: its table levels at the grid
     distances just beyond the farthest and just short of the nearest
     point of the box, with `_REACH_SLACK`, taken over the env codes
@@ -348,11 +348,10 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
     on = np.asarray(present, dtype=bool)[:, None, :]  # (cells, 1, env codes)
     hi = np.where(on, levels[site, :, i_hi], -np.inf).max(axis=2) + _MARGIN_DB
     lo = np.where(on, levels[site, :, i_lo], np.inf).min(axis=2) - _MARGIN_DB
-    rank = np.asarray(rank)
-    n = site.size
-    nth = np.sort(lo, axis=1)[np.arange(lo.shape[0]), np.clip(n - rank, 0, n - 1)]
-    t = np.maximum(np.where(rank <= n, nth, -np.inf), floor_dbm)
-    return hi >= t[:, None]
+    if rank > site.size:  # fewer sites than the rank: only the floor binds
+        return hi >= floor_dbm
+    nth = np.sort(lo, axis=1)[:, site.size - rank]
+    return hi >= np.maximum(nth, floor_dbm)[:, None]
 
 
 def reaching_sites(sx, sy, reach_km, px, py) -> np.ndarray:

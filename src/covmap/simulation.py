@@ -620,23 +620,25 @@ def _tiled_pass(
 
     Specs must be sorted by bts_id.  The pass builds its radius table
     (sites x env codes) and level table with one `link_tables` call, and
-    walks the grid in `_TILE` x `_TILE` tiles.  Each tile first keeps
-    the sites that `reaching_sites` finds for its pixels.  Then, per
-    `_CELL` x `_CELL` cell of the tile that holds pixels of the set,
-    `level_candidates` drops each site weaker than the `rank` strongest
-    at every pixel of the cell: `rank` is idw's k in cells that hold a
-    settlement when idw rows are wanted, 1 elsewhere.
-    A dropped site is never a pick, nor ties with one.  The tile's sites
-    are those left in some cell, in bts_id order (with idw, at least
-    min(k, reaching) of them, so `idw_rows_chunk` takes the same top-k
-    width, and sums the same way, as on the unpruned block); picks map
-    back through that ascending index, so ties still go to the lowest
-    bts_id.  A tile with no pixel of the set, or no site left, is skipped.
-    The tile's pixels go to `rss_field`, with the kept sites' rows of the
-    radius table and each pixel's cell mask, in blocks of at most
-    `_RSS_ENTRIES` links (at least one pixel), so memory stays bounded
-    whatever the site count.  The idw rows come out in tile order and
-    are put back into the settlements' order.
+    walks the grid in `_TILE` x `_TILE` tiles.  Each tile keeps the
+    sites that `reaching_sites` finds for its pixels of the set, which
+    form at most two groups of one rank each: the settled pixels (idw's
+    k when idw rows are wanted, else 1) and, unless `settled_only`, the
+    others (1).  Per group and `_CELL` x `_CELL` cell holding its
+    pixels, `level_candidates` drops each site weaker than the `rank`
+    strongest at every such pixel; a dropped site is never a pick, nor
+    ties with one.  A group's sites are those left in some cell, in
+    bts_id order (for idw rows at least min(k, reaching) of them, so
+    `idw_rows_chunk` takes the same top-k width, and sums the same way,
+    as on the unpruned block); picks map back through that ascending
+    index, so ties still go to the lowest bts_id.  A tile or group with
+    no pixel of the set, or no site left, is skipped.  A group's pixels
+    go to `rss_field`, with its sites' rows of the radius table and each
+    pixel's cell mask, in blocks of at most `_RSS_ENTRIES` links (at
+    least one pixel), so memory stays bounded whatever the site count.
+    Each settlement's idw row is written in place, into buffers as wide
+    as the widest top-k width a tile has needed (at most the site
+    count), and read out row-major at the end.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -648,13 +650,15 @@ def _tiled_pass(
     env = np.asarray(env_grid, dtype=np.uint8)
     labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
     flat_labels = labels.reshape(-1)
+    at = np.full(grid.shape, -1, dtype=np.int32)  # settlement index per pixel
     if settlements is not None:
-        at = np.full(grid.shape, -1, dtype=np.int32)  # settlement index per pixel
         at[settlements.rows, settlements.cols] = np.arange(len(settlements))
     if idw is not None:
         idw_s, idw_k = idw
-        # per block: the settlement index of each entry, its global column, its weight
-        owner, col, w = [np.empty(0, np.int32)], [np.empty(0, np.int64)], [np.empty(0)]
+        # per settlement: its row's length, then its columns and weights,
+        # as wide as the widest top-k that a tile has needed so far
+        row_n = np.zeros(len(settlements), dtype=np.int64)
+        row_col, row_w = (np.zeros((len(settlements), 0), t) for t in (np.int64, np.float64))
     for r0 in range(0, grid.nrows, _TILE):
         rows = np.arange(r0, min(r0 + _TILE, grid.nrows))[:, None]
         for c0 in range(0, grid.ncols, _TILE):
@@ -669,74 +673,77 @@ def _tiled_pass(
             ncell_cols = -(-cols.size // _CELL)
             cell = ((np.arange(rows.size) // _CELL)[:, None] * ncell_cols
                     + np.arange(cols.size) // _CELL).ravel()
-            settled = None if settlements is None else at[tile].ravel()
-            if settled_only:
-                pick = np.flatnonzero(settled >= 0)
-                if pick.size == 0:
-                    continue
+            settled = at[tile].ravel()
+            nset = np.count_nonzero(settled >= 0)
+            if settled_only and nset == 0:
+                continue
+            if nset:  # the pass's pixels, settled first: with settled_only, only those
+                pick = np.argsort(settled < 0, kind="stable")[:nset if settled_only else None]
                 pid, x, y, codes, settled, cell = (
                     v[pick] for v in (pid, x, y, codes, settled, cell))
             keep = reaching_sites(sx, sy, reach, x, y)
             if keep.size == 0:
                 continue
-            # each cell's box of pixel centres, the env codes of its pixels
-            # of the set, and its rank
+            # each cell's box of pixel centres
             cx = [f.reduceat(xc, np.arange(0, cols.size, _CELL)) for f in (np.minimum, np.maximum)]
             cy = [f.reduceat(yr.ravel(), np.arange(0, rows.size, _CELL))
                   for f in (np.minimum, np.maximum)]
             ncell_rows = cy[0].size
             box = [np.tile(v, ncell_rows) for v in cx] + [np.repeat(v, ncell_cols) for v in cy]
-            present = np.zeros((ncell_rows * ncell_cols, len(ENV_CLASSES)), dtype=bool)
-            present[cell, codes] = True
-            rank = np.ones(ncell_rows * ncell_cols, dtype=np.int64)
-            if idw is not None:
-                rank[cell[settled >= 0]] = idw_k
-            cand = level_candidates(levels[level_row[keep]], sx[keep], sy[keep], box, present,
-                                    rank, dead_threshold_dbm)
-            used = cand.any(axis=0)
-            if idw is not None:
-                short = min(idw_k, keep.size) - np.count_nonzero(used)
-                if short > 0:  # pad with sites that no cell keeps: all -inf columns
-                    used[np.flatnonzero(~used)[:short]] = True
-            if not used.any():
-                continue
-            keep = keep[used]
-            # per pixel, its cell's candidates; column-contiguous for the kernel
-            mask = cand[:, used].T[:, cell].T
-            near = [specs[j] for j in keep]
-            near_radii = radii[keep]
-            step = max(1, _RSS_ENTRIES // keep.size)
-            for lo in range(0, pid.size, step):
-                block = slice(lo, lo + step)
-                rss = rss_field(near, pid[block], x[block], y[block], codes[block],
-                                radii_km=near_radii, candidates=mask[block],
-                                rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
-                live = rss.live
-                sel = bsa_select_chunk(rss.rss_dbm, live)
-                flat_labels[pid[block]] = np.where(sel >= 0, keep[sel], UNASSIGNED)
-                if idw is None:
+            kept = (levels[level_row[keep]], sx[keep], sy[keep])
+            # at most two groups of pixels, each with its rank and whether
+            # it gets idw rows: the settled, then unless settled_only the rest
+            groups = [(slice(0, nset), 1 if idw is None else idw_k, idw is not None)]
+            if not settled_only:
+                groups.append((slice(nset, None), 1, False))
+            for part, rank, rows_wanted in groups:
+                g_pid, gx, gy, g_codes, owner, g_cell = (
+                    v[part] for v in (pid, x, y, codes, settled, cell))
+                if g_pid.size == 0:
                     continue
-                here = np.flatnonzero(settled[block] >= 0)
-                if here.size:
-                    n, c, v = idw_rows_chunk(rss.rss_dbm[here], live[here], idw_s, idw_k)
-                    owner.append(np.repeat(settled[block][here], n))
-                    col.append(keep[c])
-                    w.append(v)
+                present = np.zeros((ncell_rows * ncell_cols, len(ENV_CLASSES)), dtype=bool)
+                present[g_cell, g_codes] = True
+                cand = level_candidates(*kept, box, present, rank, dead_threshold_dbm)
+                used = cand.any(axis=0)
+                if rows_wanted:
+                    width = min(idw_k, keep.size)
+                    # pad with sites that no cell keeps: all -inf columns
+                    used[np.flatnonzero(~used)[:max(0, width - np.count_nonzero(used))]] = True
+                    if width > row_w.shape[1]:
+                        row_col, row_w = (np.pad(a, ((0, 0), (0, width - a.shape[1])))
+                                          for a in (row_col, row_w))
+                if not used.any():
+                    continue
+                g_keep = keep[used]
+                # per pixel, its cell's candidates; column-contiguous for the kernel
+                mask = cand[:, used].T[:, g_cell].T
+                near = [specs[j] for j in g_keep]
+                step = max(1, _RSS_ENTRIES // g_keep.size)
+                for lo in range(0, g_pid.size, step):
+                    block = slice(lo, lo + step)
+                    rss = rss_field(near, g_pid[block], gx[block], gy[block], g_codes[block],
+                                    radii_km=radii[g_keep], candidates=mask[block],
+                                    rx_height_m=rx_height_m,
+                                    dead_threshold_dbm=dead_threshold_dbm)
+                    live = rss.live
+                    sel = bsa_select_chunk(rss.rss_dbm, live)
+                    flat_labels[g_pid[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
+                    if rows_wanted:
+                        n, c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, idw_k)
+                        row_n[owner[block]] = n
+                        flat = np.arange(c.size) + np.repeat(  # row start + place in the row
+                            owner[block].astype(np.intp) * row_w.shape[1] - np.cumsum(n) + n, n)
+                        np.put(row_col, flat, g_keep[c])
+                        np.put(row_w, flat, v)
     assignment = Assignment(grid, ids, labels)
     if idw is None:
         return assignment, None
-    # a row's entries are contiguous within its block, so a stable sort on
-    # the owner restores settlement order and keeps each row's columns ascending
-    owner = np.concatenate(owner)
-    order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=len(settlements))
-    del owner
-    # rebinding frees each list of blocks before the next one is joined
-    col = np.concatenate(col)[order]
-    w = np.concatenate(w)[order]
-    del order
-    pw = idw_pixel_weights(settlements.ids, ids, counts, col, w, idw_s, idw_k)
-    return assignment, pw
+    # row-major, so rows come out in settlement order and each row's columns
+    # ascending; rebinding frees each buffer before the next one is read
+    slot = np.arange(row_w.shape[1]) < row_n[:, None]
+    row_col = row_col[slot]
+    row_w = row_w[slot]
+    return assignment, idw_pixel_weights(settlements.ids, ids, row_n, row_col, row_w, idw_s, idw_k)
 
 
 @dataclass

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,29 @@ class TestWeights:
         params = json.loads((tmp_path / "w" / "params.json").read_text())
         assert params["s"] == 2.0 and params["k"] == 5
         assert params["scheme"] == "idw" and params["naive"] is False
+
+    def test_idw_k_beyond_the_site_count_costs_nothing(self, study, two_areas, tmp_path):
+        """`--k 1000000` writes the weights of `--k` = the site count, and its
+        traced peak does not grow with k: the walker's row buffers are as
+        wide as the widest top-k a tile needs, never k wide."""
+        n_sites = len(io.load_bts_csv(study / "snapshot_bts.csv").points)
+        outs, peaks = {}, {}
+        for k in (n_sites, 1_000_000):
+            argv = ["weights", "--scheme", "idw", "--k", str(k),
+                    "--bts", str(study / "snapshot_bts.csv"),
+                    "--areas", str(two_areas),
+                    "--raster", str(study / "snapshot_settlements.asc"),
+                    "--aux", str(study / "snapshot_env.asc"),
+                    "--out", str(tmp_path / f"k{k}")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outs[k] = (tmp_path / f"k{k}" / "weights_idw.csv").read_bytes()
+        assert outs[1_000_000] == outs[n_sites]
+        assert peaks[1_000_000] <= 1.1 * peaks[n_sites]
 
     def test_idw_exponent_too_large_fails_cleanly(self, study, two_areas, tmp_path, capsys):
         rc = main(["weights", "--scheme", "idw", "--s", "400",

@@ -501,6 +501,55 @@ class TestStatAreaSet:
         np.testing.assert_array_equal(areas.locate_points(x, y),
                                       _locate_every_point(areas, x, y))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_area_km2_equals_the_ring_loop(self, data):
+        """Polygon areas of 1-3 rings of 4-40 points (holes among them,
+        wound either way), far from the origin or not, and mask areas,
+        sized bit for bit as one `np.sum` shoelace per ring added per
+        area in ring order."""
+        offset = data.draw(st.sampled_from([0.0, 1e5, 3.3e7]))
+        coord = st.floats(-1e4, 1e4, allow_nan=False).map(lambda v: offset + v)
+        g = Grid(ncols=3, nrows=2, cell_size_m=70.0)
+        pairs, masks = [], []
+        for k in range(data.draw(st.integers(0, 12))):
+            if data.draw(st.integers(0, 4)) == 0:
+                masks.append((f"m{k}", np.arange(6).reshape(2, 3) % (k + 2) == 0))
+                continue
+            rings = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                n = data.draw(st.integers(3, 39))
+                pts = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+                rings.append(np.array(pts + pts[:1], dtype=float))
+            if data.draw(st.booleans()):  # a hole: the first ring shrunk, wound opposite
+                ring = rings[0]
+                rings.append((ring + (ring.mean(axis=0) - ring) / 3)[::-1])
+            pairs.append((f"p{k}", rings))
+        areas = StatAreaSet(StatAreaSet.from_polygons(pairs).areas
+                            + StatAreaSet.from_masks(g, masks).areas, grid=g)
+        want = {}
+        for a in areas.areas:
+            if a.rings is None:
+                want[a.area_id] = float(a.mask.sum()) * g.cell_size_m**2 / 1e6
+                continue
+            total = 0
+            for ring in a.rings:
+                x, y = ring[:, 0], ring[:, 1]
+                total += 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+            want[a.area_id] = abs(total) / 1e6
+        got = areas.area_km2()
+        assert list(got) == list(want)
+        for aid in want:
+            assert got[aid].hex() == want[aid].hex(), aid
+
+    def test_area_km2_mask_areas_need_a_grid(self):
+        mask = np.ones((2, 2), dtype=bool)
+        areas = StatAreaSet([geo.StatArea("p", rings=[rect_ring(0, 0, 1, 1)]),
+                             geo.StatArea("m", mask=mask)])
+        with pytest.raises(ValueError, match="mask areas need a grid"):
+            areas.area_km2()
+        assert areas.area_km2(Grid(ncols=2, nrows=2, cell_size_m=10.0))["m"] == 4e-4
+
     def test_area_km2(self):
         g = Grid(ncols=4, nrows=4, cell_size_m=100.0)
         mask = np.zeros((4, 4), dtype=bool)

@@ -109,6 +109,33 @@ class TestAsciiGrid:
         with pytest.raises(ValueError, match="expected 2 data rows, found 3"):
             load_ascii_grid(p)
 
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "   \n", " \t\n\n  "])
+    def test_blank_lines_after_the_last_row_accepted(self, tmp_path, tail):
+        p = tmp_path / "g.asc"
+        p.write_text(CANONICAL_ASC)
+        want = load_ascii_grid(p)
+        p.write_text(CANONICAL_ASC + tail)
+        values, grid, mask, nodata = load_ascii_grid(p)
+        np.testing.assert_array_equal(values, want[0])
+        np.testing.assert_array_equal(mask, want[2])
+        assert (grid, nodata) == (want[1], want[3])
+
+    @pytest.mark.parametrize("text, match", [
+        (CANONICAL_ASC + "\n1 1 1\n", "expected 2 data rows, found 4"),
+        (CANONICAL_ASC + "1 1 1\n\n", "expected 2 data rows, found 3"),
+        (CANONICAL_ASC.replace("0 4 1\n", "0 4 1\n\n"), "expected 2 data rows, found 3"),
+        (CANONICAL_ASC.replace("0 4 1\n", "0 4 1\n  \n") + "\n", "expected 2 data rows, found 3"),
+        (CANONICAL_ASC.replace("2 0 -9999\n", "\n"), "expected 2 data rows, found 1"),
+    ])
+    def test_blank_lines_still_counted_before_the_last_row(self, tmp_path, text, match):
+        """Only trailing blank lines are dropped: an extra row after a blank
+        line, a blank line between rows, or a blank line in place of a row
+        still fails the row count."""
+        p = tmp_path / "bad.asc"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_ascii_grid(p)
+
     def test_fractional_count_rejected(self, tmp_path):
         p = tmp_path / "bad.asc"
         p.write_text(CANONICAL_ASC.replace("0 4 1", "0 4.5 1"))

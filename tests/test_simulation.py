@@ -784,6 +784,102 @@ class TestLevelPruning:
         assert 0 < per_site[1] <= simulation._CELL ** 2
 
 
+def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
+    """Idw rows assembled as the walker once did: per tile, `idw_rows_chunk`
+    on the unpruned block of its settled pixels over the sites that reach
+    the pass's pixels there, the pieces kept as owner/column/weight lists,
+    and one stable sort on the owners to put them in settlement order."""
+    npx = cfg.grid.npixels
+    x, y = cfg.grid.pixel_centers()
+    radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
+    sx, sy = np.array([[sp.x, sp.y] for sp in specs]).T
+    at = np.full(npx, -1)
+    at[settlements.ids] = np.arange(len(settlements))
+    r, c = np.divmod(np.arange(npx), cfg.ncols)
+    tile_of = (r // tile) * cfg.ncols + c // tile
+    owner, col, w = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for t in np.unique(tile_of):
+        px = np.flatnonzero(tile_of == t)
+        here = px[at[px] >= 0]
+        if here.size == 0:
+            continue
+        scope = here if settled_only else px
+        keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x[scope], y[scope])
+        if keep.size == 0:
+            continue
+        field = rss_field([specs[j] for j in keep], here, x[here], y[here], env[here],
+                          radii_km=radii[keep], candidates=np.ones((here.size, keep.size), bool),
+                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+        n, cols, v = idw_rows_chunk(field.rss_dbm, field.live, s, k)
+        owner.append(np.repeat(at[here], n))
+        col.append(keep[cols])
+        w.append(v)
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(settlements))
+    return idw_pixel_weights(settlements.ids, [sp.bts_id for sp in specs], counts,
+                             np.concatenate(col)[order], np.concatenate(w)[order], s, k)
+
+
+def _offered_links(cfg, specs, env, settlements, idw, tile):
+    """Per pixel, the bts_ids the full-grid walker offers `rss_field` for
+    it, and the settled flag of each call's pixels."""
+    offered, kinds = {}, []
+    kernel = simulation.rss_field
+    settled = np.zeros(cfg.grid.npixels, bool)
+    settled[settlements.ids] = True
+
+    def recording(specs, pixel_ids, *args, candidates, **kwargs):
+        ids = np.array([sp.bts_id for sp in specs])
+        for p, row in zip(pixel_ids.tolist(), candidates):
+            offered[p] = tuple(ids[row])
+        kinds.append(set(settled[pixel_ids].tolist()))
+        return kernel(specs, pixel_ids, *args, candidates=candidates, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "rss_field", recording)
+        mp.setattr(simulation, "_TILE", tile)
+        simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape), cfg.rx_height_m,
+                               cfg.dead_threshold_dbm, settlements, idw=idw)
+    return offered, kinds
+
+
+class TestGroupedWalker:
+    @settings(max_examples=100, deadline=None)
+    @given(layout=_pruning_layout(), k=st.integers(1, 12))
+    def test_equals_assembled_rows_and_rank_one_elsewhere(self, layout, k):
+        """In both modes the walker's labels equal the unpruned selectors'
+        and its in-place idw rows equal the piece-and-sort assembly over
+        unpruned tile blocks byte for byte, for k up to 12 (numpy sums 8
+        or more terms pairwise, so the top-k width shows).  Every kernel
+        call holds settled pixels only or unsettled pixels only, and the
+        unsettled pixels are offered exactly the sites a pass without idw
+        rows offers them: rank 1, not idw's k."""
+        cfg, specs, env, settlements, tile, s, _ = layout
+        x, y = cfg.grid.pixel_centers()
+        npx = cfg.grid.npixels
+        radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
+        field = rss_field(specs, np.arange(npx), x, y, env, radii_km=radii,
+                          candidates=np.ones((npx, len(specs)), dtype=bool),
+                          rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+        labels = bsa_select_chunk(field.rss_dbm, field.live)
+        only = np.full(npx, UNASSIGNED)
+        only[settlements.ids] = labels[settlements.ids]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_TILE", tile)
+            for settled_only, want in ((False, labels), (True, only)):
+                got, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
+                assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
+                _assert_same_rows(pw, _assembled_idw_rows(cfg, specs, env, settlements, s, k,
+                                                          tile, settled_only))
+        with_rows, kinds = _offered_links(cfg, specs, env, settlements, (s, k), tile)
+        assert all(len(kind) == 1 for kind in kinds)
+        without_rows, _ = _offered_links(cfg, specs, env, settlements, None, tile)
+        unsettled = np.setdiff1d(np.arange(npx), settlements.ids).tolist()
+        assert ({p: with_rows.get(p) for p in unsettled}
+                == {p: without_rows.get(p) for p in unsettled})
+
+
 def test_idw_rows_keep_the_unpruned_top_k_width():
     """With k >= 8, how a row's idw weights sum depends on the top-k width
     `idw_rows_chunk` takes.  Far sites that reach the tile's box but are
