@@ -231,10 +231,13 @@ def bsa_select_chunk(rss_chunk: np.ndarray, live_chunk: np.ndarray) -> np.ndarra
 
     Returns the column index, or -1 where every link is dead.  Exact
     ties resolve to the lowest bts_id via argmax's first-hit rule.
+    `live_chunk` must be `rss_chunk >= threshold`, as `RssField.live`: a
+    row's argmax is then live unless every link of the row is dead.
     """
-    masked = np.where(live_chunk, rss_chunk, -np.inf)
-    sel = np.argmax(masked, axis=1).astype(np.int64)
-    sel[~live_chunk.any(axis=1)] = UNASSIGNED
+    if rss_chunk.shape[1] == 0:
+        return np.full(rss_chunk.shape[0], UNASSIGNED, dtype=np.int64)
+    sel = np.argmax(rss_chunk, axis=1).astype(np.int64)
+    sel[~live_chunk[np.arange(sel.size), sel]] = UNASSIGNED
     return sel
 
 
@@ -250,17 +253,17 @@ def idw_rows_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """IDW weights per row over the k strongest live links.
 
-    Columns must already be in ascending bts_id order.  Returns CSR-style
-    (counts, col, w) with cols ascending within each row.  The signal
-    "distance" is |rss| clamped below at 1 to keep 1/|rss|^s finite.
+    Columns must already be in ascending bts_id order, and `live_chunk`
+    be `rss_chunk >= threshold` as for `bsa_select_chunk`.  Returns
+    CSR-style (counts, col, w) with cols ascending within each row.  The
+    signal "distance" is |rss| clamped below at 1 to keep 1/|rss|^s finite.
     """
     _check_idw(s, k)
     n, j = rss_chunk.shape
     kk = min(int(k), j)
-    masked = np.where(live_chunk, rss_chunk, -np.inf)
-    order = np.argsort(-masked, axis=1, kind="stable")[:, :kk]
-    top = np.take_along_axis(masked, order, axis=1)
-    sel_live = np.isfinite(top)
+    order = np.argsort(-rss_chunk, axis=1, kind="stable")[:, :kk]
+    top = np.take_along_axis(rss_chunk, order, axis=1)
+    sel_live = np.take_along_axis(live_chunk, order, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         v = np.where(sel_live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
     tot = v.sum(axis=1)
@@ -279,19 +282,18 @@ def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -
     """Average per-pixel weights over each area's covered pixels.
 
     Each row's area is the one holding its pixel id on `grid`; pixels
-    outside every area count nowhere.  Areas without a covered pixel get
-    no coverage.
+    outside every area count nowhere (their entries sum into a spill row
+    of bins, sliced off).  Areas without a covered pixel get no coverage.
     """
     if pw.pixel_ids.size and (pw.pixel_ids.min() < 0 or pw.pixel_ids.max() >= grid.npixels):
         raise ValueError(f"pixel ids outside the {grid.nrows}x{grid.ncols} grid")
     area_of = areas.labels(grid).reshape(-1)[pw.pixel_ids].astype(np.int64)
     denom = np.bincount(area_of[pw.covered & (area_of >= 0)], minlength=len(areas))
 
-    entry_area = np.repeat(area_of, pw.row_lengths())
-    keep = entry_area >= 0
     nbts = len(pw.bts_ids)
-    combo = entry_area[keep] * nbts + pw.col[keep]
-    sums = np.bincount(combo, weights=pw.w[keep], minlength=len(areas) * nbts)
+    key = np.repeat(np.where(area_of >= 0, area_of, len(areas)) * nbts, pw.row_lengths())
+    key += pw.col
+    sums = np.bincount(key, weights=pw.w, minlength=(len(areas) + 1) * nbts)[:len(areas) * nbts]
 
     # in flat order the nonzero sums are the rows' entries, columns ascending;
     # each comes from a covered pixel, so its area's denom is >= 1

@@ -226,7 +226,9 @@ class RssField:
     """Received signal strength (dBm) for pixel x antenna pairs.
 
     `rss_dbm[i, j]` is the level at pixel `pixel_ids[i]` from antenna
-    `bts_ids[j]`; `rss_field` writes -inf for every dead link.
+    `bts_ids[j]`; `rss_field` writes -inf for every dead link.  A level
+    is finite or -inf: NaN would fail `live` yet win an argmax, and +inf
+    would pass `live` with an idw weight of 0, so both are rejected.
     """
 
     pixel_ids: np.ndarray
@@ -242,6 +244,10 @@ class RssField:
                 f"rss_dbm shape {self.rss_dbm.shape} does not match "
                 f"{len(self.pixel_ids)} pixels x {len(self.bts_ids)} antennas"
             )
+        if self.rss_dbm.size and not self.rss_dbm.max() < np.inf:  # max is NaN or +inf
+            i, j = np.argwhere(~(self.rss_dbm < np.inf))[0]
+            raise ValueError(f"level {self.rss_dbm[i, j]} at pixel {int(self.pixel_ids[i])}, "
+                             f"antenna {self.bts_ids[j]!r}: levels must be finite or -inf")
 
     @property
     def live(self) -> np.ndarray:
@@ -409,7 +415,7 @@ def rss_field(
         raise ValueError(f"candidates shape {cand.shape} does not match "
                          f"{x.size} pixels x {len(specs)} specs")
 
-    field = RssField(pids, ids, np.full((x.size, len(specs)), -np.inf), dead_threshold_dbm)
+    rss = np.full((x.size, len(specs)), -np.inf)
     # squared reach in metres per spec and environment: a cheap test before hypot
     reach_m2 = (radii * (1000.0 * _REACH_SLACK)) ** 2
     for j, s in enumerate(specs):
@@ -422,5 +428,5 @@ def rss_field(
         if idx.size == 0:
             continue
         level = _levels_dbm(s, _distance_km(dx, dy), codes[idx], rx_height_m)
-        field.rss_dbm[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
-    return field
+        rss[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
+    return RssField(pids, ids, rss, dead_threshold_dbm)

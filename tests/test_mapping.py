@@ -4,6 +4,7 @@ Expected values are hand arithmetic or brute-force loop oracles built
 independently of the vectorised implementations.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,9 @@ from covmap.mapping import (
     _weighted_median,
     aggregate,
     area_weights_from_pixels,
+    bsa_select_chunk,
     classify_areas_by_bts_density,
+    idw_rows_chunk,
     synthesize_naive_specs,
     weights_aug_voronoi,
     weights_bsa,
@@ -431,6 +434,66 @@ def test_bsa_is_idw_with_one_link_and_flat_weights(rss, dead_rows):
     np.testing.assert_array_equal(bsa.w, idw.w)
 
 
+def _remasked_bsa(rss_chunk, live_chunk):
+    """The best-server selector as it was before it read the field as
+    written: dead links re-masked to -inf, then argmax."""
+    masked = np.where(live_chunk, rss_chunk, -np.inf)
+    sel = np.argmax(masked, axis=1).astype(np.int64)
+    sel[~live_chunk.any(axis=1)] = UNASSIGNED
+    return sel
+
+
+def _remasked_idw(rss_chunk, live_chunk, s, k):
+    """The idw selector as it was before it read the field as written:
+    dead links re-masked to -inf, liveness from the picks' finiteness."""
+    n, j = rss_chunk.shape
+    kk = min(int(k), j)
+    masked = np.where(live_chunk, rss_chunk, -np.inf)
+    order = np.argsort(-masked, axis=1, kind="stable")[:, :kk]
+    top = np.take_along_axis(masked, order, axis=1)
+    sel_live = np.isfinite(top)
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = np.where(sel_live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
+    tot = v.sum(axis=1)
+    counts = sel_live.sum(axis=1).astype(np.int64)
+    rows = np.repeat(np.arange(n), kk)[sel_live.ravel()]
+    cols = order.ravel()[sel_live.ravel()]
+    w = (v / np.where(tot > 0, tot, 1.0)[:, None]).ravel()[sel_live.ravel()]
+    reorder = np.lexsort((cols, rows))
+    return counts, cols[reorder], w[reorder]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rss=hnp.arrays(np.float64, st.tuples(st.integers(0, 10), st.integers(1, 12)),
+                   elements=_LEVELS),
+    dead_rows=st.lists(st.integers(0, 9), max_size=4),
+    k=st.integers(1, 14),
+    s=st.sampled_from([0.0, 0.5, 2.0, 3.7]),
+)
+def test_selectors_equal_the_remasking_selectors(rss, dead_rows, k, s):
+    # dead levels come finite and as -inf, with exact ties and all-dead
+    # rows; k runs past the block width, and from 8 terms up numpy sums
+    # the idw rows pairwise, so equal bytes need equal (n, k) layouts
+    for i in dead_rows:
+        if i < rss.shape[0]:
+            rss[i] = np.minimum(rss[i], -120.0)
+    live = make_field(np.arange(rss.shape[0]), [f"b{j}" for j in range(rss.shape[1])], rss).live
+    assert bsa_select_chunk(rss, live).tobytes() == _remasked_bsa(rss, live).tobytes()
+    for got, want in zip(idw_rows_chunk(rss, live, s, k), _remasked_idw(rss, live, s, k)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_field_without_antennas_is_uncovered():
+    field = make_field([4, 7, 9], [], np.empty((3, 0)))
+    assert bsa_select_chunk(field.rss_dbm, field.live).tolist() == [UNASSIGNED] * 3
+    counts, col, w = idw_rows_chunk(field.rss_dbm, field.live, 2.0, 5)
+    assert counts.tolist() == [0, 0, 0] and col.size == 0 and w.size == 0
+    for pw in (weights_bsa(field), weights_idw(field)):
+        assert pw.bts_ids == [] and pw.indptr.tolist() == [0, 0, 0, 0]
+        assert not pw.covered.any()
+
+
 def _dict_area_rows(pw, areas, grid):
     """Reference reducer: the same dense sums, read out into one
     {bts_id: weight} dict per covered area."""
@@ -539,6 +602,31 @@ def test_csr_area_rows_equal_the_dict_reference(world):
         assert list(got) == list(want)
         assert all((got[a] is None and want[a] is None) or got[a].hex() == want[a].hex()
                    for a in want)
+
+
+def test_area_weights_from_pixels_keeps_one_key_per_entry():
+    """The reducer's traced peak stays near one 8-byte key per entry plus
+    the bins: no masked or filtered copies of the entries."""
+    grid = Grid(ncols=100, nrows=100, cell_size_m=10.0)
+    r, c = np.indices(grid.shape)
+    # three quadrant areas; the fourth quadrant lies outside every area
+    areas = StatAreaSet.from_masks(grid, [
+        ("nw", (r < 50) & (c < 50)), ("ne", (r < 50) & (c >= 50)), ("sw", (r >= 50) & (c < 50))])
+    npx, nbts, per_row = grid.npixels, 64, 32
+    col = (np.arange(per_row) * 2 + np.arange(npx)[:, None] % 2).ravel()
+    pw = PixelWeights("idw", np.arange(npx), [f"b{j:02d}" for j in range(nbts)],
+                      np.arange(npx + 1) * per_row, col, np.full(col.size, 1.0 / per_row))
+    areas.labels(grid)  # the cached raster is not the reducer's to pay for
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wm = area_weights_from_pixels(pw, areas, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    entries, bins = col.size, (len(areas) + 1) * nbts
+    assert peak < 1.5 * 8 * entries + 8 * bins, (peak, 8 * entries)
+    assert rows_of(wm) == _dict_area_rows(pw, areas, grid)
 
 
 class TestAggregate:

@@ -513,6 +513,16 @@ class TestRssField:
         with pytest.raises(ValueError):
             field_of(specs, [0], [0.0], [0.0], ["urban"])
 
+    def test_nan_and_plus_inf_levels_rejected(self):
+        # NaN is dead under `live` yet wins an argmax; +inf is live with an
+        # idw weight of 0: the selectors read levels as given, so neither may enter
+        for bad in (np.nan, np.inf):
+            rss = np.array([[-70.0, -np.inf], [-80.0, -90.0], [bad, bad]])
+            with pytest.raises(ValueError, match=f"level {bad} at pixel 12, antenna 'b1': "
+                                                 "levels must be finite or -inf"):
+                RssField(np.array([10, 11, 12]), ["b1", "b2"], rss)
+        assert not RssField(np.array([10]), ["b1"], np.array([[-np.inf]])).live.any()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RssField(np.arange(3), ["a"], np.zeros((2, 1)))
