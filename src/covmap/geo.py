@@ -434,7 +434,8 @@ class StatAreaSet:
         return [a.area_id for a in self.areas]
 
     def labels(self, grid: Grid | None = None) -> np.ndarray:
-        """Rasterised area index per pixel (-1 outside every area).
+        """Rasterised area index per pixel (-1 outside every area), cached
+        per grid and read-only.
 
         Raises if any pixel would belong to two areas.
         """
@@ -462,6 +463,7 @@ class StatAreaSet:
                     f"areas {other!r} and {a.area_id!r} overlap at pixel ({r}, {c})"
                 )
             sub[m] = idx
+        labels.flags.writeable = False  # shared by every later caller on this grid
         self._label_cache[grid] = labels
         return labels
 

@@ -13,17 +13,20 @@ build W from increasingly informative inputs:
 
 Every scheme but p2p first gives per-pixel rows, which one reducer,
 `area_weights_from_pixels`, averages over each area's covered pixels.
-Pixel rows (`PixelWeights`) and area rows (`WeightMatrix`) share one CSR
-layout: row i's entries are `col[indptr[i]:indptr[i+1]]`, indices into
-ascending `bts_ids`, with weights `w` that sum to 1; an empty row is an
-uncovered pixel or an area without coverage.
+Area rows (`WeightMatrix`) are CSR: row i's entries are
+`col[indptr[i]:indptr[i+1]]`, indices into ascending `bts_ids`, with
+weights `w` that sum to 1; an empty row is an area without coverage.
+Pixel rows (`PixelWeights`) are padded: one row of `col` per pixel, its
+entries first in ascending order, then -1 pads; a row of pads is an
+uncovered pixel.
 Voronoi, aug_voronoi and bsa give one-hot rows from a map of serving
-sites (`bsa_pixel_weights`): the nearest-site map at every pixel or at
-the settlement pixels, and the strongest-signal map at the settlement
-pixels.  The selectors `bsa_select_chunk` and `idw_rows_chunk` work on
-one block of a received-signal field; the tiled link walker in
-`simulation` runs them block by block and builds the rows with
-`bsa_pixel_weights` (from the serving labels) and `idw_pixel_weights`.
+sites (`bsa_pixel_weights`): the serving labels themselves as width-1
+rows without weights, from the nearest-site map at every pixel or at
+the settlement pixels, and from the strongest-signal map at the
+settlement pixels.  The selectors `bsa_select_chunk` and
+`idw_rows_chunk` work on one block of a received-signal field; the
+tiled link walker in `simulation` runs them block by block, keeps the
+serving labels and writes the idw rows in place into padded buffers.
 `weights_bsa` and `weights_idw` build the same rows from one dense
 field.
 """
@@ -39,6 +42,8 @@ from .geo import UNASSIGNED, Assignment, Grid, Settlements, StatAreaSet
 from .propagation import ENV_SUBURBAN, AntennaSpec, RssField, env_code
 
 ROW_SUM_TOL = 1e-9
+# most pixel-row entries per block of the pixel-to-area reducer
+_REDUCE_ENTRIES = 1 << 14
 
 SCHEME_P2P = "p2p"
 SCHEME_VORONOI = "voronoi"
@@ -47,9 +52,14 @@ SCHEME_BSA = "bsa"
 SCHEME_IDW = "idw"
 
 
-def _check_csr(nrows: int, bts_ids: list[str], indptr, col, w, name, positive: bool):
-    """The CSR row checks `WeightMatrix` and `PixelWeights` share; `name(i)`
-    names row i in the errors.  Returns (indptr, col, w) as arrays."""
+def _check_bts_ids(bts_ids: list[str]) -> None:
+    if any(a >= b for a, b in zip(bts_ids, bts_ids[1:])):
+        raise ValueError("columns must ascend by bts_id, without duplicates")
+
+
+def _check_csr(nrows: int, bts_ids: list[str], indptr, col, w, name):
+    """`WeightMatrix`'s CSR row checks; `name(i)` names row i in the
+    errors.  Returns (indptr, col, w) as arrays."""
     indptr = np.asarray(indptr, dtype=np.int64)
     col = np.asarray(col, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
@@ -60,15 +70,13 @@ def _check_csr(nrows: int, bts_ids: list[str], indptr, col, w, name, positive: b
         raise ValueError("indptr must be non-decreasing")
     if col.size != w.size:
         raise ValueError("col and w lengths differ")
-    if any(a >= b for a, b in zip(bts_ids, bts_ids[1:])):
-        raise ValueError("columns must ascend by bts_id, without duplicates")
+    _check_bts_ids(bts_ids)
     if col.size and (col.min() < 0 or col.max() >= len(bts_ids)):
         raise ValueError("col out of range for bts_ids")
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0) if positive else np.isfinite(w)))
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
     if bad.size:
-        rule = "finite and positive" if positive else "finite"
         row = np.searchsorted(indptr, bad[0], side="right") - 1
-        raise ValueError(f"{name(row)}: weights must be {rule}")
+        raise ValueError(f"{name(row)}: weights must be finite and positive")
     sums = np.bincount(np.repeat(np.arange(nrows), lens), weights=w, minlength=nrows)
     off = np.flatnonzero((lens > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))
     if off.size:
@@ -78,8 +86,8 @@ def _check_csr(nrows: int, bts_ids: list[str], indptr, col, w, name, positive: b
 
 @dataclass
 class WeightMatrix:
-    """Area x BTS weights in `PixelWeights`' CSR layout, one row per area of
-    `area_ids`; an empty row marks an area without coverage."""
+    """Area x BTS weights in CSR layout, one row per area of `area_ids`;
+    an empty row marks an area without coverage."""
 
     scheme: str
     area_ids: list[str]
@@ -92,7 +100,7 @@ class WeightMatrix:
     def __post_init__(self):
         self.indptr, self.col, self.w = _check_csr(
             len(self.area_ids), self.bts_ids, self.indptr, self.col, self.w,
-            lambda i: f"area {self.area_ids[i]!r}", positive=True)
+            lambda i: f"area {self.area_ids[i]!r}")
         self._index = {a: i for i, a in enumerate(self.area_ids)}
 
     @property
@@ -119,35 +127,54 @@ class WeightMatrix:
 
 @dataclass
 class PixelWeights:
-    """Per-pixel BTS weights in CSR layout.
+    """Per-pixel BTS weights, one padded row per pixel of `pixel_ids`.
 
-    Row i covers `col[indptr[i]:indptr[i+1]]` with matching `w` entries;
-    an empty row marks an uncovered pixel.
+    `col` is pixels x width integers: a row's entries come first, as
+    ascending indices into `bts_ids`, then -1 pads; a row of pads marks
+    an uncovered pixel.  `w` has `col`'s shape, with 0 at the pads, or
+    is None for one-hot rows: each entry then weighs 1.  The checks
+    here are per row, never per entry, so they add no pixels x width
+    array.
     """
 
     scheme: str
     pixel_ids: np.ndarray
     bts_ids: list[str]
-    indptr: np.ndarray
     col: np.ndarray
-    w: np.ndarray
+    w: np.ndarray | None = None
 
     def __post_init__(self):
         self.pixel_ids = np.asarray(self.pixel_ids, dtype=np.int64)
-        self.indptr, self.col, self.w = _check_csr(
-            self.pixel_ids.size, self.bts_ids, self.indptr, self.col, self.w,
-            lambda i: f"pixel {int(self.pixel_ids[i])}", positive=False)
-
-    def row_lengths(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        self.col = np.asarray(self.col)
+        if self.w is not None:
+            self.w = np.asarray(self.w, dtype=np.float64)
+        if (self.col.ndim != 2 or self.col.shape[0] != self.pixel_ids.size
+                or (self.w is not None and self.w.shape != self.col.shape)):
+            raise ValueError("pixel rows must be pixels x width, and w of col's shape")
+        if not np.issubdtype(self.col.dtype, np.integer):
+            raise ValueError("col must hold integers")
+        _check_bts_ids(self.bts_ids)
+        if self.col.size and (self.col.min() < -1 or self.col.max() >= len(self.bts_ids)):
+            raise ValueError("col out of range for bts_ids")
+        if self.w is None:
+            return
+        sums = self.w.sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(sums))
+        if bad.size:
+            raise ValueError(f"pixel {int(self.pixel_ids[bad[0]])}: weights must be finite")
+        off = np.flatnonzero(self.covered & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+        if off.size:
+            raise ValueError(f"pixel {int(self.pixel_ids[off[0]])}: weights sum to "
+                             f"{float(sums[off[0]])!r}, not 1")
 
     @property
     def covered(self) -> np.ndarray:
-        return self.row_lengths() > 0
+        return np.any(self.col[:, :1] >= 0, axis=1)
 
     def row(self, i: int) -> dict[str, float]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return {self.bts_ids[c]: float(v) for c, v in zip(self.col[lo:hi], self.w[lo:hi])}
+        cols = self.col[i][self.col[i] >= 0].tolist()
+        w = [1.0] * len(cols) if self.w is None else self.w[i, :len(cols)].tolist()
+        return {self.bts_ids[c]: v for c, v in zip(cols, w)}
 
 
 @dataclass
@@ -241,7 +268,8 @@ def bsa_select_chunk(rss_chunk: np.ndarray, live_chunk: np.ndarray) -> np.ndarra
     return sel
 
 
-def _check_idw(s: float, k: int) -> None:
+def check_idw(s: float, k: int) -> None:
+    """Reject an idw k below 1 or a negative exponent s."""
     if int(k) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if s < 0:
@@ -258,7 +286,7 @@ def idw_rows_chunk(
     CSR-style (counts, col, w) with cols ascending within each row.  The
     signal "distance" is |rss| clamped below at 1 to keep 1/|rss|^s finite.
     """
-    _check_idw(s, k)
+    check_idw(s, k)
     n, j = rss_chunk.shape
     kk = min(int(k), j)
     order = np.argsort(-rss_chunk, axis=1, kind="stable")[:, :kk]
@@ -281,38 +309,47 @@ def idw_rows_chunk(
 def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -> WeightMatrix:
     """Average per-pixel weights over each area's covered pixels.
 
-    Each row's area is the one holding its pixel id on `grid`; pixels
-    outside every area count nowhere (their entries sum into a spill row
-    of bins, sliced off).  Areas without a covered pixel get no coverage.
+    Each row's area is the one holding its pixel id on `grid`.  The
+    entries sum into bins of (area, 1 + column), taken `_REDUCE_ENTRIES`
+    entries' worth of rows at a time: `np.add.at` adds them in row-major
+    order, so every bin sums its entries in the order of one `bincount`
+    over them all, and a one-hot row adds exactly 1.  A pad (column -1)
+    falls into its area's column slot 0, and a pixel outside every area
+    into a spill row of bins; both are sliced off.  Areas without a
+    covered pixel get no coverage.  The input is never written.
     """
     if pw.pixel_ids.size and (pw.pixel_ids.min() < 0 or pw.pixel_ids.max() >= grid.npixels):
         raise ValueError(f"pixel ids outside the {grid.nrows}x{grid.ncols} grid")
-    area_of = areas.labels(grid).reshape(-1)[pw.pixel_ids].astype(np.int64)
-    denom = np.bincount(area_of[pw.covered & (area_of >= 0)], minlength=len(areas))
+    label_of = areas.labels(grid).reshape(-1)
+    nareas, nbts = len(areas), len(pw.bts_ids)
+    sums = np.zeros((nareas + 1) * (nbts + 1))
+    denom = np.zeros(nareas + 1, dtype=np.int64)
+    step = max(1, _REDUCE_ENTRIES // max(pw.col.shape[1], 1))
+    for lo in range(0, pw.pixel_ids.size, step):
+        block = slice(lo, lo + step)
+        area = label_of[pw.pixel_ids[block]].astype(np.int64)
+        area[area < 0] = nareas
+        col = pw.col[block]
+        np.add.at(denom, area[np.any(col[:, :1] >= 0, axis=1)], 1)
+        # the block's keys live only for this call
+        np.add.at(sums, (col + (area * (nbts + 1) + 1)[:, None]).ravel(),
+                  1.0 if pw.w is None else pw.w[block].ravel())
 
-    nbts = len(pw.bts_ids)
-    key = np.repeat(np.where(area_of >= 0, area_of, len(areas)) * nbts, pw.row_lengths())
-    key += pw.col
-    sums = np.bincount(key, weights=pw.w, minlength=(len(areas) + 1) * nbts)[:len(areas) * nbts]
-
-    # in flat order the nonzero sums are the rows' entries, columns ascending;
+    # row-major, the nonzero bins are the rows' entries, columns ascending;
     # each comes from a covered pixel, so its area's denom is >= 1
-    flat = np.flatnonzero(sums)
-    aidx, bidx = np.divmod(flat, nbts)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(aidx, minlength=len(areas)))])
+    bins = sums.reshape(nareas + 1, nbts + 1)[:nareas, 1:]
+    aidx, bidx = np.nonzero(bins)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(aidx, minlength=nareas))])
     return WeightMatrix(pw.scheme, areas.area_ids, pw.bts_ids, indptr, bidx,
-                        sums[flat] / denom[aidx])
+                        bins[aidx, bidx] / denom[aidx])
 
 
 def bsa_pixel_weights(pixel_ids, bts_ids, sel, scheme: str = SCHEME_BSA) -> PixelWeights:
-    """One-hot rows from each pixel's serving column (-1 = none): a
-    covered pixel belongs wholly to its server.  Columns must ascend by
-    bts_id, as `best_server_grid`, `voronoi_assign` and `bsa_select_chunk`
-    give them."""
-    sel = np.asarray(sel, dtype=np.int64)
-    covered = sel >= 0
-    return PixelWeights(scheme, pixel_ids, list(bts_ids), np.concatenate([[0], np.cumsum(covered)]),
-                        sel[covered], np.ones(int(covered.sum())))
+    """One-hot rows from each pixel's serving column (-1 = none): the
+    labels themselves as width-1 rows, so a covered pixel belongs wholly
+    to its server.  Columns must ascend by bts_id, as `best_server_grid`,
+    `voronoi_assign` and `bsa_select_chunk` give them."""
+    return PixelWeights(scheme, pixel_ids, list(bts_ids), np.asarray(sel).reshape(-1, 1))
 
 
 def weights_bsa(rss: RssField) -> PixelWeights:
@@ -321,19 +358,15 @@ def weights_bsa(rss: RssField) -> PixelWeights:
     return bsa_pixel_weights(rss.pixel_ids, rss.bts_ids, bsa_select_chunk(rss.rss_dbm, rss.live))
 
 
-def idw_pixel_weights(pixel_ids, bts_ids, counts, col, w, s: float, k: int) -> PixelWeights:
-    """Idw rows from `idw_rows_chunk`'s (counts, col, w), with the columns
-    given as indices into `bts_ids`, which must ascend."""
-    _check_idw(s, k)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return PixelWeights(SCHEME_IDW, pixel_ids, list(bts_ids), indptr, col, w)
-
-
 def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
-    """Inverse-signal-strength weights over the k strongest live links.
-    Columns must ascend by bts_id."""
+    """Inverse-signal-strength weights over the k strongest live links,
+    min(k, antennas) wide.  Columns must ascend by bts_id."""
     counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
-    return idw_pixel_weights(rss.pixel_ids, rss.bts_ids, counts, col, w, s, k)
+    slot = np.arange(min(int(k), len(rss.bts_ids))) < counts[:, None]
+    rows_col = np.full(slot.shape, -1, dtype=np.int64)
+    rows_w = np.zeros(slot.shape)
+    rows_col[slot], rows_w[slot] = col, w
+    return PixelWeights(SCHEME_IDW, rss.pixel_ids, rss.bts_ids, rows_col, rows_w)
 
 
 # --- aggregation -------------------------------------------------------------

@@ -37,14 +37,15 @@ from .geo import (
     voronoi_assign,
 )
 from .mapping import (
+    SCHEME_IDW,
     CovariateTable,
     PixelWeights,
     aggregate,
     area_weights_from_pixels,
     bsa_pixel_weights,
     bsa_select_chunk,
+    check_idw,
     classify_areas_by_bts_density,
-    idw_pixel_weights,
     idw_rows_chunk,
     paint_area_env,
     synthesize_naive_specs,
@@ -75,7 +76,9 @@ TALLY_METRICS = ("rho", "bias", "rmse")
 _TILE = 128
 # cell edge, in pixels, of the walker's level-bound site pruning
 _CELL = 32
-# most links per `rss_field` call of the grid passes (8 MB of float64)
+# most links per `rss_field` call of the grid passes (8 MB of float64);
+# a block that gets idw rows holds a quarter as many, since
+# `idw_rows_chunk` adds a negated copy and an int64 order per link
 _RSS_ENTRIES = 1 << 20
 _MAX_REJECTION_ROUNDS = 10_000
 # Slack on the k-means distance bounds, relative to the largest coordinate:
@@ -634,11 +637,13 @@ def _tiled_pass(
     index, so ties still go to the lowest bts_id.  A tile or group with
     no pixel of the set, or no site left, is skipped.  A group's pixels
     go to `rss_field`, with its sites' rows of the radius table and each
-    pixel's cell mask, in blocks of at most `_RSS_ENTRIES` links (at
-    least one pixel), so memory stays bounded whatever the site count.
-    Each settlement's idw row is written in place, into buffers as wide
-    as the widest top-k width a tile has needed (at most the site
-    count), and read out row-major at the end.
+    pixel's cell mask, in blocks of at most `_RSS_ENTRIES` links, a
+    quarter of that when the block gets idw rows (at least one pixel),
+    so memory stays bounded whatever the site count.  Each settlement's
+    idw row is written in place into padded buffers, int32 columns and
+    float64 weights (-1 and 0 after its entries), as wide as the widest
+    top-k width a tile has needed (at most the site count); the pass
+    returns them as they are, as the `PixelWeights` of the settlements.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -655,10 +660,11 @@ def _tiled_pass(
         at[settlements.rows, settlements.cols] = np.arange(len(settlements))
     if idw is not None:
         idw_s, idw_k = idw
-        # per settlement: its row's length, then its columns and weights,
-        # as wide as the widest top-k that a tile has needed so far
-        row_n = np.zeros(len(settlements), dtype=np.int64)
-        row_col, row_w = (np.zeros((len(settlements), 0), t) for t in (np.int64, np.float64))
+        check_idw(idw_s, idw_k)
+        # per settlement its row's columns and weights, then pads, as wide
+        # as the widest top-k that a tile has needed so far
+        row_col = np.full((len(settlements), 0), -1, dtype=np.int32)
+        row_w = np.zeros((len(settlements), 0))
     for r0 in range(0, grid.nrows, _TILE):
         rows = np.arange(r0, min(r0 + _TILE, grid.nrows))[:, None]
         for c0 in range(0, grid.ncols, _TILE):
@@ -710,15 +716,17 @@ def _tiled_pass(
                     # pad with sites that no cell keeps: all -inf columns
                     used[np.flatnonzero(~used)[:max(0, width - np.count_nonzero(used))]] = True
                     if width > row_w.shape[1]:
-                        row_col, row_w = (np.pad(a, ((0, 0), (0, width - a.shape[1])))
-                                          for a in (row_col, row_w))
+                        grow = ((0, 0), (0, width - row_w.shape[1]))
+                        row_col = np.pad(row_col, grow, constant_values=-1)
+                        row_w = np.pad(row_w, grow)
                 if not used.any():
                     continue
                 g_keep = keep[used]
                 # per pixel, its cell's candidates; column-contiguous for the kernel
                 mask = cand[:, used].T[:, g_cell].T
                 near = [specs[j] for j in g_keep]
-                step = max(1, _RSS_ENTRIES // g_keep.size)
+                step = max(1, (_RSS_ENTRIES // 4 if rows_wanted else _RSS_ENTRIES)
+                           // g_keep.size)
                 for lo in range(0, g_pid.size, step):
                     block = slice(lo, lo + step)
                     rss = rss_field(near, g_pid[block], gx[block], gy[block], g_codes[block],
@@ -730,7 +738,6 @@ def _tiled_pass(
                     flat_labels[g_pid[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
                     if rows_wanted:
                         n, c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, idw_k)
-                        row_n[owner[block]] = n
                         flat = np.arange(c.size) + np.repeat(  # row start + place in the row
                             owner[block].astype(np.intp) * row_w.shape[1] - np.cumsum(n) + n, n)
                         np.put(row_col, flat, g_keep[c])
@@ -738,12 +745,7 @@ def _tiled_pass(
     assignment = Assignment(grid, ids, labels)
     if idw is None:
         return assignment, None
-    # row-major, so rows come out in settlement order and each row's columns
-    # ascending; rebinding frees each buffer before the next one is read
-    slot = np.arange(row_w.shape[1]) < row_n[:, None]
-    row_col = row_col[slot]
-    row_w = row_w[slot]
-    return assignment, idw_pixel_weights(settlements.ids, ids, row_n, row_col, row_w, idw_s, idw_k)
+    return assignment, PixelWeights(SCHEME_IDW, settlements.ids, ids, row_col, row_w)
 
 
 @dataclass
@@ -786,8 +788,8 @@ def settlement_pixel_weights(
 
     `env_grid` holds the environment code of every grid pixel; specs must
     be sorted by bts_id.  One `_tiled_pass` over the settlement pixels
-    only gives both: the idw rows directly, the bsa rows as the one-hot
-    of its labels there, just as the study builds them.
+    only gives both: the idw rows directly, the bsa rows as its labels
+    there, one-hot width-1 rows, just as the study builds them.
     """
     assignment, pw = _tiled_pass(settlements.grid, specs, env_grid, rx_height_m,
                                  dead_threshold_dbm, settlements, settled_only=True, idw=idw)

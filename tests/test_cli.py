@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,7 @@ from covmap.cli import main
 from covmap.geo import extract_settlements
 from covmap.mapping import weights_p2p
 from covmap.simulation import SimConfig
+from conftest import traced_peak
 
 
 def tiny_config(**over):
@@ -254,12 +254,9 @@ class TestWeights:
                     "--raster", str(study / "snapshot_settlements.asc"),
                     "--aux", str(study / "snapshot_env.asc"),
                     "--out", str(tmp_path / f"k{k}")]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peaks[k] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            rc = []
+            peaks[k] = traced_peak(lambda: rc.append(main(argv)))
+            assert rc == [0]
             outs[k] = (tmp_path / f"k{k}" / "weights_idw.csv").read_bytes()
         assert outs[1_000_000] == outs[n_sites]
         assert peaks[1_000_000] <= 1.1 * peaks[n_sites]

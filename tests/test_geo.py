@@ -470,6 +470,19 @@ class TestStatAreaSet:
         assert labels[0, 0] == 0 and labels[0, 2] == 1 and labels[0, 3] == UNASSIGNED
         assert areas.labels() is labels  # cached
 
+    def test_cached_labels_are_read_only(self):
+        """Every reduction and overlap on a grid shares its cached raster,
+        so a caller's write must fail instead of changing theirs."""
+        g = Grid(ncols=3, nrows=1, cell_size_m=10.0)
+        areas = StatAreaSet.from_masks(g, [("a", np.array([[True, True, False]]))])
+        labels = areas.labels()
+        for write in (lambda: labels.__setitem__((0, 2), 0),
+                      lambda: labels.reshape(-1).__setitem__(2, 0),
+                      lambda: labels.fill(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert areas.labels().tolist() == [[0, 0, UNASSIGNED]]
+
     def test_overlap_rejected(self):
         g = Grid(ncols=2, nrows=2, cell_size_m=10.0)
         full = np.ones((2, 2), dtype=bool)

@@ -4,7 +4,6 @@ Expected values are hand arithmetic or brute-force loop oracles built
 independently of the vectorised implementations.
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from covmap import mapping
 from covmap.geo import (
     UNASSIGNED,
     Assignment,
@@ -31,6 +31,7 @@ from covmap.mapping import (
     _weighted_median,
     aggregate,
     area_weights_from_pixels,
+    bsa_pixel_weights,
     bsa_select_chunk,
     classify_areas_by_bts_density,
     idw_rows_chunk,
@@ -42,7 +43,8 @@ from covmap.mapping import (
     weights_voronoi,
 )
 from covmap.propagation import RssField
-from weight_rows import rows_of, weight_matrix
+from conftest import traced_peak
+from weight_rows import pixel_csr, pixel_weights, rows_of, weight_matrix
 
 
 def make_field(pixel_ids, bts_ids, rss, threshold=-110.0):
@@ -429,9 +431,9 @@ def test_bsa_is_idw_with_one_link_and_flat_weights(rss, dead_rows):
     field = make_field(np.arange(rss.shape[0]), [f"b{j}" for j in range(rss.shape[1])], rss)
     bsa = weights_bsa(field)
     idw = weights_idw(field, s=0.0, k=1)
-    np.testing.assert_array_equal(bsa.indptr, idw.indptr)
+    assert bsa.w is None and bsa.col.shape == idw.col.shape == (rss.shape[0], 1)
     np.testing.assert_array_equal(bsa.col, idw.col)
-    np.testing.assert_array_equal(bsa.w, idw.w)
+    np.testing.assert_array_equal(np.where(bsa.col >= 0, 1.0, 0.0), idw.w)
 
 
 def _remasked_bsa(rss_chunk, live_chunk):
@@ -490,20 +492,21 @@ def test_field_without_antennas_is_uncovered():
     counts, col, w = idw_rows_chunk(field.rss_dbm, field.live, 2.0, 5)
     assert counts.tolist() == [0, 0, 0] and col.size == 0 and w.size == 0
     for pw in (weights_bsa(field), weights_idw(field)):
-        assert pw.bts_ids == [] and pw.indptr.tolist() == [0, 0, 0, 0]
+        assert pw.bts_ids == [] and pixel_csr(pw)[0].tolist() == [0, 0, 0, 0]
         assert not pw.covered.any()
 
 
 def _dict_area_rows(pw, areas, grid):
     """Reference reducer: the same dense sums, read out into one
     {bts_id: weight} dict per covered area."""
+    indptr, col, w = pixel_csr(pw)
     area_of = areas.labels(grid).reshape(-1)[pw.pixel_ids].astype(np.int64)
     denom = np.bincount(area_of[pw.covered & (area_of >= 0)], minlength=len(areas))
-    entry_area = np.repeat(area_of, pw.row_lengths())
+    entry_area = np.repeat(area_of, np.diff(indptr))
     keep = entry_area >= 0
     nbts = len(pw.bts_ids)
-    combo = entry_area[keep] * nbts + pw.col[keep]
-    sums = np.bincount(combo, weights=pw.w[keep], minlength=len(areas) * nbts)
+    combo = entry_area[keep] * nbts + col[keep]
+    sums = np.bincount(combo, weights=w[keep], minlength=len(areas) * nbts)
     rows: dict[str, dict[str, float]] = {}
     for flat in np.nonzero(sums)[0]:
         aidx, bidx = divmod(int(flat), nbts)
@@ -551,17 +554,18 @@ def _pixel_rows_world(draw):
     nbts = draw(st.integers(1, 5))
     bts_ids = [f"b{j}" for j in range(nbts)]
     pixel_ids = draw(st.lists(st.integers(0, grid.npixels - 1), min_size=1, unique=True))
-    indptr, col, w = [0], [], []
+    counts, col, w = [], [], []
     for _ in pixel_ids:
         cols = sorted(draw(st.sets(st.integers(0, nbts - 1))))
         raw = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 10.0),
                             min_size=len(cols), max_size=len(cols)))
         if cols and sum(raw) == 0:
             raw[0] = 1.0
+        counts.append(len(cols))
         col += cols
         w += [r / sum(raw) for r in raw]
-        indptr.append(len(col))
-    pw = PixelWeights("idw", pixel_ids, bts_ids, indptr, col, w)
+    pw = pixel_weights("idw", pixel_ids, bts_ids, counts, col, w,
+                       width=max(counts) + draw(st.integers(0, 2)))
     values = draw(hnp.arrays(np.float64, nbts, elements=st.floats(-100.0, 100.0)))
     gaps = draw(st.lists(st.tuples(st.integers(0, nbts - 1), st.sampled_from(["absent", "nan"])),
                          max_size=2))
@@ -605,28 +609,129 @@ def test_csr_area_rows_equal_the_dict_reference(world):
 
 
 def test_area_weights_from_pixels_keeps_one_key_per_entry():
-    """The reducer's traced peak stays near one 8-byte key per entry plus
-    the bins: no masked or filtered copies of the entries."""
+    """The reducer's traced peak stays under one block's 8-byte keys, the
+    per-row arrays of that block and the bins: no key per entry of the
+    whole input, no masked or filtered copies of the entries."""
     grid = Grid(ncols=100, nrows=100, cell_size_m=10.0)
     r, c = np.indices(grid.shape)
     # three quadrant areas; the fourth quadrant lies outside every area
     areas = StatAreaSet.from_masks(grid, [
         ("nw", (r < 50) & (c < 50)), ("ne", (r < 50) & (c >= 50)), ("sw", (r >= 50) & (c < 50))])
     npx, nbts, per_row = grid.npixels, 64, 32
-    col = (np.arange(per_row) * 2 + np.arange(npx)[:, None] % 2).ravel()
+    col = np.arange(per_row) * 2 + np.arange(npx)[:, None] % 2
     pw = PixelWeights("idw", np.arange(npx), [f"b{j:02d}" for j in range(nbts)],
-                      np.arange(npx + 1) * per_row, col, np.full(col.size, 1.0 / per_row))
+                      col, np.full(col.shape, 1.0 / per_row))
     areas.labels(grid)  # the cached raster is not the reducer's to pay for
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        wm = area_weights_from_pixels(pw, areas, grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    entries, bins = col.size, (len(areas) + 1) * nbts
-    assert peak < 1.5 * 8 * entries + 8 * bins, (peak, 8 * entries)
-    assert rows_of(wm) == _dict_area_rows(pw, areas, grid)
+    peak = traced_peak(lambda: area_weights_from_pixels(pw, areas, grid))
+    keys = mapping._REDUCE_ENTRIES
+    assert keys < col.size // 4  # the parts below leave out most entries
+    # per row of a block, under 64 bytes: its pixel's area as int32 and
+    # int64 (the last block's too), its key offset and two boolean masks;
+    # numpy's 64 KiB buffer for a broadcasting ufunc and the output rows
+    # cost under 96 KiB whatever the input
+    rows = keys // per_row
+    bins = (len(areas) + 1) * (nbts + 1)
+    assert peak < 8 * keys + 64 * rows + 8 * bins + 96 * 1024, (peak, 8 * col.size)
+    assert rows_of(area_weights_from_pixels(pw, areas, grid)) == _dict_area_rows(pw, areas, grid)
+
+
+def test_weights_voronoi_holds_no_per_pixel_rows():
+    """`weights_voronoi` reduces the serving labels themselves as width-1
+    rows: its traced peak stays under two 8-byte words per pixel plus the
+    bins, where one-hot CSR rows took about 70 bytes per pixel."""
+    grid = Grid(ncols=500, nrows=500, cell_size_m=100.0)
+    rng = np.random.default_rng(5)
+    sites = [(f"s{j:02d}", *rng.uniform(0, 50_000, 2)) for j in range(40)]
+    assignment = voronoi_assign(grid, sites)
+    r, c = np.indices(grid.shape)
+    areas = StatAreaSet.from_masks(grid, [(f"a{i}", (r // 100) * 5 + c // 100 == i)
+                                          for i in range(24)])  # the last block is outside
+    areas.labels(grid)
+    peak = traced_peak(lambda: weights_voronoi(assignment, areas))
+    bins = (len(areas) + 1) * (len(sites) + 1)
+    assert peak < 2 * 8 * grid.npixels + 8 * bins, (peak, grid.npixels)
+
+
+def _parent_bsa_rows(sel):
+    """One-hot CSR rows as they were built before pixel rows were padded:
+    (indptr, col, an array of ones) over the covered pixels."""
+    sel = np.asarray(sel, dtype=np.int64)
+    covered = sel >= 0
+    return np.concatenate([[0], np.cumsum(covered)]), sel[covered], np.ones(int(covered.sum()))
+
+
+def _parent_area_rows(pixel_ids, bts_ids, indptr, col, w, areas, grid):
+    """The CSR pixel-to-area reducer as it was before pixel rows were
+    padded: one int64 key per entry, and one `bincount` over all of them
+    whose last row of bins is a spill row for pixels outside every area."""
+    lens = np.diff(indptr)
+    area_of = areas.labels(grid).reshape(-1)[pixel_ids].astype(np.int64)
+    denom = np.bincount(area_of[(lens > 0) & (area_of >= 0)], minlength=len(areas))
+    nbts = len(bts_ids)
+    key = np.repeat(np.where(area_of >= 0, area_of, len(areas)) * nbts, lens)
+    key += col
+    sums = np.bincount(key, weights=w, minlength=(len(areas) + 1) * nbts)[:len(areas) * nbts]
+    flat = np.flatnonzero(sums)
+    aidx, bidx = np.divmod(flat, nbts)
+    out = np.concatenate([[0], np.cumsum(np.bincount(aidx, minlength=len(areas)))])
+    return WeightMatrix("x", areas.area_ids, bts_ids, out, bidx, sums[flat] / denom[aidx])
+
+
+@st.composite
+def _padded_rows_world(draw):
+    """Mask areas (some empty, some pixels outside every area), unique
+    pixel ids, and for them both serving labels (-1 = uncovered) and idw
+    rows of every width from 0 to k <= 10 with random weights, padded to
+    k or wider; plus a reducer block of 1 to 64 entries, so a block holds
+    one row or several and the rows span one block or many."""
+    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=10.0)
+    nareas = draw(st.integers(1, 4))
+    owner = draw(hnp.arrays(np.int64, (nrows, ncols), elements=st.integers(-1, nareas)))
+    areas = StatAreaSet.from_masks(grid, [(f"A{j}", owner == j) for j in range(nareas)])
+    nbts = draw(st.integers(1, 12))
+    bts_ids = [f"b{j:02d}" for j in range(nbts)]
+    # many rows per area and column, so bins sum long runs across blocks
+    pixel_ids = draw(st.permutations(range(grid.npixels)))[:draw(st.integers(1, grid.npixels))]
+    sel = draw(st.lists(st.integers(UNASSIGNED, nbts - 1), min_size=len(pixel_ids),
+                        max_size=len(pixel_ids)))
+    k = draw(st.integers(1, min(10, nbts)))
+    counts, col, w = [], [], []
+    for _ in pixel_ids:
+        cols = sorted(draw(st.sets(st.integers(0, nbts - 1), max_size=k)))
+        raw = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=len(cols),
+                                     max_size=len(cols))))
+        counts.append(len(cols))
+        col += cols
+        w += (raw / raw.sum()).tolist() if cols else []
+    width = k + draw(st.integers(0, 2))
+    return areas, grid, pixel_ids, bts_ids, sel, (counts, col, w, width), draw(st.integers(1, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=_padded_rows_world())
+def test_padded_reducer_equals_the_csr_reducer(world):
+    """Byte for byte, the padded reducer's area rows equal the CSR path's:
+    one-hot CSR rows with an array of ones for the serving labels, CSR
+    idw rows, and one `bincount` over one key per entry."""
+    areas, grid, pixel_ids, bts_ids, sel, (counts, col, w, width), block = world
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    idw = pixel_weights("idw", pixel_ids, bts_ids, counts, col, w, width=width)
+    bsa = bsa_pixel_weights(pixel_ids, bts_ids, np.array(sel, dtype=np.int32))
+    before = [(pw.col.copy(), None if pw.w is None else pw.w.copy()) for pw in (idw, bsa)]
+    cases = ((idw, (indptr, np.array(col, dtype=np.int64), np.array(w))),
+             (bsa, _parent_bsa_rows(sel)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mapping, "_REDUCE_ENTRIES", block)
+        for pw, csr in cases:
+            got = area_weights_from_pixels(pw, areas, grid)
+            want = _parent_area_rows(np.array(pixel_ids), bts_ids, *csr, areas, grid)
+            for name in ("indptr", "col", "w"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # the reducer never writes into its input
+    for pw, (c, v) in zip((idw, bsa), before):
+        assert np.array_equal(pw.col, c) and (v is None or np.array_equal(pw.w, v))
 
 
 class TestAggregate:
@@ -718,12 +823,32 @@ class TestContainers:
         ]
 
     def test_pixel_weights_validation(self):
-        with pytest.raises(ValueError, match="CSR"):
-            PixelWeights("x", [1, 2], ["b"], [0, 1], [0], [1.0])
-        with pytest.raises(ValueError, match="sum"):
-            PixelWeights("x", [1], ["b", "c"], [0, 2], [0, 1], [0.6, 0.6])
+        with pytest.raises(ValueError, match="pixels x width"):
+            PixelWeights("x", [1, 2], ["b"], [[0]], [[1.0]])
+        with pytest.raises(ValueError, match="pixels x width"):
+            PixelWeights("x", [1], ["b"], [0], [1.0])
+        with pytest.raises(ValueError, match="of col's shape"):
+            PixelWeights("x", [1], ["b", "c"], [[0, 1]], [[1.0]])
+        with pytest.raises(ValueError, match="pixel 1: weights sum to 1.2, not 1"):
+            PixelWeights("x", [1], ["b", "c"], [[0, 1]], [[0.6, 0.6]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="pixel 7: weights must be finite"):
+                PixelWeights("x", [3, 7], ["b", "c"], [[0, -1], [0, 1]], [[1.0, 0.0], [bad, 0.5]])
         with pytest.raises(ValueError, match="range"):
-            PixelWeights("x", [1], ["b"], [0, 1], [4], [1.0])
+            PixelWeights("x", [1], ["b"], [[4]], [[1.0]])
+        with pytest.raises(ValueError, match="range"):
+            PixelWeights("x", [1], ["b"], [[-2]])
+        with pytest.raises(ValueError, match="integers"):
+            PixelWeights("x", [1], ["b"], [[0.0]])
+        with pytest.raises(ValueError, match="ascend by bts_id"):
+            PixelWeights("x", [1], ["c", "b"], [[0]])
+        # a one-hot row of -1 is an uncovered pixel; zero weights are allowed
+        pw = PixelWeights("x", [1, 2], ["b", "c"], [[1, -1], [0, 1]], [[1.0, 0.0], [1.0, 0.0]])
+        assert pw.covered.tolist() == [True, True]
+        assert pw.row(0) == {"c": 1.0} and pw.row(1) == {"b": 1.0, "c": 0.0}
+        one_hot = PixelWeights("x", [1, 2], ["b"], np.array([[-1], [0]], dtype=np.int32))
+        assert one_hot.covered.tolist() == [False, True]
+        assert one_hot.row(0) == {} and one_hot.row(1) == {"b": 1.0}
 
     def test_covariate_table_validation(self):
         with pytest.raises(ValueError, match="duplicate"):

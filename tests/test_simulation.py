@@ -19,7 +19,6 @@ from covmap.geo import (
 )
 from covmap.mapping import (
     bsa_select_chunk,
-    idw_pixel_weights,
     idw_rows_chunk,
     weights_bsa,
     weights_idw,
@@ -58,6 +57,8 @@ from covmap.simulation import (
     uninhabited_mask,
     urban_block_mask,
 )
+from conftest import traced_peak
+from weight_rows import pixel_csr, pixel_weights
 
 
 def tiny_config(**over):
@@ -515,8 +516,8 @@ class TestRangeCulling:
         dense = RssField(st.ids, [s.bts_id for s in specs], oracle, cfg.dead_threshold_dbm)
         _assert_same_rows(pw_bsa, weights_bsa(dense))
         _assert_same_rows(pw_idw, weights_idw(dense, s=cfg.idw_s, k=cfg.idw_k))
-        sel = np.full(len(st), -1)
-        sel[pw_bsa.covered] = pw_bsa.col
+        sel = pw_bsa.col[:, 0]
+        assert pw_bsa.w is None and pw_bsa.col.shape == (len(st), 1)
         assert np.any(sel >= 0) and np.any(sel < 0)
         # all pixels are settled in pixel-id order, so the grid pass must agree
         grid = best_server_grid(cfg.grid, specs, env_grid, cfg.rx_height_m,
@@ -546,8 +547,9 @@ class TestRangeCulling:
 
 def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
     """At country scale (1,500 sites) every `rss_field` call of the grid
-    pass and of the settlement pass holds at most `_RSS_ENTRIES` links,
-    and lifting the cap changes no byte.  The sites are twins, one spec
+    pass holds at most `_RSS_ENTRIES` links, and every call of the
+    settlement pass, whose blocks get idw rows, a quarter of that; lifting
+    both caps changes no byte.  The sites are twins, one spec
     at one position inside the grid: their level bounds are equal, so
     level pruning keeps every one of them in every cell."""
     cfg = SimConfig(ncols=60, nrows=60, block_px=60, mask_rect=None)
@@ -575,16 +577,44 @@ def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
 
     monkeypatch.setattr(simulation, "rss_field", recording)
     grid, bounded, grid_sizes, settled_sizes = both_passes()
-    for part in (grid_sizes, settled_sizes):
-        assert len(part) > 1 and max(part) <= simulation._RSS_ENTRIES
+    assert len(grid_sizes) > 1 and max(grid_sizes) <= simulation._RSS_ENTRIES
+    assert len(settled_sizes) > 1 and max(settled_sizes) <= simulation._RSS_ENTRIES // 4
+    assert max(settled_sizes) > simulation._RSS_ENTRIES // 8
     assert bounded.covered.any()
-    # the one 60 x 60 tile, whole
-    monkeypatch.setattr(simulation, "_RSS_ENTRIES", cfg.grid.npixels * len(specs))
+    # the one 60 x 60 tile, whole, in both passes
+    monkeypatch.setattr(simulation, "_RSS_ENTRIES", 4 * cfg.grid.npixels * len(specs))
     grid_whole, whole, grid_sizes, settled_sizes = both_passes()
     assert len(grid_sizes) == len(settled_sizes) == 1
     assert grid.labels.tobytes() == grid_whole.labels.tobytes()
-    for name in ("pixel_ids", "indptr", "col", "w"):
+    for name in ("pixel_ids", "col", "w"):
         assert getattr(bounded, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_settlement_idw_pass_holds_its_buffers_and_one_block():
+    """The traced peak of `settlement_pixel_weights` with idw rows stays
+    under its padded row buffers, one idw block's working set and its two
+    grids.  The one tile's 16,384 settled pixels and 70 twin sites (level
+    pruning keeps every twin everywhere) make 1.1M links, which the pass
+    takes in five idw blocks of a quarter of `_RSS_ENTRIES` links."""
+    cfg = SimConfig(ncols=128, nrows=128, block_px=128, mask_rect=None)
+    specs = [AntennaSpec(f"s{j:03d}", 6400.0, 6400.0, 30.0, 900.0, 47.0) for j in range(70)]
+    settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+    env = np.random.default_rng(2).integers(0, 3, cfg.grid.shape).astype(np.uint8)
+    out = []
+    peak = traced_peak(lambda: out.append(settlement_pixel_weights(
+        settlements, specs, env, rx_height_m=cfg.rx_height_m,
+        dead_threshold_dbm=cfg.dead_threshold_dbm, idw=(cfg.idw_s, cfg.idw_k))))
+    [pw] = out
+    n, npx = len(settlements), cfg.grid.npixels
+    assert pw.col.shape == (n, cfg.idw_k) and pw.col.dtype == np.int32
+    assert pw.covered.mean() > 0.9
+    links = simulation._RSS_ENTRIES // 4
+    assert n * len(specs) > 4 * links
+    bound = (12 * n * cfg.idw_k          # padded int32 columns and float64 weights
+             + 8 * npx                   # the int32 label and settlement-index grids
+             + 32 * links                # a block's levels, live mask, negated copy and order
+             + (len(specs) + 96) * npx)  # the tile's candidate mask and per-pixel arrays
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize("idw, match", [((-1.0, 5), "exponent s"), ((2.0, 0), "k must be")])
@@ -626,10 +656,14 @@ def _tiled_run(cfg, specs, env, settlements, s, k, settled_only=False):
 
 
 def _assert_same_rows(got, want):
+    """The same rows, byte for byte in CSR form; the padded widths may
+    differ (the walker's is the widest top-k a tile needed)."""
     assert got.scheme == want.scheme and got.bts_ids == want.bts_ids
-    for name in ("pixel_ids", "indptr", "col", "w"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.w is None) == (want.w is None)
+    assert got.pixel_ids.dtype == want.pixel_ids.dtype
+    assert got.pixel_ids.tobytes() == want.pixel_ids.tobytes()
+    for name, a, b in zip(("indptr", "col", "w"), pixel_csr(got), pixel_csr(want)):
+        assert a.tobytes() == b.tobytes(), name
 
 
 @st.composite
@@ -750,7 +784,7 @@ class TestLevelPruning:
         labels = bsa_select_chunk(field.rss_dbm, live)
         at = settlements.ids
         counts, col, w = idw_rows_chunk(field.rss_dbm[at], live[at], s, k)
-        want_idw = idw_pixel_weights(at, field.bts_ids, counts, col, w, s, k)
+        want_idw = pixel_weights("idw", at, field.bts_ids, counts, col, w)
         only = np.full(npx, UNASSIGNED)
         only[at] = labels[at]
         with pytest.MonkeyPatch.context() as mp:
@@ -817,8 +851,8 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
     owner = np.concatenate(owner)
     order = np.argsort(owner, kind="stable")
     counts = np.bincount(owner, minlength=len(settlements))
-    return idw_pixel_weights(settlements.ids, [sp.bts_id for sp in specs], counts,
-                             np.concatenate(col)[order], np.concatenate(w)[order], s, k)
+    return pixel_weights("idw", settlements.ids, [sp.bts_id for sp in specs], counts,
+                         np.concatenate(col)[order], np.concatenate(w)[order])
 
 
 def _offered_links(cfg, specs, env, settlements, idw, tile):
@@ -905,12 +939,12 @@ def test_idw_rows_keep_the_unpruned_top_k_width():
                       rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
     live = field.live
     assert live[:, :5].all() and not live[:, 5:].any()
-    unpruned = idw_pixel_weights(settlements.ids, field.bts_ids,
-                                 *idw_rows_chunk(field.rss_dbm, live, s, k), s, k)
+    counts, col, w = idw_rows_chunk(field.rss_dbm, live, s, k)
+    unpruned = pixel_weights("idw", settlements.ids, field.bts_ids, counts, col, w)
     live_only = idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k)[2]
-    assert live_only.tobytes() != unpruned.w.tobytes()
+    assert live_only.tobytes() != w.tobytes()
     _, pw, calls = _tiled_run(cfg, specs, env, settlements, s, k)
-    assert calls == [(x.size, k)]
+    assert calls == [(x.size, k)] and pw.col.shape == (x.size, k)
     _assert_same_rows(pw, unpruned)
 
 
