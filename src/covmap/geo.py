@@ -314,17 +314,50 @@ def voronoi_assign(grid: Grid, sites) -> Assignment:
 # --- statistical areas -------------------------------------------------------
 
 
-@dataclass
 class StatArea:
-    """One statistical area: either a pixel mask or polygon rings."""
+    """One statistical area: polygon rings, or a pixel mask.
 
-    area_id: str
-    mask: np.ndarray | None = None
-    rings: list[np.ndarray] | None = None
+    A mask area keeps the shape of the grid it was given (`shape`), the
+    mask's bounding box as a window of that grid (`window`; empty slices
+    for an empty mask) and a copy of the mask inside it (`inside`), so
+    it holds its box's pixels, not the grid's.  A polygon area yields
+    the same (window, inside) pair on a grid (`window_on`).  `mask`
+    rebuilds the full-grid boolean on each read (None for a polygon).
+    """
 
-    def __post_init__(self):
-        if (self.mask is None) == (self.rings is None):
-            raise ValueError(f"area {self.area_id!r}: exactly one of mask/rings required")
+    def __init__(self, area_id: str, mask=None, rings: list[np.ndarray] | None = None):
+        if (mask is None) == (rings is None):
+            raise ValueError(f"area {area_id!r}: exactly one of mask/rings required")
+        self.area_id = area_id
+        self.rings = rings
+        self.shape = self.window = self.inside = None
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            axes = range(mask.ndim)
+            hits = [np.flatnonzero(mask.any(axis=tuple(b for b in axes if b != a))) for a in axes]
+            self.shape = mask.shape
+            if all(h.size for h in hits):
+                self.window = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+            else:
+                self.window = (slice(0, 0),) * mask.ndim
+            self.inside = mask[self.window].copy()
+
+    @property
+    def mask(self) -> np.ndarray | None:
+        if self.rings is not None:
+            return None
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.window] = self.inside
+        return mask
+
+    def window_on(self, grid: Grid) -> tuple[tuple[slice, slice], np.ndarray]:
+        """The area on `grid` as a (rows, cols) window and the mask inside
+        it; every pixel outside the window is outside the area."""
+        if self.rings is not None:
+            return _polygon_window(self.rings, grid, self.area_id)
+        if self.shape != grid.shape:
+            raise ValueError(f"area {self.area_id!r}: mask does not fit grid {grid.shape}")
+        return self.window, self.inside
 
 
 def _validate_ring(ring: np.ndarray, area_id: str) -> np.ndarray:
@@ -437,7 +470,11 @@ class StatAreaSet:
         """Rasterised area index per pixel (-1 outside every area), cached
         per grid and read-only.
 
-        Raises if any pixel would belong to two areas.
+        Every area, mask or polygon, is painted one way: from its
+        `window_on(grid)` pair, checked for clashes and written only
+        inside its window.  Raises if any pixel would belong to two areas
+        (naming the first clash in row-major order) or if a mask area was
+        given for a grid of another shape.
         """
         grid = grid or self.grid
         if grid is None:
@@ -446,13 +483,8 @@ class StatAreaSet:
             return self._label_cache[grid]
         labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
         for idx, a in enumerate(self.areas):
-            if a.mask is not None:
-                if a.mask.shape != grid.shape:
-                    raise ValueError(f"area {a.area_id!r}: mask does not fit grid {grid.shape}")
-                window, m = (slice(0, grid.nrows), slice(0, grid.ncols)), a.mask
-            else:
-                window, m = _polygon_window(a.rings, grid, a.area_id)
-            # a polygon is painted and checked only inside its window, which
+            window, m = a.window_on(grid)
+            # an area is painted and checked only inside its window, which
             # holds all its pixels, so the first clash in row-major order stays first
             sub = labels[window]
             clash = m & (sub != UNASSIGNED)
@@ -475,7 +507,7 @@ class StatAreaSet:
         convention).  Containment itself is orientation-agnostic.
         """
         mask_grid = grid or self.grid
-        if mask_grid is None and any(a.mask is not None for a in self.areas):
+        if mask_grid is None and any(a.rings is None for a in self.areas):
             raise ValueError("mask areas need a grid for sizing")
         # one shoelace sum per ring, over all rings of one vertex count at once
         # (a row sums as its ring alone does), then added per area in ring order
@@ -488,7 +520,7 @@ class StatAreaSet:
             ring_area[at] = 0.5 * np.sum(x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1], axis=1)
         owner = np.array([i for i, _ in rings], dtype=np.intp)
         total = np.bincount(owner, weights=ring_area, minlength=len(self.areas)).tolist()
-        return {a.area_id: (float(a.mask.sum()) * mask_grid.cell_size_m**2 if a.rings is None
+        return {a.area_id: (float(a.inside.sum()) * mask_grid.cell_size_m**2 if a.rings is None
                             else abs(total[i])) / 1e6 for i, a in enumerate(self.areas)}
 
     def locate_points(self, x, y, grid: Grid | None = None) -> np.ndarray:

@@ -30,6 +30,7 @@ from .geo import (
     Grid,
     SettlementRaster,
     Settlements,
+    StatArea,
     StatAreaSet,
     extract_settlements,
     nearest_index,
@@ -260,54 +261,50 @@ def build_areas(cfg: SimConfig) -> tuple[StatAreaSet, dict[str, str]]:
     (areas, {area_id: "urban" | "rural"}).
     """
     grid = cfg.grid
-    pairs = []
-    classes: dict[str, str] = {}
+    areas, classes = [], {}
+
+    def add(aid: str, kind: str, rows: slice, cols: slice) -> None:
+        # the area crops this one full-grid mask to its rectangle
+        m = np.zeros(grid.shape, dtype=bool)
+        m[rows, cols] = True
+        areas.append(StatArea(aid, mask=m))
+        classes[aid] = kind
+
     sizes = _split_sizes(cfg.block_px, cfg.urban_split)
     r0 = cfg.nrows - cfg.block_px
     redges = np.concatenate([[0], np.cumsum(sizes)]) + r0
     cedges = np.concatenate([[0], np.cumsum(sizes)])
     for i in range(cfg.urban_split):
         for j in range(cfg.urban_split):
-            m = np.zeros(grid.shape, dtype=bool)
-            m[redges[i] : redges[i + 1], cedges[j] : cedges[j + 1]] = True
-            aid = f"U{i}_{j}"
-            pairs.append((aid, m))
-            classes[aid] = "urban"
+            add(f"U{i}_{j}", "urban", slice(redges[i], redges[i + 1]),
+                slice(cedges[j], cedges[j + 1]))
     nbr, nbc = cfg.nrows // cfg.block_px, cfg.ncols // cfg.block_px
     for br in range(nbr):
         for bc in range(nbc):
             if br == nbr - 1 and bc == 0:
                 continue  # the urban block
-            m = np.zeros(grid.shape, dtype=bool)
-            m[br * cfg.block_px : (br + 1) * cfg.block_px,
-              bc * cfg.block_px : (bc + 1) * cfg.block_px] = True
-            aid = f"R{br}_{bc}"
-            pairs.append((aid, m))
-            classes[aid] = "rural"
-    return StatAreaSet.from_masks(grid, pairs), classes
+            add(f"R{br}_{bc}", "rural", slice(br * cfg.block_px, (br + 1) * cfg.block_px),
+                slice(bc * cfg.block_px, (bc + 1) * cfg.block_px))
+    return StatAreaSet(areas, grid=grid), classes
 
 
 # --- world generation --------------------------------------------------------
 
 
-def _rejection_sample(rng, n: int, draw, accept) -> tuple[np.ndarray, np.ndarray]:
-    """Draw until n points pass `accept`; consumption order is fixed."""
-    xs, ys = [], []
+def _rejection_sample(rng, n: int, draw, accept):
+    """Draw until n points pass `accept`, yielding each batch's accepted
+    (x, y), the last batch cut to the points still wanted; consumption
+    order is fixed."""
     have = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
         if have >= n:
-            break
+            return
         batch = max(64, int((n - have) * 1.5))
         x, y = draw(rng, batch)
-        ok = accept(x, y)
-        xs.append(x[ok])
-        ys.append(y[ok])
-        have += int(ok.sum())
-    else:
-        raise RuntimeError("rejection sampling failed to converge; check the masks")
-    x = np.concatenate(xs)[:n]
-    y = np.concatenate(ys)[:n]
-    return x, y
+        ok = np.flatnonzero(accept(x, y))[:n - have]
+        have += ok.size
+        yield x[ok], y[ok]
+    raise RuntimeError("rejection sampling failed to converge; check the masks")
 
 
 def gen_population(cfg: SimConfig, rng) -> SettlementRaster:
@@ -317,13 +314,16 @@ def gen_population(cfg: SimConfig, rng) -> SettlementRaster:
     urban-block centre; the rural rest split between normal clusters at
     uniform random centres and a uniform background over the rural
     region.  The uninhabited mask and off-grid draws are rejected and
-    redrawn, so the raster total always equals cfg.population.
+    redrawn, so the raster total always equals cfg.population.  Each
+    accepted batch is binned as it arrives, so no array holds the whole
+    population's coordinates.
     """
     rng = np.random.default_rng(rng)
     grid = cfg.grid
     xmin, ymin, xmax, ymax = grid.extent()
     mask = uninhabited_mask(cfg)
     urban = urban_block_mask(cfg)
+    counts = np.zeros(grid.npixels, dtype=np.int64)
 
     def allowed(forbidden):
         def ok(x, y):
@@ -333,6 +333,11 @@ def gen_population(cfg: SimConfig, rng) -> SettlementRaster:
             out[on] = ~forbidden[r[on], c[on]]
             return out
         return ok
+
+    def settle(batches):
+        for x, y in batches:
+            r, c = grid.locate(x, y)
+            np.add.at(counts, r * cfg.ncols + c, 1)
 
     on_grid_ok = allowed(mask)
     rural_ok = allowed(mask | urban)
@@ -344,32 +349,25 @@ def gen_population(cfg: SimConfig, rng) -> SettlementRaster:
     def draw_urban(rng, m):
         return (rng.normal(cx, cfg.urban_sigma_m, m), rng.normal(cy, cfg.urban_sigma_m, m))
 
-    ux, uy = _rejection_sample(rng, n_urban, draw_urban, on_grid_ok)
+    settle(_rejection_sample(rng, n_urban, draw_urban, on_grid_ok))
 
     def draw_uniform(rng, m):
         return (rng.uniform(xmin, xmax, m), rng.uniform(ymin, ymax, m))
 
-    ccx, ccy = _rejection_sample(rng, cfg.rural_cluster_count, draw_uniform, rural_ok)
+    ccx, ccy = (np.concatenate(v) for v in zip(
+        *_rejection_sample(rng, cfg.rural_cluster_count, draw_uniform, rural_ok)))
 
     n_clustered = _round_half_up(n_rural * cfg.rural_cluster_share)
     per = _split_sizes(n_clustered, cfg.rural_cluster_count)
-    rx_parts, ry_parts = [], []
     for i in range(cfg.rural_cluster_count):
         def draw_cluster(rng, m, i=i):
             return (
                 rng.normal(ccx[i], cfg.rural_sigma_m, m),
                 rng.normal(ccy[i], cfg.rural_sigma_m, m),
             )
-        x, y = _rejection_sample(rng, per[i], draw_cluster, on_grid_ok)
-        rx_parts.append(x)
-        ry_parts.append(y)
-    bx, by = _rejection_sample(rng, n_rural - n_clustered, draw_uniform, rural_ok)
-
-    x = np.concatenate([ux] + rx_parts + [bx])
-    y = np.concatenate([uy] + ry_parts + [by])
-    r, c = grid.locate(x, y)
-    counts = np.bincount(r * cfg.ncols + c, minlength=grid.npixels).reshape(grid.shape)
-    return SettlementRaster(grid, counts.astype(np.int64))
+        settle(_rejection_sample(rng, per[i], draw_cluster, on_grid_ok))
+    settle(_rejection_sample(rng, n_rural - n_clustered, draw_uniform, rural_ok))
+    return SettlementRaster(grid, counts.reshape(grid.shape))
 
 
 def assign_poverty(raster: SettlementRaster, cfg: SimConfig, rng) -> np.ndarray:
@@ -384,18 +382,20 @@ def assign_poverty(raster: SettlementRaster, cfg: SimConfig, rng) -> np.ndarray:
     b = cfg.poverty_block_px
     nbr = -(-cfg.nrows // b)
     nbc = -(-cfg.ncols // b)
-    rr, cc = np.meshgrid(np.arange(cfg.nrows), np.arange(cfg.ncols), indexing="ij")
-    block = (rr // b) * nbc + (cc // b)
-    pop = np.bincount(block.ravel(), weights=raster.counts.ravel(), minlength=nbr * nbc)
-    px = np.bincount(block.ravel(), minlength=nbr * nbc)
-    density = pop / px  # partial edge blocks normalise by their true pixel count
+    # the nonzero pixels in row-major order: a zero adds nothing to a float sum
+    r, c = np.nonzero(raster.counts)
+    pop = np.bincount((r // b) * nbc + c // b, weights=raster.counts[r, c], minlength=nbr * nbc)
+    del r, c
+    # partial edge blocks normalise by their true pixel count
+    edge = [np.minimum(b, n - b * np.arange(nb)) for n, nb in ((cfg.nrows, nbr), (cfg.ncols, nbc))]
+    density = pop / np.outer(*edge).ravel()
     top = density.max()
     if top <= 0:
         raise ValueError("population raster is empty")
     mu = rng.uniform(0.0, 1.0, nbr * nbc) * (1.0 - density / top)
 
     settlements = extract_settlements(raster)
-    mu_at = mu[block[settlements.rows, settlements.cols]]
+    mu_at = mu[(settlements.rows // b) * nbc + settlements.cols // b]
     rates = mu_at + cfg.poverty_sigma * rng.standard_normal(len(settlements))
     return np.clip(rates, 0.0, 1.0)
 
@@ -637,13 +637,14 @@ def _tiled_pass(
     index, so ties still go to the lowest bts_id.  A tile or group with
     no pixel of the set, or no site left, is skipped.  A group's pixels
     go to `rss_field`, with its sites' rows of the radius table and each
-    pixel's cell mask, in blocks of at most `_RSS_ENTRIES` links, a
-    quarter of that when the block gets idw rows (at least one pixel),
-    so memory stays bounded whatever the site count.  Each settlement's
-    idw row is written in place into padded buffers, int32 columns and
-    float64 weights (-1 and 0 after its entries), as wide as the widest
-    top-k width a tile has needed (at most the site count); the pass
-    returns them as they are, as the `PixelWeights` of the settlements.
+    pixel's cell mask (built per block), in blocks of at most
+    `_RSS_ENTRIES` links, a quarter of that when the block gets idw rows
+    (at least one pixel), so memory stays bounded whatever the site
+    count.  Each settlement's idw row is written in place into padded
+    buffers, int32 columns and float64 weights (-1 and 0 after its
+    entries), as wide as the widest top-k width a tile has needed (at
+    most the site count); the pass returns them as they are, as the
+    `PixelWeights` of the settlements.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -722,15 +723,17 @@ def _tiled_pass(
                 if not used.any():
                     continue
                 g_keep = keep[used]
-                # per pixel, its cell's candidates; column-contiguous for the kernel
-                mask = cand[:, used].T[:, g_cell].T
+                site_cells = cand[:, used].T  # sites x cells
                 near = [specs[j] for j in g_keep]
                 step = max(1, (_RSS_ENTRIES // 4 if rows_wanted else _RSS_ENTRIES)
                            // g_keep.size)
                 for lo in range(0, g_pid.size, step):
                     block = slice(lo, lo + step)
+                    # per pixel of the block, its cell's candidates; column-contiguous
+                    # for the kernel
+                    mask = site_cells[:, g_cell[block]].T
                     rss = rss_field(near, g_pid[block], gx[block], gy[block], g_codes[block],
-                                    radii_km=radii[g_keep], candidates=mask[block],
+                                    radii_km=radii[g_keep], candidates=mask,
                                     rx_height_m=rx_height_m,
                                     dead_threshold_dbm=dead_threshold_dbm)
                     live = rss.live

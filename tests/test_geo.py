@@ -413,51 +413,113 @@ class TestPolygonToMask:
             polygon_to_mask([np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [0.0, 0.0]])], g)
 
 
-def _full_grid_labels(areas: StatAreaSet, grid: Grid) -> np.ndarray:
-    """Reference labelling: every area painted, and tested for clashes,
-    over the whole grid."""
+def _full_grid_labels(members, grid: Grid) -> np.ndarray:
+    """Reference labelling of (area_id, mask, rings) members, masks as
+    given: every area painted, and tested for clashes, over the whole
+    grid; a mask not of the grid's shape is rejected when reached."""
     labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
-    for idx, a in enumerate(areas.areas):
-        m = a.mask if a.mask is not None else polygon_to_mask(a.rings, grid, a.area_id)
-        clash = m & (labels != UNASSIGNED)
+    for idx, (area_id, mask, rings) in enumerate(members):
+        if mask is None:
+            mask = polygon_to_mask(rings, grid, area_id)
+        elif mask.shape != grid.shape:
+            raise ValueError(f"area {area_id!r}: mask does not fit grid {grid.shape}")
+        clash = mask & (labels != UNASSIGNED)
         if np.any(clash):
             r, c = np.argwhere(clash)[0]
-            other = areas.areas[labels[r, c]].area_id
-            raise ValueError(f"areas {other!r} and {a.area_id!r} overlap at pixel ({r}, {c})")
-        labels[m] = idx
+            other = members[labels[r, c]][0]
+            raise ValueError(f"areas {other!r} and {area_id!r} overlap at pixel ({r}, {c})")
+        labels[mask] = idx
     return labels
+
+
+def _reference_km2(members, grid: Grid) -> dict[str, float]:
+    """Reference sizes: a mask's pixel count as given, or one `np.sum`
+    shoelace per ring added in ring order."""
+    out = {}
+    for area_id, mask, rings in members:
+        if mask is not None:
+            out[area_id] = float(mask.sum()) * grid.cell_size_m**2 / 1e6
+            continue
+        total = 0
+        for ring in rings:
+            x, y = ring[:, 0], ring[:, 1]
+            total += 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+        out[area_id] = abs(total) / 1e6
+    return out
+
+
+def _random_mask(rng, g: Grid) -> np.ndarray:
+    """A sparse, empty, edge-hugging or (now and then) wrong-shaped mask."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return rng.random(g.shape) < 0.03
+    if kind == 1:
+        return np.zeros(g.shape, dtype=bool)
+    if kind == 2:  # the border ring's pixels, sparsely, and one corner
+        m = rng.random(g.shape) < 0.2
+        m[1:-1, 1:-1] = False
+        m[tuple(rng.choice([0, -1], 2))] = True
+        return m
+    shape = [(g.nrows, g.ncols + 1), (g.nrows - 1, g.ncols), (g.npixels,)][rng.integers(0, 3)]
+    return rng.random(shape) < 0.03
 
 
 class TestStatAreaSet:
     @pytest.mark.parametrize("seed", range(4))
     def test_windowed_labels_equal_a_full_grid_painter(self, seed):
         # random polygons, many partly or wholly off a grid with an offset
-        # origin, mixed with sparse masks; the labels, or the first clash
-        # the overlap error names, must equal the full-grid painter's
+        # origin, mixed with sparse, empty, edge-hugging and wrong-shaped
+        # masks; the labels, or the error (the first clash, or the first
+        # mask that does not fit), and the sizes' bits must equal the
+        # full-grid painter's on the masks as given
         rng = np.random.default_rng(seed)
         g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
-        outcomes = {"labels": 0, "overlap": 0}
-        for _ in range(40):
+        outcomes = {"labels": 0, "overlap": 0, "fit": 0}
+        for _ in range(60):
             members = []
             for k in range(rng.integers(1, 6)):
-                if rng.random() < 0.3:
-                    members.append(StatArea(f"m{k}", mask=rng.random(g.shape) < 0.03))
+                if rng.random() < 0.4:
+                    members.append((f"m{k}", _random_mask(rng, g), None))
                     continue
                 cx, cy = rng.uniform(-100, 220), rng.uniform(80, 320)
                 n = rng.integers(3, 7)
                 pts = np.column_stack([cx + rng.uniform(-40, 40, n), cy + rng.uniform(-40, 40, n)])
-                members.append(StatArea(f"p{k}", rings=[np.vstack([pts, pts[:1]])]))
+                members.append((f"p{k}", None, [np.vstack([pts, pts[:1]])]))
+            areas = StatAreaSet([StatArea(aid, mask=m, rings=r) for aid, m, r in members], grid=g)
+            for area, (_, mask, _) in zip(areas.areas, members):
+                if mask is not None:  # kept as its bounding box, rebuilt as given
+                    box = (tuple(slice(int(v.min()), int(v.max()) + 1) for v in np.nonzero(mask))
+                           if mask.any() else (slice(0, 0),) * mask.ndim)
+                    assert area.window == box and np.array_equal(area.inside, mask[box])
+                    assert area.mask.shape == mask.shape and np.array_equal(area.mask, mask)
+            got_km2, want_km2 = areas.area_km2(), _reference_km2(members, g)
+            assert list(got_km2) == list(want_km2)
+            assert [v.hex() for v in got_km2.values()] == [v.hex() for v in want_km2.values()]
             try:
-                want = _full_grid_labels(StatAreaSet(members, grid=g), g)
+                want = _full_grid_labels(members, g)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
-                    StatAreaSet(members, grid=g).labels()
+                    areas.labels()
                 assert str(got.value) == str(exc)
-                outcomes["overlap"] += 1
+                outcomes["overlap" if "overlap" in str(exc) else "fit"] += 1
                 continue
-            assert np.array_equal(StatAreaSet(members, grid=g).labels(), want)
+            assert np.array_equal(areas.labels(), want)
             outcomes["labels"] += 1
-        assert min(outcomes.values()) > 0
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_mask_area_keeps_a_copy_of_its_box(self):
+        g = Grid(ncols=6, nrows=5, cell_size_m=10.0)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[1, 2] = mask[3, 4] = True
+        area = StatArea("a", mask=mask)
+        assert area.shape == g.shape and area.window == (slice(1, 4), slice(2, 5))
+        assert area.inside.tolist() == [[True, False, False], [False] * 3, [False, False, True]]
+        mask[2, 3] = True  # the caller's array is not the area's
+        assert not area.mask[2, 3] and area.mask is not area.mask
+        empty = StatArea("e", mask=np.zeros(g.shape, dtype=bool))
+        assert empty.window == (slice(0, 0), slice(0, 0)) and empty.inside.size == 0
+        assert StatAreaSet([empty], grid=g).labels().tolist() == np.full(g.shape, -1).tolist()
+        assert StatArea("p", rings=[rect_ring(0, 0, 1, 1)]).mask is None
 
     def test_labels_from_masks(self):
         g = Grid(ncols=4, nrows=2, cell_size_m=10.0)

@@ -57,7 +57,7 @@ from covmap.simulation import (
     uninhabited_mask,
     urban_block_mask,
 )
-from conftest import traced_peak
+from conftest import traced_held, traced_peak
 from weight_rows import pixel_csr, pixel_weights
 
 
@@ -134,7 +134,161 @@ class TestLayout:
         assert "R1_1" in classes and "R1_0" not in classes  # lower-left block is the city
 
 
+def _full_grid_area_masks(cfg):
+    """`build_areas`' areas as the full-grid rectangles it once held, in order."""
+    sizes = simulation._split_sizes(cfg.block_px, cfg.urban_split)
+    redges = np.concatenate([[0], np.cumsum(sizes)]) + cfg.nrows - cfg.block_px
+    cedges = np.concatenate([[0], np.cumsum(sizes)])
+    pairs = []
+    for i in range(cfg.urban_split):
+        for j in range(cfg.urban_split):
+            m = np.zeros(cfg.grid.shape, dtype=bool)
+            m[redges[i]:redges[i + 1], cedges[j]:cedges[j + 1]] = True
+            pairs.append((f"U{i}_{j}", m))
+    nbr, nbc, b = cfg.nrows // cfg.block_px, cfg.ncols // cfg.block_px, cfg.block_px
+    for br in range(nbr):
+        for bc in range(nbc):
+            if br == nbr - 1 and bc == 0:
+                continue
+            m = np.zeros(cfg.grid.shape, dtype=bool)
+            m[br * b:(br + 1) * b, bc * b:(bc + 1) * b] = True
+            pairs.append((f"R{br}_{bc}", m))
+    return pairs
+
+
+class TestAreaStorage:
+    @pytest.mark.parametrize("cfg", [SimConfig(), SimConfig.desk(), tiny_config()],
+                             ids=["full", "desk", "tiny"])
+    def test_area_masks_equal_the_full_grid_rectangles(self, cfg):
+        areas, _ = build_areas(cfg)
+        want = _full_grid_area_masks(cfg)
+        assert areas.area_ids == [aid for aid, _ in want]
+        for area, (_, m) in zip(areas.areas, want):
+            got = area.mask
+            assert got.dtype == bool and np.array_equal(got, m), area.area_id
+            assert area.inside.all() and area.inside.size == m.sum()  # the crop is the box
+
+    def test_full_scale_areas_hold_their_boxes_only(self):
+        """The 40 full-scale areas keep their bounding boxes, 1 MB, where
+        full-grid masks held 40 MB; making them holds at most one 1 MB
+        full-grid mask on top."""
+        cfg = SimConfig()
+        areas, _ = build_areas(cfg)
+        boxes = sum(a.inside.nbytes for a in areas.areas)
+        assert boxes == 16 * 50 * 50 + 24 * 200 * 200
+        held = traced_held(lambda: build_areas(cfg))
+        assert held < boxes + 64 * 1024, (held, boxes)
+        peak = traced_peak(lambda: build_areas(cfg))
+        assert peak < boxes + cfg.grid.npixels + 64 * 1024, (peak, boxes)
+
+
+def _old_rejection_sample(rng, n, draw, accept):
+    xs, ys = [], []
+    have = 0
+    for _ in range(simulation._MAX_REJECTION_ROUNDS):
+        if have >= n:
+            break
+        batch = max(64, int((n - have) * 1.5))
+        x, y = draw(rng, batch)
+        ok = accept(x, y)
+        xs.append(x[ok])
+        ys.append(y[ok])
+        have += int(ok.sum())
+    else:
+        raise RuntimeError("rejection sampling failed to converge; check the masks")
+    return np.concatenate(xs)[:n], np.concatenate(ys)[:n]
+
+
+def _old_gen_population(cfg, rng):
+    """`gen_population` as it was: every accepted point kept, then binned."""
+    rng = np.random.default_rng(rng)
+    grid = cfg.grid
+    xmin, ymin, xmax, ymax = grid.extent()
+    mask = uninhabited_mask(cfg)
+    urban = urban_block_mask(cfg)
+
+    def allowed(forbidden):
+        def ok(x, y):
+            r, c = grid.locate(x, y)
+            on = r >= 0
+            out = np.zeros(x.shape, dtype=bool)
+            out[on] = ~forbidden[r[on], c[on]]
+            return out
+        return ok
+
+    on_grid_ok, rural_ok = allowed(mask), allowed(mask | urban)
+    n_urban = simulation._round_half_up(cfg.population * cfg.urban_share)
+    n_rural = cfg.population - n_urban
+    cx = cy = cfg.block_px * cfg.cell_size_m / 2.0
+    ux, uy = _old_rejection_sample(
+        rng, n_urban, lambda rng, m: (rng.normal(cx, cfg.urban_sigma_m, m),
+                                      rng.normal(cy, cfg.urban_sigma_m, m)), on_grid_ok)
+
+    def draw_uniform(rng, m):
+        return (rng.uniform(xmin, xmax, m), rng.uniform(ymin, ymax, m))
+
+    ccx, ccy = _old_rejection_sample(rng, cfg.rural_cluster_count, draw_uniform, rural_ok)
+    n_clustered = simulation._round_half_up(n_rural * cfg.rural_cluster_share)
+    per = simulation._split_sizes(n_clustered, cfg.rural_cluster_count)
+    xs, ys = [ux], [uy]
+    for i in range(cfg.rural_cluster_count):
+        x, y = _old_rejection_sample(
+            rng, per[i], lambda rng, m: (rng.normal(ccx[i], cfg.rural_sigma_m, m),
+                                         rng.normal(ccy[i], cfg.rural_sigma_m, m)), on_grid_ok)
+        xs.append(x)
+        ys.append(y)
+    bx, by = _old_rejection_sample(rng, n_rural - n_clustered, draw_uniform, rural_ok)
+    r, c = grid.locate(np.concatenate(xs + [bx]), np.concatenate(ys + [by]))
+    counts = np.bincount(r * cfg.ncols + c, minlength=grid.npixels).reshape(grid.shape)
+    return SettlementRaster(grid, counts.astype(np.int64))
+
+
+def _old_assign_poverty(raster, cfg, rng):
+    """`assign_poverty` as it was: full-grid block index grids."""
+    rng = np.random.default_rng(rng)
+    b = cfg.poverty_block_px
+    nbr, nbc = -(-cfg.nrows // b), -(-cfg.ncols // b)
+    rr, cc = np.meshgrid(np.arange(cfg.nrows), np.arange(cfg.ncols), indexing="ij")
+    block = (rr // b) * nbc + (cc // b)
+    pop = np.bincount(block.ravel(), weights=raster.counts.ravel(), minlength=nbr * nbc)
+    px = np.bincount(block.ravel(), minlength=nbr * nbc)
+    density = pop / px
+    top = density.max()
+    if top <= 0:
+        raise ValueError("population raster is empty")
+    mu = rng.uniform(0.0, 1.0, nbr * nbc) * (1.0 - density / top)
+    settlements = extract_settlements(raster)
+    mu_at = mu[block[settlements.rows, settlements.cols]]
+    rates = mu_at + cfg.poverty_sigma * rng.standard_normal(len(settlements))
+    return np.clip(rates, 0.0, 1.0)
+
+
+_POPULATION_CONFIGS = [pytest.param(SimConfig.desk(), seed, id=f"desk-{seed}") for seed in (1, 7, 43)]
+_POPULATION_CONFIGS += [pytest.param(tiny_config(), 3, id="tiny"),
+                        pytest.param(tiny_config(urban_share=0.9, rural_cluster_count=5), 4,
+                                     id="tiny-five-clusters"),
+                        pytest.param(SimConfig(), 1, id="full-1")]
+
+
 class TestGenPopulation:
+    @pytest.mark.parametrize("cfg, seed", _POPULATION_CONFIGS)
+    def test_counts_and_rng_state_equal_the_unbatched_binning(self, cfg, seed):
+        rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = gen_population(cfg, rng), _old_gen_population(cfg, old_rng)
+        assert got.counts.dtype == want.counts.dtype == np.int64
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert rng.bit_generator.state == old_rng.bit_generator.state
+
+    @pytest.mark.parametrize("over", [dict(urban_share=0.0), dict(urban_share=1.0),
+                                      dict(rural_cluster_share=0.0),
+                                      dict(rural_cluster_share=1.0)])
+    def test_a_part_with_no_people_draws_nothing(self, over):
+        """A population part of size zero yields no batch (binning all the
+        points at once used to fail on its empty list of batches)."""
+        cfg = tiny_config(**over)
+        raster = gen_population(cfg, np.random.default_rng(1))
+        assert raster.counts.sum() == cfg.population
+
     def test_total_and_mask(self):
         cfg = tiny_config()
         raster = gen_population(cfg, np.random.default_rng(1))
@@ -155,6 +309,28 @@ class TestGenPopulation:
 
 
 class TestAssignPoverty:
+    @pytest.mark.parametrize("cfg, seed", _POPULATION_CONFIGS)
+    @pytest.mark.parametrize("block_px", [4, 7])  # 7 leaves partial edge blocks
+    def test_rates_and_rng_state_equal_the_index_grid_version(self, cfg, seed, block_px):
+        cfg = dataclasses.replace(cfg, poverty_block_px=block_px)
+        raster = gen_population(cfg, np.random.default_rng(seed))
+        rng, old_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got, want = assign_poverty(raster, cfg, rng), _old_assign_poverty(raster, cfg, old_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_fractional_counts_and_nodata_equal_the_index_grid_version(self):
+        """Float counts, some below one (not settlements), and nodata pixels
+        holding a negative fill all enter the block sums as before."""
+        cfg = tiny_config(ncols=23, nrows=23, block_px=23, urban_split=1, mask_rect=None,
+                          poverty_block_px=5)
+        rng = np.random.default_rng(11)
+        counts = np.where(rng.random(cfg.grid.shape) < 0.4, rng.uniform(0, 9, cfg.grid.shape), 0.0)
+        nodata = rng.random(cfg.grid.shape) < 0.1
+        raster = SettlementRaster(cfg.grid, np.where(nodata, -9999.0, counts), nodata)
+        got = assign_poverty(raster, cfg, np.random.default_rng(5))
+        assert got.tobytes() == _old_assign_poverty(raster, cfg, np.random.default_rng(5)).tobytes()
+
     def test_range_and_alignment(self):
         cfg = tiny_config()
         raster = gen_population(cfg, np.random.default_rng(1))
@@ -590,12 +766,15 @@ def test_settlement_pass_chunks_stay_bounded_with_many_sites(monkeypatch):
         assert getattr(bounded, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
-def test_settlement_idw_pass_holds_its_buffers_and_one_block():
+def test_settlement_idw_pass_holds_its_buffers_and_one_block(monkeypatch):
     """The traced peak of `settlement_pixel_weights` with idw rows stays
-    under its padded row buffers, one idw block's working set and its two
-    grids.  The one tile's 16,384 settled pixels and 70 twin sites (level
-    pruning keeps every twin everywhere) make 1.1M links, which the pass
-    takes in five idw blocks of a quarter of `_RSS_ENTRIES` links."""
+    under its padded row buffers, one idw block's working set and
+    candidate mask, and its two grids.  The one tile's 16,384 settled
+    pixels and 70 twin sites (level pruning keeps every twin everywhere)
+    make 1.1M links, which the pass takes in nine idw blocks of a quarter
+    of `_RSS_ENTRIES` = 2^19 links; a candidate mask over the whole group
+    (1.1 MB) would break the bound."""
+    monkeypatch.setattr(simulation, "_RSS_ENTRIES", 1 << 19)
     cfg = SimConfig(ncols=128, nrows=128, block_px=128, mask_rect=None)
     specs = [AntennaSpec(f"s{j:03d}", 6400.0, 6400.0, 30.0, 900.0, 47.0) for j in range(70)]
     settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
@@ -609,11 +788,11 @@ def test_settlement_idw_pass_holds_its_buffers_and_one_block():
     assert pw.col.shape == (n, cfg.idw_k) and pw.col.dtype == np.int32
     assert pw.covered.mean() > 0.9
     links = simulation._RSS_ENTRIES // 4
-    assert n * len(specs) > 4 * links
-    bound = (12 * n * cfg.idw_k          # padded int32 columns and float64 weights
-             + 8 * npx                   # the int32 label and settlement-index grids
-             + 32 * links                # a block's levels, live mask, negated copy and order
-             + (len(specs) + 96) * npx)  # the tile's candidate mask and per-pixel arrays
+    assert n * len(specs) > 8 * links
+    bound = (12 * n * cfg.idw_k   # padded int32 columns and float64 weights
+             + 8 * npx            # the int32 label and settlement-index grids
+             + 33 * links         # a block's levels, live mask, negated copy, order and mask
+             + 96 * npx)          # the tile's per-pixel arrays
     assert peak < bound, (peak, bound)
 
 
