@@ -17,8 +17,8 @@ Area rows (`WeightMatrix`) are CSR: row i's entries are
 `col[indptr[i]:indptr[i+1]]`, indices into ascending `bts_ids`, with
 weights `w` that sum to 1; an empty row is an area without coverage.
 Pixel rows (`PixelWeights`) are padded: one row of `col` per pixel, its
-entries first in ascending order, then -1 pads; a row of pads is an
-uncovered pixel.
+entries first, each column at most once and in no set order, then -1
+pads; a row of pads is an uncovered pixel.
 Voronoi, aug_voronoi and bsa give one-hot rows from a map of serving
 sites (`bsa_pixel_weights`): the serving labels themselves as width-1
 rows without weights, from the nearest-site map at every pixel or at
@@ -26,7 +26,8 @@ the settlement pixels, and from the strongest-signal map at the
 settlement pixels.  The selectors `bsa_select_chunk` and
 `idw_rows_chunk` work on one block of a received-signal field; the
 tiled link walker in `simulation` runs them block by block, keeps the
-serving labels and writes the idw rows in place into padded buffers.
+serving labels and writes each block's padded idw rows in place into
+the pass's padded buffers.
 `weights_bsa` and `weights_idw` build the same rows from one dense
 field.
 """
@@ -130,11 +131,11 @@ class PixelWeights:
     """Per-pixel BTS weights, one padded row per pixel of `pixel_ids`.
 
     `col` is pixels x width integers: a row's entries come first, as
-    ascending indices into `bts_ids`, then -1 pads; a row of pads marks
-    an uncovered pixel.  `w` has `col`'s shape, with 0 at the pads, or
-    is None for one-hot rows: each entry then weighs 1.  The checks
-    here are per row, never per entry, so they add no pixels x width
-    array.
+    indices into `bts_ids` in any order with each at most once, then -1
+    pads; a row of pads marks an uncovered pixel.  `w` has `col`'s
+    shape, with 0 at the pads, or is None for one-hot rows: each entry
+    then weighs 1.  The checks here are per row, never per entry, so
+    they add no pixels x width array.
     """
 
     scheme: str
@@ -278,32 +279,32 @@ def check_idw(s: float, k: int) -> None:
 
 def idw_rows_chunk(
     rss_chunk: np.ndarray, live_chunk: np.ndarray, s: float, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """IDW weights per row over the k strongest live links.
 
     Columns must already be in ascending bts_id order, and `live_chunk`
     be `rss_chunk >= threshold` as for `bsa_select_chunk`.  Returns
-    CSR-style (counts, col, w) with cols ascending within each row.  The
-    signal "distance" is |rss| clamped below at 1 to keep 1/|rss|^s finite.
+    padded rows (col, w), min(k, columns) wide: each row's live picks,
+    strongest first with ties to the lower column, then -1 pads with
+    weight 0.  The signal "distance" is |rss| clamped below at 1 to keep
+    1/|rss|^s finite.
     """
     check_idw(s, k)
-    n, j = rss_chunk.shape
-    kk = min(int(k), j)
-    order = np.argsort(-rss_chunk, axis=1, kind="stable")[:, :kk]
-    top = np.take_along_axis(rss_chunk, order, axis=1)
-    sel_live = np.take_along_axis(live_chunk, order, axis=1)
+    kk = min(int(k), rss_chunk.shape[1])
+    # a copy, so the rows x columns order is freed here
+    col = np.argsort(-rss_chunk, axis=1, kind="stable")[:, :kk].copy()
+    live = np.take_along_axis(live_chunk, col, axis=1)
+    top = np.take_along_axis(rss_chunk, col, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        v = np.where(sel_live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
-    tot = v.sum(axis=1)
-    counts = sel_live.sum(axis=1).astype(np.int64)
-    if np.any((counts > 0) & (tot == 0)):
+        w = np.where(live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
+    tot = w.sum(axis=1)
+    # live picks sort first, so a row has one iff its first pick is live
+    if np.any(live[:, :1] & (tot[:, None] == 0)):
         raise ValueError(f"idw exponent s={s} is too large: 1/|rss|^s underflows to 0 "
                          "on every live link of a pixel")
-    rows = np.repeat(np.arange(n), kk)[sel_live.ravel()]
-    cols = order.ravel()[sel_live.ravel()]
-    w = (v / np.where(tot > 0, tot, 1.0)[:, None]).ravel()[sel_live.ravel()]
-    reorder = np.lexsort((cols, rows))
-    return counts, cols[reorder], w[reorder]
+    w /= np.where(tot > 0, tot, 1.0)[:, None]
+    col[~live] = -1
+    return col, w
 
 
 def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -> WeightMatrix:
@@ -313,7 +314,9 @@ def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -
     entries sum into bins of (area, 1 + column), taken `_REDUCE_ENTRIES`
     entries' worth of rows at a time: `np.add.at` adds them in row-major
     order, so every bin sums its entries in the order of one `bincount`
-    over them all, and a one-hot row adds exactly 1.  A pad (column -1)
+    over them all, and a one-hot row adds exactly 1.  A row adds at most
+    one entry to a bin, so the order of its entries does not change a
+    byte.  A pad (column -1)
     falls into its area's column slot 0, and a pixel outside every area
     into a spill row of bins; both are sliced off.  Areas without a
     covered pixel get no coverage.  The input is never written.
@@ -361,12 +364,8 @@ def weights_bsa(rss: RssField) -> PixelWeights:
 def weights_idw(rss: RssField, s: float = 2.0, k: int = 5) -> PixelWeights:
     """Inverse-signal-strength weights over the k strongest live links,
     min(k, antennas) wide.  Columns must ascend by bts_id."""
-    counts, col, w = idw_rows_chunk(rss.rss_dbm, rss.live, s, k)
-    slot = np.arange(min(int(k), len(rss.bts_ids))) < counts[:, None]
-    rows_col = np.full(slot.shape, -1, dtype=np.int64)
-    rows_w = np.zeros(slot.shape)
-    rows_col[slot], rows_w[slot] = col, w
-    return PixelWeights(SCHEME_IDW, rss.pixel_ids, rss.bts_ids, rows_col, rows_w)
+    return PixelWeights(SCHEME_IDW, rss.pixel_ids, rss.bts_ids,
+                        *idw_rows_chunk(rss.rss_dbm, rss.live, s, k))
 
 
 # --- aggregation -------------------------------------------------------------

@@ -394,9 +394,8 @@ def assign_poverty(raster: SettlementRaster, cfg: SimConfig, rng) -> np.ndarray:
         raise ValueError("population raster is empty")
     mu = rng.uniform(0.0, 1.0, nbr * nbc) * (1.0 - density / top)
 
-    settlements = extract_settlements(raster)
-    mu_at = mu[(settlements.rows // b) * nbc + settlements.cols // b]
-    rates = mu_at + cfg.poverty_sigma * rng.standard_normal(len(settlements))
+    r, c = np.nonzero(raster.settled)  # extract_settlements' order
+    rates = mu[(r // b) * nbc + c // b] + cfg.poverty_sigma * rng.standard_normal(r.size)
     return np.clip(rates, 0.0, 1.0)
 
 
@@ -456,11 +455,9 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
         new_cx = np.where(wsum > 0, nx / np.maximum(wsum, 1e-300), cx)
         new_cy = np.where(wsum > 0, ny / np.maximum(wsum, 1e-300), cy)
         for j in np.nonzero(wsum == 0)[0]:  # re-seed empty clusters, farthest first
-            dmin = np.full(n, np.inf)
-            for jj in range(k):
-                if wsum[jj] > 0 or jj < j:
-                    dmin = np.minimum(dmin, (x - new_cx[jj]) ** 2 + (y - new_cy[jj]) ** 2)
-            far = int(np.argmax(dmin))
+            alive = np.flatnonzero((wsum > 0) | (np.arange(k) < j))
+            near = alive[nearest_index(x, y, new_cx[alive], new_cy[alive])]
+            far = int(np.argmax((x - new_cx[near]) ** 2 + (y - new_cy[near]) ** 2))
             new_cx[j], new_cy[j] = x[far], y[far]
         shift2 = (new_cx - cx) ** 2 + (new_cy - cy) ** 2  # a re-seed's jump included
         moved = np.max(shift2)
@@ -640,11 +637,11 @@ def _tiled_pass(
     pixel's cell mask (built per block), in blocks of at most
     `_RSS_ENTRIES` links, a quarter of that when the block gets idw rows
     (at least one pixel), so memory stays bounded whatever the site
-    count.  Each settlement's idw row is written in place into padded
-    buffers, int32 columns and float64 weights (-1 and 0 after its
-    entries), as wide as the widest top-k width a tile has needed (at
-    most the site count); the pass returns them as they are, as the
-    `PixelWeights` of the settlements.
+    count.  Each settlement's idw row, as `idw_rows_chunk` gives it, is
+    written in place into padded buffers, int32 columns and float64
+    weights (-1 and 0 after its entries), as wide as the widest top-k
+    width a tile has needed (at most the site count); the pass returns
+    them as they are, as the `PixelWeights` of the settlements.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -740,11 +737,10 @@ def _tiled_pass(
                     sel = bsa_select_chunk(rss.rss_dbm, live)
                     flat_labels[g_pid[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
                     if rows_wanted:
-                        n, c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, idw_k)
-                        flat = np.arange(c.size) + np.repeat(  # row start + place in the row
-                            owner[block].astype(np.intp) * row_w.shape[1] - np.cumsum(n) + n, n)
-                        np.put(row_col, flat, g_keep[c])
-                        np.put(row_w, flat, v)
+                        c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, idw_k)
+                        # pads map through the appended -1 and stay pads
+                        row_col[owner[block], :c.shape[1]] = np.append(g_keep, -1)[c]
+                        row_w[owner[block], :c.shape[1]] = v
     assignment = Assignment(grid, ids, labels)
     if idw is None:
         return assignment, None

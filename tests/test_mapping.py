@@ -43,8 +43,8 @@ from covmap.mapping import (
     weights_voronoi,
 )
 from covmap.propagation import RssField
-from conftest import traced_peak
-from weight_rows import pixel_csr, pixel_weights, rows_of, weight_matrix
+from conftest import traced_held, traced_peak
+from weight_rows import entries_by_column, pixel_csr, rows_of, weight_matrix
 
 
 def make_field(pixel_ids, bts_ids, rss, threshold=-110.0):
@@ -482,18 +482,37 @@ def test_selectors_equal_the_remasking_selectors(rss, dead_rows, k, s):
             rss[i] = np.minimum(rss[i], -120.0)
     live = make_field(np.arange(rss.shape[0]), [f"b{j}" for j in range(rss.shape[1])], rss).live
     assert bsa_select_chunk(rss, live).tobytes() == _remasked_bsa(rss, live).tobytes()
-    for got, want in zip(idw_rows_chunk(rss, live, s, k), _remasked_idw(rss, live, s, k)):
+    col, w = idw_rows_chunk(rss, live, s, k)
+    assert col.shape == w.shape == (rss.shape[0], min(k, rss.shape[1]))
+    for got, want in zip(entries_by_column(col, w), _remasked_idw(rss, live, s, k)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the entries keep the selector's order: strongest first, ties to the lower column
+    level = np.take_along_axis(rss, np.maximum(col, 0), axis=1)
+    later = (col[:, 1:] >= 0) & ((level[:, 1:] > level[:, :-1])
+                                 | ((level[:, 1:] == level[:, :-1]) & (col[:, 1:] < col[:, :-1])))
+    assert not later.any()
 
 
 def test_field_without_antennas_is_uncovered():
     field = make_field([4, 7, 9], [], np.empty((3, 0)))
     assert bsa_select_chunk(field.rss_dbm, field.live).tolist() == [UNASSIGNED] * 3
-    counts, col, w = idw_rows_chunk(field.rss_dbm, field.live, 2.0, 5)
-    assert counts.tolist() == [0, 0, 0] and col.size == 0 and w.size == 0
+    col, w = idw_rows_chunk(field.rss_dbm, field.live, 2.0, 5)
+    assert col.shape == w.shape == (3, 0)
     for pw in (weights_bsa(field), weights_idw(field)):
         assert pw.bts_ids == [] and pixel_csr(pw)[0].tolist() == [0, 0, 0, 0]
         assert not pw.covered.any()
+
+
+def test_idw_rows_hold_their_width_not_the_order():
+    """`idw_rows_chunk`'s rows own their bytes: min(k, columns) slots of
+    an int64 column and a float64 weight each, not a view that keeps the
+    rows x columns order it sorted alive."""
+    rng = np.random.default_rng(3)
+    n, m, k = 20_000, 40, 5
+    rss = rng.uniform(-140.0, -40.0, (n, m))
+    live = rss >= -110.0
+    held = traced_held(lambda: idw_rows_chunk(rss, live, 2.0, k))
+    assert held < 16 * n * k + 64 * 1024, (held, 8 * n * m)
 
 
 def _dict_area_rows(pw, areas, grid):
@@ -539,6 +558,16 @@ def _dict_aggregate(area_ids, rows, covariates, column, statistic):
     return out
 
 
+def _idw_rows(pixel_ids, bts_ids, rows, width) -> PixelWeights:
+    """Idw pixel rows `width` wide: each of `rows`' (columns, weights)
+    entries first, then -1 pads with weight 0."""
+    col = np.full((len(rows), width), -1, dtype=np.int64)
+    w = np.zeros(col.shape)
+    for i, (c, v) in enumerate(rows):
+        col[i, :len(c)], w[i, :len(c)] = c, v
+    return PixelWeights("idw", pixel_ids, bts_ids, col, w)
+
+
 @st.composite
 def _pixel_rows_world(draw):
     """Pixel rows over mask areas in a shuffled id order, with pixels
@@ -554,18 +583,16 @@ def _pixel_rows_world(draw):
     nbts = draw(st.integers(1, 5))
     bts_ids = [f"b{j}" for j in range(nbts)]
     pixel_ids = draw(st.lists(st.integers(0, grid.npixels - 1), min_size=1, unique=True))
-    counts, col, w = [], [], []
+    rows = []
     for _ in pixel_ids:
         cols = sorted(draw(st.sets(st.integers(0, nbts - 1))))
         raw = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 10.0),
                             min_size=len(cols), max_size=len(cols)))
         if cols and sum(raw) == 0:
             raw[0] = 1.0
-        counts.append(len(cols))
-        col += cols
-        w += [r / sum(raw) for r in raw]
-    pw = pixel_weights("idw", pixel_ids, bts_ids, counts, col, w,
-                       width=max(counts) + draw(st.integers(0, 2)))
+        rows.append((cols, [r / sum(raw) for r in raw]))
+    pw = _idw_rows(pixel_ids, bts_ids, rows,
+                   max(len(c) for c, _ in rows) + draw(st.integers(0, 2)))
     values = draw(hnp.arrays(np.float64, nbts, elements=st.floats(-100.0, 100.0)))
     gaps = draw(st.lists(st.tuples(st.integers(0, nbts - 1), st.sampled_from(["absent", "nan"])),
                          max_size=2))
@@ -696,16 +723,14 @@ def _padded_rows_world(draw):
     sel = draw(st.lists(st.integers(UNASSIGNED, nbts - 1), min_size=len(pixel_ids),
                         max_size=len(pixel_ids)))
     k = draw(st.integers(1, min(10, nbts)))
-    counts, col, w = [], [], []
+    rows = []
     for _ in pixel_ids:
         cols = sorted(draw(st.sets(st.integers(0, nbts - 1), max_size=k)))
         raw = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=len(cols),
                                      max_size=len(cols))))
-        counts.append(len(cols))
-        col += cols
-        w += (raw / raw.sum()).tolist() if cols else []
-    width = k + draw(st.integers(0, 2))
-    return areas, grid, pixel_ids, bts_ids, sel, (counts, col, w, width), draw(st.integers(1, 64))
+        rows.append((cols, (raw / raw.sum()).tolist() if cols else []))
+    idw = _idw_rows(pixel_ids, bts_ids, rows, k + draw(st.integers(0, 2)))
+    return areas, grid, pixel_ids, bts_ids, sel, idw, draw(st.integers(1, 64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -714,13 +739,10 @@ def test_padded_reducer_equals_the_csr_reducer(world):
     """Byte for byte, the padded reducer's area rows equal the CSR path's:
     one-hot CSR rows with an array of ones for the serving labels, CSR
     idw rows, and one `bincount` over one key per entry."""
-    areas, grid, pixel_ids, bts_ids, sel, (counts, col, w, width), block = world
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    idw = pixel_weights("idw", pixel_ids, bts_ids, counts, col, w, width=width)
+    areas, grid, pixel_ids, bts_ids, sel, idw, block = world
     bsa = bsa_pixel_weights(pixel_ids, bts_ids, np.array(sel, dtype=np.int32))
     before = [(pw.col.copy(), None if pw.w is None else pw.w.copy()) for pw in (idw, bsa)]
-    cases = ((idw, (indptr, np.array(col, dtype=np.int64), np.array(w))),
-             (bsa, _parent_bsa_rows(sel)))
+    cases = ((idw, pixel_csr(idw)), (bsa, _parent_bsa_rows(sel)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mapping, "_REDUCE_ENTRIES", block)
         for pw, csr in cases:
@@ -732,6 +754,27 @@ def test_padded_reducer_equals_the_csr_reducer(world):
     # the reducer never writes into its input
     for pw, (c, v) in zip((idw, bsa), before):
         assert np.array_equal(pw.col, c) and (v is None or np.array_equal(pw.w, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=_padded_rows_world(), seed=st.integers(0, 2**32 - 1))
+def test_reducer_bytes_ignore_the_order_within_rows(world, seed):
+    """Pixel rows hold their entries first, each column at most once,
+    then pads, in no set order: permuting the entries within each row
+    leaves the reducer's area rows unchanged byte for byte."""
+    areas, grid, pixel_ids, bts_ids, _, idw, block = world
+    entry = idw.col >= 0
+    perm = np.argsort(np.where(entry, np.random.default_rng(seed).random(entry.shape), 2.0),
+                      axis=1, kind="stable")
+    shuffled = PixelWeights("idw", pixel_ids, bts_ids, np.take_along_axis(idw.col, perm, 1),
+                            np.take_along_axis(idw.w, perm, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mapping, "_REDUCE_ENTRIES", block)
+        got = area_weights_from_pixels(shuffled, areas, grid)
+        want = area_weights_from_pixels(idw, areas, grid)
+    for name in ("indptr", "col", "w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestAggregate:

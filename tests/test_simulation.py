@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covmap import geo, propagation, simulation
@@ -18,6 +18,7 @@ from covmap.geo import (
     extract_settlements,
 )
 from covmap.mapping import (
+    PixelWeights,
     bsa_select_chunk,
     idw_rows_chunk,
     weights_bsa,
@@ -58,7 +59,7 @@ from covmap.simulation import (
     urban_block_mask,
 )
 from conftest import traced_held, traced_peak
-from weight_rows import pixel_csr, pixel_weights
+from weight_rows import entries_by_column, pixel_csr
 
 
 def tiny_config(**over):
@@ -488,8 +489,16 @@ def _weighted_points(draw):
 
 
 class TestBoundedLloyd:
+    # each example runs a Lloyd step that empties a cluster and re-seeds it
+    # at a positive distance from every live centre, which random draws
+    # reach about once in 30,000 tries
     @settings(max_examples=400, deadline=None)
     @given(points=_weighted_points(), seed=st.integers(0, 2**32 - 1))
+    @example(points=(np.array([0.0, 6.0, 2.0, 0.0, 5.0]), np.array([2.0, 0.0, 5.0, 6.0, 1.0]),
+                     np.array([4.0, 4.0, 4.0, 2.0, 4.0]), 3, 30), seed=679716067)
+    @example(points=(np.array([5.0, 6.0, 0.0, 1.0, 0.0, 3.0, 0.0, 0.0]),
+                     np.array([3.0, 0.0, 6.0, 4.0, 2.0, 2.0, 1.0, 4.0]),
+                     np.array([3.0, 1.0, 4.0, 1.0, 4.0, 4.0, 2.0, 1.0]), 4, 30), seed=1329855425)
     def test_equals_the_dense_loop(self, points, seed):
         x, y, w, k, iters = points
         rng_dense, rng_bounded = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -841,7 +850,13 @@ def _assert_same_rows(got, want):
     assert (got.w is None) == (want.w is None)
     assert got.pixel_ids.dtype == want.pixel_ids.dtype
     assert got.pixel_ids.tobytes() == want.pixel_ids.tobytes()
-    for name, a, b in zip(("indptr", "col", "w"), pixel_csr(got), pixel_csr(want)):
+    _assert_csr(got, pixel_csr(want))
+
+
+def _assert_csr(got, csr):
+    """`got`'s rows equal the CSR rows `csr` = (indptr, col, w) byte for
+    byte, entry by entry in row order."""
+    for name, a, b in zip(("indptr", "col", "w"), pixel_csr(got), csr):
         assert a.tobytes() == b.tobytes(), name
 
 
@@ -962,8 +977,8 @@ class TestLevelPruning:
         live = field.live
         labels = bsa_select_chunk(field.rss_dbm, live)
         at = settlements.ids
-        counts, col, w = idw_rows_chunk(field.rss_dbm[at], live[at], s, k)
-        want_idw = pixel_weights("idw", at, field.bts_ids, counts, col, w)
+        want_idw = PixelWeights("idw", at, field.bts_ids,
+                                *idw_rows_chunk(field.rss_dbm[at], live[at], s, k))
         only = np.full(npx, UNASSIGNED)
         only[at] = labels[at]
         with pytest.MonkeyPatch.context() as mp:
@@ -998,10 +1013,11 @@ class TestLevelPruning:
 
 
 def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
-    """Idw rows assembled as the walker once did: per tile, `idw_rows_chunk`
-    on the unpruned block of its settled pixels over the sites that reach
-    the pass's pixels there, the pieces kept as owner/column/weight lists,
-    and one stable sort on the owners to put them in settlement order."""
+    """Idw rows assembled as the walker once did, as CSR (indptr, col, w):
+    per tile, `idw_rows_chunk` on the unpruned block of its settled
+    pixels over the sites that reach the pass's pixels there, the rows'
+    entries kept as owner/column/weight pieces, and one stable sort on
+    the owners to put them in settlement order."""
     npx = cfg.grid.npixels
     x, y = cfg.grid.pixel_centers()
     radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
@@ -1023,15 +1039,15 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
         field = rss_field([specs[j] for j in keep], here, x[here], y[here], env[here],
                           radii_km=radii[keep], candidates=np.ones((here.size, keep.size), bool),
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
-        n, cols, v = idw_rows_chunk(field.rss_dbm, field.live, s, k)
-        owner.append(np.repeat(at[here], n))
-        col.append(keep[cols])
-        w.append(v)
+        cols, v = idw_rows_chunk(field.rss_dbm, field.live, s, k)
+        entry = cols >= 0
+        owner.append(np.repeat(at[here], np.count_nonzero(entry, axis=1)))
+        col.append(keep[cols[entry]])
+        w.append(v[entry])
     owner = np.concatenate(owner)
     order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=len(settlements))
-    return pixel_weights("idw", settlements.ids, [sp.bts_id for sp in specs], counts,
-                         np.concatenate(col)[order], np.concatenate(w)[order])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(settlements)))])
+    return indptr, np.concatenate(col)[order], np.concatenate(w)[order]
 
 
 def _offered_links(cfg, specs, env, settlements, idw, tile):
@@ -1083,8 +1099,10 @@ class TestGroupedWalker:
             for settled_only, want in ((False, labels), (True, only)):
                 got, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
                 assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
-                _assert_same_rows(pw, _assembled_idw_rows(cfg, specs, env, settlements, s, k,
-                                                          tile, settled_only))
+                assert pw.scheme == "idw" and pw.bts_ids == [sp.bts_id for sp in specs]
+                assert pw.pixel_ids.tobytes() == settlements.ids.astype(np.int64).tobytes()
+                _assert_csr(pw, _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile,
+                                                    settled_only))
         with_rows, kinds = _offered_links(cfg, specs, env, settlements, (s, k), tile)
         assert all(len(kind) == 1 for kind in kinds)
         without_rows, _ = _offered_links(cfg, specs, env, settlements, None, tile)
@@ -1118,10 +1136,11 @@ def test_idw_rows_keep_the_unpruned_top_k_width():
                       rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
     live = field.live
     assert live[:, :5].all() and not live[:, 5:].any()
-    counts, col, w = idw_rows_chunk(field.rss_dbm, live, s, k)
-    unpruned = pixel_weights("idw", settlements.ids, field.bts_ids, counts, col, w)
-    live_only = idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k)[2]
-    assert live_only.tobytes() != w.tobytes()
+    unpruned = PixelWeights("idw", settlements.ids, field.bts_ids,
+                            *idw_rows_chunk(field.rss_dbm, live, s, k))
+    live_only = idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k)
+    assert (entries_by_column(*live_only)[2].tobytes()
+            != entries_by_column(unpruned.col, unpruned.w)[2].tobytes())
     _, pw, calls = _tiled_run(cfg, specs, env, settlements, s, k)
     assert calls == [(x.size, k)] and pw.col.shape == (x.size, k)
     _assert_same_rows(pw, unpruned)
