@@ -5,6 +5,11 @@ numbers, LF newlines — so identical inputs produce byte-identical
 files.  Every loader validates strictly and reports the offending line;
 nothing is silently coerced.  Coordinates are projected metres
 throughout; CRS handling is upstream tooling.
+
+ASCII grids are written and read without a Python loop per cell: the
+writer formats each distinct value once and gathers its word per cell,
+and the loader parses the data rows with `np.loadtxt`, keeping the
+strict per-line parse for any file that parse rejects.
 """
 
 from __future__ import annotations
@@ -51,11 +56,26 @@ def ascii_grid_string(
     nodata_mask: np.ndarray | None = None,
     nodata_value: float = NODATA_DEFAULT,
 ) -> str:
-    """Render an array as an ESRI ASCII grid (row 0 = north)."""
+    """Render an array as an ESRI ASCII grid (row 0 = north).
+
+    Each cell is `fmt12` of its value (of `nodata_value` under the mask),
+    cells are space-separated and every line ends in LF.  Each distinct
+    value is formatted once and its word gathered per cell.  A cell that
+    would not load back (NaN or infinite outside the mask, or a
+    non-finite `nodata_value`) is a ValueError.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-    out = [
+    if not math.isfinite(nodata_value):
+        raise ValueError(f"nodata_value must be finite, got {nodata_value!r}")
+    body = values if nodata_mask is None else np.where(nodata_mask, nodata_value, values)
+    bad = ~np.isfinite(body)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(f"non-finite cell {float(body[r, c])!r} at row {r}, column {c} "
+                         "outside the nodata mask")
+    header = [
         f"ncols {grid.ncols}",
         f"nrows {grid.nrows}",
         f"xllcorner {fmt12(grid.origin_x)}",
@@ -63,10 +83,17 @@ def ascii_grid_string(
         f"cellsize {fmt12(grid.cell_size_m)}",
         f"NODATA_value {fmt12(nodata_value)}",
     ]
-    body = values if nodata_mask is None else np.where(nodata_mask, nodata_value, values)
-    for r in range(grid.nrows):
-        out.append(" ".join(fmt12(v) for v in body[r]))
-    return "\n".join(out) + "\n"
+    # each distinct value's word and separator, NUL-padded to one width
+    uniq, inv = np.unique(body, return_inverse=True)
+    words = np.array([fmt12(v) + " " for v in uniq.tolist()], dtype=np.bytes_)
+    table = words.view(np.uint8).reshape(uniq.size, words.itemsize)
+    inv = inv.reshape(body.shape)
+    cells = table[inv]
+    # each row's last separator ends the line
+    sep = np.count_nonzero(table, axis=1) - 1
+    cells[np.arange(grid.nrows), -1, sep[inv[:, -1]]] = ord("\n")
+    text = cells.ravel()
+    return "\n".join(header) + "\n" + text[text != 0].tobytes().decode("ascii")
 
 
 def save_ascii_grid(path, values, grid: Grid, nodata_mask=None,
@@ -81,7 +108,12 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
 
     Returns (values, grid, nodata mask or None, nodata value).  The
     header must list ncols, nrows, xllcorner, yllcorner, cellsize (and
-    optionally NODATA_value) in that standard order.
+    optionally NODATA_value) in that standard order.  The data rows are
+    parsed by `np.loadtxt`, whose values are those of `float()`; the
+    result is kept only when it is nrows x ncols and finite.  Otherwise
+    the strict per-line parse reads the rows again: it names the line of
+    the first bad row, and it reads what `float()` takes but `loadtxt`
+    does not (underscores, non-ASCII digits or spaces).
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header: dict[str, float] = {}
@@ -124,7 +156,24 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
         data_lines.pop()
     if len(data_lines) != nrows:
         raise _err(path, i + 1, f"expected {nrows} data rows, found {len(data_lines)}")
-    values = np.empty((nrows, ncols), dtype=np.float64)
+    try:
+        values = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (nrows, ncols) or not np.isfinite(values).all():
+        values = _parse_grid_rows(path, data_lines, i, ncols)
+    mask = None
+    if nodata is not None:
+        mask = values == nodata
+        if not mask.any():
+            mask = None
+    return values, grid, mask, nodata if nodata is not None else NODATA_DEFAULT
+
+
+def _parse_grid_rows(path, data_lines: list[str], i: int, ncols: int) -> np.ndarray:
+    """`float()` of each whitespace-split token, row by row; `data_lines`
+    start at file line i + 1, which the error for a bad row names."""
+    values = np.empty((len(data_lines), ncols), dtype=np.float64)
     for r, line in enumerate(data_lines):
         parts = line.split()
         if len(parts) != ncols:
@@ -137,12 +186,7 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
         if not np.isfinite(values[r]).all():
             bad = parts[int(np.argmin(np.isfinite(values[r])))]
             raise _err(path, i + r + 1, f"non-finite cell {bad!r}")
-    mask = None
-    if nodata is not None:
-        mask = values == nodata
-        if not mask.any():
-            mask = None
-    return values, grid, mask, nodata if nodata is not None else NODATA_DEFAULT
+    return values
 
 
 def _is_float(s: str) -> bool:

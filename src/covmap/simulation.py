@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -519,11 +518,13 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
     classes), env derived from served-cluster sizes.
     """
     rng = np.random.default_rng(rng)
-    settlements = extract_settlements(raster)
-    if len(settlements) == 0:
+    rows, cols = np.nonzero(raster.settled)  # extract_settlements' order
+    if rows.size == 0:
         raise ValueError("cannot place BTS on an empty world")
-    urban = urban_block_mask(cfg)
-    in_urban = urban[settlements.rows, settlements.cols]
+    in_urban = urban_block_mask(cfg)[rows, cols]
+    x, y = raster.grid.centers(rows, cols)
+    counts = raster.counts[rows, cols].astype(np.float64)
+    del rows, cols  # not held through the k-means
 
     n_urban_bts = max(1, _round_half_up(cfg.population * cfg.urban_share / cfg.urban_pop_per_bts))
     n_rural_bts = max(
@@ -535,8 +536,8 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
         ("urban", in_urban, n_urban_bts),
         ("rural", ~in_urban, n_rural_bts),
     ):
-        px, py = settlements.x[mask_sel], settlements.y[mask_sel]
-        w = settlements.counts[mask_sel]
+        px, py = x[mask_sel], y[mask_sel]
+        w = counts[mask_sel]
         if px.size == 0:
             continue
         k = min(k, px.size)
@@ -552,7 +553,7 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
     ids = [f"bts_{i:0{width}d}" for i in range(n)]
 
     # served-cluster sizes over all settlement pixels -> env classes
-    lab = nearest_index(settlements.x, settlements.y, sx, sy)
+    lab = nearest_index(x, y, sx, sy)
     sizes = np.bincount(lab, minlength=n)
     env = classify_env_by_cluster_size(sizes, cfg.env_urban_quantile, cfg.env_rural_quantile)
 
@@ -1230,6 +1231,9 @@ def run_study(cfg: SimConfig, jobs: int = 1) -> StudyResult:
     if jobs <= 1 or cfg.rounds == 1:
         per_round = [_round_worker(t) for t in tasks]
     else:
+        # imported here so that `import covmap.cli` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.rounds)) as pool:
             per_round = list(pool.map(_round_worker, tasks))
     records = [rec for batch in per_round for rec in batch]

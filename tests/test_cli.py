@@ -36,6 +36,15 @@ def tree_bytes(root) -> dict[str, bytes]:
     }
 
 
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports covmap from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
     """One tiny simulate run with snapshot artifacts, shared read-only."""
@@ -73,12 +82,18 @@ class TestSimulate:
                 f"rc = covmap.cli.main(['simulate', '--config', {str(cfg_path)!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}]); "
                 "assert rc == 0 and 'scipy' not in sys.modules, rc")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = _run_python(code)
         assert done.returncode == 0, done.stderr
+
+    def test_import_loads_no_process_pool(self):
+        """`import covmap.cli` stays cheap: only a study run with more than
+        one job imports the process pool and multiprocessing."""
+        done = _run_python(
+            "import sys, covmap.cli; "
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
+            "or m.split('.')[0] == 'multiprocessing'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_two_runs_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -430,6 +430,26 @@ class TestPlaceBts:
             sizes, cfg.env_urban_quantile, cfg.env_rural_quantile
         )
 
+    def test_holds_no_settlement_ids_through_the_kmeans(self):
+        """Over the peak of its largest k-means, `place_bts` holds at most
+        seven words per settlement (coordinates and counts, and the
+        region's copies of them) and the one-byte urban mask: no
+        settlement ids, rows or cols."""
+        cfg = SimConfig.desk(seed=1)
+        raster = gen_population(cfg, np.random.default_rng(1))
+        rows, cols = np.nonzero(raster.settled)
+        rural = ~urban_block_mask(cfg)[rows, cols]
+        x, y = cfg.grid.centers(rows[rural], cols[rural])
+        w = raster.counts[rows[rural], cols[rural]].astype(np.float64)
+        k = simulation._round_half_up(
+            cfg.population * (1.0 - cfg.urban_share) / cfg.rural_pop_per_bts)
+        assert rural.mean() > 0.5  # the rural region's k-means is the larger one
+        kmeans = traced_peak(lambda: simulation._weighted_kmeans(
+            x, y, w, k, np.random.default_rng(2), cfg.kmeans_iters))
+        peak = traced_peak(lambda: place_bts(raster, cfg, np.random.default_rng(2)))
+        bound = kmeans + 7 * 8 * rows.size + cfg.grid.npixels
+        assert peak < bound, (peak, bound)
+
 
 def _dense_weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense Lloyd loop that `_weighted_kmeans` replaced, kept as its
