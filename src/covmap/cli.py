@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from covmap import io
-from covmap.geo import extract_settlements, voronoi_assign
+from covmap.geo import AreaOverlapError, extract_settlements, voronoi_assign
 from covmap.mapping import (
     aggregate,
     area_weights_from_pixels,
@@ -224,15 +224,13 @@ def cmd_coverage(args) -> int:
     labels = assignment.labels
     dead = labels < 0
 
-    lines = ["label,bts_id,pixels"]
-    counts = np.bincount(labels[~dead], minlength=len(specs))
-    for i, sp in enumerate(specs):
-        lines.append(f"{i},{sp.bts_id},{int(counts[i])}")
+    counts = np.bincount(labels[~dead], minlength=len(specs)).tolist()
+    servers = ((str(i), sp.bts_id, str(n)) for i, (sp, n) in enumerate(zip(specs, counts)))
     io.save_outputs(
         args.out,
         extra={
             "coverage.asc": io.ascii_grid_string(labels.astype(np.float64), grid, dead),
-            "servers.csv": "\n".join(lines) + "\n",
+            "servers.csv": io._csv_text("label,bts_id,pixels", servers),
         },
     )
     print(f"dead pixels: {int(dead.sum())} / {labels.size}")
@@ -274,10 +272,8 @@ def cmd_weights(args) -> int:
         wm = area_weights_from_pixels(pw, areas, grid)
 
     key = args.scheme.replace("-", "_")
-    summary = (
-        "areas_covered,areas_no_coverage\n"
-        f"{len(wm.covered_ids)},{len(wm.no_coverage_ids)}\n"
-    )
+    summary = io._csv_text("areas_covered,areas_no_coverage",
+                           [(str(len(wm.covered_ids)), str(len(wm.no_coverage_ids)))])
     io.save_outputs(
         args.out,
         weight_matrices={key: wm},
@@ -297,21 +293,25 @@ def cmd_weights(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    area_ids = None
-    if args.areas:
-        area_ids = list(io.load_areas_geojson(args.areas).area_ids)
-    wm = io.load_weights_csv(args.weights, area_ids=area_ids)
+    area_ids = io.load_areas_geojson(args.areas).area_ids if args.areas else None
+    wm = io.load_weights_csv(args.weights)
+    if area_ids is None:
+        area_ids = wm.area_ids
+    unknown = sorted(set(wm.area_ids) - set(area_ids))
+    if unknown:
+        raise ValueError(f"{args.weights}: weights reference area ids {unknown} "
+                         f"missing from {args.areas}")
     table = io.load_covariates_csv(args.covariates)
     names = sorted(table.columns)
-    per_column = {name: aggregate(wm, table, name, args.stat) for name in names}
-    lines = ["area_id," + ",".join(names)]
-    for aid in sorted(wm.area_ids):
-        cells = [aid]
-        for name in names:
-            v = per_column[name][aid]
-            cells.append("" if v is None else io.fmt12(v))
-        lines.append(",".join(cells))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        per_column = {name: aggregate(wm, table, name, args.stat) for name in names}
+    except ValueError as exc:
+        raise ValueError(f"{args.covariates} with {args.weights}: {exc}") from None
+    rows = []
+    for aid in sorted(area_ids):
+        values = [per_column[name].get(aid) for name in names]
+        rows.append([aid] + ["" if v is None else io.fmt12(v) for v in values])
+    Path(args.out).write_text(io._csv_text("area_id," + ",".join(names), rows), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
@@ -451,6 +451,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except AreaOverlapError as exc:  # areas are painted late; only an --areas file can overlap
+        print(f"error: {args.areas}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -427,6 +427,10 @@ def _cell_span(lo: float, hi: float, n: int) -> slice:
     return slice(math.floor(min(max(lo - 2.5, 0.0), n)), math.ceil(min(max(hi + 2.5, 0.0), n)))
 
 
+class AreaOverlapError(ValueError):
+    """Two statistical areas claim the same pixel."""
+
+
 class StatAreaSet:
     """Ordered set of disjoint statistical areas with unique string ids."""
 
@@ -491,7 +495,7 @@ class StatAreaSet:
             if np.any(clash):
                 r, c = np.argwhere(clash)[0] + (window[0].start, window[1].start)
                 other = self.areas[labels[r, c]].area_id
-                raise ValueError(
+                raise AreaOverlapError(
                     f"areas {other!r} and {a.area_id!r} overlap at pixel ({r}, {c})"
                 )
             sub[m] = idx

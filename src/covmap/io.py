@@ -2,14 +2,15 @@
 
 Every writer is deterministic — fixed key order, 12-significant-digit
 numbers, LF newlines — so identical inputs produce byte-identical
-files.  Every loader validates strictly and reports the offending line;
-nothing is silently coerced.  Coordinates are projected metres
-throughout; CRS handling is upstream tooling.
+files.  Every loader validates strictly and names the file, and the
+line where it can; nothing is silently coerced.  Each format has one
+reader over strict UTF-8 (`_csv_rows`, `_json_doc`, `load_ascii_grid`),
+and `_csv_text` writes every CSV table.  Coordinates are projected
+metres within `COORD_LIMIT_M` of the origin; CRS handling is upstream.
 
-ASCII grids are written and read without a Python loop per cell: the
-writer formats each distinct value once and gathers its word per cell,
-and the loader parses the data rows with `np.loadtxt`, keeping the
-strict per-line parse for any file that parse rejects.
+ASCII grids have no Python loop per cell: the writer formats each distinct
+value once, and the loader parses rows with `np.loadtxt`, falling back to a
+strict per-line parse for any file that `loadtxt` rejects.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .propagation import AntennaSpec
 from .simulation import SimConfig
 
 NODATA_DEFAULT = -9999.0
+COORD_LIMIT_M = 1e12  # far beyond any projected CRS; squared distances stay finite
 
 
 def fmt12(x: float) -> str:
@@ -43,6 +45,38 @@ def fmt12(x: float) -> str:
 def _err(path, line: int | None, msg: str) -> ValueError:
     where = f"{path}" if line is None else f"{path}: line {line}"
     return ValueError(f"{where}: {msg}")
+
+
+def _text(path) -> str:
+    """The file's text, newlines untranslated; bytes that are not UTF-8
+    are an error naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _err(path, data.count(b"\n", 0, exc.start) + 1,
+                   f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+
+
+def _json_doc(path):
+    """The JSON value in a file; a syntax error names the file and line."""
+    try:
+        return json.loads(_text(path))
+    except json.JSONDecodeError as exc:
+        raise _err(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise _err(path, None, "invalid JSON: nested too deeply") from None
+
+
+def _number(path, line: int, what: str, word: str) -> float:
+    """`float(word)`, which must be finite; the errors name `what` it is."""
+    try:
+        v = float(word)
+    except ValueError:
+        raise _err(path, line, f"non-numeric {what} {word!r}") from None
+    if not math.isfinite(v):
+        raise _err(path, line, f"non-finite {what} {word!r}")
+    return v
 
 
 # --- ESRI ASCII grids --------------------------------------------------------
@@ -115,42 +149,37 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
     the first bad row, and it reads what `float()` takes but `loadtxt`
     does not (underscores, non-ASCII digits or spaces).
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    text = _text(path)
+    lines = text.splitlines()
     header: dict[str, float] = {}
-    i = 0
-    for key in _HEADER_KEYS:
+    for i, key in enumerate(_HEADER_KEYS):
         if i >= len(lines):
             raise _err(path, i + 1, f"missing header line {key!r}")
         parts = lines[i].split()
         if len(parts) != 2 or parts[0].lower() != key:
             raise _err(path, i + 1, f"expected header {key!r}, got {lines[i]!r}")
-        try:
-            header[key] = float(parts[1])
-        except ValueError:
-            raise _err(path, i + 1, f"non-numeric header value {parts[1]!r}") from None
-        if not np.isfinite(header[key]):
-            raise _err(path, i + 1, f"non-finite header value {parts[1]!r}")
-        i += 1
+        header[key] = _number(path, i + 1, "header value", parts[1])
+    i = len(_HEADER_KEYS)
     nodata = None
-    if i < len(lines) and lines[i].split() and lines[i].split()[0].lower() == "nodata_value":
-        parts = lines[i].split()
+    parts = lines[i].split() if i < len(lines) else []
+    if parts and parts[0].lower() == "nodata_value":
         if len(parts) != 2:
             raise _err(path, i + 1, f"malformed NODATA_value line {lines[i]!r}")
-        try:
-            nodata = float(parts[1])
-        except ValueError:
-            raise _err(path, i + 1, f"non-numeric NODATA_value {parts[1]!r}") from None
-        if not np.isfinite(nodata):
-            raise _err(path, i + 1, f"non-finite NODATA_value {parts[1]!r}")
+        nodata = _number(path, i + 1, "NODATA_value", parts[1])
         i += 1
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if ncols != header["ncols"] or nrows != header["nrows"] or ncols < 1 or nrows < 1:
-        raise _err(path, None, f"ncols/nrows must be positive integers")
+        raise _err(path, None, "ncols/nrows must be positive integers")
+    if ncols * nrows > len(text):  # each cell takes a character at least
+        raise _err(path, None, f"ncols x nrows exceeds the {len(text)} characters of the file")
     try:
         grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=header["cellsize"],
                     origin_x=header["xllcorner"], origin_y=header["yllcorner"])
     except ValueError as exc:
         raise _err(path, None, str(exc)) from None
+    x0, y0, cell = grid.origin_x, grid.origin_y, grid.cell_size_m
+    if max(abs(x0), abs(y0), abs(x0 + ncols * cell), abs(y0 + nrows * cell)) > COORD_LIMIT_M:
+        raise _err(path, None, f"grid extent beyond ±{COORD_LIMIT_M:g} m")
     data_lines = lines[i:]
     while data_lines and not data_lines[-1].strip():  # blank lines after the last row
         data_lines.pop()
@@ -214,6 +243,63 @@ def save_raster(path, raster: SettlementRaster,
                     raster.nodata, nodata_value)
 
 
+# --- CSV tables --------------------------------------------------------------
+
+
+def _csv_rows(path, header_ok, expected: str):
+    """A CSV file's stripped header, which must pass `header_ok` (else the
+    error quotes `expected`), and an iterator over its non-blank rows as
+    (line, fields) pairs.  A row wider or narrower than the header is an
+    error when the iterator reaches it, so a loader's errors come in row
+    order.  No field may hold a line break: a stray quote would swallow the
+    lines after it."""
+    from io import StringIO
+    reader = csv.reader(StringIO(_text(path), newline=""))
+    records: list[list[str]] = []
+    try:
+        for fields in reader:
+            if reader.line_num != len(records) + 1:
+                raise _err(path, len(records) + 1, "line break inside a quoted field")
+            records.append(fields)
+    except csv.Error as exc:
+        raise _err(path, len(records) + 1, str(exc)) from None
+    if not records:
+        raise _err(path, 1, "empty file")
+    header = [h.strip() for h in records[0]]
+    if not header_ok(header):
+        raise _err(path, 1, f"expected header {expected}, got {','.join(header)!r}")
+
+    def rows():
+        for line, fields in enumerate(records[1:], start=2):
+            if fields and len(fields) != len(header):
+                raise _err(path, line, f"expected {len(header)} fields, got {len(fields)}")
+            if fields:
+                yield line, fields
+
+    return header, rows()
+
+
+def _new_id(path, line: int, cell: str, seen: set[str]) -> str:
+    """The stripped bts_id in `cell`, added to `seen`; empty or seen is an error."""
+    bts_id = cell.strip()
+    if not bts_id:
+        raise _err(path, line, "empty bts_id")
+    if bts_id in seen:
+        raise _err(path, line, f"duplicate bts_id {bts_id!r}")
+    seen.add(bts_id)
+    return bts_id
+
+
+def _cell(v: float) -> str:
+    """A number's CSV cell; the empty cell is the one spelling of NaN."""
+    return fmt12(v) if math.isfinite(v) else ""
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header line and one line of comma-joined cells per row, each ending in LF."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
 # --- BTS tables --------------------------------------------------------------
 
 _BTS_FULL = ["bts_id", "x", "y", "height_m", "freq_mhz", "power_dbm"]
@@ -234,60 +320,34 @@ class BtsFile:
 
 
 def load_bts_csv(path) -> BtsFile:
-    """Read `bts_id,x,y[,height_m,freq_mhz,power_dbm]`; ids must be unique."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise _err(path, 1, "empty file")
-    header = [h.strip() for h in rows[0]]
-    if header == _BTS_FULL:
-        full = True
-    elif header == _BTS_POINTS:
-        full = False
-    else:
-        raise _err(path, 1, f"expected header {','.join(_BTS_FULL)} or "
-                            f"{','.join(_BTS_POINTS)}, got {','.join(header)!r}")
+    """Read `bts_id,x,y[,height_m,freq_mhz,power_dbm]`; ids must be unique
+    and |x|, |y| at most `COORD_LIMIT_M`."""
+    header, rows = _csv_rows(path, lambda h: h in (_BTS_FULL, _BTS_POINTS),
+                             f"{','.join(_BTS_FULL)} or {','.join(_BTS_POINTS)}")
+    full = header == _BTS_FULL
     seen: set[str] = set()
     points: list[tuple[str, float, float]] = []
     specs: list[AntennaSpec] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise _err(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-        bts_id = row[0].strip()
-        if not bts_id:
-            raise _err(path, lineno, "empty bts_id")
-        if bts_id in seen:
-            raise _err(path, lineno, f"duplicate bts_id {bts_id!r}")
-        seen.add(bts_id)
-        nums = []
-        for name, cell in zip(header[1:], row[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise _err(path, lineno, f"non-numeric {name} value {cell!r}") from None
-            if not np.isfinite(v):
-                raise _err(path, lineno, f"non-finite {name} value {cell!r}")
-            nums.append(v)
+    for line, fields in rows:
+        bts_id = _new_id(path, line, fields[0], seen)
+        nums = [_number(path, line, f"{n} value", c) for n, c in zip(header[1:], fields[1:])]
+        if max(abs(nums[0]), abs(nums[1])) > COORD_LIMIT_M:
+            raise _err(path, line, f"x or y beyond ±{COORD_LIMIT_M:g} m")
         points.append((bts_id, nums[0], nums[1]))
         if full:
             try:
                 specs.append(AntennaSpec(bts_id, *nums))
             except ValueError as exc:
-                raise _err(path, lineno, str(exc)) from None
+                raise _err(path, line, str(exc)) from None
     if not points:
         raise _err(path, None, "no BTS rows")
     return BtsFile(points, specs if full else None)
 
 
 def bts_csv_string(specs: list[AntennaSpec]) -> str:
-    lines = [",".join(_BTS_FULL)]
-    for s in specs:
-        lines.append(",".join([s.bts_id, fmt12(s.x), fmt12(s.y), fmt12(s.height_m),
-                               fmt12(s.freq_mhz), fmt12(s.power_dbm)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(",".join(_BTS_FULL), (
+        [s.bts_id] + [fmt12(v) for v in (s.x, s.y, s.height_m, s.freq_mhz, s.power_dbm)]
+        for s in specs))
 
 
 def save_bts_csv(path, specs: list[AntennaSpec]) -> None:
@@ -302,11 +362,7 @@ def load_areas_geojson(path) -> StatAreaSet:
 
     Feature order is preserved; ring coordinates are projected metres.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _err(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    doc = _json_doc(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise _err(path, None, "expected a GeoJSON FeatureCollection")
     features = doc.get("features", [])
@@ -335,11 +391,8 @@ def load_areas_geojson(path) -> StatAreaSet:
             raise _err(path, None,
                        f"feature {idx} ({area_id!r}): geometry must be Polygon or "
                        f"MultiPolygon, got {gtype!r}")
-        rings = []
         try:
-            for poly in polys:
-                for ring in poly:
-                    rings.append(np.asarray(ring, dtype=np.float64))
+            rings = [np.asarray(ring, dtype=np.float64) for poly in polys for ring in poly]
         except (TypeError, ValueError):
             raise _err(path, None, f"feature {idx} ({area_id!r}): malformed coordinates") from None
         pairs.append((area_id, rings))
@@ -355,66 +408,34 @@ def load_areas_geojson(path) -> StatAreaSet:
 def load_covariates_csv(path) -> CovariateTable:
     """Read `bts_id,<name>...`; empty cells are missing values (NaN), the
     only way to write one, so a non-finite number is an error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise _err(path, 1, "empty file")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2 or header[0] != "bts_id":
-        raise _err(path, 1, f"expected header bts_id,<column>..., got {','.join(header)!r}")
+    header, rows = _csv_rows(path, lambda h: len(h) >= 2 and h[0] == "bts_id",
+                             "bts_id,<column>...")
     names = header[1:]
     if len(set(names)) != len(names):
         raise _err(path, 1, "duplicate column names")
     ids: list[str] = []
     cols: dict[str, list[float]] = {n: [] for n in names}
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise _err(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-        bid = row[0].strip()
-        if not bid:
-            raise _err(path, lineno, "empty bts_id")
-        if bid in seen:
-            raise _err(path, lineno, f"duplicate bts_id {bid!r}")
-        seen.add(bid)
-        ids.append(bid)
-        for name, cell in zip(names, row[1:]):
+    for line, fields in rows:
+        ids.append(_new_id(path, line, fields[0], seen))
+        for name, cell in zip(names, fields[1:]):
             cell = cell.strip()
-            if cell == "":
-                cols[name].append(float("nan"))
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise _err(path, lineno, f"non-numeric {name} value {cell!r}") from None
-            if not np.isfinite(v):
-                raise _err(path, lineno, f"non-finite {name} value {cell!r}")
-            cols[name].append(v)
+            cols[name].append(_number(path, line, f"{name} value", cell) if cell else math.nan)
     return CovariateTable(ids, {n: np.array(v) for n, v in cols.items()})
 
 
 def covariates_csv_string(table: CovariateTable) -> str:
     names = sorted(table.columns)
-    lines = ["bts_id," + ",".join(names)]
-    for i, bid in enumerate(table.bts_ids):
-        cells = [bid]
-        for n in names:
-            v = table.columns[n][i]
-            cells.append("" if not np.isfinite(v) else fmt12(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv_text("bts_id," + ",".join(names),
+                     zip(table.bts_ids, *(map(_cell, table.columns[n]) for n in names)))
 
 
 # --- weight matrices ---------------------------------------------------------
 
 
 def weights_csv_string(wm: WeightMatrix) -> str:
-    lines = ["area_id,bts_id,weight"]
-    for aid, bid, w in wm.entries():
-        lines.append(f"{aid},{bid},{fmt12(w)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text("area_id,bts_id,weight",
+                     ((aid, bid, fmt12(w)) for aid, bid, w in wm.entries()))
 
 
 def load_weights_csv(path, area_ids: list[str] | None = None,
@@ -424,27 +445,21 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
     `area_ids` extends the universe beyond the covered areas in the
     file (needed to surface no-coverage areas downstream).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [h.strip() for h in rows[0]] != ["area_id", "bts_id", "weight"]:
-        raise _err(path, 1, "expected header area_id,bts_id,weight")
+    _, rows = _csv_rows(path, lambda h: h == ["area_id", "bts_id", "weight"],
+                        "area_id,bts_id,weight")
     data: dict[tuple[str, str], float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise _err(path, lineno, f"expected 3 fields, got {len(row)}")
-        aid, bid, cell = row[0].strip(), row[1].strip(), row[2].strip()
+    for line, fields in rows:
+        aid, bid, cell = (f.strip() for f in fields)
         if not aid or not bid:
-            raise _err(path, lineno, "empty area_id or bts_id")
+            raise _err(path, line, "empty area_id or bts_id")
         try:
             w = float(cell)
         except ValueError:
-            raise _err(path, lineno, f"non-numeric weight {cell!r}") from None
+            raise _err(path, line, f"non-numeric weight {cell!r}") from None
         if not (math.isfinite(w) and w > 0):
-            raise _err(path, lineno, f"weight {cell!r} must be finite and positive")
+            raise _err(path, line, f"weight {cell!r} must be finite and positive")
         if (aid, bid) in data:
-            raise _err(path, lineno, f"duplicate entry for ({aid!r}, {bid!r})")
+            raise _err(path, line, f"duplicate entry for ({aid!r}, {bid!r})")
         data[aid, bid] = w
     universe = list(area_ids) if area_ids is not None else sorted({a for a, _ in data})
     index = {a: i for i, a in enumerate(universe)}
@@ -467,44 +482,31 @@ METRICS_HEADER = "round,scheme,metric,env_class,value"
 
 
 def metrics_csv_string(records: list[tuple]) -> str:
-    lines = [METRICS_HEADER]
-    for rnd, scheme, metric, env, value in records:
-        cell = "" if not np.isfinite(value) else fmt12(value)
-        lines.append(f"{rnd},{scheme},{metric},{env},{cell}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(METRICS_HEADER, ((str(rnd), scheme, metric, env, _cell(value))
+                                      for rnd, scheme, metric, env, value in records))
 
 
 def load_metrics_csv(path) -> list[tuple]:
     """Read `rounds.csv`; an empty value cell is undefined (NaN), the
     only way to write one, so a non-finite number is an error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or ",".join(h.strip() for h in rows[0]) != METRICS_HEADER:
-        raise _err(path, 1, f"expected header {METRICS_HEADER}")
+    _, rows = _csv_rows(path, lambda h: ",".join(h) == METRICS_HEADER, METRICS_HEADER)
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise _err(path, lineno, f"expected 5 fields, got {len(row)}")
-        cell = row[4].strip()
+    for line, fields in rows:
+        cell = fields[4].strip()
         try:
-            rnd = int(row[0])
-            value = float(cell) if cell else float("nan")
+            rnd = int(fields[0])
+            value = float(cell) if cell else math.nan
         except ValueError:
-            raise _err(path, lineno, f"malformed row {row!r}") from None
-        if cell and not np.isfinite(value):
-            raise _err(path, lineno, f"non-finite value {cell!r}")
-        records.append((rnd, row[1], row[2], row[3], value))
+            raise _err(path, line, f"malformed row {fields!r}") from None
+        if cell and not math.isfinite(value):
+            raise _err(path, line, f"non-finite value {cell!r}")
+        records.append((rnd, fields[1], fields[2], fields[3], value))
     return records
 
 
 def tally_csv_string(tally: dict[tuple[str, str], float], schemes, metrics) -> str:
-    lines = ["scheme,metric,win_pct"]
-    for s in schemes:
-        for m in metrics:
-            lines.append(f"{s},{m},{fmt12(tally.get((s, m), 0.0))}")
-    return "\n".join(lines) + "\n"
+    return _csv_text("scheme,metric,win_pct",
+                     ((s, m, fmt12(tally.get((s, m), 0.0))) for s in schemes for m in metrics))
 
 
 # --- configuration -----------------------------------------------------------
@@ -531,11 +533,7 @@ def save_config(path, cfg: SimConfig) -> None:
 
 def load_config(path) -> SimConfig:
     """Read a config JSON; unknown keys are an error, absent keys default."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _err(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    doc = _json_doc(path)
     if not isinstance(doc, dict):
         raise _err(path, None, "config must be a JSON object")
     return config_from_dict(doc, source=str(path))

@@ -43,6 +43,7 @@ FREQ_MAX_MHZ = 3000.0
 DIST_MAX_KM = 100.0
 RX_HEIGHT_MIN_M = 1.0
 RX_HEIGHT_MAX_M = 10.0
+TX_HEIGHT_MAX_M = 1000.0  # the top of the range the Hata tests cover; far taller masts overflow
 DEAD_THRESHOLD_DBM = -110.0
 
 
@@ -85,6 +86,8 @@ class AntennaSpec:
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if self.height_m <= 0:
             raise ValueError(f"height_m must be positive, got {self.height_m}")
+        if self.height_m > TX_HEIGHT_MAX_M:
+            raise ValueError(f"height_m must be at most {TX_HEIGHT_MAX_M:g}, got {self.height_m}")
         if not (FREQ_MIN_MHZ <= self.freq_mhz <= FREQ_MAX_MHZ):
             raise ValueError(
                 f"freq_mhz {self.freq_mhz} outside supported range "

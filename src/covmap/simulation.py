@@ -59,6 +59,7 @@ from .propagation import (
     FREQ_MIN_MHZ,
     RX_HEIGHT_MAX_M,
     RX_HEIGHT_MIN_M,
+    TX_HEIGHT_MAX_M,
     AntennaSpec,
     env_code,
     level_candidates,
@@ -193,6 +194,9 @@ class SimConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be an increasing (lo, hi) pair")
+        if not (0 < self.height_range_m[0] and self.height_range_m[1] <= TX_HEIGHT_MAX_M):
+            raise ValueError(f"height_range_m must lie in (0, {TX_HEIGHT_MAX_M:g}] m, "
+                             f"got {self.height_range_m}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.rural_cluster_count < 1:

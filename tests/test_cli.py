@@ -1,12 +1,18 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covmap import io, simulation
 from covmap.cli import main
@@ -326,6 +332,22 @@ class TestWeights:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err and "feature 0" in err
 
+    @pytest.mark.parametrize("command", [["weights", "--scheme", "voronoi"],
+                                         ["weights", "--scheme", "idw"], ["coverage"]])
+    def test_overlapping_areas_name_the_geojson(self, study, two_areas, tmp_path, capsys,
+                                                command):
+        fc = json.loads(two_areas.read_text())
+        fc["features"][0]["geometry"]["coordinates"][0][1][0] = 3000  # W reaches into E
+        bad = tmp_path / "overlap.geojson"
+        bad.write_text(json.dumps(fc), encoding="utf-8")
+        rc = main(command + ["--bts", str(study / "snapshot_bts.csv"),
+                             "--areas", str(bad),
+                             "--raster", str(study / "snapshot_settlements.asc"),
+                             "--out", str(tmp_path / "w")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: areas 'W' and 'E' overlap at pixel (")
+
     def test_header_only_bts_file_fails_cleanly(self, study, two_areas, tmp_path, capsys):
         empty = tmp_path / "empty_bts.csv"
         empty.write_text("bts_id,x,y,height_m,freq_mhz,power_dbm\n")
@@ -478,6 +500,22 @@ class TestAggregate:
         assert rc == 0
         assert (tmp_path / "o.csv").read_text() == "area_id,rate\nE,0.25\nW,\n"
 
+    def test_cross_file_errors_name_both_files(self, tmp_path, two_areas, capsys):
+        w, c = tmp_path / "w.csv", tmp_path / "c.csv"
+        w.write_text("area_id,bts_id,weight\nE,b1,0.5\nE,ghost,0.5\n")
+        c.write_text("bts_id,rate\nb1,0.25\n")
+        argv = ["aggregate", "--weights", str(w), "--covariates", str(c),
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {c} with {w}: covariate 'rate' missing for BTS 'ghost' "
+            "(needed by area 'E')\n")
+        w.write_text("area_id,bts_id,weight\nA,b1,1\nE,b1,1\n")
+        assert main(argv + ["--areas", str(two_areas)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {w}: weights reference area ids ['A'] missing from {two_areas}\n")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_constant_covariate_identity(self, tmp_path):
         self.write_fixture(tmp_path)
         (tmp_path / "c.csv").write_text("bts_id,rate\nb1,0.7\nb2,0.7\nb3,0.7\n")
@@ -618,3 +656,78 @@ class TestParser:
     def test_negative_seed_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--config", "c", "--seed", "-1", "--out", "o"])
+
+
+# --- input fuzz -----------------------------------------------------------------
+
+_FUZZ_WORDS = [b"", b"nan", b"inf", b"-1", b"0", b"1e200", b"-1e200", b"x", b'"', b"1_000",
+               b"\xff"]
+_TOKEN = re.compile(rb'[^\s,\[\]{}:"]+')
+_WEIGHTS_READS = ("raster.asc", "bts.csv", "areas.geojson")
+_AGGREGATE_READS = ("areas.geojson", "covariates.csv", "weights.csv")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(study, two_areas, tmp_path_factory):
+    """A directory whose `orig/` holds the tiny study world's CLI inputs,
+    and where each case writes its mutants."""
+    base = tmp_path_factory.mktemp("fuzz")
+    rc = main(["weights", "--scheme", "voronoi", "--bts", str(study / "snapshot_bts.csv"),
+               "--areas", str(two_areas), "--raster", str(study / "snapshot_settlements.asc"),
+               "--out", str(base / "w")])
+    assert rc == 0
+    (base / "orig").mkdir()
+    for name, src in (("raster.asc", study / "snapshot_settlements.asc"),
+                      ("bts.csv", study / "snapshot_bts.csv"),
+                      ("areas.geojson", two_areas),
+                      ("covariates.csv", study / "snapshot_covariates.csv"),
+                      ("weights.csv", base / "w" / "weights_voronoi.csv")):
+        (base / "orig" / name).write_bytes(Path(src).read_bytes())
+    return base
+
+
+class TestInputFuzz:
+    """One token of one input file replaced by an awkward word: every
+    command that reads the file returns 0, or returns 1 with an error that
+    names the file.  No exception escapes and no RuntimeWarning is raised;
+    covmap's own UserWarnings (a BTS outside every area) are allowed."""
+
+    @given(name=st.sampled_from(sorted(set(_WEIGHTS_READS + _AGGREGATE_READS))),
+           at=st.integers(0, 15) | st.integers(0, 2**32), word=st.sampled_from(_FUZZ_WORDS))
+    @example(name="bts.csv", at=9, word=b"1e200")  # the first mast's height_m
+    @example(name="bts.csv", at=7, word=b"1e200")  # the first mast's x
+    @example(name="covariates.csv", at=1, word=b'"')  # a quote opening at the column name
+    @example(name="covariates.csv", at=3, word=b"\xff")
+    @example(name="areas.geojson", at=14, word=b"1e200")  # the west area grows into the east
+    @settings(max_examples=100, deadline=None)
+    def test_one_token_replaced(self, fuzz_inputs, name, at, word):
+        base = fuzz_inputs
+        paths = {}
+        for orig in (base / "orig").iterdir():
+            paths[orig.name] = base / orig.name
+            data = orig.read_bytes()
+            if orig.name == name:
+                tokens = list(_TOKEN.finditer(data))
+                hit = tokens[at % len(tokens)]
+                data = data[:hit.start()] + word + data[hit.end():]
+            paths[orig.name].write_bytes(data)
+        runs = []
+        if name in _WEIGHTS_READS:
+            runs += [["weights", "--scheme", scheme, "--bts", str(paths["bts.csv"]),
+                      "--areas", str(paths["areas.geojson"]),
+                      "--raster", str(paths["raster.asc"]), "--out", str(base / "out")]
+                     for scheme in ("p2p", "voronoi", "aug-voronoi", "bsa", "idw")]
+        if name in _AGGREGATE_READS:
+            runs.append(["aggregate", "--weights", str(paths["weights.csv"]),
+                         "--covariates", str(paths["covariates.csv"]),
+                         "--areas", str(paths["areas.geojson"]),
+                         "--out", str(base / "aggregate.csv")])
+        for argv in runs:
+            err = StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                    redirect_stdout(StringIO()):
+                warnings.simplefilter("always")
+                rc = main(argv)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+            assert rc == 0 or (rc == 1 and err.getvalue().startswith("error: ")
+                               and str(paths[name]) in err.getvalue()), (argv, err.getvalue())

@@ -568,3 +568,126 @@ class TestSaveOutputs:
         save_outputs(tmp_path / "o", weight_matrices={"x": TestWeightsCsv.WM})
         back = load_weights_csv(tmp_path / "o" / "weights_x.csv", area_ids=["A", "B", "C"])
         assert back.entries() == TestWeightsCsv.WM.entries()
+
+
+class TestReaders:
+    """The one reader per format: strict UTF-8 everywhere, no line break in
+    a CSV field, and each CSV loader's errors in row order."""
+
+    @pytest.mark.parametrize("load, data", [
+        (load_ascii_grid, CANONICAL_ASC.encode().replace(b"0 4 1", b"0 \xff 1")),
+        (load_bts_csv, b"bts_id,x,y\na,1,2\nb,\xff,4\n"),
+        (load_covariates_csv, b"bts_id,v\na,1\nb,\xff\n"),
+        (load_weights_csv, b"area_id,bts_id,weight\nA,b1,0.5\nA,b\xff,0.5\n"),
+        (load_metrics_csv, b"round,scheme,metric,env_class,value\n0,v,rho,total,1\n0,\xff,r,t,1\n"),
+        (load_areas_geojson, b'{"type": "FeatureCollection",\n "features":\n ["\xff"]}'),
+        (load_config, b'{"rounds": 2,\n "seed": 1,\n "\xff": 1}'),
+    ], ids=["grid", "bts", "covariates", "weights", "metrics", "areas", "config"])
+    def test_bytes_not_utf8_name_file_and_line(self, tmp_path, load, data):
+        p = tmp_path / "bad"
+        p.write_bytes(data)
+        at = data.index(b"\xff")
+        line = data.count(b"\n", 0, at) + 1
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: line {line}: not UTF-8: byte 0xff at offset {at}"
+
+    @pytest.mark.parametrize("load, text, line", [
+        (load_covariates_csv, 'bts_id,"poverty\nb1,0.5\nb2,0.25\n', 1),
+        (load_bts_csv, 'bts_id,x,y\na,1,2\n"b\nc",3,4\nd,5,6\n', 3),
+        (load_weights_csv, 'area_id,bts_id,weight\n\nA,"b1\r\n",1\n', 3),
+        (load_metrics_csv, 'round,scheme,metric,env_class,value\n0,v,rho,total,"1\r2"\n', 2),
+    ], ids=["covariates", "bts", "weights", "metrics"])
+    def test_line_break_in_a_field_names_its_first_line(self, tmp_path, load, text, line):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: line {line}: line break inside a quoted field"
+
+    @pytest.mark.parametrize("load", [load_areas_geojson, load_config])
+    def test_json_nested_too_deeply_names_file(self, tmp_path, load):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: invalid JSON: nested too deeply"
+
+    def test_csv_parser_error_names_file_and_line(self, tmp_path):
+        # an unclosed quote before a commune-scale table outgrows the csv field limit
+        p = tmp_path / "w.csv"
+        p.write_text("area_id,bts_id,weight\n\"A,b1,1\n" + "A1,b1,1\n" * 20000)
+        with pytest.raises(ValueError) as exc:
+            load_weights_csv(p)
+        assert str(exc.value) == f"{p}: line 2: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("load, text, want", [
+        (load_weights_csv, "area,bts,weight\nA,b1,1\n",
+         "line 1: expected header area_id,bts_id,weight, got 'area,bts,weight'"),
+        (load_weights_csv, "", "line 1: empty file"),
+        (load_metrics_csv, "round,scheme\n",
+         "line 1: expected header round,scheme,metric,env_class,value, got 'round,scheme'"),
+        (load_metrics_csv, "", "line 1: empty file"),
+    ], ids=["weights", "weights-empty", "metrics", "metrics-empty"])
+    def test_weights_and_metrics_headers_quote_what_they_got(self, tmp_path, load, text, want):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: {want}"
+
+    @pytest.mark.parametrize("load, text, want", [
+        (load_covariates_csv, "bts_id,a,b\nx,1,2\ny,zz,inf\nz,1\n", "line 3: non-numeric a value 'zz'"),
+        (load_covariates_csv, "bts_id,a,b\nx,1,inf\nx,zz,2\n", "line 2: non-finite b value 'inf'"),
+        (load_bts_csv, "bts_id,x,y\na,1,2\nb,q,inf\n", "line 3: non-numeric x value 'q'"),
+        (load_bts_csv, "bts_id,x,y\na,1\nb,q,2\n", "line 2: expected 3 fields, got 2"),
+    ], ids=["covariates-row", "covariates-cell", "bts-cell", "bts-width"])
+    def test_first_bad_row_and_cell_win(self, tmp_path, load, text, want):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: {want}"
+
+
+class TestBounds:
+    """Coordinates within COORD_LIMIT_M and masts at most TX_HEIGHT_MAX_M,
+    refused where they come in: squared metres and heights stay finite."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("bts_id,x,y\na,1,2\nb,1e200,4\n", "line 3: x or y beyond ±1e+12 m"),
+        ("bts_id,x,y,height_m,freq_mhz,power_dbm\na,1,-1.5e12,30,900,43\n",
+         "line 2: x or y beyond ±1e+12 m"),
+        ("bts_id,x,y,height_m,freq_mhz,power_dbm\na,1,2,1e200,900,43\n",
+         "line 2: height_m must be at most 1000, got 1e+200"),
+    ], ids=["points-x", "full-y", "height"])
+    def test_bts_out_of_bounds_names_file_and_line(self, tmp_path, text, want):
+        p = tmp_path / "bts.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_bts_csv(p)
+        assert str(exc.value) == f"{p}: {want}"
+
+    def test_bts_at_the_bounds_loads(self, tmp_path):
+        p = tmp_path / "bts.csv"
+        p.write_text("bts_id,x,y,height_m,freq_mhz,power_dbm\na,1e12,-1e12,1000,900,43\n")
+        assert load_bts_csv(p).specs == [AntennaSpec("a", 1e12, -1e12, 1000.0, 900.0, 43.0)]
+
+    @pytest.mark.parametrize("old, new, want", [
+        ("xllcorner 0", "xllcorner 1e200", "grid extent beyond ±1e+12 m"),
+        ("yllcorner 0", "yllcorner -2e12", "grid extent beyond ±1e+12 m"),
+        ("cellsize 100", "cellsize 4e11", "grid extent beyond ±1e+12 m"),
+        ("ncols 3", "ncols 1e200", "ncols x nrows exceeds the 92 characters of the file"),
+    ], ids=["xllcorner", "yllcorner", "cellsize", "ncols"])
+    def test_grid_out_of_bounds_names_file(self, tmp_path, old, new, want):
+        p = tmp_path / "bad.asc"
+        p.write_text(CANONICAL_ASC.replace(old, new))
+        with pytest.raises(ValueError) as exc:
+            load_ascii_grid(p)
+        assert str(exc.value) == f"{p}: {want}"
+
+    @pytest.mark.parametrize("heights", [[0.0, 30.0], [15.0, 1000.5]])
+    def test_config_height_range_within_the_mast_cap(self, heights):
+        with pytest.raises(ValueError, match=re.escape("<config>: height_range_m must lie in "
+                                                       "(0, 1000] m")):
+            config_from_dict({"height_range_m": heights})
