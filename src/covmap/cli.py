@@ -67,12 +67,12 @@ def _positive(text: str) -> int:
     return v
 
 
-def _load_env_grid(path, grid) -> np.ndarray:
+def _load_env_grid(path, grid, raster_path) -> np.ndarray:
     """Auxiliary environment raster: integer class codes 0/1/2 on the
     same grid as the settlement raster, no NODATA holes."""
     values, g, mask, _ = io.load_ascii_grid(path)
     if g != grid:
-        raise ValueError(f"{path}: environment grid does not match the raster grid")
+        raise ValueError(f"{path}: environment grid does not match the grid of {raster_path}")
     if mask is not None:
         raise ValueError(f"{path}: environment grid must not contain NODATA cells")
     # check the float values: casting one far out of range first would warn
@@ -101,9 +101,9 @@ def _resolve_specs(bts: io.BtsFile, areas, grid, naive: bool):
     return specs, classes
 
 
-def _resolve_env(aux, areas, bts, grid, classes) -> np.ndarray:
-    if aux is not None:
-        return _load_env_grid(aux, grid)
+def _resolve_env(args, areas, bts, grid, classes) -> np.ndarray:
+    if args.aux is not None:
+        return _load_env_grid(args.aux, grid, args.raster)
     if areas is not None:
         if classes is None:
             classes = classify_areas_by_bts_density(areas, bts.points, grid)
@@ -218,7 +218,7 @@ def cmd_coverage(args) -> int:
     bts = io.load_bts_csv(args.bts)
     areas = io.load_areas_geojson(args.areas) if args.areas else None
     specs, classes = _resolve_specs(bts, areas, grid, args.naive)
-    env2d = _resolve_env(args.aux, areas, bts, grid, classes)
+    env2d = _resolve_env(args, areas, bts, grid, classes)
     specs = sorted(specs, key=lambda sp: sp.bts_id)
     assignment = best_server_grid(grid, specs, env2d, args.rx_height, args.threshold)
     labels = assignment.labels
@@ -257,7 +257,7 @@ def cmd_weights(args) -> int:
         )
     else:
         specs, classes = _resolve_specs(bts, areas, grid, args.naive)
-        env2d = _resolve_env(args.aux, areas, bts, grid, classes)
+        env2d = _resolve_env(args, areas, bts, grid, classes)
         settlements = extract_settlements(raster)
         params["dead_threshold_dbm"] = args.threshold
         idw = None

@@ -59,9 +59,18 @@ def _text(path) -> str:
 
 
 def _json_doc(path):
-    """The JSON value in a file; a syntax error names the file and line."""
+    """The JSON value in a file; a syntax error names the file and line,
+    and a key repeated within one object names the file and the key."""
+
+    def unique_keys(pairs):
+        doc, seen = dict(pairs), set()
+        if len(doc) < len(pairs):  # the first key seen twice
+            raise _err(path, None, "duplicate key "
+                                   f"{next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+        return doc
+
     try:
-        return json.loads(_text(path))
+        return json.loads(_text(path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise _err(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     except RecursionError:
@@ -360,7 +369,8 @@ def save_bts_csv(path, specs: list[AntennaSpec]) -> None:
 def load_areas_geojson(path) -> StatAreaSet:
     """Read a FeatureCollection of (Multi)Polygons with `area_id` properties.
 
-    Feature order is preserved; ring coordinates are projected metres.
+    Feature order is preserved; ring coordinates are projected metres
+    within `COORD_LIMIT_M` of the origin.
     """
     doc = _json_doc(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
@@ -395,6 +405,9 @@ def load_areas_geojson(path) -> StatAreaSet:
             rings = [np.asarray(ring, dtype=np.float64) for poly in polys for ring in poly]
         except (TypeError, ValueError):
             raise _err(path, None, f"feature {idx} ({area_id!r}): malformed coordinates") from None
+        if any(np.any(np.abs(ring) > COORD_LIMIT_M) for ring in rings):
+            raise _err(path, None, f"feature {idx} ({area_id!r}): ring coordinates beyond "
+                                   f"±{COORD_LIMIT_M:g} m")
         pairs.append((area_id, rings))
     try:
         return StatAreaSet.from_polygons(pairs)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from covmap import io, simulation
 from covmap.cli import main
-from covmap.geo import extract_settlements
+from covmap.geo import Grid, extract_settlements
 from covmap.mapping import weights_p2p
 from covmap.simulation import SimConfig
 from conftest import traced_peak
@@ -235,6 +235,18 @@ class TestCoverage:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "environment codes must be" in err
+
+    def test_aux_on_another_grid_names_both_files(self, study, tmp_path, capsys):
+        values, grid, _, _ = io.load_ascii_grid(study / "snapshot_env.asc")
+        bad = tmp_path / "env.asc"
+        bad.write_text(io.ascii_grid_string(values[1:], Grid(grid.ncols, grid.nrows - 1,
+                                                            grid.cell_size_m)))
+        raster = study / "snapshot_settlements.asc"
+        rc = main(["coverage", "--bts", str(study / "snapshot_bts.csv"), "--raster", str(raster),
+                   "--aux", str(bad), "--out", str(tmp_path / "cov")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {bad}: environment grid does not match "
+                                           f"the grid of {raster}\n")
 
 
 class TestWeights:
@@ -663,8 +675,32 @@ class TestParser:
 _FUZZ_WORDS = [b"", b"nan", b"inf", b"-1", b"0", b"1e200", b"-1e200", b"x", b'"', b"1_000",
                b"\xff"]
 _TOKEN = re.compile(rb'[^\s,\[\]{}:"]+')
-_WEIGHTS_READS = ("raster.asc", "bts.csv", "areas.geojson")
-_AGGREGATE_READS = ("areas.geojson", "covariates.csv", "weights.csv")
+_FUZZ_FILES = ("raster.asc", "bts.csv", "areas.geojson", "env.asc", "covariates.csv",
+               "weights.csv")
+
+
+def _fuzz_runs(paths, base) -> list[tuple[set[str], list[str]]]:
+    """Every command the fuzz runs, each with the input files it reads:
+    the five weight schemes, bsa and idw on an --aux grid, coverage with
+    its environment painted from --areas or read from --aux, and
+    aggregate."""
+    p = {name: str(path) for name, path in paths.items()}
+    out = base / "out"
+    world, areas, aux = (["--bts", p["bts.csv"], "--raster", p["raster.asc"]],
+                         ["--areas", p["areas.geojson"]], ["--aux", p["env.asc"]])
+    runs = [({"raster.asc", "bts.csv", "areas.geojson"},
+             ["weights", "--scheme", scheme, *world, *areas, "--out", str(out)])
+            for scheme in ("p2p", "voronoi", "aug-voronoi", "bsa", "idw")]
+    runs += [({"raster.asc", "bts.csv", "areas.geojson", "env.asc"},
+              ["weights", "--scheme", scheme, *world, *areas, *aux, "--out", str(out)])
+             for scheme in ("bsa", "idw")]
+    runs += [({"raster.asc", "bts.csv", "areas.geojson"}, ["coverage", *world, *areas,
+                                                           "--out", str(out)]),
+             ({"raster.asc", "bts.csv", "env.asc"}, ["coverage", *world, *aux, "--out", str(out)]),
+             ({"weights.csv", "covariates.csv", "areas.geojson"},
+              ["aggregate", "--weights", p["weights.csv"], "--covariates", p["covariates.csv"],
+               *areas, "--out", str(base / "aggregate.csv")])]
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -680,6 +716,7 @@ def fuzz_inputs(study, two_areas, tmp_path_factory):
     for name, src in (("raster.asc", study / "snapshot_settlements.asc"),
                       ("bts.csv", study / "snapshot_bts.csv"),
                       ("areas.geojson", two_areas),
+                      ("env.asc", study / "snapshot_env.asc"),
                       ("covariates.csv", study / "snapshot_covariates.csv"),
                       ("weights.csv", base / "w" / "weights_voronoi.csv")):
         (base / "orig" / name).write_bytes(Path(src).read_bytes())
@@ -692,13 +729,14 @@ class TestInputFuzz:
     names the file.  No exception escapes and no RuntimeWarning is raised;
     covmap's own UserWarnings (a BTS outside every area) are allowed."""
 
-    @given(name=st.sampled_from(sorted(set(_WEIGHTS_READS + _AGGREGATE_READS))),
+    @given(name=st.sampled_from(_FUZZ_FILES),
            at=st.integers(0, 15) | st.integers(0, 2**32), word=st.sampled_from(_FUZZ_WORDS))
     @example(name="bts.csv", at=9, word=b"1e200")  # the first mast's height_m
     @example(name="bts.csv", at=7, word=b"1e200")  # the first mast's x
     @example(name="covariates.csv", at=1, word=b'"')  # a quote opening at the column name
     @example(name="covariates.csv", at=3, word=b"\xff")
-    @example(name="areas.geojson", at=14, word=b"1e200")  # the west area grows into the east
+    @example(name="areas.geojson", at=14, word=b"1e200")  # a vertex beyond the bound
+    @example(name="env.asc", at=12, word=b"1e200")  # the first environment code
     @settings(max_examples=100, deadline=None)
     def test_one_token_replaced(self, fuzz_inputs, name, at, word):
         base = fuzz_inputs
@@ -711,17 +749,7 @@ class TestInputFuzz:
                 hit = tokens[at % len(tokens)]
                 data = data[:hit.start()] + word + data[hit.end():]
             paths[orig.name].write_bytes(data)
-        runs = []
-        if name in _WEIGHTS_READS:
-            runs += [["weights", "--scheme", scheme, "--bts", str(paths["bts.csv"]),
-                      "--areas", str(paths["areas.geojson"]),
-                      "--raster", str(paths["raster.asc"]), "--out", str(base / "out")]
-                     for scheme in ("p2p", "voronoi", "aug-voronoi", "bsa", "idw")]
-        if name in _AGGREGATE_READS:
-            runs.append(["aggregate", "--weights", str(paths["weights.csv"]),
-                         "--covariates", str(paths["covariates.csv"]),
-                         "--areas", str(paths["areas.geojson"]),
-                         "--out", str(base / "aggregate.csv")])
+        runs = [argv for reads, argv in _fuzz_runs(paths, base) if name in reads]
         for argv in runs:
             err = StringIO()
             with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \

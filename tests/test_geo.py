@@ -1,5 +1,6 @@
 """Tests for grids, settlement extraction, voronoi assignment and areas."""
 
+import math
 from fractions import Fraction
 
 from unittest.mock import patch
@@ -21,9 +22,11 @@ from covmap.geo import (
     extract_settlements,
     nearest_index,
     nearest_two,
-    polygon_to_mask,
     voronoi_assign,
 )
+from covmap.simulation import SimConfig, build_areas
+
+from conftest import traced_peak
 
 
 def _locate_every_point(areas, x, y):
@@ -340,10 +343,19 @@ class TestVoronoi:
             Assignment(g, ["a"], np.zeros((3, 3), dtype=int))
 
 
-class TestPolygonToMask:
+def _polygon_mask(rings, grid: Grid) -> np.ndarray:
+    """One polygon area's pixels, as `StatAreaSet.labels` paints them."""
+    return StatAreaSet.from_polygons([("a", rings)]).labels(grid) == 0
+
+
+def _every_centre(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    return grid.centers(*np.indices(grid.shape))
+
+
+class TestPolygonLabels:
     def test_aligned_rectangle_covers_exact_block(self):
         g = Grid(ncols=4, nrows=4, cell_size_m=100.0)
-        mask = polygon_to_mask([rect_ring(100.0, 100.0, 300.0, 300.0)], g)
+        mask = _polygon_mask([rect_ring(100.0, 100.0, 300.0, 300.0)], g)
         want = np.zeros((4, 4), dtype=bool)
         want[1:3, 1:3] = True
         assert np.array_equal(mask, want)
@@ -352,7 +364,7 @@ class TestPolygonToMask:
         g = Grid(ncols=6, nrows=6, cell_size_m=10.0)
         outer = rect_ring(0.0, 0.0, 60.0, 60.0)
         hole = rect_ring(20.0, 20.0, 40.0, 40.0)
-        mask = polygon_to_mask([outer, hole], g)
+        mask = _polygon_mask([outer, hole], g)
         assert mask.sum() == 36 - 4
         assert not mask[3, 3]
 
@@ -364,12 +376,11 @@ class TestPolygonToMask:
 
         rng = np.random.default_rng(3)
         g = Grid(ncols=12, nrows=10, cell_size_m=17.0)
-        rr, cc = np.meshgrid(np.arange(10), np.arange(12), indexing="ij")
-        x, y = g.centers(rr, cc)
+        x, y = _every_centre(g)
         for _ in range(25):
             pts = rng.uniform(-20, 220, size=(3, 2))
             ring = np.vstack([pts, pts[:1]])
-            mask = polygon_to_mask([ring], g)
+            mask = _polygon_mask([ring], g)
             want = np.zeros(x.size, dtype=bool)
             for i, (xi, yi) in enumerate(zip(x.ravel(), y.ravel())):
                 s = [side(pts[k], pts[(k + 1) % 3], xi, yi) for k in range(3)]
@@ -378,14 +389,13 @@ class TestPolygonToMask:
             assert np.array_equal(mask, want.reshape(10, 12))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_window_equals_every_centre_tested(self, seed):
+    def test_runs_equal_every_centre_tested(self, seed):
         # random multi-ring polygons, partly or wholly off a grid with an
-        # offset origin; the window must leave out no centre the crossing
-        # test would put inside
+        # offset origin; the runs must hold exactly the centres the
+        # crossing test puts inside
         rng = np.random.default_rng(seed)
         g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
-        rr, cc = np.meshgrid(np.arange(23), np.arange(31), indexing="ij")
-        x, y = g.centers(rr, cc)
+        x, y = _every_centre(g)
         inside = 0
         for _ in range(40):
             cx, cy = rng.uniform(-120, 280), rng.uniform(40, 360)
@@ -394,42 +404,99 @@ class TestPolygonToMask:
                 n = rng.integers(3, 9)
                 pts = np.column_stack([cx + rng.uniform(-90, 90, n), cy + rng.uniform(-90, 90, n)])
                 rings.append(np.vstack([pts, pts[:1]]))
-            mask = polygon_to_mask(rings, g)
+            mask = _polygon_mask(rings, g)
             assert np.array_equal(mask, geo._points_in_rings(rings, x, y))
             inside += int(mask.sum())
         assert inside > 0
 
     def test_open_ring_rejected(self):
-        g = Grid(ncols=2, nrows=2, cell_size_m=10.0)
         ring = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 20.0], [0.0, 20.0]])
         with pytest.raises(ValueError, match="not closed"):
-            polygon_to_mask([ring], g)
+            StatAreaSet.from_polygons([("a", [ring])])
 
     def test_degenerate_ring_rejected(self):
-        g = Grid(ncols=2, nrows=2, cell_size_m=10.0)
-        with pytest.raises(ValueError):
-            polygon_to_mask([np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])], g)
-        with pytest.raises(ValueError):
-            polygon_to_mask([np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [0.0, 0.0]])], g)
+        with pytest.raises(ValueError, match="at least 4 points"):
+            StatAreaSet.from_polygons([("a", [np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])])])
+        with pytest.raises(ValueError, match="non-finite"):
+            StatArea("a", rings=[np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match="no rings"):
+            StatAreaSet.from_polygons([("a", [])])
 
 
 def _full_grid_labels(members, grid: Grid) -> np.ndarray:
     """Reference labelling of (area_id, mask, rings) members, masks as
-    given: every area painted, and tested for clashes, over the whole
+    given: every area painted one at a time, a polygon by the crossing
+    test on every pixel centre, and tested for clashes over the whole
     grid; a mask not of the grid's shape is rejected when reached."""
+    x, y = _every_centre(grid)
     labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
     for idx, (area_id, mask, rings) in enumerate(members):
         if mask is None:
-            mask = polygon_to_mask(rings, grid, area_id)
+            mask = geo._points_in_rings([np.asarray(r, dtype=float) for r in rings], x, y)
         elif mask.shape != grid.shape:
             raise ValueError(f"area {area_id!r}: mask does not fit grid {grid.shape}")
         clash = mask & (labels != UNASSIGNED)
         if np.any(clash):
             r, c = np.argwhere(clash)[0]
             other = members[labels[r, c]][0]
-            raise ValueError(f"areas {other!r} and {area_id!r} overlap at pixel ({r}, {c})")
+            raise geo.AreaOverlapError(f"areas {other!r} and {area_id!r} overlap at pixel ({r}, {c})")
         labels[mask] = idx
     return labels
+
+
+def _assert_paints_as_the_reference(members, grid: Grid) -> str:
+    """`labels` of the members equals `_full_grid_labels`: the same raster,
+    or an error of the same type and text.  Returns the outcome's kind."""
+    areas = StatAreaSet([StatArea(aid, mask=m, rings=r) for aid, m, r in members], grid=grid)
+    try:
+        want = _full_grid_labels(members, grid)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            areas.labels()
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return "overlap" if isinstance(exc, geo.AreaOverlapError) else "fit"
+    assert np.array_equal(areas.labels(), want)
+    return "labels"
+
+
+@st.composite
+def _painter_layouts(draw):
+    """Small grids, 1-row and 1-column ones among them, with an offset
+    origin or none, and up to five areas: masks (sparse, dense, empty, or
+    now and then of another shape) and polygons of one to three rings
+    (multi-part areas and holes) whose vertices lie on pixel centres,
+    pixel edges and corners (a half-cell lattice reaching past the grid),
+    on centre rows at any x, or anywhere near the grid; lattice rings give
+    horizontal edges, and an area may sit wholly off the grid."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell = draw(st.sampled_from([1.0, 7.0, 0.3]))
+    ox, oy = draw(st.sampled_from([0.0, -50.0, 3.3e5])), draw(st.sampled_from([0.0, 120.0]))
+    grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=cell, origin_x=ox, origin_y=oy)
+    # `Grid.centers`' own expression, so an odd half lands on a centre exactly
+    lx = st.integers(-3, 2 * ncols + 3).map(lambda h: ox + (h / 2) * cell)
+    ly = st.integers(-3, 2 * nrows + 3).map(lambda h: oy + (h / 2) * cell)
+    fx = st.floats(ox - 3 * cell, ox + (ncols + 3) * cell)
+    fy = st.floats(oy - 3 * cell, oy + (nrows + 3) * cell)
+    vertex = st.one_of(st.tuples(lx, ly), st.tuples(fx, ly), st.tuples(fx, fy))
+    members = []
+    for k in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 3)) == 0:
+            shape = draw(st.sampled_from([grid.shape] * 4 + [(nrows, ncols + 1), (grid.npixels,)]))
+            cells = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))
+            members.append((f"m{k}", np.array(cells, dtype=bool).reshape(shape), None))
+            continue
+        shift = draw(st.sampled_from([0.0] * 5 + [(ncols + 4) * cell]))  # wholly off the grid
+        rings = []
+        for _ in range(draw(st.integers(1, 3))):
+            pts = draw(st.lists(vertex, min_size=3, max_size=7))
+            ring = np.array(pts + pts[:1], dtype=float)
+            ring[:, 0] += shift
+            rings.append(ring)
+        if draw(st.booleans()):  # a hole: the first ring shrunk towards its first vertex
+            rings.append(rings[0][0] + (rings[0] - rings[0][0]) / 2)
+        members.append((f"p{k}", None, rings))
+    return members, grid
 
 
 def _reference_km2(members, grid: Grid) -> dict[str, float]:
@@ -466,12 +533,12 @@ def _random_mask(rng, g: Grid) -> np.ndarray:
 
 class TestStatAreaSet:
     @pytest.mark.parametrize("seed", range(4))
-    def test_windowed_labels_equal_a_full_grid_painter(self, seed):
+    def test_labels_equal_a_one_area_at_a_time_painter(self, seed):
         # random polygons, many partly or wholly off a grid with an offset
         # origin, mixed with sparse, empty, edge-hugging and wrong-shaped
         # masks; the labels, or the error (the first clash, or the first
         # mask that does not fit), and the sizes' bits must equal the
-        # full-grid painter's on the masks as given
+        # reference painter's on the masks as given
         rng = np.random.default_rng(seed)
         g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
         outcomes = {"labels": 0, "overlap": 0, "fit": 0}
@@ -495,17 +562,92 @@ class TestStatAreaSet:
             got_km2, want_km2 = areas.area_km2(), _reference_km2(members, g)
             assert list(got_km2) == list(want_km2)
             assert [v.hex() for v in got_km2.values()] == [v.hex() for v in want_km2.values()]
-            try:
-                want = _full_grid_labels(members, g)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as got:
-                    areas.labels()
-                assert str(got.value) == str(exc)
-                outcomes["overlap" if "overlap" in str(exc) else "fit"] += 1
-                continue
-            assert np.array_equal(areas.labels(), want)
-            outcomes["labels"] += 1
+            outcomes[_assert_paints_as_the_reference(members, g)] += 1
         assert min(outcomes.values()) > 0, outcomes
+
+    @settings(max_examples=500, deadline=None)
+    @given(layout=_painter_layouts())
+    def test_labels_equal_the_reference_on_centres_and_edges(self, layout):
+        _assert_paints_as_the_reference(*layout)
+
+    def test_clash_messages(self):
+        # the raising area is the lowest one that shares a pixel with an
+        # earlier area, at its first shared pixel in row-major order, named
+        # with that pixel's owner: mask, polygon and mixed sets alike
+        g = Grid(ncols=4, nrows=3, cell_size_m=10.0)
+
+        def block(rows, cols):
+            m = np.zeros(g.shape, dtype=bool)
+            m[rows, cols] = True
+            return m
+
+        def rect(rows, cols):  # the polygon over the same pixels
+            return [rect_ring(cols.start * 10.0, (3 - rows.stop) * 10.0,
+                              cols.stop * 10.0, (3 - rows.start) * 10.0)]
+
+        a, b, c = (slice(0, 2), slice(0, 2)), (slice(1, 3), slice(2, 4)), (slice(0, 3), slice(1, 3))
+        for kinds in ("mmm", "ppp", "mpm", "pmp"):
+            members = [(aid, block(*box), None) if kind == "m" else (aid, None, rect(*box))
+                       for aid, kind, box in zip("abc", kinds, (a, b, c))]
+            areas = StatAreaSet([StatArea(aid, mask=m, rings=r) for aid, m, r in members], grid=g)
+            with pytest.raises(geo.AreaOverlapError) as got:
+                areas.labels()
+            # "c" clashes with "a" first at (0, 1) and with "b" at (1, 2)
+            assert str(got.value) == "areas 'a' and 'c' overlap at pixel (0, 1)", kinds
+        # the second owner wins over an earlier pixel: "b" clashes at (1, 1),
+        # "c" already at (0, 0)
+        areas = StatAreaSet.from_masks(g, [("a", block(slice(0, 2), slice(0, 2))),
+                                           ("b", block(slice(1, 2), slice(1, 4))),
+                                           ("c", block(slice(0, 1), slice(0, 1)))])
+        with pytest.raises(geo.AreaOverlapError, match=r"^areas 'a' and 'b' overlap at pixel \(1, 1\)$"):
+            areas.labels()
+        # the owner named is the first shared pixel's, not the lowest area "c" meets
+        areas = StatAreaSet.from_masks(g, [("a", block(slice(2, 3), slice(0, 4))),
+                                           ("b", block(slice(0, 1), slice(0, 1))),
+                                           ("c", block(slice(0, 3), slice(0, 1)))])
+        with pytest.raises(geo.AreaOverlapError, match=r"^areas 'b' and 'c' overlap at pixel \(0, 0\)$"):
+            areas.labels()
+
+    def test_misfit_raises_where_it_is_reached(self):
+        g = Grid(ncols=4, nrows=3, cell_size_m=10.0)
+        full, wide = np.ones(g.shape, dtype=bool), np.ones((3, 5), dtype=bool)
+        ring = [rect_ring(0.0, 0.0, 10.0, 10.0)]
+        misfit = r"^area 'w': mask does not fit grid \(3, 4\)$"
+        # a clash after the misfit, or among areas after it, is never reached
+        for members in ([("a", full), ("w", wide), ("b", full)],
+                        [("w", wide), ("a", full), ("b", full)]):
+            with pytest.raises(ValueError, match=misfit) as got:
+                StatAreaSet([StatArea(aid, mask=m) for aid, m in members], grid=g).labels()
+            assert not isinstance(got.value, geo.AreaOverlapError)
+        # a clash before the misfit is
+        areas = StatAreaSet([StatArea("a", mask=full), StatArea("p", rings=ring),
+                             StatArea("w", mask=wide)], grid=g)
+        with pytest.raises(geo.AreaOverlapError, match=r"^areas 'a' and 'p' overlap"):
+            areas.labels()
+
+    def test_labels_peak_is_the_raster_plus_its_runs(self):
+        """On the full-scale layout as 40 polygon rectangles, `labels`
+        holds the raster and a few words per row run of an area, never
+        a pixel-sized array besides the raster (one area's window of
+        centres alone would exceed the bound)."""
+        cfg = SimConfig()
+        g, cell = cfg.grid, cfg.grid.cell_size_m
+        masks, _ = build_areas(cfg)
+        pairs = []
+        for a in masks.areas:
+            rows, cols = a.window
+            pairs.append((a.area_id, [rect_ring(
+                g.origin_x + cols.start * cell, g.origin_y + (g.nrows - rows.stop) * cell,
+                g.origin_x + cols.stop * cell, g.origin_y + (g.nrows - rows.start) * cell)]))
+        areas = StatAreaSet.from_polygons(pairs)
+        peak = traced_peak(lambda: areas.labels(g))
+        labels = areas.labels(g)
+        assert np.array_equal(labels, masks.labels())
+        left = np.concatenate([np.ones((g.nrows, 1), dtype=bool), np.diff(labels, axis=1) != 0],
+                              axis=1)
+        runs = int(np.count_nonzero(left & (labels != UNASSIGNED)))
+        assert runs == 5600
+        assert peak <= labels.nbytes + 128 * runs, (peak, runs)
 
     def test_mask_area_keeps_a_copy_of_its_box(self):
         g = Grid(ncols=6, nrows=5, cell_size_m=10.0)
@@ -562,12 +704,22 @@ class TestStatAreaSet:
         g = Grid(ncols=10, nrows=10, cell_size_m=10.0)
         ring = rect_ring(20.0, 30.0, 70.0, 80.0)
         from_poly = StatAreaSet.from_polygons([("r", [ring])])
-        mask = polygon_to_mask([ring], g)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[2:7, 2:7] = True  # centre x in [20, 70) and y in [30, 80)
         from_mask = StatAreaSet.from_masks(g, [("r", mask)])
         assert np.array_equal(from_poly.labels(g), from_mask.labels())
         rng = np.random.default_rng(5)
         x, y = rng.uniform(1, 99, 50), rng.uniform(1, 99, 50)
         assert np.array_equal(from_poly.locate_points(x, y), from_mask.locate_points(x, y))
+
+    def test_a_short_edge_warns_of_nothing(self):
+        # t = (y - y1) / (y2 - y1) overflows for points off a subnormal
+        # edge's band; only points in the band use it
+        ring = np.array([[0.0, 0.0], [0.0, 1e-308], [10.0, 5.0], [10.0, 0.0], [0.0, 0.0]])
+        areas = StatAreaSet.from_polygons([("a", [ring])])
+        assert areas.locate_points([8.0, 2.0], [3.0, 3.0]).tolist() == [0, UNASSIGNED]
+        g = Grid(ncols=10, nrows=5, cell_size_m=1.0)
+        assert np.array_equal(areas.labels(g) == 0, geo._points_in_rings([ring], *_every_centre(g)))
 
     @settings(max_examples=200, deadline=None)
     @given(layout=_polygons_and_points())

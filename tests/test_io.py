@@ -613,6 +613,19 @@ class TestReaders:
             load(p)
         assert str(exc.value) == f"{p}: invalid JSON: nested too deeply"
 
+    @pytest.mark.parametrize("load, text, key", [
+        (load_config, '{"rounds": 1, "seed": 2, "rounds": 3}', "rounds"),
+        (load_areas_geojson, '{"type": "FeatureCollection", "features": [{"type": "Feature",'
+                             ' "properties": {"area_id": "A", "area_id": "B"}, "geometry": null}]}',
+         "area_id"),
+    ], ids=["config", "areas-properties"])
+    def test_json_duplicate_key_names_file_and_key(self, tmp_path, load, text, key):
+        p = tmp_path / "dup.json"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: duplicate key {key!r}"
+
     def test_csv_parser_error_names_file_and_line(self, tmp_path):
         # an unclosed quote before a commune-scale table outgrows the csv field limit
         p = tmp_path / "w.csv"
@@ -685,6 +698,22 @@ class TestBounds:
         with pytest.raises(ValueError) as exc:
             load_ascii_grid(p)
         assert str(exc.value) == f"{p}: {want}"
+
+    @pytest.mark.parametrize("corner", [[1e200, 1e200], [0.0, -1.5e12]])
+    def test_area_ring_out_of_bounds_names_file_and_feature(self, tmp_path, corner):
+        far = [[[0.0, 0.0], corner, [400.0, 400.0], [0.0, 0.0]]]
+        p = tmp_path / "areas.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            _feature("A", SQUARE), _feature("B", [SQUARE, far], gtype="MultiPolygon")]}))
+        with pytest.raises(ValueError) as exc:
+            load_areas_geojson(p)
+        assert str(exc.value) == f"{p}: feature 1 ('B'): ring coordinates beyond ±1e+12 m"
+
+    def test_area_ring_at_the_bounds_loads(self, tmp_path):
+        ring = [[[-1e12, -1e12], [1e12, -1e12], [1e12, 1e12], [-1e12, -1e12]]]
+        p = tmp_path / "areas.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [_feature("A", ring)]}))
+        assert load_areas_geojson(p).area_km2() == {"A": pytest.approx(2e18)}
 
     @pytest.mark.parametrize("heights", [[0.0, 30.0], [15.0, 1000.5]])
     def test_config_height_range_within_the_mast_cap(self, heights):

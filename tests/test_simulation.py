@@ -1208,6 +1208,15 @@ def test_one_distance_helper_behind_the_nearest_site_reducers():
     }
 
 
+def test_one_area_painter_and_one_point_test():
+    """`labels` alone builds area runs, and the per-point crossing test
+    serves `locate_points` alone: no second area painter in the package."""
+    assert _package_callers("_area_runs", "_points_in_rings") == {
+        "_area_runs": {"geo.labels"},
+        "_points_in_rings": {"geo.locate_points"},
+    }
+
+
 def test_three_builders_of_weight_matrices():
     """Area rows come from p2p, from the one pixel-to-area reducer, or
     from a weights file: no second reducer in the package."""
