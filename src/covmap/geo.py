@@ -315,38 +315,31 @@ def voronoi_assign(grid: Grid, sites) -> Assignment:
 
 
 class StatArea:
-    """One statistical area: polygon rings, checked when it is made, or a
-    pixel mask.  A mask area keeps the shape of the grid it was given
-    (`shape`), the mask's bounding box as a window of that grid (`window`;
-    empty slices for an empty mask) and a copy of the mask inside it
-    (`inside`), so it holds its box's pixels, not the grid's.  `mask`
-    rebuilds the full-grid boolean on each read (None for a polygon)."""
+    """One statistical area: polygon rings, or a pixel mask.
+
+    A mask area keeps the shape of the grid it was given (`shape`), the
+    mask's bounding box as a window of that grid (`window`; empty slices
+    for an empty mask) and a copy of the mask inside it (`inside`), so
+    it holds its box's pixels, not the grid's.  A polygon area yields
+    the same (window, inside) pair on a grid (`window_on`).  `mask`
+    rebuilds the full-grid boolean on each read (None for a polygon).
+    """
 
     def __init__(self, area_id: str, mask=None, rings: list[np.ndarray] | None = None):
         if (mask is None) == (rings is None):
             raise ValueError(f"area {area_id!r}: exactly one of mask/rings required")
         self.area_id = area_id
-        self.rings = self.shape = self.window = self.inside = None
-        if rings is not None:
-            self.rings = [np.asarray(r, dtype=np.float64) for r in rings]
-            if not self.rings:
-                raise ValueError(f"area {area_id!r}: polygon has no rings")
-            for ring in self.rings:
-                if ring.ndim != 2 or ring.shape[1] != 2:
-                    raise ValueError(f"area {area_id!r}: ring must be an (n, 2) coordinate array")
-                if ring.shape[0] < 4:
-                    raise ValueError(f"area {area_id!r}: ring needs at least 4 points (closed)")
-                if not np.array_equal(ring[0], ring[-1]):
-                    raise ValueError(f"area {area_id!r}: ring is not closed (first point != last)")
-                if not np.all(np.isfinite(ring)):
-                    raise ValueError(f"area {area_id!r}: ring contains non-finite coordinates")
-        else:
+        self.rings = rings
+        self.shape = self.window = self.inside = None
+        if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             axes = range(mask.ndim)
             hits = [np.flatnonzero(mask.any(axis=tuple(b for b in axes if b != a))) for a in axes]
-            self.shape, some = mask.shape, all(h.size for h in hits)
-            self.window = tuple(slice(int(h[0]), int(h[-1]) + 1) if some else slice(0, 0)
-                                for h in hits)
+            self.shape = mask.shape
+            if all(h.size for h in hits):
+                self.window = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+            else:
+                self.window = (slice(0, 0),) * mask.ndim
             self.inside = mask[self.window].copy()
 
     @property
@@ -357,6 +350,32 @@ class StatArea:
         mask[self.window] = self.inside
         return mask
 
+    def window_on(self, grid: Grid) -> tuple[tuple[slice, slice], np.ndarray]:
+        """The area on `grid` as a (rows, cols) window and the mask inside
+        it; every pixel outside the window is outside the area."""
+        if self.rings is not None:
+            return _polygon_window(self.rings, grid, self.area_id)
+        if self.shape != grid.shape:
+            raise ValueError(f"area {self.area_id!r}: mask does not fit grid {grid.shape}")
+        return self.window, self.inside
+
+
+def _validate_ring(ring: np.ndarray, area_id: str) -> np.ndarray:
+    ring = np.asarray(ring, dtype=np.float64)
+    if ring.ndim != 2 or ring.shape[1] != 2:
+        raise ValueError(f"area {area_id!r}: ring must be an (n, 2) coordinate array")
+    if ring.shape[0] < 4:
+        raise ValueError(f"area {area_id!r}: ring needs at least 4 points (closed)")
+    if not np.array_equal(ring[0], ring[-1]):
+        raise ValueError(f"area {area_id!r}: ring is not closed (first point != last)")
+    if not np.all(np.isfinite(ring)):
+        raise ValueError(f"area {area_id!r}: ring contains non-finite coordinates")
+    with np.errstate(over="ignore"):
+        steps = np.diff(ring, axis=0)
+    if not np.all(np.isfinite(steps)):  # a crossing abscissa could then be NaN
+        raise ValueError(f"area {area_id!r}: ring edges too long for float64")
+    return ring
+
 
 def _points_in_rings(rings: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Even-odd crossing test; points on edges follow the half-open rule.
@@ -364,7 +383,8 @@ def _points_in_rings(rings: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> n
     inside = np.zeros(x.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for ring in rings:
-            (x1, y1), (x2, y2) = ring[:-1].T, ring[1:].T
+            x1, y1 = ring[:-1, 0], ring[:-1, 1]
+            x2, y2 = ring[1:, 0], ring[1:, 1]
             for e in range(x1.size):
                 if y1[e] == y2[e]:
                     continue  # horizontal edges never cross the half-open band
@@ -374,51 +394,33 @@ def _points_in_rings(rings: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> n
     return inside
 
 
-def _area_runs(areas: list[StatArea], grid: Grid):
-    """The `[start, end)` pixel-id runs (each within a row) and area indices
-    of the areas before the first mask that misfits `grid`, and its error.
-    All polygon edges go at once: an edge crosses the rows whose centre y
-    is in its half-open band at `_points_in_rings`' abscissa, and a ring an
-    even number of times, so an area's sorted crossings on a row pair up."""
-    nrows, ncols = grid.shape
-    polys, runs, misfit = [], [], None
-    for idx, a in enumerate(areas):
-        if a.rings is not None:
-            polys.append(idx)
-            continue
-        if a.shape != grid.shape:
-            misfit = ValueError(f"area {a.area_id!r}: mask does not fit grid {grid.shape}")
-            break
-        padded = np.zeros((a.inside.shape[0], a.inside.shape[1] + 2), dtype=bool)
-        padded[:, 1:-1] = a.inside  # a row padded outside toggles at its runs' starts and ends
-        r, c = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), padded.shape[1] - 1)
-        pid = (a.window[0].start + r) * ncols + a.window[1].start + c
-        runs.append((pid[0::2], pid[1::2], np.full(pid.size // 2, idx)))
-    if polys:
-        rings = [r for i in polys for r in areas[i].rings]
-        area = np.repeat(polys, [sum(map(len, areas[i].rings)) for i in polys])
-        v = np.concatenate(rings)
-        (x1, y1), (x2, y2) = v[:-1].T, v[1:].T
-        edge = y1 != y2  # a horizontal edge crosses no row's half-open band
-        edge[np.cumsum([len(r) for r in rings])[:-1] - 1] = False  # no edge joins two rings
-        # row centres bottom up (ascending y) and column centres, as `Grid.centers` has them
-        yc, xc = grid.centers(np.arange(nrows)[::-1], 0)[1], grid.centers(0, np.arange(ncols))[0]
-        j0 = np.searchsorted(yc, np.minimum(y1, y2)[edge])
-        n = np.searchsorted(yc, np.maximum(y1, y2)[edge]) - j0
-        x1, y1, dx, dy, area = (col[edge] for col in (x1, y1, x2 - x1, y2 - y1, area[:-1]))
-        e = np.repeat(np.arange(n.size), n)
-        j = np.arange(e.size) - np.repeat(np.cumsum(n) - n - j0, n)
-        cross = x1[e] + (yc[j] - y1[e]) / dy[e] * dx[e]  # x1 + t * (x2 - x1), t as there
-        group = area[e] * nrows + j
-        del e, j
-        order = np.lexsort((cross, group))
-        c0, c1 = np.searchsorted(xc, cross[order].reshape(-1, 2).T)
-        group, keep = group[order[::2]], c1 > c0
-        first = (nrows - 1 - group % nrows) * ncols
-        runs.append(((first + c0)[keep], (first + c1)[keep], (group // nrows)[keep]))
-    start, end, owner = (np.concatenate([r[k] for r in runs] or [np.zeros(0, np.int64)])
-                         for k in range(3))
-    return start, end, owner, misfit
+def _polygon_window(rings, grid: Grid, area_id: str) -> tuple[tuple[slice, slice], np.ndarray]:
+    """Polygon rings rasterised to pixel-centre containment, as a (rows,
+    cols) window of the grid and the mask inside it; every pixel outside
+    the window is outside.  Multiple rings combine by even-odd parity, so
+    holes and multi-part polygons work without orientation rules."""
+    rings = [_validate_ring(r, area_id) for r in rings]
+    if not rings:
+        raise ValueError(f"area {area_id!r}: polygon has no rings")
+    # Only centres near the rings' bounding box are tested.  A centre above
+    # or below it crosses no edge, one left of it crosses each ring's edges
+    # an even number of times and one right of it crosses none to its
+    # right, so every centre outside stays outside.
+    points = np.concatenate(rings)
+    x0, y0 = (float(v) for v in points.min(axis=0))
+    x1, y1 = (float(v) for v in points.max(axis=0))
+    cell = grid.cell_size_m
+    top = grid.origin_y + grid.nrows * cell
+    rows = _cell_span((top - y1) / cell, (top - y0) / cell, grid.nrows)
+    cols = _cell_span((x0 - grid.origin_x) / cell, (x1 - grid.origin_x) / cell, grid.ncols)
+    rr, cc = np.meshgrid(np.arange(grid.nrows)[rows], np.arange(grid.ncols)[cols], indexing="ij")
+    return (rows, cols), _points_in_rings(rings, *grid.centers(rr, cc))
+
+
+def _cell_span(lo: float, hi: float, n: int) -> slice:
+    """The cells of an n-cell axis whose centres lie within two cells of
+    [lo, hi], in cell units from the axis' first edge (a superset)."""
+    return slice(math.floor(min(max(lo - 2.5, 0.0), n)), math.ceil(min(max(hi + 2.5, 0.0), n)))
 
 
 class AreaOverlapError(ValueError):
@@ -441,15 +443,21 @@ class StatAreaSet:
 
     @classmethod
     def from_masks(cls, grid: Grid, pairs) -> "StatAreaSet":
-        areas = [StatArea(area_id, mask=mask) for area_id, mask in pairs]
-        for a in areas:
-            if a.shape != grid.shape:
-                raise ValueError(f"area {a.area_id!r}: mask shape {a.shape} != grid {grid.shape}")
+        areas = []
+        for area_id, mask in pairs:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != grid.shape:
+                raise ValueError(f"area {area_id!r}: mask shape {mask.shape} != grid {grid.shape}")
+            areas.append(StatArea(area_id, mask=mask))
         return cls(areas, grid=grid)
 
     @classmethod
     def from_polygons(cls, pairs) -> "StatAreaSet":
-        return cls([StatArea(area_id, rings=list(rings)) for area_id, rings in pairs])
+        areas = []
+        for area_id, rings in pairs:
+            rings = [_validate_ring(np.asarray(r), area_id) for r in rings]
+            areas.append(StatArea(area_id, rings=rings))
+        return cls(areas)
 
     def __len__(self) -> int:
         return len(self.areas)
@@ -459,34 +467,34 @@ class StatAreaSet:
         return [a.area_id for a in self.areas]
 
     def labels(self, grid: Grid | None = None) -> np.ndarray:
-        """Rasterised area index per pixel (-1 outside every area), cached per
-        grid and read-only, painted from all areas' row runs at once.  Errors
-        are a one-area-at-a-time painter's: the first clash or misfit mask."""
+        """Rasterised area index per pixel (-1 outside every area), cached
+        per grid and read-only.
+
+        Every area, mask or polygon, is painted one way: from its
+        `window_on(grid)` pair, checked for clashes and written only
+        inside its window.  Raises if any pixel would belong to two areas
+        (naming the first clash in row-major order) or if a mask area was
+        given for a grid of another shape.
+        """
         grid = grid or self.grid
         if grid is None:
             raise ValueError("no grid available to rasterise areas on")
         if grid in self._label_cache:
             return self._label_cache[grid]
-        start, end, owner, misfit = _area_runs(self.areas, grid)
-        order = np.argsort(start, kind="stable")
-        start, end, owner = start[order], end[order], owner[order]
-        if np.any(start[1:] < np.maximum.accumulate(end)[:-1]):
-            # only now every run's pixels: the lowest second owner, at its first
-            n, k = end - start, len(self.areas)
-            pid = np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
-            pid, own = np.divmod(np.sort(pid * k + np.repeat(owner, n)), k)  # by pixel, then owner
-            later = np.flatnonzero(pid[1:] == pid[:-1]) + 1  # second and later owners
-            at = later[own[later] == own[later].min()][0]  # a second owner; `at - 1` the first
-            r, c = divmod(int(pid[at]), grid.ncols)
-            raise AreaOverlapError(f"areas {self.areas[own[at - 1]].area_id!r} and "
-                                   f"{self.areas[own[at]].area_id!r} overlap at pixel ({r}, {c})")
-        if misfit is not None:
-            raise misfit
-        values = np.full(2 * start.size + 1, UNASSIGNED, dtype=np.int32)
-        values[1::2] = owner
-        bounds = np.column_stack([start, end]).ravel()  # a gap before each run, one after
-        labels = np.repeat(values, np.diff(bounds, prepend=0, append=grid.npixels))
-        labels = labels.reshape(grid.shape)
+        labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
+        for idx, a in enumerate(self.areas):
+            window, m = a.window_on(grid)
+            # an area is painted and checked only inside its window, which
+            # holds all its pixels, so the first clash in row-major order stays first
+            sub = labels[window]
+            clash = m & (sub != UNASSIGNED)
+            if np.any(clash):
+                r, c = np.argwhere(clash)[0] + (window[0].start, window[1].start)
+                other = self.areas[labels[r, c]].area_id
+                raise AreaOverlapError(
+                    f"areas {other!r} and {a.area_id!r} overlap at pixel ({r}, {c})"
+                )
+            sub[m] = idx
         labels.flags.writeable = False  # shared by every later caller on this grid
         self._label_cache[grid] = labels
         return labels
@@ -519,15 +527,15 @@ class StatAreaSet:
         """Area index containing each point (-1 when outside every area)."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        out = np.full(x.size, UNASSIGNED, dtype=np.int64)
         if all(a.rings is not None for a in self.areas):
+            out = np.full(x.size, UNASSIGNED, dtype=np.int64)
             if not self.areas:
                 return out
-            # A point outside an area's rings' bounding box is outside it (one
-            # above or below crosses no edge, one left crosses each ring an even
-            # number of times, one right none), so each area tests only the
-            # points in its box, widened by 1e-9 of the largest vertex coordinate
-            # (far above a crossing's rounding): a slice in x order, then y.
+            # A point outside an area's rings' bounding box is outside the
+            # area, by the argument in `_polygon_window`, so each area tests
+            # only the points in its box: a slice of the points in x order,
+            # then a test on y.  The boxes are widened by 1e-9 of the largest
+            # vertex coordinate, far above the rounding of a crossing abscissa.
             starts = np.cumsum([0] + [sum(map(len, a.rings)) for a in self.areas[:-1]])
             vertices = np.concatenate([r for a in self.areas for r in a.rings])
             pad = 1e-9 * max(np.abs(vertices).max(), 1.0)
@@ -542,12 +550,14 @@ class StatAreaSet:
                 if inbox.any():
                     cand = order[i0:i1][inbox]
                     cand = cand[out[cand] == UNASSIGNED]
-                    out[cand[_points_in_rings(self.areas[idx].rings, x[cand], y[cand])]] = idx
+                    rings = self.areas[idx].rings
+                    out[cand[_points_in_rings(rings, x[cand], y[cand])]] = idx
             return out
         grid = grid or self.grid
         labels = self.labels(grid)
         r, c = grid.locate(x, y)
         ok = (r >= 0) & (c >= 0)
+        out = np.full(x.size, UNASSIGNED, dtype=np.int64)
         out[ok] = labels[r[ok], c[ok]]
         return out
 

@@ -24,9 +24,6 @@ from covmap.geo import (
     nearest_two,
     voronoi_assign,
 )
-from covmap.simulation import SimConfig, build_areas
-
-from conftest import traced_peak
 
 
 def _locate_every_point(areas, x, y):
@@ -389,10 +386,10 @@ class TestPolygonLabels:
             assert np.array_equal(mask, want.reshape(10, 12))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_runs_equal_every_centre_tested(self, seed):
+    def test_window_equals_every_centre_tested(self, seed):
         # random multi-ring polygons, partly or wholly off a grid with an
-        # offset origin; the runs must hold exactly the centres the
-        # crossing test puts inside
+        # offset origin; the window must leave out no centre the crossing
+        # test would put inside
         rng = np.random.default_rng(seed)
         g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
         x, y = _every_centre(g)
@@ -418,9 +415,20 @@ class TestPolygonLabels:
         with pytest.raises(ValueError, match="at least 4 points"):
             StatAreaSet.from_polygons([("a", [np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])])])
         with pytest.raises(ValueError, match="non-finite"):
-            StatArea("a", rings=[np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [0.0, 0.0]])])
+            StatAreaSet.from_polygons(
+                [("a", [np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [0.0, 0.0]])])])
         with pytest.raises(ValueError, match="no rings"):
-            StatAreaSet.from_polygons([("a", [])])
+            StatAreaSet.from_polygons([("a", [])]).labels(Grid(ncols=2, nrows=2, cell_size_m=10.0))
+
+    def test_ring_with_an_overflowing_edge_rejected(self):
+        # x2 - x1 is inf, so a crossing abscissa could be NaN: refused when
+        # the set is made, and when a hand-built area is painted
+        ring = np.array([[-1e308, 1.5], [1e308, 4.0], [1e308, -1.0], [-1e308, 1.5]])
+        msg = r"^area 'a': ring edges too long for float64$"
+        with pytest.raises(ValueError, match=msg):
+            StatAreaSet.from_polygons([("a", [ring])])
+        with pytest.raises(ValueError, match=msg):
+            StatAreaSet([StatArea("a", rings=[ring])]).labels(Grid(ncols=4, nrows=4, cell_size_m=1.0))
 
 
 def _full_grid_labels(members, grid: Grid) -> np.ndarray:
@@ -533,12 +541,12 @@ def _random_mask(rng, g: Grid) -> np.ndarray:
 
 class TestStatAreaSet:
     @pytest.mark.parametrize("seed", range(4))
-    def test_labels_equal_a_one_area_at_a_time_painter(self, seed):
+    def test_windowed_labels_equal_a_full_grid_painter(self, seed):
         # random polygons, many partly or wholly off a grid with an offset
         # origin, mixed with sparse, empty, edge-hugging and wrong-shaped
         # masks; the labels, or the error (the first clash, or the first
         # mask that does not fit), and the sizes' bits must equal the
-        # reference painter's on the masks as given
+        # full-grid painter's on the masks as given
         rng = np.random.default_rng(seed)
         g = Grid(ncols=31, nrows=23, cell_size_m=7.0, origin_x=-50.0, origin_y=120.0)
         outcomes = {"labels": 0, "overlap": 0, "fit": 0}
@@ -624,30 +632,6 @@ class TestStatAreaSet:
                              StatArea("w", mask=wide)], grid=g)
         with pytest.raises(geo.AreaOverlapError, match=r"^areas 'a' and 'p' overlap"):
             areas.labels()
-
-    def test_labels_peak_is_the_raster_plus_its_runs(self):
-        """On the full-scale layout as 40 polygon rectangles, `labels`
-        holds the raster and a few words per row run of an area, never
-        a pixel-sized array besides the raster (one area's window of
-        centres alone would exceed the bound)."""
-        cfg = SimConfig()
-        g, cell = cfg.grid, cfg.grid.cell_size_m
-        masks, _ = build_areas(cfg)
-        pairs = []
-        for a in masks.areas:
-            rows, cols = a.window
-            pairs.append((a.area_id, [rect_ring(
-                g.origin_x + cols.start * cell, g.origin_y + (g.nrows - rows.stop) * cell,
-                g.origin_x + cols.stop * cell, g.origin_y + (g.nrows - rows.start) * cell)]))
-        areas = StatAreaSet.from_polygons(pairs)
-        peak = traced_peak(lambda: areas.labels(g))
-        labels = areas.labels(g)
-        assert np.array_equal(labels, masks.labels())
-        left = np.concatenate([np.ones((g.nrows, 1), dtype=bool), np.diff(labels, axis=1) != 0],
-                              axis=1)
-        runs = int(np.count_nonzero(left & (labels != UNASSIGNED)))
-        assert runs == 5600
-        assert peak <= labels.nbytes + 128 * runs, (peak, runs)
 
     def test_mask_area_keeps_a_copy_of_its_box(self):
         g = Grid(ncols=6, nrows=5, cell_size_m=10.0)

@@ -1209,11 +1209,13 @@ def test_one_distance_helper_behind_the_nearest_site_reducers():
 
 
 def test_one_area_painter_and_one_point_test():
-    """`labels` alone builds area runs, and the per-point crossing test
-    serves `locate_points` alone: no second area painter in the package."""
-    assert _package_callers("_area_runs", "_points_in_rings") == {
-        "_area_runs": {"geo.labels"},
-        "_points_in_rings": {"geo.locate_points"},
+    """`labels` paints every area through `StatArea.window_on`, a polygon's
+    window comes from one helper, and the per-point crossing test serves
+    that helper and `locate_points` alone: no second area painter."""
+    assert _package_callers("window_on", "_polygon_window", "_points_in_rings") == {
+        "window_on": {"geo.labels"},
+        "_polygon_window": {"geo.window_on"},
+        "_points_in_rings": {"geo._polygon_window", "geo.locate_points"},
     }
 
 
