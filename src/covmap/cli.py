@@ -83,11 +83,13 @@ def _load_env_grid(path, grid, raster_path) -> np.ndarray:
     return values.astype(np.uint8)
 
 
-def _resolve_specs(bts: io.BtsFile, areas, grid, naive: bool):
-    """Antenna specs plus the area classes used for any synthesis."""
+def _link_inputs(args, bts: io.BtsFile, areas, grid) -> tuple[list, np.ndarray]:
+    """A link pass's antenna specs, in bts_id order, and its environment
+    grid: `--aux`, else the areas painted with the density classes (the
+    ones any spec synthesis used), else suburban everywhere."""
     classes = None
-    if naive or bts.needs_synthesis:
-        if not naive:
+    if args.naive or bts.needs_synthesis:
+        if not args.naive:
             raise ValueError(
                 "BTS file has no technical columns (height_m,freq_mhz,power_dbm); "
                 "pass --naive to synthesize specs"
@@ -98,17 +100,14 @@ def _resolve_specs(bts: io.BtsFile, areas, grid, naive: bool):
         specs = synthesize_naive_specs(bts.points, classes, areas, grid)
     else:
         specs = bts.specs
-    return specs, classes
-
-
-def _resolve_env(args, areas, bts, grid, classes) -> np.ndarray:
+    specs = sorted(specs, key=lambda sp: sp.bts_id)
     if args.aux is not None:
-        return _load_env_grid(args.aux, grid, args.raster)
+        return specs, _load_env_grid(args.aux, grid, args.raster)
     if areas is not None:
         if classes is None:
             classes = classify_areas_by_bts_density(areas, bts.points, grid)
-        return paint_area_env(areas, classes, grid)
-    return np.full(grid.shape, ENV_SUBURBAN, dtype=np.uint8)
+        return specs, paint_area_env(areas, classes, grid)
+    return specs, np.full(grid.shape, ENV_SUBURBAN, dtype=np.uint8)
 
 
 def _metric_series(records) -> dict[tuple[str, str, str], dict[int, float]]:
@@ -217,9 +216,7 @@ def cmd_coverage(args) -> int:
     grid = raster.grid
     bts = io.load_bts_csv(args.bts)
     areas = io.load_areas_geojson(args.areas) if args.areas else None
-    specs, classes = _resolve_specs(bts, areas, grid, args.naive)
-    env2d = _resolve_env(args, areas, bts, grid, classes)
-    specs = sorted(specs, key=lambda sp: sp.bts_id)
+    specs, env2d = _link_inputs(args, bts, areas, grid)
     assignment = best_server_grid(grid, specs, env2d, args.rx_height, args.threshold)
     labels = assignment.labels
     dead = labels < 0
@@ -256,8 +253,7 @@ def cmd_weights(args) -> int:
             voronoi_assign(grid, bts.points), extract_settlements(raster), areas
         )
     else:
-        specs, classes = _resolve_specs(bts, areas, grid, args.naive)
-        env2d = _resolve_env(args, areas, bts, grid, classes)
+        specs, env2d = _link_inputs(args, bts, areas, grid)
         settlements = extract_settlements(raster)
         params["dead_threshold_dbm"] = args.threshold
         idw = None
@@ -265,10 +261,8 @@ def cmd_weights(args) -> int:
             params["s"] = float(args.s)
             params["k"] = int(args.k)
             idw = (args.s, args.k)
-        pw = settlement_pixel_weights(
-            settlements, sorted(specs, key=lambda sp: sp.bts_id), env2d,
-            rx_height_m=1.0, dead_threshold_dbm=args.threshold, idw=idw,
-        )
+        pw = settlement_pixel_weights(settlements, specs, env2d, rx_height_m=1.0,
+                                      dead_threshold_dbm=args.threshold, idw=idw)
         wm = area_weights_from_pixels(pw, areas, grid)
 
     key = args.scheme.replace("-", "_")

@@ -320,16 +320,19 @@ class StatArea:
     A mask area keeps the shape of the grid it was given (`shape`), the
     mask's bounding box as a window of that grid (`window`; empty slices
     for an empty mask) and a copy of the mask inside it (`inside`), so
-    it holds its box's pixels, not the grid's.  A polygon area yields
-    the same (window, inside) pair on a grid (`window_on`).  `mask`
-    rebuilds the full-grid boolean on each read (None for a polygon).
+    it holds its box's pixels, not the grid's.  A polygon area's rings
+    are checked once, here, and it yields the same (window, inside) pair
+    on a grid (`window_on`).  `mask` rebuilds the full-grid boolean on
+    each read (None for a polygon).
     """
 
     def __init__(self, area_id: str, mask=None, rings: list[np.ndarray] | None = None):
         if (mask is None) == (rings is None):
             raise ValueError(f"area {area_id!r}: exactly one of mask/rings required")
         self.area_id = area_id
-        self.rings = rings
+        self.rings = None if rings is None else [_validate_ring(r, area_id) for r in rings]
+        if self.rings == []:
+            raise ValueError(f"area {area_id!r}: polygon has no rings")
         self.shape = self.window = self.inside = None
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
@@ -354,7 +357,7 @@ class StatArea:
         """The area on `grid` as a (rows, cols) window and the mask inside
         it; every pixel outside the window is outside the area."""
         if self.rings is not None:
-            return _polygon_window(self.rings, grid, self.area_id)
+            return _polygon_window(self.rings, grid)
         if self.shape != grid.shape:
             raise ValueError(f"area {self.area_id!r}: mask does not fit grid {grid.shape}")
         return self.window, self.inside
@@ -394,14 +397,11 @@ def _points_in_rings(rings: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> n
     return inside
 
 
-def _polygon_window(rings, grid: Grid, area_id: str) -> tuple[tuple[slice, slice], np.ndarray]:
+def _polygon_window(rings, grid: Grid) -> tuple[tuple[slice, slice], np.ndarray]:
     """Polygon rings rasterised to pixel-centre containment, as a (rows,
     cols) window of the grid and the mask inside it; every pixel outside
     the window is outside.  Multiple rings combine by even-odd parity, so
     holes and multi-part polygons work without orientation rules."""
-    rings = [_validate_ring(r, area_id) for r in rings]
-    if not rings:
-        raise ValueError(f"area {area_id!r}: polygon has no rings")
     # Only centres near the rings' bounding box are tested.  A centre above
     # or below it crosses no edge, one left of it crosses each ring's edges
     # an even number of times and one right of it crosses none to its
@@ -453,11 +453,7 @@ class StatAreaSet:
 
     @classmethod
     def from_polygons(cls, pairs) -> "StatAreaSet":
-        areas = []
-        for area_id, rings in pairs:
-            rings = [_validate_ring(np.asarray(r), area_id) for r in rings]
-            areas.append(StatArea(area_id, rings=rings))
-        return cls(areas)
+        return cls([StatArea(area_id, rings=rings) for area_id, rings in pairs])
 
     def __len__(self) -> int:
         return len(self.areas)

@@ -505,14 +505,12 @@ def load_metrics_csv(path) -> list[tuple]:
     _, rows = _csv_rows(path, lambda h: ",".join(h) == METRICS_HEADER, METRICS_HEADER)
     records = []
     for line, fields in rows:
-        cell = fields[4].strip()
         try:
             rnd = int(fields[0])
-            value = float(cell) if cell else math.nan
         except ValueError:
             raise _err(path, line, f"malformed row {fields!r}") from None
-        if cell and not math.isfinite(value):
-            raise _err(path, line, f"non-finite value {cell!r}")
+        cell = fields[4].strip()
+        value = _number(path, line, "value", cell) if cell else math.nan
         records.append((rnd, fields[1], fields[2], fields[3], value))
     return records
 

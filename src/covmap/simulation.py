@@ -837,15 +837,6 @@ def prediction_metrics(est: dict, truth: dict) -> PredictionMetrics:
     return PredictionMetrics(rho, bias, rmse, len(keys))
 
 
-def _iou_by_site(est_flat, truth_flat, j: int) -> tuple[np.ndarray, np.ndarray]:
-    eq = (est_flat == truth_flat) & (est_flat >= 0)
-    inter = np.bincount(est_flat[eq], minlength=j)
-    na = np.bincount(est_flat[est_flat >= 0], minlength=j)
-    nb = np.bincount(truth_flat[truth_flat >= 0], minlength=j)
-    union = na + nb - inter
-    return inter, union
-
-
 def _class_means(values: np.ndarray, valid: np.ndarray, codes=None) -> dict[str, float]:
     """Mean of `values` over the `valid` entries ("total", NaN when none),
     plus the mean per environment class when `codes` gives an env code
@@ -864,6 +855,14 @@ def _site_codes(bts_env: list[str] | None):
     return None if bts_env is None else [env_code(e) for e in bts_env]
 
 
+def _site_keys(claim_key) -> np.ndarray:
+    """Each site's claimed label, -2 (never a label) for no claim, then one
+    more -2 that the server -1 of an unserved pixel or settlement indexes."""
+    keys = np.append(claim_key, -1).astype(np.int32)
+    keys[keys < 0] = -2
+    return keys
+
+
 def geographic_overlap(
     est: Assignment, truth: Assignment, bts_env: list[str] | None = None
 ) -> dict[str, float]:
@@ -876,64 +875,53 @@ def geographic_overlap(
         raise ValueError("assignments cover different bts_id sets")
     if est.labels.shape != truth.labels.shape:
         raise ValueError("assignments cover different grids")
-    inter, union = _iou_by_site(est.labels.ravel(), truth.labels.ravel(), len(est.bts_ids))
+    return area_membership_overlap(est.labels, np.arange(len(est.bts_ids)), truth, bts_env)
+
+
+def area_membership_overlap(
+    claim_labels: np.ndarray,
+    claim_key: np.ndarray,
+    truth: Assignment,
+    bts_env: list[str] | None = None,
+) -> dict[str, float]:
+    """Mean per-site intersection-over-union of claimed and served pixels.
+
+    Site j claims the pixels of `claim_labels` equal to `claim_key[j]`
+    (-1 = no claim): its own index on a served-pixel map, its host area
+    on an area map (p2p), where sites sharing an area each claim all of
+    it.  Sites with an empty union are skipped; with `bts_env` the mean
+    is also reported per class.
+    """
+    n = len(truth.bts_ids)
+    t_flat = truth.labels.ravel()
+    c_flat = claim_labels.ravel()
+    keys = _site_keys(claim_key)
+    # pixels per label, shifted by 2: no claim's -2 reads slot 0, which no
+    # pixel fills, and a key may label no pixel
+    claimed = np.bincount(c_flat + 2, minlength=keys.max() + 3)
+    inter = np.bincount(t_flat[np.take(keys, t_flat) == c_flat], minlength=n)
+    union = claimed[keys[:-1] + 2] + np.bincount(t_flat + 1, minlength=n + 1)[1:] - inter
     # an empty union has an empty intersection, so the clamp only avoids 0/0
     return _class_means(inter / np.maximum(union, 1), union > 0, _site_codes(bts_env))
 
 
-def area_membership_overlap(
-    area_labels: np.ndarray,
-    host_area: np.ndarray,
-    truth: Assignment,
-    bts_env: list[str] | None = None,
-) -> dict[str, float]:
-    """Geographic overlap for p2p, whose per-site claim is its host area.
+def settlement_overlap(claim_at, claim_key, true_server, group_codes=None) -> dict[str, float]:
+    """Mean credit of truth-covered settlements for one claim.
 
-    `host_area[j]` is the area index containing site j (-1 = none, an
-    empty claim).  Works like `geographic_overlap` with the site's area
-    pixels as its estimated service region; areas shared by several
-    sites count fully for each.
+    `claim_at` is the claim's label at each settlement and `claim_key`
+    the label each site claims (as in `area_membership_overlap`).  A
+    settlement scores 1/n when its label is its true server's key and n
+    sites share that key, else 0: a match on a served-pixel map, p2p's
+    row weight on an area map.  With `group_codes` (an env code per
+    settlement) per-class means are included.
     """
-    j = len(truth.bts_ids)
-    t_flat = truth.labels.ravel()
-    a_flat = area_labels.ravel()
-    host = np.asarray(host_area, dtype=np.int64)
-    # a host area may hold no pixel centre; the extra last row is all
-    # zero and is what host -1 indexes, so an empty claim scores as none
-    n_area = max(a_flat.max(initial=-1), host.max(initial=-1)) + 1
-    area_sizes = np.bincount(a_flat[a_flat >= 0], minlength=n_area + 1)
-    both = (a_flat >= 0) & (t_flat >= 0)
-    inter_mat = np.bincount(
-        a_flat[both] * j + t_flat[both], minlength=(n_area + 1) * j
-    ).reshape(n_area + 1, j)
-    t_sizes = np.bincount(t_flat[t_flat >= 0], minlength=j)
-    inter = inter_mat[host, np.arange(j)]
-    union = area_sizes[host] + t_sizes - inter
-    valid = union > 0
-    iou = np.zeros(j)
-    iou[valid] = inter[valid] / union[valid]
-    return _class_means(iou, valid, _site_codes(bts_env))
-
-
-def settlement_overlap(
-    est_server, true_server, group_codes=None, credit=None
-) -> dict[str, float]:
-    """Share of truth-covered settlements whose estimated server matches.
-
-    `credit` replaces the 0/1 match indicator for schemes that only
-    give fractional attachment (p2p).  With `group_codes` (an env code
-    per settlement) per-class shares are included.
-    """
+    claim_at = np.asarray(claim_at)
     true_server = np.asarray(true_server)
-    if credit is None:
-        est_server = np.asarray(est_server)
-        if est_server.shape != true_server.shape:
-            raise ValueError("server arrays differ in shape")
-        credit = (est_server == true_server).astype(np.float64)
-    else:
-        credit = np.asarray(credit, dtype=np.float64)
-        if credit.shape != true_server.shape:
-            raise ValueError("credit array differs in shape")
+    if claim_at.shape != true_server.shape:
+        raise ValueError("claim labels and true servers differ in shape")
+    keys = _site_keys(claim_key)
+    share = 1.0 / np.bincount(keys + 2)[keys + 2]  # 1/n for the n sites sharing a key
+    credit = np.where(np.take(keys, true_server) == claim_at, np.take(share, true_server), 0.0)
     return _class_means(credit, true_server >= 0, group_codes)
 
 
@@ -1017,19 +1005,6 @@ def _benchmark_estimates(world: SyntheticWorld) -> dict[str, float | None]:
     }
 
 
-def _p2p_credit(
-    host_area: np.ndarray, area_of_settlement: np.ndarray, true_server: np.ndarray
-) -> np.ndarray:
-    """Fractional settlement credit for p2p's row weight: 1/n when the true
-    server is one of the n sites its area hosts (`host_area`), else 0."""
-    credit = np.zeros(true_server.size)
-    ok = (true_server >= 0) & (area_of_settlement >= 0)
-    ok[ok] = host_area[true_server[ok]] == area_of_settlement[ok]
-    hosted = np.bincount(host_area[host_area >= 0])
-    credit[ok] = 1.0 / hosted[area_of_settlement[ok]]
-    return credit
-
-
 def simulate_round(cfg: SimConfig, round_index: int, return_world: bool = False):
     """Run one study round; returns metric records (and optionally the world).
 
@@ -1059,7 +1034,6 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     truth = world.coverage.assignment
     true_server = world.coverage.settlement_server
     area_labels = areas.labels(grid)
-    area_of_settlement = area_labels[settlements.rows, settlements.cols].astype(np.int64)
 
     # envs for metric grouping: per site the true class, per settlement
     # its true server's class (uncovered settlements only count in totals)
@@ -1102,32 +1076,25 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         "hata_idw": aggregate(wm_idw, world.covariates, "poverty"),
     }
 
-    # --- overlaps: each distinct map is scored once ---------------------
+    # --- overlaps: one claim per distinct map, each scored once ---------
+    # (pixel labels, labels at the settlements, each site's claimed label)
+    own = np.arange(len(specs))
     host_area = areas.locate_points(
         np.array([p[1] for p in points]), np.array([p[2] for p in points]), grid
     )
-    geo_vor = geographic_overlap(vor, truth, world.bts_env)
-    geo_hata = geographic_overlap(naive_assign, truth, world.bts_env)
-    geo = {
-        "benchmark": geographic_overlap(truth, truth, world.bts_env),
-        "p2p": area_membership_overlap(area_labels, host_area, truth, world.bts_env),
-        "voronoi": geo_vor,
-        "aug_voronoi": geo_vor,
-        "hata_bsa": geo_hata,
-        "hata_idw": geo_hata,
+    claims = {
+        "benchmark": (truth.labels, true_server, own),
+        "p2p": (area_labels, area_labels[settlements.rows, settlements.cols], host_area),
+        "voronoi": (vor.labels, vor.labels[settlements.rows, settlements.cols], own),
+        "hata_bsa": (naive_assign.labels, naive_sel, own),
     }
-    vor_at = vor.labels[settlements.rows, settlements.cols].astype(np.int64)
-    credit_p2p = _p2p_credit(host_area, area_of_settlement, true_server)
-    settle_vor = settlement_overlap(vor_at, true_server, settle_group)
-    settle_hata = settlement_overlap(naive_sel, true_server, settle_group)
-    settle = {
-        "benchmark": settlement_overlap(true_server, true_server, settle_group),
-        "p2p": settlement_overlap(None, true_server, settle_group, credit=credit_p2p),
-        "voronoi": settle_vor,
-        "aug_voronoi": settle_vor,
-        "hata_bsa": settle_hata,
-        "hata_idw": settle_hata,
+    overlaps = {
+        scheme: (area_membership_overlap(labels, key, truth, world.bts_env),
+                 settlement_overlap(at, key, true_server, settle_group))
+        for scheme, (labels, at, key) in claims.items()
     }
+    overlaps["aug_voronoi"] = overlaps["voronoi"]
+    overlaps["hata_idw"] = overlaps["hata_bsa"]
 
     # --- predictions: per-scheme covered set, plus the intersection ------
     truth_rates = world.true_area_rates
@@ -1143,7 +1110,7 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         ("world", "n_common_areas", "total", float(len(common))),
     ]
     for scheme in SCHEMES:
-        for name, vals in (("geo_overlap", geo[scheme]), ("settlement_overlap", settle[scheme])):
+        for name, vals in zip(("geo_overlap", "settlement_overlap"), overlaps[scheme]):
             for env_name, v in vals.items():
                 records.append((scheme, name, env_name, v))
         est = estimates[scheme]

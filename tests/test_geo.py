@@ -430,6 +430,18 @@ class TestPolygonLabels:
         with pytest.raises(ValueError, match=msg):
             StatAreaSet([StatArea("a", rings=[ring])]).labels(Grid(ncols=4, nrows=4, cell_size_m=1.0))
 
+    @pytest.mark.parametrize("ring, msg", [
+        ([[0.0, 0.0], [20.0, 0.0], [20.0, 20.0], [0.0, 20.0]], "not closed"),
+        ([[0.0, 0.0], [20.0, np.nan], [20.0, 20.0], [0.0, 0.0]], "non-finite"),
+    ])
+    def test_hand_built_area_refuses_a_bad_ring(self, ring, msg):
+        # refused when the area is made, so the point lookup and the
+        # sizing never read it (they once gave area 0 and 0.0004 km², or NaN)
+        with pytest.raises(ValueError, match=msg):
+            StatAreaSet([StatArea("a", rings=[np.array(ring)])]).locate_points([10.0], [5.0])
+        with pytest.raises(ValueError, match=msg):
+            StatAreaSet([StatArea("a", rings=[np.array(ring)])]).area_km2()
+
 
 def _full_grid_labels(members, grid: Grid) -> np.ndarray:
     """Reference labelling of (area_id, mask, rings) members, masks as

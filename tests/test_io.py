@@ -468,6 +468,13 @@ class TestStudyTables:
             load_metrics_csv(p)
         assert str(exc.value) == f"{p}: line 3: non-finite value {cell!r}"
 
+    def test_metrics_non_numeric_names_its_cell(self, tmp_path):
+        p = tmp_path / "rounds.csv"
+        p.write_text("round,scheme,metric,env_class,value\n0,voronoi,rho,total,0.5x\n")
+        with pytest.raises(ValueError) as exc:
+            load_metrics_csv(p)
+        assert str(exc.value) == f"{p}: line 2: non-numeric value '0.5x'"
+
     def test_metrics_nan_serialized_empty(self):
         s = metrics_csv_string(self.RECORDS)
         assert "0,voronoi,rho,urban,\n" in s

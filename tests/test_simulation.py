@@ -37,7 +37,6 @@ from covmap.simulation import (
     TALLY_METRICS,
     TALLY_SCHEMES,
     SimConfig,
-    _p2p_credit,
     _weighted_kmeans,
     area_membership_overlap,
     assign_poverty,
@@ -1227,6 +1226,16 @@ def test_three_builders_of_weight_matrices():
     }}
 
 
+def test_one_claim_model_scores_every_overlap():
+    """Both overlap metrics score a claim (labels and a key per site) one
+    way: the study calls the two scorers directly, and the assignment
+    IoU is the claim IoU keyed by each site's own index."""
+    assert _package_callers("area_membership_overlap", "settlement_overlap") == {
+        "area_membership_overlap": {"simulation.geographic_overlap", "simulation._evaluate_round"},
+        "settlement_overlap": {"simulation._evaluate_round"},
+    }
+
+
 def test_p2p_credit_matches_row_lookup_loop():
     # A0 hosts a, c and e, A1 hosts b, A2 hosts none, and d is off the grid
     g = Grid(ncols=3, nrows=1, cell_size_m=100.0)
@@ -1240,12 +1249,133 @@ def test_p2p_credit_matches_row_lookup_loop():
     rng = np.random.default_rng(3)
     area_of = rng.integers(-1, 3, 400)
     server = rng.integers(-1, len(points), 400)
-    want = np.zeros(400)
+    got = set()
     for i in range(400):
-        if server[i] >= 0 and area_of[i] >= 0:
-            want[i] = (wm.row(areas.area_ids[area_of[i]]) or {}).get(bts_ids[server[i]], 0.0)
-    got = _p2p_credit(host, area_of, server)
-    assert np.array_equal(got, want) and set(got) == {0.0, 1 / 3, 1.0}
+        # one settlement at a time, so the mean is that settlement's credit
+        credit = settlement_overlap(area_of[i:i + 1], host, server[i:i + 1])["total"]
+        if server[i] < 0:
+            assert np.isnan(credit)
+            continue
+        row = (wm.row(areas.area_ids[area_of[i]]) or {}) if area_of[i] >= 0 else {}
+        assert credit == row.get(bts_ids[server[i]], 0.0)
+        got.add(credit)
+    assert got == {0.0, 1 / 3, 1.0}
+
+
+# the overlap scorers before the claim model: one IoU over served-pixel
+# maps, one over an areas x sites matrix, and a settlement share with a
+# separately built p2p credit
+
+
+def _iou_by_site_before(est_flat, truth_flat, j: int):
+    eq = (est_flat == truth_flat) & (est_flat >= 0)
+    inter = np.bincount(est_flat[eq], minlength=j)
+    na = np.bincount(est_flat[est_flat >= 0], minlength=j)
+    nb = np.bincount(truth_flat[truth_flat >= 0], minlength=j)
+    return inter, na + nb - inter
+
+
+def _geographic_overlap_before(est, truth, bts_env=None):
+    inter, union = _iou_by_site_before(est.labels.ravel(), truth.labels.ravel(),
+                                       len(est.bts_ids))
+    return simulation._class_means(inter / np.maximum(union, 1), union > 0,
+                                   simulation._site_codes(bts_env))
+
+
+def _area_membership_overlap_before(area_labels, host_area, truth, bts_env=None):
+    j = len(truth.bts_ids)
+    t_flat = truth.labels.ravel()
+    a_flat = area_labels.ravel()
+    host = np.asarray(host_area, dtype=np.int64)
+    n_area = max(a_flat.max(initial=-1), host.max(initial=-1)) + 1
+    area_sizes = np.bincount(a_flat[a_flat >= 0], minlength=n_area + 1)
+    both = (a_flat >= 0) & (t_flat >= 0)
+    inter_mat = np.bincount(
+        a_flat[both] * j + t_flat[both], minlength=(n_area + 1) * j
+    ).reshape(n_area + 1, j)
+    t_sizes = np.bincount(t_flat[t_flat >= 0], minlength=j)
+    inter = inter_mat[host, np.arange(j)]
+    union = area_sizes[host] + t_sizes - inter
+    valid = union > 0
+    iou = np.zeros(j)
+    iou[valid] = inter[valid] / union[valid]
+    return simulation._class_means(iou, valid, simulation._site_codes(bts_env))
+
+
+def _p2p_credit_before(host_area, area_of_settlement, true_server):
+    credit = np.zeros(true_server.size)
+    ok = (true_server >= 0) & (area_of_settlement >= 0)
+    ok[ok] = host_area[true_server[ok]] == area_of_settlement[ok]
+    hosted = np.bincount(host_area[host_area >= 0])
+    credit[ok] = 1.0 / hosted[area_of_settlement[ok]]
+    return credit
+
+
+def _settlement_overlap_before(est_server, true_server, group_codes=None, credit=None):
+    if credit is None:
+        credit = (est_server == true_server).astype(np.float64)
+    return simulation._class_means(credit, true_server >= 0, group_codes)
+
+
+def _bits(scores: dict[str, float]) -> dict[str, bytes]:
+    """Each score's float64 bytes, so NaN scores compare too."""
+    return {k: np.float64(v).tobytes() for k, v in scores.items()}
+
+
+@st.composite
+def _claim_worlds(draw):
+    """A truth map, a served-pixel map and an area map with -1 pixels on
+    one small grid, host keys that may be -1, shared or past every area
+    label, and settlements with their labels on each map."""
+    n_sites = draw(st.integers(1, 6))
+    n_area = draw(st.integers(1, 4))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    size = nrows * ncols
+
+    def labels(top, n):
+        # a few distinct values per draw, so empty unions and shared keys are common
+        pool = draw(st.lists(st.integers(-1, top - 1), min_size=1, max_size=3))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                        dtype=np.int32)
+
+    grid = Grid(ncols=ncols, nrows=nrows, cell_size_m=100.0)
+    ids = [f"b{j}" for j in range(n_sites)]
+    truth = Assignment(grid, ids, labels(n_sites, size).reshape(grid.shape))
+    est = Assignment(grid, ids, labels(n_sites, size).reshape(grid.shape))
+    area_labels = labels(n_area, size).reshape(grid.shape)
+    host = np.array(draw(st.lists(st.integers(-1, n_area + 2), min_size=n_sites,
+                                  max_size=n_sites)), dtype=np.int64)
+    env = draw(st.none() | st.lists(st.sampled_from(propagation.ENV_CLASSES),
+                                    min_size=n_sites, max_size=n_sites))
+    m = draw(st.integers(0, 12))
+    true_server = labels(n_sites, m).astype(np.int64)
+    est_at = labels(n_sites, m).astype(np.int64)
+    area_at = labels(n_area, m).astype(np.int64)
+    groups = None
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(-1, 2), min_size=m, max_size=m)))
+    return truth, est, area_labels, host, env, true_server, est_at, area_at, groups
+
+
+class TestClaimModelOracle:
+    """Both overlap metrics, scored through the claim model, equal the
+    scorers they replace byte for byte."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(world=_claim_worlds())
+    def test_equals_the_scorers_before(self, world):
+        truth, est, area_labels, host, env, true_server, est_at, area_at, groups = world
+        own = np.arange(len(truth.bts_ids))
+        want_geo = _bits(_geographic_overlap_before(est, truth, env))
+        assert _bits(geographic_overlap(est, truth, env)) == want_geo
+        assert _bits(area_membership_overlap(est.labels, own, truth, env)) == want_geo
+        assert (_bits(area_membership_overlap(area_labels, host, truth, env))
+                == _bits(_area_membership_overlap_before(area_labels, host, truth, env)))
+        assert (_bits(settlement_overlap(est_at, own, true_server, groups))
+                == _bits(_settlement_overlap_before(est_at, true_server, groups)))
+        credit = _p2p_credit_before(host, area_at, true_server)
+        assert (_bits(settlement_overlap(area_at, host, true_server, groups))
+                == _bits(_settlement_overlap_before(None, true_server, groups, credit)))
 
 
 class TestGeographicOverlap:
@@ -1311,25 +1441,30 @@ class TestSettlementOverlap:
     def test_matches_and_uncovered(self):
         est = np.array([0, 1, 0])
         true = np.array([0, -1, 1])
-        assert settlement_overlap(est, true)["total"] == pytest.approx(0.5)
+        assert settlement_overlap(est, np.arange(2), true)["total"] == pytest.approx(0.5)
 
     def test_group_split(self):
         est = np.array([0, 0, 1, 1])
         true = np.array([0, 1, 1, 1])
         groups = np.array([0, 0, 2, 2])
-        out = settlement_overlap(est, true, groups)
+        out = settlement_overlap(est, np.arange(2), true, groups)
         assert out["total"] == pytest.approx(3 / 4)
         assert out["urban"] == pytest.approx(1 / 2)
         assert out["rural"] == 1.0
 
     def test_fractional_credit(self):
-        true = np.array([0, 0, -1])
-        credit = np.array([0.25, 1.0, 99.0])
-        out = settlement_overlap(None, true, credit=credit)
-        assert out["total"] == pytest.approx(0.625)
+        # sites 0 and 1 share host area 0, site 2 alone hosts area 1, and
+        # site 3 sits outside every area
+        host = np.array([0, 0, 1, -1])
+        area_of = np.array([0, 0, 1, 1, -1, 0])
+        true = np.array([0, 1, 2, 0, 3, -1])
+        groups = np.array([0, 0, 2, 0, 2, 2])
+        out = settlement_overlap(area_of, host, true, groups)
+        # credits 1/2, 1/2, 1, 0 (wrong area) and 0 (no host); the last is uncovered
+        assert out == {"total": 0.4, "urban": 1 / 3, "rural": 0.5}
 
     def test_all_uncovered_is_nan(self):
-        out = settlement_overlap(np.array([0]), np.array([-1]))
+        out = settlement_overlap(np.array([0]), np.arange(1), np.array([-1]))
         assert np.isnan(out["total"])
 
 
