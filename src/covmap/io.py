@@ -77,10 +77,17 @@ def _json_doc(path):
         raise _err(path, None, "invalid JSON: nested too deeply") from None
 
 
+def _no_underscore(word: str) -> str:
+    """`word`, refused if it holds `_`: `float` and `int` read `1_000` as 1000."""
+    if "_" in word:
+        raise ValueError(word)
+    return word
+
+
 def _number(path, line: int, what: str, word: str) -> float:
-    """`float(word)`, which must be finite; the errors name `what` it is."""
+    """`float(word)`, finite and with no `_`; the errors name `what` it is."""
     try:
-        v = float(word)
+        v = float(_no_underscore(word))
     except ValueError:
         raise _err(path, line, f"non-numeric {what} {word!r}") from None
     if not math.isfinite(v):
@@ -466,7 +473,7 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
         if not aid or not bid:
             raise _err(path, line, "empty area_id or bts_id")
         try:
-            w = float(cell)
+            w = float(_no_underscore(cell))
         except ValueError:
             raise _err(path, line, f"non-numeric weight {cell!r}") from None
         if not (math.isfinite(w) and w > 0):
@@ -506,7 +513,7 @@ def load_metrics_csv(path) -> list[tuple]:
     records = []
     for line, fields in rows:
         try:
-            rnd = int(fields[0])
+            rnd = int(_no_underscore(fields[0]))
         except ValueError:
             raise _err(path, line, f"malformed row {fields!r}") from None
         cell = fields[4].strip()

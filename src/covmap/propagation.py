@@ -290,18 +290,19 @@ def link_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pass's radius and level tables, per spec and environment code.
 
-    Returns `(radii, levels, row)`.  `levels[row[j], env, g]` is spec
-    `j`'s level at `_LEVEL_KM[g]` through `env`.  Entry `radii[j, env]`
-    guarantees that every path of length `d >= radii[j, env]` through
-    `env` has a level below `dead_threshold_dbm`: it is 0 when the link
-    is dead at the mast, `inf` exactly when the 100 km link is still live
-    (the clamp holds the loss flat beyond the model's range), and
-    otherwise the first dead point of a `_RADIUS_REFINE`-point linear
-    refinement between the last live and the first dead grid distance.
-    Relies on the loss never decreasing with distance.  Neither table
-    depends on the site's position, so specs with equal height,
-    frequency and power share one row, evaluated once on the grid and
-    at most once more for the refinement.
+    Returns `(radii, levels, row)`.  `levels[row[j], env, g]` is spec `j`'s
+    level at `_LEVEL_KM[g]` through `env`, never lower than through a lower
+    env code: the env offsets fall from urban to open, and the floor and
+    bridge keep their order.  Entry `radii[j, env]` guarantees that every
+    path of length `d >= radii[j, env]` through `env` has a level below
+    `dead_threshold_dbm`: it is 0 when the link is dead at the mast, `inf`
+    exactly when the 100 km link is still live (the clamp holds the loss
+    flat beyond the model's range), and otherwise the first dead point of a
+    `_RADIUS_REFINE`-point linear refinement between the last live and the
+    first dead grid distance.  Relies on the loss never decreasing with
+    distance.  Neither table depends on the site's position, so specs with
+    equal height, frequency and power share one row, evaluated once on the
+    grid and at most once more for the refinement.
     """
     rows: dict[tuple, int] = {}
     row = np.empty(len(specs), dtype=np.intp)
@@ -333,18 +334,18 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
     """Which of the sites at `sx`, `sy` (non-empty) can be among the
     `rank` strongest at some pixel of each cell, as a (cells, sites) mask.
 
-    `levels` holds the sites' rows of the level table of `link_tables`.
+    `levels` holds the sites' rows of the level table of `link_tables`,
+    whose levels never rise with distance nor fall from env code 0 to 2.
     Cell `c` spans the pixel centres in the box `box[0][c]..box[1][c]` by
     `box[2][c]..box[3][c]` (x then y, metres), and `present[c]` flags the
-    env codes of its pixels; one `rank` serves every cell.  Over the cell a
-    site's level lies in [`lo`, `hi`]: its table levels at the grid
-    distances just beyond the farthest and just short of the nearest
-    point of the box, with `_REACH_SLACK`, taken over the env codes
-    present and widened by `_MARGIN_DB`.  A site whose `hi` is below
-    the `rank`-th largest `lo`, floored at `floor_dbm`, is weaker than
-    `rank` other sites at every pixel of the cell, or dead there, so it
-    is left out.  A cell with no env code present keeps no site.  Relies
-    on the loss never decreasing with distance.
+    env codes of its pixels; one `rank` serves every cell.  Over the cell
+    a site's level lies in [`lo`, `hi`], one table level each: at the
+    lowest env code present and the grid distance just beyond the farthest
+    point of the box, and at the highest and just short of the nearest,
+    with `_REACH_SLACK`, widened by `_MARGIN_DB`.  A site whose `hi` is
+    below the `rank`-th largest `lo`, floored at `floor_dbm`, is weaker
+    than `rank` other sites at every pixel of the cell, or dead there, so
+    it is left out; a cell with no env code present keeps none.
     """
     x0, x1, y0, y1 = (np.asarray(b, dtype=np.float64)[:, None] for b in box)
     near_km = _distance_km(np.maximum(np.maximum(x0 - sx, sx - x1), 0.0),
@@ -353,10 +354,11 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
                           np.maximum(np.abs(sy - y0), np.abs(sy - y1)))
     i_hi = np.searchsorted(_LEVEL_KM, near_km / _REACH_SLACK, side="right") - 1
     i_lo = np.minimum(np.searchsorted(_LEVEL_KM, far_km * _REACH_SLACK), _LEVEL_KM.size - 1)
+    on = np.asarray(present, dtype=bool)
     site = np.arange(levels.shape[0])
-    on = np.asarray(present, dtype=bool)[:, None, :]  # (cells, 1, env codes)
-    hi = np.where(on, levels[site, :, i_hi], -np.inf).max(axis=2) + _MARGIN_DB
-    lo = np.where(on, levels[site, :, i_lo], np.inf).min(axis=2) - _MARGIN_DB
+    top = on.shape[1] - 1 - on[:, ::-1].argmax(axis=1)  # the highest env code present
+    hi = np.where(on.any(axis=1)[:, None], levels[site, top[:, None], i_hi] + _MARGIN_DB, -np.inf)
+    lo = levels[site, on.argmax(axis=1)[:, None], i_lo] - _MARGIN_DB
     if rank > site.size:  # fewer sites than the rank: only the floor binds
         return hi >= floor_dbm
     nth = np.sort(lo, axis=1)[:, site.size - rank]

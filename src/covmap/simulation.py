@@ -76,7 +76,7 @@ TALLY_METRICS = ("rho", "bias", "rmse")
 # cannot reach a tile, so its link matrix over the rest stays a few MB
 _TILE = 128
 # cell edge, in pixels, of the walker's level-bound site pruning
-_CELL = 32
+_CELL = 16
 # most links per `rss_field` call of the grid passes (8 MB of float64);
 # a block that gets idw rows holds a quarter as many, since
 # `idw_rows_chunk` adds a negated copy and an int64 order per link
@@ -429,7 +429,8 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     for _ in range(1, k):
         wd = w * d2
         tot = wd.sum()
-        idx = int(rng.choice(n, p=wd / tot)) if tot > 0 else int(rng.choice(n, p=probs))
+        wd = (wd / tot if tot > 0 else probs).cumsum()  # `rng.choice(n, p=p)`'s cdf, unchecked
+        idx = int((wd / wd[-1]).searchsorted(rng.random(), side="right"))
         cx.append(x[idx])
         cy.append(y[idx])
         d2 = np.minimum(d2, (x - cx[-1]) ** 2 + (y - cy[-1]) ** 2)
@@ -629,10 +630,10 @@ def _tiled_pass(
     sites that `reaching_sites` finds for its pixels of the set, which
     form at most two groups of one rank each: the settled pixels (idw's
     k when idw rows are wanted, else 1) and, unless `settled_only`, the
-    others (1).  Per group and `_CELL` x `_CELL` cell holding its
-    pixels, `level_candidates` drops each site weaker than the `rank`
-    strongest at every such pixel; a dropped site is never a pick, nor
-    ties with one.  A group's sites are those left in some cell, in
+    others (1).  Per group and `_CELL` x `_CELL` cell holding its pixels,
+    `level_candidates` drops each site weaker than the `rank` strongest at
+    every such pixel (one table level per bound); a dropped site is never a
+    pick nor ties with one.  A group's sites are those left in some cell, in
     bts_id order (for idw rows at least min(k, reaching) of them, so
     `idw_rows_chunk` takes the same top-k width, and sums the same way,
     as on the unpruned block); picks map back through that ascending

@@ -661,7 +661,19 @@ class TestReaders:
         (load_covariates_csv, "bts_id,a,b\nx,1,inf\nx,zz,2\n", "line 2: non-finite b value 'inf'"),
         (load_bts_csv, "bts_id,x,y\na,1,2\nb,q,inf\n", "line 3: non-numeric x value 'q'"),
         (load_bts_csv, "bts_id,x,y\na,1\nb,q,2\n", "line 2: expected 3 fields, got 2"),
-    ], ids=["covariates-row", "covariates-cell", "bts-cell", "bts-width"])
+        # `float` and `int` read digit-group underscores, `1_000` as 1000
+        (load_bts_csv, "bts_id,x,y\nb0,1,2\nb1,1_000,2_0\n", "line 3: non-numeric x value '1_000'"),
+        (load_covariates_csv, "bts_id,a,b\nx,1,2\ny,3,2_5\n", "line 3: non-numeric b value '2_5'"),
+        (load_metrics_csv, "round,scheme,metric,env_class,value\n0,p2p,rho,total,1\n"
+         "1_0,p2p,rho,total,1\n", "line 3: malformed row ['1_0', 'p2p', 'rho', 'total', '1']"),
+        (load_metrics_csv, "round,scheme,metric,env_class,value\n0,p2p,rho,total,0_5\n",
+         "line 2: non-numeric value '0_5'"),
+        (load_weights_csv, "area_id,bts_id,weight\nA,b1,1_0\n", "line 2: non-numeric weight '1_0'"),
+        (load_ascii_grid, "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1_00\n1\n",
+         "line 5: non-numeric header value '1_00'"),
+    ], ids=["covariates-row", "covariates-cell", "bts-cell", "bts-width", "bts-underscore",
+            "covariates-underscore", "metrics-round-underscore", "metrics-value-underscore",
+            "weights-underscore", "grid-header-underscore"])
     def test_first_bad_row_and_cell_win(self, tmp_path, load, text, want):
         p = tmp_path / "t.csv"
         p.write_text(text)

@@ -133,6 +133,28 @@ def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
         assert np.isinf(r[code]) == (at_range >= threshold)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    f=_FREQ,
+    h_tx=st.floats(1.0, 1000.0),
+    h_rx=st.floats(1.0, 10.0),
+    power=st.floats(-20.0, 90.0),
+    threshold=st.floats(-170.0, -40.0),
+)
+def test_levels_never_fall_from_urban_to_rural(f, h_tx, h_rx, power, threshold):
+    # the walker's level pruning reads each bound at one env code of a
+    # cell: its highest for the upper bound, its lowest for the lower
+    spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
+    _, levels, row = link_tables([spec], h_rx, threshold)
+    bad = np.argwhere(np.diff(levels[row[0]], axis=0) < 0)
+    assert bad.size == 0, [(code, propagation._LEVEL_KM[g]) for code, g in bad[:3]]
+    # short paths, the 20 km exponent change and the 100 km clamp included
+    loss = np.array([extended_hata_db(f, _SWEEP_KM, h_tx, h_rx, code, clamp_distance=True)
+                     for code in range(len(ENV_CLASSES))])
+    bad = np.argwhere(np.diff(loss, axis=0) > 0)
+    assert bad.size == 0, [(code, _SWEEP_KM[i]) for code, i in bad[:3]]
+
+
 def test_radius_zero_when_dead_at_the_mast():
     # a 30 m mast at -20 dBm is about -81 dBm at its foot in every env
     spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, -20.0)

@@ -555,6 +555,49 @@ class TestBoundedLloyd:
             assert sum(offered[1:]) < 0.5 * n * later_steps
 
 
+def _choice_seeds(x, y, w, k: int, rng) -> list[int]:
+    """The k-means++ seed indices as `Generator.choice` draws them, the
+    draw that `_weighted_kmeans` inlines."""
+    n = x.size
+    probs = w / w.sum()
+    seeds = [int(rng.choice(n, p=probs))]
+    d2 = (x - x[seeds[0]]) ** 2 + (y - y[seeds[0]]) ** 2
+    for _ in range(1, k):
+        wd = w * d2
+        tot = wd.sum()
+        seeds.append(int(rng.choice(n, p=wd / tot if tot > 0 else probs)))
+        d2 = np.minimum(d2, (x - x[seeds[-1]]) ** 2 + (y - y[seeds[-1]]) ** 2)
+    return seeds
+
+
+@st.composite
+def _seeding_points(draw):
+    """Points at distinct x, so each centre names its point, with zero
+    weights among the positive ones and k up to two past the point count."""
+    n = draw(st.integers(1, 60))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 3.0, 1e-3, 7e5]),
+                               min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, 1e-3, 7e5]))
+    y = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), np.float64)
+    return np.arange(n) * 100.0, y, w, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_seeding_points(), seed=st.integers(0, 2**32 - 1))
+@example(points=(np.zeros(1), np.zeros(1), np.ones(1), 3), seed=0)
+def test_seeding_draws_as_generator_choice(points, seed):
+    """Each inlined k-means++ draw picks the index `rng.choice(n, p=p)`
+    picks and leaves the generator in the same state: with zero weights,
+    with k past the points that carry weight (the `tot == 0` fallback)
+    and with a single point."""
+    x, y, w, k = points
+    rng_choice, rng_inline = np.random.default_rng(seed), np.random.default_rng(seed)
+    seeds = _choice_seeds(x, y, w, k, rng_choice)
+    cx, cy = _weighted_kmeans(x, y, w, k, rng_inline, 0)
+    assert cx.tobytes() == x[seeds].tobytes() and cy.tobytes() == y[seeds].tobytes()
+    assert rng_inline.bit_generator.state == rng_choice.bit_generator.state
+
+
 class TestCoverage:
     def test_nearest_site_env_brute_force(self):
         grid = Grid(ncols=9, nrows=7, cell_size_m=100.0)
@@ -1029,6 +1072,37 @@ class TestLevelPruning:
         [per_site] = offered
         assert per_site[0] == cfg.grid.npixels
         assert 0 < per_site[1] <= simulation._CELL ** 2
+
+
+def test_finer_cells_evaluate_fewer_links(monkeypatch):
+    """On a small round with about four sites per 32-pixel cell, the
+    walker's cells evaluate fewer Hata links than 32-pixel cells, counted
+    as perfbench's probe counts them, with the same labels and idw rows."""
+    cfg = SimConfig(ncols=128, nrows=128, cell_size_m=100.0, block_px=64, population=40_000,
+                    urban_pop_per_bts=500.0, rural_pop_per_bts=1000.0, mask_rect=None)
+    world = simulation.build_world(cfg, 0)
+    assert len(world.specs) >= 3 * (cfg.ncols // 32) * (cfg.nrows // 32)
+    hata = propagation.extended_hata_db
+    links = []
+
+    def counting(*args, **kwargs):
+        loss = hata(*args, **kwargs)
+        links.append(np.size(loss))
+        return loss
+
+    monkeypatch.setattr(propagation, "extended_hata_db", counting)
+    runs = []
+    for cell in (simulation._CELL, 32):
+        links.clear()
+        monkeypatch.setattr(simulation, "_CELL", cell)
+        assign, pw = simulation._tiled_pass(cfg.grid, world.specs, world.env_grid,
+                                            cfg.rx_height_m, cfg.dead_threshold_dbm,
+                                            world.settlements, idw=(cfg.idw_s, cfg.idw_k))
+        runs.append((sum(links), assign.labels, pw))
+    (fine, labels, rows), (coarse, want_labels, want_rows) = runs
+    assert fine < coarse
+    assert labels.tobytes() == want_labels.tobytes()
+    _assert_same_rows(rows, want_rows)
 
 
 def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
