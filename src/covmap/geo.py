@@ -132,8 +132,6 @@ class Settlements:
     ids: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
     counts: np.ndarray
 
     def __len__(self) -> int:
@@ -149,14 +147,11 @@ def extract_settlements(raster: SettlementRaster) -> Settlements:
     rows, cols = np.nonzero(raster.settled)
     if rows.size == 0:
         warnings.warn("raster contains no settlement pixels", stacklevel=2)
-    x, y = raster.grid.centers(rows, cols)
     return Settlements(
         grid=raster.grid,
         ids=raster.grid.pixel_id(rows, cols),
         rows=rows.astype(np.int64),
         cols=cols.astype(np.int64),
-        x=x,
-        y=y,
         counts=raster.counts[rows, cols].astype(np.float64),
     )
 

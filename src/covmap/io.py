@@ -77,17 +77,18 @@ def _json_doc(path):
         raise _err(path, None, "invalid JSON: nested too deeply") from None
 
 
-def _no_underscore(word: str) -> str:
-    """`word`, refused if it holds `_`: `float` and `int` read `1_000` as 1000."""
-    if "_" in word:
+def _plain(word: str) -> str:
+    """`word`, refused if it holds `_` or a non-ASCII character: `float`
+    and `int` read `1_000` as 1000 and the Arabic-Indic `١٢` as 12."""
+    if "_" in word or not word.isascii():
         raise ValueError(word)
     return word
 
 
 def _number(path, line: int, what: str, word: str) -> float:
-    """`float(word)`, finite and with no `_`; the errors name `what` it is."""
+    """`float(word)`, finite and `_plain`; the errors name `what` it is."""
     try:
-        v = float(_no_underscore(word))
+        v = float(_plain(word))
     except ValueError:
         raise _err(path, line, f"non-numeric {what} {word!r}") from None
     if not math.isfinite(v):
@@ -162,8 +163,8 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
     parsed by `np.loadtxt`, whose values are those of `float()`; the
     result is kept only when it is nrows x ncols and finite.  Otherwise
     the strict per-line parse reads the rows again: it names the line of
-    the first bad row, and it reads what `float()` takes but `loadtxt`
-    does not (underscores, non-ASCII digits or spaces).
+    the first bad row, and it refuses what `float()` takes but `loadtxt`
+    does not, a token holding `_` or a non-ASCII character (`_plain`).
     """
     text = _text(path)
     lines = text.splitlines()
@@ -216,15 +217,15 @@ def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
 
 
 def _parse_grid_rows(path, data_lines: list[str], i: int, ncols: int) -> np.ndarray:
-    """`float()` of each whitespace-split token, row by row; `data_lines`
-    start at file line i + 1, which the error for a bad row names."""
+    """`float()` of each whitespace-split `_plain` token, row by row;
+    `data_lines` start at file line i + 1, which a bad row's error names."""
     values = np.empty((len(data_lines), ncols), dtype=np.float64)
     for r, line in enumerate(data_lines):
         parts = line.split()
         if len(parts) != ncols:
             raise _err(path, i + r + 1, f"expected {ncols} values, got {len(parts)}")
         try:
-            values[r] = [float(p) for p in parts]
+            values[r] = [float(_plain(p)) for p in parts]
         except ValueError:
             bad = next(p for p in parts if not _is_float(p))
             raise _err(path, i + r + 1, f"non-numeric cell {bad!r}") from None
@@ -236,7 +237,7 @@ def _parse_grid_rows(path, data_lines: list[str], i: int, ncols: int) -> np.ndar
 
 def _is_float(s: str) -> bool:
     try:
-        float(s)
+        float(_plain(s))
         return True
     except ValueError:
         return False
@@ -473,7 +474,7 @@ def load_weights_csv(path, area_ids: list[str] | None = None,
         if not aid or not bid:
             raise _err(path, line, "empty area_id or bts_id")
         try:
-            w = float(_no_underscore(cell))
+            w = float(_plain(cell))
         except ValueError:
             raise _err(path, line, f"non-numeric weight {cell!r}") from None
         if not (math.isfinite(w) and w > 0):
@@ -513,7 +514,7 @@ def load_metrics_csv(path) -> list[tuple]:
     records = []
     for line, fields in rows:
         try:
-            rnd = int(_no_underscore(fields[0]))
+            rnd = int(_plain(fields[0]))
         except ValueError:
             raise _err(path, line, f"malformed row {fields!r}") from None
         cell = fields[4].strip()

@@ -19,13 +19,12 @@ antenna and environment a radius from which every link is dead, read
 off the grid and refined inside its bracket.  Their one caller, the
 tiled link walker in `simulation`, builds them once per pass (nothing
 here outlives a call), culls each tile's antennas with `reaching_sites`,
-and then, per group of the tile's pixels (one rank each) and per cell,
-drops with `level_candidates` every antenna that is weaker than the
-`rank` strongest at every pixel of the group in the cell.  It sends each
-group's pixels to `rss_field` on the antennas left, with their rows of
-the radius table and a per-pixel candidate mask, in blocks of at most a
-fixed number of links, so memory stays bounded whatever the antenna
-count.  `rss_field` evaluates the model only on candidate pixels inside
+and then, per cell, drops with `level_candidates` every antenna that is
+weaker than the `rank` strongest (one rank per walk) at every walked
+pixel of the cell.  It sends each tile's walked pixels to `rss_field` on
+the antennas left, with their rows of the radius table and a per-pixel
+candidate mask, in blocks of at most a fixed number of links, so memory
+stays bounded whatever the antenna count.  `rss_field` evaluates the model only on candidate pixels inside
 each link's radius and reports every other link as -inf.
 """
 

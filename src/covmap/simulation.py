@@ -612,42 +612,40 @@ def _tiled_pass(
     env_grid: np.ndarray,
     rx_height_m: float,
     dead_threshold_dbm: float,
-    settlements: Settlements | None = None,
+    pixels: np.ndarray | None = None,
     *,
-    settled_only: bool = False,
     idw: tuple[float, int] | None = None,
 ) -> tuple[Assignment, PixelWeights | None]:
     """The one walker over the links from `specs` to a set of pixels.
 
-    The set is every pixel of the grid, or with `settled_only` just the
-    `settlements`' pixels.  Returns the best-server labels of the set
-    (pixels outside it stay unassigned) and, given `idw` = (s, k), the
-    settlements' idw rows from the same links.
+    The set is every pixel of the grid, or the given ascending pixel ids.
+    Returns the best-server labels of the set (pixels outside it stay
+    unassigned) and, given `idw` = (s, k), the set's idw rows from the
+    same links, in `pixels` order.
 
     Specs must be sorted by bts_id.  The pass builds its radius table
     (sites x env codes) and level table with one `link_tables` call, and
-    walks the grid in `_TILE` x `_TILE` tiles.  Each tile keeps the
-    sites that `reaching_sites` finds for its pixels of the set, which
-    form at most two groups of one rank each: the settled pixels (idw's
-    k when idw rows are wanted, else 1) and, unless `settled_only`, the
-    others (1).  Per group and `_CELL` x `_CELL` cell holding its pixels,
-    `level_candidates` drops each site weaker than the `rank` strongest at
-    every such pixel (one table level per bound); a dropped site is never a
-    pick nor ties with one.  A group's sites are those left in some cell, in
-    bts_id order (for idw rows at least min(k, reaching) of them, so
-    `idw_rows_chunk` takes the same top-k width, and sums the same way,
-    as on the unpruned block); picks map back through that ascending
-    index, so ties still go to the lowest bts_id.  A tile or group with
-    no pixel of the set, or no site left, is skipped.  A group's pixels
-    go to `rss_field`, with its sites' rows of the radius table and each
-    pixel's cell mask (built per block), in blocks of at most
-    `_RSS_ENTRIES` links, a quarter of that when the block gets idw rows
-    (at least one pixel), so memory stays bounded whatever the site
-    count.  Each settlement's idw row, as `idw_rows_chunk` gives it, is
+    walks the grid in `_TILE` x `_TILE` tiles, skipping a tile with no
+    pixel of the set.  Each tile keeps the sites that `reaching_sites`
+    finds for its pixels of the set.  The whole walk has one rank: idw's
+    k when idw rows are wanted, else 1.  Per `_CELL` x `_CELL` cell
+    holding pixels of the set, `level_candidates` drops each site weaker
+    than the `rank` strongest at every such pixel (one table level per
+    bound); a dropped site is never a pick nor ties with one.  A tile's
+    sites are those left in some cell, in bts_id order (for idw rows at
+    least min(k, reaching) of them, so `idw_rows_chunk` takes the same
+    top-k width, and sums the same way, as on the unpruned block); picks
+    map back through that ascending index, so ties still go to the
+    lowest bts_id.  A tile with no site left is skipped.  The tile's
+    pixels of the set go to `rss_field`, with its sites' rows of the
+    radius table and each pixel's cell mask (built per block), in blocks
+    of at most `_RSS_ENTRIES` links, a quarter of that when the walk gets
+    idw rows (at least one pixel), so memory stays bounded whatever the
+    site count.  Each pixel's idw row, as `idw_rows_chunk` gives it, is
     written in place into padded buffers, int32 columns and float64
     weights (-1 and 0 after its entries), as wide as the widest top-k
     width a tile has needed (at most the site count); the pass returns
-    them as they are, as the `PixelWeights` of the settlements.
+    them as they are, as the `PixelWeights` of the set.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -659,98 +657,81 @@ def _tiled_pass(
     env = np.asarray(env_grid, dtype=np.uint8)
     labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
     flat_labels = labels.reshape(-1)
-    at = np.full(grid.shape, -1, dtype=np.int32)  # settlement index per pixel
-    if settlements is not None:
-        at[settlements.rows, settlements.cols] = np.arange(len(settlements))
+    walked = np.arange(grid.npixels) if pixels is None else pixels
+    at = np.full(grid.shape, -1, dtype=np.int32)  # each pixel's index in `walked`
+    at.reshape(-1)[walked] = np.arange(walked.size, dtype=np.int32)
+    rank = 1
     if idw is not None:
-        idw_s, idw_k = idw
-        check_idw(idw_s, idw_k)
-        # per settlement its row's columns and weights, then pads, as wide
-        # as the widest top-k that a tile has needed so far
-        row_col = np.full((len(settlements), 0), -1, dtype=np.int32)
-        row_w = np.zeros((len(settlements), 0))
+        idw_s, rank = idw
+        check_idw(idw_s, rank)
+        # per pixel of the set its row's columns and weights, then pads, as
+        # wide as the widest top-k that a tile has needed so far
+        row_col = np.full((walked.size, 0), -1, dtype=np.int32)
+        row_w = np.zeros((walked.size, 0))
     for r0 in range(0, grid.nrows, _TILE):
-        rows = np.arange(r0, min(r0 + _TILE, grid.nrows))[:, None]
+        rows = np.arange(r0, min(r0 + _TILE, grid.nrows))
         for c0 in range(0, grid.ncols, _TILE):
             cols = np.arange(c0, min(c0 + _TILE, grid.ncols))
             tile = (slice(r0, r0 + rows.size), slice(c0, c0 + cols.size))
-            shape = (rows.size, cols.size)
-            pid = grid.pixel_id(rows, cols).ravel()
-            xc, yr = grid.centers(rows, cols)
-            x, y = (np.broadcast_to(v, shape).ravel() for v in (xc, yr))
-            codes = env[tile].ravel()
-            # each pixel's cell, row-major over the tile's cells
-            ncell_cols = -(-cols.size // _CELL)
-            cell = ((np.arange(rows.size) // _CELL)[:, None] * ncell_cols
-                    + np.arange(cols.size) // _CELL).ravel()
-            settled = at[tile].ravel()
-            nset = np.count_nonzero(settled >= 0)
-            if settled_only and nset == 0:
+            owner = at[tile].ravel()
+            here = np.flatnonzero(owner >= 0)
+            if here.size == 0:
                 continue
-            if nset:  # the pass's pixels, settled first: with settled_only, only those
-                pick = np.argsort(settled < 0, kind="stable")[:nset if settled_only else None]
-                pid, x, y, codes, settled, cell = (
-                    v[pick] for v in (pid, x, y, codes, settled, cell))
+            # the tile's arrays over its pixels of the set only, in id order
+            tr, tc = np.divmod(here, cols.size)
+            owner, pid = owner[here], grid.pixel_id(r0 + tr, c0 + tc)
+            xc, yr = grid.centers(rows, cols)
+            x, y, codes = xc[tc], yr[tr], env[tile].ravel()[here]
             keep = reaching_sites(sx, sy, reach, x, y)
             if keep.size == 0:
                 continue
-            # each cell's box of pixel centres
+            # each pixel's cell, row-major over the tile's cells, and each
+            # cell's box of pixel centres
+            ncell_cols = -(-cols.size // _CELL)
+            cell = (tr // _CELL) * ncell_cols + tc // _CELL
             cx = [f.reduceat(xc, np.arange(0, cols.size, _CELL)) for f in (np.minimum, np.maximum)]
-            cy = [f.reduceat(yr.ravel(), np.arange(0, rows.size, _CELL))
-                  for f in (np.minimum, np.maximum)]
+            cy = [f.reduceat(yr, np.arange(0, rows.size, _CELL)) for f in (np.minimum, np.maximum)]
             ncell_rows = cy[0].size
             box = [np.tile(v, ncell_rows) for v in cx] + [np.repeat(v, ncell_cols) for v in cy]
-            kept = (levels[level_row[keep]], sx[keep], sy[keep])
-            # at most two groups of pixels, each with its rank and whether
-            # it gets idw rows: the settled, then unless settled_only the rest
-            groups = [(slice(0, nset), 1 if idw is None else idw_k, idw is not None)]
-            if not settled_only:
-                groups.append((slice(nset, None), 1, False))
-            for part, rank, rows_wanted in groups:
-                g_pid, gx, gy, g_codes, owner, g_cell = (
-                    v[part] for v in (pid, x, y, codes, settled, cell))
-                if g_pid.size == 0:
-                    continue
-                present = np.zeros((ncell_rows * ncell_cols, len(ENV_CLASSES)), dtype=bool)
-                present[g_cell, g_codes] = True
-                cand = level_candidates(*kept, box, present, rank, dead_threshold_dbm)
-                used = cand.any(axis=0)
-                if rows_wanted:
-                    width = min(idw_k, keep.size)
-                    # pad with sites that no cell keeps: all -inf columns
-                    used[np.flatnonzero(~used)[:max(0, width - np.count_nonzero(used))]] = True
-                    if width > row_w.shape[1]:
-                        grow = ((0, 0), (0, width - row_w.shape[1]))
-                        row_col = np.pad(row_col, grow, constant_values=-1)
-                        row_w = np.pad(row_w, grow)
-                if not used.any():
-                    continue
-                g_keep = keep[used]
-                site_cells = cand[:, used].T  # sites x cells
-                near = [specs[j] for j in g_keep]
-                step = max(1, (_RSS_ENTRIES // 4 if rows_wanted else _RSS_ENTRIES)
-                           // g_keep.size)
-                for lo in range(0, g_pid.size, step):
-                    block = slice(lo, lo + step)
-                    # per pixel of the block, its cell's candidates; column-contiguous
-                    # for the kernel
-                    mask = site_cells[:, g_cell[block]].T
-                    rss = rss_field(near, g_pid[block], gx[block], gy[block], g_codes[block],
-                                    radii_km=radii[g_keep], candidates=mask,
-                                    rx_height_m=rx_height_m,
-                                    dead_threshold_dbm=dead_threshold_dbm)
-                    live = rss.live
-                    sel = bsa_select_chunk(rss.rss_dbm, live)
-                    flat_labels[g_pid[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
-                    if rows_wanted:
-                        c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, idw_k)
-                        # pads map through the appended -1 and stay pads
-                        row_col[owner[block], :c.shape[1]] = np.append(g_keep, -1)[c]
-                        row_w[owner[block], :c.shape[1]] = v
+            present = np.zeros((ncell_rows * ncell_cols, len(ENV_CLASSES)), dtype=bool)
+            present[cell, codes] = True
+            cand = level_candidates(levels[level_row[keep]], sx[keep], sy[keep], box, present,
+                                    rank, dead_threshold_dbm)
+            used = cand.any(axis=0)
+            if idw is not None:
+                width = min(rank, keep.size)
+                # pad with sites that no cell keeps: all -inf columns
+                used[np.flatnonzero(~used)[:max(0, width - np.count_nonzero(used))]] = True
+                if width > row_w.shape[1]:
+                    grow = ((0, 0), (0, width - row_w.shape[1]))
+                    row_col = np.pad(row_col, grow, constant_values=-1)
+                    row_w = np.pad(row_w, grow)
+            if not used.any():
+                continue
+            g_keep = keep[used]
+            site_cells = cand[:, used].T  # sites x cells
+            near = [specs[j] for j in g_keep]
+            step = max(1, (_RSS_ENTRIES if idw is None else _RSS_ENTRIES // 4) // g_keep.size)
+            for lo in range(0, pid.size, step):
+                block = slice(lo, lo + step)
+                # per pixel of the block, its cell's candidates; column-contiguous
+                # for the kernel
+                mask = site_cells[:, cell[block]].T
+                rss = rss_field(near, pid[block], x[block], y[block], codes[block],
+                                radii_km=radii[g_keep], candidates=mask,
+                                rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
+                live = rss.live
+                sel = bsa_select_chunk(rss.rss_dbm, live)
+                flat_labels[pid[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
+                if idw is not None:
+                    c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, rank)
+                    # pads map through the appended -1 and stay pads
+                    row_col[owner[block], :c.shape[1]] = np.append(g_keep, -1)[c]
+                    row_w[owner[block], :c.shape[1]] = v
     assignment = Assignment(grid, ids, labels)
     if idw is None:
         return assignment, None
-    return assignment, PixelWeights(SCHEME_IDW, settlements.ids, ids, row_col, row_w)
+    return assignment, PixelWeights(SCHEME_IDW, walked, ids, row_col, row_w)
 
 
 @dataclass
@@ -797,7 +778,7 @@ def settlement_pixel_weights(
     there, one-hot width-1 rows, just as the study builds them.
     """
     assignment, pw = _tiled_pass(settlements.grid, specs, env_grid, rx_height_m,
-                                 dead_threshold_dbm, settlements, settled_only=True, idw=idw)
+                                 dead_threshold_dbm, settlements.ids, idw=idw)
     if pw is not None:
         return pw
     return bsa_pixel_weights(settlements.ids, assignment.bts_ids,
@@ -950,18 +931,34 @@ class SyntheticWorld:
         return self.raster.grid
 
 
-def build_world(cfg: SimConfig, round_index: int) -> SyntheticWorld:
-    """Generate one fully specified synthetic world for a study round; its
-    voronoi map, coloured by site class, is the true environment grid."""
+def _round_rngs(cfg: SimConfig, round_index: int) -> list[np.random.Generator]:
+    """A round's population, poverty and BTS streams, from (seed, round) only."""
     ss = np.random.SeedSequence((cfg.seed, round_index))
-    rng_pop, rng_pov, rng_bts = (np.random.default_rng(s) for s in ss.spawn(3))
+    return [np.random.default_rng(s) for s in ss.spawn(3)]
+
+
+def build_network(
+    cfg: SimConfig, round_index: int
+) -> tuple[SettlementRaster, list[AntennaSpec], list[str], Assignment, np.ndarray]:
+    """A round's population raster and network, with no coverage pass:
+    (raster, specs, site classes, voronoi map, true env grid), the same
+    as the fields of `build_world(cfg, round_index)`.  The env grid is
+    the voronoi map coloured by site class."""
+    rng_pop, _, rng_bts = _round_rngs(cfg, round_index)
     raster = gen_population(cfg, rng_pop)
-    settlements = extract_settlements(raster)
-    poverty = assign_poverty(raster, cfg, rng_pov)
     specs, bts_env = place_bts(raster, cfg, rng_bts)
     voronoi = voronoi_assign(cfg.grid, [(s.bts_id, s.x, s.y) for s in specs])
     code_of = {s.bts_id: env_code(e) for s, e in zip(specs, bts_env)}
     env_grid = np.array([code_of[b] for b in voronoi.bts_ids], dtype=np.uint8)[voronoi.labels]
+    return raster, specs, bts_env, voronoi, env_grid
+
+
+def build_world(cfg: SimConfig, round_index: int) -> SyntheticWorld:
+    """Generate one fully specified synthetic world for a study round: its
+    network (`build_network`), poverty, areas and true coverage."""
+    raster, specs, bts_env, voronoi, env_grid = build_network(cfg, round_index)
+    settlements = extract_settlements(raster)
+    poverty = assign_poverty(raster, cfg, _round_rngs(cfg, round_index)[1])
     areas, layout_class = build_areas(cfg)
     coverage = true_coverage(cfg.grid, settlements, specs, env_grid, cfg)
 
@@ -1057,13 +1054,14 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     }
     naive_specs = synthesize_naive_specs(points, naive_classes, areas, grid)
     naive_env_grid = paint_area_env(areas, naive_classes, grid)
-    naive_assign, pw_idw = _tiled_pass(
-        grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm,
-        settlements, idw=(cfg.idw_s, cfg.idw_k),
-    )
-    naive_sel = naive_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
-    # the grid pass ran bsa's selection over the same links at every
-    # settlement pixel, so its labels there are the bsa rows
+    # two walks: the settlements at idw's rank, the `covmap weights --scheme
+    # idw` walk, whose labels there are the bsa rows; then the rest at rank 1
+    naive = (grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
+    settled_assign, pw_idw = _tiled_pass(*naive, settlements.ids, idw=(cfg.idw_s, cfg.idw_k))
+    naive_sel = settled_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
+    del settled_assign
+    naive_assign = _tiled_pass(*naive, np.flatnonzero(~world.raster.settled))[0]
+    naive_assign.labels[settlements.rows, settlements.cols] = naive_sel
     pw_bsa = bsa_pixel_weights(settlements.ids, naive_assign.bts_ids, naive_sel)
     wm_bsa = area_weights_from_pixels(pw_bsa, areas, grid)
     wm_idw = area_weights_from_pixels(pw_idw, areas, grid)

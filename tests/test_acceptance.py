@@ -164,10 +164,11 @@ def test_criterion_5_weight_matrix_properties():
     for _ in range(200):
         grid, specs, areas, raster, env = _random_instance(rng)
         settlements = extract_settlements(raster)
+        sx, sy = grid.centers(settlements.rows, settlements.cols)
         points = [(s.bts_id, s.x, s.y) for s in specs]
         assign = voronoi_assign(grid, points)
         field = rss_field(
-            specs, settlements.ids, settlements.x, settlements.y,
+            specs, settlements.ids, sx, sy,
             env[settlements.rows, settlements.cols],
             radii_km=link_tables(specs, 1.0, DEAD_THRESHOLD_DBM)[0],
             candidates=np.ones((len(settlements), len(specs)), dtype=bool),
@@ -205,7 +206,7 @@ def test_criterion_5_weight_matrix_properties():
         rss = np.empty((len(settlements), len(specs)))
         env_at = env[settlements.rows, settlements.cols]
         for j, sp in enumerate(specs):
-            d_km = np.hypot(settlements.x - sp.x, settlements.y - sp.y) / 1000.0
+            d_km = np.hypot(sx - sp.x, sy - sp.y) / 1000.0
             rss[:, j] = sp.power_dbm - extended_hata_db(
                 sp.freq_mhz, d_km, sp.height_m, 1.0, env_at
             )

@@ -35,16 +35,24 @@ def _old_err(path, line, msg):
     return ValueError(f"{where}: {msg}")
 
 
+def _old_float(s):
+    """`float(s)`, refusing a word that holds `_` or a non-ASCII character,
+    which `float` reads (`1_000` as 1000, `١٢` as 12)."""
+    if "_" in s or not s.isascii():
+        raise ValueError(s)
+    return float(s)
+
+
 def _old_is_float(s):
     try:
-        float(s)
+        _old_float(s)
         return True
     except ValueError:
         return False
 
 
 def _old_load_ascii_grid(path):
-    """The loader as it was: `float()` once per whitespace-split token."""
+    """The loader as it was: `_old_float()` once per whitespace-split token."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = {}
     i = 0
@@ -55,7 +63,7 @@ def _old_load_ascii_grid(path):
         if len(parts) != 2 or parts[0].lower() != key:
             raise _old_err(path, i + 1, f"expected header {key!r}, got {lines[i]!r}")
         try:
-            header[key] = float(parts[1])
+            header[key] = _old_float(parts[1])
         except ValueError:
             raise _old_err(path, i + 1, f"non-numeric header value {parts[1]!r}") from None
         if not np.isfinite(header[key]):
@@ -67,7 +75,7 @@ def _old_load_ascii_grid(path):
         if len(parts) != 2:
             raise _old_err(path, i + 1, f"malformed NODATA_value line {lines[i]!r}")
         try:
-            nodata = float(parts[1])
+            nodata = _old_float(parts[1])
         except ValueError:
             raise _old_err(path, i + 1, f"non-numeric NODATA_value {parts[1]!r}") from None
         if not np.isfinite(nodata):
@@ -92,7 +100,7 @@ def _old_load_ascii_grid(path):
         if len(parts) != ncols:
             raise _old_err(path, i + r + 1, f"expected {ncols} values, got {len(parts)}")
         try:
-            values[r] = [float(p) for p in parts]
+            values[r] = [_old_float(p) for p in parts]
         except ValueError:
             bad = next(p for p in parts if not _old_is_float(p))
             raise _old_err(path, i + r + 1, f"non-numeric cell {bad!r}") from None
@@ -180,7 +188,8 @@ def test_writer_rejects_a_non_finite_nodata_value(nodata):
 _NUMBER_WORDS = (st.integers(-10**6, 10**6).map(str) | _FINITE.map(repr) | _FINITE.map(fmt12)
                  | st.sampled_from(["-0", "+1", ".5", "1.", "1E-7", "-9999", "00012", "1e-320"]))
 # `float()` takes some of these and `np.loadtxt` does not (underscores,
-# Arabic-Indic digits); the others are refused by both, or not finite
+# Arabic-Indic digits), and both loaders refuse them; the others are
+# refused by `float()` too, or not finite
 _ODD_WORDS = st.sampled_from(["1_000", "١٢", "٣.٥", "nan", "inf", "-inf",
                               "NaN", "Infinity", "#", "#1", "1#", "x", "1e400", "0x10", "1,5", "1j",
                               "1\x002", "", "\x1f"])

@@ -106,8 +106,7 @@ class TestExtractSettlements:
         assert len(s) == 2
         assert s.ids.tolist() == [1, 2]  # row-major order
         assert s.counts.tolist() == [3.0, 1.0]
-        assert_allclose(s.x, [150.0, 50.0])
-        assert_allclose(s.y, [150.0, 50.0])
+        assert_allclose(g.centers(s.rows, s.cols), [[150.0, 50.0], [150.0, 50.0]])
 
     def test_empty_warns(self):
         g = Grid(ncols=3, nrows=3, cell_size_m=100.0)

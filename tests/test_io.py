@@ -671,9 +671,18 @@ class TestReaders:
         (load_weights_csv, "area_id,bts_id,weight\nA,b1,1_0\n", "line 2: non-numeric weight '1_0'"),
         (load_ascii_grid, "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1_00\n1\n",
          "line 5: non-numeric header value '1_00'"),
+        # and every Unicode decimal digit, the Arabic-Indic `١٢` as 12
+        (load_bts_csv, "bts_id,x,y\nb0,1,2\nb1,١٢,٣\n", "line 3: non-numeric x value '١٢'"),
+        (load_metrics_csv, "round,scheme,metric,env_class,value\n٣,p2p,rho,total,1\n",
+         "line 2: malformed row ['٣', 'p2p', 'rho', 'total', '1']"),
+        (load_ascii_grid, "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1_0 ١\n",
+         "line 6: non-numeric cell '1_0'"),
+        (load_ascii_grid, "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 ١\n",
+         "line 6: non-numeric cell '١'"),
     ], ids=["covariates-row", "covariates-cell", "bts-cell", "bts-width", "bts-underscore",
             "covariates-underscore", "metrics-round-underscore", "metrics-value-underscore",
-            "weights-underscore", "grid-header-underscore"])
+            "weights-underscore", "grid-header-underscore", "bts-non-ascii",
+            "metrics-round-non-ascii", "grid-cell-underscore", "grid-cell-non-ascii"])
     def test_first_bad_row_and_cell_win(self, tmp_path, load, text, want):
         p = tmp_path / "t.csv"
         p.write_text(text)

@@ -403,7 +403,7 @@ class TestPlaceBts:
         raster = gen_population(cfg, np.random.default_rng(1))
         specs, _ = place_bts(raster, cfg, np.random.default_rng(2))
         s = extract_settlements(raster)
-        centers = set(zip(s.x.tolist(), s.y.tolist()))
+        centers = set(zip(*(v.tolist() for v in cfg.grid.centers(s.rows, s.cols))))
         pos = {(sp.x, sp.y) for sp in specs}
         assert pos <= centers
         assert len(pos) == len(specs)  # collision-free snapping
@@ -421,9 +421,8 @@ class TestPlaceBts:
         raster = gen_population(cfg, np.random.default_rng(1))
         specs, env = place_bts(raster, cfg, np.random.default_rng(2))
         s = extract_settlements(raster)
-        d2 = (s.x[:, None] - [sp.x for sp in specs]) ** 2 + (
-            s.y[:, None] - [sp.y for sp in specs]
-        ) ** 2
+        x, y = cfg.grid.centers(s.rows, s.cols)
+        d2 = (x[:, None] - [sp.x for sp in specs]) ** 2 + (y[:, None] - [sp.y for sp in specs]) ** 2
         sizes = np.bincount(np.argmin(d2, axis=1), minlength=len(specs))
         assert env == classify_env_by_cluster_size(
             sizes, cfg.env_urban_quantile, cfg.env_rural_quantile
@@ -531,6 +530,7 @@ class TestBoundedLloyd:
         cfg = SimConfig.desk()
         raster = gen_population(cfg, np.random.default_rng(1))
         settled = extract_settlements(raster)
+        x, y = cfg.grid.centers(settled.rows, settled.cols)
         in_urban = urban_block_mask(cfg)[settled.rows, settled.cols]
         original = geo._nearest_blocks
         offered = []
@@ -544,7 +544,7 @@ class TestBoundedLloyd:
                                     (~in_urban, 1.0 - cfg.urban_share, cfg.rural_pop_per_bts)):
             k = int(np.floor(cfg.population * share / per_bts + 0.5))
             offered.clear()
-            _weighted_kmeans(settled.x[sel], settled.y[sel], settled.counts[sel], k,
+            _weighted_kmeans(x[sel], y[sel], settled.counts[sel], k,
                              np.random.default_rng(2), cfg.kmeans_iters)
             n = int(sel.sum())
             # step one searches every point; each later step searches the k
@@ -654,6 +654,28 @@ class TestCoverage:
         )
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_build_network_equals_the_world_fields(seed, monkeypatch):
+    """`build_network` gives a round's raster, specs, site classes, voronoi
+    map and env grid, equal to `build_world`'s fields, with no coverage pass."""
+    cfg = tiny_config(seed=seed)
+    world = build_world(cfg, 1)
+
+    def no_coverage(*args, **kwargs):
+        raise AssertionError("build_network ran a coverage pass")
+
+    monkeypatch.setattr(simulation, "true_coverage", no_coverage)
+    monkeypatch.setattr(simulation, "_tiled_pass", no_coverage)
+    raster, specs, bts_env, voronoi, env_grid = simulation.build_network(cfg, 1)
+    assert raster.counts.tobytes() == world.raster.counts.tobytes()
+    assert raster.nodata.tobytes() == world.raster.nodata.tobytes()
+    assert specs == world.specs and bts_env == world.bts_env
+    assert voronoi.bts_ids == world.voronoi.bts_ids
+    assert voronoi.labels.tobytes() == world.voronoi.labels.tobytes()
+    assert env_grid.dtype == world.env_grid.dtype
+    assert env_grid.tobytes() == world.env_grid.tobytes()
+
+
 class TestOneTessellation:
     """A round's voronoi map is both the voronoi schemes' map and,
     coloured by site class, the true environment."""
@@ -705,9 +727,10 @@ class TestRangeCulling:
         # every pixel is settled, so the settlement pass streams two chunks
         settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
         env = rng.integers(0, 3, len(settlements)).astype(np.uint8)
+        x, y = cfg.grid.centers(settlements.rows, settlements.cols)
         oracle = np.column_stack([
             s.power_dbm - extended_hata_db(
-                s.freq_mhz, np.hypot(settlements.x - s.x, settlements.y - s.y) / 1000.0,
+                s.freq_mhz, np.hypot(x - s.x, y - s.y) / 1000.0,
                 s.height_m, cfg.rx_height_m, env, clamp_distance=True)
             for s in specs
         ])
@@ -726,7 +749,7 @@ class TestRangeCulling:
     def test_kernel_equals_dense_live_levels(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
         radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-        got = rss_field(specs, st.ids, st.x, st.y, env, radii_km=radii,
+        got = rss_field(specs, st.ids, *cfg.grid.centers(st.rows, st.cols), env, radii_km=radii,
                         candidates=np.ones((len(st), len(specs)), dtype=bool),
                         rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = oracle >= cfg.dead_threshold_dbm
@@ -781,7 +804,7 @@ class TestRangeCulling:
         oracle = np.insert(oracle, 8, oracle[:, 7], axis=1)
         tile = 9  # does not divide the 200-pixel grid
         monkeypatch.setattr(simulation, "_TILE", tile)
-        got_labels, got_pw, calls = _tiled_run(cfg, specs, env, st, cfg.idw_s, cfg.idw_k)
+        got_labels, got_pw, calls = _tiled_run(cfg, specs, env, st.ids, (cfg.idw_s, cfg.idw_k))
         assert 0 < len(calls) < -(-cfg.ncols // tile) * -(-cfg.nrows // tile)  # some skipped
         want_labels = _dense_labels(oracle, cfg.dead_threshold_dbm)
         np.testing.assert_array_equal(got_labels, want_labels)
@@ -887,9 +910,9 @@ def _dense_labels(levels: np.ndarray, dead_threshold_dbm: float) -> np.ndarray:
     return want
 
 
-def _tiled_run(cfg, specs, env, settlements, s, k, settled_only=False):
-    """The tiled pass's flat labels and idw rows, and the (pixels, sites)
-    of its every rss_field call."""
+def _tiled_run(cfg, specs, env, pixels=None, idw=None):
+    """One walk's flat labels and idw rows (None without `idw`), and the
+    (pixels, sites) of its every rss_field call."""
     calls = []
     kernel = simulation.rss_field
 
@@ -900,9 +923,32 @@ def _tiled_run(cfg, specs, env, settlements, s, k, settled_only=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "rss_field", recording)
         assign, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
-                                            cfg.rx_height_m, cfg.dead_threshold_dbm, settlements,
-                                            settled_only=settled_only, idw=(s, k))
+                                            cfg.rx_height_m, cfg.dead_threshold_dbm, pixels,
+                                            idw=idw)
     return assign.labels.ravel(), pw, calls
+
+
+def _assert_walks(cfg, specs, env, settlements, s, k, labels, want_rows):
+    """Each walk's labels equal `labels` on its pixels, unassigned
+    elsewhere, and its idw rows `want_rows(pixels)`: the whole grid at
+    rank 1 and at idw's k, and the study's two walks, the settlements at
+    idw's k and the other pixels at rank 1.  Returns the walks' kernel
+    calls, (pixels, sites) each."""
+    npx = cfg.grid.npixels
+    rest = np.setdiff1d(np.arange(npx), settlements.ids)
+    calls = []
+    for pixels, idw in ((None, None), (None, (s, k)), (settlements.ids, (s, k)), (rest, None)):
+        walked = np.arange(npx) if pixels is None else pixels
+        got, pw, walk_calls = _tiled_run(cfg, specs, env, pixels, idw)
+        want = np.full(npx, UNASSIGNED, dtype=np.int64)
+        want[walked] = labels[walked]
+        assert got.astype(np.int64).tobytes() == want.tobytes()
+        if idw is None:
+            assert pw is None
+        else:
+            _assert_same_rows(pw, want_rows(walked))
+        calls += walk_calls
+    return calls
 
 
 def _assert_same_rows(got, want):
@@ -966,23 +1012,21 @@ class TestTiledPass:
             for sp in specs
         ])
         labels = _dense_labels(levels, cfg.dead_threshold_dbm)
-        dense = RssField(settlements.ids, [sp.bts_id for sp in specs],
-                         levels[settlements.ids], cfg.dead_threshold_dbm)
-        want_idw = weights_idw(dense, s=s, k=k)
-        only = np.full(labels.size, -1)
-        only[settlements.ids] = labels[settlements.ids]
+        ids = [sp.bts_id for sp in specs]
+
+        def dense(pixels):
+            return RssField(pixels, ids, levels[pixels], cfg.dead_threshold_dbm)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_TILE", tile)
             mp.setattr(simulation, "_RSS_ENTRIES", entries)
-            for settled_only, want in ((False, labels), (True, only)):
-                got, pw, calls = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
-                np.testing.assert_array_equal(got, want)
-                _assert_same_rows(pw, want_idw)
-                assert all(n * m <= max(entries, m) for n, m in calls)
+            calls = _assert_walks(cfg, specs, env, settlements, s, k, labels,
+                                  lambda pixels: weights_idw(dense(pixels), s=s, k=k))
+            assert all(n * m <= max(entries, m) for n, m in calls)
             bsa = settlement_pixel_weights(settlements, specs, env.reshape(cfg.grid.shape),
                                            rx_height_m=cfg.rx_height_m,
                                            dead_threshold_dbm=cfg.dead_threshold_dbm)
-        _assert_same_rows(bsa, weights_bsa(dense))
+        _assert_same_rows(bsa, weights_bsa(dense(settlements.ids)))
 
 
 @st.composite
@@ -1027,8 +1071,9 @@ class TestLevelPruning:
     @settings(max_examples=120, deadline=None)
     @given(layout=_pruning_layout())
     def test_walker_equals_unpruned_dense_selectors(self, layout):
-        """Labels and idw rows of the pruned walker, in both modes, equal
-        the selectors' on `rss_field` over every site and pixel."""
+        """Labels and idw rows of the pruned walker, on every pixel set and
+        at both ranks, equal the selectors' on `rss_field` over every site
+        and pixel."""
         cfg, specs, env, settlements, tile, s, k = layout
         x, y = cfg.grid.pixel_centers()
         npx = cfg.grid.npixels
@@ -1038,17 +1083,14 @@ class TestLevelPruning:
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = field.live
         labels = bsa_select_chunk(field.rss_dbm, live)
-        at = settlements.ids
-        want_idw = PixelWeights("idw", at, field.bts_ids,
-                                *idw_rows_chunk(field.rss_dbm[at], live[at], s, k))
-        only = np.full(npx, UNASSIGNED)
-        only[at] = labels[at]
+
+        def rows(pixels):
+            return PixelWeights("idw", pixels, field.bts_ids,
+                                *idw_rows_chunk(field.rss_dbm[pixels], live[pixels], s, k))
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_TILE", tile)
-            for settled_only, want in ((False, labels), (True, only)):
-                got, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
-                assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
-                _assert_same_rows(pw, want_idw)
+            _assert_walks(cfg, specs, env, settlements, s, k, labels, rows)
 
     def test_a_site_weaker_everywhere_is_left_out(self, monkeypatch):
         """A twin 30 dB weaker than a site at one grid corner stays a
@@ -1076,8 +1118,9 @@ class TestLevelPruning:
 
 def test_finer_cells_evaluate_fewer_links(monkeypatch):
     """On a small round with about four sites per 32-pixel cell, the
-    walker's cells evaluate fewer Hata links than 32-pixel cells, counted
-    as perfbench's probe counts them, with the same labels and idw rows."""
+    study's two walks evaluate fewer Hata links on the walker's cells than
+    on 32-pixel cells, counted as perfbench's probe counts them, with the
+    same labels and idw rows."""
     cfg = SimConfig(ncols=128, nrows=128, cell_size_m=100.0, block_px=64, population=40_000,
                     urban_pop_per_bts=500.0, rural_pop_per_bts=1000.0, mask_rect=None)
     world = simulation.build_world(cfg, 0)
@@ -1091,26 +1134,28 @@ def test_finer_cells_evaluate_fewer_links(monkeypatch):
         return loss
 
     monkeypatch.setattr(propagation, "extended_hata_db", counting)
+    walk = (cfg.grid, world.specs, world.env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
     runs = []
     for cell in (simulation._CELL, 32):
         links.clear()
         monkeypatch.setattr(simulation, "_CELL", cell)
-        assign, pw = simulation._tiled_pass(cfg.grid, world.specs, world.env_grid,
-                                            cfg.rx_height_m, cfg.dead_threshold_dbm,
-                                            world.settlements, idw=(cfg.idw_s, cfg.idw_k))
-        runs.append((sum(links), assign.labels, pw))
-    (fine, labels, rows), (coarse, want_labels, want_rows) = runs
+        settled, pw = simulation._tiled_pass(*walk, world.settlements.ids,
+                                             idw=(cfg.idw_s, cfg.idw_k))
+        rest = simulation._tiled_pass(*walk, np.flatnonzero(~world.raster.settled))[0]
+        runs.append((sum(links), settled.labels, rest.labels, pw))
+    (fine, *labels, rows), (coarse, *want_labels, want_rows) = runs
     assert fine < coarse
-    assert labels.tobytes() == want_labels.tobytes()
+    for got, want in zip(labels, want_labels):
+        assert got.tobytes() == want.tobytes()
     _assert_same_rows(rows, want_rows)
 
 
-def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
+def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile):
     """Idw rows assembled as the walker once did, as CSR (indptr, col, w):
     per tile, `idw_rows_chunk` on the unpruned block of its settled
-    pixels over the sites that reach the pass's pixels there, the rows'
-    entries kept as owner/column/weight pieces, and one stable sort on
-    the owners to put them in settlement order."""
+    pixels over the sites that reach them, the rows' entries kept as
+    owner/column/weight pieces, and one stable sort on the owners to put
+    them in settlement order."""
     npx = cfg.grid.npixels
     x, y = cfg.grid.pixel_centers()
     radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
@@ -1125,8 +1170,7 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
         here = px[at[px] >= 0]
         if here.size == 0:
             continue
-        scope = here if settled_only else px
-        keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x[scope], y[scope])
+        keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x[here], y[here])
         if keep.size == 0:
             continue
         field = rss_field([specs[j] for j in keep], here, x[here], y[here], env[here],
@@ -1143,40 +1187,44 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile, settled_only):
     return indptr, np.concatenate(col)[order], np.concatenate(w)[order]
 
 
-def _offered_links(cfg, specs, env, settlements, idw, tile):
-    """Per pixel, the bts_ids the full-grid walker offers `rss_field` for
-    it, and the settled flag of each call's pixels."""
-    offered, kinds = {}, []
-    kernel = simulation.rss_field
+def _recorded_walk(cfg, specs, env, settlements, pixels, idw):
+    """One walk's flat labels and idw rows, the ranks its
+    `level_candidates` calls prune at and, per `rss_field` call, the
+    settled flags of its pixels."""
+    ranks, kinds = set(), []
     settled = np.zeros(cfg.grid.npixels, bool)
     settled[settlements.ids] = True
+    kernel, prune = simulation.rss_field, simulation.level_candidates
 
-    def recording(specs, pixel_ids, *args, candidates, **kwargs):
-        ids = np.array([sp.bts_id for sp in specs])
-        for p, row in zip(pixel_ids.tolist(), candidates):
-            offered[p] = tuple(ids[row])
+    def recording_kernel(specs, pixel_ids, *args, **kwargs):
         kinds.append(set(settled[pixel_ids].tolist()))
-        return kernel(specs, pixel_ids, *args, candidates=candidates, **kwargs)
+        return kernel(specs, pixel_ids, *args, **kwargs)
+
+    def recording_prune(levels, sx, sy, box, present, rank, floor_dbm):
+        ranks.add(rank)
+        return prune(levels, sx, sy, box, present, rank, floor_dbm)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "rss_field", recording)
-        mp.setattr(simulation, "_TILE", tile)
-        simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape), cfg.rx_height_m,
-                               cfg.dead_threshold_dbm, settlements, idw=idw)
-    return offered, kinds
+        mp.setattr(simulation, "rss_field", recording_kernel)
+        mp.setattr(simulation, "level_candidates", recording_prune)
+        assign, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
+                                            cfg.rx_height_m, cfg.dead_threshold_dbm, pixels,
+                                            idw=idw)
+    return assign.labels.ravel(), pw, ranks, kinds
 
 
-class TestGroupedWalker:
+class TestStudyWalks:
     @settings(max_examples=100, deadline=None)
     @given(layout=_pruning_layout(), k=st.integers(1, 12))
     def test_equals_assembled_rows_and_rank_one_elsewhere(self, layout, k):
-        """In both modes the walker's labels equal the unpruned selectors'
-        and its in-place idw rows equal the piece-and-sort assembly over
-        unpruned tile blocks byte for byte, for k up to 12 (numpy sums 8
-        or more terms pairwise, so the top-k width shows).  Every kernel
-        call holds settled pixels only or unsettled pixels only, and the
-        unsettled pixels are offered exactly the sites a pass without idw
-        rows offers them: rank 1, not idw's k."""
+        """The study's two walks, the settlements at idw's k with idw rows
+        and the other pixels at rank 1: their labels together equal the
+        unpruned selectors' at every pixel, and the in-place idw rows equal
+        the piece-and-sort assembly over unpruned tile blocks byte for
+        byte, for k up to 12 (numpy sums 8 or more terms pairwise, so the
+        top-k width shows).  Each walk prunes at its one rank, so every
+        kernel call holds settled pixels only or unsettled pixels only, and
+        the unsettled pixels are offered the rank-1 candidates, not idw's k."""
         cfg, specs, env, settlements, tile, s, _ = layout
         x, y = cfg.grid.pixel_centers()
         npx = cfg.grid.npixels
@@ -1185,23 +1233,59 @@ class TestGroupedWalker:
                           candidates=np.ones((npx, len(specs)), dtype=bool),
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         labels = bsa_select_chunk(field.rss_dbm, field.live)
-        only = np.full(npx, UNASSIGNED)
-        only[settlements.ids] = labels[settlements.ids]
+        rest = np.setdiff1d(np.arange(npx), settlements.ids)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_TILE", tile)
-            for settled_only, want in ((False, labels), (True, only)):
-                got, pw, _ = _tiled_run(cfg, specs, env, settlements, s, k, settled_only)
-                assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
-                assert pw.scheme == "idw" and pw.bts_ids == [sp.bts_id for sp in specs]
-                assert pw.pixel_ids.tobytes() == settlements.ids.astype(np.int64).tobytes()
-                _assert_csr(pw, _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile,
-                                                    settled_only))
-        with_rows, kinds = _offered_links(cfg, specs, env, settlements, (s, k), tile)
-        assert all(len(kind) == 1 for kind in kinds)
-        without_rows, _ = _offered_links(cfg, specs, env, settlements, None, tile)
-        unsettled = np.setdiff1d(np.arange(npx), settlements.ids).tolist()
-        assert ({p: with_rows.get(p) for p in unsettled}
-                == {p: without_rows.get(p) for p in unsettled})
+            got, pw, ranks, kinds = _recorded_walk(cfg, specs, env, settlements,
+                                                   settlements.ids, (s, k))
+            got_rest, no_rows, rest_ranks, rest_kinds = _recorded_walk(cfg, specs, env,
+                                                                       settlements, rest, None)
+        got_rest[settlements.ids] = got[settlements.ids]
+        assert got_rest.astype(np.int64).tobytes() == labels.astype(np.int64).tobytes()
+        assert no_rows is None
+        assert pw.scheme == "idw" and pw.bts_ids == [sp.bts_id for sp in specs]
+        assert pw.pixel_ids.tobytes() == settlements.ids.astype(np.int64).tobytes()
+        _assert_csr(pw, _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile))
+        assert ranks <= {k} and rest_ranks <= {1}
+        assert all(kind == {True} for kind in kinds)
+        assert all(kind == {False} for kind in rest_kinds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), s=st.sampled_from([0.0, 1.0, 2.5]))
+def test_study_idw_rows_equal_the_settlement_pass(seed, k, s):
+    """A round walks the naive links twice, the settlements with idw rows,
+    then the other pixels at rank 1.  Its idw rows equal those of
+    `settlement_pixel_weights` (the `covmap weights --scheme idw` pass) on
+    the same specs and env grid byte for byte, for k from 1 to 12 on
+    about 20 sites, and its naive map equals the full-grid best-server map."""
+    cfg = tiny_config(seed=seed, idw_k=k, idw_s=s, urban_pop_per_bts=100.0,
+                      rural_pop_per_bts=100.0)
+    walks = []
+    walker = simulation._tiled_pass
+
+    def recording(*args, idw=None):
+        out = walker(*args, idw=idw)
+        walks.append((args, idw, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_tiled_pass", recording)
+        _, world = simulate_round(cfg, 0, return_world=True)
+    assert len(world.specs) == 20
+    (true_args, true_idw, _), (args, idw, (_, pw)), (rest_args, rest_idw, (naive, _)) = walks
+    assert len(true_args) == 5 and true_idw is None
+    *walk, pixels = args
+    assert pixels is world.settlements.ids and idw == (s, k)
+    assert all(a is b for a, b in zip(rest_args, walk)) and rest_idw is None
+    assert rest_args[5].tobytes() == np.flatnonzero(~world.raster.settled).tobytes()
+    grid, naive_specs, naive_env, rx, dead = walk
+    want = settlement_pixel_weights(world.settlements, naive_specs, naive_env, rx_height_m=rx,
+                                    dead_threshold_dbm=dead, idw=(s, k))
+    for name in ("pixel_ids", "col", "w"):
+        assert getattr(pw, name).tobytes() == getattr(want, name).tobytes(), name
+    full = best_server_grid(grid, naive_specs, naive_env, rx, dead)
+    assert naive.labels.tobytes() == full.labels.tobytes()
 
 
 def test_idw_rows_keep_the_unpruned_top_k_width():
@@ -1234,7 +1318,7 @@ def test_idw_rows_keep_the_unpruned_top_k_width():
     live_only = idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k)
     assert (entries_by_column(*live_only)[2].tobytes()
             != entries_by_column(unpruned.col, unpruned.w)[2].tobytes())
-    _, pw, calls = _tiled_run(cfg, specs, env, settlements, s, k)
+    _, pw, calls = _tiled_run(cfg, specs, env, settlements.ids, (s, k))
     assert calls == [(x.size, k)] and pw.col.shape == (x.size, k)
     _assert_same_rows(pw, unpruned)
 
@@ -1271,6 +1355,16 @@ def test_only_the_walker_calls_the_kernels():
         "_levels_dbm": {"propagation.link_tables", "propagation.rss_field"},
         "level_candidates": {"simulation._tiled_pass"},
     }
+
+
+def test_three_callers_of_the_walker():
+    """Every walk is one pixel set at one rank: the full grid at rank 1
+    (`best_server_grid`), the settlements (`settlement_pixel_weights`)
+    and the study's two naive walks (`_evaluate_round`)."""
+    assert _package_callers("_tiled_pass") == {"_tiled_pass": {
+        "simulation.best_server_grid", "simulation.settlement_pixel_weights",
+        "simulation._evaluate_round",
+    }}
 
 
 def test_one_distance_helper_behind_the_nearest_site_reducers():
