@@ -58,9 +58,6 @@ class Grid:
     def npixels(self) -> int:
         return self.nrows * self.ncols
 
-    def pixel_id(self, rows, cols):
-        return np.asarray(rows, dtype=np.int64) * self.ncols + np.asarray(cols, dtype=np.int64)
-
     def rowcol_of_id(self, pixel_ids):
         pids = np.asarray(pixel_ids, dtype=np.int64)
         return pids // self.ncols, pids % self.ncols
@@ -126,12 +123,12 @@ class SettlementRaster:
 
 @dataclass
 class Settlements:
-    """Extracted settlement pixels in pixel-id order."""
+    """Extracted settlement pixels: their ascending pixel ids, the one
+    address of a pixel set, and each one's inhabitant count.  A grid map
+    is read at the settlements as `m.reshape(-1)[ids]`."""
 
     grid: Grid
     ids: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
     counts: np.ndarray
 
     def __len__(self) -> int:
@@ -139,21 +136,17 @@ class Settlements:
 
 
 def extract_settlements(raster: SettlementRaster) -> Settlements:
-    """List settlement pixels (count >= 1 outside nodata), row-major order.
+    """List settlement pixels (count >= 1 outside nodata) by ascending
+    pixel id.
 
     An empty result is returned with a warning rather than an error:
     downstream schemes treat it as total no-coverage.
     """
-    rows, cols = np.nonzero(raster.settled)
-    if rows.size == 0:
+    ids = np.flatnonzero(raster.settled)
+    if ids.size == 0:
         warnings.warn("raster contains no settlement pixels", stacklevel=2)
-    return Settlements(
-        grid=raster.grid,
-        ids=raster.grid.pixel_id(rows, cols),
-        rows=rows.astype(np.int64),
-        cols=cols.astype(np.int64),
-        counts=raster.counts[rows, cols].astype(np.float64),
-    )
+    return Settlements(grid=raster.grid, ids=ids,
+                       counts=raster.counts.reshape(-1)[ids].astype(np.float64))
 
 
 @dataclass

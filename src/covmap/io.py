@@ -60,19 +60,24 @@ def _text(path) -> str:
 
 def _json_doc(path):
     """The JSON value in a file; a syntax error names the file and line,
-    and a key repeated within one object names the file and the key."""
+    a key repeated within one object names the file and the key, and an
+    integer past Python's digit limit names the file."""
 
     def unique_keys(pairs):
         doc, seen = dict(pairs), set()
         if len(doc) < len(pairs):  # the first key seen twice
-            raise _err(path, None, "duplicate key "
-                                   f"{next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+            raise KeyError(next(k for k, _ in pairs if k in seen or seen.add(k)))
         return doc
 
+    text = _text(path)
     try:
-        return json.loads(_text(path), object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise _err(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except KeyError as exc:
+        raise _err(path, None, f"duplicate key {exc.args[0]!r}") from None
+    except ValueError as exc:  # `int` refuses more digits than its limit
+        raise _err(path, None, f"invalid JSON: {exc}") from None
     except RecursionError:
         raise _err(path, None, "invalid JSON: nested too deeply") from None
 
@@ -411,7 +416,7 @@ def load_areas_geojson(path) -> StatAreaSet:
                        f"MultiPolygon, got {gtype!r}")
         try:
             rings = [np.asarray(ring, dtype=np.float64) for poly in polys for ring in poly]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # overflow: an integer beyond float64
             raise _err(path, None, f"feature {idx} ({area_id!r}): malformed coordinates") from None
         if any(np.any(np.abs(ring) > COORD_LIMIT_M) for ring in rings):
             raise _err(path, None, f"feature {idx} ({area_id!r}): ring coordinates beyond "

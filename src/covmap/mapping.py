@@ -246,7 +246,7 @@ def weights_aug_voronoi(
     Areas without a settlement pixel get no coverage.
     """
     pw = bsa_pixel_weights(settlements.ids, assignment.bts_ids,
-                           assignment.labels[settlements.rows, settlements.cols],
+                           assignment.labels.reshape(-1)[settlements.ids],
                            SCHEME_AUG_VORONOI)
     return area_weights_from_pixels(pw, areas, assignment.grid)
 

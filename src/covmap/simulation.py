@@ -17,8 +17,8 @@ worker processes run them.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -99,7 +99,8 @@ def _check_int(name: str, v) -> None:
 
 
 def _check_finite(name: str, v) -> None:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+    # the bound refuses nan, the infinities and an integer beyond float64
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -601,9 +602,11 @@ def best_server_grid(
 
     Specs must be sorted by bts_id so exact ties resolve to the lowest
     id; pixels with no live link stay unassigned.  Each tile evaluates
-    only the sites that can reach it (see `_tiled_pass`).
+    only the sites that can reach it (see `_tiled_pass`); the only walk
+    made a map: its labels, in pixel-id order, reshaped to the grid.
     """
-    return _tiled_pass(grid, specs, env_grid, rx_height_m, dead_threshold_dbm)[0]
+    labels = _tiled_pass(grid, specs, env_grid, rx_height_m, dead_threshold_dbm)[0]
+    return Assignment(grid, [s.bts_id for s in specs], labels.reshape(grid.shape))
 
 
 def _tiled_pass(
@@ -615,13 +618,13 @@ def _tiled_pass(
     pixels: np.ndarray | None = None,
     *,
     idw: tuple[float, int] | None = None,
-) -> tuple[Assignment, PixelWeights | None]:
+) -> tuple[np.ndarray, PixelWeights | None]:
     """The one walker over the links from `specs` to a set of pixels.
 
     The set is every pixel of the grid, or the given ascending pixel ids.
-    Returns the best-server labels of the set (pixels outside it stay
-    unassigned) and, given `idw` = (s, k), the set's idw rows from the
-    same links, in `pixels` order.
+    Returns the set's best-server labels in set order (int32, -1 where
+    no link is live; no full-grid label map is built) and, given `idw` =
+    (s, k), the set's idw rows from the same links, in set order.
 
     Specs must be sorted by bts_id.  The pass builds its radius table
     (sites x env codes) and level table with one `link_tables` call, and
@@ -655,9 +658,8 @@ def _tiled_pass(
     sy = np.array([s.y for s in specs], dtype=np.float64)
     reach = radii.max(axis=1)
     env = np.asarray(env_grid, dtype=np.uint8)
-    labels = np.full(grid.shape, UNASSIGNED, dtype=np.int32)
-    flat_labels = labels.reshape(-1)
     walked = np.arange(grid.npixels) if pixels is None else pixels
+    labels = np.full(walked.size, UNASSIGNED, dtype=np.int32)
     at = np.full(grid.shape, -1, dtype=np.int32)  # each pixel's index in `walked`
     at.reshape(-1)[walked] = np.arange(walked.size, dtype=np.int32)
     rank = 1
@@ -679,7 +681,7 @@ def _tiled_pass(
                 continue
             # the tile's arrays over its pixels of the set only, in id order
             tr, tc = np.divmod(here, cols.size)
-            owner, pid = owner[here], grid.pixel_id(r0 + tr, c0 + tc)
+            owner = owner[here]
             xc, yr = grid.centers(rows, cols)
             x, y, codes = xc[tc], yr[tr], env[tile].ravel()[here]
             keep = reaching_sites(sx, sy, reach, x, y)
@@ -712,26 +714,25 @@ def _tiled_pass(
             site_cells = cand[:, used].T  # sites x cells
             near = [specs[j] for j in g_keep]
             step = max(1, (_RSS_ENTRIES if idw is None else _RSS_ENTRIES // 4) // g_keep.size)
-            for lo in range(0, pid.size, step):
+            for lo in range(0, owner.size, step):
                 block = slice(lo, lo + step)
                 # per pixel of the block, its cell's candidates; column-contiguous
                 # for the kernel
                 mask = site_cells[:, cell[block]].T
-                rss = rss_field(near, pid[block], x[block], y[block], codes[block],
+                rss = rss_field(near, walked[owner[block]], x[block], y[block], codes[block],
                                 radii_km=radii[g_keep], candidates=mask,
                                 rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
                 live = rss.live
                 sel = bsa_select_chunk(rss.rss_dbm, live)
-                flat_labels[pid[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
+                labels[owner[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
                 if idw is not None:
                     c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, rank)
                     # pads map through the appended -1 and stay pads
                     row_col[owner[block], :c.shape[1]] = np.append(g_keep, -1)[c]
                     row_w[owner[block], :c.shape[1]] = v
-    assignment = Assignment(grid, ids, labels)
     if idw is None:
-        return assignment, None
-    return assignment, PixelWeights(SCHEME_IDW, walked, ids, row_col, row_w)
+        return labels, None
+    return labels, PixelWeights(SCHEME_IDW, walked, ids, row_col, row_w)
 
 
 @dataclass
@@ -754,7 +755,7 @@ def true_coverage(
     """Ground-truth coverage from the real specs over the true
     environment grid (env codes, one per pixel)."""
     assignment = best_server_grid(grid, specs, env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
-    server = assignment.labels[settlements.rows, settlements.cols].astype(np.int64)
+    server = assignment.labels.reshape(-1)[settlements.ids].astype(np.int64)
     uncovered = int(np.count_nonzero(server < 0))
     frac = uncovered / max(len(settlements), 1)
     return CoverageResult(assignment, server, uncovered, frac)
@@ -775,14 +776,13 @@ def settlement_pixel_weights(
     `env_grid` holds the environment code of every grid pixel; specs must
     be sorted by bts_id.  One `_tiled_pass` over the settlement pixels
     only gives both: the idw rows directly, the bsa rows as its labels
-    there, one-hot width-1 rows, just as the study builds them.
+    (in settlement order), one-hot width-1 rows, as the study builds them.
     """
-    assignment, pw = _tiled_pass(settlements.grid, specs, env_grid, rx_height_m,
-                                 dead_threshold_dbm, settlements.ids, idw=idw)
+    labels, pw = _tiled_pass(settlements.grid, specs, env_grid, rx_height_m,
+                             dead_threshold_dbm, settlements.ids, idw=idw)
     if pw is not None:
         return pw
-    return bsa_pixel_weights(settlements.ids, assignment.bts_ids,
-                             assignment.labels[settlements.rows, settlements.cols])
+    return bsa_pixel_weights(settlements.ids, [s.bts_id for s in specs], labels)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -973,7 +973,7 @@ def build_world(cfg: SimConfig, round_index: int) -> SyntheticWorld:
         rates = np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
     covariates = CovariateTable([s.bts_id for s in specs], {"poverty": rates})
 
-    area_of = areas.labels(cfg.grid)[settlements.rows, settlements.cols]
+    area_of = areas.labels(cfg.grid).reshape(-1)[settlements.ids]
     tnum = np.bincount(area_of[area_of >= 0], weights=(pop * poverty)[area_of >= 0],
                        minlength=len(areas))
     tden = np.bincount(area_of[area_of >= 0], weights=pop[area_of >= 0], minlength=len(areas))
@@ -991,7 +991,7 @@ def _benchmark_estimates(world: SyntheticWorld) -> dict[str, float | None]:
     """Area estimates a perfect-knowledge user of the true coverage gets:
     average the serving site's covariate over covered settlements."""
     areas = world.areas
-    area_of = areas.labels(world.grid)[world.settlements.rows, world.settlements.cols]
+    area_of = areas.labels(world.grid).reshape(-1)[world.settlements.ids]
     server = world.coverage.settlement_server
     ok = (server >= 0) & (area_of >= 0)
     r_by_site = world.covariates.column("poverty")
@@ -1055,14 +1055,15 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     naive_specs = synthesize_naive_specs(points, naive_classes, areas, grid)
     naive_env_grid = paint_area_env(areas, naive_classes, grid)
     # two walks: the settlements at idw's rank, the `covmap weights --scheme
-    # idw` walk, whose labels there are the bsa rows; then the rest at rank 1
+    # idw` walk, whose labels are the bsa rows; then the rest at rank 1.
+    # The two sets partition the grid, so their labels fill the naive map.
     naive = (grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
-    settled_assign, pw_idw = _tiled_pass(*naive, settlements.ids, idw=(cfg.idw_s, cfg.idw_k))
-    naive_sel = settled_assign.labels[settlements.rows, settlements.cols].astype(np.int64)
-    del settled_assign
-    naive_assign = _tiled_pass(*naive, np.flatnonzero(~world.raster.settled))[0]
-    naive_assign.labels[settlements.rows, settlements.cols] = naive_sel
-    pw_bsa = bsa_pixel_weights(settlements.ids, naive_assign.bts_ids, naive_sel)
+    naive_sel, pw_idw = _tiled_pass(*naive, settlements.ids, idw=(cfg.idw_s, cfg.idw_k))
+    rest = np.flatnonzero(~world.raster.settled)
+    naive_labels = np.empty(grid.shape, dtype=np.int32)
+    naive_labels.reshape(-1)[rest] = _tiled_pass(*naive, rest)[0]
+    naive_labels.reshape(-1)[settlements.ids] = naive_sel
+    pw_bsa = bsa_pixel_weights(settlements.ids, pw_idw.bts_ids, naive_sel)
     wm_bsa = area_weights_from_pixels(pw_bsa, areas, grid)
     wm_idw = area_weights_from_pixels(pw_idw, areas, grid)
 
@@ -1083,9 +1084,9 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     )
     claims = {
         "benchmark": (truth.labels, true_server, own),
-        "p2p": (area_labels, area_labels[settlements.rows, settlements.cols], host_area),
-        "voronoi": (vor.labels, vor.labels[settlements.rows, settlements.cols], own),
-        "hata_bsa": (naive_assign.labels, naive_sel, own),
+        "p2p": (area_labels, area_labels.reshape(-1)[settlements.ids], host_area),
+        "voronoi": (vor.labels, vor.labels.reshape(-1)[settlements.ids], own),
+        "hata_bsa": (naive_labels, naive_sel, own),
     }
     overlaps = {
         scheme: (area_membership_overlap(labels, key, truth, world.bts_env),

@@ -164,12 +164,13 @@ def test_criterion_5_weight_matrix_properties():
     for _ in range(200):
         grid, specs, areas, raster, env = _random_instance(rng)
         settlements = extract_settlements(raster)
-        sx, sy = grid.centers(settlements.rows, settlements.cols)
+        srows, scols = grid.rowcol_of_id(settlements.ids)
+        sx, sy = grid.centers(srows, scols)
         points = [(s.bts_id, s.x, s.y) for s in specs]
         assign = voronoi_assign(grid, points)
         field = rss_field(
             specs, settlements.ids, sx, sy,
-            env[settlements.rows, settlements.cols],
+            env[srows, scols],
             radii_km=link_tables(specs, 1.0, DEAD_THRESHOLD_DBM)[0],
             candidates=np.ones((len(settlements), len(specs)), dtype=bool),
         )
@@ -204,7 +205,7 @@ def test_criterion_5_weight_matrix_properties():
 
         # BSA against an argmax-RSS oracle
         rss = np.empty((len(settlements), len(specs)))
-        env_at = env[settlements.rows, settlements.cols]
+        env_at = env[srows, scols]
         for j, sp in enumerate(specs):
             d_km = np.hypot(sx - sp.x, sy - sp.y) / 1000.0
             rss[:, j] = sp.power_dbm - extended_hata_db(
@@ -214,7 +215,7 @@ def test_criterion_5_weight_matrix_properties():
         masked = np.where(live, rss, -np.inf)
         sel = np.argmax(masked, axis=1)
         sel[~live.any(axis=1)] = -1
-        area_of = areas.labels(grid)[settlements.rows, settlements.cols]
+        area_of = areas.labels(grid)[srows, scols]
         want_bsa: dict[str, dict[str, float]] = {}
         for a, aid in enumerate(areas.area_ids):
             use = (area_of == a) & (sel >= 0)

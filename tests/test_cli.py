@@ -154,6 +154,18 @@ class TestSimulate:
         assert "cfg.json" in err and "kmeans_iters" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"cell_size_m": 1%s}' % ("0" * 400),  # beyond float64
+        '{"rounds": 1%s}' % ("0" * 4300),  # past Python's integer digit limit
+    ], ids=["beyond-float64", "digit-limit"])
+    def test_config_integer_too_large_fails_cleanly(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_tally_sums_to_100(self, study):
         lines = (study / "tally.csv").read_text().strip().split("\n")[1:]
         per_metric: dict[str, float] = {}
@@ -672,8 +684,9 @@ class TestParser:
 
 # --- input fuzz -----------------------------------------------------------------
 
+_BEYOND_FLOAT64 = b"1" + b"0" * 400  # an integer in JSON, inf in the CSV and grid files
 _FUZZ_WORDS = [b"", b"nan", b"inf", b"-1", b"0", b"1e200", b"-1e200", b"x", b'"', b"1_000",
-               b"\xff"]
+               b"\xff", _BEYOND_FLOAT64]
 _TOKEN = re.compile(rb'[^\s,\[\]{}:"]+')
 _FUZZ_FILES = ("raster.asc", "bts.csv", "areas.geojson", "env.asc", "covariates.csv",
                "weights.csv")
@@ -736,6 +749,7 @@ class TestInputFuzz:
     @example(name="covariates.csv", at=1, word=b'"')  # a quote opening at the column name
     @example(name="covariates.csv", at=3, word=b"\xff")
     @example(name="areas.geojson", at=14, word=b"1e200")  # a vertex beyond the bound
+    @example(name="areas.geojson", at=14, word=_BEYOND_FLOAT64)
     @example(name="env.asc", at=12, word=b"1e200")  # the first environment code
     @settings(max_examples=100, deadline=None)
     def test_one_token_replaced(self, fuzz_inputs, name, at, word):

@@ -73,7 +73,7 @@ class TestGrid:
         rng = np.random.default_rng(0)
         r = rng.integers(0, 5, 30)
         c = rng.integers(0, 7, 30)
-        rr, cc = g.rowcol_of_id(g.pixel_id(r, c))
+        rr, cc = g.rowcol_of_id(r * g.ncols + c)
         assert np.array_equal(rr, r) and np.array_equal(cc, c)
 
     def test_locate_inverts_centers(self):
@@ -106,7 +106,7 @@ class TestExtractSettlements:
         assert len(s) == 2
         assert s.ids.tolist() == [1, 2]  # row-major order
         assert s.counts.tolist() == [3.0, 1.0]
-        assert_allclose(g.centers(s.rows, s.cols), [[150.0, 50.0], [150.0, 50.0]])
+        assert_allclose(g.centers(*g.rowcol_of_id(s.ids)), [[150.0, 50.0], [150.0, 50.0]])
 
     def test_empty_warns(self):
         g = Grid(ncols=3, nrows=3, cell_size_m=100.0)

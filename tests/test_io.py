@@ -536,6 +536,7 @@ class TestConfig:
         ("rural_sigma_m", float("inf")),
         ("height_range_m", [15.0]),
         ("mask_rect", [1, 2, 3.5, 4]),
+        pytest.param("cell_size_m", 10**400, id="cell_size_m-beyond-float64"),
     ])
     def test_bad_value_rejected_up_front(self, key, value):
         with pytest.raises(ValueError, match=rf"<config>: {key} must"):
@@ -632,6 +633,21 @@ class TestReaders:
         with pytest.raises(ValueError) as exc:
             load(p)
         assert str(exc.value) == f"{p}: duplicate key {key!r}"
+
+    @pytest.mark.parametrize("load, text", [
+        (load_config, '{"rounds": 1%s}' % ("0" * 4300)),
+        (load_areas_geojson, '{"type": "FeatureCollection", "features": [{"type": "Feature",'
+                             ' "properties": {"area_id": "A"}, "geometry": {"type": "Polygon",'
+                             ' "coordinates": [[[0, 0], [1%s, 0], [0, 1], [0, 0]]]}}]}'
+                             % ("0" * 4300)),
+    ], ids=["config", "areas-coordinates"])
+    def test_json_integer_past_the_digit_limit_names_file(self, tmp_path, load, text):
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert str(exc.value).startswith(f"{p}: invalid JSON: ")
+        assert "4300 digits" in str(exc.value)
 
     def test_csv_parser_error_names_file_and_line(self, tmp_path):
         # an unclosed quote before a commune-scale table outgrows the csv field limit

@@ -230,11 +230,12 @@ class TestBsa:
                     best, best_v = b, v
             raw[i] = best
             assert pw.row(i) == ({best: 1.0} if best else {})
+        srows, scols = g.rowcol_of_id(settlements.ids)
         for aid, mask in (("w", half), ("e", ~half)):
             sel = [
                 raw[i]
                 for i in range(len(settlements))
-                if raw[i] and mask[settlements.rows[i], settlements.cols[i]]
+                if raw[i] and mask[srows[i], scols[i]]
             ]
             if not sel:
                 assert aid in wm.no_coverage_ids

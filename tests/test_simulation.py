@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from covmap import geo, propagation, simulation
 from covmap.geo import (
-    UNASSIGNED,
     Assignment,
     Grid,
     SettlementRaster,
@@ -258,7 +257,7 @@ def _old_assign_poverty(raster, cfg, rng):
         raise ValueError("population raster is empty")
     mu = rng.uniform(0.0, 1.0, nbr * nbc) * (1.0 - density / top)
     settlements = extract_settlements(raster)
-    mu_at = mu[block[settlements.rows, settlements.cols]]
+    mu_at = mu[block[raster.grid.rowcol_of_id(settlements.ids)]]
     rates = mu_at + cfg.poverty_sigma * rng.standard_normal(len(settlements))
     return np.clip(rates, 0.0, 1.0)
 
@@ -351,7 +350,8 @@ class TestAssignPoverty:
         densest = np.argmax(
             np.bincount(blk, weights=raster.counts.ravel()) / np.bincount(blk)
         )
-        sblk = (s.rows // b) * nbc + (s.cols // b)
+        srows, scols = cfg.grid.rowcol_of_id(s.ids)
+        sblk = (srows // b) * nbc + (scols // b)
         assert np.any(sblk == densest)
         assert np.all(rates[sblk == densest] == 0.0)
 
@@ -403,7 +403,8 @@ class TestPlaceBts:
         raster = gen_population(cfg, np.random.default_rng(1))
         specs, _ = place_bts(raster, cfg, np.random.default_rng(2))
         s = extract_settlements(raster)
-        centers = set(zip(*(v.tolist() for v in cfg.grid.centers(s.rows, s.cols))))
+        centers = set(zip(*(v.tolist()
+                            for v in cfg.grid.centers(*cfg.grid.rowcol_of_id(s.ids)))))
         pos = {(sp.x, sp.y) for sp in specs}
         assert pos <= centers
         assert len(pos) == len(specs)  # collision-free snapping
@@ -421,7 +422,7 @@ class TestPlaceBts:
         raster = gen_population(cfg, np.random.default_rng(1))
         specs, env = place_bts(raster, cfg, np.random.default_rng(2))
         s = extract_settlements(raster)
-        x, y = cfg.grid.centers(s.rows, s.cols)
+        x, y = cfg.grid.centers(*cfg.grid.rowcol_of_id(s.ids))
         d2 = (x[:, None] - [sp.x for sp in specs]) ** 2 + (y[:, None] - [sp.y for sp in specs]) ** 2
         sizes = np.bincount(np.argmin(d2, axis=1), minlength=len(specs))
         assert env == classify_env_by_cluster_size(
@@ -530,8 +531,9 @@ class TestBoundedLloyd:
         cfg = SimConfig.desk()
         raster = gen_population(cfg, np.random.default_rng(1))
         settled = extract_settlements(raster)
-        x, y = cfg.grid.centers(settled.rows, settled.cols)
-        in_urban = urban_block_mask(cfg)[settled.rows, settled.cols]
+        srows, scols = cfg.grid.rowcol_of_id(settled.ids)
+        x, y = cfg.grid.centers(srows, scols)
+        in_urban = urban_block_mask(cfg)[srows, scols]
         original = geo._nearest_blocks
         offered = []
 
@@ -727,7 +729,7 @@ class TestRangeCulling:
         # every pixel is settled, so the settlement pass streams two chunks
         settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
         env = rng.integers(0, 3, len(settlements)).astype(np.uint8)
-        x, y = cfg.grid.centers(settlements.rows, settlements.cols)
+        x, y = cfg.grid.centers(*cfg.grid.rowcol_of_id(settlements.ids))
         oracle = np.column_stack([
             s.power_dbm - extended_hata_db(
                 s.freq_mhz, np.hypot(x - s.x, y - s.y) / 1000.0,
@@ -749,7 +751,8 @@ class TestRangeCulling:
     def test_kernel_equals_dense_live_levels(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
         radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-        got = rss_field(specs, st.ids, *cfg.grid.centers(st.rows, st.cols), env, radii_km=radii,
+        x, y = cfg.grid.centers(*cfg.grid.rowcol_of_id(st.ids))
+        got = rss_field(specs, st.ids, x, y, env, radii_km=radii,
                         candidates=np.ones((len(st), len(specs)), dtype=bool),
                         rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = oracle >= cfg.dead_threshold_dbm
@@ -884,7 +887,7 @@ def test_settlement_idw_pass_holds_its_buffers_and_one_block(monkeypatch):
     links = simulation._RSS_ENTRIES // 4
     assert n * len(specs) > 8 * links
     bound = (12 * n * cfg.idw_k   # padded int32 columns and float64 weights
-             + 8 * npx            # the int32 label and settlement-index grids
+             + 8 * npx            # the int32 labels of the set and settlement-index grid
              + 33 * links         # a block's levels, live mask, negated copy, order and mask
              + 96 * npx)          # the tile's per-pixel arrays
     assert peak < bound, (peak, bound)
@@ -911,8 +914,8 @@ def _dense_labels(levels: np.ndarray, dead_threshold_dbm: float) -> np.ndarray:
 
 
 def _tiled_run(cfg, specs, env, pixels=None, idw=None):
-    """One walk's flat labels and idw rows (None without `idw`), and the
-    (pixels, sites) of its every rss_field call."""
+    """One walk's labels, in set order, and idw rows (None without
+    `idw`), and the (pixels, sites) of its every rss_field call."""
     calls = []
     kernel = simulation.rss_field
 
@@ -922,15 +925,15 @@ def _tiled_run(cfg, specs, env, pixels=None, idw=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "rss_field", recording)
-        assign, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
+        labels, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
                                             cfg.rx_height_m, cfg.dead_threshold_dbm, pixels,
                                             idw=idw)
-    return assign.labels.ravel(), pw, calls
+    return labels, pw, calls
 
 
 def _assert_walks(cfg, specs, env, settlements, s, k, labels, want_rows):
-    """Each walk's labels equal `labels` on its pixels, unassigned
-    elsewhere, and its idw rows `want_rows(pixels)`: the whole grid at
+    """Each walk's labels, int32 in set order, equal `labels` at its
+    pixels, and its idw rows `want_rows(pixels)`: the whole grid at
     rank 1 and at idw's k, and the study's two walks, the settlements at
     idw's k and the other pixels at rank 1.  Returns the walks' kernel
     calls, (pixels, sites) each."""
@@ -940,9 +943,8 @@ def _assert_walks(cfg, specs, env, settlements, s, k, labels, want_rows):
     for pixels, idw in ((None, None), (None, (s, k)), (settlements.ids, (s, k)), (rest, None)):
         walked = np.arange(npx) if pixels is None else pixels
         got, pw, walk_calls = _tiled_run(cfg, specs, env, pixels, idw)
-        want = np.full(npx, UNASSIGNED, dtype=np.int64)
-        want[walked] = labels[walked]
-        assert got.astype(np.int64).tobytes() == want.tobytes()
+        assert got.dtype == np.int32
+        assert got.astype(np.int64).tobytes() == labels[walked].astype(np.int64).tobytes()
         if idw is None:
             assert pw is None
         else:
@@ -1027,6 +1029,24 @@ class TestTiledPass:
                                            rx_height_m=cfg.rx_height_m,
                                            dead_threshold_dbm=cfg.dead_threshold_dbm)
         _assert_same_rows(bsa, weights_bsa(dense(settlements.ids)))
+
+
+def _far_sites_layout():
+    """Five live sites and five far ones that reach every pixel of a
+    40 x 40 urban grid but are dead there, every pixel settled: at k >= 8
+    the walker keeps fewer sites than min(k, reaching) after pruning and
+    must pad its block back to that width."""
+    cfg = SimConfig(ncols=40, nrows=40, cell_size_m=100.0, block_px=1, urban_split=1,
+                    mask_rect=None)
+    specs = [AntennaSpec(f"a{j}", 1500.0 + 250.0 * j, 2000.0 + 150.0 * j, 60.0, 900.0,
+                         50.0 + 0.7 * j) for j in range(5)]
+    specs += [AntennaSpec(f"f{j}", -15e3 - 1e3 * j, 2000.0, 30.0, 900.0, 43.0) for j in range(5)]
+    specs.sort(key=lambda sp: sp.bts_id)
+    env = np.full(cfg.grid.npixels, env_code("urban"), np.uint8)
+    return cfg, specs, env, extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+
+
+_FAR_SITES = _far_sites_layout()
 
 
 @st.composite
@@ -1142,7 +1162,7 @@ def test_finer_cells_evaluate_fewer_links(monkeypatch):
         settled, pw = simulation._tiled_pass(*walk, world.settlements.ids,
                                              idw=(cfg.idw_s, cfg.idw_k))
         rest = simulation._tiled_pass(*walk, np.flatnonzero(~world.raster.settled))[0]
-        runs.append((sum(links), settled.labels, rest.labels, pw))
+        runs.append((sum(links), settled, rest, pw))
     (fine, *labels, rows), (coarse, *want_labels, want_rows) = runs
     assert fine < coarse
     for got, want in zip(labels, want_labels):
@@ -1188,7 +1208,7 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile):
 
 
 def _recorded_walk(cfg, specs, env, settlements, pixels, idw):
-    """One walk's flat labels and idw rows, the ranks its
+    """One walk's labels, in set order, and idw rows, the ranks its
     `level_candidates` calls prune at and, per `rss_field` call, the
     settled flags of its pixels."""
     ranks, kinds = set(), []
@@ -1207,15 +1227,16 @@ def _recorded_walk(cfg, specs, env, settlements, pixels, idw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "rss_field", recording_kernel)
         mp.setattr(simulation, "level_candidates", recording_prune)
-        assign, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
+        labels, pw = simulation._tiled_pass(cfg.grid, specs, env.reshape(cfg.grid.shape),
                                             cfg.rx_height_m, cfg.dead_threshold_dbm, pixels,
                                             idw=idw)
-    return assign.labels.ravel(), pw, ranks, kinds
+    return labels, pw, ranks, kinds
 
 
 class TestStudyWalks:
     @settings(max_examples=100, deadline=None)
     @given(layout=_pruning_layout(), k=st.integers(1, 12))
+    @example(layout=(*_FAR_SITES, simulation._TILE, 2.0, 1), k=9)
     def test_equals_assembled_rows_and_rank_one_elsewhere(self, layout, k):
         """The study's two walks, the settlements at idw's k with idw rows
         and the other pixels at rank 1: their labels together equal the
@@ -1240,8 +1261,10 @@ class TestStudyWalks:
                                                    settlements.ids, (s, k))
             got_rest, no_rows, rest_ranks, rest_kinds = _recorded_walk(cfg, specs, env,
                                                                        settlements, rest, None)
-        got_rest[settlements.ids] = got[settlements.ids]
-        assert got_rest.astype(np.int64).tobytes() == labels.astype(np.int64).tobytes()
+        naive = np.empty(npx, np.int64)
+        naive[settlements.ids] = got
+        naive[rest] = got_rest
+        assert naive.tobytes() == labels.astype(np.int64).tobytes()
         assert no_rows is None
         assert pw.scheme == "idw" and pw.bts_ids == [sp.bts_id for sp in specs]
         assert pw.pixel_ids.tobytes() == settlements.ids.astype(np.int64).tobytes()
@@ -1249,6 +1272,32 @@ class TestStudyWalks:
         assert ranks <= {k} and rest_ranks <= {1}
         assert all(kind == {True} for kind in kinds)
         assert all(kind == {False} for kind in rest_kinds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=_pruning_layout(), share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_walk_over_any_id_subset_returns_the_full_walk_at_its_ids(layout, share, seed):
+    """A walk over any ascending subset of pixel ids returns, in set order,
+    the full-grid walk's labels at those ids, with idw rows and without.
+    Its idw rows equal the full-grid idw walk's rows at those ids too
+    (k up to 7: below 8 terms a row's sum does not depend on how many
+    pads follow its entries)."""
+    cfg, specs, env, _, tile, s, k = layout
+    ids = np.flatnonzero(np.random.default_rng(seed).random(cfg.grid.npixels) < share)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_TILE", tile)
+        full, _, _ = _tiled_run(cfg, specs, env)
+        full_k, full_rows, _ = _tiled_run(cfg, specs, env, None, (s, k))
+        assert full_k.tobytes() == full.tobytes()
+        for idw in (None, (s, k)):
+            got, pw, _ = _tiled_run(cfg, specs, env, ids, idw)
+            assert got.dtype == np.int32 and got.tobytes() == full[ids].tobytes()
+            if idw is None:
+                assert pw is None
+            else:
+                _assert_same_rows(pw, PixelWeights("idw", ids, full_rows.bts_ids,
+                                                   full_rows.col[ids], full_rows.w[ids]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1273,7 +1322,7 @@ def test_study_idw_rows_equal_the_settlement_pass(seed, k, s):
         mp.setattr(simulation, "_tiled_pass", recording)
         _, world = simulate_round(cfg, 0, return_world=True)
     assert len(world.specs) == 20
-    (true_args, true_idw, _), (args, idw, (_, pw)), (rest_args, rest_idw, (naive, _)) = walks
+    (true_args, true_idw, _), (args, idw, (sel, pw)), (rest_args, rest_idw, (rest, _)) = walks
     assert len(true_args) == 5 and true_idw is None
     *walk, pixels = args
     assert pixels is world.settlements.ids and idw == (s, k)
@@ -1284,8 +1333,11 @@ def test_study_idw_rows_equal_the_settlement_pass(seed, k, s):
                                     dead_threshold_dbm=dead, idw=(s, k))
     for name in ("pixel_ids", "col", "w"):
         assert getattr(pw, name).tobytes() == getattr(want, name).tobytes(), name
+    naive = np.empty(grid.npixels, np.int32)
+    naive[pixels] = sel
+    naive[rest_args[5]] = rest
     full = best_server_grid(grid, naive_specs, naive_env, rx, dead)
-    assert naive.labels.tobytes() == full.labels.tobytes()
+    assert naive.tobytes() == full.labels.tobytes()
 
 
 def test_idw_rows_keep_the_unpruned_top_k_width():
@@ -1294,14 +1346,7 @@ def test_idw_rows_keep_the_unpruned_top_k_width():
     dead in its urban pixels are pruned everywhere, so the walker pads
     its block back to min(k, reaching) columns: its rows equal the
     unpruned block's byte for byte, not the rows over the live sites."""
-    cfg = SimConfig(ncols=40, nrows=40, cell_size_m=100.0, block_px=1, urban_split=1,
-                    mask_rect=None)
-    specs = [AntennaSpec(f"a{j}", 1500.0 + 250.0 * j, 2000.0 + 150.0 * j, 60.0, 900.0,
-                         50.0 + 0.7 * j) for j in range(5)]
-    specs += [AntennaSpec(f"f{j}", -15e3 - 1e3 * j, 2000.0, 30.0, 900.0, 43.0) for j in range(5)]
-    specs.sort(key=lambda sp: sp.bts_id)
-    env = np.full(cfg.grid.npixels, env_code("urban"), np.uint8)
-    settlements = extract_settlements(SettlementRaster(cfg.grid, np.ones(cfg.grid.shape)))
+    cfg, specs, env, settlements = _FAR_SITES
     s, k = 2.0, 9
     x, y = cfg.grid.pixel_centers()
     radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
