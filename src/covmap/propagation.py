@@ -12,20 +12,19 @@ the distance checks from one min/max pair per call.
 
 One kernel, `rss_field`, turns antenna specs and pixel centres into
 received levels (transmit power minus median loss, no shadowing term).
-Loss never decreases with distance, so one builder, `link_tables`, gives
-two per-pass tables from one evaluation of each antenna's level at a
-fixed distance grid, per environment: the levels themselves, and per
-antenna and environment a radius from which every link is dead, read
-off the grid and refined inside its bracket.  Their one caller, the
-tiled link walker in `simulation`, builds them once per pass (nothing
-here outlives a call), culls each tile's antennas with `reaching_sites`,
-and then, per cell, drops with `level_candidates` every antenna that is
-weaker than the `rank` strongest (one rank per walk) at every walked
-pixel of the cell.  It sends each tile's walked pixels to `rss_field` on
-the antennas left, with their rows of the radius table and a per-pixel
-candidate mask, in blocks of at most a fixed number of links, so memory
-stays bounded whatever the antenna count.  `rss_field` evaluates the model only on candidate pixels inside
-each link's radius and reports every other link as -inf.
+Loss never decreases with distance, the one property the walker's cuts
+rely on, so one builder, `link_tables`, gives two per-pass tables from
+one evaluation of each antenna's level at a fixed distance grid, per
+environment: the levels themselves, and per antenna and environment a
+radius from which every link is dead.  Their one caller, the tiled link
+walker in `simulation`, builds them once per pass, culls each tile's
+antennas with `reaching_sites`, and per cell and env code it holds drops
+with `level_candidates` every antenna weaker than the `rank` strongest
+(one rank per walk) at every walked pixel.  It sends each tile's walked
+pixels to `rss_field` on the antennas left, with a per-pixel candidate
+mask, in blocks of at most a fixed number of links.  `rss_field`
+evaluates the model only on candidate pixels inside each link's radius
+and reports every other link as -inf.
 """
 
 from __future__ import annotations
@@ -290,18 +289,15 @@ def link_tables(
     """A pass's radius and level tables, per spec and environment code.
 
     Returns `(radii, levels, row)`.  `levels[row[j], env, g]` is spec `j`'s
-    level at `_LEVEL_KM[g]` through `env`, never lower than through a lower
-    env code: the env offsets fall from urban to open, and the floor and
-    bridge keep their order.  Entry `radii[j, env]` guarantees that every
-    path of length `d >= radii[j, env]` through `env` has a level below
-    `dead_threshold_dbm`: it is 0 when the link is dead at the mast, `inf`
-    exactly when the 100 km link is still live (the clamp holds the loss
-    flat beyond the model's range), and otherwise the first dead point of a
-    `_RADIUS_REFINE`-point linear refinement between the last live and the
-    first dead grid distance.  Relies on the loss never decreasing with
-    distance.  Neither table depends on the site's position, so specs with
-    equal height, frequency and power share one row, evaluated once on the
-    grid and at most once more for the refinement.
+    level at `_LEVEL_KM[g]` through `env`.  Every path through `env` of
+    length at least `radii[j, env]` is dead: that radius is 0 when the
+    link is dead at the mast, `inf` exactly when the 100 km link is live
+    (the clamp holds the loss flat beyond), and otherwise the first dead
+    point of a `_RADIUS_REFINE`-point linear refinement between the last
+    live and first dead grid distance; both tables need only that levels
+    never rise with distance.  Neither depends on the site's position, so
+    specs with equal height, frequency and power share one row, evaluated
+    once on the grid and at most once more for the refinement.
     """
     rows: dict[tuple, int] = {}
     row = np.empty(len(specs), dtype=np.intp)
@@ -333,18 +329,18 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
     """Which of the sites at `sx`, `sy` (non-empty) can be among the
     `rank` strongest at some pixel of each cell, as a (cells, sites) mask.
 
-    `levels` holds the sites' rows of the level table of `link_tables`,
-    whose levels never rise with distance nor fall from env code 0 to 2.
+    `levels` holds the sites' rows of the level table of `link_tables`.
     Cell `c` spans the pixel centres in the box `box[0][c]..box[1][c]` by
     `box[2][c]..box[3][c]` (x then y, metres), and `present[c]` flags the
-    env codes of its pixels; one `rank` serves every cell.  Over the cell
-    a site's level lies in [`lo`, `hi`], one table level each: at the
-    lowest env code present and the grid distance just beyond the farthest
-    point of the box, and at the highest and just short of the nearest,
-    with `_REACH_SLACK`, widened by `_MARGIN_DB`.  A site whose `hi` is
-    below the `rank`-th largest `lo`, floored at `floor_dbm`, is weaker
-    than `rank` other sites at every pixel of the cell, or dead there, so
-    it is left out; a cell with no env code present keeps none.
+    env codes of its pixels; one `rank` serves every cell.  A pixel's
+    links share its env code, so the cell is bounded per code `e` it
+    holds: over its pixels a site's level at `e` lies in [`lo`, `hi`],
+    the table levels at `e` just beyond the box's farthest point and just
+    short of its nearest, with `_REACH_SLACK`, widened by `_MARGIN_DB`,
+    which needs only that levels never rise with distance.  A site whose
+    `hi` is below the `rank`-th largest `lo` (none past the site count),
+    floored at `floor_dbm`, at every code of the cell is weaker than
+    `rank` others, or dead, at every pixel there, so it is left out.
     """
     x0, x1, y0, y1 = (np.asarray(b, dtype=np.float64)[:, None] for b in box)
     near_km = _distance_km(np.maximum(np.maximum(x0 - sx, sx - x1), 0.0),
@@ -355,13 +351,15 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
     i_lo = np.minimum(np.searchsorted(_LEVEL_KM, far_km * _REACH_SLACK), _LEVEL_KM.size - 1)
     on = np.asarray(present, dtype=bool)
     site = np.arange(levels.shape[0])
-    top = on.shape[1] - 1 - on[:, ::-1].argmax(axis=1)  # the highest env code present
-    hi = np.where(on.any(axis=1)[:, None], levels[site, top[:, None], i_hi] + _MARGIN_DB, -np.inf)
-    lo = levels[site, on.argmax(axis=1)[:, None], i_lo] - _MARGIN_DB
-    if rank > site.size:  # fewer sites than the rank: only the floor binds
-        return hi >= floor_dbm
-    nth = np.sort(lo, axis=1)[:, site.size - rank]
-    return hi >= np.maximum(nth, floor_dbm)[:, None]
+    keep = np.zeros((on.shape[0], site.size), dtype=bool)
+    for e in np.flatnonzero(on.any(axis=0)):
+        c = np.flatnonzero(on[:, e])
+        nth = np.full(c.size, -np.inf)
+        if rank <= site.size:  # past the site count only the floor binds
+            lo = levels[site, e, i_lo[c]] - _MARGIN_DB
+            nth = np.partition(lo, site.size - rank, axis=1)[:, site.size - rank]
+        keep[c] |= levels[site, e, i_hi[c]] + _MARGIN_DB >= np.maximum(nth, floor_dbm)[:, None]
+    return keep
 
 
 def reaching_sites(sx, sy, reach_km, px, py) -> np.ndarray:

@@ -96,6 +96,9 @@ def _round_half_up(x: float) -> int:
 def _check_int(name: str, v) -> None:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {v!r}")
+    # numpy reads every int field but these three as int64 or float64
+    if name not in ("seed", "kmeans_iters", "idw_k") and not -2**63 <= v < 2**63:
+        raise ValueError(f"{name} must fit in 64 bits, got {v!r}")
 
 
 def _check_finite(name: str, v) -> None:
@@ -626,29 +629,28 @@ def _tiled_pass(
     no link is live; no full-grid label map is built) and, given `idw` =
     (s, k), the set's idw rows from the same links, in set order.
 
-    Specs must be sorted by bts_id.  The pass builds its radius table
-    (sites x env codes) and level table with one `link_tables` call, and
-    walks the grid in `_TILE` x `_TILE` tiles, skipping a tile with no
-    pixel of the set.  Each tile keeps the sites that `reaching_sites`
-    finds for its pixels of the set.  The whole walk has one rank: idw's
-    k when idw rows are wanted, else 1.  Per `_CELL` x `_CELL` cell
-    holding pixels of the set, `level_candidates` drops each site weaker
-    than the `rank` strongest at every such pixel (one table level per
-    bound); a dropped site is never a pick nor ties with one.  A tile's
-    sites are those left in some cell, in bts_id order (for idw rows at
-    least min(k, reaching) of them, so `idw_rows_chunk` takes the same
-    top-k width, and sums the same way, as on the unpruned block); picks
-    map back through that ascending index, so ties still go to the
-    lowest bts_id.  A tile with no site left is skipped.  The tile's
-    pixels of the set go to `rss_field`, with its sites' rows of the
-    radius table and each pixel's cell mask (built per block), in blocks
-    of at most `_RSS_ENTRIES` links, a quarter of that when the walk gets
-    idw rows (at least one pixel), so memory stays bounded whatever the
-    site count.  Each pixel's idw row, as `idw_rows_chunk` gives it, is
-    written in place into padded buffers, int32 columns and float64
-    weights (-1 and 0 after its entries), as wide as the widest top-k
-    width a tile has needed (at most the site count); the pass returns
-    them as they are, as the `PixelWeights` of the set.
+    Specs must be sorted by bts_id.  The pass builds its radius table (sites
+    x env codes) and level table with one `link_tables` call, and walks the
+    grid in `_TILE` x `_TILE` tiles, skipping a tile with no pixel of the
+    set.  Each tile keeps the sites that `reaching_sites` finds for its
+    pixels of the set.  The whole walk has one rank: idw's k when idw rows
+    are wanted, else 1.  Per `_CELL` x `_CELL` cell holding pixels of the
+    set, `level_candidates` drops, per env code the cell holds, each site
+    weaker than the `rank` strongest at every such pixel, which needs only
+    that levels never rise with distance; a dropped site is never a pick nor
+    ties with one.  A tile's sites are those left in some cell, in bts_id
+    order (for idw rows at least min(k, reaching), so `idw_rows_chunk` takes
+    the unpruned block's top-k width and sums the same way); picks map back
+    through that ascending index, so ties still go to the lowest bts_id.  A
+    tile with no site left is skipped.  The tile's pixels of the set go to
+    `rss_field`, with its sites' rows of the radius table and each pixel's
+    cell mask (built per block), in blocks of at most `_RSS_ENTRIES` links,
+    a quarter of that for idw rows (at least one pixel), so memory stays
+    bounded whatever the site count.  Each pixel's idw row, as
+    `idw_rows_chunk` gives it, is written in place into padded buffers,
+    int32 columns and float64 weights (-1 and 0 after its entries), as wide
+    as the widest top-k a tile has needed (at most the site count), and
+    returned as the set's `PixelWeights`.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):

@@ -166,6 +166,30 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", ["ncols", "nrows", "population", "block_px",
+                                       "urban_split", "rural_cluster_count",
+                                       "poverty_block_px", "rounds"])
+    def test_config_integer_past_64_bits_names_the_field(self, tmp_path, capsys, monkeypatch,
+                                                         field):
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran on an invalid config")
+
+        monkeypatch.setattr(simulation, "simulate_round", no_round)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"%s": 1%s}' % (field, "0" * 400), encoding="utf-8")
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: {field} must fit in 64 bits, got 1000")
+        assert not (tmp_path / "o").exists()
+
+    def test_python_int_fields_keep_any_size(self):
+        """seed, kmeans_iters and idw_k never reach numpy as integers, so
+        they are not bounded."""
+        big = 10 ** 400
+        cfg = tiny_config(seed=big, kmeans_iters=big, idw_k=big)
+        assert (cfg.seed, cfg.kmeans_iters, cfg.idw_k) == (big, big, big)
+
     def test_tally_sums_to_100(self, study):
         lines = (study / "tally.csv").read_text().strip().split("\n")[1:]
         per_metric: dict[str, float] = {}

@@ -142,8 +142,8 @@ def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
     threshold=st.floats(-170.0, -40.0),
 )
 def test_levels_never_fall_from_urban_to_rural(f, h_tx, h_rx, power, threshold):
-    # the walker's level pruning reads each bound at one env code of a
-    # cell: its highest for the upper bound, its lowest for the lower
+    # a property of the model: the walker's level pruning bounds each env
+    # code on its own and no longer needs it
     spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
     _, levels, row = link_tables([spec], h_rx, threshold)
     bad = np.argwhere(np.diff(levels[row[0]], axis=0) < 0)
@@ -222,6 +222,65 @@ def test_link_tables_once_per_technical_parameters(monkeypatch):
     for j, spec in enumerate(specs):
         np.testing.assert_array_equal(levels[row[j]], levels_dbm(spec, dist, codes, 1.0))
         np.testing.assert_array_equal(radii[j], link_tables([spec], 1.0, -110.0)[0][0])
+
+
+@st.composite
+def _candidate_layout(draw):
+    """Sites (twins of the site before among them, so levels tie exactly)
+    on a lattice around one to four cells of up to 6 x 6 pixel centres on
+    the same lattice, each pixel holding one of the one to three env codes
+    its cell draws, a rank from 1 to past the site count, and a dead
+    threshold under which most links may be dead."""
+    step = draw(st.sampled_from([30.0, 100.0, 400.0]))
+    specs = []
+    for j in range(draw(st.integers(1, 8))):
+        if specs and draw(st.booleans()):
+            prev = specs[-1]
+            site = (prev.x, prev.y, prev.height_m, prev.freq_mhz, prev.power_dbm)
+        else:
+            site = (draw(st.integers(-15, 15)) * step, draw(st.integers(-15, 15)) * step,
+                    draw(st.sampled_from([2.0, 10.0, 30.0, 60.0])),
+                    draw(st.sampled_from([450.0, 900.0, 2100.0])),
+                    draw(st.sampled_from([-10.0, 20.0, 43.0])))
+        specs.append(AntennaSpec(f"b{j}", *site))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        xs = (draw(st.integers(-10, 10)) + np.arange(draw(st.integers(1, 6)))) * step
+        ys = (draw(st.integers(-10, 10)) + np.arange(draw(st.integers(1, 6)))) * step
+        codes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        env = draw(st.lists(st.sampled_from(codes), min_size=xs.size * ys.size,
+                            max_size=xs.size * ys.size))
+        cells.append((xs, ys, np.array(env)))
+    return (specs, cells, draw(st.integers(1, len(specs) + 2)),
+            draw(st.sampled_from([-110.0, -80.0, -50.0])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(layout=_candidate_layout())
+def test_level_candidates_keep_every_site_among_the_rank_strongest(layout):
+    """Every site that is live and among the `rank` strongest, or ties with
+    one, at some pixel of a cell, by `rss_field`'s levels with every
+    candidate on, is kept in that cell."""
+    specs, cells, rank, threshold = layout
+    radii, levels, row = link_tables(specs, 1.0, threshold)
+    sx, sy = np.array([[s.x, s.y] for s in specs]).T
+    box = [[v(c[i]) for c in cells] for i in (0, 1) for v in (np.min, np.max)]
+    present = np.zeros((len(cells), len(ENV_CLASSES)), dtype=bool)
+    for c, (_, _, env) in enumerate(cells):
+        present[c, env] = True
+    keep = propagation.level_candidates(levels[row], sx, sy, box, present, rank, threshold)
+    assert keep.shape == (len(cells), len(specs))
+    for c, (xs, ys, env) in enumerate(cells):
+        x, y = (v.ravel() for v in np.meshgrid(xs, ys))
+        field = rss_field(specs, np.arange(x.size), x, y, env, radii_km=radii,
+                          candidates=np.ones((x.size, len(specs)), dtype=bool),
+                          dead_threshold_dbm=threshold)
+        # each pixel's rank-th strongest level, -inf when it has fewer sites
+        nth = np.sort(np.pad(field.rss_dbm, ((0, 0), (rank, 0)), constant_values=-np.inf),
+                      axis=1)[:, -rank]
+        pick = field.live & (field.rss_dbm >= nth[:, None])
+        missed = np.flatnonzero(pick.any(axis=0) & ~keep[c])
+        assert missed.size == 0, (c, missed, rank)
 
 
 def test_live_radius_brackets_the_crossing():

@@ -1170,6 +1170,80 @@ def test_finer_cells_evaluate_fewer_links(monkeypatch):
     _assert_same_rows(rows, want_rows)
 
 
+def _two_level_candidates(levels, sx, sy, box, present, rank, floor_dbm):
+    """`level_candidates` as one bound per cell: every site's best level
+    read at the highest env code the cell holds, against the `rank`-th
+    largest worst level read at the lowest.  Exact too, since levels never
+    fall from env code 0 to 2, but loose by an env offset in a mixed cell."""
+    x0, x1, y0, y1 = (np.asarray(b, dtype=np.float64)[:, None] for b in box)
+    near_km = np.hypot(np.maximum(np.maximum(x0 - sx, sx - x1), 0.0),
+                       np.maximum(np.maximum(y0 - sy, sy - y1), 0.0)) / 1000.0
+    far_km = np.hypot(np.maximum(np.abs(sx - x0), np.abs(sx - x1)),
+                      np.maximum(np.abs(sy - y0), np.abs(sy - y1))) / 1000.0
+    grid_km, slack, margin = propagation._LEVEL_KM, propagation._REACH_SLACK, propagation._MARGIN_DB
+    i_hi = np.searchsorted(grid_km, near_km / slack, side="right") - 1
+    i_lo = np.minimum(np.searchsorted(grid_km, far_km * slack), grid_km.size - 1)
+    on = np.asarray(present, dtype=bool)
+    site = np.arange(levels.shape[0])
+    top = on.shape[1] - 1 - on[:, ::-1].argmax(axis=1)
+    hi = np.where(on.any(axis=1)[:, None], levels[site, top[:, None], i_hi] + margin, -np.inf)
+    lo = levels[site, on.argmax(axis=1)[:, None], i_lo] - margin
+    if rank > site.size:
+        return hi >= floor_dbm
+    nth = np.sort(lo, axis=1)[:, site.size - rank]
+    return hi >= np.maximum(nth, floor_dbm)[:, None]
+
+
+def test_per_env_bounds_evaluate_fewer_links_on_mixed_cells(monkeypatch):
+    """On a small round whose env grid comes in 12-pixel blocks, so most of
+    the walker's 16-pixel cells hold two or three env codes, the study's
+    two walks give the labels and idw rows of `rss_field` over every site
+    and pixel, and evaluate fewer Hata links, counted as perfbench's probe
+    counts them, than with one two-level bound per cell."""
+    cfg = SimConfig(ncols=128, nrows=128, cell_size_m=100.0, block_px=64, population=40_000,
+                    urban_pop_per_bts=500.0, rural_pop_per_bts=1000.0, mask_rect=None)
+    world = simulation.build_world(cfg, 0)
+    rng = np.random.default_rng(3)
+    env = np.kron(rng.integers(0, 3, (11, 11)), np.ones((12, 12), np.int64))[:128, :128]
+    env = env.astype(np.uint8)
+    cell_codes = [len(np.unique(env[r:r + 16, c:c + 16]))
+                  for r in range(0, 128, 16) for c in range(0, 128, 16)]
+    assert cell_codes.count(2) >= 10 and cell_codes.count(3) >= 10
+    npx, specs = cfg.grid.npixels, world.specs
+    x, y = cfg.grid.pixel_centers()
+    radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
+    field = rss_field(specs, np.arange(npx), x, y, env.ravel(), radii_km=radii,
+                      candidates=np.ones((npx, len(specs)), dtype=bool),
+                      rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
+    settled = world.settlements.ids
+    rest = np.flatnonzero(~world.raster.settled)
+    want_labels = bsa_select_chunk(field.rss_dbm, field.live).astype(np.int32)
+    want_rows = PixelWeights("idw", settled, field.bts_ids,
+                             *idw_rows_chunk(field.rss_dbm[settled], field.live[settled],
+                                             cfg.idw_s, cfg.idw_k))
+    hata = propagation.extended_hata_db
+    links = []
+
+    def counting(*args, **kwargs):
+        loss = hata(*args, **kwargs)
+        links.append(np.size(loss))
+        return loss
+
+    monkeypatch.setattr(propagation, "extended_hata_db", counting)
+    walk = (cfg.grid, specs, env, cfg.rx_height_m, cfg.dead_threshold_dbm)
+    counts = []
+    for bound in (simulation.level_candidates, _two_level_candidates):
+        links.clear()
+        monkeypatch.setattr(simulation, "level_candidates", bound)
+        labels, rows = simulation._tiled_pass(*walk, settled, idw=(cfg.idw_s, cfg.idw_k))
+        assert labels.tobytes() == want_labels[settled].tobytes()
+        _assert_same_rows(rows, want_rows)
+        assert simulation._tiled_pass(*walk, rest)[0].tobytes() == want_labels[rest].tobytes()
+        counts.append(sum(links))
+    per_env, two_level = counts
+    assert per_env < 0.9 * two_level
+
+
 def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile):
     """Idw rows assembled as the walker once did, as CSR (indptr, col, w):
     per tile, `idw_rows_chunk` on the unpruned block of its settled
