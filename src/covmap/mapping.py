@@ -163,7 +163,8 @@ class PixelWeights:
         bad = np.flatnonzero(~np.isfinite(sums))
         if bad.size:
             raise ValueError(f"pixel {int(self.pixel_ids[bad[0]])}: weights must be finite")
-        off = np.flatnonzero(self.covered & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+        dev = sums - 1.0
+        off = np.flatnonzero(self.covered & (np.abs(dev, out=dev) > ROW_SUM_TOL))
         if off.size:
             raise ValueError(f"pixel {int(self.pixel_ids[off[0]])}: weights sum to "
                              f"{float(sums[off[0]])!r}, not 1")

@@ -82,6 +82,13 @@ _CELL = 16
 # `idw_rows_chunk` adds a negated copy and an int64 order per link
 _RSS_ENTRIES = 1 << 20
 _MAX_REJECTION_ROUNDS = 10_000
+# most rounds in a study: a study holds every round's records (130
+# tuples, about 20 kB, per round) until it writes them, so this many hold
+# about 0.2 GB; far more would end in a MemoryError
+_MAX_ROUNDS = 10_000
+# points per slice of a rejection-sampling batch that are located,
+# accepted and binned at once; the batch itself is drawn whole
+_SAMPLE_SLICE = 1 << 16
 # Slack on the k-means distance bounds, relative to the largest coordinate:
 # rounding in the squared distances, their roots and the bound updates is
 # ~1e-15 of it, so a point the bounds certify has the same nearest centre
@@ -201,8 +208,8 @@ class SimConfig:
         if not (0 < self.height_range_m[0] and self.height_range_m[1] <= TX_HEIGHT_MAX_M):
             raise ValueError(f"height_range_m must lie in (0, {TX_HEIGHT_MAX_M:g}] m, "
                              f"got {self.height_range_m}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds <= _MAX_ROUNDS:
+            raise ValueError(f"rounds must be in [1, {_MAX_ROUNDS}], got {self.rounds}")
         if self.rural_cluster_count < 1:
             raise ValueError("rural_cluster_count must be >= 1")
 
@@ -299,18 +306,22 @@ def build_areas(cfg: SimConfig) -> tuple[StatAreaSet, dict[str, str]]:
 
 
 def _rejection_sample(rng, n: int, draw, accept):
-    """Draw until n points pass `accept`, yielding each batch's accepted
-    (x, y), the last batch cut to the points still wanted; consumption
-    order is fixed."""
+    """Draw until n points pass `accept`, yielding the accepted (x, y) of
+    each `_SAMPLE_SLICE` slice of a batch, cut after the n-th accepted
+    point; consumption order is fixed, since each batch is drawn whole."""
     have = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
         if have >= n:
             return
         batch = max(64, int((n - have) * 1.5))
         x, y = draw(rng, batch)
-        ok = np.flatnonzero(accept(x, y))[:n - have]
-        have += ok.size
-        yield x[ok], y[ok]
+        for lo in range(0, batch, _SAMPLE_SLICE):
+            sx, sy = x[lo:lo + _SAMPLE_SLICE], y[lo:lo + _SAMPLE_SLICE]
+            ok = np.flatnonzero(accept(sx, sy))[:n - have]
+            have += ok.size
+            yield sx[ok], sy[ok]
+            if have >= n:
+                return
     raise RuntimeError("rejection sampling failed to converge; check the masks")
 
 
@@ -322,8 +333,9 @@ def gen_population(cfg: SimConfig, rng) -> SettlementRaster:
     uniform random centres and a uniform background over the rural
     region.  The uninhabited mask and off-grid draws are rejected and
     redrawn, so the raster total always equals cfg.population.  Each
-    accepted batch is binned as it arrives, so no array holds the whole
-    population's coordinates.
+    batch is drawn whole, then located, accepted and binned one
+    `_SAMPLE_SLICE` slice at a time, so beyond one batch's coordinates no
+    array is longer than a slice.
     """
     rng = np.random.default_rng(rng)
     grid = cfg.grid
@@ -406,6 +418,26 @@ def assign_poverty(raster: SettlementRaster, cfg: SimConfig, rng) -> np.ndarray:
     return np.clip(rates, 0.0, 1.0)
 
 
+def _kmeans_pp_seeds(x, y, w, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding with population weights: the first centre is drawn
+    by weight, each next one by weight times squared distance to the
+    nearest centre so far (by weight alone once every point is a centre)."""
+    n = x.size
+    first = int(rng.choice(n, p=w / w.sum()))
+    cx, cy = [x[first]], [y[first]]
+    d2 = (x - cx[0]) ** 2 + (y - cy[0]) ** 2
+    for _ in range(1, k):
+        wd = w * d2
+        tot = wd.sum()
+        # `rng.choice(n, p=p)`'s cdf, unchecked
+        wd = (wd / tot if tot > 0 else w / w.sum()).cumsum()
+        idx = int((wd / wd[-1]).searchsorted(rng.random(), side="right"))
+        cx.append(x[idx])
+        cy.append(y[idx])
+        d2 = np.minimum(d2, (x - cx[-1]) ** 2 + (y - cy[-1]) ** 2)
+    return np.array(cx), np.array(cy)
+
+
 def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with population weights and k-means++ seeding.
 
@@ -423,27 +455,15 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     the rounding of the distances and bounds, so the labels, centroids
     and RNG draws equal those of the dense loop.  No array is points x
     centres beyond one search block, and results never depend on BLAS
-    threading.
+    threading.  The seeding's probabilities and distances die before the
+    first step; per point the steps then hold the labels, the two bounds
+    and one scratch array, into which each step writes w * x and then
+    w * y for its centroid sums (the values a held copy would have).
     """
-    n = x.size
-    probs = w / w.sum()
-    first = int(rng.choice(n, p=probs))
-    cx, cy = [x[first]], [y[first]]
-    d2 = (x - cx[0]) ** 2 + (y - cy[0]) ** 2
-    for _ in range(1, k):
-        wd = w * d2
-        tot = wd.sum()
-        wd = (wd / tot if tot > 0 else probs).cumsum()  # `rng.choice(n, p=p)`'s cdf, unchecked
-        idx = int((wd / wd[-1]).searchsorted(rng.random(), side="right"))
-        cx.append(x[idx])
-        cy.append(y[idx])
-        d2 = np.minimum(d2, (x - cx[-1]) ** 2 + (y - cy[-1]) ** 2)
-    cx = np.array(cx)
-    cy = np.array(cy)
-
+    cx, cy = _kmeans_pp_seeds(x, y, w, k, rng)
     # centres stay within the points' hull, so this scales every rounding error
     slack = _BOUND_SLACK * max(np.abs(x).max(), np.abs(y).max())
-    wx, wy = w * x, w * y
+    wxy = np.empty(x.size)
     for step in range(iters):
         if step == 0:
             lab, d2_own, d2_other = nearest_two(x, y, cx, cy)
@@ -458,8 +478,8 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
             lab[todo], d2_own, d2_other = nearest_two(x[todo], y[todo], cx, cy)
             upper[todo], lower[todo] = np.sqrt(d2_own), np.sqrt(d2_other)
         wsum = np.bincount(lab, weights=w, minlength=k)
-        nx = np.bincount(lab, weights=wx, minlength=k)
-        ny = np.bincount(lab, weights=wy, minlength=k)
+        nx = np.bincount(lab, weights=np.multiply(w, x, out=wxy), minlength=k)
+        ny = np.bincount(lab, weights=np.multiply(w, y, out=wxy), minlength=k)
         new_cx = np.where(wsum > 0, nx / np.maximum(wsum, 1e-300), cx)
         new_cy = np.where(wsum > 0, ny / np.maximum(wsum, 1e-300), cy)
         for j in np.nonzero(wsum == 0)[0]:  # re-seed empty clusters, farthest first
@@ -632,9 +652,11 @@ def _tiled_pass(
     Specs must be sorted by bts_id.  The pass builds its radius table (sites
     x env codes) and level table with one `link_tables` call, and walks the
     grid in `_TILE` x `_TILE` tiles, skipping a tile with no pixel of the
-    set.  Each tile keeps the sites that `reaching_sites` finds for its
-    pixels of the set.  The whole walk has one rank: idw's k when idw rows
-    are wanted, else 1.  Per `_CELL` x `_CELL` cell holding pixels of the
+    set.  A tile finds its pixels of the set by binary search in the
+    ascending ids, one run per tile row, so no grid-sized map from pixel to
+    set index is built.  Each tile keeps the sites that `reaching_sites`
+    finds for its pixels of the set.  The whole walk has one rank: idw's k
+    when idw rows are wanted, else 1.  Per `_CELL` x `_CELL` cell holding pixels of the
     set, `level_candidates` drops, per env code the cell holds, each site
     weaker than the `rank` strongest at every such pixel, which needs only
     that levels never rise with distance; a dropped site is never a pick nor
@@ -662,8 +684,6 @@ def _tiled_pass(
     env = np.asarray(env_grid, dtype=np.uint8)
     walked = np.arange(grid.npixels) if pixels is None else pixels
     labels = np.full(walked.size, UNASSIGNED, dtype=np.int32)
-    at = np.full(grid.shape, -1, dtype=np.int32)  # each pixel's index in `walked`
-    at.reshape(-1)[walked] = np.arange(walked.size, dtype=np.int32)
     rank = 1
     if idw is not None:
         idw_s, rank = idw
@@ -676,16 +696,19 @@ def _tiled_pass(
         rows = np.arange(r0, min(r0 + _TILE, grid.nrows))
         for c0 in range(0, grid.ncols, _TILE):
             cols = np.arange(c0, min(c0 + _TILE, grid.ncols))
-            tile = (slice(r0, r0 + rows.size), slice(c0, c0 + cols.size))
-            owner = at[tile].ravel()
-            here = np.flatnonzero(owner >= 0)
-            if here.size == 0:
+            # per tile row, the run of `walked` between its first and last
+            # column; `owner` is each pixel's index in `walked`, in id order
+            first = rows * grid.ncols + c0
+            lo = np.searchsorted(walked, first)
+            run = np.searchsorted(walked, first + cols.size) - lo
+            if not run.any():
                 continue
+            owner = np.repeat(lo - np.cumsum(run) + run, run) + np.arange(run.sum())
             # the tile's arrays over its pixels of the set only, in id order
-            tr, tc = np.divmod(here, cols.size)
-            owner = owner[here]
+            tr = np.repeat(np.arange(rows.size), run)
+            tc = walked[owner] - np.repeat(first, run)
             xc, yr = grid.centers(rows, cols)
-            x, y, codes = xc[tc], yr[tr], env[tile].ravel()[here]
+            x, y, codes = xc[tc], yr[tr], env[r0 + tr, c0 + tc]
             keep = reaching_sites(sx, sy, reach, x, y)
             if keep.size == 0:
                 continue
@@ -1059,15 +1082,18 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
     # two walks: the settlements at idw's rank, the `covmap weights --scheme
     # idw` walk, whose labels are the bsa rows; then the rest at rank 1.
     # The two sets partition the grid, so their labels fill the naive map.
+    # The settlement rows are reduced to areas before the second walk, so
+    # they are not held through it or the overlaps.
     naive = (grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
     naive_sel, pw_idw = _tiled_pass(*naive, settlements.ids, idw=(cfg.idw_s, cfg.idw_k))
+    wm_idw = area_weights_from_pixels(pw_idw, areas, grid)
+    wm_bsa = area_weights_from_pixels(
+        bsa_pixel_weights(settlements.ids, pw_idw.bts_ids, naive_sel), areas, grid)
+    del pw_idw
     rest = np.flatnonzero(~world.raster.settled)
     naive_labels = np.empty(grid.shape, dtype=np.int32)
     naive_labels.reshape(-1)[rest] = _tiled_pass(*naive, rest)[0]
     naive_labels.reshape(-1)[settlements.ids] = naive_sel
-    pw_bsa = bsa_pixel_weights(settlements.ids, pw_idw.bts_ids, naive_sel)
-    wm_bsa = area_weights_from_pixels(pw_bsa, areas, grid)
-    wm_idw = area_weights_from_pixels(pw_idw, areas, grid)
 
     estimates: dict[str, dict[str, float | None]] = {
         "benchmark": _benchmark_estimates(world),

@@ -183,6 +183,31 @@ class TestSimulate:
         assert err.startswith(f"error: {cfg_path}: {field} must fit in 64 bits, got 1000")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_round_count_past_the_bound_refused_before_any_round(self, tmp_path, capsys,
+                                                                 monkeypatch, via):
+        """A study holds every round's records until it writes them, so a
+        round count past `_MAX_ROUNDS` is an error line, not a task list
+        that ends in a MemoryError."""
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran on an invalid config")
+
+        monkeypatch.setattr(simulation, "simulate_round", no_round)
+        top = simulation._MAX_ROUNDS
+        assert SimConfig(rounds=top).rounds == top
+        cfg_path = tmp_path / "cfg.json"
+        if via == "config":
+            cfg_path.write_text('{"rounds": %d}' % (top + 1), encoding="utf-8")
+            argv, prefix = [], f"error: {cfg_path}: "
+        else:
+            io.save_config(cfg_path, tiny_config())
+            argv, prefix = ["--rounds", str(top + 1)], "error: "
+        rc = main(["simulate", "--config", str(cfg_path), *argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"{prefix}rounds must be in [1, {top}], got {top + 1}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_python_int_fields_keep_any_size(self):
         """seed, kmeans_iters and idw_k never reach numpy as integers, so
         they are not bounded."""

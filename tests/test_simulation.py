@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,21 @@ class TestGenPopulation:
         share = raster.counts[urban_block_mask(cfg)].sum() / cfg.population
         assert 0.3 < share < 0.7
 
+    def test_peak_holds_one_batch_and_one_slice(self):
+        """Each batch is drawn whole but located, accepted and binned one
+        `_SAMPLE_SLICE` slice at a time, so the traced peak is the largest
+        batch's x and y (16 B per draw) plus one slice's working set and
+        the grid arrays.  A million people on a 100 x 100 grid make a first
+        urban batch of 750k draws, so the bound is about 21 B per
+        inhabitant, against about 43 B for binning whole batches."""
+        cfg = SimConfig(ncols=100, nrows=100, block_px=50, population=1_000_000,
+                        mask_rect=None, urban_sigma_m=700.0, rural_sigma_m=1500.0)
+        peak = traced_peak(lambda: gen_population(cfg, np.random.default_rng(1)))
+        batch = int(1.5 * simulation._round_half_up(cfg.population * cfg.urban_share))
+        bound = 16 * batch + 128 * simulation._SAMPLE_SLICE + 32 * cfg.grid.npixels
+        assert bound < 24 * cfg.population
+        assert peak < bound, (peak, bound)
+
 
 class TestAssignPoverty:
     @pytest.mark.parametrize("cfg, seed", _POPULATION_CONFIGS)
@@ -448,6 +464,24 @@ class TestPlaceBts:
         peak = traced_peak(lambda: place_bts(raster, cfg, np.random.default_rng(2)))
         bound = kmeans + 7 * 8 * rows.size + cfg.grid.npixels
         assert peak < bound, (peak, bound)
+
+
+def test_place_bts_peak_per_settlement():
+    """`place_bts` holds at most 19 words per settlement at its peak: the
+    settlements' and the region's coordinates and counts, the k-means
+    labels, bounds and one scratch array for its centroid sums, and
+    `nearest_two`'s per-point buckets.  The seeding draw's probabilities
+    and distances and both weighted coordinates, held through the Lloyd
+    steps, would add about 3 words."""
+    cfg = SimConfig(ncols=300, nrows=300, block_px=100, population=300_000, mask_rect=None,
+                    urban_sigma_m=3000.0, rural_sigma_m=5000.0, urban_pop_per_bts=2000.0,
+                    rural_pop_per_bts=2000.0)
+    raster = gen_population(cfg, np.random.default_rng(1))
+    n = int(np.count_nonzero(raster.settled))
+    assert n > 0.8 * cfg.grid.npixels
+    peak = traced_peak(lambda: place_bts(raster, cfg, np.random.default_rng(2)))
+    bound = 19 * 8 * n + 8 * cfg.grid.npixels
+    assert peak < bound, (peak, bound)
 
 
 def _dense_weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -891,6 +925,50 @@ def test_settlement_idw_pass_holds_its_buffers_and_one_block(monkeypatch):
              + 33 * links         # a block's levels, live mask, negated copy, order and mask
              + 96 * npx)          # the tile's per-pixel arrays
     assert peak < bound, (peak, bound)
+
+
+def test_walk_builds_no_grid_sized_index_map(monkeypatch):
+    """A walk finds each tile's pixels of the set by binary search in the
+    ascending ids, per tile row, so on a grid of three tile bands its
+    traced peak over a sparse set stays under half the 4 B per grid
+    pixel that a map from pixel to set index would cost."""
+    monkeypatch.setattr(simulation, "_TILE", 128)
+    grid = Grid(ncols=384, nrows=384, cell_size_m=100.0)
+    assert grid.nrows >= 3 * simulation._TILE
+    specs = [AntennaSpec(f"s{j}", fx * 38400.0, fy * 38400.0, 30.0, 900.0, 47.0)
+             for j, (fx, fy) in enumerate([(0.2, 0.3), (0.7, 0.2), (0.5, 0.8), (0.9, 0.9)])]
+    env = np.random.default_rng(2).integers(0, 3, grid.shape).astype(np.uint8)
+    ids = np.arange(0, grid.npixels, 31)
+    out = []
+    peak = traced_peak(lambda: out.append(simulation._tiled_pass(grid, specs, env, 1.0, -110.0,
+                                                                 ids)))
+    [(labels, _)] = out
+    assert peak < 2 * grid.npixels, (peak, 2 * grid.npixels)
+    full = best_server_grid(grid, specs, env, 1.0, -110.0)
+    assert labels.tobytes() == full.labels.reshape(-1)[ids].tobytes()
+    assert 0.5 < (labels >= 0).mean() < 1.0
+
+
+def test_study_reduces_the_settlement_rows_before_the_rest_walk(monkeypatch):
+    """`_evaluate_round` reduces the settlement walk's idw rows (and its
+    bsa one-hot rows) to area weights right after that walk, so the memory
+    held when the second walk starts exceeds what was held when the first
+    started by less than the rows' own 12 B (an int32 column and a float64
+    weight) per entry."""
+    cfg = SimConfig.desk(seed=1)
+    world = build_world(cfg, 0)
+    walk = simulation._tiled_pass
+    held = []
+
+    def recording(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_tiled_pass", recording)
+    traced_peak(lambda: simulation._evaluate_round(world, 0))
+    assert len(held) == 2
+    rows = 12 * cfg.idw_k * len(world.settlements)
+    assert held[1] - held[0] < rows, (held[1] - held[0], rows)
 
 
 @pytest.mark.parametrize("idw, match", [((-1.0, 5), "exponent s"), ((2.0, 0), "k must be")])
