@@ -287,7 +287,9 @@ def idw_rows_chunk(
     be `rss_chunk >= threshold` as for `bsa_select_chunk`.  Returns
     padded rows (col, w), min(k, columns) wide: each row's live picks,
     strongest first with ties to the lower column, then -1 pads with
-    weight 0.  The signal "distance" is |rss| clamped below at 1 to keep
+    weight 0.  Each row's weights are normalised by their sum in pick
+    order, so appending dead columns to a chunk changes no byte of a
+    row.  The signal "distance" is |rss| clamped below at 1 to keep
     1/|rss|^s finite.
     """
     check_idw(s, k)
@@ -298,7 +300,11 @@ def idw_rows_chunk(
     top = np.take_along_axis(rss_chunk, col, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         w = np.where(live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
-    tot = w.sum(axis=1)
+    # added in pick order, so a row's total, and so its bytes, do not
+    # depend on how many dead columns follow its live picks
+    tot = np.zeros(w.shape[0])
+    for j in range(kk):
+        tot += w[:, j]
     # live picks sort first, so a row has one iff its first pick is live
     if np.any(live[:, :1] & (tot[:, None] == 0)):
         raise ValueError(f"idw exponent s={s} is too large: 1/|rss|^s underflows to 0 "

@@ -13,18 +13,17 @@ the distance checks from one min/max pair per call.
 One kernel, `rss_field`, turns antenna specs and pixel centres into
 received levels (transmit power minus median loss, no shadowing term).
 Loss never decreases with distance, the one property the walker's cuts
-rely on, so one builder, `link_tables`, gives two per-pass tables from
-one evaluation of each antenna's level at a fixed distance grid, per
-environment: the levels themselves, and per antenna and environment a
-radius from which every link is dead.  Their one caller, the tiled link
-walker in `simulation`, builds them once per pass, culls each tile's
-antennas with `reaching_sites`, and per cell and env code it holds drops
-with `level_candidates` every antenna weaker than the `rank` strongest
-(one rank per walk) at every walked pixel.  It sends each tile's walked
-pixels to `rss_field` on the antennas left, with a per-pixel candidate
-mask, in blocks of at most a fixed number of links.  `rss_field`
-evaluates the model only on candidate pixels inside each link's radius
-and reports every other link as -inf.
+rely on, so one builder, `level_table`, gives a pass's one cut table:
+each antenna's level at a fixed distance grid, per environment.  Its one
+caller, the tiled link walker in `simulation`, builds it once per pass
+and cuts with one bound, `level_candidates`, twice per tile: once on the
+tile's box, then per cell and env code it holds on the antennas left,
+each time dropping every antenna weaker than the `rank` strongest (one
+rank per walk), or dead, at every walked pixel there.  It sends each
+tile's walked pixels to `rss_field` on the antennas left, with a
+per-pixel candidate mask, in blocks of at most a fixed number of links.
+`rss_field` evaluates the model on candidate links only and reports
+every other link, and every link below the threshold, as -inf.
 """
 
 from __future__ import annotations
@@ -271,33 +270,22 @@ def _levels_dbm(spec: AntennaSpec, d_km, codes, rx_height_m: float) -> np.ndarra
 # past which the clamp holds every level at its last value
 _LEVEL_KM = np.concatenate([[0.0], np.geomspace(1e-3, DIST_MAX_KM, 512)])
 _LEVEL_KM.flags.writeable = False
-# points of the linear refinement between a radius's last live and first
-# dead grid distance
-_RADIUS_REFINE = 64
 # every bound read off the table is widened by this much, so a one-ulp
-# wobble in the loss can never make a culled link live, nor a pruned site
-# tie with or beat a pick
+# wobble in the loss can never make a pruned site live, nor tie with or
+# beat a pick
 _MARGIN_DB = 1e-6
-# relative slack on the distance tests that cull links, far above their
-# rounding error, so a culled link always lies at or beyond its radius
+# relative slack on the box distances of a bound, far above their rounding
+# error, so a table entry never bounds a pixel it lies beyond
 _REACH_SLACK = 1.0 + 1e-9
 
 
-def link_tables(
-    specs: list[AntennaSpec], rx_height_m: float, dead_threshold_dbm: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A pass's radius and level tables, per spec and environment code.
+def level_table(specs: list[AntennaSpec], rx_height_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """A pass's level table, per spec and environment code.
 
-    Returns `(radii, levels, row)`.  `levels[row[j], env, g]` is spec `j`'s
-    level at `_LEVEL_KM[g]` through `env`.  Every path through `env` of
-    length at least `radii[j, env]` is dead: that radius is 0 when the
-    link is dead at the mast, `inf` exactly when the 100 km link is live
-    (the clamp holds the loss flat beyond), and otherwise the first dead
-    point of a `_RADIUS_REFINE`-point linear refinement between the last
-    live and first dead grid distance; both tables need only that levels
-    never rise with distance.  Neither depends on the site's position, so
-    specs with equal height, frequency and power share one row, evaluated
-    once on the grid and at most once more for the refinement.
+    Returns `(levels, row)`: `levels[row[j], env, g]` is spec `j`'s level
+    at `_LEVEL_KM[g]` through `env`.  It does not depend on the site's
+    position, so specs with equal height, frequency and power share one
+    row, evaluated once.
     """
     rows: dict[tuple, int] = {}
     row = np.empty(len(specs), dtype=np.intp)
@@ -305,36 +293,23 @@ def link_tables(
         row[j] = rows.setdefault((s.height_m, s.freq_mhz, s.power_dbm), len(rows))
     codes = np.arange(len(ENV_CLASSES))[:, None]
     dist = np.broadcast_to(_LEVEL_KM, (codes.size, _LEVEL_KM.size))
-    cut = dead_threshold_dbm - _MARGIN_DB
     levels = np.empty((len(rows), codes.size, _LEVEL_KM.size))
-    radii = np.empty((len(rows), codes.size))
     for j in np.unique(row, return_index=True)[1]:
-        level = levels[row[j]] = _levels_dbm(specs[j], dist, codes, rx_height_m)
-        dead = level < cut
-        first = dead.argmax(axis=1)  # 0 when no grid distance is dead
-        radius = np.where(dead.any(axis=1), _LEVEL_KM[first],
-                          np.where(level[:, -1] < dead_threshold_dbm, DIST_MAX_KM, np.inf))
-        bracket = first > 0
-        if bracket.any():
-            k = first[bracket]
-            fine = np.linspace(_LEVEL_KM[k - 1], _LEVEL_KM[k], _RADIUS_REFINE, axis=1)
-            fine_dead = _levels_dbm(specs[j], fine, codes[bracket], rx_height_m) < cut
-            fine_dead[:, -1] = True  # the bracket's own dead end point
-            radius[bracket] = fine[np.arange(k.size), fine_dead.argmax(axis=1)]
-        radii[row[j]] = radius
-    return radii[row], levels, row
+        levels[row[j]] = _levels_dbm(specs[j], dist, codes, rx_height_m)
+    return levels, row
 
 
-def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np.ndarray:
-    """Which of the sites at `sx`, `sy` (non-empty) can be among the
-    `rank` strongest at some pixel of each cell, as a (cells, sites) mask.
+def level_candidates(levels, row, sx, sy, box, present, rank, floor_dbm: float) -> np.ndarray:
+    """Which of the sites at `sx`, `sy` can be among the `rank` strongest
+    at some pixel of each cell, as a (cells, sites) mask.
 
-    `levels` holds the sites' rows of the level table of `link_tables`.
-    Cell `c` spans the pixel centres in the box `box[0][c]..box[1][c]` by
-    `box[2][c]..box[3][c]` (x then y, metres), and `present[c]` flags the
-    env codes of its pixels; one `rank` serves every cell.  A pixel's
-    links share its env code, so the cell is bounded per code `e` it
-    holds: over its pixels a site's level at `e` lies in [`lo`, `hi`],
+    The sites' levels are `levels[row]`, the table of `level_table`, read
+    in place.  Cell `c` spans the pixel centres in the box
+    `box[0][c]..box[1][c]` by `box[2][c]..box[3][c]` (x then y, metres),
+    and `present[c]` flags the env codes of its pixels; one `rank` serves
+    every cell, and a cell may be any box, a whole tile included.  A
+    pixel's links share its env code, so the cell is bounded per code `e`
+    it holds: over its pixels a site's level at `e` lies in [`lo`, `hi`],
     the table levels at `e` just beyond the box's farthest point and just
     short of its nearest, with `_REACH_SLACK`, widened by `_MARGIN_DB`,
     which needs only that levels never rise with distance.  A site whose
@@ -350,29 +325,16 @@ def level_candidates(levels, sx, sy, box, present, rank, floor_dbm: float) -> np
     i_hi = np.searchsorted(_LEVEL_KM, near_km / _REACH_SLACK, side="right") - 1
     i_lo = np.minimum(np.searchsorted(_LEVEL_KM, far_km * _REACH_SLACK), _LEVEL_KM.size - 1)
     on = np.asarray(present, dtype=bool)
-    site = np.arange(levels.shape[0])
-    keep = np.zeros((on.shape[0], site.size), dtype=bool)
+    nsites = len(row)
+    keep = np.zeros((on.shape[0], nsites), dtype=bool)
     for e in np.flatnonzero(on.any(axis=0)):
         c = np.flatnonzero(on[:, e])
         nth = np.full(c.size, -np.inf)
-        if rank <= site.size:  # past the site count only the floor binds
-            lo = levels[site, e, i_lo[c]] - _MARGIN_DB
-            nth = np.partition(lo, site.size - rank, axis=1)[:, site.size - rank]
-        keep[c] |= levels[site, e, i_hi[c]] + _MARGIN_DB >= np.maximum(nth, floor_dbm)[:, None]
+        if rank <= nsites:  # past the site count only the floor binds
+            lo = levels[row, e, i_lo[c]] - _MARGIN_DB
+            nth = np.partition(lo, nsites - rank, axis=1)[:, nsites - rank]
+        keep[c] |= levels[row, e, i_hi[c]] + _MARGIN_DB >= np.maximum(nth, floor_dbm)[:, None]
     return keep
-
-
-def reaching_sites(sx, sy, reach_km, px, py) -> np.ndarray:
-    """Ascending indices of the sites at `sx`, `sy` whose largest live
-    radius `reach_km` reaches the bounding box of the points `px`, `py`
-    (non-empty).
-
-    Every link from a site left out is dead at every point in the box,
-    so dropping those columns from a field loses no live link.
-    """
-    gap_km = _distance_km(np.maximum(np.maximum(px.min() - sx, sx - px.max()), 0.0),
-                          np.maximum(np.maximum(py.min() - sy, sy - py.max()), 0.0))
-    return np.flatnonzero(gap_km < reach_km * _REACH_SLACK)
 
 
 def rss_field(
@@ -382,7 +344,6 @@ def rss_field(
     py,
     pixel_env,
     *,
-    radii_km,
     candidates,
     rx_height_m: float = 1.0,
     dead_threshold_dbm: float = DEAD_THRESHOLD_DBM,
@@ -391,14 +352,13 @@ def rss_field(
     non-candidate link.
 
     `px`, `py` are pixel-centre coordinates in metres, `pixel_env` the
-    per-pixel environment class (names or codes).  `radii_km` holds the
-    specs' rows of the radius table of `link_tables` at the same receiver
-    height and threshold; `candidates` is a (pixels, specs) mask.  Each
-    spec is evaluated only on its candidate pixels within the radius of
-    their environment.  The tiled walker passes one block of a tile's pixels
-    at a time, on the specs that can be a pick somewhere in the tile,
-    with a mask that is column-contiguous; each entry depends only on its
-    own pixel and antenna, so blocking never changes a value.
+    per-pixel environment class (names or codes); `candidates` is a
+    (pixels, specs) mask.  Each spec is evaluated on its candidate pixels
+    alone, and a level below the threshold is written as -inf.  The tiled
+    walker passes one block of a tile's pixels at a time, on the specs
+    that can be a pick somewhere in the tile, with a mask that is
+    column-contiguous; each entry depends only on its own pixel and
+    antenna, so blocking never changes a value.
     """
     pids = np.asarray(pixel_ids, dtype=np.int64)
     x = np.asarray(px, dtype=np.float64)
@@ -409,26 +369,16 @@ def rss_field(
     ids = [s.bts_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate bts_id among {len(ids)} specs")
-    radii = np.asarray(radii_km, dtype=np.float64)
-    if radii.shape != (len(specs), len(ENV_CLASSES)):
-        raise ValueError(f"radii_km shape {radii.shape} does not match {len(specs)} specs")
     cand = np.asarray(candidates, dtype=bool)
     if cand.shape != (x.size, len(specs)):
         raise ValueError(f"candidates shape {cand.shape} does not match "
                          f"{x.size} pixels x {len(specs)} specs")
 
     rss = np.full((x.size, len(specs)), -np.inf)
-    # squared reach in metres per spec and environment: a cheap test before hypot
-    reach_m2 = (radii * (1000.0 * _REACH_SLACK)) ** 2
     for j, s in enumerate(specs):
         idx = np.flatnonzero(cand[:, j])
-        dx = x[idx] - s.x
-        dy = y[idx] - s.y
-        near = dx * dx + dy * dy < reach_m2[j][codes[idx]]
-        if not near.all():
-            idx, dx, dy = idx[near], dx[near], dy[near]
         if idx.size == 0:
             continue
-        level = _levels_dbm(s, _distance_km(dx, dy), codes[idx], rx_height_m)
+        level = _levels_dbm(s, _distance_km(x[idx] - s.x, y[idx] - s.y), codes[idx], rx_height_m)
         rss[idx, j] = np.where(level >= dead_threshold_dbm, level, -np.inf)
     return RssField(pids, ids, rss, dead_threshold_dbm)

@@ -63,8 +63,7 @@ from .propagation import (
     AntennaSpec,
     env_code,
     level_candidates,
-    link_tables,
-    reaching_sites,
+    level_table,
     rss_field,
 )
 
@@ -649,38 +648,35 @@ def _tiled_pass(
     no link is live; no full-grid label map is built) and, given `idw` =
     (s, k), the set's idw rows from the same links, in set order.
 
-    Specs must be sorted by bts_id.  The pass builds its radius table (sites
-    x env codes) and level table with one `link_tables` call, and walks the
-    grid in `_TILE` x `_TILE` tiles, skipping a tile with no pixel of the
-    set.  A tile finds its pixels of the set by binary search in the
-    ascending ids, one run per tile row, so no grid-sized map from pixel to
-    set index is built.  Each tile keeps the sites that `reaching_sites`
-    finds for its pixels of the set.  The whole walk has one rank: idw's k
-    when idw rows are wanted, else 1.  Per `_CELL` x `_CELL` cell holding pixels of the
-    set, `level_candidates` drops, per env code the cell holds, each site
-    weaker than the `rank` strongest at every such pixel, which needs only
-    that levels never rise with distance; a dropped site is never a pick nor
-    ties with one.  A tile's sites are those left in some cell, in bts_id
-    order (for idw rows at least min(k, reaching), so `idw_rows_chunk` takes
-    the unpruned block's top-k width and sums the same way); picks map back
-    through that ascending index, so ties still go to the lowest bts_id.  A
-    tile with no site left is skipped.  The tile's pixels of the set go to
-    `rss_field`, with its sites' rows of the radius table and each pixel's
-    cell mask (built per block), in blocks of at most `_RSS_ENTRIES` links,
-    a quarter of that for idw rows (at least one pixel), so memory stays
+    Specs must be sorted by bts_id.  The pass builds its level table with
+    one `level_table` call, and walks the grid in `_TILE` x `_TILE` tiles,
+    skipping a tile with no pixel of the set.  A tile finds its pixels of
+    the set by binary search in the ascending ids, one run per tile row, so
+    no grid-sized map from pixel to set index is built.  The whole walk has
+    one rank: idw's k when idw rows are wanted, else 1.  `level_candidates`
+    drops, per env code a box holds, each site weaker than the `rank`
+    strongest, or dead, at every pixel of the set there, which needs only
+    that levels never rise with distance; a dropped site is never a pick
+    nor ties with one.  It runs once on the bounding box of the tile's
+    pixels of the set, then per `_CELL` x `_CELL` cell holding such pixels
+    on the sites left.  A tile's sites are those left in some cell, in
+    bts_id order; picks map back through that ascending index, so ties
+    still go to the lowest bts_id.  A tile with no site left is skipped.
+    The tile's pixels of the set go to `rss_field`, with each pixel's cell
+    mask (built per block), in blocks of at most `_RSS_ENTRIES` links, a
+    quarter of that for idw rows (at least one pixel), so memory stays
     bounded whatever the site count.  Each pixel's idw row, as
-    `idw_rows_chunk` gives it, is written in place into padded buffers,
-    int32 columns and float64 weights (-1 and 0 after its entries), as wide
-    as the widest top-k a tile has needed (at most the site count), and
-    returned as the set's `PixelWeights`.
+    `idw_rows_chunk` gives it over its tile's sites (its bytes depend only
+    on its live picks), is written in place into padded buffers, int32
+    columns and float64 weights (-1 and 0 after its entries), min(k, site
+    count) wide, and returned as the set's `PixelWeights`.
     """
     ids = [s.bts_id for s in specs]
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("specs must be sorted by bts_id, without duplicates")
-    radii, levels, level_row = link_tables(specs, rx_height_m, dead_threshold_dbm)
+    levels, level_row = level_table(specs, rx_height_m)
     sx = np.array([s.x for s in specs], dtype=np.float64)
     sy = np.array([s.y for s in specs], dtype=np.float64)
-    reach = radii.max(axis=1)
     env = np.asarray(env_grid, dtype=np.uint8)
     walked = np.arange(grid.npixels) if pixels is None else pixels
     labels = np.full(walked.size, UNASSIGNED, dtype=np.int32)
@@ -688,10 +684,9 @@ def _tiled_pass(
     if idw is not None:
         idw_s, rank = idw
         check_idw(idw_s, rank)
-        # per pixel of the set its row's columns and weights, then pads, as
-        # wide as the widest top-k that a tile has needed so far
-        row_col = np.full((walked.size, 0), -1, dtype=np.int32)
-        row_w = np.zeros((walked.size, 0))
+        # per pixel of the set its row's columns and weights, then pads
+        row_col = np.full((walked.size, min(rank, len(specs))), -1, dtype=np.int32)
+        row_w = np.zeros((walked.size, min(rank, len(specs))))
     for r0 in range(0, grid.nrows, _TILE):
         rows = np.arange(r0, min(r0 + _TILE, grid.nrows))
         for c0 in range(0, grid.ncols, _TILE):
@@ -709,9 +704,6 @@ def _tiled_pass(
             tc = walked[owner] - np.repeat(first, run)
             xc, yr = grid.centers(rows, cols)
             x, y, codes = xc[tc], yr[tr], env[r0 + tr, c0 + tc]
-            keep = reaching_sites(sx, sy, reach, x, y)
-            if keep.size == 0:
-                continue
             # each pixel's cell, row-major over the tile's cells, and each
             # cell's box of pixel centres
             ncell_cols = -(-cols.size // _CELL)
@@ -722,17 +714,16 @@ def _tiled_pass(
             box = [np.tile(v, ncell_rows) for v in cx] + [np.repeat(v, ncell_cols) for v in cy]
             present = np.zeros((ncell_rows * ncell_cols, len(ENV_CLASSES)), dtype=bool)
             present[cell, codes] = True
-            cand = level_candidates(levels[level_row[keep]], sx[keep], sy[keep], box, present,
+            # the bound on the walked pixels' box as one cell, then per cell
+            # on the sites it keeps
+            keep = np.flatnonzero(level_candidates(
+                levels, level_row, sx, sy, [[x.min()], [x.max()], [y.min()], [y.max()]],
+                present.any(axis=0, keepdims=True), rank, dead_threshold_dbm)[0])
+            if keep.size == 0:
+                continue
+            cand = level_candidates(levels, level_row[keep], sx[keep], sy[keep], box, present,
                                     rank, dead_threshold_dbm)
             used = cand.any(axis=0)
-            if idw is not None:
-                width = min(rank, keep.size)
-                # pad with sites that no cell keeps: all -inf columns
-                used[np.flatnonzero(~used)[:max(0, width - np.count_nonzero(used))]] = True
-                if width > row_w.shape[1]:
-                    grow = ((0, 0), (0, width - row_w.shape[1]))
-                    row_col = np.pad(row_col, grow, constant_values=-1)
-                    row_w = np.pad(row_w, grow)
             if not used.any():
                 continue
             g_keep = keep[used]
@@ -745,8 +736,8 @@ def _tiled_pass(
                 # for the kernel
                 mask = site_cells[:, cell[block]].T
                 rss = rss_field(near, walked[owner[block]], x[block], y[block], codes[block],
-                                radii_km=radii[g_keep], candidates=mask,
-                                rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
+                                candidates=mask, rx_height_m=rx_height_m,
+                                dead_threshold_dbm=dead_threshold_dbm)
                 live = rss.live
                 sel = bsa_select_chunk(rss.rss_dbm, live)
                 labels[owner[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)

@@ -26,10 +26,8 @@ from covmap.mapping import (
     weights_voronoi,
 )
 from covmap.propagation import (
-    DEAD_THRESHOLD_DBM,
     AntennaSpec,
     extended_hata_db,
-    link_tables,
     rss_field,
 )
 from covmap.simulation import SCHEMES, TALLY_METRICS, TALLY_SCHEMES, SimConfig, run_study, simulate_round
@@ -171,7 +169,6 @@ def test_criterion_5_weight_matrix_properties():
         field = rss_field(
             specs, settlements.ids, sx, sy,
             env[srows, scols],
-            radii_km=link_tables(specs, 1.0, DEAD_THRESHOLD_DBM)[0],
             candidates=np.ones((len(settlements), len(specs)), dtype=bool),
         )
         wm_p2p = weights_p2p(points, areas, grid)

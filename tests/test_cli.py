@@ -42,10 +42,11 @@ def tree_bytes(root) -> dict[str, bytes]:
     }
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports covmap from this tree."""
+def _run_python(code: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports covmap from this
+    tree, with `env_vars` added to its environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -337,8 +338,8 @@ class TestWeights:
 
     def test_idw_k_beyond_the_site_count_costs_nothing(self, study, two_areas, tmp_path):
         """`--k 1000000` writes the weights of `--k` = the site count, and its
-        traced peak does not grow with k: the walker's row buffers are as
-        wide as the widest top-k a tile needs, never k wide."""
+        traced peak does not grow with k: the walker's row buffers are
+        min(k, site count) wide, never k wide."""
         n_sites = len(io.load_bts_csv(study / "snapshot_bts.csv").points)
         outs, peaks = {}, {}
         for k in (n_sites, 1_000_000):
@@ -690,6 +691,32 @@ class TestGoldenDigests:
         assert rc == 0
         key = scheme.replace("-", "_")
         assert sha256_of(tmp_path / "w" / f"weights_{key}.csv") == self.WEIGHTS[scheme]
+
+
+def test_output_bytes_do_not_depend_on_simd_dispatch(study, two_areas, tmp_path):
+    """The two-round desk study and the idw weights, rerun in a fresh
+    interpreter with every numpy dispatch target this host has switched
+    off, write the bytes `TestGoldenDigests` pins."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no target beyond its baseline on this host")
+    cfg_path = tmp_path / "cfg.json"
+    io.save_config(cfg_path, SimConfig.desk(rounds=2, seed=0))
+    runs = [["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+            ["weights", "--scheme", "idw", "--bts", str(study / "snapshot_bts.csv"),
+             "--areas", str(two_areas), "--raster", str(study / "snapshot_settlements.asc"),
+             "--aux", str(study / "snapshot_env.asc"), "--out", str(tmp_path / "w")]]
+    done = _run_python(
+        "from numpy._core import _multiarray_umath as umath\n"
+        "from covmap.cli import main\n"
+        f"assert not any(umath.__cpu_features__[t] for t in {targets!r})\n"
+        f"assert all(main(argv) == 0 for argv in {runs!r})\n",
+        NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert done.returncode == 0, done.stderr
+    golden = TestGoldenDigests
+    assert {n: sha256_of(tmp_path / "o" / n) for n in golden.DESK} == golden.DESK
+    assert sha256_of(tmp_path / "w" / "weights_idw.csv") == golden.WEIGHTS["idw"]
 
 
 class TestParser:

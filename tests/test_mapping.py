@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -457,7 +457,9 @@ def _remasked_idw(rss_chunk, live_chunk, s, k):
     sel_live = np.isfinite(top)
     with np.errstate(invalid="ignore", over="ignore"):
         v = np.where(sel_live, 1.0 / np.clip(np.abs(top), 1.0, None) ** s, 0.0)
-    tot = v.sum(axis=1)
+    tot = np.zeros(n)
+    for pick in range(kk):
+        tot += v[:, pick]
     counts = sel_live.sum(axis=1).astype(np.int64)
     rows = np.repeat(np.arange(n), kk)[sel_live.ravel()]
     cols = order.ravel()[sel_live.ravel()]
@@ -476,8 +478,8 @@ def _remasked_idw(rss_chunk, live_chunk, s, k):
 )
 def test_selectors_equal_the_remasking_selectors(rss, dead_rows, k, s):
     # dead levels come finite and as -inf, with exact ties and all-dead
-    # rows; k runs past the block width, and from 8 terms up numpy sums
-    # the idw rows pairwise, so equal bytes need equal (n, k) layouts
+    # rows; k runs past the block width, and both selectors sum each
+    # row's weights in pick order
     for i in dead_rows:
         if i < rss.shape[0]:
             rss[i] = np.minimum(rss[i], -120.0)
@@ -492,6 +494,33 @@ def test_selectors_equal_the_remasking_selectors(rss, dead_rows, k, s):
     later = (col[:, 1:] >= 0) & ((level[:, 1:] > level[:, :-1])
                                  | ((level[:, 1:] == level[:, :-1]) & (col[:, 1:] < col[:, :-1])))
     assert not later.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rss=hnp.arrays(np.float64, st.tuples(st.integers(0, 10), st.integers(1, 12)),
+                   elements=_LEVELS),
+    dead=st.lists(st.one_of(st.just(-np.inf), st.floats(-300.0, -110.5)),
+                  min_size=1, max_size=6),
+    k=st.integers(1, 14),
+    s=st.sampled_from([0.0, 0.5, 2.0, 3.7]),
+)
+# seven live picks, one dead column: a pairwise sum over eight terms
+# would round this row differently from the seven-term sum
+@example(rss=np.array([[-60.0, -70.0, -80.0, -90.0, -100.0, -65.0, -75.0]]),
+         dead=[-np.inf], k=8, s=0.5)
+@example(rss=np.array([[-60.0, -70.0, -80.0, -90.0, -100.0, -65.0, -75.0]]),
+         dead=[-120.0], k=8, s=0.5)
+def test_idw_rows_do_not_depend_on_dead_columns(rss, dead, k, s):
+    # a row's entries and weights depend only on its live picks: dead
+    # columns appended to the block, finite below the threshold or -inf,
+    # change no byte, though they may widen the rows past 8 picks
+    live = make_field(np.arange(rss.shape[0]), [f"b{j}" for j in range(rss.shape[1])], rss).live
+    wider = np.hstack([rss, np.tile(dead, (rss.shape[0], 1))])
+    wider_live = np.hstack([live, np.zeros((rss.shape[0], len(dead)), dtype=bool)])
+    for got, want in zip(entries_by_column(*idw_rows_chunk(wider, wider_live, s, k)),
+                         entries_by_column(*idw_rows_chunk(rss, live, s, k))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_field_without_antennas_is_uncovered():

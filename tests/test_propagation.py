@@ -25,8 +25,7 @@ from covmap.propagation import (
     _tx_gain_db,
     env_codes,
     extended_hata_db,
-    link_tables,
-    reaching_sites,
+    level_table,
     rss_field,
 )
 
@@ -115,37 +114,12 @@ def test_loss_never_decreases_with_distance(f, h_tx, h_rx, env, extra_km):
     h_tx=st.floats(1.0, 1000.0),
     h_rx=st.floats(1.0, 10.0),
     power=st.floats(-20.0, 90.0),
-    threshold=st.floats(-170.0, -40.0),
-    extra_km=st.lists(st.floats(0.0, 130.0), max_size=20),
 )
-def test_live_radius_is_conservative(f, h_tx, h_rx, power, threshold, extra_km):
-    # range culling drops every link at or beyond the radius unevaluated
-    spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
-    r = link_tables([spec], h_rx, threshold)[0][0]
-    assert r.shape == (len(ENV_CLASSES),)
-    for code in range(len(ENV_CLASSES)):
-        near_r = [r[code], np.nextafter(r[code], np.inf)] if np.isfinite(r[code]) else []
-        d = np.concatenate([_SWEEP_KM, propagation._LEVEL_KM, extra_km, near_r])
-        level = power - extended_hata_db(f, d, h_tx, h_rx, code, clamp_distance=True)
-        live_beyond = (d >= r[code]) & (level >= threshold)
-        assert not live_beyond.any(), (code, r[code], d[live_beyond][:3])
-        at_range = power - extended_hata_db(f, 100.0, h_tx, h_rx, code)
-        assert np.isinf(r[code]) == (at_range >= threshold)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    f=_FREQ,
-    h_tx=st.floats(1.0, 1000.0),
-    h_rx=st.floats(1.0, 10.0),
-    power=st.floats(-20.0, 90.0),
-    threshold=st.floats(-170.0, -40.0),
-)
-def test_levels_never_fall_from_urban_to_rural(f, h_tx, h_rx, power, threshold):
+def test_levels_never_fall_from_urban_to_rural(f, h_tx, h_rx, power):
     # a property of the model: the walker's level pruning bounds each env
     # code on its own and no longer needs it
     spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
-    _, levels, row = link_tables([spec], h_rx, threshold)
+    levels, row = level_table([spec], h_rx)
     bad = np.argwhere(np.diff(levels[row[0]], axis=0) < 0)
     assert bad.size == 0, [(code, propagation._LEVEL_KM[g]) for code, g in bad[:3]]
     # short paths, the 20 km exponent change and the 100 km clamp included
@@ -155,15 +129,20 @@ def test_levels_never_fall_from_urban_to_rural(f, h_tx, h_rx, power, threshold):
     assert bad.size == 0, [(code, _SWEEP_KM[i]) for code, i in bad[:3]]
 
 
-def test_radius_zero_when_dead_at_the_mast():
+def test_level_candidates_drop_a_site_dead_at_the_mast():
     # a 30 m mast at -20 dBm is about -81 dBm at its foot in every env
     spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, -20.0)
-    radii, levels, row = link_tables([spec], 1.0, -40.0)
+    levels, row = level_table([spec], 1.0)
     assert np.all(levels[row[0], :, 0] < -40.0)
-    np.testing.assert_array_equal(radii[0], np.zeros(len(ENV_CLASSES)))
-    # so the cull drops it even for a point at the mast
+    # so a box at the mast holding every env code keeps it at no rank,
+    # while a floor below its level there keeps it
     zero = np.zeros(1)
-    assert reaching_sites(zero, zero, radii.max(axis=1), zero, zero).size == 0
+    box = [zero] * 4
+    present = np.ones((1, len(ENV_CLASSES)), dtype=bool)
+    for rank in (1, 2):
+        keep = propagation.level_candidates(levels, row, zero, zero, box, present, rank, -40.0)
+        assert keep.shape == (1, 1) and not keep.any()
+    assert propagation.level_candidates(levels, row, zero, zero, box, present, 1, -110.0).all()
 
 
 # distances for the level-table bracket: 0, under 40 m, the 40-100 m
@@ -185,7 +164,7 @@ _BRACKET_KM = st.one_of(
 def test_level_table_brackets_the_exact_level(f, h_tx, h_rx, power, d_km):
     # level pruning bounds a link by the table entries on either side of it
     spec = AntennaSpec("a", 0.0, 0.0, h_tx, f, power)
-    _, levels, row = link_tables([spec], h_rx, DEAD_THRESHOLD_DBM)
+    levels, row = level_table([spec], h_rx)
     assert levels.shape == (1, len(ENV_CLASSES), propagation._LEVEL_KM.size)
     table = levels[row[0]]
     grid_km = propagation._LEVEL_KM
@@ -199,9 +178,9 @@ def test_level_table_brackets_the_exact_level(f, h_tx, h_rx, power, d_km):
         assert np.all(level >= table[code, i_lo] - margin), code
 
 
-def test_link_tables_once_per_technical_parameters(monkeypatch):
-    # neither table depends on the site's position: twins elsewhere share
-    # one row, evaluated once on the grid and once for the refinement
+def test_level_table_once_per_technical_parameters(monkeypatch):
+    # the table does not depend on the site's position: twins elsewhere
+    # share one row, evaluated once
     specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0),
              AntennaSpec("b", 5000.0, 0.0, 30.0, 900.0, 43.0),
              AntennaSpec("c", 0.0, 0.0, 10.0, 900.0, 43.0)]
@@ -213,15 +192,14 @@ def test_link_tables_once_per_technical_parameters(monkeypatch):
         return levels_dbm(spec, *args)
 
     monkeypatch.setattr(propagation, "_levels_dbm", recording)
-    radii, levels, row = link_tables(specs, 1.0, -110.0)
-    assert evaluated == ["a", "a", "c", "c"]
+    levels, row = level_table(specs, 1.0)
+    assert evaluated == ["a", "c"]
     assert row.tolist() == [0, 0, 1] and levels.shape[0] == 2
     monkeypatch.undo()
     codes = np.arange(len(ENV_CLASSES))[:, None]
     dist = np.broadcast_to(propagation._LEVEL_KM, (codes.size, propagation._LEVEL_KM.size))
     for j, spec in enumerate(specs):
         np.testing.assert_array_equal(levels[row[j]], levels_dbm(spec, dist, codes, 1.0))
-        np.testing.assert_array_equal(radii[j], link_tables([spec], 1.0, -110.0)[0][0])
 
 
 @st.composite
@@ -262,17 +240,17 @@ def test_level_candidates_keep_every_site_among_the_rank_strongest(layout):
     one, at some pixel of a cell, by `rss_field`'s levels with every
     candidate on, is kept in that cell."""
     specs, cells, rank, threshold = layout
-    radii, levels, row = link_tables(specs, 1.0, threshold)
+    levels, row = level_table(specs, 1.0)
     sx, sy = np.array([[s.x, s.y] for s in specs]).T
     box = [[v(c[i]) for c in cells] for i in (0, 1) for v in (np.min, np.max)]
     present = np.zeros((len(cells), len(ENV_CLASSES)), dtype=bool)
     for c, (_, _, env) in enumerate(cells):
         present[c, env] = True
-    keep = propagation.level_candidates(levels[row], sx, sy, box, present, rank, threshold)
+    keep = propagation.level_candidates(levels, row, sx, sy, box, present, rank, threshold)
     assert keep.shape == (len(cells), len(specs))
     for c, (xs, ys, env) in enumerate(cells):
         x, y = (v.ravel() for v in np.meshgrid(xs, ys))
-        field = rss_field(specs, np.arange(x.size), x, y, env, radii_km=radii,
+        field = rss_field(specs, np.arange(x.size), x, y, env,
                           candidates=np.ones((x.size, len(specs)), dtype=bool),
                           dead_threshold_dbm=threshold)
         # each pixel's rank-th strongest level, -inf when it has fewer sites
@@ -281,18 +259,6 @@ def test_level_candidates_keep_every_site_among_the_rank_strongest(layout):
         pick = field.live & (field.rss_dbm >= nth[:, None])
         missed = np.flatnonzero(pick.any(axis=0) & ~keep[c])
         assert missed.size == 0, (c, missed, rank)
-
-
-def test_live_radius_brackets_the_crossing():
-    # 900 MHz rural at 43 dBm crosses -110 dBm between 10 and 100 km
-    spec = AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)
-    r = link_tables([spec], 1.0, -110.0)[0][0]
-    level = 43.0 - extended_hata_db(900.0, r, 30.0, 1.0, [0, 1, 2])
-    assert np.all(level < -110.0)
-    # within a 0.5% refinement step of the crossing
-    inside = 43.0 - extended_hata_db(900.0, r * 0.995, 30.0, 1.0, [0, 1, 2])
-    assert np.all(inside >= -110.0)
-    assert r[0] < r[1] < r[2] < 100.0
 
 
 def test_free_space_floor_binds_close_in():
@@ -407,7 +373,7 @@ def test_branch_local_terms_equal_every_entry_evaluation(
         d, env = d[0], ENV_CLASSES[rng.integers(3)]
     elif shape == "1-D":
         env = rng.integers(0, 3, d.size)
-    else:  # the live-radius probe's layout: 3 x 64 links
+    else:  # the level table's layout, one row per env code: 3 x 64 links
         d = np.resize(d, (3, 64))
         env = np.arange(3)[:, None] if shape == "2-D by row" else rng.integers(0, 3, d.shape)
     given_d = np.copy(d)
@@ -490,10 +456,9 @@ def test_antenna_spec_validation():
 
 
 def field_of(specs, *args, rx_height_m=1.0, dead_threshold_dbm=DEAD_THRESHOLD_DBM):
-    """`rss_field` on the specs' own rows of the radius table, every link a candidate."""
-    radii = link_tables(specs, rx_height_m, dead_threshold_dbm)[0]
+    """`rss_field` with every link a candidate."""
     everywhere = np.ones((np.size(args[0]), len(specs)), dtype=bool)
-    return rss_field(specs, *args, radii_km=radii, candidates=everywhere,
+    return rss_field(specs, *args, candidates=everywhere,
                      rx_height_m=rx_height_m, dead_threshold_dbm=dead_threshold_dbm)
 
 
@@ -608,9 +573,5 @@ class TestRssField:
         with pytest.raises(ValueError):
             RssField(np.arange(3), ["a"], np.zeros((2, 1)))
         specs = [AntennaSpec("a", 0.0, 0.0, 30.0, 900.0, 43.0)]
-        with pytest.raises(ValueError, match="radii_km shape"):
-            rss_field(specs, [0], [0.0], [0.0], ["urban"], radii_km=np.zeros((2, 3)),
-                      candidates=np.ones((1, 1), dtype=bool))
         with pytest.raises(ValueError, match="candidates shape"):
-            rss_field(specs, [0], [0.0], [0.0], ["urban"], radii_km=np.zeros((1, 3)),
-                      candidates=np.ones((1, 2), dtype=bool))
+            rss_field(specs, [0], [0.0], [0.0], ["urban"], candidates=np.ones((1, 2), dtype=bool))

@@ -58,7 +58,7 @@ from covmap.simulation import (
     urban_block_mask,
 )
 from conftest import traced_held, traced_peak
-from weight_rows import entries_by_column, pixel_csr
+from weight_rows import pixel_csr
 
 
 def tiny_config(**over):
@@ -784,22 +784,20 @@ class TestRangeCulling:
 
     def test_kernel_equals_dense_live_levels(self, layout):
         cfg, specs, st, env, oracle, evaluated = layout
-        radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
         x, y = cfg.grid.centers(*cfg.grid.rowcol_of_id(st.ids))
-        got = rss_field(specs, st.ids, x, y, env, radii_km=radii,
+        got = rss_field(specs, st.ids, x, y, env,
                         candidates=np.ones((len(st), len(specs)), dtype=bool),
                         rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = oracle >= cfg.dead_threshold_dbm
         assert np.array_equal(got.rss_dbm[live], oracle[live])
         assert np.all(got.rss_dbm[~live] == -np.inf)
         assert np.array_equal(got.live, live)
-        # the radius probes included
-        assert sum(evaluated) < oracle.size / 4
 
     def test_passes_keep_no_state_between_thresholds(self, layout):
-        """Each pass builds its own radius table: a pass at threshold A run
+        """Each pass cuts by its own threshold: a pass at threshold A run
         after one at B makes the same Hata calls and labels as the first
-        pass at A, and every pass equals the dense labels at its threshold."""
+        pass at A, every pass equals the dense labels at its threshold, and
+        each culls most links unevaluated, its level table included."""
         cfg, specs, st, env, oracle, evaluated = layout
         runs = []
         for threshold in (-110.0, -95.0, -110.0):
@@ -807,6 +805,7 @@ class TestRangeCulling:
             grid = best_server_grid(cfg.grid, specs, env.reshape(cfg.grid.shape),
                                     cfg.rx_height_m, threshold)
             np.testing.assert_array_equal(grid.labels.ravel(), _dense_labels(oracle, threshold))
+            assert sum(evaluated) < oracle.size / 4
             runs.append((grid.labels.tobytes(), list(evaluated)))
         assert runs[0] == runs[2]
         assert runs[0][0] != runs[1][0]
@@ -1033,7 +1032,7 @@ def _assert_walks(cfg, specs, env, settlements, s, k, labels, want_rows):
 
 def _assert_same_rows(got, want):
     """The same rows, byte for byte in CSR form; the padded widths may
-    differ (the walker's is the widest top-k a tile needed)."""
+    differ."""
     assert got.scheme == want.scheme and got.bts_ids == want.bts_ids
     assert (got.w is None) == (want.w is None)
     assert got.pixel_ids.dtype == want.pixel_ids.dtype
@@ -1110,10 +1109,9 @@ class TestTiledPass:
 
 
 def _far_sites_layout():
-    """Five live sites and five far ones that reach every pixel of a
-    40 x 40 urban grid but are dead there, every pixel settled: at k >= 8
-    the walker keeps fewer sites than min(k, reaching) after pruning and
-    must pad its block back to that width."""
+    """Five live sites and five far ones that are dead at every pixel of
+    a 40 x 40 urban grid, every pixel settled: at k >= 8 an idw row over
+    the ten sites is wider than one over the five live ones."""
     cfg = SimConfig(ncols=40, nrows=40, cell_size_m=100.0, block_px=1, urban_split=1,
                     mask_rect=None)
     specs = [AntennaSpec(f"a{j}", 1500.0 + 250.0 * j, 2000.0 + 150.0 * j, 60.0, 900.0,
@@ -1175,8 +1173,7 @@ class TestLevelPruning:
         cfg, specs, env, settlements, tile, s, k = layout
         x, y = cfg.grid.pixel_centers()
         npx = cfg.grid.npixels
-        radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-        field = rss_field(specs, np.arange(npx), x, y, env, radii_km=radii,
+        field = rss_field(specs, np.arange(npx), x, y, env,
                           candidates=np.ones((npx, len(specs)), dtype=bool),
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         live = field.live
@@ -1248,7 +1245,7 @@ def test_finer_cells_evaluate_fewer_links(monkeypatch):
     _assert_same_rows(rows, want_rows)
 
 
-def _two_level_candidates(levels, sx, sy, box, present, rank, floor_dbm):
+def _two_level_candidates(levels, row, sx, sy, box, present, rank, floor_dbm):
     """`level_candidates` as one bound per cell: every site's best level
     read at the highest env code the cell holds, against the `rank`-th
     largest worst level read at the lowest.  Exact too, since levels never
@@ -1262,13 +1259,12 @@ def _two_level_candidates(levels, sx, sy, box, present, rank, floor_dbm):
     i_hi = np.searchsorted(grid_km, near_km / slack, side="right") - 1
     i_lo = np.minimum(np.searchsorted(grid_km, far_km * slack), grid_km.size - 1)
     on = np.asarray(present, dtype=bool)
-    site = np.arange(levels.shape[0])
     top = on.shape[1] - 1 - on[:, ::-1].argmax(axis=1)
-    hi = np.where(on.any(axis=1)[:, None], levels[site, top[:, None], i_hi] + margin, -np.inf)
-    lo = levels[site, on.argmax(axis=1)[:, None], i_lo] - margin
-    if rank > site.size:
+    hi = np.where(on.any(axis=1)[:, None], levels[row, top[:, None], i_hi] + margin, -np.inf)
+    lo = levels[row, on.argmax(axis=1)[:, None], i_lo] - margin
+    if rank > row.size:
         return hi >= floor_dbm
-    nth = np.sort(lo, axis=1)[:, site.size - rank]
+    nth = np.sort(lo, axis=1)[:, row.size - rank]
     return hi >= np.maximum(nth, floor_dbm)[:, None]
 
 
@@ -1289,8 +1285,7 @@ def test_per_env_bounds_evaluate_fewer_links_on_mixed_cells(monkeypatch):
     assert cell_codes.count(2) >= 10 and cell_codes.count(3) >= 10
     npx, specs = cfg.grid.npixels, world.specs
     x, y = cfg.grid.pixel_centers()
-    radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-    field = rss_field(specs, np.arange(npx), x, y, env.ravel(), radii_km=radii,
+    field = rss_field(specs, np.arange(npx), x, y, env.ravel(),
                       candidates=np.ones((npx, len(specs)), dtype=bool),
                       rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
     settled = world.settlements.ids
@@ -1325,13 +1320,11 @@ def test_per_env_bounds_evaluate_fewer_links_on_mixed_cells(monkeypatch):
 def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile):
     """Idw rows assembled as the walker once did, as CSR (indptr, col, w):
     per tile, `idw_rows_chunk` on the unpruned block of its settled
-    pixels over the sites that reach them, the rows' entries kept as
-    owner/column/weight pieces, and one stable sort on the owners to put
-    them in settlement order."""
+    pixels over every site, the rows' entries kept as owner/column/weight
+    pieces, and one stable sort on the owners to put them in settlement
+    order."""
     npx = cfg.grid.npixels
     x, y = cfg.grid.pixel_centers()
-    radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-    sx, sy = np.array([[sp.x, sp.y] for sp in specs]).T
     at = np.full(npx, -1)
     at[settlements.ids] = np.arange(len(settlements))
     r, c = np.divmod(np.arange(npx), cfg.ncols)
@@ -1342,16 +1335,13 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile):
         here = px[at[px] >= 0]
         if here.size == 0:
             continue
-        keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x[here], y[here])
-        if keep.size == 0:
-            continue
-        field = rss_field([specs[j] for j in keep], here, x[here], y[here], env[here],
-                          radii_km=radii[keep], candidates=np.ones((here.size, keep.size), bool),
+        field = rss_field(specs, here, x[here], y[here], env[here],
+                          candidates=np.ones((here.size, len(specs)), bool),
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         cols, v = idw_rows_chunk(field.rss_dbm, field.live, s, k)
         entry = cols >= 0
         owner.append(np.repeat(at[here], np.count_nonzero(entry, axis=1)))
-        col.append(keep[cols[entry]])
+        col.append(cols[entry])
         w.append(v[entry])
     owner = np.concatenate(owner)
     order = np.argsort(owner, kind="stable")
@@ -1372,9 +1362,9 @@ def _recorded_walk(cfg, specs, env, settlements, pixels, idw):
         kinds.append(set(settled[pixel_ids].tolist()))
         return kernel(specs, pixel_ids, *args, **kwargs)
 
-    def recording_prune(levels, sx, sy, box, present, rank, floor_dbm):
+    def recording_prune(levels, row, sx, sy, box, present, rank, floor_dbm):
         ranks.add(rank)
-        return prune(levels, sx, sy, box, present, rank, floor_dbm)
+        return prune(levels, row, sx, sy, box, present, rank, floor_dbm)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "rss_field", recording_kernel)
@@ -1394,15 +1384,14 @@ class TestStudyWalks:
         and the other pixels at rank 1: their labels together equal the
         unpruned selectors' at every pixel, and the in-place idw rows equal
         the piece-and-sort assembly over unpruned tile blocks byte for
-        byte, for k up to 12 (numpy sums 8 or more terms pairwise, so the
-        top-k width shows).  Each walk prunes at its one rank, so every
-        kernel call holds settled pixels only or unsettled pixels only, and
-        the unsettled pixels are offered the rank-1 candidates, not idw's k."""
+        byte, for k up to 12, however many dead columns those blocks hold.
+        Each walk prunes at its one rank, so every kernel call holds
+        settled pixels only or unsettled pixels only, and the unsettled
+        pixels are offered the rank-1 candidates, not idw's k."""
         cfg, specs, env, settlements, tile, s, _ = layout
         x, y = cfg.grid.pixel_centers()
         npx = cfg.grid.npixels
-        radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-        field = rss_field(specs, np.arange(npx), x, y, env, radii_km=radii,
+        field = rss_field(specs, np.arange(npx), x, y, env,
                           candidates=np.ones((npx, len(specs)), dtype=bool),
                           rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
         labels = bsa_select_chunk(field.rss_dbm, field.live)
@@ -1432,9 +1421,7 @@ class TestStudyWalks:
 def test_a_walk_over_any_id_subset_returns_the_full_walk_at_its_ids(layout, share, seed):
     """A walk over any ascending subset of pixel ids returns, in set order,
     the full-grid walk's labels at those ids, with idw rows and without.
-    Its idw rows equal the full-grid idw walk's rows at those ids too
-    (k up to 7: below 8 terms a row's sum does not depend on how many
-    pads follow its entries)."""
+    Its idw rows equal the full-grid idw walk's rows at those ids too."""
     cfg, specs, env, _, tile, s, k = layout
     ids = np.flatnonzero(np.random.default_rng(seed).random(cfg.grid.npixels) < share)
     with pytest.MonkeyPatch.context() as mp:
@@ -1492,32 +1479,30 @@ def test_study_idw_rows_equal_the_settlement_pass(seed, k, s):
     assert naive.tobytes() == full.labels.tobytes()
 
 
-def test_idw_rows_keep_the_unpruned_top_k_width():
-    """With k >= 8, how a row's idw weights sum depends on the top-k width
-    `idw_rows_chunk` takes.  Far sites that reach the tile's box but are
-    dead in its urban pixels are pruned everywhere, so the walker pads
-    its block back to min(k, reaching) columns: its rows equal the
-    unpruned block's byte for byte, not the rows over the live sites."""
+def test_idw_rows_come_from_the_live_sites_alone():
+    """With k >= 8, numpy's row sum adds pairwise, so it would depend on
+    the top-k width; `idw_rows_chunk` sums in pick order instead.  Far
+    sites dead in the tile's urban pixels are cut there, so the walk's
+    one block holds the five live sites, and its rows equal
+    `idw_rows_chunk`'s both on the dense field, 9 wide, and on the five
+    live columns."""
     cfg, specs, env, settlements = _FAR_SITES
     s, k = 2.0, 9
     x, y = cfg.grid.pixel_centers()
-    radii = propagation.link_tables(specs, cfg.rx_height_m, cfg.dead_threshold_dbm)[0]
-    sx, sy = np.array([[sp.x, sp.y] for sp in specs]).T
-    keep = propagation.reaching_sites(sx, sy, radii.max(axis=1), x, y)
-    assert keep.size == len(specs)
-    field = rss_field(specs, np.arange(x.size), x, y, env, radii_km=radii,
+    field = rss_field(specs, np.arange(x.size), x, y, env,
                       candidates=np.ones((x.size, len(specs)), dtype=bool),
                       rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
     live = field.live
     assert live[:, :5].all() and not live[:, 5:].any()
-    unpruned = PixelWeights("idw", settlements.ids, field.bts_ids,
-                            *idw_rows_chunk(field.rss_dbm, live, s, k))
-    live_only = idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k)
-    assert (entries_by_column(*live_only)[2].tobytes()
-            != entries_by_column(unpruned.col, unpruned.w)[2].tobytes())
+    dense = PixelWeights("idw", settlements.ids, field.bts_ids,
+                         *idw_rows_chunk(field.rss_dbm, live, s, k))
+    live_only = PixelWeights("idw", settlements.ids, field.bts_ids,
+                             *idw_rows_chunk(field.rss_dbm[:, :5], live[:, :5], s, k))
+    assert dense.col.shape == (x.size, k) and live_only.col.shape == (x.size, 5)
     _, pw, calls = _tiled_run(cfg, specs, env, settlements.ids, (s, k))
-    assert calls == [(x.size, k)] and pw.col.shape == (x.size, k)
-    _assert_same_rows(pw, unpruned)
+    assert calls == [(x.size, 5)]
+    _assert_same_rows(pw, dense)
+    _assert_same_rows(pw, live_only)
 
 
 def _package_callers(*names: str) -> dict[str, set[str]]:
@@ -1539,17 +1524,15 @@ def _package_callers(*names: str) -> dict[str, set[str]]:
 def test_only_the_walker_calls_the_kernels():
     """`rss_field` has one caller, the tiled walker, and the loss model one,
     the per-link level expression: no second link path in the package.
-    The walker alone builds the radius and level tables, with one builder
-    call per pass, and culls and prunes sites with them; the level
-    expression runs only inside that builder and the kernel."""
-    names = ("rss_field", "extended_hata_db", "link_tables", "reaching_sites",
-             "_levels_dbm", "level_candidates")
+    The walker alone builds the level table, with one builder call per
+    pass, and cuts sites with its one bound; the level expression runs
+    only inside that builder and the kernel."""
+    names = ("rss_field", "extended_hata_db", "level_table", "_levels_dbm", "level_candidates")
     assert _package_callers(*names) == {
         "rss_field": {"simulation._tiled_pass"},
         "extended_hata_db": {"propagation._levels_dbm"},
-        "link_tables": {"simulation._tiled_pass"},
-        "reaching_sites": {"simulation._tiled_pass"},
-        "_levels_dbm": {"propagation.link_tables", "propagation.rss_field"},
+        "level_table": {"simulation._tiled_pass"},
+        "_levels_dbm": {"propagation.level_table", "propagation.rss_field"},
         "level_candidates": {"simulation._tiled_pass"},
     }
 
