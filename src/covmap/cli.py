@@ -167,7 +167,10 @@ def cmd_simulate(args) -> int:
         over["seed"] = args.seed
     if over:
         cfg = dataclasses.replace(cfg, **over)
-    result = run_study(cfg, jobs=args.jobs)
+    try:
+        result = run_study(cfg, jobs=args.jobs)
+    except (ValueError, RuntimeError) as exc:  # a round the config's world cannot run
+        raise RuntimeError(f"{args.config}: {exc}") from exc
 
     per_round: dict[int, dict[str, float]] = {}
     for rnd, scheme, metric, env, value in result.records:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 UNASSIGNED = -1
+COORD_LIMIT_M = 1e12  # far beyond any projected CRS; squared distances stay finite
 
 # squared distances per block of a nearest-site search: sites x points of
 # about 2^16 float64 (512 KB) keep each block's temporaries in cache
@@ -74,8 +75,12 @@ class Grid:
         """Pixel indices containing the given points; -1/-1 when off-grid."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        c = np.floor((x - self.origin_x) / self.cell_size_m).astype(np.int64)
-        r = self.nrows - 1 - np.floor((y - self.origin_y) / self.cell_size_m).astype(np.int64)
+        c = np.floor((x - self.origin_x) / self.cell_size_m)
+        r = np.floor((y - self.origin_y) / self.cell_size_m)
+        # clipped in place to one cell past each edge, so a far point casts cleanly
+        np.clip(c, -1, self.ncols, out=c)
+        np.clip(r, -1, self.nrows, out=r)
+        c, r = c.astype(np.int64), self.nrows - 1 - r.astype(np.int64)
         bad = (c < 0) | (c >= self.ncols) | (r < 0) | (r >= self.nrows)
         return np.where(bad, UNASSIGNED, r), np.where(bad, UNASSIGNED, c)
 
@@ -293,10 +298,27 @@ def voronoi_assign(grid: Grid, sites) -> Assignment:
     sy = np.array([float(sites[i][2]) for i in order])
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise ValueError("site coordinates must be finite")
+    # sites in id order: ties to the lowest bts_id
+    return Assignment(grid, bts_ids, nearest_site_labels(grid, sx, sy))
 
-    x, y = grid.pixel_centers()
-    labels = nearest_index(x, y, sx, sy)  # sites in id order: ties to the lowest bts_id
-    return Assignment(grid, bts_ids, labels.reshape(grid.shape))
+
+def nearest_site_labels(grid: Grid, sx, sy) -> np.ndarray:
+    """Index of the nearest site at every pixel, as an int32 grid map.
+
+    The grid is searched in bands of whole rows, about `_BLOCK_ENTRIES`
+    pixels each (at least one row): each band's centres are built from
+    its rows and the grid's columns and go to `nearest_index`, whose
+    labels do not depend on which other points share a call, so they
+    equal one dense search's, ties to the lowest site index.  Beyond the
+    labels, no array is longer than a band."""
+    labels = np.empty(grid.shape, dtype=np.int32)
+    step = max(1, _BLOCK_ENTRIES // grid.ncols)
+    xc = grid.centers(0, np.arange(grid.ncols))[0]
+    for r0 in range(0, grid.nrows, step):
+        yr = grid.centers(np.arange(r0, min(r0 + step, grid.nrows)), 0)[1]
+        x, y = np.broadcast_arrays(xc, yr[:, None])
+        labels[r0:r0 + yr.size] = nearest_index(x, y, sx, sy).reshape(y.shape)
+    return labels
 
 
 # --- statistical areas -------------------------------------------------------

@@ -25,13 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .geo import Grid, SettlementRaster, StatAreaSet
+from .geo import COORD_LIMIT_M, Grid, SettlementRaster, StatAreaSet
 from .mapping import CovariateTable, WeightMatrix, sorted_csr
 from .propagation import AntennaSpec
 from .simulation import SimConfig
 
 NODATA_DEFAULT = -9999.0
-COORD_LIMIT_M = 1e12  # far beyond any projected CRS; squared distances stay finite
 
 
 def fmt12(x: float) -> str:

@@ -12,7 +12,9 @@ build W from increasingly informative inputs:
                 k strongest live links
 
 Every scheme but p2p first gives per-pixel rows, which one reducer,
-`area_weights_from_pixels`, averages over each area's covered pixels.
+`area_weights_from_pixels`, averages over each area's covered pixels; it
+reads one set of rows whole or as consecutive blocks, so a caller that
+walks each block as it is read holds one block at a time.
 Area rows (`WeightMatrix`) are CSR: row i's entries are
 `col[indptr[i]:indptr[i+1]]`, indices into ascending `bts_ids`, with
 weights `w` that sum to 1; an empty row is an area without coverage.
@@ -35,6 +37,7 @@ field.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,43 +317,62 @@ def idw_rows_chunk(
     return col, w
 
 
-def area_weights_from_pixels(pw: PixelWeights, areas: StatAreaSet, grid: Grid) -> WeightMatrix:
+def area_weights_from_pixels(
+    pw: PixelWeights | Iterable[PixelWeights], areas: StatAreaSet, grid: Grid
+) -> WeightMatrix:
     """Average per-pixel weights over each area's covered pixels.
 
-    Each row's area is the one holding its pixel id on `grid`.  The
-    entries sum into bins of (area, 1 + column), taken `_REDUCE_ENTRIES`
-    entries' worth of rows at a time: `np.add.at` adds them in row-major
-    order, so every bin sums its entries in the order of one `bincount`
-    over them all, and a one-hot row adds exactly 1.  A row adds at most
-    one entry to a bin, so the order of its entries does not change a
-    byte.  A pad (column -1)
-    falls into its area's column slot 0, and a pixel outside every area
-    into a spill row of bins; both are sliced off.  Areas without a
-    covered pixel get no coverage.  The input is never written.
+    `pw` is one set of pixel rows, or consecutive blocks of one set's
+    rows, of one scheme over the same `bts_ids`, read in the order given;
+    a caller that makes each block only when it is read holds one block
+    at a time.  Each row's area is the one holding its pixel id on
+    `grid`.  The entries sum into bins of (area, 1 + column), taken
+    `_REDUCE_ENTRIES` entries' worth of rows at a time: `np.add.at` adds
+    them in row-major order, so every bin sums its entries in the order
+    of one `bincount` over them all, however the rows are split into
+    blocks, and a one-hot row adds exactly 1.  A row adds at most one
+    entry to a bin, so the order of its entries does not change a byte.
+    A pad (column -1) falls into its area's column slot 0, and a pixel
+    outside every area into a spill row of bins; both are sliced off.
+    Areas without a covered pixel get no coverage.  The input is never
+    written.
     """
-    if pw.pixel_ids.size and (pw.pixel_ids.min() < 0 or pw.pixel_ids.max() >= grid.npixels):
-        raise ValueError(f"pixel ids outside the {grid.nrows}x{grid.ncols} grid")
     label_of = areas.labels(grid).reshape(-1)
-    nareas, nbts = len(areas), len(pw.bts_ids)
-    sums = np.zeros((nareas + 1) * (nbts + 1))
-    denom = np.zeros(nareas + 1, dtype=np.int64)
-    step = max(1, _REDUCE_ENTRIES // max(pw.col.shape[1], 1))
-    for lo in range(0, pw.pixel_ids.size, step):
-        block = slice(lo, lo + step)
-        area = label_of[pw.pixel_ids[block]].astype(np.int64)
-        area[area < 0] = nareas
-        col = pw.col[block]
-        np.add.at(denom, area[np.any(col[:, :1] >= 0, axis=1)], 1)
-        # the block's keys live only for this call
-        np.add.at(sums, (col + (area * (nbts + 1) + 1)[:, None]).ravel(),
-                  1.0 if pw.w is None else pw.w[block].ravel())
+    nareas = len(areas)
+
+    def add(pw: PixelWeights) -> None:
+        # one block's rows into the bins; its keys live only for this call
+        if pw.pixel_ids.size and (pw.pixel_ids.min() < 0 or pw.pixel_ids.max() >= grid.npixels):
+            raise ValueError(f"pixel ids outside the {grid.nrows}x{grid.ncols} grid")
+        step = max(1, _REDUCE_ENTRIES // max(pw.col.shape[1], 1))
+        for lo in range(0, pw.pixel_ids.size, step):
+            block = slice(lo, lo + step)
+            area = label_of[pw.pixel_ids[block]].astype(np.int64)
+            area[area < 0] = nareas
+            col = pw.col[block]
+            np.add.at(denom, area[np.any(col[:, :1] >= 0, axis=1)], 1)
+            np.add.at(sums, (col + (area * (nbts + 1) + 1)[:, None]).ravel(),
+                      1.0 if pw.w is None else pw.w[block].ravel())
+
+    scheme = bts_ids = None
+    for pw in [pw] if isinstance(pw, PixelWeights) else pw:
+        if bts_ids is None:
+            scheme, bts_ids, nbts = pw.scheme, pw.bts_ids, len(pw.bts_ids)
+            sums = np.zeros((nareas + 1) * (nbts + 1))
+            denom = np.zeros(nareas + 1, dtype=np.int64)
+        elif pw.scheme != scheme or pw.bts_ids != bts_ids:
+            raise ValueError("pixel row blocks differ in scheme or bts_ids")
+        add(pw)
+        del pw  # so a block is freed before the next one is made
+    if bts_ids is None:
+        raise ValueError("no pixel rows given")
 
     # row-major, the nonzero bins are the rows' entries, columns ascending;
     # each comes from a covered pixel, so its area's denom is >= 1
     bins = sums.reshape(nareas + 1, nbts + 1)[:nareas, 1:]
     aidx, bidx = np.nonzero(bins)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(aidx, minlength=nareas))])
-    return WeightMatrix(pw.scheme, areas.area_ids, pw.bts_ids, indptr, bidx,
+    return WeightMatrix(scheme, areas.area_ids, bts_ids, indptr, bidx,
                         bins[aidx, bidx] / denom[aidx])
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geo import (
+    COORD_LIMIT_M,
     UNASSIGNED,
     Assignment,
     Grid,
@@ -33,6 +34,7 @@ from .geo import (
     StatAreaSet,
     extract_settlements,
     nearest_index,
+    nearest_site_labels,
     nearest_two,
     voronoi_assign,
 )
@@ -181,6 +183,9 @@ class SimConfig:
             if not lo <= getattr(self, name) <= hi:
                 raise ValueError(f"{name} must be in [{lo}, {hi}] (the Hata range), "
                                  f"got {getattr(self, name)}")
+        if max(self.ncols, self.nrows) * self.cell_size_m > COORD_LIMIT_M:
+            raise ValueError(f"grid extent beyond {COORD_LIMIT_M:g} m: "
+                             f"{max(self.ncols, self.nrows)} cells of {self.cell_size_m:g} m")
         if self.ncols % self.block_px or self.nrows % self.block_px:
             raise ValueError(
                 f"grid {self.ncols}x{self.nrows} must tile evenly into "
@@ -420,21 +425,34 @@ def assign_poverty(raster: SettlementRaster, cfg: SimConfig, rng) -> np.ndarray:
 def _kmeans_pp_seeds(x, y, w, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding with population weights: the first centre is drawn
     by weight, each next one by weight times squared distance to the
-    nearest centre so far (by weight alone once every point is a centre)."""
-    n = x.size
-    first = int(rng.choice(n, p=w / w.sum()))
-    cx, cy = [x[first]], [y[first]]
-    d2 = (x - cx[0]) ** 2 + (y - cy[0]) ** 2
+    nearest centre so far (by weight alone once every point is a centre).
+    Each draw is `rng.choice(n, p=p)`'s, unchecked, and every per-point
+    value is computed in place in one of three buffers."""
+    d2, cdf, t = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+
+    def draw(p, tot) -> int:
+        # `rng.choice`'s cdf of p / tot and its one uniform draw
+        np.divide(p, tot, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        np.divide(cdf, cdf[-1], out=cdf)
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
+    def nearer(i: int) -> None:
+        # d2 = min(d2, squared distance to point i), as
+        # `(x - x[i]) ** 2 + (y - y[i]) ** 2` gives it
+        np.square(np.subtract(x, x[i], out=t), out=t)
+        np.square(np.subtract(y, y[i], out=cdf), out=cdf)
+        np.minimum(d2, np.add(t, cdf, out=t), out=d2)
+
+    first = draw(w, w.sum())
+    picks = [first]
+    d2.fill(np.inf)
+    nearer(first)
     for _ in range(1, k):
-        wd = w * d2
-        tot = wd.sum()
-        # `rng.choice(n, p=p)`'s cdf, unchecked
-        wd = (wd / tot if tot > 0 else w / w.sum()).cumsum()
-        idx = int((wd / wd[-1]).searchsorted(rng.random(), side="right"))
-        cx.append(x[idx])
-        cy.append(y[idx])
-        d2 = np.minimum(d2, (x - cx[-1]) ** 2 + (y - cy[-1]) ** 2)
-    return np.array(cx), np.array(cy)
+        tot = np.multiply(w, d2, out=t).sum()
+        picks.append(draw(t, tot) if tot > 0 else draw(w, w.sum()))
+        nearer(picks[-1])
+    return x[picks], y[picks]
 
 
 def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,8 +474,9 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     centres beyond one search block, and results never depend on BLAS
     threading.  The seeding's probabilities and distances die before the
     first step; per point the steps then hold the labels, the two bounds
-    and one scratch array, into which each step writes w * x and then
-    w * y for its centroid sums (the values a held copy would have).
+    (step 0 roots the squared distances in place) and one scratch array,
+    into which each step writes w * x and then w * y for its centroid
+    sums (the values a held copy would have).
     """
     cx, cy = _kmeans_pp_seeds(x, y, w, k, rng)
     # centres stay within the points' hull, so this scales every rounding error
@@ -465,8 +484,9 @@ def _weighted_kmeans(x, y, w, k: int, rng, iters: int) -> tuple[np.ndarray, np.n
     wxy = np.empty(x.size)
     for step in range(iters):
         if step == 0:
-            lab, d2_own, d2_other = nearest_two(x, y, cx, cy)
-            upper, lower = np.sqrt(d2_own), np.sqrt(d2_other)
+            lab, upper, lower = nearest_two(x, y, cx, cy)
+            np.sqrt(upper, out=upper)
+            np.sqrt(lower, out=lower)
         else:
             half = 0.5 * np.sqrt(nearest_two(cx, cy, cx, cy)[2])
             bound = np.maximum(half[lab], lower)
@@ -546,13 +566,11 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
     classes), env derived from served-cluster sizes.
     """
     rng = np.random.default_rng(rng)
-    rows, cols = np.nonzero(raster.settled)  # extract_settlements' order
-    if rows.size == 0:
+    grid = raster.grid
+    pixels = np.flatnonzero(raster.settled)  # extract_settlements' order
+    if pixels.size == 0:
         raise ValueError("cannot place BTS on an empty world")
-    in_urban = urban_block_mask(cfg)[rows, cols]
-    x, y = raster.grid.centers(rows, cols)
-    counts = raster.counts[rows, cols].astype(np.float64)
-    del rows, cols  # not held through the k-means
+    in_urban = urban_block_mask(cfg).reshape(-1)[pixels]
 
     n_urban_bts = max(1, _round_half_up(cfg.population * cfg.urban_share / cfg.urban_pop_per_bts))
     n_rural_bts = max(
@@ -564,25 +582,35 @@ def place_bts(raster: SettlementRaster, cfg: SimConfig, rng) -> tuple[list[Anten
         ("urban", in_urban, n_urban_bts),
         ("rural", ~in_urban, n_rural_bts),
     ):
-        px, py = x[mask_sel], y[mask_sel]
-        w = counts[mask_sel]
-        if px.size == 0:
+        # the region's coordinates and weights live through its k-means
+        # only; beside them the settlements' pixel ids are held
+        sel = pixels[mask_sel]
+        if sel.size == 0:
             continue
+        px, py = grid.centers(*grid.rowcol_of_id(sel))
+        w = raster.counts.reshape(-1)[sel].astype(np.float64)
+        del sel
         k = min(k, px.size)
         cx, cy = _weighted_kmeans(px, py, w, k, rng, cfg.kmeans_iters)
+        del w
         snapped = _snap_to_pixels(cx, cy, px, py)
         sx_parts.append(px[snapped])
         sy_parts.append(py[snapped])
         region.extend([region_name] * k)
+        del px, py
     sx = np.concatenate(sx_parts)
     sy = np.concatenate(sy_parts)
     n = sx.size
     width = max(3, len(str(n - 1)))
     ids = [f"bts_{i:0{width}d}" for i in range(n)]
 
-    # served-cluster sizes over all settlement pixels -> env classes
-    lab = nearest_index(x, y, sx, sy)
-    sizes = np.bincount(lab, minlength=n)
+    # served-cluster sizes over all settlement pixels -> env classes, a
+    # slice of pixels at a time: a pixel's nearest site does not depend on
+    # the others searched with it
+    sizes = np.zeros(n, dtype=np.int64)
+    for lo in range(0, pixels.size, _SAMPLE_SLICE):
+        x, y = grid.centers(*grid.rowcol_of_id(pixels[lo:lo + _SAMPLE_SLICE]))
+        sizes += np.bincount(nearest_index(x, y, sx, sy), minlength=n)
     env = classify_env_by_cluster_size(sizes, cfg.env_urban_quantile, cfg.env_rural_quantile)
 
     h_lo, h_hi = cfg.height_range_m
@@ -608,9 +636,7 @@ def nearest_site_env(grid: Grid, sx, sy, site_env_codes) -> np.ndarray:
     """Full-grid environment labels: each pixel inherits the class of its
     nearest site (ties to the lowest site index).  `build_world` reads
     the same grid off the world's voronoi map."""
-    codes = np.asarray(site_env_codes, dtype=np.uint8)
-    x, y = grid.pixel_centers()
-    return codes[nearest_index(x, y, sx, sy)].reshape(grid.shape)
+    return np.asarray(site_env_codes, dtype=np.uint8)[nearest_site_labels(grid, sx, sy)]
 
 
 def best_server_grid(
@@ -649,10 +675,13 @@ def _tiled_pass(
     (s, k), the set's idw rows from the same links, in set order.
 
     Specs must be sorted by bts_id.  The pass builds its level table with
-    one `level_table` call, and walks the grid in `_TILE` x `_TILE` tiles,
-    skipping a tile with no pixel of the set.  A tile finds its pixels of
-    the set by binary search in the ascending ids, one run per tile row, so
-    no grid-sized map from pixel to set index is built.  The whole walk has
+    one `level_table` call, and walks the grid in bands of `_TILE` rows,
+    each in `_TILE` x `_TILE` tiles, skipping a band or a tile with no
+    pixel of the set.  A band's pixels of the set are a slice of the ids,
+    found by binary search (on the whole grid, the band's own id range, so
+    no grid-sized id array is built), and a tile finds its pixels in its
+    band's slice the same way, one run per tile row, so no grid-sized map
+    from pixel to set index is built either.  The whole walk has
     one rank: idw's k when idw rows are wanted, else 1.  `level_candidates`
     drops, per env code a box holds, each site weaker than the `rank`
     strongest, or dead, at every pixel of the set there, which needs only
@@ -678,30 +707,39 @@ def _tiled_pass(
     sx = np.array([s.x for s in specs], dtype=np.float64)
     sy = np.array([s.y for s in specs], dtype=np.float64)
     env = np.asarray(env_grid, dtype=np.uint8)
-    walked = np.arange(grid.npixels) if pixels is None else pixels
-    labels = np.full(walked.size, UNASSIGNED, dtype=np.int32)
+    size = grid.npixels if pixels is None else pixels.size
+    labels = np.full(size, UNASSIGNED, dtype=np.int32)
     rank = 1
     if idw is not None:
         idw_s, rank = idw
         check_idw(idw_s, rank)
         # per pixel of the set its row's columns and weights, then pads
-        row_col = np.full((walked.size, min(rank, len(specs))), -1, dtype=np.int32)
-        row_w = np.zeros((walked.size, min(rank, len(specs))))
+        row_col = np.full((size, min(rank, len(specs))), -1, dtype=np.int32)
+        row_w = np.zeros((size, min(rank, len(specs))))
     for r0 in range(0, grid.nrows, _TILE):
         rows = np.arange(r0, min(r0 + _TILE, grid.nrows))
+        # the band's pixels of the set, and the index of its first one
+        start, end = r0 * grid.ncols, (r0 + rows.size) * grid.ncols
+        if pixels is None:
+            band = np.arange(start, end)
+        else:
+            start, end = np.searchsorted(pixels, [start, end]).tolist()
+            band = pixels[start:end]
+        if band.size == 0:
+            continue
         for c0 in range(0, grid.ncols, _TILE):
             cols = np.arange(c0, min(c0 + _TILE, grid.ncols))
-            # per tile row, the run of `walked` between its first and last
-            # column; `owner` is each pixel's index in `walked`, in id order
+            # per tile row, the run of `band` between its first and last
+            # column; `owner` is each pixel's index in `band`, in id order
             first = rows * grid.ncols + c0
-            lo = np.searchsorted(walked, first)
-            run = np.searchsorted(walked, first + cols.size) - lo
+            lo = np.searchsorted(band, first)
+            run = np.searchsorted(band, first + cols.size) - lo
             if not run.any():
                 continue
             owner = np.repeat(lo - np.cumsum(run) + run, run) + np.arange(run.sum())
             # the tile's arrays over its pixels of the set only, in id order
             tr = np.repeat(np.arange(rows.size), run)
-            tc = walked[owner] - np.repeat(first, run)
+            tc = band[owner] - np.repeat(first, run)
             xc, yr = grid.centers(rows, cols)
             x, y, codes = xc[tc], yr[tr], env[r0 + tr, c0 + tc]
             # each pixel's cell, row-major over the tile's cells, and each
@@ -735,20 +773,22 @@ def _tiled_pass(
                 # per pixel of the block, its cell's candidates; column-contiguous
                 # for the kernel
                 mask = site_cells[:, cell[block]].T
-                rss = rss_field(near, walked[owner[block]], x[block], y[block], codes[block],
+                rss = rss_field(near, band[owner[block]], x[block], y[block], codes[block],
                                 candidates=mask, rx_height_m=rx_height_m,
                                 dead_threshold_dbm=dead_threshold_dbm)
                 live = rss.live
                 sel = bsa_select_chunk(rss.rss_dbm, live)
-                labels[owner[block]] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
+                at = start + owner[block]
+                labels[at] = np.where(sel >= 0, g_keep[sel], UNASSIGNED)
                 if idw is not None:
                     c, v = idw_rows_chunk(rss.rss_dbm, live, idw_s, rank)
                     # pads map through the appended -1 and stay pads
-                    row_col[owner[block], :c.shape[1]] = np.append(g_keep, -1)[c]
-                    row_w[owner[block], :c.shape[1]] = v
+                    row_col[at, :c.shape[1]] = np.append(g_keep, -1)[c]
+                    row_w[at, :c.shape[1]] = v
     if idw is None:
         return labels, None
-    return labels, PixelWeights(SCHEME_IDW, walked, ids, row_col, row_w)
+    return labels, PixelWeights(SCHEME_IDW, np.arange(size) if pixels is None else pixels,
+                                ids, row_col, row_w)
 
 
 @dataclass
@@ -888,17 +928,27 @@ def area_membership_overlap(
     (-1 = no claim): its own index on a served-pixel map, its host area
     on an area map (p2p), where sites sharing an area each claim all of
     it.  Sites with an empty union are skipped; with `bts_env` the mean
-    is also reported per class.
+    is also reported per class.  The counts are integers, so they are
+    taken one `_TILE`-row band of pixels at a time in any order.
     """
     n = len(truth.bts_ids)
     t_flat = truth.labels.ravel()
     c_flat = claim_labels.ravel()
     keys = _site_keys(claim_key)
     # pixels per label, shifted by 2: no claim's -2 reads slot 0, which no
-    # pixel fills, and a key may label no pixel
-    claimed = np.bincount(c_flat + 2, minlength=keys.max() + 3)
-    inter = np.bincount(t_flat[np.take(keys, t_flat) == c_flat], minlength=n)
-    union = claimed[keys[:-1] + 2] + np.bincount(t_flat + 1, minlength=n + 1)[1:] - inter
+    # pixel fills, and a key may label no pixel (a label no key reads is
+    # not kept); served pixels per site, shifted by 1; and pixels both
+    # claimed and served per site
+    claimed = np.zeros(keys.max() + 3, dtype=np.int64)
+    served = np.zeros(n + 1, dtype=np.int64)
+    inter = np.zeros(n, dtype=np.int64)
+    step = _TILE * truth.grid.ncols
+    for lo in range(0, t_flat.size, step):
+        t, c = t_flat[lo:lo + step], c_flat[lo:lo + step]
+        claimed += np.bincount(c + 2, minlength=claimed.size)[:claimed.size]
+        served += np.bincount(t + 1, minlength=n + 1)
+        inter += np.bincount(t[np.take(keys, t) == c], minlength=n)
+    union = claimed[keys[:-1] + 2] + served[1:] - inter
     # an empty union has an empty intersection, so the clamp only avoids 0/0
     return _class_means(inter / np.maximum(union, 1), union > 0, _site_codes(bts_env))
 
@@ -1069,22 +1119,37 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         for aid in areas.area_ids
     }
     naive_specs = synthesize_naive_specs(points, naive_classes, areas, grid)
-    naive_env_grid = paint_area_env(areas, naive_classes, grid)
-    # two walks: the settlements at idw's rank, the `covmap weights --scheme
-    # idw` walk, whose labels are the bsa rows; then the rest at rank 1.
-    # The two sets partition the grid, so their labels fill the naive map.
-    # The settlement rows are reduced to areas before the second walk, so
-    # they are not held through it or the overlaps.
-    naive = (grid, naive_specs, naive_env_grid, cfg.rx_height_m, cfg.dead_threshold_dbm)
-    naive_sel, pw_idw = _tiled_pass(*naive, settlements.ids, idw=(cfg.idw_s, cfg.idw_k))
-    wm_idw = area_weights_from_pixels(pw_idw, areas, grid)
+    naive = (grid, naive_specs, paint_area_env(areas, naive_classes, grid), cfg.rx_height_m,
+             cfg.dead_threshold_dbm)
+    ids = settlements.ids
+    naive_flat = np.empty(grid.npixels, dtype=np.int32)
+    band_px = _TILE * grid.ncols
+
+    def walk_band(lo: int) -> PixelWeights:
+        """The naive walks of the `_TILE`-row band from pixel id `lo`: its
+        other pixels at rank 1, then its settlements at idw's rank, a run
+        of the ascending ids.  The two sets partition the band, so their
+        labels fill its part of the naive map; returns the settlements'
+        idw rows."""
+        hi = min(lo + band_px, grid.npixels)
+        a, b = np.searchsorted(ids, [lo, hi]).tolist()
+        rest = np.ones(hi - lo, dtype=bool)
+        rest[ids[a:b] - lo] = False
+        rest = lo + np.flatnonzero(rest)
+        naive_flat[rest] = _tiled_pass(*naive, rest)[0]
+        naive_flat[ids[a:b]], pw = _tiled_pass(*naive, ids[a:b], idw=(cfg.idw_s, cfg.idw_k))
+        return pw
+
+    # the reducer takes each band's idw rows as the band is walked, so one
+    # band's rows are held at a time; the settlements' labels are the
+    # `covmap weights --scheme idw` walk's, whose labels are the bsa rows
+    wm_idw = area_weights_from_pixels(map(walk_band, range(0, grid.npixels, band_px)),
+                                      areas, grid)
+    del naive  # the naive env grid is not read past the walks
+    naive_sel = naive_flat[ids]
     wm_bsa = area_weights_from_pixels(
-        bsa_pixel_weights(settlements.ids, pw_idw.bts_ids, naive_sel), areas, grid)
-    del pw_idw
-    rest = np.flatnonzero(~world.raster.settled)
-    naive_labels = np.empty(grid.shape, dtype=np.int32)
-    naive_labels.reshape(-1)[rest] = _tiled_pass(*naive, rest)[0]
-    naive_labels.reshape(-1)[settlements.ids] = naive_sel
+        bsa_pixel_weights(ids, [s.bts_id for s in naive_specs], naive_sel), areas, grid)
+    naive_labels = naive_flat.reshape(grid.shape)
 
     estimates: dict[str, dict[str, float | None]] = {
         "benchmark": _benchmark_estimates(world),

@@ -849,3 +849,31 @@ class TestInputFuzz:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
             assert rc == 0 or (rc == 1 and err.getvalue().startswith("error: ")
                                and str(paths[name]) in err.getvalue()), (argv, err.getvalue())
+
+    # tokens of the tiny config as `io.save_config` writes it, keys sorted:
+    # 3 is cell_size_m, 5 dead_threshold_dbm, 16 idw_s, 60 urban_sigma_m
+    @given(at=st.integers(0, 70) | st.integers(0, 2**32), word=st.sampled_from(_FUZZ_WORDS))
+    @example(at=3, word=b"1e200")  # a grid beyond the coordinate bound
+    @example(at=5, word=b"0")  # a network dead everywhere: covariates are missing
+    @example(at=16, word=b"1e200")  # an idw exponent whose weights underflow
+    @example(at=60, word=b"1e200")  # every urban draw far off the grid
+    @settings(max_examples=40, deadline=None)
+    def test_one_config_token_replaced(self, tmp_path_factory, at, word):
+        """`covmap simulate --config` on a config with one token replaced
+        returns 0, or 1 with an error that names the config file: one the
+        loader refuses, or a round the config's world cannot run."""
+        base = tmp_path_factory.mktemp("config-fuzz")
+        path = base / "cfg.json"
+        io.save_config(path, tiny_config(rounds=1))
+        data = path.read_bytes()
+        tokens = list(_TOKEN.finditer(data))
+        hit = tokens[at % len(tokens)]
+        path.write_bytes(data[:hit.start()] + word + data[hit.end():])
+        err = StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(StringIO()):
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--config", str(path), "--out", str(base / "out")])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+        assert rc == 0 or (rc == 1 and err.getvalue().startswith(f"error: {path}: ")), \
+            err.getvalue()

@@ -24,6 +24,7 @@ from covmap.geo import (
     nearest_two,
     voronoi_assign,
 )
+from conftest import traced_peak
 
 
 def _locate_every_point(areas, x, y):
@@ -323,6 +324,45 @@ class TestVoronoi:
         g2 = Grid(ncols=10, nrows=10, cell_size_m=50.0, origin_x=1000.0, origin_y=-500.0)
         shifted = [(i, x + 1000.0, y - 500.0) for i, x, y in sites]
         assert np.array_equal(voronoi_assign(g1, sites).labels, voronoi_assign(g2, shifted).labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ncols=st.integers(1, 30), nrows=st.integers(1, 30), block=st.integers(1, 200),
+           sites=st.lists(st.tuples(st.integers(-4, 34), st.integers(-4, 34)), min_size=1,
+                          max_size=12))
+    def test_banded_labels_equal_the_dense_search(self, ncols, nrows, block, sites):
+        """Labelled in bands of whole rows, any band size, the map equals
+        one dense argmin over every pixel and site, ties (sites on a
+        half-pixel lattice, twins among them) to the lowest index."""
+        g = Grid(ncols=ncols, nrows=nrows, cell_size_m=20.0, origin_x=-30.0)
+        sx = np.array([-30.0 + 10.0 * a for a, _ in sites])
+        sy = np.array([10.0 * b for _, b in sites])
+        x, y = g.pixel_centers()
+        want = np.argmin((x[:, None] - sx) ** 2 + (y[:, None] - sy) ** 2, axis=1)
+        with patch.object(geo, "_BLOCK_ENTRIES", block):
+            got = geo.nearest_site_labels(g, sx, sy)
+            sites = [(f"s{j:02d}", a, b) for j, (a, b) in enumerate(zip(sx, sy))]
+            assignment = voronoi_assign(g, sites)
+        assert got.dtype == np.int32 and got.shape == g.shape
+        assert got.ravel().tolist() == want.tolist()
+        assert assignment.labels.tobytes() == got.tobytes()
+
+    def test_peak_holds_the_labels_and_one_band(self):
+        """`voronoi_assign` labels the grid one band of `_BLOCK_ENTRIES`
+        pixels at a time, so its traced peak stays under its int32 labels
+        plus 64 B per band pixel (the band's centres, the search's buckets
+        and distance blocks); whole-grid centres alone would take 16 B per
+        grid pixel."""
+        g = Grid(ncols=512, nrows=512, cell_size_m=100.0)
+        rng = np.random.default_rng(5)
+        sites = [(f"s{j:02d}", *rng.uniform(0, 51_200.0, 2)) for j in range(40)]
+        assert g.npixels >= 4 * geo._BLOCK_ENTRIES
+        out = []
+        peak = traced_peak(lambda: out.append(voronoi_assign(g, sites)))
+        bound = 4 * g.npixels + 64 * geo._BLOCK_ENTRIES
+        assert peak < bound, (peak, bound)
+        x, y = g.pixel_centers()
+        sx, sy = np.array([s[1] for s in sites]), np.array([s[2] for s in sites])
+        assert out[0].labels.ravel().tolist() == nearest_index(x, y, sx, sy).tolist()
 
     def test_empty_and_duplicate_sites_rejected(self):
         g = Grid(ncols=2, nrows=2, cell_size_m=10.0)

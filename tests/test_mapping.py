@@ -807,6 +807,52 @@ def test_reducer_bytes_ignore_the_order_within_rows(world, seed):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def _row_blocks(pw: PixelWeights, edges):
+    """`pw`'s rows as consecutive blocks between `edges`, made as they are read."""
+    for a, b in zip(edges, edges[1:]):
+        yield PixelWeights(pw.scheme, pw.pixel_ids[a:b], pw.bts_ids, pw.col[a:b],
+                           None if pw.w is None else pw.w[a:b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=_padded_rows_world(), cuts=st.lists(st.integers(0, 100), max_size=6))
+def test_reducer_sums_consecutive_row_blocks_as_one_pass(world, cuts):
+    """Rows split into consecutive blocks at drawn points, empty blocks
+    among them, and read in order give the area rows of one pass over all
+    of them byte for byte: idw rows with pads and one-hot rows, with
+    pixels outside every area (the spill row) and any reducer block size."""
+    areas, grid, pixel_ids, bts_ids, sel, idw, block = world
+    bsa = bsa_pixel_weights(pixel_ids, bts_ids, np.array(sel, dtype=np.int32))
+    n = len(pixel_ids)
+    edges = [0, *sorted(min(c, n) for c in cuts), n]  # a repeated edge is an empty block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mapping, "_REDUCE_ENTRIES", block)
+        for pw in (idw, bsa):
+            got = area_weights_from_pixels(_row_blocks(pw, edges), areas, grid)
+            want = area_weights_from_pixels(pw, areas, grid)
+            assert got.scheme == want.scheme and got.bts_ids == want.bts_ids
+            for name in ("indptr", "col", "w"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_reducer_blocks_must_be_one_set_of_rows():
+    """Blocks of another scheme or other columns, and no block at all, are
+    refused."""
+    grid = Grid(ncols=2, nrows=1, cell_size_m=10.0)
+    areas = StatAreaSet.from_masks(grid, [("A", np.ones(grid.shape, bool))])
+    one_hot = bsa_pixel_weights([0], ["a", "b"], [1])
+    with pytest.raises(ValueError, match="differ in scheme or bts_ids"):
+        area_weights_from_pixels([one_hot, bsa_pixel_weights([1], ["a"], [0])], areas, grid)
+    with pytest.raises(ValueError, match="differ in scheme or bts_ids"):
+        area_weights_from_pixels([one_hot, bsa_pixel_weights([1], ["a", "b"], [0], "voronoi")],
+                                 areas, grid)
+    with pytest.raises(ValueError, match="no pixel rows"):
+        area_weights_from_pixels(iter([]), areas, grid)
+    wm = area_weights_from_pixels([one_hot, bsa_pixel_weights([1], ["a", "b"], [0])], areas, grid)
+    assert wm.row("A") == {"a": 0.5, "b": 0.5}
+
+
 class TestAggregate:
     def _table(self):
         return CovariateTable(["b1", "b2", "b3"], {"rate": np.array([2.0, 6.0, 4.0])})

@@ -445,11 +445,11 @@ class TestPlaceBts:
             sizes, cfg.env_urban_quantile, cfg.env_rural_quantile
         )
 
-    def test_holds_no_settlement_ids_through_the_kmeans(self):
+    def test_holds_one_id_word_per_settlement_through_the_kmeans(self):
         """Over the peak of its largest k-means, `place_bts` holds at most
-        seven words per settlement (coordinates and counts, and the
-        region's copies of them) and the one-byte urban mask: no
-        settlement ids, rows or cols."""
+        six words per settlement (the settlements' pixel ids, the region's
+        coordinates and counts) and the one-byte urban mask: no
+        coordinates or counts of every settlement, no rows or cols."""
         cfg = SimConfig.desk(seed=1)
         raster = gen_population(cfg, np.random.default_rng(1))
         rows, cols = np.nonzero(raster.settled)
@@ -462,17 +462,18 @@ class TestPlaceBts:
         kmeans = traced_peak(lambda: simulation._weighted_kmeans(
             x, y, w, k, np.random.default_rng(2), cfg.kmeans_iters))
         peak = traced_peak(lambda: place_bts(raster, cfg, np.random.default_rng(2)))
-        bound = kmeans + 7 * 8 * rows.size + cfg.grid.npixels
+        bound = kmeans + 6 * 8 * rows.size + cfg.grid.npixels
         assert peak < bound, (peak, bound)
 
 
 def test_place_bts_peak_per_settlement():
-    """`place_bts` holds at most 19 words per settlement at its peak: the
-    settlements' and the region's coordinates and counts, the k-means
-    labels, bounds and one scratch array for its centroid sums, and
-    `nearest_two`'s per-point buckets.  The seeding draw's probabilities
-    and distances and both weighted coordinates, held through the Lloyd
-    steps, would add about 3 words."""
+    """`place_bts` holds at most 15 words per settlement at its peak: the
+    settlements' pixel ids, the region's coordinates and counts, the
+    k-means labels, bounds and one scratch array for its centroid sums,
+    and `nearest_two`'s per-point buckets; the seeding's three buffers die
+    before them.  Every settlement's coordinates and counts held through
+    the k-means, or step 0's roots taken beside the squared distances,
+    would each add about 2 words."""
     cfg = SimConfig(ncols=300, nrows=300, block_px=100, population=300_000, mask_rect=None,
                     urban_sigma_m=3000.0, rural_sigma_m=5000.0, urban_pop_per_bts=2000.0,
                     rural_pop_per_bts=2000.0)
@@ -480,7 +481,7 @@ def test_place_bts_peak_per_settlement():
     n = int(np.count_nonzero(raster.settled))
     assert n > 0.8 * cfg.grid.npixels
     peak = traced_peak(lambda: place_bts(raster, cfg, np.random.default_rng(2)))
-    bound = 19 * 8 * n + 8 * cfg.grid.npixels
+    bound = 15 * 8 * n + 8 * cfg.grid.npixels
     assert peak < bound, (peak, bound)
 
 
@@ -948,26 +949,66 @@ def test_walk_builds_no_grid_sized_index_map(monkeypatch):
     assert 0.5 < (labels >= 0).mean() < 1.0
 
 
-def test_study_reduces_the_settlement_rows_before_the_rest_walk(monkeypatch):
-    """`_evaluate_round` reduces the settlement walk's idw rows (and its
-    bsa one-hot rows) to area weights right after that walk, so the memory
-    held when the second walk starts exceeds what was held when the first
-    started by less than the rows' own 12 B (an int32 column and a float64
-    weight) per entry."""
-    cfg = SimConfig.desk(seed=1)
+def test_full_grid_walk_holds_no_grid_sized_id_array(monkeypatch):
+    """`best_server_grid` walks every pixel band by band, each band's ids
+    made for that band alone, so its traced peak stays under its int32
+    label map, one band's int64 ids and the largest traced peak of a walk
+    over one band's given ids.  An int64 id per grid pixel held through
+    the walk would break it."""
+    monkeypatch.setattr(simulation, "_TILE", 128)
+    grid = Grid(ncols=384, nrows=384, cell_size_m=100.0)
+    specs = [AntennaSpec(f"s{j}", fx * 38400.0, fy * 38400.0, 30.0, 900.0, 47.0)
+             for j, (fx, fy) in enumerate([(0.2, 0.3), (0.7, 0.2), (0.5, 0.8), (0.9, 0.9)])]
+    env = np.random.default_rng(2).integers(0, 3, grid.shape).astype(np.uint8)
+    band_px = simulation._TILE * grid.ncols
+    bands = [np.arange(lo, lo + band_px) for lo in range(0, grid.npixels, band_px)]
+    assert len(bands) == 3
+    one_band = max(traced_peak(lambda: simulation._tiled_pass(grid, specs, env, 1.0, -110.0, ids))
+                   for ids in bands)
+    out = []
+    peak = traced_peak(lambda: out.append(best_server_grid(grid, specs, env, 1.0, -110.0)))
+    bound = one_band + 4 * grid.npixels + 8 * band_px
+    assert peak < bound, (peak, bound)
+    want = np.concatenate([simulation._tiled_pass(grid, specs, env, 1.0, -110.0, ids)[0]
+                           for ids in bands])
+    assert out[0].labels.tobytes() == want.tobytes()
+    assert 0.5 < (want >= 0).mean() < 1.0
+
+
+def test_study_holds_one_band_of_settlement_rows(monkeypatch):
+    """`_evaluate_round` walks the settlements one `_TILE`-row band at a
+    time and the reducer sums each band's idw rows before the next band is
+    walked, so when any walk returns, the memory held beyond what was held
+    when the first walk started is at most one band's rows (12 B per
+    entry: an int32 column and a float64 weight), their labels and the
+    band's other pixels' ids and mask, never the whole set's rows."""
+    cfg = SimConfig(ncols=384, nrows=384, block_px=128, population=300_000, mask_rect=None,
+                    urban_sigma_m=4000.0, rural_sigma_m=6000.0, seed=1)
     world = build_world(cfg, 0)
     walk = simulation._tiled_pass
-    held = []
+    held, idw_sets = [], []
 
-    def recording(*args, **kwargs):
+    def recording(*args, idw=None):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+        out = walk(*args, idw=idw)
         held.append(tracemalloc.get_traced_memory()[0])
-        return walk(*args, **kwargs)
+        if idw is not None:
+            idw_sets.append(args[5])
+        return out
 
     monkeypatch.setattr(simulation, "_tiled_pass", recording)
     traced_peak(lambda: simulation._evaluate_round(world, 0))
-    assert len(held) == 2
-    rows = 12 * cfg.idw_k * len(world.settlements)
-    assert held[1] - held[0] < rows, (held[1] - held[0], rows)
+    ids, band_px = world.settlements.ids, simulation._TILE * cfg.ncols
+    bands = np.searchsorted(ids, np.arange(0, cfg.grid.npixels + band_px, band_px))
+    per_band = np.diff(bands)
+    assert len(idw_sets) == per_band.size == 3
+    assert np.concatenate(idw_sets).tobytes() == ids.tobytes()
+    one_band = (12 * cfg.idw_k + 4) * per_band.max() + 9 * band_px
+    whole = (12 * cfg.idw_k + 4) * len(world.settlements)
+    assert one_band < 0.6 * whole
+    grown = max(held) - held[0]
+    assert grown < one_band, (grown, one_band)
 
 
 @pytest.mark.parametrize("idw, match", [((-1.0, 5), "exponent s"), ((2.0, 0), "k must be")])
@@ -1440,10 +1481,12 @@ def test_a_walk_over_any_id_subset_returns_the_full_walk_at_its_ids(layout, shar
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), s=st.sampled_from([0.0, 1.0, 2.5]))
-def test_study_idw_rows_equal_the_settlement_pass(seed, k, s):
-    """A round walks the naive links twice, the settlements with idw rows,
-    then the other pixels at rank 1.  Its idw rows equal those of
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), s=st.sampled_from([0.0, 1.0, 2.5]),
+       tile=st.sampled_from([16, simulation._TILE]))
+def test_study_idw_rows_equal_the_settlement_pass(seed, k, s, tile):
+    """A round walks the naive links in `_TILE`-row bands, each band's
+    other pixels at rank 1, then its settlements, a run of the ascending
+    ids, with idw rows.  The bands' idw rows, in order, equal those of
     `settlement_pixel_weights` (the `covmap weights --scheme idw` pass) on
     the same specs and env grid byte for byte, for k from 1 to 12 on
     about 20 sites, and its naive map equals the full-grid best-server map."""
@@ -1458,25 +1501,37 @@ def test_study_idw_rows_equal_the_settlement_pass(seed, k, s):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_TILE", tile)
         mp.setattr(simulation, "_tiled_pass", recording)
         _, world = simulate_round(cfg, 0, return_world=True)
     assert len(world.specs) == 20
-    (true_args, true_idw, _), (args, idw, (sel, pw)), (rest_args, rest_idw, (rest, _)) = walks
+    (true_args, true_idw, _), *naive_walks = walks
     assert len(true_args) == 5 and true_idw is None
-    *walk, pixels = args
-    assert pixels is world.settlements.ids and idw == (s, k)
-    assert all(a is b for a, b in zip(rest_args, walk)) and rest_idw is None
-    assert rest_args[5].tobytes() == np.flatnonzero(~world.raster.settled).tobytes()
+    bands = -(-cfg.nrows // tile)
+    assert len(naive_walks) == 2 * bands
+    walk = naive_walks[0][0][:5]
     grid, naive_specs, naive_env, rx, dead = walk
+    naive = np.full(grid.npixels, -2, np.int64)
+    rows = []
+    for i, (args, idw, (labels, pw)) in enumerate(naive_walks):
+        assert all(a is b for a, b in zip(args, walk))
+        pixels = args[5]
+        # a rank-1 walk of a band's other pixels, then an idw walk of its settlements
+        assert (idw is None) == (i % 2 == 0) and (idw is None or idw == (s, k))
+        band = i // 2 * tile * cfg.ncols
+        assert pixels.size == 0 or band <= pixels[0] <= pixels[-1] < band + tile * cfg.ncols
+        assert np.all(naive[pixels] == -2)
+        naive[pixels] = labels
+        if idw is not None:
+            rows.append(pw)
+    assert np.flatnonzero(naive == -2).size == 0
     want = settlement_pixel_weights(world.settlements, naive_specs, naive_env, rx_height_m=rx,
                                     dead_threshold_dbm=dead, idw=(s, k))
     for name in ("pixel_ids", "col", "w"):
-        assert getattr(pw, name).tobytes() == getattr(want, name).tobytes(), name
-    naive = np.empty(grid.npixels, np.int32)
-    naive[pixels] = sel
-    naive[rest_args[5]] = rest
+        got = np.concatenate([getattr(pw, name) for pw in rows])
+        assert got.tobytes() == getattr(want, name).tobytes(), name
     full = best_server_grid(grid, naive_specs, naive_env, rx, dead)
-    assert naive.tobytes() == full.labels.tobytes()
+    assert naive.tobytes() == full.labels.astype(np.int64).tobytes()
 
 
 def test_idw_rows_come_from_the_live_sites_alone():
@@ -1540,10 +1595,11 @@ def test_only_the_walker_calls_the_kernels():
 def test_three_callers_of_the_walker():
     """Every walk is one pixel set at one rank: the full grid at rank 1
     (`best_server_grid`), the settlements (`settlement_pixel_weights`)
-    and the study's two naive walks (`_evaluate_round`)."""
+    and the study's two naive walks per band (`_evaluate_round`, through
+    its nested `walk_band`, which the scan lists under both names)."""
     assert _package_callers("_tiled_pass") == {"_tiled_pass": {
         "simulation.best_server_grid", "simulation.settlement_pixel_weights",
-        "simulation._evaluate_round",
+        "simulation._evaluate_round", "simulation.walk_band",
     }}
 
 
