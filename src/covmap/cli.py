@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from covmap import io
-from covmap.geo import AreaOverlapError, extract_settlements, voronoi_assign
+from covmap.geo import AreaOverlapError, extract_settlements, row_bands, voronoi_assign
 from covmap.mapping import (
     aggregate,
     area_weights_from_pixels,
@@ -75,12 +75,15 @@ def _load_env_grid(path, grid, raster_path) -> np.ndarray:
         raise ValueError(f"{path}: environment grid does not match the grid of {raster_path}")
     if mask is not None:
         raise ValueError(f"{path}: environment grid must not contain NODATA cells")
-    # check the float values: casting one far out of range first would warn
-    if not np.isin(values, (0.0, 1.0, 2.0)).all():
-        raise ValueError(
-            f"{path}: environment codes must be integers 0 (urban), 1 (suburban), 2 (rural)"
-        )
-    return values.astype(np.uint8)
+    codes = np.empty(grid.shape, dtype=np.uint8)
+    for rows in row_bands(grid):
+        # check the float values: casting one far out of range first would warn
+        if not np.isin(values[rows], (0.0, 1.0, 2.0)).all():
+            raise ValueError(
+                f"{path}: environment codes must be integers 0 (urban), 1 (suburban), 2 (rural)"
+            )
+        codes[rows] = values[rows]
+    return codes
 
 
 def _link_inputs(args, bts: io.BtsFile, areas, grid) -> tuple[list, np.ndarray]:
@@ -189,15 +192,11 @@ def cmd_simulate(args) -> int:
         world = build_world(cfg, 0)
         labels = world.coverage.assignment.labels
         extra["snapshot_settlements.asc"] = io.ascii_grid_string(
-            world.raster.counts.astype(np.float64), cfg.grid, world.raster.nodata
+            world.raster.counts, cfg.grid, world.raster.nodata
         )
         extra["snapshot_bts.csv"] = io.bts_csv_string(world.specs)
-        extra["snapshot_env.asc"] = io.ascii_grid_string(
-            world.env_grid.astype(np.float64), cfg.grid
-        )
-        extra["snapshot_coverage.asc"] = io.ascii_grid_string(
-            labels.astype(np.float64), cfg.grid, labels < 0
-        )
+        extra["snapshot_env.asc"] = io.ascii_grid_string(world.env_grid, cfg.grid)
+        extra["snapshot_coverage.asc"] = io.ascii_grid_string(labels, cfg.grid, labels < 0)
         extra["snapshot_covariates.csv"] = io.covariates_csv_string(world.covariates)
 
     manifest = io.save_outputs(
@@ -229,7 +228,7 @@ def cmd_coverage(args) -> int:
     io.save_outputs(
         args.out,
         extra={
-            "coverage.asc": io.ascii_grid_string(labels.astype(np.float64), grid, dead),
+            "coverage.asc": io.ascii_grid_string(labels, grid, dead),
             "servers.csv": io._csv_text("label,bts_id,pixels", servers),
         },
     )
@@ -258,6 +257,7 @@ def cmd_weights(args) -> int:
     else:
         specs, env2d = _link_inputs(args, bts, areas, grid)
         settlements = extract_settlements(raster)
+        del raster  # the walk reads the settlements, not the grid of counts
         params["dead_threshold_dbm"] = args.threshold
         idw = None
         if args.scheme == "idw":

@@ -84,10 +84,6 @@ class Grid:
         bad = (c < 0) | (c >= self.ncols) | (r < 0) | (r >= self.nrows)
         return np.where(bad, UNASSIGNED, r), np.where(bad, UNASSIGNED, c)
 
-    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centre coordinates (m) of every pixel, flat in pixel-id order."""
-        return self.centers(*self.rowcol_of_id(np.arange(self.npixels)))
-
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the grid footprint."""
         return (
@@ -96,6 +92,14 @@ class Grid:
             self.origin_x + self.ncols * self.cell_size_m,
             self.origin_y + self.nrows * self.cell_size_m,
         )
+
+
+def row_bands(grid: Grid):
+    """Slices of whole rows that cover the grid in order, about
+    `_BLOCK_ENTRIES` pixels each (at least one row): the band a
+    full-grid pass holds its temporaries to."""
+    step = max(1, _BLOCK_ENTRIES // grid.ncols)
+    return (slice(r0, min(r0 + step, grid.nrows)) for r0 in range(0, grid.nrows, step))
 
 
 @dataclass
@@ -116,9 +120,11 @@ class SettlementRaster:
             self.nodata = np.asarray(self.nodata, dtype=bool)
             if self.nodata.shape != self.grid.shape:
                 raise ValueError("nodata mask shape does not match grid")
-        valid = self.counts[~self.nodata]
-        if valid.size and (np.any(~np.isfinite(valid.astype(np.float64))) or np.any(valid < 0)):
-            raise ValueError("settlement counts must be finite and non-negative")
+        for rows in row_bands(self.grid):
+            c = self.counts[rows]
+            bad = ~np.isfinite(c.astype(np.float64)) | (c < 0)
+            if np.any(bad & ~self.nodata[rows]):
+                raise ValueError("settlement counts must be finite and non-negative")
 
     @property
     def settled(self) -> np.ndarray:
@@ -305,19 +311,17 @@ def voronoi_assign(grid: Grid, sites) -> Assignment:
 def nearest_site_labels(grid: Grid, sx, sy) -> np.ndarray:
     """Index of the nearest site at every pixel, as an int32 grid map.
 
-    The grid is searched in bands of whole rows, about `_BLOCK_ENTRIES`
-    pixels each (at least one row): each band's centres are built from
-    its rows and the grid's columns and go to `nearest_index`, whose
-    labels do not depend on which other points share a call, so they
-    equal one dense search's, ties to the lowest site index.  Beyond the
-    labels, no array is longer than a band."""
+    The grid is searched in `row_bands`: each band's centres are built
+    from its rows and the grid's columns and go to `nearest_index`,
+    whose labels do not depend on which other points share a call, so
+    they equal one dense search's, ties to the lowest site index.
+    Beyond the labels, no array is longer than a band."""
     labels = np.empty(grid.shape, dtype=np.int32)
-    step = max(1, _BLOCK_ENTRIES // grid.ncols)
     xc = grid.centers(0, np.arange(grid.ncols))[0]
-    for r0 in range(0, grid.nrows, step):
-        yr = grid.centers(np.arange(r0, min(r0 + step, grid.nrows)), 0)[1]
+    for rows in row_bands(grid):
+        yr = grid.centers(np.arange(rows.start, rows.stop), 0)[1]
         x, y = np.broadcast_arrays(xc, yr[:, None])
-        labels[r0:r0 + yr.size] = nearest_index(x, y, sx, sy).reshape(y.shape)
+        labels[rows] = nearest_index(x, y, sx, sy).reshape(y.shape)
     return labels
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geo import COORD_LIMIT_M, Grid, SettlementRaster, StatAreaSet
+from .geo import COORD_LIMIT_M, Grid, SettlementRaster, StatAreaSet, row_bands
 from .mapping import CovariateTable, WeightMatrix, sorted_csr
 from .propagation import AntennaSpec
 from .simulation import SimConfig
@@ -111,51 +111,76 @@ def ascii_grid_string(
     nodata_mask: np.ndarray | None = None,
     nodata_value: float = NODATA_DEFAULT,
 ) -> str:
-    """Render an array as an ESRI ASCII grid (row 0 = north).
+    """Render a real array as an ESRI ASCII grid (row 0 = north).
 
-    Each cell is `fmt12` of its value (of `nodata_value` under the mask),
-    cells are space-separated and every line ends in LF.  Each distinct
-    value is formatted once and its word gathered per cell.  A cell that
-    would not load back (NaN or infinite outside the mask, or a
-    non-finite `nodata_value`) is a ValueError.
+    Each cell is `fmt12` of its value as float64 (of `nodata_value`
+    under the mask), cells are space-separated and every line ends in
+    LF.  Each distinct value is formatted once and its word gathered per
+    cell.  A cell that would not load back (NaN or infinite outside the
+    mask, or a non-finite `nodata_value`) is a ValueError naming its row
+    and column.
     """
-    values = np.asarray(values, dtype=np.float64)
+    return str(_ascii_grid_bytes(values, grid, nodata_mask, nodata_value), "ascii")
+
+
+def save_ascii_grid(path, values, grid: Grid, nodata_mask=None,
+                    nodata_value: float = NODATA_DEFAULT) -> None:
+    Path(path).write_bytes(_ascii_grid_bytes(values, grid, nodata_mask, nodata_value))
+
+
+def _ascii_grid_bytes(values, grid: Grid, nodata_mask, nodata_value: float) -> np.ndarray:
+    """`ascii_grid_string`'s text as a uint8 array, built in two passes
+    over `row_bands`, so beyond the text and the distinct values no
+    array is longer than a band: the first casts, masks and checks each
+    band and counts its distinct values, which size the text; the second
+    gathers each band's words into it."""
+    values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
     if not math.isfinite(nodata_value):
         raise ValueError(f"nodata_value must be finite, got {nodata_value!r}")
-    body = values if nodata_mask is None else np.where(nodata_mask, nodata_value, values)
-    bad = ~np.isfinite(body)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite cell {float(body[r, c])!r} at row {r}, column {c} "
-                         "outside the nodata mask")
-    header = [
+    mask = None if nodata_mask is None else np.broadcast_to(nodata_mask, grid.shape)
+
+    def body(rows: slice) -> np.ndarray:
+        band = values[rows].astype(np.float64)
+        return band if mask is None else np.where(mask[rows], nodata_value, band)
+
+    seen = []  # each band's distinct values and their counts
+    for rows in row_bands(grid):
+        band = body(rows)
+        bad = ~np.isfinite(band)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise ValueError(f"non-finite cell {float(band[r, c])!r} at row {rows.start + r}, "
+                             f"column {c} outside the nodata mask")
+        seen.append(np.unique(band, return_counts=True))
+    header = "\n".join([
         f"ncols {grid.ncols}",
         f"nrows {grid.nrows}",
         f"xllcorner {fmt12(grid.origin_x)}",
         f"yllcorner {fmt12(grid.origin_y)}",
         f"cellsize {fmt12(grid.cell_size_m)}",
         f"NODATA_value {fmt12(nodata_value)}",
-    ]
+    ]) + "\n"
     # each distinct value's word and separator, NUL-padded to one width
-    uniq, inv = np.unique(body, return_inverse=True)
+    uniq = np.unique(np.concatenate([u for u, _ in seen]))
     words = np.array([fmt12(v) + " " for v in uniq.tolist()], dtype=np.bytes_)
     table = words.view(np.uint8).reshape(uniq.size, words.itemsize)
-    inv = inv.reshape(body.shape)
-    cells = table[inv]
-    # each row's last separator ends the line
-    sep = np.count_nonzero(table, axis=1) - 1
-    cells[np.arange(grid.nrows), -1, sep[inv[:, -1]]] = ord("\n")
-    text = cells.ravel()
-    return "\n".join(header) + "\n" + text[text != 0].tobytes().decode("ascii")
-
-
-def save_ascii_grid(path, values, grid: Grid, nodata_mask=None,
-                    nodata_value: float = NODATA_DEFAULT) -> None:
-    Path(path).write_text(
-        ascii_grid_string(values, grid, nodata_mask, nodata_value), encoding="utf-8"
-    )
+    width = np.count_nonzero(table, axis=1)
+    out = np.empty(len(header) + sum(int(width[np.searchsorted(uniq, u)] @ n) for u, n in seen),
+                   dtype=np.uint8)
+    out[:len(header)] = np.frombuffer(header.encode("ascii"), dtype=np.uint8)
+    end = len(header)
+    for rows in row_bands(grid):
+        inv = np.searchsorted(uniq, body(rows))
+        cells = table[inv]
+        # each row's last separator ends the line
+        cells[np.arange(inv.shape[0]), -1, width[inv[:, -1]] - 1] = ord("\n")
+        text = cells.ravel()
+        text = text[text != 0]
+        out[end:end + text.size] = text
+        end += text.size
+    return out
 
 
 def load_ascii_grid(path) -> tuple[np.ndarray, Grid, np.ndarray | None, float]:
@@ -248,20 +273,23 @@ def _is_float(s: str) -> bool:
 
 
 def load_raster(path) -> SettlementRaster:
-    """Load a settlement-count raster; NODATA cells count as uninhabited."""
+    """Load a settlement-count raster; NODATA cells count as uninhabited.
+    The counts are checked and cast one `row_bands` band at a time."""
     values, grid, mask, _ = load_ascii_grid(path)
-    body = values if mask is None else np.where(mask, 0.0, values)
-    bad = (body != np.floor(body)) | (body < 0) | (body >= 2.0**63)
-    if bad.any():
-        raise _err(path, None, "settlement counts must be non-negative integers below 2^63 "
-                               f"(data row {np.argwhere(bad)[0][0] + 1})")
-    return SettlementRaster(grid, body.astype(np.int64), nodata=mask)
+    counts = np.empty(grid.shape, dtype=np.int64)
+    for rows in row_bands(grid):
+        band = values[rows] if mask is None else np.where(mask[rows], 0.0, values[rows])
+        bad = (band != np.floor(band)) | (band < 0) | (band >= 2.0**63)
+        if bad.any():
+            raise _err(path, None, "settlement counts must be non-negative integers below 2^63 "
+                                   f"(data row {rows.start + np.argwhere(bad)[0][0] + 1})")
+        counts[rows] = band
+    return SettlementRaster(grid, counts, nodata=mask)
 
 
 def save_raster(path, raster: SettlementRaster,
                 nodata_value: float = NODATA_DEFAULT) -> None:
-    save_ascii_grid(path, raster.counts.astype(np.float64), raster.grid,
-                    raster.nodata, nodata_value)
+    save_ascii_grid(path, raster.counts, raster.grid, raster.nodata, nodata_value)
 
 
 # --- CSV tables --------------------------------------------------------------

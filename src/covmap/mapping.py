@@ -176,11 +176,6 @@ class PixelWeights:
     def covered(self) -> np.ndarray:
         return np.any(self.col[:, :1] >= 0, axis=1)
 
-    def row(self, i: int) -> dict[str, float]:
-        cols = self.col[i][self.col[i] >= 0].tolist()
-        w = [1.0] * len(cols) if self.w is None else self.w[i, :len(cols)].tolist()
-        return {self.bts_ids[c]: v for c, v in zip(cols, w)}
-
 
 @dataclass
 class CovariateTable:

@@ -913,13 +913,26 @@ def geographic_overlap(
         raise ValueError("assignments cover different bts_id sets")
     if est.labels.shape != truth.labels.shape:
         raise ValueError("assignments cover different grids")
-    return area_membership_overlap(est.labels, np.arange(len(est.bts_ids)), truth, bts_env)
+    return area_membership_overlap(est.labels, np.arange(len(est.bts_ids)), truth,
+                                   served_pixels(truth), bts_env)
+
+
+def served_pixels(truth: Assignment) -> np.ndarray:
+    """Pixels each site serves on `truth`, counted one `_TILE`-row band
+    at a time (shifted by 1, so unserved pixels fill a dropped slot)."""
+    t_flat = truth.labels.ravel()
+    served = np.zeros(len(truth.bts_ids) + 1, dtype=np.int64)
+    step = _TILE * truth.grid.ncols
+    for lo in range(0, t_flat.size, step):
+        served += np.bincount(t_flat[lo:lo + step] + 1, minlength=served.size)
+    return served[1:]
 
 
 def area_membership_overlap(
     claim_labels: np.ndarray,
     claim_key: np.ndarray,
     truth: Assignment,
+    served: np.ndarray,
     bts_env: list[str] | None = None,
 ) -> dict[str, float]:
     """Mean per-site intersection-over-union of claimed and served pixels.
@@ -927,9 +940,11 @@ def area_membership_overlap(
     Site j claims the pixels of `claim_labels` equal to `claim_key[j]`
     (-1 = no claim): its own index on a served-pixel map, its host area
     on an area map (p2p), where sites sharing an area each claim all of
-    it.  Sites with an empty union are skipped; with `bts_env` the mean
-    is also reported per class.  The counts are integers, so they are
-    taken one `_TILE`-row band of pixels at a time in any order.
+    it.  `served` is `served_pixels(truth)`, which a round counts once
+    for all its claims.  Sites with an empty union are skipped; with
+    `bts_env` the mean is also reported per class.  The counts are
+    integers, so they are taken one `_TILE`-row band of pixels at a time
+    in any order.
     """
     n = len(truth.bts_ids)
     t_flat = truth.labels.ravel()
@@ -937,18 +952,15 @@ def area_membership_overlap(
     keys = _site_keys(claim_key)
     # pixels per label, shifted by 2: no claim's -2 reads slot 0, which no
     # pixel fills, and a key may label no pixel (a label no key reads is
-    # not kept); served pixels per site, shifted by 1; and pixels both
-    # claimed and served per site
+    # not kept); and pixels both claimed and served per site
     claimed = np.zeros(keys.max() + 3, dtype=np.int64)
-    served = np.zeros(n + 1, dtype=np.int64)
     inter = np.zeros(n, dtype=np.int64)
     step = _TILE * truth.grid.ncols
     for lo in range(0, t_flat.size, step):
         t, c = t_flat[lo:lo + step], c_flat[lo:lo + step]
         claimed += np.bincount(c + 2, minlength=claimed.size)[:claimed.size]
-        served += np.bincount(t + 1, minlength=n + 1)
         inter += np.bincount(t[np.take(keys, t) == c], minlength=n)
-    union = claimed[keys[:-1] + 2] + served[1:] - inter
+    union = claimed[keys[:-1] + 2] + served - inter
     # an empty union has an empty intersection, so the clamp only avoids 0/0
     return _class_means(inter / np.maximum(union, 1), union > 0, _site_codes(bts_env))
 
@@ -1172,8 +1184,9 @@ def _evaluate_round(world: SyntheticWorld, round_index: int) -> list[tuple]:
         "voronoi": (vor.labels, vor.labels.reshape(-1)[settlements.ids], own),
         "hata_bsa": (naive_labels, naive_sel, own),
     }
+    served = served_pixels(truth)
     overlaps = {
-        scheme: (area_membership_overlap(labels, key, truth, world.bts_env),
+        scheme: (area_membership_overlap(labels, key, truth, served, world.bts_env),
                  settlement_overlap(at, key, true_server, settle_group))
         for scheme, (labels, at, key) in claims.items()
     }

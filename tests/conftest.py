@@ -3,6 +3,8 @@
 import gc
 import tracemalloc
 
+import numpy as np
+
 
 def traced_peak(fn) -> int:
     """Bytes `fn()` allocated at its peak, above what was allocated when
@@ -27,3 +29,8 @@ def traced_held(fn) -> int:
         return tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
+
+
+def pixel_centers(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Centre coordinates (m) of every pixel of `grid`, flat in pixel-id order."""
+    return grid.centers(*grid.rowcol_of_id(np.arange(grid.npixels)))

@@ -1,14 +1,17 @@
 """The vectorised ESRI ASCII grid writer and loader against test-local
-copies of the per-cell ones they replaced: the same bytes, the same
-values, masks and errors."""
+copies of the per-cell ones they replaced, and the banded writer against
+a copy of the whole-grid one before it: the same bytes, the same values,
+masks and errors."""
 
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmap import geo
 from covmap.geo import Grid
 from covmap.io import NODATA_DEFAULT, ascii_grid_string, fmt12, load_ascii_grid, save_ascii_grid
 
@@ -154,6 +157,75 @@ def test_writer_bytes_equal_the_per_cell_writer(case):
     values, grid, mask, nodata = case
     assert ascii_grid_string(values, grid, mask, nodata) == _old_ascii_grid_string(
         values, grid, mask, nodata)
+
+
+def _whole_grid_ascii_grid_string(values, grid, nodata_mask=None, nodata_value=NODATA_DEFAULT):
+    """The vectorised writer before it went band by band: one float64
+    copy of the grid, masked, and one `np.unique` over it."""
+    values = np.asarray(values, dtype=np.float64)
+    header = [
+        f"ncols {grid.ncols}",
+        f"nrows {grid.nrows}",
+        f"xllcorner {fmt12(grid.origin_x)}",
+        f"yllcorner {fmt12(grid.origin_y)}",
+        f"cellsize {fmt12(grid.cell_size_m)}",
+        f"NODATA_value {fmt12(nodata_value)}",
+    ]
+    body = values if nodata_mask is None else np.where(nodata_mask, nodata_value, values)
+    uniq, inv = np.unique(body, return_inverse=True)
+    words = np.array([fmt12(v) + " " for v in uniq.tolist()], dtype=np.bytes_)
+    table = words.view(np.uint8).reshape(uniq.size, words.itemsize)
+    inv = inv.reshape(body.shape)
+    cells = table[inv]
+    sep = np.count_nonzero(table, axis=1) - 1
+    cells[np.arange(grid.nrows), -1, sep[inv[:, -1]]] = ord("\n")
+    text = cells.ravel()
+    return "\n".join(header) + "\n" + text[text != 0].tobytes().decode("ascii")
+
+
+# words of one to 19 characters (0, 7, -0.5, 123456, 1e-07, -1.23456789012e+15, ...)
+_POOLS = {
+    np.int64: [0, 7, -12, 123456, 2**53 + 1, -(2**62), 2**63 - 1],
+    np.int32: [0, 1, -1, 99, 2**31 - 1, -(2**31)],
+    np.uint8: [0, 1, 2, 9, 10, 255],
+    np.float64: [0.0, -0.0, 7.0, -0.5, 1e-7, 123456.0, -1.234567890123e15, 2.0**63, 5e-324],
+}
+
+
+@st.composite
+def _banded_grids(draw):
+    dtype = draw(st.sampled_from(sorted(_POOLS, key=lambda t: t.__name__)))
+    nrows, ncols = draw(st.integers(1, 13)), draw(st.integers(1, 9))
+    pool = draw(st.lists(st.sampled_from(_POOLS[dtype]), min_size=1, max_size=5))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=nrows * ncols,
+                                    max_size=nrows * ncols)), dtype=dtype).reshape(nrows, ncols)
+    mask = None
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=values.size,
+                                      max_size=values.size))).reshape(values.shape)
+        if dtype is np.float64:
+            values[mask] = draw(st.sampled_from([np.nan, np.inf, 3.0]))
+    nodata = draw(st.sampled_from([NODATA_DEFAULT, 0.0, 7.0, 1e-7]))
+    # a band of 1..ncols * nrows + 1 pixels: one-row bands when it is
+    # below ncols, and rows that its band height does not divide
+    block = draw(st.integers(1, ncols * nrows + 1))
+    return values, Grid(ncols=ncols, nrows=nrows, cell_size_m=100.0), mask, nodata, block
+
+
+@given(_banded_grids())
+@example((np.arange(12, dtype=np.int64).reshape(4, 3) * 1000,
+          Grid(ncols=3, nrows=4, cell_size_m=1.0), None, NODATA_DEFAULT, 7))
+@example((np.array([[1, 200], [3, 4], [5, 255], [7, 8], [9, 0]], dtype=np.uint8),
+          Grid(ncols=2, nrows=5, cell_size_m=1.0),
+          np.array([[0, 1], [0, 0], [1, 0], [0, 0], [0, 1]], dtype=bool), 0.0, 1))
+@settings(max_examples=300, deadline=None)
+def test_banded_writer_bytes_equal_the_whole_grid_writer(case):
+    """Any band height, any real input dtype, masks and mixed word widths:
+    the banded writer's bytes equal the whole-grid writer's."""
+    values, grid, mask, nodata, block = case
+    want = _whole_grid_ascii_grid_string(values, grid, mask, nodata)
+    with patch.object(geo, "_BLOCK_ENTRIES", block):
+        assert ascii_grid_string(values, grid, mask, nodata) == want
 
 
 @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])

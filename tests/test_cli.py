@@ -670,9 +670,27 @@ class TestGoldenDigests:
         "bsa": "3efd3b8d9bd2029f675fec77b737cddfa62ff97fb83e4717a780b7283c67d129",
         "idw": "347b1feb241062300682cb5998311567fe7f1d23feca62b7e75d7ef783f42036",
     }
+    RASTERS = {
+        "snapshot_settlements.asc":
+            "4d1fe8632390dc16ee00cf4948b07ec378db7630d6a749ee613e74b15d4c893a",
+        "snapshot_env.asc": "caa3e9ef365a14f8c18816d12b004610ea5874dbfd05da9be12dadc5b7446708",
+        "snapshot_coverage.asc":
+            "d1422185fbb8410507fa0985a3d5a9623e5f1fe363ab11c7986ae858745c0306",
+    }
 
     def test_study(self, study):
         assert {n: sha256_of(study / n) for n in self.STUDY} == self.STUDY
+
+    def test_written_rasters(self, study, tmp_path):
+        """The snapshot's three grids, and `covmap coverage` on the
+        snapshot's inputs, which writes the snapshot's coverage map."""
+        assert {n: sha256_of(study / n) for n in self.RASTERS} == self.RASTERS
+        assert main(["coverage", "--bts", str(study / "snapshot_bts.csv"),
+                     "--raster", str(study / "snapshot_settlements.asc"),
+                     "--aux", str(study / "snapshot_env.asc"),
+                     "--out", str(tmp_path / "cov")]) == 0
+        assert sha256_of(tmp_path / "cov" / "coverage.asc") == (
+            "d1422185fbb8410507fa0985a3d5a9623e5f1fe363ab11c7986ae858745c0306")
 
     def test_two_round_desk_study(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -24,7 +24,7 @@ from covmap.geo import (
     nearest_two,
     voronoi_assign,
 )
-from conftest import traced_peak
+from conftest import pixel_centers, traced_peak
 
 
 def _locate_every_point(areas, x, y):
@@ -336,7 +336,7 @@ class TestVoronoi:
         g = Grid(ncols=ncols, nrows=nrows, cell_size_m=20.0, origin_x=-30.0)
         sx = np.array([-30.0 + 10.0 * a for a, _ in sites])
         sy = np.array([10.0 * b for _, b in sites])
-        x, y = g.pixel_centers()
+        x, y = pixel_centers(g)
         want = np.argmin((x[:, None] - sx) ** 2 + (y[:, None] - sy) ** 2, axis=1)
         with patch.object(geo, "_BLOCK_ENTRIES", block):
             got = geo.nearest_site_labels(g, sx, sy)
@@ -360,7 +360,7 @@ class TestVoronoi:
         peak = traced_peak(lambda: out.append(voronoi_assign(g, sites)))
         bound = 4 * g.npixels + 64 * geo._BLOCK_ENTRIES
         assert peak < bound, (peak, bound)
-        x, y = g.pixel_centers()
+        x, y = pixel_centers(g)
         sx, sy = np.array([s[1] for s in sites]), np.array([s[2] for s in sites])
         assert out[0].labels.ravel().tolist() == nearest_index(x, y, sx, sy).tolist()
 

@@ -44,7 +44,7 @@ from covmap.mapping import (
 )
 from covmap.propagation import RssField
 from conftest import traced_held, traced_peak
-from weight_rows import entries_by_column, pixel_csr, rows_of, weight_matrix
+from weight_rows import entries_by_column, pixel_csr, pixel_row, rows_of, weight_matrix
 
 
 def make_field(pixel_ids, bts_ids, rss, threshold=-110.0):
@@ -179,8 +179,8 @@ class TestBsa:
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -60.0], [-120.0, -80.0]])
         pw = weights_bsa(field)
         wm = area_weights_from_pixels(pw, areas, g)
-        assert pw.row(0) == {"b1": 1.0}
-        assert pw.row(1) == {"b2": 1.0}  # b1 is dead at pixel 1
+        assert pixel_row(pw, 0) == {"b1": 1.0}
+        assert pixel_row(pw, 1) == {"b2": 1.0}  # b1 is dead at pixel 1
         assert wm.row("a") == {"b1": 0.5, "b2": 0.5}
 
     def test_all_dead_pixel_contributes_nothing(self):
@@ -197,7 +197,7 @@ class TestBsa:
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
         field = make_field(settlements.ids, ["a", "m", "z"], [[-70.0, -70.0, -70.0]])
-        assert weights_bsa(field).row(0) == {"a": 1.0}
+        assert pixel_row(weights_bsa(field), 0) == {"a": 1.0}
 
     def test_whole_area_dead_gets_no_coverage(self):
         counts = np.array([[1, 1]])
@@ -229,7 +229,7 @@ class TestBsa:
                 if v >= -110.0 and v > best_v:
                     best, best_v = b, v
             raw[i] = best
-            assert pw.row(i) == ({best: 1.0} if best else {})
+            assert pixel_row(pw, i) == ({best: 1.0} if best else {})
         srows, scols = g.rowcol_of_id(settlements.ids)
         for aid, mask in (("w", half), ("e", ~half)):
             sel = [
@@ -250,10 +250,11 @@ class TestIdw:
         g, settlements = strip_settlements(counts)
         field = make_field(settlements.ids, ["b1", "b2"], [[-50.0, -100.0]])
         pw = weights_idw(field, s=1.0, k=5)
-        assert_allclose([pw.row(0)["b1"], pw.row(0)["b2"]], [2 / 3, 1 / 3], atol=1e-15)
+        row = pixel_row(pw, 0)
+        assert_allclose([row["b1"], row["b2"]], [2 / 3, 1 / 3], atol=1e-15)
         pw8 = weights_idw(field, s=8.0, k=5)
-        assert_allclose(pw8.row(0)["b1"], 256 / 257, atol=1e-15)
-        assert_allclose(pw8.row(0)["b2"], 1 / 257, atol=1e-15)
+        assert_allclose(pixel_row(pw8, 0)["b1"], 256 / 257, atol=1e-15)
+        assert_allclose(pixel_row(pw8, 0)["b2"], 1 / 257, atol=1e-15)
 
     def test_zero_exponent_is_uniform(self):
         counts = np.array([[1]])
@@ -261,21 +262,22 @@ class TestIdw:
         field = make_field(settlements.ids, ["b1", "b2", "b3"], [[-50.0, -100.0, -130.0]])
         pw = weights_idw(field, s=0.0, k=5)
         # only the two live links share the weight
-        assert pw.row(0) == {"b1": 0.5, "b2": 0.5}
+        assert pixel_row(pw, 0) == {"b1": 0.5, "b2": 0.5}
 
     def test_signal_magnitude_clamped_at_one(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
         field = make_field(settlements.ids, ["b1", "b2"], [[-0.5, -2.0]])
         pw = weights_idw(field, s=1.0, k=5)
-        assert_allclose([pw.row(0)["b1"], pw.row(0)["b2"]], [2 / 3, 1 / 3], atol=1e-15)
+        row = pixel_row(pw, 0)
+        assert_allclose([row["b1"], row["b2"]], [2 / 3, 1 / 3], atol=1e-15)
 
     def test_k_limits_links(self):
         counts = np.array([[1]])
         g, settlements = strip_settlements(counts)
         field = make_field(settlements.ids, ["b1", "b2", "b3"], [[-40.0, -50.0, -60.0]])
         pw = weights_idw(field, s=0.0, k=2)
-        assert pw.row(0) == {"b1": 0.5, "b2": 0.5}
+        assert pixel_row(pw, 0) == {"b1": 0.5, "b2": 0.5}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(41)
@@ -293,7 +295,7 @@ class TestIdw:
             v = {b: 1.0 / max(abs(r), 1.0) ** s for r, b in chosen}
             tot = sum(v.values())
             want = {b: val / tot for b, val in v.items()} if tot else {}
-            got = pw.row(i)
+            got = pixel_row(pw, i)
             assert set(got) == set(want)
             for b in want:
                 assert_allclose(got[b], want[b], atol=1e-12)
@@ -307,8 +309,8 @@ class TestIdw:
         pw_idw = weights_idw(field, s=16.0, k=5)
         pw_bsa = weights_bsa(field)
         for i in range(len(settlements)):
-            top_idw = max(pw_idw.row(i).items(), key=lambda t: t[1])[0]
-            assert top_idw == next(iter(pw_bsa.row(i)))
+            top_idw = max(pixel_row(pw_idw, i).items(), key=lambda t: t[1])[0]
+            assert top_idw == next(iter(pixel_row(pw_bsa, i)))
 
     def test_vanishing_weights_name_the_exponent(self):
         counts = np.array([[1, 1]])
@@ -320,7 +322,7 @@ class TestIdw:
             weights_idw(field, s=400.0, k=5)
         one = make_field(settlements.ids[1:], ["b1", "b2"], [[-0.5, -60.0]])
         pw = weights_idw(one, s=400.0, k=5)
-        assert pw.row(0) == {"b1": 1.0, "b2": 0.0}
+        assert pixel_row(pw, 0) == {"b1": 1.0, "b2": 0.0}
 
     def test_bad_params_rejected(self):
         counts = np.array([[1]])
@@ -964,10 +966,10 @@ class TestContainers:
         # a one-hot row of -1 is an uncovered pixel; zero weights are allowed
         pw = PixelWeights("x", [1, 2], ["b", "c"], [[1, -1], [0, 1]], [[1.0, 0.0], [1.0, 0.0]])
         assert pw.covered.tolist() == [True, True]
-        assert pw.row(0) == {"c": 1.0} and pw.row(1) == {"b": 1.0, "c": 0.0}
+        assert pixel_row(pw, 0) == {"c": 1.0} and pixel_row(pw, 1) == {"b": 1.0, "c": 0.0}
         one_hot = PixelWeights("x", [1, 2], ["b"], np.array([[-1], [0]], dtype=np.int32))
         assert one_hot.covered.tolist() == [False, True]
-        assert one_hot.row(0) == {} and one_hot.row(1) == {"b": 1.0}
+        assert pixel_row(one_hot, 0) == {} and pixel_row(one_hot, 1) == {"b": 1.0}
 
     def test_covariate_table_validation(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -51,13 +51,14 @@ from covmap.simulation import (
     place_bts,
     prediction_metrics,
     run_study,
+    served_pixels,
     settlement_overlap,
     settlement_pixel_weights,
     simulate_round,
     uninhabited_mask,
     urban_block_mask,
 )
-from conftest import traced_held, traced_peak
+from conftest import pixel_centers, traced_held, traced_peak
 from weight_rows import pixel_csr
 
 
@@ -1124,7 +1125,7 @@ class TestTiledPass:
     @given(layout=_tiled_layout())
     def test_equals_dense_oracle_and_settlement_pass(self, layout):
         cfg, specs, env, settlements, tile, entries, s, k = layout
-        x, y = cfg.grid.pixel_centers()
+        x, y = pixel_centers(cfg.grid)
         levels = np.column_stack([
             sp.power_dbm - extended_hata_db(sp.freq_mhz, np.hypot(x - sp.x, y - sp.y) / 1000.0,
                                             sp.height_m, cfg.rx_height_m, env,
@@ -1212,7 +1213,7 @@ class TestLevelPruning:
         at both ranks, equal the selectors' on `rss_field` over every site
         and pixel."""
         cfg, specs, env, settlements, tile, s, k = layout
-        x, y = cfg.grid.pixel_centers()
+        x, y = pixel_centers(cfg.grid)
         npx = cfg.grid.npixels
         field = rss_field(specs, np.arange(npx), x, y, env,
                           candidates=np.ones((npx, len(specs)), dtype=bool),
@@ -1325,7 +1326,7 @@ def test_per_env_bounds_evaluate_fewer_links_on_mixed_cells(monkeypatch):
                   for r in range(0, 128, 16) for c in range(0, 128, 16)]
     assert cell_codes.count(2) >= 10 and cell_codes.count(3) >= 10
     npx, specs = cfg.grid.npixels, world.specs
-    x, y = cfg.grid.pixel_centers()
+    x, y = pixel_centers(cfg.grid)
     field = rss_field(specs, np.arange(npx), x, y, env.ravel(),
                       candidates=np.ones((npx, len(specs)), dtype=bool),
                       rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
@@ -1365,7 +1366,7 @@ def _assembled_idw_rows(cfg, specs, env, settlements, s, k, tile):
     pieces, and one stable sort on the owners to put them in settlement
     order."""
     npx = cfg.grid.npixels
-    x, y = cfg.grid.pixel_centers()
+    x, y = pixel_centers(cfg.grid)
     at = np.full(npx, -1)
     at[settlements.ids] = np.arange(len(settlements))
     r, c = np.divmod(np.arange(npx), cfg.ncols)
@@ -1430,7 +1431,7 @@ class TestStudyWalks:
         settled pixels only or unsettled pixels only, and the unsettled
         pixels are offered the rank-1 candidates, not idw's k."""
         cfg, specs, env, settlements, tile, s, _ = layout
-        x, y = cfg.grid.pixel_centers()
+        x, y = pixel_centers(cfg.grid)
         npx = cfg.grid.npixels
         field = rss_field(specs, np.arange(npx), x, y, env,
                           candidates=np.ones((npx, len(specs)), dtype=bool),
@@ -1543,7 +1544,7 @@ def test_idw_rows_come_from_the_live_sites_alone():
     live columns."""
     cfg, specs, env, settlements = _FAR_SITES
     s, k = 2.0, 9
-    x, y = cfg.grid.pixel_centers()
+    x, y = pixel_centers(cfg.grid)
     field = rss_field(specs, np.arange(x.size), x, y, env,
                       candidates=np.ones((x.size, len(specs)), dtype=bool),
                       rx_height_m=cfg.rx_height_m, dead_threshold_dbm=cfg.dead_threshold_dbm)
@@ -1633,9 +1634,14 @@ def test_three_builders_of_weight_matrices():
 def test_one_claim_model_scores_every_overlap():
     """Both overlap metrics score a claim (labels and a key per site) one
     way: the study calls the two scorers directly, and the assignment
-    IoU is the claim IoU keyed by each site's own index."""
-    assert _package_callers("area_membership_overlap", "settlement_overlap") == {
-        "area_membership_overlap": {"simulation.geographic_overlap", "simulation._evaluate_round"},
+    IoU is the claim IoU keyed by each site's own index.  The truth
+    map's served pixels are counted by the two callers of the IoU, once
+    per call, not by the IoU per claim."""
+    scorers = {"simulation.geographic_overlap", "simulation._evaluate_round"}
+    assert _package_callers("area_membership_overlap", "served_pixels",
+                            "settlement_overlap") == {
+        "area_membership_overlap": scorers,
+        "served_pixels": scorers,
         "settlement_overlap": {"simulation._evaluate_round"},
     }
 
@@ -1772,8 +1778,9 @@ class TestClaimModelOracle:
         own = np.arange(len(truth.bts_ids))
         want_geo = _bits(_geographic_overlap_before(est, truth, env))
         assert _bits(geographic_overlap(est, truth, env)) == want_geo
-        assert _bits(area_membership_overlap(est.labels, own, truth, env)) == want_geo
-        assert (_bits(area_membership_overlap(area_labels, host, truth, env))
+        served = served_pixels(truth)
+        assert _bits(area_membership_overlap(est.labels, own, truth, served, env)) == want_geo
+        assert (_bits(area_membership_overlap(area_labels, host, truth, served, env))
                 == _bits(_area_membership_overlap_before(area_labels, host, truth, env)))
         assert (_bits(settlement_overlap(est_at, own, true_server, groups))
                 == _bits(_settlement_overlap_before(est_at, true_server, groups)))
@@ -1815,7 +1822,7 @@ class TestGeographicOverlap:
         truth = Assignment(self.grid(), ["a", "b"], np.array([[0, 1, 1, -1]]))
         area_labels = np.array([[0, 0, 1, 1]])
         host = np.array([0, 1])
-        out = area_membership_overlap(area_labels, host, truth)
+        out = area_membership_overlap(area_labels, host, truth, served_pixels(truth))
         # a: claims area 0 = {0,1}, true tile {0}: inter 1, union 2
         # b: claims area 1 = {2,3}, true tile {1,2}: inter 1, union 3
         assert out["total"] == pytest.approx((1 / 2 + 1 / 3) / 2)
@@ -1831,13 +1838,15 @@ class TestGeographicOverlap:
         host = areas.locate_points([50.0, 405.0], [50.0, 5.0])
         assert area_labels.max() == 0 and host.tolist() == [0, 1]
         truth = Assignment(self.grid(), ["a", "b"], np.array([[0, 0, 1, -1]]))
-        out = area_membership_overlap(area_labels, host, truth, ["urban", "rural"])
+        out = area_membership_overlap(area_labels, host, truth, served_pixels(truth),
+                                      ["urban", "rural"])
         # a: area 0 = {0, 1}, true tile {0, 1}; b: empty claim, true tile {2}
         assert out == {"total": 0.5, "urban": 1.0, "rural": 0.0}
 
     def test_membership_no_host_scores_zero(self):
         truth = Assignment(self.grid(), ["a"], np.array([[0, 0, -1, -1]]))
-        out = area_membership_overlap(np.array([[0, 0, 1, 1]]), np.array([-1]), truth)
+        out = area_membership_overlap(np.array([[0, 0, 1, 1]]), np.array([-1]), truth,
+                                      served_pixels(truth))
         assert out["total"] == 0.0
 
 

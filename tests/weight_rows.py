@@ -1,6 +1,7 @@
 """Weight rows in the forms tests state them: `WeightMatrix` from and to
-{area_id: {bts_id: weight}} rows, and padded pixel rows as CSR triples,
-in row order or with each row's entries sorted by column."""
+{area_id: {bts_id: weight}} rows, one padded pixel row as {bts_id:
+weight}, and padded pixel rows as CSR triples, in row order or with each
+row's entries sorted by column."""
 
 import numpy as np
 
@@ -26,6 +27,13 @@ def weight_matrix(scheme: str, area_ids: list[str], rows: dict[str, dict[str, fl
 def rows_of(wm: WeightMatrix) -> dict[str, dict[str, float]]:
     """The covered areas' rows, in area order."""
     return {aid: wm.row(aid) for aid in wm.covered_ids}
+
+
+def pixel_row(pw: PixelWeights, i: int) -> dict[str, float]:
+    """Pixel row i of `pw` as {bts_id: weight}, 1 for a one-hot row."""
+    cols = pw.col[i][pw.col[i] >= 0].tolist()
+    w = [1.0] * len(cols) if pw.w is None else pw.w[i, :len(cols)].tolist()
+    return {pw.bts_ids[c]: v for c, v in zip(cols, w)}
 
 
 def _padded_layout(col, w) -> tuple[np.ndarray, np.ndarray]:
